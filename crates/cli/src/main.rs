@@ -33,8 +33,8 @@ use slic_obs::{
     ProgressMeter, RunRecord, TraceRecorder,
 };
 use slic_pipeline::{
-    BackendChoice, CharacterizationPlan, FarmSection, PipelineError, PipelineRunner, RunArtifact,
-    RunConfig, RunProfile,
+    BackendChoice, CharacterizationPlan, PipelineError, PipelineRunner, RunArtifact, RunConfig,
+    RunProfile,
 };
 use slic_spice::{CharacterizationEngine, CompactionOptions, DiskSimCache};
 use std::collections::BTreeMap;
@@ -111,7 +111,8 @@ SUBCOMMANDS:
                     --simd                  route batched lanes through the SIMD quad
                                             kernel (local backend only); delays stay
                                             within the CI-gated 0.5% accuracy envelope,
-                                            and the artifact gains a kernel cost section
+                                            and the run summary and ledger record gain
+                                            its quad counters
                     --out <file>            run artifact JSON (default run.json)
                     --liberty <file>        also write the Liberty text here
 
@@ -147,7 +148,7 @@ SUBCOMMANDS:
 
     report        Print the Markdown summary of a finished run, including the
                   sigma/skew tables of a statistical run.  A shard artifact is
-                  labelled PARTIAL so its totals are never mistaken for the whole run.
+                  labelled PARTIAL so it is never mistaken for the whole run.
                     --run <file>            run artifact JSON (default run.json)
 
     cache         Cache maintenance.
@@ -683,6 +684,10 @@ fn print_run_summary(runner: &PipelineRunner, farm: Option<&FarmBackend>) -> Met
             .counter_set("kernel.rejected_steps", stats.rejected_steps);
         obs.metrics
             .counter_set("kernel.device_evals", stats.device_evals);
+        obs.metrics
+            .counter_set("kernel.quad_rounds", stats.quad_rounds);
+        obs.metrics
+            .counter_set("kernel.active_lane_rounds", stats.active_lane_rounds);
         let occupancy = stats
             .quad_occupancy()
             .map(|o| format!(", {:.0}% quad occupancy", o * 100.0))
@@ -813,22 +818,6 @@ fn report_farm(farm: &FarmBackend) {
          solving",
         stats.reconnects, stats.heartbeats_missed, stats.degraded_jobs,
     );
-}
-
-/// The farm's post-run record in artifact form (display-only; never serialized).
-fn farm_section(farm: &FarmBackend) -> FarmSection {
-    let stats = farm.stats();
-    FarmSection {
-        fleet_size: farm.fleet_size(),
-        workers_live: farm.live_workers(),
-        jobs_completed: stats.jobs_completed,
-        failovers: stats.failovers,
-        reconnects: stats.reconnects,
-        heartbeats_missed: stats.heartbeats_missed,
-        degraded_jobs: stats.degraded_jobs,
-        lanes_remote: stats.lanes_remote,
-        lanes_local: stats.lanes_local,
-    }
 }
 
 /// Parses a 1-based `--shard i/n` specification into `(index, count)`.
@@ -1043,12 +1032,7 @@ fn cmd_characterize(flags: &BTreeMap<String, String>) -> Result<(), PipelineErro
         }
     };
 
-    let mut artifact = runner.characterize(&plan, &database)?;
-    // Attach the fleet record for reporting; the section is display-only and never
-    // serialized, so the saved JSON stays byte-identical to a local run's.
-    if let Some(farm) = &farm {
-        artifact.farm = Some(farm_section(farm));
-    }
+    let artifact = runner.characterize(&plan, &database)?;
     // Persist the (possibly disk-backed) cache before reporting success: shard workers
     // and reruns depend on it, and the drop-time flush can only warn.
     {
@@ -1062,8 +1046,8 @@ fn cmd_characterize(flags: &BTreeMap<String, String>) -> Result<(), PipelineErro
         "characterized {}/{} arcs in {} simulations ({} cache hits) -> {out}",
         artifact.characterized.arcs.len(),
         plan.arcs().len(),
-        artifact.total_simulations,
-        artifact.cache_hits,
+        runner.counter().count(),
+        runner.cache().hits(),
     );
     if let Some(variation) = &artifact.variation {
         println!(
@@ -1079,8 +1063,8 @@ fn cmd_characterize(flags: &BTreeMap<String, String>) -> Result<(), PipelineErro
         runner.config(),
         "characterize",
         wall.now_ns(),
-        artifact.total_simulations,
-        artifact.cache_hits,
+        runner.counter().count(),
+        runner.cache().hits(),
         &artifact_json,
         snapshot,
     )?;
@@ -1569,15 +1553,11 @@ fn cmd_merge(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {
         .unwrap_or("merged.json");
     merged.save(out)?;
     println!(
-        "merged {} shards: {} of {} planned units, {} arcs characterized, {} simulations \
-         ({} cache hits, {} misses) -> {out}",
+        "merged {} shards: {} of {} planned units, {} arcs characterized -> {out}",
         shards.len(),
         merged.units.len(),
         merged.planned_units,
         merged.characterized.arcs.len(),
-        merged.total_simulations,
-        merged.cache_hits,
-        merged.cache_misses,
     );
     Ok(())
 }

@@ -1,7 +1,9 @@
 //! End-to-end farm tests against the real `slic` binary: spawned-worker fleets, TCP
 //! fleets, a worker killed mid-run, cache compaction — always asserting the farm artifact
-//! is byte-identical to the single-process artifact of the same configuration.
+//! is byte-identical to the single-process artifact of the same configuration.  What a
+//! run paid is read from its `--ledger` record; artifacts hold results only.
 
+use slic_obs::RunRecord;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -55,16 +57,18 @@ fn start_tcp_worker(max_batches: Option<u64>) -> (Child, String) {
     (child, address)
 }
 
-fn read_json(path: &Path) -> serde::Value {
-    serde_json::from_str(&std::fs::read_to_string(path).expect("artifact readable"))
-        .expect("artifact parses")
+/// The newest record of the run ledger at `path`.
+fn last_run(path: &Path) -> RunRecord {
+    let ledger = slic_obs::ledger::load(path).expect("ledger readable");
+    assert_eq!(ledger.dropped, 0, "the ledger must parse cleanly");
+    ledger.records.last().cloned().expect("a run was recorded")
 }
 
-fn field_u64(value: &serde::Value, name: &str) -> u64 {
-    value
-        .get(name)
-        .and_then(serde::Value::as_f64)
-        .unwrap_or_else(|| panic!("artifact field `{name}` missing")) as u64
+/// A counter of a ledger record's metrics snapshot.
+fn counter(record: &RunRecord, name: &str) -> u64 {
+    record
+        .counter(name)
+        .unwrap_or_else(|| panic!("ledger counter `{name}` missing"))
 }
 
 #[test]
@@ -96,6 +100,8 @@ fn spawned_farm_artifact_is_byte_identical_and_warm_rerun_is_free() {
             "2",
             "--cache",
             "farm-cache.jsonl",
+            "--ledger",
+            "runs.jsonl",
             "--out",
             "run-farm.json",
         ],
@@ -111,11 +117,11 @@ fn spawned_farm_artifact_is_byte_identical_and_warm_rerun_is_free() {
         local, farm,
         "a 2-worker farm run must be byte-identical to the local run"
     );
-    let fresh = read_json(&dir.join("run-farm.json"));
-    assert!(field_u64(&fresh, "total_simulations") > 0);
+    let fresh = last_run(&dir.join("runs.jsonl"));
+    assert!(fresh.sims_paid > 0);
     assert_eq!(
-        field_u64(&fresh, "total_simulations"),
-        field_u64(&fresh, "cache_misses"),
+        fresh.sims_paid,
+        counter(&fresh, "cache.misses"),
         "each unique coordinate was paid exactly once across the farm"
     );
 
@@ -130,13 +136,24 @@ fn spawned_farm_artifact_is_byte_identical_and_warm_rerun_is_free() {
             "2",
             "--cache",
             "farm-cache.jsonl",
+            "--ledger",
+            "runs.jsonl",
             "--out",
             "run-farm-warm.json",
         ],
     );
-    let warm = read_json(&dir.join("run-farm-warm.json"));
-    assert_eq!(field_u64(&warm, "total_simulations"), 0);
-    assert_eq!(field_u64(&warm, "cache_misses"), 0);
+    let warm = last_run(&dir.join("runs.jsonl"));
+    assert_eq!(warm.sims_paid, 0);
+    assert_eq!(counter(&warm, "cache.misses"), 0);
+    // The warm run paid nothing, yet wrote the cold run's bytes, so the ledger's
+    // regression gate sees no determinism break between the two.
+    let warm_bytes = std::fs::read(dir.join("run-farm-warm.json")).expect("warm artifact");
+    assert_eq!(
+        warm_bytes, farm,
+        "a warm rerun must be byte-identical to the cold run"
+    );
+    assert_eq!(warm.artifact_hash, fresh.artifact_hash);
+    slic(&dir, &["history", "runs.jsonl", "--diff"]);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -258,17 +275,18 @@ fn report_labels_shard_artifacts_as_partial_and_compact_dedups_the_cache() {
             "2/2",
             "--cache",
             "cache.jsonl",
+            "--ledger",
+            "runs.jsonl",
             "--out",
             "run-replay.json",
         ],
     );
-    let replay = read_json(&dir.join("run-replay.json"));
+    let replay = last_run(&dir.join("runs.jsonl"));
     assert_eq!(
-        field_u64(&replay, "total_simulations"),
-        0,
+        replay.sims_paid, 0,
         "the compacted cache must answer every coordinate of the replay"
     );
-    assert_eq!(field_u64(&replay, "cache_misses"), 0);
+    assert_eq!(counter(&replay, "cache.misses"), 0);
 
     std::fs::remove_dir_all(&dir).ok();
 }

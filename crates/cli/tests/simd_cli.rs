@@ -1,8 +1,9 @@
 //! End-to-end SIMD-kernel tests against the real `slic` binary: the default (scalar)
 //! artifact must carry no trace of the SIMD work, an explicit `kernel.simd = false`
 //! config must be byte-identical to the default, and a `--simd` run must record the
-//! kernel cost section with consistent dispatch accounting.
+//! `kernel.*` counters of its ledger record with consistent dispatch accounting.
 
+use slic_obs::RunRecord;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -31,11 +32,10 @@ fn slic(dir: &Path, args: &[&str]) -> String {
     String::from_utf8(output.stdout).expect("utf8 stdout")
 }
 
-fn kernel_field(kernel: &serde::Value, name: &str) -> u64 {
-    kernel
-        .get(name)
-        .and_then(serde::Value::as_f64)
-        .unwrap_or_else(|| panic!("kernel field `{name}` missing")) as u64
+fn counter(record: &RunRecord, name: &str) -> u64 {
+    record
+        .counter(name)
+        .unwrap_or_else(|| panic!("ledger counter `{name}` missing"))
 }
 
 #[test]
@@ -83,8 +83,9 @@ fn default_artifact_is_simd_free_and_a_simd_run_records_the_kernel_section() {
         "kernel.simd = false must be byte-identical to the default"
     );
 
-    // A `--simd` run records the kernel cost section, with every dispatched lane
-    // accounted for exactly once, and surfaces the same numbers on stdout.
+    // A `--simd` run records the kernel counters in its ledger record, with every
+    // dispatched lane accounted for exactly once, and surfaces the same numbers on
+    // stdout.  Its artifact holds results only, so it carries no kernel key either.
     let stdout = slic(
         &dir,
         &[
@@ -92,6 +93,8 @@ fn default_artifact_is_simd_free_and_a_simd_run_records_the_kernel_section() {
             "--simd",
             "--history",
             "history.json",
+            "--ledger",
+            "runs.jsonl",
             "--out",
             "run-simd.json",
         ],
@@ -104,25 +107,24 @@ fn default_artifact_is_simd_free_and_a_simd_run_records_the_kernel_section() {
         stdout.contains("dispatch:"),
         "post-run summary missing the dispatch line:\n{stdout}"
     );
-    let artifact: serde::Value = serde_json::from_str(
-        &std::fs::read_to_string(dir.join("run-simd.json")).expect("simd artifact"),
-    )
-    .expect("artifact parses");
-    let kernel = artifact.get("kernel").expect("kernel section present");
-    assert_eq!(
-        kernel.get("simd").and_then(serde::Value::as_bool),
-        Some(true)
-    );
-    assert!(kernel_field(kernel, "sims") > 0);
+    let simd_text = std::fs::read_to_string(dir.join("run-simd.json")).expect("simd artifact");
     assert!(
-        kernel_field(kernel, "quad_rounds") > 0,
+        !simd_text.contains("kernel"),
+        "a SIMD artifact must carry no kernel key"
+    );
+    let ledger = slic_obs::ledger::load(&dir.join("runs.jsonl")).expect("ledger readable");
+    let record = ledger.records.last().expect("the SIMD run was recorded");
+    assert!(counter(record, "kernel.sims") > 0);
+    assert!(
+        counter(record, "kernel.quad_rounds") > 0,
         "SIMD quads must have run"
     );
+    assert!(counter(record, "kernel.active_lane_rounds") > 0);
     assert_eq!(
-        kernel_field(kernel, "lanes_dispatched"),
-        kernel_field(kernel, "lanes_cached")
-            + kernel_field(kernel, "lanes_claimed")
-            + kernel_field(kernel, "lanes_deferred"),
+        counter(record, "dispatch.lanes"),
+        counter(record, "dispatch.lanes.cached")
+            + counter(record, "dispatch.lanes.claimed")
+            + counter(record, "dispatch.lanes.deferred"),
         "every dispatched lane is cached, claimed or deferred"
     );
 

@@ -5,7 +5,7 @@
 
 use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
 use slic_device::TechnologyNode;
-use slic_farm::{serve_listener, FarmBackend, FarmTuning, ServeOutcome, WorkerOptions};
+use slic_farm::{serve_listener, FarmBackend, FarmTuning, FaultPlan, ServeOutcome, WorkerOptions};
 use slic_spice::{
     CharacterizationEngine, InMemorySimCache, InputPoint, SimulationCache, TransientConfig,
 };
@@ -16,13 +16,16 @@ use std::thread::JoinHandle;
 
 /// Starts a worker serve loop on an ephemeral port; returns its address and join handle.
 fn spawn_tcp_worker(name: &str, max_batches: Option<u64>) -> (String, JoinHandle<ServeOutcome>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
-    let address = listener.local_addr().expect("bound address").to_string();
-    let options = WorkerOptions {
+    spawn_tcp_worker_with(WorkerOptions {
         name: name.to_string(),
         max_batches,
         ..WorkerOptions::default()
-    };
+    })
+}
+
+fn spawn_tcp_worker_with(options: WorkerOptions) -> (String, JoinHandle<ServeOutcome>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+    let address = listener.local_addr().expect("bound address").to_string();
     let handle =
         std::thread::spawn(move || serve_listener(&listener, &options).expect("serve loop io"));
     (address, handle)
@@ -102,8 +105,17 @@ fn two_worker_farm_is_bitwise_identical_to_local_and_pays_each_key_once() {
 fn killing_a_worker_mid_run_fails_over_and_preserves_bitwise_results() {
     // Worker `b` dies abruptly after two batches — the deterministic stand-in for
     // `kill -9` mid-batch: it reads its third batch and drops the connection without
-    // replying.
-    let (addr_a, handle_a) = spawn_tcp_worker("a", None);
+    // replying.  Worker `a` holds each batch for 100 ms before answering, so `b` drains
+    // the queue and is handed that third batch; with two equally fast workers `a` could
+    // take enough jobs to leave `b` alive, and the join below would never return.
+    let (addr_a, handle_a) = spawn_tcp_worker_with(WorkerOptions {
+        name: "a".to_string(),
+        fault: Some(FaultPlan {
+            delay_ms: Some(100),
+            ..FaultPlan::default()
+        }),
+        ..WorkerOptions::default()
+    });
     let (addr_b, handle_b) = spawn_tcp_worker("b", Some(2));
     let farm = Arc::new(
         FarmBackend::with_tuning(&[addr_a, addr_b], 0, None, fast_tuning())
@@ -121,8 +133,9 @@ fn killing_a_worker_mid_run_fails_over_and_preserves_bitwise_results() {
         remote, reference,
         "a mid-run worker death must not change a single bit"
     );
-    assert_eq!(handle_b.join().expect("worker b"), ServeOutcome::BatchLimit);
+    // Checked before joining `b`: a `b` that never died fails here instead of hanging.
     assert_eq!(farm.live_workers(), 1, "the dead worker is tracked as dead");
+    assert_eq!(handle_b.join().expect("worker b"), ServeOutcome::BatchLimit);
     let stats = farm.stats();
     assert!(stats.failovers >= 1, "the orphaned job was failed over");
     assert_eq!(

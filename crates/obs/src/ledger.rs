@@ -172,12 +172,18 @@ pub fn append(path: &Path, record: &RunRecord) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Truncates a torn final line (no trailing newline) off the ledger.
+/// Truncates a torn final line (no trailing newline) off an append-only JSON-lines
+/// file — this ledger, or a `DiskSimCache` log.
 ///
-/// Called under the exclusive append lock: any live writer finishes its whole line —
-/// trailing newline included — before releasing the lock, so a non-newline tail can
-/// only be the leftover of a crashed writer and is safe to drop.
-fn truncate_torn_tail(file: &mut std::fs::File) -> std::io::Result<()> {
+/// Call it under the file's exclusive append lock: any live writer finishes its whole
+/// line — trailing newline included — before releasing the lock, so a non-newline tail
+/// can only be the leftover of a crashed writer and is safe to drop (its record was
+/// never observable as complete).
+///
+/// # Errors
+///
+/// Propagates the I/O errors of reading, seeking and truncating `file`.
+pub fn truncate_torn_tail(file: &mut std::fs::File) -> std::io::Result<()> {
     const CHUNK: u64 = 64 * 1024;
     let len = file.metadata()?.len();
     let mut scanned = 0u64;

@@ -1,8 +1,8 @@
 //! `slic-obs`: structured run tracing and a unified metrics registry.
 //!
-//! The suite's artifacts are bit-identical across backends, shard counts and farm
-//! failure patterns — which means *performance* evidence cannot live in artifacts at
-//! all.  This crate is the display-only telemetry layer the rest of the workspace
+//! The suite's artifacts hold results only: they are bit-identical across backends,
+//! shard counts, shard schedules, farm failure patterns and cache state — which means
+//! *performance* evidence cannot live in artifacts at all.  This crate is the display-only telemetry layer the rest of the workspace
 //! threads through its hot paths:
 //!
 //! * [`trace::TraceRecorder`] — an opt-in JSON-lines span/event recorder (monotonic
@@ -17,7 +17,7 @@
 //! * [`ledger`] — the cross-run side: an append-only, flock-guarded `runs.jsonl` of
 //!   [`ledger::RunRecord`]s (config fingerprint, seed, wall time, sims paid vs
 //!   cached, artifact hash, full metrics snapshot) behind `observability.ledger` /
-//!   `--ledger runs.jsonl`.
+//!   `--ledger runs.jsonl` — where a run's cost is kept once its process exits.
 //! * [`diff`] — the regression gate: threshold-driven comparison of two profile
 //!   reports (`slic profile --diff`) or two ledger records (`slic history --diff`),
 //!   exiting nonzero on drift past `observability.diff.*` thresholds.

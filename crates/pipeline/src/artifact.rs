@@ -40,9 +40,9 @@ pub struct UnitResult {
     /// variation `σ/µ` over the grid, in percent (a spread, not an error).
     pub error_percent: f64,
     /// Transient simulations this unit *requested* (training + validation, or
-    /// grid × seeds for Monte Carlo units).  The shared engine may have answered some
-    /// from the cache; the run-level [`RunArtifact::total_simulations`] counts what was
-    /// actually paid for.
+    /// grid × seeds for Monte Carlo units) — a property of the plan, not of one
+    /// execution.  The shared engine may have answered some from the cache; what a run
+    /// actually paid is the runner's counter total, recorded in its ledger record.
     pub requested_simulations: u64,
 }
 
@@ -243,124 +243,17 @@ impl VariationSection {
     }
 }
 
-/// The transient-kernel record of a run: what the hot path cost and how batched lanes
-/// were dispatched.  Recorded only when the run opted into the SIMD kernel
-/// (`kernel.simd = true`), and omitted — not `null` — from the JSON otherwise, so default
-/// runs stay byte-identical to artifacts written before this section existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KernelSection {
-    /// Whether the SIMD quad kernel produced these numbers.
-    pub simd: bool,
-    /// Completed transient simulations the kernel integrated.
-    pub sims: u64,
-    /// Accepted integration steps.
-    pub steps: u64,
-    /// Step attempts rejected by the embedded error estimate.
-    pub rejected_steps: u64,
-    /// Transistor-model evaluations.
-    pub device_evals: u64,
-    /// SIMD quad step attempts (zero for the scalar kernel).
-    pub quad_rounds: u64,
-    /// Real lanes advanced by those quad attempts.
-    pub active_lane_rounds: u64,
-    /// Lanes submitted through batched dispatch.
-    pub lanes_dispatched: u64,
-    /// Lanes answered from the simulation cache without solving.
-    pub lanes_cached: u64,
-    /// Lanes claimed and solved in batched worklists.
-    pub lanes_claimed: u64,
-    /// Lanes deferred to the scalar path because their coordinate was in flight on
-    /// another worker.
-    pub lanes_deferred: u64,
-}
-
-impl KernelSection {
-    /// Accepted steps per completed simulation.
-    pub fn steps_per_sim(&self) -> f64 {
-        if self.sims == 0 {
-            0.0
-        } else {
-            self.steps as f64 / self.sims as f64
-        }
-    }
-
-    /// Transistor-model evaluations per completed simulation.
-    pub fn device_evals_per_sim(&self) -> f64 {
-        if self.sims == 0 {
-            0.0
-        } else {
-            self.device_evals as f64 / self.sims as f64
-        }
-    }
-
-    /// Fraction of SIMD quad slots occupied by real lanes, when the SIMD kernel ran.
-    pub fn quad_occupancy(&self) -> Option<f64> {
-        if self.quad_rounds == 0 {
-            None
-        } else {
-            Some(self.active_lane_rounds as f64 / (4 * self.quad_rounds) as f64)
-        }
-    }
-
-    /// Field-wise sum for shard merging (`simd` is OR-ed: any shard that ran the SIMD
-    /// kernel makes the merged run a SIMD run).
-    fn add(self, other: KernelSection) -> KernelSection {
-        KernelSection {
-            simd: self.simd || other.simd,
-            sims: self.sims + other.sims,
-            steps: self.steps + other.steps,
-            rejected_steps: self.rejected_steps + other.rejected_steps,
-            device_evals: self.device_evals + other.device_evals,
-            quad_rounds: self.quad_rounds + other.quad_rounds,
-            active_lane_rounds: self.active_lane_rounds + other.active_lane_rounds,
-            lanes_dispatched: self.lanes_dispatched + other.lanes_dispatched,
-            lanes_cached: self.lanes_cached + other.lanes_cached,
-            lanes_claimed: self.lanes_claimed + other.lanes_claimed,
-            lanes_deferred: self.lanes_deferred + other.lanes_deferred,
-        }
-    }
-}
-
-/// The farm resilience record of a run: fleet health and the degradation-ladder
-/// counters ([`slic_farm::FarmStats`] plus fleet shape, carried across the crate
-/// boundary as plain fields).
+/// The complete, persistent record of one characterization run: workload identity,
+/// per-unit results, the fitted library and the variation tables.
 ///
-/// This section is **display-only**: it feeds the dispatch summary and
-/// [`RunArtifact::summary_markdown`], and is *never* serialized into the artifact JSON —
-/// a farm run's artifact must stay byte-identical to a local run's, and how many retries
-/// the transport needed is operational telemetry, not a property of the characterized
-/// library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FarmSection {
-    /// Total workers the fleet was built with.
-    pub fleet_size: usize,
-    /// Workers still holding a live connection after the run.
-    pub workers_live: usize,
-    /// Jobs answered by a worker.
-    pub jobs_completed: u64,
-    /// Dispatch attempts that failed and sent their job back for another try.
-    pub failovers: u64,
-    /// Dead workers re-admitted after a backoff re-dial and fresh handshake.
-    pub reconnects: u64,
-    /// Heartbeat probes that went unanswered, each dropping a half-open connection.
-    pub heartbeats_missed: u64,
-    /// Jobs that exhausted their retry budget and degraded to the local fallback.
-    pub degraded_jobs: u64,
-    /// Lanes solved on a worker.
-    pub lanes_remote: u64,
-    /// Lanes solved by the broker's in-process fallback.
-    pub lanes_local: u64,
-}
-
-/// The complete, persistent record of one characterization run.
-///
-/// `Serialize` is written by hand (everything else in this file derives it) for two
-/// reasons: the derived impl emits `"kernel": null` when the section is absent, and the
-/// `kernel` key must be *omitted* instead so that default (`kernel.simd = false`) runs
-/// produce artifacts byte-identical to those written before the section existed; and the
-/// `farm` section must never be written at all — farm and local artifacts are required
-/// to be byte-identical, so transport telemetry cannot enter the JSON.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// The artifact holds results only.  What one execution cost — simulations paid, cache
+/// hits and misses, kernel and farm counters — depends on cache warmth, backend and shard
+/// scheduling rather than on the library, so it lives in the runner's
+/// [`counter`](crate::PipelineRunner::counter) and [`cache`](crate::PipelineRunner::cache),
+/// the post-run metrics snapshot and the run-ledger record.  Two runs of one
+/// configuration therefore serialize byte-identically whether they ran cold or warm,
+/// locally or on a farm, in one process or as merged shards.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunArtifact {
     /// Artifact format version (bumped on breaking layout changes).
     pub schema_version: u32,
@@ -379,54 +272,15 @@ pub struct RunArtifact {
     pub units: Vec<UnitResult>,
     /// The distilled library.
     pub characterized: CharacterizedLibrary,
-    /// Transient simulations actually executed across every stage sharing the run's
-    /// counter (learning + characterization), i.e. the shared `SimulationCounter` total.
-    pub total_simulations: u64,
-    /// Simulation-cache hits across the run.
-    pub cache_hits: u64,
-    /// Simulation-cache misses across the run.
-    pub cache_misses: u64,
     /// Monte Carlo variation record, present exactly when the run was configured with
     /// variation (absent in nominal-only and pre-variation artifacts).
     pub variation: Option<VariationSection>,
-    /// Transient-kernel cost and dispatch record, present exactly when the run opted
-    /// into the SIMD kernel (absent in default-kernel and pre-SIMD artifacts).
-    pub kernel: Option<KernelSection>,
-    /// Farm resilience record, attached in memory after a farm run for reporting.
-    /// Never serialized (and therefore never reloaded): the artifact JSON of a farm run
-    /// is byte-identical to a local run's.
-    pub farm: Option<FarmSection>,
 }
 
-/// Current artifact schema version.
-pub const SCHEMA_VERSION: u32 = 1;
-
-impl serde::Serialize for RunArtifact {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("library".to_string(), self.library.to_value()),
-            ("technology".to_string(), self.technology.to_value()),
-            ("profile".to_string(), self.profile.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("planned_units".to_string(), self.planned_units.to_value()),
-            ("units".to_string(), self.units.to_value()),
-            ("characterized".to_string(), self.characterized.to_value()),
-            (
-                "total_simulations".to_string(),
-                self.total_simulations.to_value(),
-            ),
-            ("cache_hits".to_string(), self.cache_hits.to_value()),
-            ("cache_misses".to_string(), self.cache_misses.to_value()),
-            ("variation".to_string(), self.variation.to_value()),
-        ];
-        if let Some(kernel) = &self.kernel {
-            entries.push(("kernel".to_string(), kernel.to_value()));
-        }
-        // `self.farm` is deliberately not written: see the struct docs.
-        serde::Value::Object(entries)
-    }
-}
+/// Current artifact schema version.  Version 1 also serialized the run's cost
+/// (`total_simulations`, `cache_hits`, `cache_misses` and, for SIMD runs, a `kernel`
+/// section); version 2 holds results only.
+pub const SCHEMA_VERSION: u32 = 2;
 
 impl RunArtifact {
     /// Serializes to pretty JSON.
@@ -440,17 +294,22 @@ impl RunArtifact {
 
     /// Parses an artifact from JSON, checking the schema version.
     ///
+    /// Version-1 artifacts still load: the parser looks fields up by name, so their cost
+    /// keys are never read, and the artifact comes back as the current version.
+    ///
     /// # Errors
     ///
-    /// Returns a [`PipelineError`] on malformed JSON or a schema-version mismatch.
+    /// Returns a [`PipelineError`] on malformed JSON or an unsupported schema version.
     pub fn from_json(text: &str) -> Result<Self, PipelineError> {
-        let artifact: Self = serde_json::from_str(text)?;
-        if artifact.schema_version != SCHEMA_VERSION {
+        let mut artifact: Self = serde_json::from_str(text)?;
+        if !(1..=SCHEMA_VERSION).contains(&artifact.schema_version) {
             return Err(PipelineError::config(format!(
-                "run artifact schema version {} is not supported (expected {SCHEMA_VERSION})",
+                "run artifact schema version {} is not supported (expected 1 to \
+                 {SCHEMA_VERSION})",
                 artifact.schema_version
             )));
         }
+        artifact.schema_version = SCHEMA_VERSION;
         Ok(artifact)
     }
 
@@ -475,12 +334,11 @@ impl RunArtifact {
 
     /// Joins the artifacts of disjoint plan shards into the artifact of the whole run.
     ///
-    /// Counter totals and cache statistics are summed; unit results are concatenated and
-    /// re-ordered by their stable unit identity, so the merged artifact is independent of
-    /// shard order and the fitted [`CharacterizedLibrary`] is rebuilt from the full unit
-    /// set.  When the shards executed sequentially against one shared (disk-backed)
-    /// simulation cache, the merged totals equal a single-process run of the unsharded
-    /// plan: each unique coordinate was paid for exactly once somewhere.
+    /// Unit results (and variation tables) are concatenated and re-ordered by their
+    /// stable identity, and the fitted [`CharacterizedLibrary`] is rebuilt from the full
+    /// unit set, so the merged artifact is byte-identical to a single-process run of the
+    /// unsharded plan — whatever the shard order, and whether the shards ran one after
+    /// another or concurrently.
     ///
     /// # Errors
     ///
@@ -543,12 +401,6 @@ impl RunArtifact {
             )));
         }
         let variation = Self::merge_variation(shards)?;
-        // Kernel sections are cost accounting (like the cache totals), not ensemble
-        // identity: shards that ran without the SIMD kernel simply contribute nothing.
-        let kernel = shards
-            .iter()
-            .filter_map(|s| s.kernel)
-            .reduce(KernelSection::add);
         let characterized =
             CharacterizedLibrary::from_units(&first.library, &first.technology, &units);
         Ok(RunArtifact {
@@ -560,14 +412,7 @@ impl RunArtifact {
             planned_units: first.planned_units,
             units,
             characterized,
-            total_simulations: shards.iter().map(|s| s.total_simulations).sum(),
-            cache_hits: shards.iter().map(|s| s.cache_hits).sum(),
-            cache_misses: shards.iter().map(|s| s.cache_misses).sum(),
             variation,
-            kernel,
-            // Transport telemetry never round-trips through shard files, so there is
-            // nothing truthful to merge.
-            farm: None,
         })
     }
 
@@ -645,15 +490,14 @@ impl RunArtifact {
 
     /// Returns `true` when this artifact covers only part of its plan — i.e. it is one
     /// shard of a split run, not the whole run.  Partial artifacts must not be exported
-    /// (their library would silently be incomplete) and their cost totals describe the
-    /// shard, not the run; every consumer besides `merge` either refuses them or labels
-    /// its output accordingly.
+    /// (their library would silently be incomplete); every consumer besides `merge`
+    /// either refuses them or labels its output accordingly.
     pub fn is_partial(&self) -> bool {
         self.units.len() < self.planned_units
     }
 
-    /// A Markdown summary table of the run (one row per unit) with a cost footer; a
-    /// statistical run additionally renders its sigma/skew tables.
+    /// A Markdown summary table of the run (one row per unit); a statistical run
+    /// additionally renders its sigma/skew tables.
     ///
     /// A shard artifact is labelled prominently as partial — the count covers nominal
     /// *and* variation units alike — so a report of one shard is never mistaken for the
@@ -690,78 +534,21 @@ impl RunArtifact {
         );
         if self.is_partial() {
             out.push_str(&format!(
-                "> **PARTIAL SHARD ARTIFACT** — covers {} of {} planned units. Simulation \
-                 and cache totals below describe this shard only; join every shard with \
-                 `slic merge` before exporting or quoting run-level results.\n\n",
+                "> **PARTIAL SHARD ARTIFACT** — covers {} of {} planned units. Join every \
+                 shard with `slic merge` before exporting or quoting run-level results.\n\n",
                 self.units.len(),
                 self.planned_units,
             ));
         }
         out.push_str(&markdown_table(&headers, &rows));
         out.push_str(&format!(
-            "\n{} units; {} arcs fully characterized; {} transient simulations paid, {} cache hits ({} misses).\n",
+            "\n{} units; {} arcs fully characterized.\n",
             self.units.len(),
             self.characterized.arcs.len(),
-            self.total_simulations,
-            self.cache_hits,
-            self.cache_misses,
         ));
-        if let Some(kernel) = &self.kernel {
-            out.push_str(&Self::kernel_markdown(kernel));
-        }
-        if let Some(farm) = &self.farm {
-            out.push_str(&Self::farm_markdown(farm));
-        }
         if let Some(variation) = &self.variation {
             out.push_str(&self.variation_markdown(variation));
         }
-        out
-    }
-
-    /// Renders the farm resilience record of a distributed run.
-    fn farm_markdown(farm: &FarmSection) -> String {
-        let mut out = format!(
-            "\n## Simulation farm ({} of {} workers live after the run)\n\n",
-            farm.workers_live, farm.fleet_size
-        );
-        out.push_str(&format!(
-            "{} jobs completed remotely; {} lanes solved on workers, {} by the local \
-             fallback.\n",
-            farm.jobs_completed, farm.lanes_remote, farm.lanes_local,
-        ));
-        out.push_str(&format!(
-            "Resilience: {} failovers, {} reconnects, {} heartbeats missed, {} jobs \
-             degraded to local solving.\n",
-            farm.failovers, farm.reconnects, farm.heartbeats_missed, farm.degraded_jobs,
-        ));
-        out
-    }
-
-    /// Renders the transient-kernel cost and dispatch record of a SIMD run.
-    fn kernel_markdown(kernel: &KernelSection) -> String {
-        let mut out = format!(
-            "\n## Transient kernel ({})\n\n",
-            if kernel.simd { "SIMD quads" } else { "scalar" }
-        );
-        out.push_str(&format!(
-            "{} sims: {:.1} steps/sim, {:.1} device evals/sim, {} rejected steps",
-            kernel.sims,
-            kernel.steps_per_sim(),
-            kernel.device_evals_per_sim(),
-            kernel.rejected_steps,
-        ));
-        if let Some(occupancy) = kernel.quad_occupancy() {
-            out.push_str(&format!(", {:.0}% quad occupancy", occupancy * 100.0));
-        }
-        out.push_str(".\n");
-        out.push_str(&format!(
-            "Batched dispatch: {} lanes ({} solved, {} cache hits, {} deferred to the \
-             scalar path).\n",
-            kernel.lanes_dispatched,
-            kernel.lanes_claimed,
-            kernel.lanes_cached,
-            kernel.lanes_deferred,
-        ));
         out
     }
 
@@ -851,153 +638,113 @@ impl RunArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RunConfig;
+    use crate::plan::CharacterizationPlan;
 
-    /// A structurally minimal artifact: zero planned units, so it also merges cleanly.
-    fn empty_artifact(kernel: Option<KernelSection>) -> RunArtifact {
+    fn default_plan() -> CharacterizationPlan {
+        let config = RunConfig::default()
+            .resolve()
+            .expect("default config resolves");
+        CharacterizationPlan::from_config(&config).expect("non-empty plan")
+    }
+
+    /// An artifact of `plan` with one synthetic result per unit (nothing simulated),
+    /// reporting the whole plan's size the way a shard does.
+    fn synthetic_artifact(plan: &CharacterizationPlan) -> RunArtifact {
+        let units: Vec<UnitResult> = plan
+            .units()
+            .iter()
+            .map(|u| UnitResult {
+                arc_id: u.arc.id(),
+                arc: u.arc,
+                metric: u.metric,
+                method: u.method,
+                kind: u.kind,
+                params: Some(TimingParams::initial_guess()),
+                training_count: 6,
+                validation_points: 12,
+                error_percent: 1.25,
+                requested_simulations: 18,
+            })
+            .collect();
         RunArtifact {
             schema_version: SCHEMA_VERSION,
-            library: "mini".to_string(),
-            technology: "N7_FinFET".to_string(),
+            library: plan.library_name().to_string(),
+            technology: "target-14nm-finfet".to_string(),
             profile: "quick".to_string(),
-            seed: 42,
-            planned_units: 0,
-            units: Vec::new(),
-            characterized: CharacterizedLibrary::from_units("mini", "N7_FinFET", &[]),
-            total_simulations: 0,
-            cache_hits: 0,
-            cache_misses: 0,
+            seed: 99,
+            planned_units: plan.planned_units(),
+            characterized: CharacterizedLibrary::from_units(
+                plan.library_name(),
+                "target-14nm-finfet",
+                &units,
+            ),
+            units,
             variation: None,
-            kernel,
-            farm: None,
         }
     }
 
-    fn farm_section() -> FarmSection {
-        FarmSection {
-            fleet_size: 2,
-            workers_live: 1,
-            jobs_completed: 40,
-            failovers: 3,
-            reconnects: 2,
-            heartbeats_missed: 1,
-            degraded_jobs: 1,
-            lanes_remote: 90,
-            lanes_local: 6,
-        }
+    /// `artifact` in the version-1 layout: the same results plus the cost totals version 1
+    /// serialized and, for a SIMD run, its `kernel` section.
+    fn v1_json(artifact: &RunArtifact, simd: bool) -> String {
+        let kernel = if simd {
+            r#""kernel": {"simd": true, "sims": 100, "steps": 5000, "rejected_steps": 40,
+                "device_evals": 60000, "quad_rounds": 1500, "active_lane_rounds": 5100,
+                "lanes_dispatched": 100, "lanes_cached": 10, "lanes_claimed": 88,
+                "lanes_deferred": 2},"#
+        } else {
+            ""
+        };
+        let v1 = format!(
+            r#""schema_version": 1, "total_simulations": 324, "cache_hits": 108,
+               "cache_misses": 324, {kernel}"#
+        );
+        let json = artifact.to_json().expect("serializes");
+        let v1 = json.replacen(r#""schema_version": 2,"#, &v1, 1);
+        assert_ne!(v1, json, "artifacts lead with their schema version");
+        v1
     }
 
-    fn simd_section() -> KernelSection {
-        KernelSection {
-            simd: true,
-            sims: 100,
-            steps: 5_000,
-            rejected_steps: 40,
-            device_evals: 60_000,
-            quad_rounds: 1_500,
-            active_lane_rounds: 5_100,
-            lanes_dispatched: 100,
-            lanes_cached: 10,
-            lanes_claimed: 88,
-            lanes_deferred: 2,
-        }
-    }
+    /// Keys a version-1 artifact carried beyond its results: execution cost.
+    const COST_KEYS: [&str; 4] = ["total_simulations", "cache_hits", "cache_misses", "kernel"];
 
     #[test]
     fn a_default_run_artifact_has_no_kernel_key_at_all() {
-        // The acceptance contract of the SIMD work: with `kernel.simd = false` (the
-        // default) artifacts must stay byte-identical to pre-SIMD artifacts, which means
-        // the key must be *absent*, not `"kernel": null`.
-        let json = empty_artifact(None).to_json().expect("serializes");
-        assert!(
-            !json.contains("kernel"),
-            "kernel key must be omitted:\n{json}"
-        );
-        let back = RunArtifact::from_json(&json).expect("parses");
-        assert_eq!(back.kernel, None);
-    }
-
-    #[test]
-    fn a_simd_run_artifact_round_trips_its_kernel_section() {
-        let artifact = empty_artifact(Some(simd_section()));
+        // Artifacts hold results only: neither a kernel section nor the cost totals,
+        // which depend on cache warmth and shard scheduling, reach the JSON.
+        let artifact = synthetic_artifact(&default_plan());
         let json = artifact.to_json().expect("serializes");
-        assert!(
-            json.contains("\"kernel\""),
-            "kernel section missing:\n{json}"
-        );
-        let back = RunArtifact::from_json(&json).expect("parses");
-        assert_eq!(back, artifact);
-        let kernel = back.kernel.expect("kernel present");
-        assert_eq!(
-            kernel.lanes_dispatched,
-            kernel.lanes_cached + kernel.lanes_claimed + kernel.lanes_deferred,
-            "every dispatched lane is accounted for exactly once"
-        );
-        assert!((kernel.quad_occupancy().unwrap() - 0.85).abs() < 1e-12);
+        for key in COST_KEYS {
+            assert!(
+                !json.contains(key),
+                "`{key}` must not be serialized:\n{json}"
+            );
+        }
+        assert_eq!(RunArtifact::from_json(&json).expect("parses"), artifact);
     }
 
     #[test]
-    fn merging_shards_sums_kernel_sections_and_tolerates_their_absence() {
-        let a = empty_artifact(Some(simd_section()));
-        let b = empty_artifact(Some(simd_section()));
-        let scalar = empty_artifact(None);
-
-        let merged = RunArtifact::merge(&[a.clone(), b, scalar.clone()]).expect("merges");
-        let kernel = merged.kernel.expect("kernel survives the merge");
-        assert!(kernel.simd);
-        assert_eq!(kernel.sims, 200);
-        assert_eq!(kernel.device_evals, 120_000);
-        assert_eq!(kernel.lanes_dispatched, 200);
-        assert_eq!(kernel.lanes_deferred, 4);
-
-        // All-scalar shards merge to an artifact without the section.
-        let merged = RunArtifact::merge(&[scalar.clone(), scalar]).expect("merges");
-        assert_eq!(merged.kernel, None);
-    }
-
-    #[test]
-    fn summary_markdown_renders_the_kernel_block_only_for_simd_runs() {
-        let plain = empty_artifact(None).summary_markdown();
-        assert!(!plain.contains("Transient kernel"));
-
-        let simd = empty_artifact(Some(simd_section())).summary_markdown();
-        assert!(simd.contains("## Transient kernel (SIMD quads)"), "{simd}");
-        assert!(simd.contains("quad occupancy"), "{simd}");
-        assert!(simd.contains("Batched dispatch: 100 lanes"), "{simd}");
-    }
-
-    #[test]
-    fn the_farm_section_is_never_serialized_so_farm_and_local_artifacts_match() {
-        // The byte-identity contract of the whole farm: attaching transport telemetry to
-        // the in-memory artifact must not change one byte of the JSON.
-        let mut farmed = empty_artifact(None);
-        farmed.farm = Some(farm_section());
-        let local = empty_artifact(None);
-        assert_eq!(
-            farmed.to_json().expect("serializes"),
-            local.to_json().expect("serializes"),
-            "the farm section leaked into the artifact JSON"
-        );
-        // And a reload therefore comes back without it.
-        let back = RunArtifact::from_json(&farmed.to_json().expect("serializes")).expect("parses");
-        assert_eq!(back.farm, None);
-    }
-
-    #[test]
-    fn summary_markdown_renders_the_farm_block_only_for_farm_runs() {
-        let plain = empty_artifact(None).summary_markdown();
-        assert!(!plain.contains("Simulation farm"));
-
-        let mut farmed = empty_artifact(None);
-        farmed.farm = Some(farm_section());
-        let summary = farmed.summary_markdown();
-        assert!(
-            summary.contains("## Simulation farm (1 of 2 workers live after the run)"),
-            "{summary}"
-        );
-        assert!(
-            summary.contains("3 failovers, 2 reconnects, 1 heartbeats missed, 1 jobs"),
-            "{summary}"
-        );
-        assert!(summary.contains("90 lanes solved on workers"), "{summary}");
+    fn a_v1_artifact_loads_merges_with_a_v2_shard_and_reserializes_as_v2() {
+        let plan = default_plan();
+        let parts = plan.split(2).expect("plan splits");
+        let (first, second) = (synthetic_artifact(&parts[0]), synthetic_artifact(&parts[1]));
+        let expected = RunArtifact::merge(&[first.clone(), second.clone()]).expect("merges");
+        for simd in [false, true] {
+            let old = RunArtifact::from_json(&v1_json(&first, simd)).expect("a v1 shard loads");
+            assert_eq!(old, first, "the v1 cost keys are not read (simd = {simd})");
+            let merged = RunArtifact::merge(&[old, second.clone()]).expect("v1 and v2 merge");
+            assert_eq!(merged, expected);
+            let json = merged.to_json().expect("serializes");
+            assert!(json.contains("\"schema_version\": 2"), "{json}");
+            for key in COST_KEYS {
+                assert!(!json.contains(key), "`{key}` survived the merge:\n{json}");
+            }
+        }
+        let future = first
+            .to_json()
+            .expect("serializes")
+            .replace("\"schema_version\": 2", "\"schema_version\": 3");
+        let err = RunArtifact::from_json(&future).expect_err("schema 3 is rejected");
+        assert!(err.to_string().contains("schema version 3"), "{err}");
     }
 }

@@ -724,7 +724,9 @@ pub struct ResolvedConfig {
 impl ResolvedConfig {
     /// The run's configuration identity: a 16-hex-digit hash over everything that
     /// determines *what* is computed — cells, technology nodes, profile, metrics,
-    /// methods, budgets, seed, variation workload, kernel routing.
+    /// methods, budgets, seed, variation workload, kernel routing — plus the artifact
+    /// [`SCHEMA_VERSION`](crate::artifact::SCHEMA_VERSION), so ledger records of two
+    /// artifact layouts never pair up in a diff.
     ///
     /// Execution placement is deliberately excluded (backend, worker lists, cache /
     /// trace / ledger paths, farm tuning): artifacts are byte-identical across
@@ -733,7 +735,12 @@ impl ResolvedConfig {
     pub fn fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut identity = String::with_capacity(256);
-        let _ = write!(identity, "library={};", self.library_name);
+        let _ = write!(
+            identity,
+            "schema={};library={};",
+            crate::artifact::SCHEMA_VERSION,
+            self.library_name
+        );
         for cell in self.library.cells() {
             let _ = write!(identity, "cell={};", cell.name());
         }
@@ -1301,6 +1308,17 @@ mod tests {
                 ..base()
             })
         );
+    }
+
+    #[test]
+    fn fingerprints_of_schema_1_ledger_records_never_pair_with_current_ones() {
+        // Ledger records of the default config written while artifacts still carried
+        // their run's cost (schema 1) hold the first fingerprint.  Diffing a current
+        // record against one of them would report the changed artifact layout as a
+        // determinism break, so the schema version is part of the identity.
+        let fingerprint = RunConfig::default().resolve().unwrap().fingerprint();
+        assert_ne!(fingerprint, "097d3420a6026230");
+        assert_eq!(fingerprint, "c3f615cef77ed8bd");
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //!    survives process restarts — so delay/slew unit pairs, repeated runs and shard
 //!    workers pay for each coordinate once;
 //! 5. **Persist / export / merge** — the [`RunArtifact`] (per-unit results, fitted
-//!    [`CharacterizedLibrary`], cost totals, cache statistics) saves and reloads as JSON,
-//!    renders Liberty text through [`slic::liberty::export_fitted_library`] at zero
-//!    additional simulation cost, and [`RunArtifact::merge`] joins shard artifacts back
-//!    into the artifact of the whole run.
+//!    [`CharacterizedLibrary`], variation tables) saves and reloads as JSON, renders
+//!    Liberty text through [`slic::liberty::export_fitted_library`] at zero additional
+//!    simulation cost, and [`RunArtifact::merge`] joins shard artifacts back into the
+//!    artifact of the whole run.  The artifact holds results only; what a run cost is
+//!    read from [`PipelineRunner::counter`] and [`PipelineRunner::cache`].
 //!
 //! The `slic` CLI (`crates/cli`) wraps these stages as the `learn`, `characterize`
 //! (`--shard i/n`, `--cache file`), `merge`, `export` and `report` subcommands.
@@ -58,7 +59,7 @@ pub mod runner;
 pub mod toml;
 
 pub use artifact::{
-    CharacterizedArc, CharacterizedLibrary, FarmSection, RunArtifact, UnitResult, VariationSection,
+    CharacterizedArc, CharacterizedLibrary, RunArtifact, UnitResult, VariationSection,
 };
 pub use config::{
     BackendChoice, DiffKnobs, FarmKnobs, FarmResilience, ObservabilityKnobs, ResolvedConfig,

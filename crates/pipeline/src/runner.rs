@@ -2,7 +2,7 @@
 //! with rayon; results streamed into a [`RunArtifact`].
 
 use crate::artifact::{
-    CharacterizedLibrary, KernelSection, RunArtifact, UnitResult, VariationSection, SCHEMA_VERSION,
+    CharacterizedLibrary, RunArtifact, UnitResult, VariationSection, SCHEMA_VERSION,
 };
 use crate::config::ResolvedConfig;
 use crate::error::PipelineError;
@@ -34,8 +34,10 @@ use std::sync::Arc;
 ///
 /// All stages — historical learning, per-unit characterization, validation — run through a
 /// single [`CharacterizationEngine`] clone family sharing one [`SimulationCounter`] and one
-/// [`SimulationCache`], so the artifact reports one true cost total and repeated
-/// coordinates are simulated once.
+/// [`SimulationCache`], so repeated coordinates are simulated once and
+/// [`counter`](Self::counter) holds the run's one true cost total.  The cost stays here
+/// (and in the post-run metrics snapshot and ledger record the CLI builds from it); the
+/// [`RunArtifact`] holds results only.
 pub struct PipelineRunner {
     config: ResolvedConfig,
     engine: CharacterizationEngine,
@@ -276,28 +278,6 @@ impl PipelineRunner {
             self.config.technology.name(),
             &units,
         );
-        // The kernel section is recorded only for SIMD runs: default runs must keep
-        // producing artifacts byte-identical to those written before the section existed.
-        let kernel = if self.config.simd {
-            self.engine.backend().kernel_stats().map(|stats| {
-                let dispatch = self.engine.dispatch_stats();
-                KernelSection {
-                    simd: stats.simd,
-                    sims: stats.sims,
-                    steps: stats.steps,
-                    rejected_steps: stats.rejected_steps,
-                    device_evals: stats.device_evals,
-                    quad_rounds: stats.quad_rounds,
-                    active_lane_rounds: stats.active_lane_rounds,
-                    lanes_dispatched: dispatch.lanes_dispatched,
-                    lanes_cached: dispatch.lanes_cached,
-                    lanes_claimed: dispatch.lanes_claimed,
-                    lanes_deferred: dispatch.lanes_deferred,
-                }
-            })
-        } else {
-            None
-        };
         Ok(RunArtifact {
             schema_version: SCHEMA_VERSION,
             library: self.config.library_name.clone(),
@@ -307,14 +287,7 @@ impl PipelineRunner {
             planned_units: plan.planned_units(),
             units,
             characterized,
-            total_simulations: self.counter.count(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
             variation,
-            kernel,
-            // Attached by the caller (the CLI) after the run when the backend is a farm;
-            // this crate cannot see through the `dyn SimulationBackend` it was handed.
-            farm: None,
         })
     }
 

@@ -25,7 +25,7 @@ use crate::cache::{CacheError, InMemorySimCache, SimKey, SimulationCache};
 use crate::measure::TimingMeasurement;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -350,7 +350,7 @@ impl DiskSimCache {
             .append(true)
             .open(&self.path)?;
         file.lock()?;
-        truncate_torn_tail(&mut file)?;
+        slic_obs::ledger::truncate_torn_tail(&mut file)?;
         let mut text = String::new();
         for line in pending.iter() {
             text.push_str(line);
@@ -362,36 +362,6 @@ impl DiskSimCache {
         // Closing the handle releases the lock.
         Ok(())
     }
-}
-
-/// Truncates a torn final line (no trailing newline) off the log.
-///
-/// Called under the exclusive flush lock: any live writer finishes its whole batch —
-/// trailing newline included — before releasing the lock, so a non-newline tail can only
-/// be the leftover of a crashed writer and is safe to drop (its record was never
-/// observable as complete).
-fn truncate_torn_tail(file: &mut std::fs::File) -> std::io::Result<()> {
-    const CHUNK: u64 = 64 * 1024;
-    let len = file.metadata()?.len();
-    let mut scanned = 0u64;
-    // Scan backwards for the last newline; keep everything up to and including it.
-    while scanned < len {
-        let chunk = CHUNK.min(len - scanned);
-        file.seek(SeekFrom::Start(len - scanned - chunk))?;
-        let mut buf = vec![0u8; chunk as usize];
-        file.read_exact(&mut buf)?;
-        if scanned == 0 && buf.last() == Some(&b'\n') {
-            return Ok(());
-        }
-        if let Some(pos) = buf.iter().rposition(|&b| b == b'\n') {
-            file.set_len(len - scanned - chunk + pos as u64 + 1)?;
-            return Ok(());
-        }
-        scanned += chunk;
-    }
-    // No newline anywhere: the whole file is one torn line (or empty).
-    file.set_len(0)?;
-    Ok(())
 }
 
 impl SimulationCache for DiskSimCache {

@@ -109,12 +109,7 @@ fn synthetic_artifact_with_variation(
         planned_units: planned,
         units,
         characterized,
-        total_simulations: 3 * plan.len() as u64,
-        cache_hits: 2 * plan.len() as u64,
-        cache_misses: plan.len() as u64,
         variation,
-        kernel: None,
-        farm: None,
     }
 }
 

@@ -43,7 +43,7 @@ fn four_shards_merged_equal_the_single_process_run_and_reruns_are_free() {
     let reference = single
         .characterize(&plan, &database)
         .expect("reference run completes");
-    assert!(reference.total_simulations > 0);
+    assert!(single.counter().count() > 0);
 
     let dir = temp_dir("merge");
     let cache_path = dir.join("sim-cache.jsonl");
@@ -57,6 +57,7 @@ fn four_shards_merged_equal_the_single_process_run_and_reruns_are_free() {
     // Run each shard as a separate "process": reopen the persistent cache from disk,
     // characterize the shard, flush. Later shards warm-start from earlier shards' work.
     let mut artifacts = Vec::new();
+    let (mut shard_sims, mut shard_misses, mut shard_hits) = (0, 0, 0);
     for shard in &shards {
         let cache = Arc::new(DiskSimCache::open(&cache_path).expect("cache opens"));
         let runner =
@@ -71,10 +72,13 @@ fn four_shards_merged_equal_the_single_process_run_and_reruns_are_free() {
             "a shard artifact reports the full plan size"
         );
         assert_eq!(
-            artifact.total_simulations,
+            runner.counter().count(),
             cache.misses(),
             "every paid simulation is archived"
         );
+        shard_sims += runner.counter().count();
+        shard_misses += cache.misses();
+        shard_hits += cache.hits();
         cache.flush().expect("cache flushes");
         artifacts.push(artifact);
     }
@@ -90,17 +94,21 @@ fn four_shards_merged_equal_the_single_process_run_and_reruns_are_free() {
     let merged = RunArtifact::merge(&artifacts).expect("shards merge");
 
     // The merged artifact is the single-process artifact: same planned units, identical
-    // per-unit fits, and — because the shards shared one persistent cache — the same
-    // total number of transient simulations paid.
+    // per-unit fits, the same bytes.  And because the shards shared one persistent
+    // cache, their runners together paid the single process's simulation total.
+    assert_eq!(
+        merged.to_json().expect("serializes"),
+        reference.to_json().expect("serializes")
+    );
     assert_eq!(merged.planned_units, reference.planned_units);
     assert_eq!(
         merged.units,
         sorted_units(&reference),
         "fits must be identical"
     );
-    assert_eq!(merged.total_simulations, reference.total_simulations);
-    assert_eq!(merged.cache_misses, reference.cache_misses);
-    assert_eq!(merged.cache_hits, reference.cache_hits);
+    assert_eq!(shard_sims, single.counter().count());
+    assert_eq!(shard_misses, single.cache().misses());
+    assert_eq!(shard_hits, single.cache().hits());
     let mut reference_arcs = reference.characterized.arcs.clone();
     reference_arcs.sort_by_key(|a| a.arc.id());
     let mut merged_arcs = merged.characterized.arcs.clone();
@@ -123,19 +131,20 @@ fn four_shards_merged_equal_the_single_process_run_and_reruns_are_free() {
         .iter()
         .max_by_key(|s| s.len())
         .expect("four shards exist");
-    let shard_replay = rerun
+    rerun
         .characterize(largest, &database)
         .expect("shard rerun completes");
     assert_eq!(
-        shard_replay.total_simulations, 0,
+        rerun.counter().count(),
+        0,
         "a rerun shard replays entirely from the persisted cache"
     );
-    assert_eq!(shard_replay.cache_misses, 0);
+    assert_eq!(rerun_cache.misses(), 0);
 
     let full_replay = rerun
         .characterize(&plan, &database)
         .expect("full rerun completes");
-    assert_eq!(full_replay.cache_misses, 0, "no coordinate is missing");
+    assert_eq!(rerun_cache.misses(), 0, "no coordinate is missing");
     assert_eq!(
         rerun.counter().count(),
         0,
@@ -145,6 +154,64 @@ fn four_shards_merged_equal_the_single_process_run_and_reruns_are_free() {
         sorted_units(&full_replay),
         merged.units,
         "replayed fits match"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn concurrently_run_shards_merge_byte_identically_to_the_single_process_run() {
+    let resolved = quick_config().resolve().expect("config resolves");
+    let database = PipelineRunner::new(resolved.clone())
+        .expect("runner builds")
+        .learn()
+        .database;
+    let single = PipelineRunner::new(resolved.clone()).expect("runner builds");
+    let plan = CharacterizationPlan::from_config(single.config()).expect("non-empty plan");
+    let reference = single
+        .characterize(&plan, &database)
+        .expect("reference run completes");
+
+    // Two shard "processes" open one fresh cache file at once, so neither sees the
+    // other's work and coordinates both shards need are paid twice: the schedule moves
+    // what the run costs, never what it produces.
+    let dir = temp_dir("concurrent");
+    let cache_path = dir.join("sim-cache.jsonl");
+    let shards = plan.split(2).expect("plan splits");
+    let caches: Vec<Arc<DiskSimCache>> = shards
+        .iter()
+        .map(|_| Arc::new(DiskSimCache::open(&cache_path).expect("cache opens")))
+        .collect();
+    let outcomes: Vec<(RunArtifact, u64)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = shards
+            .iter()
+            .zip(&caches)
+            .map(|(shard, cache)| {
+                let (config, database) = (resolved.clone(), &database);
+                scope.spawn(move || {
+                    let runner =
+                        PipelineRunner::with_cache(config, cache.clone()).expect("runner builds");
+                    let artifact = runner
+                        .characterize(shard, database)
+                        .expect("shard run completes");
+                    cache.flush().expect("cache flushes");
+                    (artifact, runner.counter().count())
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("shard thread completes"))
+            .collect()
+    });
+    let paid: u64 = outcomes.iter().map(|(_, sims)| sims).sum();
+    assert!(paid >= single.counter().count());
+    let artifacts: Vec<RunArtifact> = outcomes.into_iter().map(|(a, _)| a).collect();
+    let merged = RunArtifact::merge(&artifacts).expect("shards merge");
+    assert_eq!(
+        merged.to_json().expect("serializes"),
+        reference.to_json().expect("serializes"),
+        "concurrent shards must merge to the single-process bytes"
     );
 
     std::fs::remove_dir_all(&dir).ok();
@@ -172,7 +239,6 @@ fn merge_rejects_overlapping_and_differently_configured_shards() {
 
     // Merging one complete artifact is the identity up to canonical unit order.
     let remerged = RunArtifact::merge(std::slice::from_ref(&artifact)).expect("merges");
-    assert_eq!(remerged.total_simulations, artifact.total_simulations);
     assert_eq!(remerged.planned_units, artifact.planned_units);
     assert_eq!(remerged.units.len(), artifact.units.len());
 }

@@ -73,10 +73,10 @@ fn statistical_run_produces_moment_tables_and_lvf_export() {
         assert!(unit.params.is_none());
     }
     assert!(
-        artifact.cache_hits >= 6 * 9 * 6,
+        runner.cache().hits() >= 6 * 9 * 6,
         "each arc's second-metric Monte Carlo unit must replay the first's transients \
          (hits = {})",
-        artifact.cache_hits
+        runner.cache().hits()
     );
 
     // The report renders the variation tables instead of omitting them.
@@ -133,7 +133,8 @@ fn four_variation_shards_merged_are_bit_identical_to_the_single_process_run() {
         .characterize(&plan, &database)
         .expect("reference run completes");
     assert_eq!(
-        reference.total_simulations, reference.cache_misses,
+        single.counter().count(),
+        single.cache().misses(),
         "every unique (seed, point) coordinate is paid exactly once"
     );
 
@@ -169,8 +170,7 @@ fn four_variation_shards_merged_are_bit_identical_to_the_single_process_run() {
 
     let merged = RunArtifact::merge(&artifacts).expect("shards merge");
     // Bit-for-bit: the merged artifact serializes to exactly the single-process bytes —
-    // fits, moment tables, and cost totals included (the shards shared one disk cache, so
-    // each unique coordinate was paid once somewhere).
+    // fits and moment tables included.
     assert_eq!(
         merged.to_json().expect("serializes"),
         reference.to_json().expect("serializes"),
@@ -182,15 +182,17 @@ fn four_variation_shards_merged_are_bit_identical_to_the_single_process_run() {
     let replay = warm
         .characterize(&plan, &database)
         .expect("warm rerun completes");
-    assert_eq!(
-        replay.total_simulations, 0,
-        "zero transients on a warm cache"
-    );
-    assert_eq!(replay.cache_misses, 0);
+    assert_eq!(warm.counter().count(), 0, "zero transients on a warm cache");
+    assert_eq!(warm.cache().misses(), 0);
     assert_eq!(
         replay.variation.as_ref().expect("section").tables,
         merged.variation.as_ref().expect("section").tables,
         "replayed moment tables are identical"
+    );
+    // The replay paid nothing, yet serializes exactly like the cold reference.
+    assert_eq!(
+        replay.to_json().expect("serializes"),
+        reference.to_json().expect("serializes"),
     );
 
     std::fs::remove_dir_all(&dir).ok();
