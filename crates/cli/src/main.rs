@@ -608,16 +608,21 @@ fn build_observability(
     })
 }
 
-/// Builds the runner for a resolved configuration, standing a farm fleet up when the
-/// backend choice asks for one.  Returns the fleet handle alongside, so callers can
-/// report dispatch statistics after the run.
+/// Builds the runner for a resolved configuration, opening the configured cache under a
+/// `cache.open` span and standing a farm fleet up when the backend choice asks for one.
+/// Returns the fleet handle alongside, so callers can report dispatch statistics after
+/// the run.
 fn build_runner(
     config: slic_pipeline::ResolvedConfig,
     obs: &Observability,
 ) -> Result<(PipelineRunner, Option<Arc<FarmBackend>>), PipelineError> {
+    let cache = {
+        let _span = obs.trace.span("cache.open", &[]);
+        PipelineRunner::open_cache(&config)?
+    };
     match config.backend.clone() {
         BackendChoice::Local => Ok((
-            PipelineRunner::new(config)?.with_observability(obs.clone()),
+            PipelineRunner::with_parts(config, cache, None)?.with_observability(obs.clone()),
             None,
         )),
         BackendChoice::Farm {
@@ -652,8 +657,8 @@ fn build_runner(
                 spawn_workers,
             );
             let farm = Arc::new(farm);
-            let runner =
-                PipelineRunner::with_backend(config, farm.clone())?.with_observability(obs.clone());
+            let runner = PipelineRunner::with_parts(config, cache, Some(farm.clone()))?
+                .with_observability(obs.clone());
             Ok((runner, Some(farm)))
         }
     }
@@ -1024,8 +1029,11 @@ fn cmd_characterize(flags: &BTreeMap<String, String>) -> Result<(), PipelineErro
     };
 
     let database = match flags.get("history") {
-        Some(path) => HistoricalDatabase::from_json(&std::fs::read_to_string(path)?)
-            .map_err(|err| PipelineError::config(format!("cannot parse `{path}`: {err}")))?,
+        Some(path) => {
+            let _span = obs.trace.span("history.load", &[]);
+            HistoricalDatabase::from_json(&std::fs::read_to_string(path)?)
+                .map_err(|err| PipelineError::config(format!("cannot parse `{path}`: {err}")))?
+        }
         None => {
             println!("no --history given; learning inline...");
             runner.learn().database
@@ -1040,8 +1048,12 @@ fn cmd_characterize(flags: &BTreeMap<String, String>) -> Result<(), PipelineErro
         runner.cache().persist()?;
     }
     let out = flags.get("out").map(String::as_str).unwrap_or("run.json");
-    let artifact_json = artifact.to_json()?;
-    std::fs::write(out, &artifact_json)?;
+    let artifact_json = {
+        let _span = obs.trace.span("artifact.save", &[]);
+        let artifact_json = artifact.to_json()?;
+        std::fs::write(out, &artifact_json)?;
+        artifact_json
+    };
     println!(
         "characterized {}/{} arcs in {} simulations ({} cache hits) -> {out}",
         artifact.characterized.arcs.len(),
@@ -1076,15 +1088,20 @@ fn cmd_characterize(flags: &BTreeMap<String, String>) -> Result<(), PipelineErro
                  export needs both metrics and a parameter-producing method (bayesian or lse)"
             )));
         }
-        let text = match &artifact.variation {
-            Some(variation) if !variation.tables.is_empty() => artifact
-                .characterized
-                .to_liberty_with_variation(runner.engine(), export_grid, variation)?,
-            _ => artifact
-                .characterized
-                .to_liberty(runner.engine(), export_grid)?,
-        };
-        std::fs::write(liberty_path, text)?;
+        {
+            let _span = obs.trace.span("liberty.export", &[]);
+            let text = match &artifact.variation {
+                Some(variation) if !variation.tables.is_empty() => artifact
+                    .characterized
+                    .to_liberty_with_variation(runner.engine(), export_grid, variation)?,
+                _ => artifact
+                    .characterized
+                    .to_liberty(runner.engine(), export_grid)?,
+            };
+            std::fs::write(liberty_path, text)?;
+        }
+        // The summary flushed the trace already; this span closed after it.
+        obs.trace.flush();
         println!("liberty -> {liberty_path}");
     }
     Ok(())
@@ -1153,14 +1170,13 @@ fn cmd_profile(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let parsed = match slic_obs::profile::load(std::path::Path::new(path)) {
+        Ok(parsed) => parsed,
         Err(err) => {
             eprintln!("error: cannot read trace `{path}`: {err}");
             return ExitCode::from(2);
         }
     };
-    let parsed = slic_obs::profile::parse_trace(&text);
     if parsed.records.is_empty() {
         eprintln!(
             "error: `{path}` contains no parseable trace records ({} corrupt line(s))",
@@ -1241,9 +1257,8 @@ fn cmd_profile_diff(old_path: &str, new_path: &str, flags: &BTreeMap<String, Str
         }
     };
     let load = |path: &str| -> Result<(slic_obs::profile::ProfileReport, usize), String> {
-        let text = std::fs::read_to_string(path)
+        let parsed = slic_obs::profile::load(std::path::Path::new(path))
             .map_err(|err| format!("cannot read trace `{path}`: {err}"))?;
-        let parsed = slic_obs::profile::parse_trace(&text);
         if parsed.records.is_empty() {
             return Err(format!(
                 "`{path}` contains no parseable trace records ({} corrupt line(s))",
@@ -1451,11 +1466,11 @@ fn cmd_bench_entry(args: &[String]) -> ExitCode {
 /// noise-tolerant floor the CI speedup gate applies.  A variant missing from the
 /// fresh (reduced-mode) report is informational, not a regression.
 fn cmd_bench_diff(committed_path: &str, fresh_path: &str) -> ExitCode {
-    use slic_obs::profile::Json;
-    let load = |path: &str| -> Result<Json, String> {
+    use serde_json::Value;
+    let load = |path: &str| -> Result<Value, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|err| format!("cannot read bench report `{path}`: {err}"))?;
-        slic_obs::profile::parse_json(&text).map_err(|err| format!("`{path}`: {err}"))
+        serde_json::from_str(&text).map_err(|err| format!("`{path}`: {err}"))
     };
     let (committed, fresh) = match (load(committed_path), load(fresh_path)) {
         (Ok(committed), Ok(fresh)) => (committed, fresh),
@@ -1465,17 +1480,22 @@ fn cmd_bench_diff(committed_path: &str, fresh_path: &str) -> ExitCode {
         }
     };
     // One (variant-name, preset) row per bench variant, in the report's file order.
-    let variants = |report: &Json| -> Vec<(String, String, u64)> {
-        let Some(Json::Arr(items)) = report.get("variants") else {
+    let variants = |report: &Value| -> Vec<(String, String, u64)> {
+        let Some(items) = report.get("variants").and_then(Value::as_array) else {
             return Vec::new();
         };
         items
             .iter()
             .filter_map(|v| {
+                // Whole sims/s: the committed rates carry fractions the gate ignores.
+                let rate = v
+                    .get("sims_per_sec")?
+                    .as_f64()
+                    .filter(|rate| *rate >= 0.0)?;
                 Some((
                     v.get("name")?.as_str()?.to_string(),
                     v.get("config")?.as_str()?.to_string(),
-                    v.get("sims_per_sec")?.as_u64()?,
+                    rate as u64,
                 ))
             })
             .collect()
@@ -1486,8 +1506,8 @@ fn cmd_bench_diff(committed_path: &str, fresh_path: &str) -> ExitCode {
         eprintln!("error: `{committed_path}` holds no bench variants");
         return ExitCode::from(2);
     }
-    let mode = |report: &Json| match report.get("reduced") {
-        Some(Json::Bool(true)) => "reduced",
+    let mode = |report: &Value| match report.get("reduced") {
+        Some(Value::Bool(true)) => "reduced",
         _ => "full",
     };
     let mut report = DiffReport::default();
@@ -1514,12 +1534,12 @@ fn cmd_bench_diff(committed_path: &str, fresh_path: &str) -> ExitCode {
     );
     // The derived speedup ratios, committed vs fresh, for context (never gated: the
     // per-variant rows above already cover the regression surface).
-    if let Some(Json::Obj(speedups)) = committed.get("speedups") {
+    if let Some(speedups) = committed.get("speedups").and_then(Value::as_object) {
         println!("\n{:<44}{:>10}{:>10}", "speedup", "committed", "fresh");
         for (key, base) in speedups {
-            let Json::Num(base) = base else { continue };
+            let Some(base) = base.as_f64() else { continue };
             let now = match fresh.get("speedups").and_then(|s| s.get(key)) {
-                Some(Json::Num(now)) => format!("{now:>9.2}x"),
+                Some(Value::Number(now)) => format!("{now:>9.2}x"),
                 _ => format!("{:>10}", "(missing)"),
             };
             println!("{key:<44}{base:>9.2}x{now}");

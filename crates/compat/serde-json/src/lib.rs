@@ -43,11 +43,10 @@ pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
 }
 
 fn parse_value_complete(text: &str) -> Result<Value, Error> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_whitespace(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos)?;
+    skip_whitespace(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(Error::custom(format!("trailing characters at byte {pos}")));
     }
     Ok(value)
@@ -152,14 +151,15 @@ fn skip_whitespace(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Value, Error> {
+    let bytes = text.as_bytes();
     skip_whitespace(bytes, pos);
     match bytes.get(*pos) {
         None => Err(Error::custom("unexpected end of input")),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::String),
+        Some(b'"') => parse_string(text, pos).map(Value::String),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -169,7 +169,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_whitespace(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -191,13 +191,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
             }
             loop {
                 skip_whitespace(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_whitespace(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(Error::custom(format!("expected `:` at byte {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 entries.push((key, value));
                 skip_whitespace(bytes, pos);
                 match bytes.get(*pos) {
@@ -210,7 +210,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
+        Some(_) => Err(Error::custom(format!("expected value at byte {pos}"))),
     }
 }
 
@@ -228,80 +229,129 @@ fn parse_literal(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, Error> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(Error::custom(format!("expected string at byte {pos}")));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of unescaped bytes in one go.  It ends at an ASCII quote or
+        // backslash (or the end of input), so both ends lie on `&str` boundaries.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err(Error::custom("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex)
-                                .map_err(|_| Error::custom("bad \\u escape"))?,
-                            16,
-                        )
-                        .map_err(|_| Error::custom("bad \\u escape"))?;
-                        // Surrogate pairs are not needed for this workspace's ASCII-ish data.
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| Error::custom("bad \\u escape"))?,
-                        );
-                        *pos += 4;
-                    }
-                    other => return Err(Error::custom(format!("bad escape {other:?}"))),
+            // A backslash.
+            Some(_) => match bytes.get(*pos + 1) {
+                Some(b'u') => out.push(parse_unicode_escape(bytes, pos)?),
+                next => {
+                    out.push(match next {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        _ => return Err(Error::custom(format!("invalid escape at byte {pos}"))),
+                    });
+                    *pos += 2;
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one UTF-8 character (multi-byte sequences arrive as valid UTF-8
-                // because the input is a `&str`).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error::custom("invalid UTF-8 inside string"))?;
-                let c = rest.chars().next().expect("non-empty remainder");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            },
         }
     }
 }
 
+/// Decodes the `\uXXXX` escape whose backslash sits at `*pos` — or, for a high
+/// surrogate, the `\uD8xx\uDCxx` pair — and moves `*pos` past it.  Lone, reversed or
+/// mismatched surrogates are errors.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, Error> {
+    let at = *pos;
+    let unpaired = || Error::custom(format!("unpaired surrogate in \\u escape at byte {at}"));
+    let first = hex4(bytes, at + 2)?;
+    *pos = at + 6;
+    let code = if (0xD800..0xDC00).contains(&first) {
+        if bytes.get(at + 6..at + 8) != Some(&b"\\u"[..]) {
+            return Err(unpaired());
+        }
+        let second = hex4(bytes, at + 8)?;
+        if !(0xDC00..0xE000).contains(&second) {
+            return Err(unpaired());
+        }
+        *pos = at + 12;
+        0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+    } else {
+        first
+    };
+    // A lone low surrogate is the one code `from_u32` still refuses.
+    char::from_u32(code).ok_or_else(unpaired)
+}
+
+/// Reads the exactly four hex digits of a `\u` escape starting at byte `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, Error> {
+    let bad = || Error::custom(format!("invalid \\u escape at byte {at}"));
+    bytes
+        .get(at..at + 4)
+        .ok_or_else(bad)?
+        .iter()
+        .try_fold(0, |code, &b| {
+            Ok((code << 4) | char::from(b).to_digit(16).ok_or_else(bad)?)
+        })
+}
+
+/// Parses a number by JSON's grammar, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`:
+/// no leading `+`, no leading zeros, digits on both sides of the point.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     let start = *pos;
-    while let Some(b) = bytes.get(*pos) {
-        if matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
+    let invalid = || Error::custom(format!("invalid number at byte {start}"));
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
             *pos += 1;
-        } else {
-            break;
+        }
+        *pos > from
+    };
+    if bytes.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(invalid()),
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return Err(invalid());
         }
     }
-    if *pos == start {
-        return Err(Error::custom(format!("expected value at byte {start}")));
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return Err(invalid());
+        }
     }
     std::str::from_utf8(&bytes[start..*pos])
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .map(Value::Number)
-        .ok_or_else(|| Error::custom(format!("invalid number at byte {start}")))
+        .ok_or_else(invalid)
 }
 
 #[cfg(test)]
@@ -331,9 +381,13 @@ mod tests {
 
     #[test]
     fn parses_escapes_and_numbers() {
-        let v: Value = from_str(r#"{"s":"a\"b\\c\ndA","n":-2.5e3}"#).unwrap();
+        let v: Value = from_str(r#"{"s":"a\"b\\c\ndA","n":-2.5e3,"m":[0,1.25E+2]}"#).unwrap();
         assert_eq!(v.get("s").unwrap().as_str().unwrap(), "a\"b\\c\ndA");
         assert_eq!(v.get("n").unwrap().as_f64().unwrap(), -2500.0);
+        assert_eq!(
+            v.get("m").unwrap(),
+            &Value::Array(vec![Value::Number(0.0), Value::Number(125.0)])
+        );
     }
 
     #[test]
@@ -348,9 +402,61 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(from_str::<Value>("not json").is_err());
-        assert!(from_str::<Value>("{\"a\":1,}").is_err());
-        assert!(from_str::<Value>("[1 2]").is_err());
-        assert!(from_str::<Value>("{\"a\":1} extra").is_err());
+        for bad in [
+            "not json",
+            "{\"a\":1,}",
+            "[1 2]",
+            "{\"a\":1} extra",
+            // `\u` takes exactly four hex digits, no sign.
+            "\"\\u+041\"",
+            "\"\\u004\"",
+            "\"\\u00g1\"",
+            // Numbers follow JSON's grammar: no `+`, bare point or leading zero.
+            "+1",
+            "[1,+2]",
+            ".5",
+            "1.",
+            "01",
+            "-",
+            "1e+",
+            "--1",
+        ] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn parser_accepts_the_trace_grammar() {
+        let json: Value = from_str(
+            "{\"type\":\"span\",\"id\":3,\"thread\":2,\"name\":\"a \\\"b\\\"\\n\",\"start_ns\":1,\"dur_ns\":2,\"attrs\":{\"k\":\"v\"}}",
+        )
+        .expect("parses");
+        assert_eq!(json.get("id").and_then(Value::as_u64), Some(3));
+        assert_eq!(json.get("name").and_then(Value::as_str), Some("a \"b\"\n"));
+    }
+
+    #[test]
+    fn parser_rejects_truncated_lines() {
+        assert!(from_str::<Value>("{\"type\":\"span\",\"id\":3,\"na").is_err());
+        assert!(from_str::<Value>("{\"a\":1} trailing").is_err());
+        assert!(from_str::<Value>("").is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode() {
+        let json: Value = from_str("{\"k\":\"\\ud83d\\ude00\"}").expect("parses");
+        assert_eq!(json.get("k").and_then(Value::as_str), Some("\u{1F600}"));
+        let upper: Value = from_str("\"\\uD83D\\uDE00 \\u00e9\"").expect("parses");
+        assert_eq!(upper.as_str(), Some("\u{1F600} \u{e9}"));
+        for bad in [
+            "\"\\ud83d\"",        // lone high surrogate
+            "\"\\ud83d\\u0041\"", // high surrogate paired with a non-surrogate
+            "\"\\ud83d\\ud83d\"", // two high surrogates
+            "\"\\ude00\"",        // lone low surrogate
+            "\"\\ude00\\ud83d\"", // reversed pair
+            "\"\\ud83d\\ude0\"",  // truncated low half
+        ] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad} must be rejected");
+        }
     }
 }

@@ -69,6 +69,14 @@ impl Value {
         }
     }
 
+    /// The value as a `u64`, if it is a non-negative integral number in `u64` range.
+    pub fn as_u64(&self) -> Option<u64> {
+        let n = self.as_f64()?;
+        // 2^64 is the first integer past `u64::MAX`.
+        let in_range = (0.0..18_446_744_073_709_551_616.0).contains(&n);
+        (n.fract() == 0.0 && in_range).then_some(n as u64)
+    }
+
     /// The value as a boolean, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -395,6 +403,17 @@ mod tests {
         assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
         assert!(String::from_value(&Value::Null).is_err());
+    }
+
+    #[test]
+    fn as_u64_takes_only_non_negative_integers() {
+        assert_eq!(Value::Number(42.0).as_u64(), Some(42));
+        assert_eq!(Value::Number(0.0).as_u64(), Some(0));
+        assert_eq!(Value::Number(1.5).as_u64(), None);
+        assert_eq!(Value::Number(-1.0).as_u64(), None);
+        assert_eq!(Value::Number(f64::INFINITY).as_u64(), None);
+        assert_eq!(Value::Number(1e20).as_u64(), None);
+        assert_eq!(Value::String("1".to_string()).as_u64(), None);
     }
 
     #[test]

@@ -11,11 +11,8 @@ use serde::{Deserialize, Serialize};
 use slic_bayes::{ConditionResidual, HistoricalDatabase, HistoricalRecord, TimingMetric};
 use slic_cells::{Cell, Library, TimingArc};
 use slic_device::{ProcessSample, TechnologyNode};
-use slic_spice::{
-    CharacterizationEngine, MixedLane, SimulationCache, SimulationCounter, TransientConfig,
-};
+use slic_spice::{CharacterizationEngine, MixedLane, TransientConfig};
 use slic_timing_model::{LeastSquaresFitter, TimingSample};
-use std::sync::Arc;
 
 /// Configuration of the historical learning pass.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,7 +60,7 @@ impl HistoricalLearner {
     }
 
     /// Characterizes every (technology, cell, primary arc, metric) combination and archives
-    /// the fits.
+    /// the fits, on a fresh engine with this learner's transient settings.
     ///
     /// # Panics
     ///
@@ -73,55 +70,39 @@ impl HistoricalLearner {
         technologies: &[TechnologyNode],
         library: &Library,
     ) -> HistoricalLearningResult {
-        self.learn_shared(technologies, library, &SimulationCounter::new(), None)
+        let Some(first) = technologies.first() else {
+            assert!(!library.is_empty(), "cannot learn from an empty library");
+            return HistoricalLearningResult {
+                database: HistoricalDatabase::new(),
+                simulation_cost: 0,
+            };
+        };
+        let engine = CharacterizationEngine::with_config(first.clone(), self.config.transient)
+            .expect("historical learning transient configuration must be valid");
+        self.learn_with_engine(&engine, technologies, library)
     }
 
-    /// As [`learn`](Self::learn), but every per-technology engine shares `counter` (and the
-    /// optional simulation `cache`), so a library-scale pipeline aggregates the cost of its
-    /// learning stage into the same total as its characterization stage.
+    /// As [`learn`](Self::learn), but through `engine` rebound to each historical node in
+    /// turn: every solve goes through its counter, cache, backend, dispatch counters and
+    /// observability, so a pipeline's learning stage is paid, cached, distributed and
+    /// traced exactly like its characterization stage.  The engine's transient settings
+    /// apply; this learner's own only configure the fresh engine of [`learn`](Self::learn).
     ///
     /// # Panics
     ///
-    /// Panics if the library is empty or the configured transient settings are invalid.
-    pub fn learn_shared(
+    /// Panics if the library is empty.
+    pub fn learn_with_engine(
         &self,
+        engine: &CharacterizationEngine,
         technologies: &[TechnologyNode],
         library: &Library,
-        counter: &SimulationCounter,
-        cache: Option<Arc<dyn SimulationCache>>,
-    ) -> HistoricalLearningResult {
-        self.learn_shared_with_backend(technologies, library, counter, cache, None)
-    }
-
-    /// As [`learn_shared`](Self::learn_shared), with the per-technology engines also
-    /// routing their solves through `backend` (e.g. a `slic-farm` fleet) — so a farmed
-    /// pipeline distributes its learning stage exactly like its characterization stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the library is empty or the configured transient settings are invalid.
-    pub fn learn_shared_with_backend(
-        &self,
-        technologies: &[TechnologyNode],
-        library: &Library,
-        counter: &SimulationCounter,
-        cache: Option<Arc<dyn SimulationCache>>,
-        backend: Option<Arc<dyn slic_spice::SimulationBackend>>,
     ) -> HistoricalLearningResult {
         assert!(!library.is_empty(), "cannot learn from an empty library");
         let mut database = HistoricalDatabase::new();
         let mut simulation_cost = 0u64;
         for tech in technologies {
-            let mut engine =
-                CharacterizationEngine::with_config(tech.clone(), self.config.transient)
-                    .expect("historical learning transient configuration must be valid")
-                    .with_shared_counter(counter.clone());
-            if let Some(cache) = &cache {
-                engine = engine.with_cache(cache.clone());
-            }
-            if let Some(backend) = &backend {
-                engine = engine.with_backend(backend.clone());
-            }
+            let engine = engine.clone().with_technology(tech.clone());
+            let counter = engine.counter();
             let cost_before = counter.count();
             let grid = engine.input_space().lut_grid(
                 self.config.grid_levels.0,

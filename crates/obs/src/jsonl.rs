@@ -1,0 +1,222 @@
+//! JSON-lines append logs: the one file discipline behind `DiskSimCache`, the run
+//! ledger and the trace reader.
+//!
+//! Writers [`append`] whole lines under an exclusive advisory flock, after truncating
+//! the torn final line a crashed writer may have left, so concurrent same-host writers
+//! interleave records, never bytes.  Readers [`read`] the whole file as one buffer under
+//! a shared flock and walk it with [`classify`], which tells complete records, the torn
+//! tail of an interrupted append and real corruption apart; [`salvage`] keeps every
+//! record that decodes and counts the rest.  Every line parses through `serde_json`.
+
+use serde_json::{Error, Value};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::Path;
+
+/// Appends `lines` (each without its newline) to the log at `path`, creating the file
+/// if needed.
+///
+/// Under an exclusive advisory flock, a torn tail is truncated first — appending after
+/// it would weld its bytes and the first new line into one corrupt interior line — and
+/// then every line plus its newline goes out in one `write_all`.  No lines, no I/O.
+///
+/// # Errors
+///
+/// Returns the I/O error of opening, locking, truncating or appending the file.
+pub fn append(path: &Path, lines: &[impl AsRef<str>]) -> std::io::Result<()> {
+    if lines.is_empty() {
+        return Ok(());
+    }
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(path)?;
+    file.lock()?;
+    truncate_torn_tail(&mut file)?;
+    let mut text = String::with_capacity(lines.iter().map(|line| line.as_ref().len() + 1).sum());
+    for line in lines {
+        text.push_str(line.as_ref());
+        text.push('\n');
+    }
+    file.write_all(text.as_bytes())?;
+    file.flush()
+    // Closing the handle releases the lock.
+}
+
+/// Truncates a torn final line (no trailing newline) off the log.
+///
+/// Called under the exclusive append lock: a live writer finishes its whole line —
+/// newline included — before releasing the lock, so a non-newline tail can only be the
+/// leftover of a crashed writer and is safe to drop (its record was never observable as
+/// complete).
+fn truncate_torn_tail(file: &mut std::fs::File) -> std::io::Result<()> {
+    const CHUNK: u64 = 64 * 1024;
+    let len = file.metadata()?.len();
+    let mut scanned = 0u64;
+    // Scan backwards for the last newline; keep everything up to and including it.
+    while scanned < len {
+        let chunk = CHUNK.min(len - scanned);
+        file.seek(SeekFrom::Start(len - scanned - chunk))?;
+        let mut buf = vec![0u8; chunk as usize];
+        file.read_exact(&mut buf)?;
+        if scanned == 0 && buf.last() == Some(&b'\n') {
+            return Ok(());
+        }
+        if let Some(pos) = buf.iter().rposition(|&b| b == b'\n') {
+            file.set_len(len - scanned - chunk + pos as u64 + 1)?;
+            return Ok(());
+        }
+        scanned += chunk;
+    }
+    // No newline anywhere: the whole file is one torn line (or empty).
+    file.set_len(0)
+}
+
+/// Reads the whole log at `path` under a shared advisory flock, so a concurrent
+/// [`append`] never tears a line mid-read.
+///
+/// # Errors
+///
+/// Returns the I/O error of opening, locking or reading the file — `NotFound` included:
+/// whether a missing log is empty or an error is the caller's policy.
+pub fn read(path: &Path) -> std::io::Result<String> {
+    let file = std::fs::File::open(path)?;
+    file.lock_shared()?;
+    std::io::read_to_string(&file)
+    // Closing the handle releases the lock.
+}
+
+/// How a reader must treat one non-blank line of a log.
+#[derive(Debug)]
+pub enum Line<'a, T> {
+    /// A decoded record.  `terminated` is false only for a final line whose bytes are
+    /// complete but whose newline a crash lost: the next [`append`] truncates it, so a
+    /// writer that must keep the record re-appends `text`.
+    Record {
+        record: T,
+        text: &'a str,
+        terminated: bool,
+    },
+    /// An undecodable final line without a newline: the torn tail of an interrupted
+    /// append, which the next [`append`] truncates.
+    Torn,
+    /// An undecodable newline-terminated line: real corruption.  `number` is 1-based.
+    Corrupt {
+        number: usize,
+        text: &'a str,
+        error: Error,
+    },
+}
+
+/// Classifies every non-blank line of `text`, parsing it as JSON and decoding the value
+/// with `decode`.  Lines borrow from `text`; nothing is copied.
+pub fn classify<'a, T>(
+    text: &'a str,
+    mut decode: impl FnMut(&Value) -> Result<T, Error>,
+) -> impl Iterator<Item = Line<'a, T>> {
+    text.split_inclusive('\n')
+        .enumerate()
+        .filter_map(move |(index, raw)| {
+            let (line, terminated) = match raw.strip_suffix('\n') {
+                Some(line) => (line.strip_suffix('\r').unwrap_or(line), true),
+                None => (raw, false),
+            };
+            if line.trim().is_empty() {
+                return None;
+            }
+            Some(
+                match serde_json::from_str::<Value>(line).and_then(|value| decode(&value)) {
+                    Ok(record) => Line::Record {
+                        record,
+                        text: line,
+                        terminated,
+                    },
+                    Err(_) if !terminated => Line::Torn,
+                    Err(error) => Line::Corrupt {
+                        number: index + 1,
+                        text: line,
+                        error,
+                    },
+                },
+            )
+        })
+}
+
+/// A salvaged log: every record that decoded, plus a count of the lines that did not.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Salvaged<T> {
+    /// Records in file order (oldest first).
+    pub records: Vec<T>,
+    /// Non-blank lines that failed to parse or decode — a torn tail, injected garbage or
+    /// interleaved corruption.  A healthy log has zero.
+    pub dropped: usize,
+}
+
+/// Keeps every line of `text` that `decode` accepts and counts the rest as dropped.
+pub fn salvage<T>(text: &str, mut decode: impl FnMut(&Value) -> Option<T>) -> Salvaged<T> {
+    let mut salvaged = Salvaged {
+        records: Vec::new(),
+        dropped: 0,
+    };
+    let lines = classify(text, |value| {
+        decode(value).ok_or_else(|| Error::custom("not a record of this log"))
+    });
+    for line in lines {
+        match line {
+            Line::Record { record, .. } => salvaged.records.push(record),
+            Line::Torn | Line::Corrupt { .. } => salvaged.dropped += 1,
+        }
+    }
+    salvaged
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn kinds(text: &str) -> Vec<String> {
+        classify(text, |value| Ok(value.clone()))
+            .map(|line| match line {
+                Line::Record {
+                    text, terminated, ..
+                } => format!("record {text} {terminated}"),
+                Line::Torn => "torn".to_string(),
+                Line::Corrupt { number, text, .. } => format!("corrupt {number} {text}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn classifier_tells_records_torn_tails_and_corruption_apart() {
+        assert_eq!(
+            kinds("{\"a\":1}\r\n\n  \n{bad\n[2]\n{\"cut"),
+            vec![
+                "record {\"a\":1} true",
+                "corrupt 4 {bad",
+                "record [2] true",
+                "torn"
+            ]
+        );
+        assert_eq!(
+            kinds("[1]\n[2]"),
+            vec!["record [1] true", "record [2] false"]
+        );
+        assert!(kinds("").is_empty());
+    }
+
+    #[test]
+    fn append_repairs_a_torn_tail_and_skips_empty_batches() {
+        let path = std::env::temp_dir().join(format!("slic-jsonl-test-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        append(&path, &[] as &[&str]).expect("empty append");
+        assert!(!path.exists(), "an empty batch creates no file");
+        std::fs::write(&path, "[1]\n[2").expect("seed a torn tail");
+        append(&path, &["[3]", "[4]"]).expect("append");
+        assert_eq!(
+            read(&path).expect("read back"),
+            "[1]\n[3]\n[4]\n",
+            "the torn line is gone and both lines landed whole"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -7,18 +7,19 @@
 //! fingerprint and diffs the last two runs of the same configuration — the substrate
 //! that lets CI catch a cache-hit-rate or farm-latency regression between PRs.
 //!
-//! The file discipline is exactly the one `DiskSimCache` proved out: writers take an
-//! exclusive advisory flock, truncate a torn final line left by a crashed writer,
-//! then append whole lines; readers salvage every parseable line and count the rest
-//! as dropped rather than refusing the file.  Like everything in `slic-obs`, the
-//! ledger is display-only by construction — no result path reads it, and artifact
-//! bytes are identical with the ledger on or off (CI `cmp`-gates that).
+//! The file discipline is [`crate::jsonl`]'s, shared with `DiskSimCache` and the trace
+//! reader: writers take an exclusive advisory flock, truncate a torn final line left by
+//! a crashed writer, then append whole lines; readers parse every line with
+//! `serde_json`, salvage what decodes and count the rest as dropped rather than
+//! refusing the file.  Like everything in `slic-obs`, the ledger is display-only by
+//! construction — no result path reads it, and artifact bytes are identical with the
+//! ledger on or off (CI `cmp`-gates that).
 
+use crate::jsonl::{self, Salvaged};
 use crate::metrics::{Histogram, MetricsSnapshot};
-use crate::profile::{parse_json, Json};
 use crate::trace::escape_json;
+use serde_json::Value;
 use std::fmt::Write as _;
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Schema version stamped on every ledger line.
@@ -92,7 +93,7 @@ impl RunRecord {
 
     /// Decodes one parsed ledger object; `None` on anything that is not a complete
     /// `type:"run"` record (the caller counts those as dropped).
-    pub fn decode(json: &Json) -> Option<Self> {
+    pub fn decode(json: &Value) -> Option<Self> {
         if json.get("type")?.as_str()? != "run" {
             return None;
         }
@@ -100,16 +101,9 @@ impl RunRecord {
         if json.get("schema")?.as_u64()? > LEDGER_SCHEMA {
             return None;
         }
-        let metrics = match json.get("metrics")? {
-            Json::Obj(entries) => entries,
-            _ => return None,
-        };
         let mut snapshot = MetricsSnapshot::default();
-        for (name, value) in metrics {
-            let text = match value {
-                Json::Str(text) => text,
-                _ => return None,
-            };
+        for (name, value) in json.get("metrics")?.as_object()? {
+            let text = value.as_str()?;
             // Counters are pure decimal strings; anything else must decode as an
             // encoded histogram.  The two formats cannot collide.
             if let Ok(count) = text.parse::<u64>() {
@@ -146,102 +140,27 @@ impl RunRecord {
     }
 }
 
-/// Appends one record to the ledger at `path`, creating the file if needed.
-///
-/// Mirrors `DiskSimCache::flush`: exclusive advisory flock, torn-tail truncation,
-/// then one whole line plus newline — so concurrent same-host runs (e.g. a CI matrix
-/// sharing one ledger) interleave records, never bytes.
+/// Appends one record to the ledger at `path`, creating the file if needed, through
+/// [`jsonl::append`] — so concurrent same-host runs (e.g. a CI matrix sharing one
+/// ledger) interleave records, never bytes.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error when the file cannot be opened, locked or
 /// appended; the run itself is unaffected (the ledger is telemetry, not a result).
 pub fn append(path: &Path, record: &RunRecord) -> std::io::Result<()> {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .read(true)
-        .append(true)
-        .open(path)?;
-    file.lock()?;
-    truncate_torn_tail(&mut file)?;
-    let mut line = record.to_line();
-    line.push('\n');
-    file.write_all(line.as_bytes())?;
-    file.flush()?;
-    // Closing the handle releases the lock.
-    Ok(())
+    jsonl::append(path, &[record.to_line()])
 }
 
-/// Truncates a torn final line (no trailing newline) off an append-only JSON-lines
-/// file — this ledger, or a `DiskSimCache` log.
-///
-/// Call it under the file's exclusive append lock: any live writer finishes its whole
-/// line — trailing newline included — before releasing the lock, so a non-newline tail
-/// can only be the leftover of a crashed writer and is safe to drop (its record was
-/// never observable as complete).
+/// Reads the ledger at `path` under a shared advisory lock, salvaging every record
+/// that decodes.
 ///
 /// # Errors
 ///
-/// Propagates the I/O errors of reading, seeking and truncating `file`.
-pub fn truncate_torn_tail(file: &mut std::fs::File) -> std::io::Result<()> {
-    const CHUNK: u64 = 64 * 1024;
-    let len = file.metadata()?.len();
-    let mut scanned = 0u64;
-    // Scan backwards for the last newline; keep everything up to and including it.
-    while scanned < len {
-        let chunk = CHUNK.min(len - scanned);
-        file.seek(SeekFrom::Start(len - scanned - chunk))?;
-        let mut buf = vec![0u8; chunk as usize];
-        file.read_exact(&mut buf)?;
-        if scanned == 0 && buf.last() == Some(&b'\n') {
-            return Ok(());
-        }
-        if let Some(pos) = buf.iter().rposition(|&b| b == b'\n') {
-            file.set_len(len - scanned - chunk + pos as u64 + 1)?;
-            return Ok(());
-        }
-        scanned += chunk;
-    }
-    // No newline anywhere: the whole file is one torn line (or empty).
-    file.set_len(0)?;
-    Ok(())
-}
-
-/// A salvaged ledger: every parseable record plus a count of lines that were not.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParsedLedger {
-    /// Records in file order (oldest first).
-    pub records: Vec<RunRecord>,
-    /// Lines that failed to parse or decode — a healthy ledger has zero.
-    pub dropped: usize,
-}
-
-/// Parses ledger text line by line, salvaging what parses and counting the rest.
-pub fn parse_ledger(text: &str) -> ParsedLedger {
-    let mut parsed = ParsedLedger::default();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_json(line).ok().as_ref().and_then(RunRecord::decode) {
-            Some(record) => parsed.records.push(record),
-            None => parsed.dropped += 1,
-        }
-    }
-    parsed
-}
-
-/// Reads and parses the ledger at `path` under a shared advisory lock.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error when the file cannot be opened or read.
-pub fn load(path: &Path) -> std::io::Result<ParsedLedger> {
-    let file = std::fs::File::open(path)?;
-    file.lock_shared()?;
-    let mut text = String::new();
-    (&file).read_to_string(&mut text)?;
-    Ok(parse_ledger(&text))
+/// Returns the underlying I/O error when the file cannot be opened or read — a
+/// missing ledger included.
+pub fn load(path: &Path) -> std::io::Result<Salvaged<RunRecord>> {
+    Ok(jsonl::salvage(&jsonl::read(path)?, RunRecord::decode))
 }
 
 /// FNV-1a 64 over `bytes`, finished with a splitmix avalanche, rendered as 16 hex
@@ -289,7 +208,7 @@ mod tests {
     #[test]
     fn record_round_trips_through_a_line() {
         let record = sample_record(0xdead_beef_dead_beef);
-        let parsed = parse_json(&record.to_line()).expect("line is valid JSON");
+        let parsed: Value = serde_json::from_str(&record.to_line()).expect("line is valid JSON");
         let decoded = RunRecord::decode(&parsed).expect("line decodes");
         assert_eq!(decoded, record);
     }
@@ -298,7 +217,7 @@ mod tests {
     fn seed_survives_beyond_f64_precision() {
         // 2^53 + 1 is the first integer a double cannot represent.
         let record = sample_record((1u64 << 53) + 1);
-        let parsed = parse_json(&record.to_line()).expect("valid JSON");
+        let parsed: Value = serde_json::from_str(&record.to_line()).expect("valid JSON");
         let decoded = RunRecord::decode(&parsed).expect("decodes");
         assert_eq!(decoded.seed, (1u64 << 53) + 1);
     }
@@ -341,7 +260,7 @@ mod tests {
     fn loader_salvages_around_corrupt_interior_lines() {
         let good = sample_record(7).to_line();
         let text = format!("{good}\nnot json at all\n{{\"type\":\"other\"}}\n{good}\n");
-        let ledger = parse_ledger(&text);
+        let ledger = jsonl::salvage(&text, RunRecord::decode);
         assert_eq!(ledger.records.len(), 2);
         assert_eq!(ledger.dropped, 2);
     }
@@ -351,7 +270,7 @@ mod tests {
         let line = sample_record(1)
             .to_line()
             .replace("\"schema\":1", "\"schema\":99");
-        let parsed = parse_json(&line).expect("valid JSON");
+        let parsed: Value = serde_json::from_str(&line).expect("valid JSON");
         assert_eq!(RunRecord::decode(&parsed), None);
     }
 

@@ -12,8 +12,11 @@
 //!   sorted, deterministic snapshot, unifying the per-subsystem counter structs
 //!   (`DispatchSnapshot`, `FarmStats`, `KernelStatsSnapshot`, cache hit/miss) behind
 //!   one post-run summary surface.
-//! * [`profile`] — the analysis side: a dependency-free parser for the trace schema
-//!   and the report builder behind `slic profile <trace.jsonl>`.
+//! * [`jsonl`] — the one JSON-lines file discipline (flock-guarded appends, torn-tail
+//!   truncation, salvaging reads) shared by the ledger, the trace reader and
+//!   `DiskSimCache`; every line parses through the one JSON parser, `serde_json`.
+//! * [`profile`] — the analysis side: the trace reader and the report builder behind
+//!   `slic profile <trace.jsonl>`.
 //! * [`ledger`] — the cross-run side: an append-only, flock-guarded `runs.jsonl` of
 //!   [`ledger::RunRecord`]s (config fingerprint, seed, wall time, sims paid vs
 //!   cached, artifact hash, full metrics snapshot) behind `observability.ledger` /
@@ -35,6 +38,7 @@
 
 pub mod clock;
 pub mod diff;
+pub mod jsonl;
 pub mod ledger;
 pub mod metrics;
 pub mod perfetto;

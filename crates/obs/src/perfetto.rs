@@ -11,7 +11,8 @@
 //! values are rendered as fixed-point `micros.nnn` strings via integer math — no
 //! float formatting, so export is deterministic down to the byte.
 
-use crate::profile::{ParsedTrace, RecordKind};
+use crate::jsonl::Salvaged;
+use crate::profile::{RecordKind, TraceRecord};
 use crate::trace::escape_json;
 use std::fmt::Write as _;
 
@@ -20,7 +21,7 @@ use std::fmt::Write as _;
 /// Output is deterministic: one `ph:"M"` thread-name metadata row per thread id
 /// (ascending), then every record in file order.  Span ids and parent ids are
 /// preserved under `args` so the original correlation survives the export.
-pub fn render_chrome(parsed: &ParsedTrace) -> String {
+pub fn render_chrome(parsed: &Salvaged<TraceRecord>) -> String {
     let mut threads: Vec<u64> = parsed.records.iter().map(|r| r.thread).collect();
     threads.sort_unstable();
     threads.dedup();
@@ -90,9 +91,10 @@ fn micros(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{parse_json, parse_trace, Json};
+    use crate::profile::parse_trace;
+    use serde_json::Value;
 
-    fn sample_trace() -> ParsedTrace {
+    fn sample_trace() -> Salvaged<TraceRecord> {
         let text = concat!(
             "{\"type\":\"span\",\"id\":1,\"thread\":0,\"name\":\"characterize\",\"start_ns\":1000,\"dur_ns\":9000,\"attrs\":{\"units\":\"2\"}}\n",
             "{\"type\":\"span\",\"id\":2,\"parent\":1,\"thread\":1,\"name\":\"unit\",\"start_ns\":2000,\"dur_ns\":3000,\"attrs\":{\"cell\":\"INV_X1\"}}\n",
@@ -103,10 +105,10 @@ mod tests {
         parsed
     }
 
-    fn events(rendered: &str) -> Vec<Json> {
-        let doc = parse_json(rendered).expect("chrome export is valid JSON");
+    fn events(rendered: &str) -> Vec<Value> {
+        let doc: Value = serde_json::from_str(rendered).expect("chrome export is valid JSON");
         match doc.get("traceEvents") {
-            Some(Json::Arr(events)) => events.clone(),
+            Some(Value::Array(events)) => events.clone(),
             other => panic!("traceEvents array expected, got {other:?}"),
         }
     }
@@ -118,9 +120,9 @@ mod tests {
         // 2 thread metadata rows + 2 spans + 1 instant.
         assert_eq!(events.len(), 5);
 
-        let metadata: Vec<&Json> = events
+        let metadata: Vec<&Value> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
             .collect();
         assert_eq!(metadata.len(), 2);
         assert_eq!(
@@ -133,9 +135,9 @@ mod tests {
             Some("thread 0")
         );
 
-        let spans: Vec<&Json> = events
+        let spans: Vec<&Value> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
             .collect();
         assert_eq!(spans.len(), 2);
         let root = spans[0];
@@ -143,13 +145,13 @@ mod tests {
         assert_eq!(root.get("tid").unwrap().as_u64(), Some(0));
         assert_eq!(child.get("tid").unwrap().as_u64(), Some(1));
         // Nesting preserved: the child's [ts, ts+dur] window sits inside the root's.
-        let window = |span: &Json| -> (f64, f64) {
+        let window = |span: &Value| -> (f64, f64) {
             let ts = match span.get("ts") {
-                Some(Json::Num(ts)) => *ts,
+                Some(Value::Number(ts)) => *ts,
                 other => panic!("numeric ts expected, got {other:?}"),
             };
             let dur = match span.get("dur") {
-                Some(Json::Num(dur)) => *dur,
+                Some(Value::Number(dur)) => *dur,
                 other => panic!("numeric dur expected, got {other:?}"),
             };
             (ts, ts + dur)
@@ -170,7 +172,7 @@ mod tests {
 
         let instant = events
             .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
+            .find(|e| e.get("ph").and_then(Value::as_str) == Some("i"))
             .expect("instant event");
         assert_eq!(instant.get("name").unwrap().as_str(), Some("progress"));
         assert_eq!(

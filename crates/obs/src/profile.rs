@@ -1,248 +1,18 @@
-//! The analysis side of the trace schema: a dependency-free JSON-lines parser and the
-//! report builder behind `slic profile <trace.jsonl>`.
+//! The analysis side of the trace schema: the trace reader and the report builder
+//! behind `slic profile <trace.jsonl>`.
 //!
-//! The parser accepts the constrained grammar [`crate::trace`] emits (objects, string
-//! and number values, string-valued attr maps) plus enough general JSON to be honest
-//! about malformed input.  A trace cut short — worker killed mid-write, disk filled —
-//! parses to its longest well-formed prefix: every unparseable line is *counted and
-//! dropped*, never silently absorbed, and the CLI exits nonzero when any line was
-//! dropped so CI cannot mistake a truncated trace for a complete one.
+//! Trace lines parse through `serde_json` and are salvaged by [`crate::jsonl`], the
+//! file discipline the ledger and `DiskSimCache` share.  A trace cut short — worker
+//! killed mid-write, disk filled — parses to its longest well-formed prefix: every
+//! unparseable line is *counted and dropped*, never silently absorbed, and the CLI
+//! exits nonzero when any line was dropped so CI cannot mistake a truncated trace for a
+//! complete one.
 
+use crate::jsonl::{self, Salvaged};
 use crate::metrics::Histogram;
+use serde_json::Value;
 use std::collections::BTreeMap;
-
-/// A parsed JSON value (the subset the trace schema needs, plus arrays for honesty).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object-field lookup; `None` on non-objects and missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(name, _)| name == key)
-                .map(|(_, value)| value),
-            _ => None,
-        }
-    }
-
-    /// Numeric-field read as `u64`; `None` on negatives and non-numbers.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(value) if *value >= 0.0 => Some(*value as u64),
-            _ => None,
-        }
-    }
-
-    /// String-field read; `None` on non-strings.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(text) => Some(text),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document from `text` (surrounding whitespace allowed).
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first syntax error.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let value = parse_value(&chars, &mut pos)?;
-    skip_ws(&chars, &mut pos);
-    if pos != chars.len() {
-        return Err(format!("trailing content at offset {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(chars: &[char], pos: &mut usize) {
-    while chars
-        .get(*pos)
-        .is_some_and(|c| matches!(c, ' ' | '\t' | '\n' | '\r'))
-    {
-        *pos += 1;
-    }
-}
-
-fn expect(chars: &[char], pos: &mut usize, want: char) -> Result<(), String> {
-    if chars.get(*pos) == Some(&want) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{want}` at offset {pos}"))
-    }
-}
-
-fn parse_value(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(chars, pos);
-    match chars.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some('{') => parse_object(chars, pos),
-        Some('[') => parse_array(chars, pos),
-        Some('"') => parse_string(chars, pos).map(Json::Str),
-        Some('t') => parse_literal(chars, pos, "true", Json::Bool(true)),
-        Some('f') => parse_literal(chars, pos, "false", Json::Bool(false)),
-        Some('n') => parse_literal(chars, pos, "null", Json::Null),
-        Some(c) if *c == '-' || c.is_ascii_digit() => parse_number(chars, pos),
-        Some(c) => Err(format!("unexpected `{c}` at offset {pos}")),
-    }
-}
-
-fn parse_literal(chars: &[char], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    for want in word.chars() {
-        if chars.get(*pos) != Some(&want) {
-            return Err(format!("malformed literal at offset {pos}"));
-        }
-        *pos += 1;
-    }
-    Ok(value)
-}
-
-fn parse_number(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if chars.get(*pos) == Some(&'-') {
-        *pos += 1;
-    }
-    while chars
-        .get(*pos)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
-    {
-        *pos += 1;
-    }
-    let text: String = chars[start..*pos].iter().collect();
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("malformed number `{text}` at offset {start}"))
-}
-
-fn parse_string(chars: &[char], pos: &mut usize) -> Result<String, String> {
-    expect(chars, pos, '"')?;
-    let mut out = String::new();
-    loop {
-        match chars.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some('"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some('\\') => {
-                *pos += 1;
-                match chars.get(*pos) {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('u') => {
-                        let first = parse_hex4(chars, pos)?;
-                        let code = if (0xD800..0xDC00).contains(&first) {
-                            // A high surrogate must pair with `\uDC00..` next.
-                            if chars.get(*pos + 1) == Some(&'\\')
-                                && chars.get(*pos + 2) == Some(&'u')
-                            {
-                                *pos += 2;
-                                let second = parse_hex4(chars, pos)?;
-                                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                            } else {
-                                return Err("unpaired surrogate escape".to_string());
-                            }
-                        } else {
-                            first
-                        };
-                        match char::from_u32(code) {
-                            Some(ch) => out.push(ch),
-                            None => return Err(format!("invalid scalar \\u{code:x}")),
-                        }
-                    }
-                    _ => return Err(format!("invalid escape at offset {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(c) => {
-                out.push(*c);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-/// Reads the four hex digits after `\u`, leaving `pos` on the final digit.
-fn parse_hex4(chars: &[char], pos: &mut usize) -> Result<u32, String> {
-    let mut code = 0u32;
-    for _ in 0..4 {
-        *pos += 1;
-        let digit = chars
-            .get(*pos)
-            .and_then(|c| c.to_digit(16))
-            .ok_or_else(|| format!("malformed \\u escape at offset {pos}"))?;
-        code = (code << 4) | digit;
-    }
-    Ok(code)
-}
-
-fn parse_array(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    expect(chars, pos, '[')?;
-    let mut items = Vec::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(chars, pos)?);
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some(']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-        }
-    }
-}
-
-fn parse_object(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    expect(chars, pos, '{')?;
-    let mut fields = Vec::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(chars, pos);
-        let key = parse_string(chars, pos)?;
-        skip_ws(chars, pos);
-        expect(chars, pos, ':')?;
-        let value = parse_value(chars, pos)?;
-        fields.push((key, value));
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some('}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-        }
-    }
-}
+use std::path::Path;
 
 /// Span vs instantaneous event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,38 +36,29 @@ pub struct TraceRecord {
     pub attrs: Vec<(String, String)>,
 }
 
-/// A parsed trace file: the salvaged record prefix plus the damage report.
-#[derive(Debug, Default)]
-pub struct ParsedTrace {
-    pub records: Vec<TraceRecord>,
-    /// Non-empty lines that failed to parse — a truncated tail, injected garbage, or
-    /// interleaved corruption.  Any nonzero count makes `slic profile` exit nonzero.
-    pub dropped: usize,
+/// Parses a whole trace, salvaging every well-formed line.  Any dropped line makes
+/// `slic profile` exit nonzero.
+pub fn parse_trace(text: &str) -> Salvaged<TraceRecord> {
+    jsonl::salvage(text, decode_record)
 }
 
-/// Parses a whole trace file, salvaging every well-formed line.
-pub fn parse_trace(text: &str) -> ParsedTrace {
-    let mut parsed = ParsedTrace::default();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_json(line).ok().and_then(|json| decode_record(&json)) {
-            Some(record) => parsed.records.push(record),
-            None => parsed.dropped += 1,
-        }
-    }
-    parsed
+/// Reads and parses the trace at `path` under a shared advisory lock.
+///
+/// # Errors
+///
+/// Returns the underlying I/O error when the file cannot be opened or read.
+pub fn load(path: &Path) -> std::io::Result<Salvaged<TraceRecord>> {
+    Ok(parse_trace(&jsonl::read(path)?))
 }
 
-fn decode_record(json: &Json) -> Option<TraceRecord> {
+fn decode_record(json: &Value) -> Option<TraceRecord> {
     let kind = match json.get("type")?.as_str()? {
         "span" => RecordKind::Span,
         "event" => RecordKind::Event,
         _ => return None,
     };
     let attrs = match json.get("attrs") {
-        Some(Json::Obj(fields)) => fields
+        Some(Value::Object(fields)) => fields
             .iter()
             .map(|(key, value)| Some((key.clone(), value.as_str()?.to_string())))
             .collect::<Option<Vec<_>>>()?,
@@ -306,7 +67,7 @@ fn decode_record(json: &Json) -> Option<TraceRecord> {
     Some(TraceRecord {
         kind,
         id: json.get("id")?.as_u64()?,
-        parent: json.get("parent").and_then(Json::as_u64),
+        parent: json.get("parent").and_then(Value::as_u64),
         thread: json.get("thread")?.as_u64()?,
         name: json.get("name")?.as_str()?.to_string(),
         start_ns: match kind {
@@ -317,7 +78,7 @@ fn decode_record(json: &Json) -> Option<TraceRecord> {
             RecordKind::Span => json.get("dur_ns")?.as_u64()?,
             RecordKind::Event => 0,
         },
-        attrs: attrs.clone(),
+        attrs,
     })
 }
 
@@ -395,7 +156,7 @@ pub struct ProfileReport {
 
 /// Builds the report: phase breakdown, top-`top_n` hottest units, per-worker
 /// utilization, cache effectiveness.
-pub fn build_report(parsed: &ParsedTrace, top_n: usize) -> ProfileReport {
+pub fn build_report(parsed: &Salvaged<TraceRecord>, top_n: usize) -> ProfileReport {
     let records = &parsed.records;
     let mut report = ProfileReport {
         dropped: parsed.dropped as u64,
@@ -732,33 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn parser_accepts_the_trace_grammar() {
-        let json = parse_json(
-            "{\"type\":\"span\",\"id\":3,\"thread\":2,\"name\":\"a \\\"b\\\"\\n\",\"start_ns\":1,\"dur_ns\":2,\"attrs\":{\"k\":\"v\"}}",
-        )
-        .expect("parses");
-        assert_eq!(json.get("id").and_then(Json::as_u64), Some(3));
-        assert_eq!(json.get("name").and_then(Json::as_str), Some("a \"b\"\n"));
-    }
-
-    #[test]
-    fn parser_rejects_truncated_lines() {
-        assert!(parse_json("{\"type\":\"span\",\"id\":3,\"na").is_err());
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("").is_err());
-    }
-
-    #[test]
-    fn surrogate_pairs_decode() {
-        let json = parse_json("{\"k\":\"\\ud83d\\ude00\"}").expect("parses");
-        assert_eq!(json.get("k").and_then(Json::as_str), Some("😀"));
-        assert!(
-            parse_json("{\"k\":\"\\ud83d\"}").is_err(),
-            "unpaired high surrogate"
-        );
-    }
-
-    #[test]
     fn truncated_tail_is_salvaged_and_counted() {
         let text = format!(
             "{}\n{}\n{{\"type\":\"span\",\"id\":9,\"thr",
@@ -857,11 +591,12 @@ mod tests {
         assert!(md.contains("## Phase breakdown"));
         assert!(md.contains("| w0 |"));
         let json_text = render_json(&report);
-        let parsed = parse_json(json_text.trim()).expect("self-parseable JSON");
-        assert_eq!(parsed.get("spans").and_then(Json::as_u64), Some(2));
-        let Some(Json::Arr(workers)) = parsed.get("workers") else {
-            panic!("workers array");
-        };
+        let parsed: Value = serde_json::from_str(&json_text).expect("self-parseable JSON");
+        assert_eq!(parsed.get("spans").and_then(Value::as_u64), Some(2));
+        let workers = parsed
+            .get("workers")
+            .and_then(Value::as_array)
+            .expect("workers array");
         assert_eq!(workers.len(), 1);
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests: the trace escaper and the profile parser are exact inverses.
+//! Property tests: the trace escaper and the `serde_json` parser are exact inverses.
 //!
 //! Span names and attribute values come from cell names, arc labels, worker names and
 //! error strings — any of which can carry quotes, backslashes, newlines or stray
@@ -6,16 +6,16 @@
 //! [`escape_json`], parsing the resulting JSON string literal must return it verbatim.
 
 use proptest::prelude::*;
-use slic_obs::profile::{parse_json, Json};
+use serde_json::Value;
 use slic_obs::trace::escape_json;
 
 /// Escape `text`, embed it as a JSON string value, parse it back, compare.
 fn round_trips(text: &str) -> Result<(), TestCaseError> {
     let document = format!("{{\"k\":\"{}\"}}", escape_json(text));
-    let parsed = parse_json(&document)
+    let parsed: Value = serde_json::from_str(&document)
         .map_err(|err| TestCaseError::fail(format!("escaped form must parse: {err}")))?;
     match parsed.get("k") {
-        Some(Json::Str(back)) if back == text => Ok(()),
+        Some(Value::String(back)) if back == text => Ok(()),
         other => Err(TestCaseError::fail(format!(
             "round trip mangled {text:?} into {other:?}"
         ))),

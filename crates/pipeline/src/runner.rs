@@ -77,25 +77,10 @@ impl PipelineRunner {
         Self::with_parts(config, cache, None)
     }
 
-    /// Creates a runner whose engines route every solve through `backend` (e.g. a
-    /// `slic-farm` fleet), with the cache resolved from the configuration as in
-    /// [`new`](Self::new).  The counter/cache/single-flight policy stays runner-side, so
-    /// backends cannot change what a run pays for or produces — only where it executes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError::Engine`] when the profile's transient configuration is
-    /// invalid, or a [`PipelineError::Cache`] when the configured cache file cannot be
-    /// opened.
-    pub fn with_backend(
-        config: ResolvedConfig,
-        backend: Arc<dyn SimulationBackend>,
-    ) -> Result<Self, PipelineError> {
-        let cache = Self::open_cache(&config)?;
-        Self::with_parts(config, cache, Some(backend))
-    }
-
-    /// Fully explicit construction: a (possibly warm) cache plus an optional backend.
+    /// Fully explicit construction: a (possibly warm) cache plus an optional backend
+    /// (e.g. a `slic-farm` fleet) that every solve is routed through.  The
+    /// counter/cache/single-flight policy stays runner-side, so backends cannot change
+    /// what a run pays for or produces — only where it executes.
     ///
     /// # Errors
     ///
@@ -113,7 +98,7 @@ impl PipelineRunner {
             return Err(PipelineError::config(
                 "the configuration selects the farm backend but no backend instance was \
                  supplied; construct the worker fleet (e.g. slic_farm::FarmBackend) and \
-                 pass it via PipelineRunner::with_backend",
+                 pass it via PipelineRunner::with_parts",
             ));
         }
         let counter = SimulationCounter::new();
@@ -153,8 +138,14 @@ impl PipelineRunner {
         &self.obs
     }
 
-    /// Opens the configured disk cache, or a fresh in-memory one.
-    fn open_cache(config: &ResolvedConfig) -> Result<Arc<dyn SimulationCache>, PipelineError> {
+    /// Opens the configured disk cache, or a fresh in-memory one — the cache
+    /// [`new`](Self::new) builds on, exposed so a caller can open (and time) it
+    /// separately and hand it to [`with_parts`](Self::with_parts).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PipelineError::Cache`] when the configured cache file cannot be opened.
+    pub fn open_cache(config: &ResolvedConfig) -> Result<Arc<dyn SimulationCache>, PipelineError> {
         Ok(match &config.cache_path {
             Some(path) => Arc::new(DiskSimCache::open(path)?),
             None => Arc::new(InMemorySimCache::new()),
@@ -182,7 +173,8 @@ impl PipelineRunner {
     }
 
     /// Runs the historical learning stage over the configured historical nodes, through
-    /// the shared counter and cache.
+    /// the shared engine rebound to each node: the same counter, cache, backend, dispatch
+    /// counters and trace as characterization.
     pub fn learn(&self) -> HistoricalLearningResult {
         let _span = self.obs.trace.span(
             "learn",
@@ -192,13 +184,7 @@ impl PipelineRunner {
             grid_levels: self.config.profile.learning_grid(),
             transient: self.config.transient,
         });
-        learner.learn_shared_with_backend(
-            &self.config.historical,
-            &self.config.library,
-            &self.counter,
-            Some(self.cache.clone()),
-            Some(self.engine.backend().clone()),
-        )
+        learner.learn_with_engine(&self.engine, &self.config.historical, &self.config.library)
     }
 
     /// Executes every unit of `plan` in parallel against `database` and assembles the run
@@ -552,7 +538,36 @@ mod tests {
         // Any SimulationBackend instance satisfies the requirement; the pipeline does
         // not (and cannot) verify it is really a fleet.
         let backend: Arc<dyn SimulationBackend> = Arc::new(slic_spice::LocalBackend::new());
-        let runner = PipelineRunner::with_backend(config, backend).expect("constructs");
+        let cache = PipelineRunner::open_cache(&config).expect("opens");
+        let runner = PipelineRunner::with_parts(config, cache, Some(backend)).expect("constructs");
         assert_eq!(runner.engine().backend().name(), "local");
+    }
+
+    #[test]
+    fn learning_is_dispatched_and_observed_through_the_runner_engine() {
+        let config = RunConfig::default().resolve().expect("resolves");
+        let obs = Observability::default();
+        let runner = PipelineRunner::new(config)
+            .expect("constructs")
+            .with_observability(obs.clone());
+        let learning = runner.learn();
+        assert!(learning.simulation_cost > 0);
+        let dispatch = runner.engine().dispatch_stats();
+        assert_eq!(
+            dispatch.lanes_claimed, learning.simulation_cost,
+            "every learn solve is a claimed batch lane of the runner's engine"
+        );
+        assert_eq!(
+            dispatch.lanes_dispatched,
+            dispatch.lanes_cached + dispatch.lanes_claimed + dispatch.lanes_deferred
+        );
+        assert_eq!(dispatch.lanes_deferred, 0, "learn lanes are unique");
+        let snapshot = obs.metrics.snapshot();
+        let batch_lanes = snapshot
+            .histograms
+            .iter()
+            .find(|(name, _)| name == "engine.batch.lanes")
+            .map(|(_, histogram)| histogram.sum);
+        assert_eq!(batch_lanes, Some(learning.simulation_cost));
     }
 }

@@ -8,8 +8,9 @@
 //! warm-start from the same file: a rerun of an already-characterized shard pays zero
 //! transient simulations.
 //!
-//! Reads and appends take an advisory file lock (shared for load, exclusive for flush),
-//! so same-host workers pointed at one cache file never interleave partial lines; each
+//! Reads and appends go through [`slic_obs::jsonl`], the append-log discipline the run
+//! ledger shares: an advisory file lock (shared for load, exclusive for flush), so
+//! same-host workers pointed at one cache file never interleave partial lines; each
 //! worker still only *sees* records flushed before it opened the file, so sequential
 //! workers share everything while concurrent workers merely deduplicate what was on disk
 //! when they started.  The in-memory side mirrors [`InMemorySimCache`]'s 16-way sharding,
@@ -24,6 +25,7 @@
 use crate::cache::{CacheError, InMemorySimCache, SimKey, SimulationCache};
 use crate::measure::TimingMeasurement;
 use serde::{Deserialize, Serialize};
+use slic_obs::jsonl::{self, Line};
 use std::fmt;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -115,23 +117,19 @@ impl DiskSimCache {
             memory: InMemorySimCache::new(),
             pending: Mutex::new(Vec::new()),
         };
-        let text = match std::fs::File::open(&cache.path) {
-            Ok(file) => {
-                file.lock_shared()?;
-                std::io::read_to_string(&file)?
-                // Closing the handle releases the lock.
-            }
+        let text = match jsonl::read(&cache.path) {
+            Ok(text) => text,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => String::new(),
             Err(err) => return Err(err.into()),
         };
-        let lines: Vec<&str> = text.lines().collect();
-        for (index, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<DiskRecord>(line) {
-                Ok(record) => {
-                    if index + 1 == lines.len() && !text.ends_with('\n') {
+        for line in jsonl::classify(&text, DiskRecord::from_value) {
+            match line {
+                Line::Record {
+                    record,
+                    text,
+                    terminated,
+                } => {
+                    if !terminated {
                         // A complete record whose trailing newline was lost in a crash:
                         // the next flush truncates every un-terminated byte, so queue the
                         // record for re-append or it would vanish from the log.
@@ -139,21 +137,17 @@ impl DiskSimCache {
                             .pending
                             .lock()
                             .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .push((*line).to_string());
+                            .push(text.to_string());
                     }
                     cache.memory.insert_warm(record.key, record.measurement);
                 }
-                Err(err) if index + 1 == lines.len() && !text.ends_with('\n') => {
-                    // A truncated final record from an interrupted append — recognizable
-                    // by the missing trailing newline; the next flush truncates it away
-                    // before appending. A *complete* (newline-terminated) corrupt line is
-                    // real corruption and falls through to the error below.
-                    let _ = err;
-                }
-                Err(err) => {
+                // A truncated final record from an interrupted append; the next flush
+                // truncates it away before appending.
+                Line::Torn => {}
+                Line::Corrupt { number, error, .. } => {
                     return Err(CacheError::Corrupt {
-                        line: index + 1,
-                        message: err.to_string(),
+                        line: number,
+                        message: error.to_string(),
                     });
                 }
             }
@@ -238,7 +232,6 @@ impl DiskSimCache {
         };
         file.lock()?;
         let text = std::io::read_to_string(&file)?;
-        let lines: Vec<&str> = text.lines().collect();
         // First-appearance order of unique keys; last-record-wins value per key.
         let mut order: Vec<SimKey> = Vec::new();
         let mut latest: std::collections::BTreeMap<SimKey, TimingMeasurement> =
@@ -246,12 +239,9 @@ impl DiskSimCache {
         let mut records = 0usize;
         let mut dropped_legacy = 0usize;
         let mut quarantined: Vec<&str> = Vec::new();
-        for (index, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<DiskRecord>(line) {
-                Ok(record) => {
+        for line in jsonl::classify(&text, DiskRecord::from_value) {
+            match line {
+                Line::Record { record, .. } => {
                     if options.drop_legacy && record.key.is_legacy_kernel() {
                         dropped_legacy += 1;
                         continue;
@@ -264,18 +254,13 @@ impl DiskSimCache {
                         order.push(record.key);
                     }
                 }
-                Err(err) if index + 1 == lines.len() && !text.ends_with('\n') => {
-                    // Torn tail of a crashed append: repaired by the rewrite below.
-                    let _ = err;
-                }
-                Err(err) if options.quarantine => {
-                    let _ = err;
-                    quarantined.push(line);
-                }
-                Err(err) => {
+                // Torn tail of a crashed append: repaired by the rewrite below.
+                Line::Torn => {}
+                Line::Corrupt { text, .. } if options.quarantine => quarantined.push(text),
+                Line::Corrupt { number, error, .. } => {
                     return Err(CacheError::Corrupt {
-                        line: index + 1,
-                        message: err.to_string(),
+                        line: number,
+                        message: error.to_string(),
                     });
                 }
             }
@@ -341,25 +326,8 @@ impl DiskSimCache {
             .pending
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        file.lock()?;
-        slic_obs::ledger::truncate_torn_tail(&mut file)?;
-        let mut text = String::new();
-        for line in pending.iter() {
-            text.push_str(line);
-            text.push('\n');
-        }
-        file.write_all(text.as_bytes())?;
-        file.flush()?;
+        jsonl::append(&self.path, &pending)?;
         pending.clear();
-        // Closing the handle releases the lock.
         Ok(())
     }
 }

@@ -279,6 +279,15 @@ impl CharacterizationEngine {
         &self.obs
     }
 
+    /// Rebinds this engine to `tech`, keeping its counter, cache, backend, dispatch
+    /// counters and observability — so work on another node (historical learning) is
+    /// paid, cached, dispatched and traced alongside this engine's own.
+    #[must_use]
+    pub fn with_technology(mut self, tech: TechnologyNode) -> Self {
+        self.tech = Arc::new(tech);
+        self
+    }
+
     /// The technology this engine simulates.
     pub fn tech(&self) -> &TechnologyNode {
         &self.tech

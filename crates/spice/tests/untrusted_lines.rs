@@ -1,0 +1,187 @@
+//! Property tests: untrusted lines through the one JSON parser.
+//!
+//! Disk-cache records, run-ledger lines, trace lines and farm wire messages all parse
+//! through `serde_json`, and any of them can arrive torn, bit-rotted or hostile.  So:
+//!
+//! * arbitrary strings over a JSON-heavy alphabet parse to `Ok` or `Err`, never a panic,
+//!   and whatever parses re-renders to text that parses back to the same value;
+//! * every proper prefix of a real `DiskSimCache` record, ledger line and trace line is
+//!   an error (a torn line is never mistaken for a record), and the whole line parses;
+//! * rendering a generated [`Value`] and parsing it back is the identity.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use serde_json::Value;
+use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
+use slic_device::ProcessSample;
+use slic_obs::ledger::{self, RunRecord};
+use slic_obs::{MetricsRegistry, TraceRecorder};
+use slic_spice::{
+    DiskSimCache, InputPoint, SimKey, SimulationCache, TimingMeasurement, TransientConfig,
+};
+use slic_units::{Farads, Seconds, Volts};
+
+/// The fuzzing alphabet, weighted by repetition toward the bytes that steer the parser:
+/// structure, quotes, escapes, `\u` hex digits, number punctuation, and non-ASCII.
+const ALPHABET: [&str; 40] = [
+    "{", "}", "[", "]", "\"", "\"", "\"", ",", ",", ":", "\\", "\\", "\\", "u", "u", "0", "1", "7",
+    "9", "a", "d", "D", "e", "E", "f", "8", "3", "+", "-", "-", ".", "e", "n", "t", " ", "é", "😀",
+    "\u{0}", "\n", "true",
+];
+
+fn scratch(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("slic-untrusted-{}-{name}", std::process::id()))
+}
+
+/// One record exactly as `DiskSimCache` writes it.
+fn cache_record_line() -> String {
+    let path = scratch("cache.jsonl");
+    std::fs::remove_file(&path).ok();
+    let cell = Cell::new(CellKind::Nand2, DriveStrength::X2);
+    let point = InputPoint::new(
+        Seconds::from_picoseconds(12.5),
+        Farads::from_femtofarads(3.25),
+        Volts(0.8),
+    );
+    let key = SimKey::new(
+        "n14",
+        &TimingArc::new(cell, 1, Transition::Fall),
+        &point,
+        &ProcessSample::nominal(),
+        &TransientConfig::fast(),
+    );
+    let cache = DiskSimCache::open(&path).expect("opens");
+    cache.store(
+        key,
+        TimingMeasurement::new(
+            Seconds::from_picoseconds(21.0),
+            Seconds::from_picoseconds(9.5),
+        ),
+    );
+    cache.flush().expect("flushes");
+    let text = std::fs::read_to_string(&path).expect("reads");
+    std::fs::remove_file(&path).ok();
+    text.trim_end().to_string()
+}
+
+/// One run record exactly as the ledger writes it.
+fn ledger_line() -> String {
+    let metrics = MetricsRegistry::new();
+    metrics.counter_set("cache.hits", 36);
+    metrics.observe("engine.batch.lanes", 4, &[1, 2, 4, 8]);
+    RunRecord {
+        kind: "characterize".to_string(),
+        fingerprint: "561db246d63ac821".to_string(),
+        seed: u64::MAX,
+        profile: "quick \"q\"".to_string(),
+        backend: "local".to_string(),
+        wall_ns: 4_126_086,
+        sims_paid: 108,
+        sims_cached: 36,
+        artifact_hash: ledger::content_hash(b"artifact"),
+        snapshot: metrics.snapshot(),
+    }
+    .to_line()
+}
+
+/// One span exactly as the trace recorder writes it, attrs escaped.
+fn trace_line() -> String {
+    let path = scratch("run.trace.jsonl");
+    let recorder = TraceRecorder::to_file(&path).expect("trace file");
+    drop(recorder.span(
+        "unit",
+        &[
+            ("cell", "NAND2_X1 \"q\" \\ é 😀".to_string()),
+            ("arc", "fall@0\n\t\u{1}".to_string()),
+        ],
+    ));
+    recorder.flush();
+    let text = std::fs::read_to_string(&path).expect("reads");
+    std::fs::remove_file(&path).ok();
+    text.trim_end().to_string()
+}
+
+#[test]
+fn every_proper_prefix_of_a_real_line_is_an_error() {
+    for line in [cache_record_line(), ledger_line(), trace_line()] {
+        assert!(
+            serde_json::from_str::<Value>(&line).is_ok(),
+            "the whole line parses: {line}"
+        );
+        for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+            assert!(
+                serde_json::from_str::<Value>(&line[..cut]).is_err(),
+                "a torn line must not parse: {}",
+                &line[..cut]
+            );
+        }
+    }
+}
+
+fn arbitrary_text(rng: &mut StdRng) -> String {
+    (0..rng.gen_range(0..12usize))
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => char::from(rng.gen_range(0..0x80u32) as u8),
+            1 => ['"', '\\', '\n', '\u{1f}', '/'][rng.gen_range(0..5usize)],
+            // Any scalar value; surrogate codes are not chars and are skipped.
+            _ => char::from_u32(rng.gen_range(0..0x11_0000u32)).unwrap_or('?'),
+        })
+        .collect()
+}
+
+fn arbitrary_value(rng: &mut StdRng, depth: u32) -> Value {
+    let kinds = if depth == 0 { 4 } else { 6 };
+    match rng.gen_range(0..kinds) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen_bool(0.5)),
+        2 => Value::Number(loop {
+            // Any finite bit pattern (subnormals, huge magnitudes), or a small integer.
+            let x = if rng.gen_bool(0.5) {
+                f64::from_bits(rng.gen::<u64>())
+            } else {
+                f64::from(rng.gen_range(-1000..1000i32))
+            };
+            if x.is_finite() {
+                break x;
+            }
+        }),
+        3 => Value::String(arbitrary_text(rng)),
+        4 => Value::Array(
+            (0..rng.gen_range(0..4usize))
+                .map(|_| arbitrary_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::Object(
+            (0..rng.gen_range(0..4usize))
+                .map(|_| (arbitrary_text(rng), arbitrary_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_text_parses_or_errors_without_panicking(
+        picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..48usize),
+    ) {
+        let text: String = picks.iter().map(|&pick| ALPHABET[pick]).collect();
+        if let Ok(value) = serde_json::from_str::<Value>(&text) {
+            // Non-finite numbers (`1e999`) parse but cannot be rendered back.
+            if let Ok(rendered) = serde_json::to_string(&value) {
+                prop_assert_eq!(serde_json::from_str::<Value>(&rendered).ok(), Some(value));
+            }
+        }
+    }
+
+    #[test]
+    fn rendered_values_parse_back_to_themselves(seed in 0u64..u64::MAX) {
+        let value = arbitrary_value(&mut StdRng::seed_from_u64(seed), 3);
+        let compact = serde_json::to_string(&value).expect("finite values render");
+        prop_assert_eq!(serde_json::from_str::<Value>(&compact).ok(), Some(value.clone()));
+        let pretty = serde_json::to_string_pretty(&value).expect("finite values render");
+        prop_assert_eq!(serde_json::from_str::<Value>(&pretty).ok(), Some(value));
+    }
+}
