@@ -427,21 +427,25 @@ fn table_values(
     slew_axis: &[f64],
     load_axis: &[f64],
 ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let mut delay_rows = Vec::with_capacity(slew_axis.len());
-    let mut slew_rows = Vec::with_capacity(slew_axis.len());
-    for &sin in slew_axis {
-        let mut delay_row = Vec::with_capacity(load_axis.len());
-        let mut slew_row = Vec::with_capacity(load_axis.len());
-        for &cload in load_axis {
-            let point = slic_spice::InputPoint::new(Seconds(sin), Farads(cload), vdd);
-            let m = engine.simulate_nominal(cell, arc, &point);
-            delay_row.push(m.delay.picoseconds());
-            slew_row.push(m.output_slew.picoseconds());
-        }
-        delay_rows.push(delay_row);
-        slew_rows.push(slew_row);
-    }
-    (delay_rows, slew_rows)
+    let points: Vec<slic_spice::InputPoint> = slew_axis
+        .iter()
+        .flat_map(|&sin| {
+            load_axis
+                .iter()
+                .map(move |&cload| slic_spice::InputPoint::new(Seconds(sin), Farads(cload), vdd))
+        })
+        .collect();
+    let mut measurements = engine.sweep_nominal(cell, arc, &points).into_iter();
+    slew_axis
+        .iter()
+        .map(|_| {
+            measurements
+                .by_ref()
+                .take(load_axis.len())
+                .map(|m| (m.delay.picoseconds(), m.output_slew.picoseconds()))
+                .unzip()
+        })
+        .unzip()
 }
 
 fn render_table(group: &str, rows: &[Vec<f64>]) -> String {

@@ -38,10 +38,9 @@
 //! never what the solution is, so farm artifacts remain byte-identical to local ones
 //! under any injected fault — the invariant the chaos suite and CI `cmp` gates pin.
 //!
-//! The broker keeps the engine-side policy untouched: counting, caching and single-flight
-//! all happen in the [`CharacterizationEngine`](slic_spice::CharacterizationEngine) that
-//! owns this backend, so a unique coordinate is paid for exactly once across the whole
-//! farm.
+//! The broker keeps the engine-side policy untouched: counting and caching both happen
+//! in the [`CharacterizationEngine`](slic_spice::CharacterizationEngine) that owns this
+//! backend, so a unique coordinate is paid for exactly once across the whole farm.
 
 use crate::backoff::{splitmix64, BackoffPolicy};
 use crate::wire::{decode_message, encode_message, Message, WireError, WireRequest};

@@ -26,9 +26,9 @@
 //! tests and CI.  A dead worker is no longer dead forever: the broker re-dials it with
 //! backoff and re-admits it after a fresh [`Hello`] handshake.
 //!
-//! Because the engine keeps its counter / cache / single-flight layering on its own side
-//! of the backend boundary, a farm run pays each unique simulation coordinate exactly
-//! once across the whole fleet and produces a `RunArtifact` byte-identical to a local
+//! Because the engine keeps its counter and cache on its own side of the backend
+//! boundary, a farm run pays each unique simulation coordinate exactly once across the
+//! whole fleet and produces a `RunArtifact` byte-identical to a local
 //! run's — the acceptance bar every transport change in this crate is tested against.
 //!
 //! ```no_run

@@ -9,20 +9,33 @@ use slic_farm::wire::encode_message;
 use slic_farm::{
     serve_listener, FarmBackend, FarmTuning, FaultPlan, Hello, Message, ServeOutcome, WorkerOptions,
 };
-use slic_spice::{CharacterizationEngine, InputPoint, TransientConfig};
+use slic_spice::{InputPoint, LocalBackend, SimRequest, SimulationBackend, TransientConfig};
 use slic_units::{Farads, Seconds, Volts};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-fn engine() -> CharacterizationEngine {
-    CharacterizationEngine::with_config(TechnologyNode::n14_finfet(), TransientConfig::fast())
-        .expect("fast preset validates")
-}
-
 fn inv_fall() -> (Cell, TimingArc) {
     let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
     (cell, TimingArc::new(cell, 0, Transition::Fall))
+}
+
+/// Nominal-corner requests for an inverter fall arc at every point of [`grid`]`(n)` —
+/// one broker call's worth of lanes, built without an engine.
+fn requests(n: usize) -> Vec<SimRequest> {
+    let tech = Arc::new(TechnologyNode::n14_finfet());
+    let (cell, arc) = inv_fall();
+    grid(n)
+        .into_iter()
+        .map(|point| SimRequest {
+            tech: tech.clone(),
+            cell,
+            arc,
+            point,
+            seed: ProcessSample::nominal(),
+            config: TransientConfig::fast(),
+        })
+        .collect()
 }
 
 fn grid(n: usize) -> Vec<InputPoint> {
@@ -83,13 +96,10 @@ fn a_flapping_worker_is_readmitted_with_backoff_and_results_stay_bitwise() {
         ..chaos_tuning()
     };
     let farm = Arc::new(FarmBackend::with_tuning(&[address], 0, None, tuning).expect("connects"));
-    let farmed = engine().with_backend(farm.clone());
-    let local = engine();
-    let (cell, arc) = inv_fall();
-    let points = grid(96);
+    let requests = requests(96);
 
-    let remote = farmed.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
-    let reference = local.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
+    let remote = farm.solve_batch(&requests);
+    let reference = LocalBackend::new().solve_batch(&requests);
     assert_eq!(remote, reference, "a flapping worker must not change a bit");
 
     let stats = farm.stats();
@@ -151,13 +161,10 @@ fn a_half_open_peer_is_caught_by_the_heartbeat_not_the_batch_deadline() {
         FarmBackend::with_tuning(&[zombie_address, healthy_address], 0, None, tuning)
             .expect("both handshakes pass — the zombie looks healthy at connect time"),
     );
-    let farmed = engine().with_backend(farm.clone());
-    let local = engine();
-    let (cell, arc) = inv_fall();
-    let points = grid(24);
+    let requests = requests(24);
 
-    let remote = farmed.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
-    let reference = local.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
+    let remote = farm.solve_batch(&requests);
+    let reference = LocalBackend::new().solve_batch(&requests);
     assert_eq!(remote, reference, "a half-open peer must not change a bit");
 
     let stats = farm.stats();
@@ -169,7 +176,6 @@ fn a_half_open_peer_is_caught_by_the_heartbeat_not_the_batch_deadline() {
     assert_eq!(stats.lanes_local, 0);
     assert_eq!(farm.live_workers(), 1, "only the zombie was retired");
 
-    drop(farmed);
     drop(farm);
     zombie.join().expect("zombie thread");
     assert_eq!(
@@ -195,13 +201,10 @@ fn exhausting_the_retry_budget_degrades_jobs_to_the_local_fallback() {
         ..chaos_tuning()
     };
     let farm = Arc::new(FarmBackend::with_tuning(&[address], 0, None, tuning).expect("connects"));
-    let farmed = engine().with_backend(farm.clone());
-    let local = engine();
-    let (cell, arc) = inv_fall();
-    let points = grid(24);
+    let requests = requests(24);
 
-    let remote = farmed.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
-    let reference = local.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
+    let remote = farm.solve_batch(&requests);
+    let reference = LocalBackend::new().solve_batch(&requests);
     assert_eq!(remote, reference, "garbage replies must not change a bit");
 
     let stats = farm.stats();
@@ -210,7 +213,6 @@ fn exhausting_the_retry_budget_degrades_jobs_to_the_local_fallback() {
     assert_eq!(stats.lanes_local, 24, "the fallback solved everything");
     assert_eq!(stats.lanes_remote, 0, "no garbage lane was ever accepted");
 
-    drop(farmed);
     drop(farm);
     assert_eq!(handle.join().expect("worker"), ServeOutcome::Shutdown);
 }

@@ -4,10 +4,11 @@
 //! farm must be a pure deployment change, never a numerical one.
 
 use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
-use slic_device::TechnologyNode;
+use slic_device::{ProcessSample, TechnologyNode};
 use slic_farm::{serve_listener, FarmBackend, FarmTuning, FaultPlan, ServeOutcome, WorkerOptions};
 use slic_spice::{
-    CharacterizationEngine, InMemorySimCache, InputPoint, SimulationCache, TransientConfig,
+    CharacterizationEngine, InMemorySimCache, InputPoint, LocalBackend, SimRequest,
+    SimulationBackend, SimulationCache, TransientConfig,
 };
 use slic_units::{Farads, Seconds, Volts};
 use std::net::TcpListener;
@@ -50,6 +51,24 @@ fn engine() -> CharacterizationEngine {
 fn inv_fall() -> (Cell, TimingArc) {
     let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
     (cell, TimingArc::new(cell, 0, Transition::Fall))
+}
+
+/// Nominal-corner requests for an inverter fall arc in `tech` at every point of
+/// [`grid`]`(n)` — one broker call's worth of lanes, built without an engine.
+fn requests(tech: TechnologyNode, n: usize) -> Vec<SimRequest> {
+    let tech = Arc::new(tech);
+    let (cell, arc) = inv_fall();
+    grid(n)
+        .into_iter()
+        .map(|point| SimRequest {
+            tech: tech.clone(),
+            cell,
+            arc,
+            point,
+            seed: ProcessSample::nominal(),
+            config: TransientConfig::fast(),
+        })
+        .collect()
 }
 
 fn grid(n: usize) -> Vec<InputPoint> {
@@ -122,13 +141,10 @@ fn killing_a_worker_mid_run_fails_over_and_preserves_bitwise_results() {
             .expect("fleet connects"),
     );
 
-    let farmed = engine().with_backend(farm.clone());
-    let local = engine();
-    let (cell, arc) = inv_fall();
-    let points = grid(96);
+    let requests = requests(TechnologyNode::n14_finfet(), 96);
 
-    let remote = farmed.sweep_batch(cell, &arc, &points, &slic_device::ProcessSample::nominal());
-    let reference = local.sweep_batch(cell, &arc, &points, &slic_device::ProcessSample::nominal());
+    let remote = farm.solve_batch(&requests);
+    let reference = LocalBackend::new().solve_batch(&requests);
     assert_eq!(
         remote, reference,
         "a mid-run worker death must not change a single bit"
@@ -144,7 +160,6 @@ fn killing_a_worker_mid_run_fails_over_and_preserves_bitwise_results() {
         "every lane was solved exactly once somewhere"
     );
 
-    drop(farmed);
     drop(farm);
     assert_eq!(handle_a.join().expect("worker a"), ServeOutcome::Shutdown);
 }
@@ -155,12 +170,9 @@ fn a_fully_dead_fleet_falls_back_to_local_solving() {
     let (addr, handle) = spawn_tcp_worker("doomed", Some(0));
     let farm =
         Arc::new(FarmBackend::with_tuning(&[addr], 0, None, fast_tuning()).expect("connects"));
-    let farmed = engine().with_backend(farm.clone());
-    let local = engine();
-    let (cell, arc) = inv_fall();
-    let points = grid(8);
-    let remote = farmed.sweep_batch(cell, &arc, &points, &slic_device::ProcessSample::nominal());
-    let reference = local.sweep_batch(cell, &arc, &points, &slic_device::ProcessSample::nominal());
+    let requests = requests(TechnologyNode::n14_finfet(), 8);
+    let remote = farm.solve_batch(&requests);
+    let reference = LocalBackend::new().solve_batch(&requests);
     assert_eq!(remote, reference);
     assert_eq!(farm.live_workers(), 0);
     let stats = farm.stats();
@@ -178,22 +190,14 @@ fn a_custom_technology_outside_the_catalogue_degrades_to_local_solving() {
     let custom = TechnologyNode::n14_finfet().with_kind(TechnologyKind::Target);
     let (addr, handle) = spawn_tcp_worker("w", None);
     let farm = Arc::new(FarmBackend::connect(&[addr]).expect("connects"));
-    let farmed = CharacterizationEngine::with_config(custom.clone(), TransientConfig::fast())
-        .expect("fast preset validates")
-        .with_backend(farm.clone());
-    let local = CharacterizationEngine::with_config(custom, TransientConfig::fast())
-        .expect("fast preset validates");
-    let (cell, arc) = inv_fall();
-    let points = grid(6);
-    let seed = slic_device::ProcessSample::nominal();
-    let remote = farmed.sweep_batch(cell, &arc, &points, &seed);
-    let reference = local.sweep_batch(cell, &arc, &points, &seed);
+    let requests = requests(custom, 6);
+    let remote = farm.solve_batch(&requests);
+    let reference = LocalBackend::new().solve_batch(&requests);
     assert_eq!(remote, reference, "fallback must match the local backend");
     let stats = farm.stats();
     assert_eq!(stats.lanes_remote, 0, "nothing travelled");
     assert_eq!(stats.lanes_local, 6, "every lane was solved broker-side");
     assert_eq!(farm.live_workers(), 1, "the worker is healthy, just unused");
-    drop(farmed);
     drop(farm);
     assert_eq!(handle.join().expect("worker"), ServeOutcome::Shutdown);
 }

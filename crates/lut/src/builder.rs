@@ -8,6 +8,20 @@ use slic_spice::{CharacterizationEngine, InputPoint, InputSpace, TimingMeasureme
 use slic_stats::moments;
 use slic_units::{Farads, Seconds, Volts};
 
+/// Every point of a `(sin, cload, vdd)` grid, in [`Lut3d`] value order (supply fastest).
+fn grid_points(sin_axis: &[f64], cload_axis: &[f64], vdd_axis: &[f64]) -> Vec<InputPoint> {
+    sin_axis
+        .iter()
+        .flat_map(|&s| {
+            cload_axis.iter().flat_map(move |&c| {
+                vdd_axis
+                    .iter()
+                    .map(move |&v| InputPoint::new(Seconds(s), Farads(c), Volts(v)))
+            })
+        })
+        .collect()
+}
+
 /// Splits a simulation budget of `k` runs into grid levels `(sin, cload, vdd)` with
 /// `sin·cload·vdd ≤ k`, keeping the factors as balanced as possible and prioritizing the
 /// slew and load axes (delay is more sensitive to them than to `Vdd` over the paper's
@@ -140,18 +154,10 @@ impl<'a> LutBuilder<'a> {
     ) -> NominalLut {
         let before = self.engine.simulation_count();
         let (sin_axis, cload_axis, vdd_axis) = self.axes(levels);
-        let mut delays = Vec::new();
-        let mut slews = Vec::new();
-        for &s in &sin_axis {
-            for &c in &cload_axis {
-                for &v in &vdd_axis {
-                    let point = InputPoint::new(Seconds(s), Farads(c), Volts(v));
-                    let m = self.engine.simulate_nominal(cell, arc, &point);
-                    delays.push(m.delay.value());
-                    slews.push(m.output_slew.value());
-                }
-            }
-        }
+        let points = grid_points(&sin_axis, &cload_axis, &vdd_axis);
+        let measurements = self.engine.sweep_nominal(cell, arc, &points);
+        let delays = measurements.iter().map(|m| m.delay.value()).collect();
+        let slews = measurements.iter().map(|m| m.output_slew.value()).collect();
         NominalLut {
             delay: Lut3d::from_values(
                 sin_axis.clone(),
@@ -193,19 +199,14 @@ impl<'a> LutBuilder<'a> {
         let mut std_d = Vec::new();
         let mut mean_s = Vec::new();
         let mut std_s = Vec::new();
-        for &s in &sin_axis {
-            for &c in &cload_axis {
-                for &v in &vdd_axis {
-                    let point = InputPoint::new(Seconds(s), Farads(c), Volts(v));
-                    let ensemble = self.engine.monte_carlo(cell, arc, &point, seeds);
-                    let delays: Vec<f64> = ensemble.iter().map(|m| m.delay.value()).collect();
-                    let slews: Vec<f64> = ensemble.iter().map(|m| m.output_slew.value()).collect();
-                    mean_d.push(moments::mean(&delays));
-                    std_d.push(moments::std_dev(&delays));
-                    mean_s.push(moments::mean(&slews));
-                    std_s.push(moments::std_dev(&slews));
-                }
-            }
+        let points = grid_points(&sin_axis, &cload_axis, &vdd_axis);
+        for ensemble in self.engine.monte_carlo_sweep(cell, arc, &points, seeds) {
+            let delays: Vec<f64> = ensemble.iter().map(|m| m.delay.value()).collect();
+            let slews: Vec<f64> = ensemble.iter().map(|m| m.output_slew.value()).collect();
+            mean_d.push(moments::mean(&delays));
+            std_d.push(moments::std_dev(&delays));
+            mean_s.push(moments::mean(&slews));
+            std_s.push(moments::std_dev(&slews));
         }
         StatisticalLut {
             mean_delay: Lut3d::from_values(

@@ -1,5 +1,6 @@
-//! The parallel pipeline runner: one shared engine, counter and cache; work units executed
-//! with rayon; results streamed into a [`RunArtifact`].
+//! The parallel pipeline runner: one shared engine, counter and cache; arcs executed in
+//! parallel with rayon, each arc's work units in sequence; results streamed into a
+//! [`RunArtifact`].
 
 use crate::artifact::{
     CharacterizedLibrary, RunArtifact, UnitResult, VariationSection, SCHEMA_VERSION,
@@ -34,10 +35,11 @@ use std::sync::Arc;
 ///
 /// All stages — historical learning, per-unit characterization, validation — run through a
 /// single [`CharacterizationEngine`] clone family sharing one [`SimulationCounter`] and one
-/// [`SimulationCache`], so repeated coordinates are simulated once and
-/// [`counter`](Self::counter) holds the run's one true cost total.  The cost stays here
-/// (and in the post-run metrics snapshot and ledger record the CLI builds from it); the
-/// [`RunArtifact`] holds results only.
+/// [`SimulationCache`].  Arcs run in parallel and each arc's units run in sequence on one
+/// thread, so no two threads request one coordinate: repeated coordinates are simulated
+/// once and [`counter`](Self::counter) holds the run's one true cost total.  The cost
+/// stays here (and in the post-run metrics snapshot and ledger record the CLI builds from
+/// it); the [`RunArtifact`] holds results only.
 pub struct PipelineRunner {
     config: ResolvedConfig,
     engine: CharacterizationEngine,
@@ -78,9 +80,9 @@ impl PipelineRunner {
     }
 
     /// Fully explicit construction: a (possibly warm) cache plus an optional backend
-    /// (e.g. a `slic-farm` fleet) that every solve is routed through.  The
-    /// counter/cache/single-flight policy stays runner-side, so backends cannot change
-    /// what a run pays for or produces — only where it executes.
+    /// (e.g. a `slic-farm` fleet) that every solve is routed through.  The counter and
+    /// cache stay runner-side, so backends cannot change what a run pays for or
+    /// produces — only where it executes.
     ///
     /// # Errors
     ///
@@ -187,9 +189,10 @@ impl PipelineRunner {
         learner.learn_with_engine(&self.engine, &self.config.historical, &self.config.library)
     }
 
-    /// Executes every unit of `plan` in parallel against `database` and assembles the run
-    /// artifact.  Units (and variation tables) are recorded in canonical identity order,
-    /// so a merged shard set is bit-identical to the single-process artifact.
+    /// Executes every unit of `plan` against `database`, arcs in parallel and each arc's
+    /// units in plan order on one thread, and assembles the run artifact.  Units (and
+    /// variation tables) are recorded in canonical identity order, so a merged shard set
+    /// is bit-identical to the single-process artifact.
     ///
     /// # Errors
     ///
@@ -215,36 +218,50 @@ impl PipelineRunner {
                  the runner was built with",
             ));
         }
+        // Arcs run in parallel and each arc's units in plan order on one thread.  Units
+        // share coordinates only within an arc (the arc is part of every cache key, and
+        // `WorkUnit::sampling_seed` gives an arc's units the same points), so no two
+        // threads ever request one coordinate and each is paid once.
+        let arcs: Vec<Vec<&WorkUnit>> = plan
+            .arcs()
+            .into_iter()
+            .map(|arc| plan.units().iter().filter(|u| u.arc == arc).collect())
+            .collect();
         // Unit spans run on rayon worker threads, where the root is not on the local
         // span stack — parent them explicitly so the profile tree stays connected.
         let root_id = root.id();
         self.obs.progress.begin(plan.units().len() as u64);
-        let outcomes: Vec<Result<(UnitResult, Option<VariationTable>), PipelineError>> = plan
-            .units()
+        let outcomes: Vec<Vec<_>> = arcs
             .par_iter()
-            .map(|unit| {
-                let _span = self.obs.trace.span_under(
-                    root_id,
-                    "unit",
-                    &[
-                        ("cell", unit.cell.name()),
-                        ("arc", unit.arc.id()),
-                        ("metric", unit.metric.to_string()),
-                        ("method", format!("{:?}", unit.method)),
-                    ],
-                );
-                let outcome = self.run_unit(unit, &extractors);
-                // Absolute totals, not deltas: the shared counters already aggregate
-                // across threads.
-                self.obs
-                    .progress
-                    .unit_done(self.counter.count(), self.cache.hits());
-                outcome
+            .map(|units| {
+                units
+                    .iter()
+                    .map(|unit| {
+                        let _span = self.obs.trace.span_under(
+                            root_id,
+                            "unit",
+                            &[
+                                ("cell", unit.cell.name()),
+                                ("arc", unit.arc.id()),
+                                ("metric", unit.metric.to_string()),
+                                ("method", format!("{:?}", unit.method)),
+                            ],
+                        );
+                        let outcome = self.run_unit(unit, &extractors);
+                        // Absolute totals, not deltas: the shared counters already
+                        // aggregate across threads.
+                        self.obs
+                            .progress
+                            .unit_done(self.counter.count(), self.cache.hits());
+                        outcome
+                    })
+                    .collect()
             })
             .collect();
         self.obs.progress.finish();
         let mut outcomes = outcomes
             .into_iter()
+            .flatten()
             .collect::<Result<Vec<_>, PipelineError>>()?;
         outcomes.sort_by_cached_key(|(unit, _)| unit.unit_id());
         let mut units = Vec::with_capacity(outcomes.len());
@@ -429,9 +446,9 @@ impl PipelineRunner {
     }
 
     /// Executes one Monte Carlo variation unit: every export-grid point under every
-    /// process seed (through the shared backend/counter/cache, so farm fleets, disk
-    /// caches and single-flight dedup all apply per `(seed, point)` coordinate), reduced
-    /// to a mean/sigma/skew [`VariationTable`] on the nominal tables' index grid.
+    /// process seed (through the shared backend/counter/cache, so farm fleets and disk
+    /// caches apply per `(seed, point)` coordinate), reduced to a mean/sigma/skew
+    /// [`VariationTable`] on the nominal tables' index grid.
     fn run_variation_unit(
         &self,
         unit: &WorkUnit,
@@ -569,5 +586,43 @@ mod tests {
             .find(|(name, _)| name == "engine.batch.lanes")
             .map(|(_, histogram)| histogram.sum);
         assert_eq!(batch_lanes, Some(learning.simulation_cost));
+    }
+
+    #[test]
+    fn each_coordinate_is_paid_once_when_an_arcs_units_share_points() {
+        // Bayesian, LSE and LUT units of one arc validate on the same points.  Spread over
+        // threads they would request those coordinates concurrently and pay them twice;
+        // one thread per arc pays each once, on any core count.
+        let config = RunConfig {
+            cell_pattern: Some("INV".to_string()),
+            metrics: Some(vec!["delay".to_string()]),
+            methods: Some(vec![
+                "bayesian".to_string(),
+                "lse".to_string(),
+                "lut".to_string(),
+            ]),
+            ..Default::default()
+        }
+        .resolve()
+        .expect("resolves");
+        let cache = Arc::new(InMemorySimCache::new());
+        let runner = PipelineRunner::with_cache(config, cache.clone()).expect("constructs");
+        let plan = CharacterizationPlan::from_config(runner.config()).expect("plans");
+        assert_eq!(
+            (plan.len(), plan.arcs().len()),
+            (6, 2),
+            "one cell, two arcs"
+        );
+        let learning = runner.learn();
+        runner
+            .characterize(&plan, &learning.database)
+            .expect("characterizes");
+        assert_eq!(
+            cache.len() as u64,
+            cache.misses(),
+            "no coordinate is stored twice"
+        );
+        assert_eq!(cache.misses(), runner.counter().count());
+        assert_eq!(runner.engine().dispatch_stats().lanes_deferred, 0);
     }
 }

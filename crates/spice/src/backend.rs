@@ -1,7 +1,7 @@
 //! The simulation-backend boundary: where a transient solve actually executes.
 //!
 //! The [`CharacterizationEngine`](crate::engine::CharacterizationEngine) owns *policy* —
-//! counting, caching, single-flight deduplication, lane fan-out — while a
+//! counting, caching, in-call deduplication, lane fan-out — while a
 //! [`SimulationBackend`] owns *mechanism*: given a batch of fully-specified
 //! [`SimRequest`]s, return one [`SimResult`] per lane.  Splitting the two turns "where do
 //! simulations run" into a deployment choice:
@@ -11,11 +11,11 @@
 //! * `FarmBackend` (in the `slic-farm` crate) — fans batches out to remote worker
 //!   processes over a JSON-lines wire protocol, with failover back to a [`LocalBackend`].
 //!
-//! Because the engine keeps the counter/cache/single-flight layering on its own side of
-//! the boundary, swapping backends cannot change an artifact: every lane still counts as
-//! exactly one paid simulation, repeated coordinates are still answered from the cache,
-//! and the measurements themselves are bitwise identical as long as the backend runs the
-//! same kernel (which the wire protocol's kernel-version handshake enforces).
+//! Because the engine keeps the counter and cache on its own side of the boundary,
+//! swapping backends cannot change an artifact: every lane still counts as exactly one
+//! paid simulation, repeated coordinates are still answered from the cache, and the
+//! measurements themselves are bitwise identical as long as the backend runs the same
+//! kernel (which the wire protocol's kernel-version handshake enforces).
 
 use crate::batch::integrate_batch;
 use crate::input::InputPoint;
@@ -57,10 +57,11 @@ pub type SimResult = Result<TimingMeasurement, String>;
 
 /// Anything that can execute a batch of transient simulations.
 ///
-/// Implementations must be thread-safe: the engine dispatches batches from rayon worker
-/// threads.  `solve_batch` must return exactly one result per request, in request order,
-/// and lane `i` must be bitwise identical to what [`LocalBackend`] produces for the same
-/// request — the simulation cache and every artifact-equality guarantee depend on it.
+/// Implementations must be thread-safe: the engine dispatches the chunks of one call
+/// from rayon worker threads.  `solve_batch` must return exactly one result per request,
+/// in request order, and lane `i` must be bitwise identical to what [`LocalBackend`]
+/// produces for the same request — the simulation cache and every artifact-equality
+/// guarantee depend on it.
 pub trait SimulationBackend: Send + Sync {
     /// A short name for logs and `Debug` output (e.g. `"local"`, `"farm"`).
     fn name(&self) -> &str;

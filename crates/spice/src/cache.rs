@@ -14,10 +14,12 @@
 //! A **hit** is counted by every [`lookup`](SimulationCache::lookup) answered from the
 //! cache; a **miss** is counted by every [`store`](SimulationCache::store), i.e. every
 //! solve that was actually paid and archived.  A lookup that falls through is *not*
-//! counted on its own: under the engine's single-flight coordination a request that
-//! arrives while the same coordinate is already being solved waits and is then answered
-//! from the cache (one hit), so every `simulate` request contributes exactly one hit or
-//! one miss and the totals are deterministic regardless of thread interleaving.
+//! counted on its own: the engine looks each distinct coordinate of a call up once,
+//! stores each miss once solved, and answers later copies of a coordinate within the
+//! call with a second lookup (one hit), so every requested lane contributes exactly one
+//! hit or one miss.  The totals are deterministic as long as no two threads request one
+//! coordinate at once, which the pipeline runner guarantees by running each arc's units
+//! on one thread.
 //!
 //! [`CharacterizationEngine`]: crate::engine::CharacterizationEngine
 
@@ -89,6 +91,32 @@ fn key_bits(value: f64) -> u64 {
     }
 }
 
+/// The normalized bit patterns of an input point and a process seed (see [`key_bits`]):
+/// the per-lane part of a [`SimKey`], which the engine also compares a call's lanes on
+/// to find repeated coordinates.
+///
+/// # Panics
+///
+/// Panics if any coordinate is NaN.
+pub(crate) fn coordinate_bits(point: &InputPoint, seed: &ProcessSample) -> ([u64; 3], [u64; 7]) {
+    (
+        [
+            key_bits(point.sin.value()),
+            key_bits(point.cload.value()),
+            key_bits(point.vdd.value()),
+        ],
+        [
+            key_bits(seed.delta_vth_n),
+            key_bits(seed.delta_vth_p),
+            key_bits(seed.vx0_scale_n),
+            key_bits(seed.vx0_scale_p),
+            key_bits(seed.cinv_scale),
+            key_bits(seed.dibl_scale_n),
+            key_bits(seed.dibl_scale_p),
+        ],
+    )
+}
+
 impl SimKey {
     /// Builds the key for simulating `arc` at `point` under `seed` with `config` in the
     /// technology named `tech`.
@@ -103,24 +131,13 @@ impl SimKey {
         seed: &ProcessSample,
         config: &TransientConfig,
     ) -> Self {
+        let (point, seed) = coordinate_bits(point, seed);
         Self {
             kernel: KERNEL_VERSION,
             tech: tech.to_string(),
             arc: *arc,
-            point: [
-                key_bits(point.sin.value()),
-                key_bits(point.cload.value()),
-                key_bits(point.vdd.value()),
-            ],
-            seed: [
-                key_bits(seed.delta_vth_n),
-                key_bits(seed.delta_vth_p),
-                key_bits(seed.vx0_scale_n),
-                key_bits(seed.vx0_scale_p),
-                key_bits(seed.cinv_scale),
-                key_bits(seed.dibl_scale_n),
-                key_bits(seed.dibl_scale_p),
-            ],
+            point,
+            seed,
             config: [
                 key_bits(config.dv_max_fraction),
                 config.min_steps_per_ramp as u64,
@@ -287,8 +304,9 @@ impl From<std::io::Error> for CacheError {
 ///
 /// Implementations must be thread-safe: the engine consults the cache from rayon worker
 /// threads.  `lookup` and `store` are intentionally split (no `or_insert_with`) so a miss
-/// never holds a lock across the milliseconds-long transient solve; the engine's
-/// single-flight coordination prevents duplicate solves of one coordinate instead.
+/// never holds a lock across the milliseconds-long transient solve; the engine solves a
+/// coordinate repeated within one call once, and the runner's one-thread-per-arc
+/// schedule keeps concurrent calls from sharing coordinates.
 pub trait SimulationCache: Send + Sync {
     /// The archived measurement for `key`, if present.  Counts a hit when it answers.
     fn lookup(&self, key: &SimKey) -> Option<TimingMeasurement>;

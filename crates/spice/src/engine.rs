@@ -10,9 +10,22 @@
 //! Every transient simulation increments a shared [`SimulationCounter`].  The paper's
 //! reported speedups are ratios of simulation counts at equal accuracy, so the counter is
 //! the basis of all cost accounting in `slic-core` and the benches.
+//!
+//! # Dispatch
+//!
+//! Every entry point is a thin wrapper over [`simulate_mixed`]: one call looks each
+//! distinct coordinate up in the cache once, solves the misses in batched chunks spread
+//! across threads, archives them, and answers repeats within the call from the cache.  A
+//! coordinate is therefore paid once per call, and with a cache once across a sequence
+//! of calls.  Concurrent calls that request one coordinate may each pay for it: the
+//! cache stays thread-safe, but nothing holds a miss back until another call's solve
+//! lands.  The pipeline runner never makes such calls — it runs each arc's units on one
+//! thread, and the arc is part of every coordinate.
+//!
+//! [`simulate_mixed`]: CharacterizationEngine::simulate_mixed
 
-use crate::backend::{LocalBackend, SimRequest, SimulationBackend};
-use crate::cache::{SimKey, SimulationCache};
+use crate::backend::{LocalBackend, SimRequest, SimResult, SimulationBackend};
+use crate::cache::{coordinate_bits, SimKey, SimulationCache};
 use crate::input::{InputPoint, InputSpace};
 use crate::measure::TimingMeasurement;
 use crate::transient::TransientConfig;
@@ -22,14 +35,11 @@ use slic_device::{ProcessSample, TechnologyNode};
 use slic_obs::metrics::{LANE_BUCKETS, LATENCY_BUCKETS_NS};
 use slic_obs::Observability;
 use slic_units::Amperes;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-/// One batched-simulation request: an input point under one process seed.
-type Lane = (InputPoint, ProcessSample);
+use std::sync::Arc;
 
 /// One fully-specified lane of a mixed worklist: cell, arc, input point and process seed.
 ///
@@ -95,10 +105,10 @@ impl SimulationCounter {
     }
 }
 
-/// Shared dispatch counters of one engine (and its clones): how batched lanes were
-/// resolved.  Every lane that enters batched dispatch lands in exactly one bucket, so
+/// Shared dispatch counters of one engine (and its clones): how requested lanes were
+/// resolved.  Every lane lands in exactly one bucket, so
 /// `dispatched == cached + claimed + deferred` at any quiescent point — the invariant the
-/// post-run dispatch summary and the deferral regression tests check.
+/// post-run dispatch summary checks.
 #[derive(Debug, Default)]
 struct DispatchCounters {
     dispatched: AtomicU64,
@@ -108,73 +118,18 @@ struct DispatchCounters {
 }
 
 /// A point-in-time copy of an engine's dispatch counters.
-///
-/// `lanes_deferred` counts lanes that arrived in a batch while another worker already
-/// held their coordinate in flight: they fall back to the scalar single-flight path
-/// (waiting on the owner, then reading the cache).  Before this counter existed those
-/// lanes bypassed batch accounting entirely, making dispatch summaries under-report
-/// contended cross-seed batches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchSnapshot {
-    /// Lanes submitted through batched dispatch.
+    /// Lanes requested from the engine.
     pub lanes_dispatched: u64,
-    /// Lanes answered from the simulation cache without solving.
+    /// Lanes answered from the simulation cache without solving, including in-call
+    /// repeats of a coordinate whose first copy was a hit.
     pub lanes_cached: u64,
-    /// Lanes this engine claimed and solved in a batched worklist.
+    /// Lanes solved (and counted as paid) by the backend.
     pub lanes_claimed: u64,
-    /// Lanes deferred to the scalar path because their coordinate was in flight elsewhere.
+    /// In-call repeats: later copies of a coordinate whose first copy in the same call
+    /// was solved, answered without a second solve.
     pub lanes_deferred: u64,
-}
-
-/// The set of cache coordinates currently being solved, shared by every clone of one
-/// engine.  It implements single-flight deduplication: when two workers miss on the same
-/// coordinate concurrently, exactly one runs the solver and the others wait for its
-/// result, so a coordinate is never paid for twice within a process and the simulation
-/// totals of a run are deterministic regardless of thread interleaving.
-#[derive(Debug, Default)]
-struct InFlight {
-    keys: Mutex<BTreeSet<SimKey>>,
-    done: Condvar,
-}
-
-/// Removes an in-flight claim when the owning solve finishes — including by panic, so
-/// sibling workers waiting on the coordinate wake up and retry instead of hanging.
-struct InFlightClaim<'a> {
-    inflight: &'a InFlight,
-    key: &'a SimKey,
-}
-
-impl Drop for InFlightClaim<'_> {
-    fn drop(&mut self) {
-        let mut keys = self
-            .inflight
-            .keys
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        keys.remove(self.key);
-        self.inflight.done.notify_all();
-    }
-}
-
-/// Removes a *set* of in-flight claims when a batched solve finishes — including by
-/// panic, so workers waiting on any of the coordinates wake up and retry.
-struct BatchClaims<'a> {
-    inflight: &'a InFlight,
-    keys: Vec<SimKey>,
-}
-
-impl Drop for BatchClaims<'_> {
-    fn drop(&mut self) {
-        let mut keys = self
-            .inflight
-            .keys
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for key in &self.keys {
-            keys.remove(key);
-        }
-        self.inflight.done.notify_all();
-    }
 }
 
 /// A simulator front-end bound to one technology node.
@@ -185,7 +140,6 @@ pub struct CharacterizationEngine {
     counter: SimulationCounter,
     cache: Option<Arc<dyn SimulationCache>>,
     backend: Arc<dyn SimulationBackend>,
-    inflight: Arc<InFlight>,
     dispatch: Arc<DispatchCounters>,
     obs: Observability,
 }
@@ -223,7 +177,6 @@ impl CharacterizationEngine {
             counter: SimulationCounter::new(),
             cache: None,
             backend: Arc::new(LocalBackend::new()),
-            inflight: Arc::new(InFlight::default()),
             dispatch: Arc::new(DispatchCounters::default()),
             obs: Observability::default(),
         })
@@ -237,9 +190,10 @@ impl CharacterizationEngine {
         self
     }
 
-    /// Attaches a simulation cache.  Subsequent [`simulate`](Self::simulate) calls answer
-    /// repeated coordinates from the cache without running the solver and without
-    /// incrementing the simulation counter.
+    /// Attaches a simulation cache.  Subsequent calls answer repeated coordinates from
+    /// the cache without running the solver and without incrementing the simulation
+    /// counter.  Without a cache a coordinate is still solved once per call, but
+    /// nothing is remembered between calls.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<dyn SimulationCache>) -> Self {
         self.cache = Some(cache);
@@ -251,9 +205,9 @@ impl CharacterizationEngine {
         self.cache.as_ref()
     }
 
-    /// Replaces the backend that executes transient solves.  The counter, cache and
-    /// single-flight layering stay on this engine's side of the boundary, so a backend
-    /// swap cannot change what a run pays for — only where the solves execute.
+    /// Replaces the backend that executes transient solves.  The counter and cache stay
+    /// on this engine's side of the boundary, so a backend swap cannot change what a run
+    /// pays for — only where the solves execute.
     #[must_use]
     pub fn with_backend(mut self, backend: Arc<dyn SimulationBackend>) -> Self {
         self.backend = backend;
@@ -308,7 +262,7 @@ impl CharacterizationEngine {
         self.counter.count()
     }
 
-    /// Snapshot of the batched-dispatch counters (shared across clones of this engine).
+    /// Snapshot of the dispatch counters (shared across clones of this engine).
     pub fn dispatch_stats(&self) -> DispatchSnapshot {
         DispatchSnapshot {
             lanes_dispatched: self.dispatch.dispatched.load(Ordering::Relaxed),
@@ -341,11 +295,6 @@ impl CharacterizationEngine {
 
     /// Runs one transient simulation of `arc` at `point` under process seed `seed`.
     ///
-    /// With a cache attached, concurrent requests for one coordinate are single-flighted:
-    /// the first requester solves while the others wait and are then answered from the
-    /// cache, so each unique coordinate is simulated (and counted) exactly once per
-    /// process and the run's cost totals are deterministic under any thread schedule.
-    ///
     /// # Panics
     ///
     /// Panics if the transient solver cannot complete the transition — with the supported
@@ -358,290 +307,174 @@ impl CharacterizationEngine {
         point: &InputPoint,
         seed: &ProcessSample,
     ) -> TimingMeasurement {
-        let Some(cache) = self.cache.as_ref() else {
-            return self.solve(cell, arc, point, seed);
-        };
-        let key = SimKey::new(self.tech.name(), arc, point, seed, &self.config);
-        if let Some(measurement) = cache.lookup(&key) {
-            return measurement;
-        }
-        // Miss: claim the coordinate, or wait for whichever worker already owns it.
-        {
-            // A poisoned in-flight set only means a sibling solve panicked; its claim was
-            // already released by InFlightClaim's Drop, so the set is consistent — recover
-            // it instead of cascading the panic into every waiting worker.
-            let mut keys = self
-                .inflight
-                .keys
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            loop {
-                if let Some(measurement) = cache.lookup(&key) {
-                    return measurement;
-                }
-                if !keys.contains(&key) {
-                    keys.insert(key.clone());
-                    break;
-                }
-                keys = self
-                    .inflight
-                    .done
-                    .wait(keys)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-        }
-        let claim = InFlightClaim {
-            inflight: &self.inflight,
-            key: &key,
-        };
-        let measurement = self.solve(cell, arc, point, seed);
-        cache.store(key.clone(), measurement);
-        drop(claim);
-        measurement
-    }
-
-    /// Assembles the backend request for one lane.
-    fn request(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        point: &InputPoint,
-        seed: &ProcessSample,
-    ) -> SimRequest {
-        SimRequest {
-            tech: self.tech.clone(),
-            cell,
-            arc: *arc,
-            point: *point,
-            seed: *seed,
-            config: self.config,
-        }
-    }
-
-    /// Runs the solver unconditionally (through the configured backend) and counts the
-    /// simulation.
-    fn solve(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        point: &InputPoint,
-        seed: &ProcessSample,
-    ) -> TimingMeasurement {
-        let request = self.request(cell, arc, point, seed);
-        self.counter.add(1);
-        self.backend
-            .solve_batch(std::slice::from_ref(&request))
-            .pop()
-            // slic-lint: allow(P1) -- one-request-in/one-result-out is the SimulationBackend contract; a short reply is a broken backend, not a recoverable state.
-            .expect("backend returns one result per request")
-            .unwrap_or_else(|err| {
-                // slic-lint: allow(P1) -- a failed transient means unphysical inputs or a diverged solver; archiving a partial table would poison every downstream artifact, so failing loudly is the contract.
-                panic!(
-                    "transient simulation failed for {} at {point}: {err}",
-                    arc.id()
-                )
-            })
-    }
-
-    /// Solves one batch of mixed lanes through the batched kernel, preserving the scalar
-    /// path's counter, cache and single-flight semantics: each lane counts and caches as
-    /// one simulation, repeated coordinates are answered from the cache, and a coordinate
-    /// being solved elsewhere is never paid for twice.  Every lane is recorded in the
-    /// dispatch counters under exactly one of cached/claimed/deferred.
-    ///
-    /// Lanes whose coordinate is already in flight on another worker are *deferred*: the
-    /// batch first solves the lanes it could claim (holding their claims), releases them,
-    /// and only then waits on the stragglers through the scalar path — waiting while
-    /// holding claims could deadlock two batches against each other.
-    fn simulate_mixed_lane_batch(&self, lanes: &[MixedLane]) -> Vec<TimingMeasurement> {
-        self.obs
-            .metrics
-            .observe("engine.batch.lanes", lanes.len() as u64, LANE_BUCKETS);
-        let mut batch_span = self
-            .obs
-            .trace
-            .span("solve_batch", &[("lanes", lanes.len().to_string())]);
-        self.dispatch
-            .dispatched
-            .fetch_add(lanes.len() as u64, Ordering::Relaxed);
-        let solve_batch = |subset: &[MixedLane]| -> Vec<TimingMeasurement> {
-            let requests: Vec<SimRequest> = subset
-                .iter()
-                .map(|(cell, arc, point, seed)| self.request(*cell, arc, point, seed))
-                .collect();
-            self.counter.add(subset.len() as u64);
-            self.dispatch
-                .claimed
-                .fetch_add(subset.len() as u64, Ordering::Relaxed);
-            let backend_span = self
-                .obs
-                .trace
-                .span("backend.solve", &[("lanes", subset.len().to_string())]);
-            let solved = self.backend.solve_batch(&requests);
-            if self.obs.trace.is_enabled() {
-                self.obs.metrics.observe(
-                    "backend.solve.latency_ns",
-                    backend_span.elapsed_ns(),
-                    LATENCY_BUCKETS_NS,
-                );
-            }
-            drop(backend_span);
-            solved
-                .into_iter()
-                .zip(subset)
-                .map(|(result, (_, arc, point, _))| {
-                    result.unwrap_or_else(|err| {
-                        // slic-lint: allow(P1) -- same contract as the scalar path: a failed transient must never be archived as a measurement.
-                        panic!(
-                            "transient simulation failed for {} at {point}: {err}",
-                            arc.id()
-                        )
-                    })
-                })
-                .collect()
-        };
-
-        let Some(cache) = self.cache.as_ref() else {
-            return solve_batch(lanes);
-        };
-
-        let keys: Vec<SimKey> = lanes
-            .iter()
-            .map(|(_, arc, point, seed)| {
-                SimKey::new(self.tech.name(), arc, point, seed, &self.config)
-            })
-            .collect();
-        let mut results: Vec<Option<TimingMeasurement>> = vec![None; lanes.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let mut lookup_span = self
-                .obs
-                .trace
-                .span("cache.lookup", &[("lanes", lanes.len().to_string())]);
-            for (i, key) in keys.iter().enumerate() {
-                match cache.lookup(key) {
-                    Some(m) => results[i] = Some(m),
-                    None => misses.push(i),
-                }
-            }
-            lookup_span.attr("hits", (lanes.len() - misses.len()).to_string());
-        }
-
-        // Claim what we can in one pass over the in-flight set; lanes owned by another
-        // worker are deferred.
-        let mut claimed: Vec<usize> = Vec::new();
-        let mut deferred: Vec<usize> = Vec::new();
-        if !misses.is_empty() {
-            let mut inflight = self
-                .inflight
-                .keys
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for i in misses {
-                if let Some(m) = cache.lookup(&keys[i]) {
-                    results[i] = Some(m);
-                } else if inflight.contains(&keys[i]) {
-                    deferred.push(i);
-                } else {
-                    inflight.insert(keys[i].clone());
-                    claimed.push(i);
-                }
-            }
-        }
-        let cached = lanes.len() - claimed.len() - deferred.len();
-        self.dispatch
-            .cached
-            .fetch_add(cached as u64, Ordering::Relaxed);
-        self.dispatch
-            .deferred
-            .fetch_add(deferred.len() as u64, Ordering::Relaxed);
-        batch_span.attr("cached", cached.to_string());
-        batch_span.attr("claimed", claimed.len().to_string());
-        batch_span.attr("deferred", deferred.len().to_string());
-        self.obs
-            .metrics
-            .observe("cache.lookup.hit_lanes", cached as u64, LANE_BUCKETS);
-
-        if !claimed.is_empty() {
-            let claims = BatchClaims {
-                inflight: &self.inflight,
-                keys: claimed.iter().map(|&i| keys[i].clone()).collect(),
-            };
-            let subset: Vec<MixedLane> = claimed.iter().map(|&i| lanes[i]).collect();
-            let solved = solve_batch(&subset);
-            for (&i, m) in claimed.iter().zip(solved) {
-                cache.store(keys[i].clone(), m);
-                results[i] = Some(m);
-            }
-            drop(claims);
-        }
-
-        for i in deferred {
-            let (cell, arc, point, seed) = &lanes[i];
-            results[i] = Some(self.simulate(*cell, arc, point, seed));
-        }
-
-        results
-            .into_iter()
-            // slic-lint: allow(P1) -- structural: every index lands in exactly one of cached/claimed/deferred above, each of which fills its slot.
-            .map(|m| m.expect("every lane resolved"))
-            .collect()
-    }
-
-    /// Solves one batch of same-arc lanes as one worklist (see
-    /// [`simulate_mixed_lane_batch`](Self::simulate_mixed_lane_batch)).
-    fn simulate_lane_batch(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        lanes: &[Lane],
-    ) -> Vec<TimingMeasurement> {
-        let mixed: Vec<MixedLane> = lanes
-            .iter()
-            .map(|(point, seed)| (cell, *arc, *point, *seed))
-            .collect();
-        self.simulate_mixed_lane_batch(&mixed)
-    }
-
-    /// Fans a mixed lane list out across worker threads in batched chunks, preserving
-    /// order.
-    fn simulate_mixed_lanes(&self, lanes: &[MixedLane]) -> Vec<TimingMeasurement> {
-        let chunks: Vec<&[MixedLane]> = lanes.chunks(batch_width(lanes.len())).collect();
-        let per_chunk: Vec<Vec<TimingMeasurement>> = chunks
-            .par_iter()
-            .map(|chunk| self.simulate_mixed_lane_batch(chunk))
-            .collect();
-        per_chunk.into_iter().flatten().collect()
-    }
-
-    /// Fans a lane list out across worker threads in batched chunks, preserving order.
-    fn simulate_lanes(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        lanes: &[Lane],
-    ) -> Vec<TimingMeasurement> {
-        let mixed: Vec<MixedLane> = lanes
-            .iter()
-            .map(|(point, seed)| (cell, *arc, *point, *seed))
-            .collect();
-        self.simulate_mixed_lanes(&mixed)
+        self.simulate_mixed(&[(cell, *arc, *point, *seed)])[0]
     }
 
     /// Simulates an arbitrary mixed worklist — lanes spanning cells, arcs, input points
     /// and process seeds — in parallel through the batched kernel.  Result `i`
     /// corresponds to `lanes[i]` and is bitwise identical to
-    /// [`simulate`](Self::simulate) with the same coordinates: mega-batching across
-    /// seeds or arcs changes only how the work is grouped, never what a run pays for or
-    /// produces.
+    /// [`simulate`](Self::simulate) with the same coordinates: batching changes only how
+    /// the work is grouped, never what a run pays for or produces.
+    ///
+    /// This is the engine's one dispatch routine (see the [module docs](self)).  Every
+    /// lane is one cache hit or one miss and lands in exactly one
+    /// [`DispatchSnapshot`] bucket.
+    ///
+    /// # Panics
+    ///
+    /// As [`simulate`](Self::simulate), when any lane's transient fails.
     pub fn simulate_mixed(&self, lanes: &[MixedLane]) -> Vec<TimingMeasurement> {
-        self.simulate_mixed_lanes(lanes)
+        self.obs
+            .metrics
+            .observe("engine.batch.lanes", lanes.len() as u64, LANE_BUCKETS);
+        let mut span = self
+            .obs
+            .trace
+            .span("solve_batch", &[("lanes", lanes.len().to_string())]);
+        let parent = span.id();
+        let (firsts, slots) = first_copies(lanes);
+        let chunks: Vec<&[usize]> = firsts.chunks(batch_width(firsts.len())).collect();
+        let resolved: Vec<(TimingMeasurement, bool)> = chunks
+            .par_iter()
+            .map(|chunk| self.resolve_chunk(parent, lanes, chunk))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
+            .collect();
+        let hits = resolved.iter().filter(|(_, hit)| *hit).count();
+        let (mut cached, mut deferred) = (hits, 0);
+        let measurements = lanes
+            .iter()
+            .zip(slots)
+            .enumerate()
+            .map(|(i, (lane, slot))| {
+                let (measurement, hit) = resolved[slot];
+                if firsts[slot] == i {
+                    return measurement;
+                }
+                if hit {
+                    cached += 1;
+                } else {
+                    deferred += 1;
+                }
+                // A later copy reads what its first copy found or archived (one hit);
+                // without a cache it shares the first copy's result.
+                self.cache
+                    .as_ref()
+                    .and_then(|cache| cache.lookup(&self.key(lane)))
+                    .unwrap_or(measurement)
+            })
+            .collect();
+        let claimed = firsts.len() - hits;
+        for (counter, n) in [
+            (&self.dispatch.dispatched, lanes.len()),
+            (&self.dispatch.cached, cached),
+            (&self.dispatch.claimed, claimed),
+            (&self.dispatch.deferred, deferred),
+        ] {
+            counter.fetch_add(n as u64, Ordering::Relaxed);
+        }
+        span.attr("cached", cached.to_string());
+        span.attr("claimed", claimed.to_string());
+        span.attr("deferred", deferred.to_string());
+        self.obs
+            .metrics
+            .observe("cache.lookup.hit_lanes", cached as u64, LANE_BUCKETS);
+        measurements
     }
 
-    /// As [`simulate_mixed`](Self::simulate_mixed), but as **one** batched worklist on
-    /// the calling thread — for callers that already parallelize at a coarser grain.
-    pub fn simulate_mixed_batch(&self, lanes: &[MixedLane]) -> Vec<TimingMeasurement> {
-        self.simulate_mixed_lane_batch(lanes)
+    /// Resolves one chunk of distinct lanes (indices into `lanes`): one cache lookup per
+    /// lane, one backend call for the misses, each solve archived.  Returns every lane's
+    /// measurement and whether the cache answered it.
+    fn resolve_chunk(
+        &self,
+        parent: Option<u64>,
+        lanes: &[MixedLane],
+        chunk: &[usize],
+    ) -> Vec<(TimingMeasurement, bool)> {
+        let (keys, found): (Vec<SimKey>, Vec<Option<TimingMeasurement>>) = match &self.cache {
+            Some(cache) => {
+                let keys: Vec<SimKey> = chunk.iter().map(|&i| self.key(&lanes[i])).collect();
+                let mut span = self.obs.trace.span_under(
+                    parent,
+                    "cache.lookup",
+                    &[("lanes", chunk.len().to_string())],
+                );
+                let found: Vec<_> = keys.iter().map(|key| cache.lookup(key)).collect();
+                span.attr("hits", found.iter().flatten().count().to_string());
+                (keys, found)
+            }
+            None => (Vec::new(), vec![None; chunk.len()]),
+        };
+        let requests: Vec<SimRequest> = chunk
+            .iter()
+            .zip(&found)
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(&i, _)| {
+                let (cell, arc, point, seed) = lanes[i];
+                SimRequest {
+                    tech: self.tech.clone(),
+                    cell,
+                    arc,
+                    point,
+                    seed,
+                    config: self.config,
+                }
+            })
+            .collect();
+        let mut solved = self.solve_misses(parent, &requests).into_iter();
+        chunk
+            .iter()
+            .zip(found)
+            .enumerate()
+            .map(|(j, (&i, hit))| {
+                if let Some(measurement) = hit {
+                    return (measurement, true);
+                }
+                let (_, arc, point, _) = &lanes[i];
+                let measurement = solved
+                    .next()
+                    .unwrap_or_else(|| Err("the backend returned no result".to_string()))
+                    .unwrap_or_else(|err| {
+                        // slic-lint: allow(P1) -- a failed transient means unphysical inputs or a diverged solver; archiving a partial table would poison every downstream artifact, so failing loudly is the contract.
+                        panic!(
+                            "transient simulation failed for {} at {point}: {err}",
+                            arc.id()
+                        )
+                    });
+                if let Some(cache) = &self.cache {
+                    cache.store(keys[j].clone(), measurement);
+                }
+                (measurement, false)
+            })
+            .collect()
+    }
+
+    /// Solves `requests` in one backend call, counting each as a paid simulation.
+    fn solve_misses(&self, parent: Option<u64>, requests: &[SimRequest]) -> Vec<SimResult> {
+        if requests.is_empty() {
+            return Vec::new();
+        }
+        self.counter.add(requests.len() as u64);
+        let span = self.obs.trace.span_under(
+            parent,
+            "backend.solve",
+            &[("lanes", requests.len().to_string())],
+        );
+        let solved = self.backend.solve_batch(requests);
+        if self.obs.trace.is_enabled() {
+            self.obs.metrics.observe(
+                "backend.solve.latency_ns",
+                span.elapsed_ns(),
+                LATENCY_BUCKETS_NS,
+            );
+        }
+        solved
+    }
+
+    /// The cache key of one lane on this engine's technology and configuration.
+    fn key(&self, (_, arc, point, seed): &MixedLane) -> SimKey {
+        SimKey::new(self.tech.name(), arc, point, seed, &self.config)
     }
 
     /// Runs one transient simulation at the nominal process corner.
@@ -664,23 +497,12 @@ impl CharacterizationEngine {
         points: &[InputPoint],
         seed: &ProcessSample,
     ) -> Vec<TimingMeasurement> {
-        let lanes: Vec<Lane> = points.iter().map(|p| (*p, *seed)).collect();
-        self.simulate_lanes(cell, arc, &lanes)
-    }
-
-    /// Simulates `arc` at every input point for a fixed process seed as **one** batched
-    /// worklist on the calling thread — no thread fan-out.  This is the entry point for
-    /// callers that already parallelize at a coarser grain (one worker per shard, per
-    /// cell, or per seed) and want the batched kernel without nested parallelism.
-    pub fn sweep_batch(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        points: &[InputPoint],
-        seed: &ProcessSample,
-    ) -> Vec<TimingMeasurement> {
-        let lanes: Vec<Lane> = points.iter().map(|p| (*p, *seed)).collect();
-        self.simulate_lane_batch(cell, arc, &lanes)
+        self.simulate_mixed(
+            &points
+                .iter()
+                .map(|p| (cell, *arc, *p, *seed))
+                .collect::<Vec<_>>(),
+        )
     }
 
     /// Simulates `arc` at every input point at the nominal corner, in parallel.
@@ -703,8 +525,12 @@ impl CharacterizationEngine {
         point: &InputPoint,
         seeds: &[ProcessSample],
     ) -> Vec<TimingMeasurement> {
-        let lanes: Vec<Lane> = seeds.iter().map(|s| (*point, *s)).collect();
-        self.simulate_lanes(cell, arc, &lanes)
+        self.simulate_mixed(
+            &seeds
+                .iter()
+                .map(|s| (cell, *arc, *point, *s))
+                .collect::<Vec<_>>(),
+        )
     }
 
     /// Full statistical baseline: simulates every (input point, seed) pair through the
@@ -718,18 +544,39 @@ impl CharacterizationEngine {
         points: &[InputPoint],
         seeds: &[ProcessSample],
     ) -> Vec<Vec<TimingMeasurement>> {
-        let lanes: Vec<Lane> = points
+        let lanes: Vec<MixedLane> = points
             .iter()
-            .flat_map(|p| seeds.iter().map(move |s| (*p, *s)))
+            .flat_map(|p| seeds.iter().map(move |s| (cell, *arc, *p, *s)))
             .collect();
-        let flat = self.simulate_lanes(cell, arc, &lanes);
-        let mut rows = Vec::with_capacity(points.len());
-        let mut it = flat.into_iter();
-        for _ in points {
-            rows.push(it.by_ref().take(seeds.len()).collect());
-        }
-        rows
+        let mut flat = self.simulate_mixed(&lanes).into_iter();
+        points
+            .iter()
+            .map(|_| flat.by_ref().take(seeds.len()).collect())
+            .collect()
     }
+}
+
+/// Maps every lane onto the first lane with its coordinate: the first copies' lane
+/// indices in call order, and for each lane the position of its first copy in that list.
+/// Lanes are compared on their normalized coordinate bits — the arc, point and seed parts
+/// of a [`SimKey`]; one engine's technology and configuration are fixed — so no key is
+/// built before the chunks fan out.
+fn first_copies(lanes: &[MixedLane]) -> (Vec<usize>, Vec<usize>) {
+    let mut seen = BTreeMap::new();
+    let mut firsts = Vec::new();
+    let slots = lanes
+        .iter()
+        .enumerate()
+        .map(|(i, (_, arc, point, seed))| {
+            *seen
+                .entry((*arc, coordinate_bits(point, seed)))
+                .or_insert_with(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
+        })
+        .collect();
+    (firsts, slots)
 }
 
 #[cfg(test)]
@@ -885,8 +732,8 @@ mod tests {
         let cache = Arc::new(InMemorySimCache::new());
         let eng = engine().with_cache(cache.clone());
         let (cell, arc) = inv_fall();
-        // Sixteen workers racing on one coordinate: single-flight must collapse them to
-        // one paid solve; the other fifteen are answered from the cache (counted hits).
+        // Sixteen copies of one coordinate in one call: the first is paid, the other
+        // fifteen are answered from the cache (counted hits).
         let points = vec![pt(5.0, 2.0, 0.8); 16];
         let measurements = eng.sweep_nominal(cell, &arc, &points);
         assert!(measurements.windows(2).all(|w| w[0] == w[1]));
@@ -910,18 +757,6 @@ mod tests {
                 "batch lane must be bitwise equal to its scalar sim"
             );
         }
-    }
-
-    #[test]
-    fn sweep_batch_matches_parallel_sweep() {
-        let eng = engine();
-        let (cell, arc) = inv_fall();
-        let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
-        let seed = ProcessSample::nominal();
-        let single_thread = eng.sweep_batch(cell, &arc, &points, &seed);
-        let fanned_out = eng.sweep(cell, &arc, &points, &seed);
-        assert_eq!(single_thread, fanned_out);
-        assert_eq!(eng.simulation_count(), 6, "both paths count every lane");
     }
 
     #[test]
@@ -985,16 +820,14 @@ mod tests {
         let eng = engine().with_cache(cache.clone());
         let (cell, arc) = inv_fall();
         let nominal = ProcessSample::nominal();
-        // A duplicated coordinate inside one batch exercises the deferral path
-        // deterministically: the first copy claims the key, so by the time the second
-        // copy is inspected under the in-flight lock it is "owned elsewhere" and must be
-        // deferred to the scalar path.
+        // A duplicated coordinate inside one call: the first copy is solved, so the
+        // second is an in-call repeat, answered from the cache and counted as deferred.
         let lanes: Vec<MixedLane> = vec![
             (cell, arc, pt(5.0, 2.0, 0.8), nominal),
             (cell, arc, pt(9.0, 4.0, 0.7), nominal),
             (cell, arc, pt(5.0, 2.0, 0.8), nominal),
         ];
-        let first = eng.simulate_mixed_batch(&lanes);
+        let first = eng.simulate_mixed(&lanes);
         assert_eq!(
             first[0], first[2],
             "deferred duplicate resolves to the same measurement"
@@ -1005,11 +838,11 @@ mod tests {
         assert_eq!(stats.lanes_claimed, 2);
         assert_eq!(
             stats.lanes_deferred, 1,
-            "the in-flight duplicate must be accounted as deferred"
+            "the in-call repeat must be accounted as deferred"
         );
         assert_eq!(eng.simulation_count(), 2, "the duplicate is never re-paid");
         // A warm replay of the same batch resolves every lane from the cache.
-        let second = eng.simulate_mixed_batch(&lanes);
+        let second = eng.simulate_mixed(&lanes);
         assert_eq!(second, first);
         let stats = eng.dispatch_stats();
         assert_eq!(stats.lanes_dispatched, 6);
@@ -1021,104 +854,6 @@ mod tests {
             stats.lanes_cached + stats.lanes_claimed + stats.lanes_deferred,
             "every dispatched lane lands in exactly one bucket"
         );
-    }
-
-    /// A backend that blocks every solve until the test opens a gate, so the test can
-    /// pin one coordinate "in flight" while a batch on another thread dispatches it.
-    #[derive(Debug)]
-    struct GatedBackend {
-        state: Mutex<(u64, bool)>,
-        changed: Condvar,
-        inner: LocalBackend,
-    }
-
-    impl GatedBackend {
-        fn new() -> Self {
-            Self {
-                state: Mutex::new((0, false)),
-                changed: Condvar::new(),
-                inner: LocalBackend::new(),
-            }
-        }
-
-        /// Blocks until `n` solve calls have entered the gate.
-        fn wait_entered(&self, n: u64) {
-            let mut state = self.state.lock().unwrap();
-            while state.0 < n {
-                state = self.changed.wait(state).unwrap();
-            }
-        }
-
-        /// Opens the gate, releasing every blocked solve.
-        fn release(&self) {
-            self.state.lock().unwrap().1 = true;
-            self.changed.notify_all();
-        }
-    }
-
-    impl SimulationBackend for GatedBackend {
-        fn name(&self) -> &str {
-            "gated"
-        }
-
-        fn solve_batch(&self, requests: &[SimRequest]) -> Vec<crate::backend::SimResult> {
-            let mut state = self.state.lock().unwrap();
-            state.0 += 1;
-            self.changed.notify_all();
-            while !state.1 {
-                state = self.changed.wait(state).unwrap();
-            }
-            drop(state);
-            self.inner.solve_batch(requests)
-        }
-    }
-
-    #[test]
-    fn cross_thread_deferral_is_counted_and_bitwise_consistent() {
-        use crate::cache::InMemorySimCache;
-        let backend = Arc::new(GatedBackend::new());
-        let cache = Arc::new(InMemorySimCache::new());
-        let eng = engine()
-            .with_cache(cache.clone())
-            .with_backend(backend.clone());
-        let (cell, arc) = inv_fall();
-        let nominal = ProcessSample::nominal();
-        let contended = pt(5.0, 2.0, 0.8);
-        let fresh = pt(9.0, 4.0, 0.7);
-
-        // Worker A claims the contended coordinate through the scalar path and blocks
-        // inside the backend, holding its in-flight claim.
-        let eng_a = eng.clone();
-        let a = std::thread::spawn(move || eng_a.simulate(cell, &arc, &contended, &nominal));
-        backend.wait_entered(1);
-
-        // Worker B's cross-seed batch includes the contended coordinate: it must defer
-        // that lane, claim and solve the fresh one, then wait for A's result.
-        let eng_b = eng.clone();
-        let b = std::thread::spawn(move || {
-            eng_b.simulate_mixed_batch(&[
-                (cell, arc, contended, nominal),
-                (cell, arc, fresh, nominal),
-            ])
-        });
-        backend.wait_entered(2);
-        backend.release();
-
-        let from_a = a.join().expect("worker A completes");
-        let from_b = b.join().expect("worker B completes");
-        assert_eq!(
-            from_b[0], from_a,
-            "the deferred lane resolves to the claim owner's measurement"
-        );
-        let stats = eng.dispatch_stats();
-        assert_eq!(stats.lanes_dispatched, 2, "only the batch dispatches lanes");
-        assert_eq!(stats.lanes_cached, 0);
-        assert_eq!(stats.lanes_claimed, 1);
-        assert_eq!(
-            stats.lanes_deferred, 1,
-            "the lane owned by worker A must be accounted as deferred"
-        );
-        assert_eq!(eng.simulation_count(), 2, "the contended lane is paid once");
     }
 
     /// A backend that counts the lanes it is asked to solve and delegates to the local

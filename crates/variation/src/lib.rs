@@ -9,7 +9,7 @@
 //!
 //! Everything routes through an existing
 //! [`CharacterizationEngine`](slic_spice::CharacterizationEngine), so the engine's
-//! simulation counter, cache, single-flight deduplication and pluggable
+//! simulation counter, cache and pluggable
 //! [`SimulationBackend`](slic_spice::SimulationBackend) (local batched kernel or a
 //! `slic-farm` fleet) all apply per `(seed, point)` coordinate: a delay table and a slew
 //! table of one arc share their transients, shard workers against one disk cache pay each
