@@ -7,8 +7,9 @@
 //! the residuals.
 
 use serde::{Deserialize, Serialize};
-use slic_spice::InputPoint;
+use slic_spice::{InputPoint, TimingMeasurement};
 use slic_timing_model::TimingParams;
+use slic_units::Seconds;
 use std::fmt;
 
 /// Which timing quantity a record (or prior, or extraction) refers to.
@@ -23,6 +24,14 @@ pub enum TimingMetric {
 impl TimingMetric {
     /// Both metrics, in the order they are characterized.
     pub const BOTH: [TimingMetric; 2] = [TimingMetric::Delay, TimingMetric::OutputSlew];
+
+    /// This metric's value in a measurement (one transient yields both).
+    pub fn of(self, measurement: &TimingMeasurement) -> Seconds {
+        match self {
+            TimingMetric::Delay => measurement.delay,
+            TimingMetric::OutputSlew => measurement.output_slew,
+        }
+    }
 }
 
 impl fmt::Display for TimingMetric {

@@ -48,4 +48,4 @@ pub mod prior;
 pub use history::{ConditionResidual, HistoricalDatabase, HistoricalRecord, TimingMetric};
 pub use map::{MapExtractor, MapFit};
 pub use precision::{PrecisionConfig, PrecisionModel};
-pub use prior::{ParameterPrior, PriorBuilder};
+pub use prior::{ParameterPrior, PriorBuilder, PriorError};

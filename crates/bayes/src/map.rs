@@ -16,10 +16,12 @@
 //! the damped Gauss–Newton solver of `slic-timing-model`, which this module wraps together
 //! with a Laplace-approximation posterior covariance.
 
-use crate::precision::PrecisionModel;
-use crate::prior::ParameterPrior;
+use crate::history::{HistoricalDatabase, TimingMetric};
+use crate::precision::{PrecisionConfig, PrecisionModel};
+use crate::prior::{ParameterPrior, PriorBuilder, PriorError};
 use serde::{Deserialize, Serialize};
 use slic_linalg::{Matrix, Vector};
+use slic_spice::InputSpace;
 use slic_stats::MultivariateGaussian;
 use slic_timing_model::{FitConfig, LeastSquaresFitter, TimingParams, TimingSample, PARAM_COUNT};
 
@@ -74,6 +76,28 @@ impl MapExtractor {
             precision,
             fit_config: FitConfig::default(),
         }
+    }
+
+    /// Learns the extractor for one cell kind (e.g. `"NAND2"`) and metric from `db`: the
+    /// prior of that kind's records, or the prior pooled over every cell when the kind has
+    /// none (a brand-new cell type), and the precisions learned with `space`'s scales.
+    ///
+    /// # Errors
+    ///
+    /// Returns the pooled prior's [`PriorError`] when neither prior can be built —
+    /// [`PriorError::NoMatchingRecords`] when `db` holds no record of `metric`.
+    pub fn learn(
+        db: &HistoricalDatabase,
+        metric: TimingMetric,
+        cell_kind: &str,
+        space: &InputSpace,
+    ) -> Result<Self, PriorError> {
+        let builder = PriorBuilder::new();
+        let prior = builder
+            .build(db, metric, Some(cell_kind))
+            .or_else(|_| builder.build(db, metric, None))?;
+        let precision = PrecisionModel::learn(db, metric, space, PrecisionConfig::default());
+        Ok(Self::new(prior, precision))
     }
 
     /// Replaces the solver configuration.
@@ -171,9 +195,7 @@ impl MapExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{HistoricalDatabase, HistoricalRecord, TimingMetric};
-    use crate::precision::PrecisionConfig;
-    use crate::prior::PriorBuilder;
+    use crate::history::HistoricalRecord;
     use slic_spice::InputPoint;
     use slic_units::{Amperes, Farads, Seconds, Volts};
 
@@ -388,6 +410,54 @@ mod tests {
         let d_normal = (&normal_fit.params.to_vector() - &prior_mean).norm();
         let d_sharp = (&sharp_fit.params.to_vector() - &prior_mean).norm();
         assert!(d_sharp < d_normal);
+    }
+
+    #[test]
+    fn learn_matches_the_cell_kind_and_falls_back_to_the_pooled_prior() {
+        let mut db = historical_db();
+        for tech in ["n20", "n16"] {
+            db.push(HistoricalRecord::new(
+                tech,
+                20,
+                "NAND2_X1",
+                "NAND2_X1/A0/FALL",
+                TimingMetric::Delay,
+                TimingParams::new(0.37, 1.33, -0.25, 0.03),
+                1.4,
+                Vec::new(),
+            ));
+        }
+        let space = InputSpace::paper_space((Volts(0.65), Volts(1.0)));
+
+        let nand = MapExtractor::learn(&db, TimingMetric::Delay, "NAND2", &space).unwrap();
+        assert_eq!(nand.prior().cell_kind(), Some("NAND2"));
+        assert_eq!(nand.prior().source_record_count(), 2);
+        assert_eq!(nand.precision().metric(), TimingMetric::Delay);
+
+        // No NOR2 records: the prior pools every delay record.
+        let nor = MapExtractor::learn(&db, TimingMetric::Delay, "NOR2", &space).unwrap();
+        assert_eq!(nor.prior().cell_kind(), None);
+        assert_eq!(
+            nor.prior().source_record_count(),
+            db.select(TimingMetric::Delay, None).len()
+        );
+
+        let err = MapExtractor::learn(
+            &HistoricalDatabase::new(),
+            TimingMetric::Delay,
+            "INV",
+            &space,
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            PriorError::NoMatchingRecords {
+                metric: TimingMetric::Delay,
+                ..
+            }
+        ));
+        // A metric with no records is an error even when the kind has records of another.
+        assert!(MapExtractor::learn(&db, TimingMetric::OutputSlew, "INV", &space).is_err());
     }
 
     #[test]

@@ -17,16 +17,13 @@ fn k2_error(
     db: &HistoricalDatabase,
     validation: &[(InputPoint, f64, Amperes)],
 ) -> f64 {
-    let prior = PriorBuilder::new()
-        .build(db, TimingMetric::Delay, Some(cell.kind().name()))
-        .expect("delay records for the cell kind");
-    let precision = PrecisionModel::learn(
+    let extractor = MapExtractor::learn(
         db,
         TimingMetric::Delay,
+        cell.kind().name(),
         &engine.input_space(),
-        PrecisionConfig::default(),
-    );
-    let extractor = MapExtractor::new(prior, precision);
+    )
+    .expect("delay records");
     let nominal = ProcessSample::nominal();
     let mut rng = StdRng::seed_from_u64(77);
     let points = engine.input_space().sample_latin_hypercube(&mut rng, 2);

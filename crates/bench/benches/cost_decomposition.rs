@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use slic::cost::SpeedupDecomposition;
-use slic::nominal::{MethodKind, NominalStudy, NominalStudyConfig};
+use slic::nominal::{MethodCurve, MethodKind, NominalStudy, NominalStudyConfig};
 use slic::prelude::*;
 use slic::report::markdown_table;
 use slic::CostModel;
@@ -53,17 +53,21 @@ fn regenerate(db: &HistoricalDatabase) {
         training_counts: vec![1, 2, 3, 5, 10, 20, 50],
         ..NominalStudyConfig::default()
     };
-    let study = NominalStudy::new(TechnologyNode::target_14nm(), db, config);
+    let study = NominalStudy::new(TechnologyNode::target_14nm(), db, config)
+        .expect("the study configuration is valid");
     let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
-    let result = study.run(cell, &arc, TimingMetric::Delay);
-    let bayes = result.curve(MethodKind::ProposedBayesian);
-    let lse = result.curve(MethodKind::ProposedLse);
-    let lut = result.curve(MethodKind::Lut);
-    let target = bayes
-        .final_error()
-        .max(lse.final_error())
-        .max(lut.final_error());
+    let result = study
+        .run(cell, &arc, TimingMetric::Delay)
+        .expect("the database has delay records");
+    let curve = |method| result.curve(method).expect("the study ran every method");
+    let bayes = curve(MethodKind::ProposedBayesian);
+    let lse = curve(MethodKind::ProposedLse);
+    let lut = curve(MethodKind::Lut);
+    let final_error = |c: &MethodCurve| c.final_error().expect("curves are non-empty");
+    let target = final_error(bayes)
+        .max(final_error(lse))
+        .max(final_error(lut));
     if let (Some(b), Some(l), Some(t)) = (
         bayes.simulations_to_reach(target),
         lse.simulations_to_reach(target),

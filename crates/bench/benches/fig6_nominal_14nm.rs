@@ -4,7 +4,7 @@
 //! speedups (the paper reports ≈15× total: ≈6× from the model, ≈2.5× from the prior).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use slic::nominal::{MethodKind, NominalStudy, NominalStudyConfig};
+use slic::nominal::{MethodCurve, MethodKind, NominalStudy, NominalStudyConfig};
 use slic::prelude::*;
 use slic_bench::{banner, bench_historical_db, finfet_history};
 
@@ -21,20 +21,25 @@ fn regenerate(db: &HistoricalDatabase) {
         "Fig. 6",
         "Nominal 14-nm delay characterization error vs training samples (three methods)",
     );
-    let study = NominalStudy::new(TechnologyNode::target_14nm(), db, study_config());
+    let study = NominalStudy::new(TechnologyNode::target_14nm(), db, study_config())
+        .expect("the study configuration is valid");
     for kind in CellKind::PAPER_TRIO {
         let cell = Cell::new(kind, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let result = study.run(cell, &arc, TimingMetric::Delay);
+        let result = study
+            .run(cell, &arc, TimingMetric::Delay)
+            .expect("the database has delay records");
         println!("\n{} / delay:", arc.id());
         println!("{}", result.to_markdown());
-        let bayes = result.curve(MethodKind::ProposedBayesian);
-        let lse = result.curve(MethodKind::ProposedLse);
-        let lut = result.curve(MethodKind::Lut);
-        let target = bayes
-            .final_error()
-            .max(lut.final_error())
-            .max(lse.final_error());
+        let final_error = |method| {
+            result
+                .curve(method)
+                .and_then(MethodCurve::final_error)
+                .expect("the study ran every method")
+        };
+        let target = final_error(MethodKind::ProposedBayesian)
+            .max(final_error(MethodKind::Lut))
+            .max(final_error(MethodKind::ProposedLse));
         let fmt = |v: Option<f64>| v.map_or("n/a".to_string(), |x| format!("{x:.1}x"));
         println!(
             "speedups at {target:.2}% accuracy: total (Bayesian vs LUT) = {}, model alone (LSE vs LUT) = {}, prior (Bayesian vs LSE) = {}",
@@ -51,11 +56,20 @@ fn bench(c: &mut Criterion) {
     regenerate(&db);
 
     // Kernel: one MAP extraction from two fresh simulations (the inner step of the sweep).
-    let study = NominalStudy::new(TechnologyNode::target_14nm(), &db, study_config());
+    let engine = CharacterizationEngine::with_config(
+        TechnologyNode::target_14nm(),
+        study_config().transient,
+    )
+    .expect("the study configuration is valid");
     let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
-    let extractor = study.map_extractor(cell, TimingMetric::Delay);
-    let engine = study.engine();
+    let extractor = MapExtractor::learn(
+        &db,
+        TimingMetric::Delay,
+        cell.kind().name(),
+        &engine.input_space(),
+    )
+    .expect("the database has delay records");
     let nominal = ProcessSample::nominal();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
     let points = engine.input_space().sample_latin_hypercube(&mut rng, 2);

@@ -22,21 +22,26 @@ fn regenerate(db: &'static HistoricalDatabase) -> StatisticalStudyResultHolder {
         "Fig. 7",
         "Statistical 28-nm delay characterization: E(mu_Td) and E(sigma_Td) vs training samples",
     );
-    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), db, study_config());
+    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), db, study_config())
+        .expect("the study configuration is valid");
     let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
-    let result = study.run(cell, &arc);
+    let result = study
+        .run(cell, &arc)
+        .expect("the database has delay and slew records");
     for (metric, title) in [
         (StatMetric::MeanDelay, "E(mu_Td)"),
         (StatMetric::StdDelay, "E(sigma_Td)"),
     ] {
         println!("\n{title} for {}:", arc.id());
         println!("{}", result.to_markdown(metric));
-        let bayes = result
-            .curves_for(MethodKind::ProposedBayesian)
-            .as_method_curve(metric);
-        let lut = result.curves_for(MethodKind::Lut).as_method_curve(metric);
-        let target = bayes.final_error().max(lut.final_error());
+        let final_error = |method| {
+            result
+                .curves_for(method)
+                .and_then(|c| c.as_method_curve(metric).final_error())
+                .expect("the study ran every method")
+        };
+        let target = final_error(MethodKind::ProposedBayesian).max(final_error(MethodKind::Lut));
         if let Some(speedup) = result.speedup_at(
             metric,
             target,

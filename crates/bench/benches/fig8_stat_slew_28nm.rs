@@ -22,23 +22,27 @@ fn regenerate(db: &HistoricalDatabase) {
         "Fig. 8",
         "Statistical 28-nm output-slew characterization: E(mu_Sout) and E(sigma_Sout) vs training samples",
     );
-    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), db, study_config());
+    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), db, study_config())
+        .expect("the study configuration is valid");
     let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Rise);
-    let result = study.run(cell, &arc);
+    let result = study
+        .run(cell, &arc)
+        .expect("the database has delay and slew records");
     for (metric, title) in [
         (StatMetric::MeanSlew, "E(mu_Sout)"),
         (StatMetric::StdSlew, "E(sigma_Sout)"),
     ] {
         println!("\n{title} for {}:", arc.id());
         println!("{}", result.to_markdown(metric));
-        let bayes = result
-            .curves_for(MethodKind::ProposedBayesian)
-            .as_method_curve(metric);
-        let lse = result
-            .curves_for(MethodKind::ProposedLse)
-            .as_method_curve(metric);
-        let target = bayes.final_error().max(lse.final_error());
+        let final_error = |method| {
+            result
+                .curves_for(method)
+                .and_then(|c| c.as_method_curve(metric).final_error())
+                .expect("the study ran every method")
+        };
+        let target =
+            final_error(MethodKind::ProposedBayesian).max(final_error(MethodKind::ProposedLse));
         let vs_lse = result.speedup_at(
             metric,
             target,
@@ -67,7 +71,8 @@ fn bench(c: &mut Criterion) {
     // Kernel: a single per-seed extraction pair (delay + slew) from 3 conditions — the unit
     // of the proposed statistical flow's cost.
     let config = study_config();
-    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), &db, config);
+    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), &db, config)
+        .expect("the study configuration is valid");
     let engine = study.engine();
     let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Rise);

@@ -19,7 +19,8 @@ fn regenerate(db: &HistoricalDatabase) {
         training_counts: vec![7],
         ..StatisticalStudyConfig::default()
     };
-    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), db, config);
+    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), db, config)
+        .expect("the study configuration is valid");
     let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     let corner = InputPoint::new(
@@ -27,7 +28,9 @@ fn regenerate(db: &HistoricalDatabase) {
         Farads::from_femtofarads(1.67),
         Volts(0.734),
     );
-    let pdf = study.delay_pdf(cell, &arc, corner, 7, 60);
+    let pdf = study
+        .delay_pdf(cell, &arc, corner, 7, 60)
+        .expect("the database has delay and slew records");
 
     let report = |label: &str, samples: &[f64]| {
         let s = Summary::from_samples(samples);

@@ -35,6 +35,7 @@ pub fn bench_learning_config() -> HistoricalLearningConfig {
 pub fn bench_historical_db(technologies: &[TechnologyNode]) -> HistoricalDatabase {
     HistoricalLearner::new(bench_learning_config())
         .learn(technologies, &Library::paper_trio())
+        .expect("the bench learning configuration is valid")
         .database
 }
 

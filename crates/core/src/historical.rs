@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use slic_bayes::{ConditionResidual, HistoricalDatabase, HistoricalRecord, TimingMetric};
 use slic_cells::{Cell, Library, TimingArc};
 use slic_device::{ProcessSample, TechnologyNode};
-use slic_spice::{CharacterizationEngine, MixedLane, TransientConfig};
+use slic_spice::{CharacterizationEngine, ConfigError, MixedLane, TransientConfig};
 use slic_timing_model::{LeastSquaresFitter, TimingSample};
 
 /// Configuration of the historical learning pass.
@@ -62,24 +62,28 @@ impl HistoricalLearner {
     /// Characterizes every (technology, cell, primary arc, metric) combination and archives
     /// the fits, on a fresh engine with this learner's transient settings.
     ///
+    /// # Errors
+    ///
+    /// Returns the engine's [`ConfigError`] when the configured transient settings are
+    /// invalid.
+    ///
     /// # Panics
     ///
-    /// Panics if the library is empty or the configured transient settings are invalid.
+    /// Panics if the library is empty.
     pub fn learn(
         &self,
         technologies: &[TechnologyNode],
         library: &Library,
-    ) -> HistoricalLearningResult {
+    ) -> Result<HistoricalLearningResult, ConfigError> {
         let Some(first) = technologies.first() else {
             assert!(!library.is_empty(), "cannot learn from an empty library");
-            return HistoricalLearningResult {
+            return Ok(HistoricalLearningResult {
                 database: HistoricalDatabase::new(),
                 simulation_cost: 0,
-            };
+            });
         };
-        let engine = CharacterizationEngine::with_config(first.clone(), self.config.transient)
-            .expect("historical learning transient configuration must be valid");
-        self.learn_with_engine(&engine, technologies, library)
+        let engine = CharacterizationEngine::with_config(first.clone(), self.config.transient)?;
+        Ok(self.learn_with_engine(&engine, technologies, library))
     }
 
     /// As [`learn`](Self::learn), but through `engine` rebound to each historical node in
@@ -128,9 +132,7 @@ impl HistoricalLearner {
                 .collect();
             // One transient run per grid point yields both delay and slew.
             let flat = engine.simulate_mixed(&lanes);
-            let mut per_arc = flat.chunks(grid.len().max(1));
-            for &(cell, arc) in &arcs {
-                let measurements = per_arc.next().expect("one measurement row per arc");
+            for (&(cell, arc), measurements) in arcs.iter().zip(flat.chunks(grid.len().max(1))) {
                 let ieffs: Vec<_> = grid
                     .iter()
                     .map(|p| engine.ieff(&arc, p, &nominal))
@@ -140,13 +142,7 @@ impl HistoricalLearner {
                         .iter()
                         .zip(measurements)
                         .zip(&ieffs)
-                        .map(|((point, m), ieff)| {
-                            let observed = match metric {
-                                TimingMetric::Delay => m.delay,
-                                TimingMetric::OutputSlew => m.output_slew,
-                            };
-                            TimingSample::new(*point, *ieff, observed)
-                        })
+                        .map(|((point, m), ieff)| TimingSample::new(*point, *ieff, metric.of(m)))
                         .collect();
                     let fit = LeastSquaresFitter::new().fit(&samples);
                     let residuals: Vec<ConditionResidual> = samples
@@ -203,7 +199,9 @@ mod tests {
                 Cell::new(CellKind::Nand2, DriveStrength::X1),
             ],
         );
-        let result = HistoricalLearner::new(tiny_config()).learn(&two_node_suite(), &library);
+        let result = HistoricalLearner::new(tiny_config())
+            .learn(&two_node_suite(), &library)
+            .expect("valid transient settings");
         // 2 techs x 2 cells x 2 arcs x 2 metrics = 16 records.
         assert_eq!(result.database.len(), 16);
         // 2 techs x 2 cells x 2 arcs x 18 grid points = 144 simulations.
@@ -214,7 +212,9 @@ mod tests {
     #[test]
     fn historical_fits_are_accurate_and_physical() {
         let library = Library::new("inv-only", [Cell::new(CellKind::Inv, DriveStrength::X1)]);
-        let result = HistoricalLearner::new(tiny_config()).learn(&two_node_suite(), &library);
+        let result = HistoricalLearner::new(tiny_config())
+            .learn(&two_node_suite(), &library)
+            .expect("valid transient settings");
         for record in result.database.records() {
             assert!(
                 record.fit_error_percent < 6.0,
@@ -233,7 +233,9 @@ mod tests {
     #[test]
     fn learned_database_supports_prior_building() {
         let library = Library::paper_trio();
-        let result = HistoricalLearner::new(tiny_config()).learn(&two_node_suite(), &library);
+        let result = HistoricalLearner::new(tiny_config())
+            .learn(&two_node_suite(), &library)
+            .expect("valid transient settings");
         let prior = PriorBuilder::new()
             .build(&result.database, TimingMetric::Delay, Some("NOR2"))
             .unwrap();

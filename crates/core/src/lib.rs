@@ -11,7 +11,8 @@
 //!   ("historical learning" in Fig. 4 of the paper);
 //! * [`nominal`] — the nominal characterization study of Fig. 6: proposed model + Bayesian
 //!   inference vs. proposed model + least squares vs. the LUT baseline, as a function of the
-//!   number of training simulations;
+//!   number of training simulations, scored by [`nominal::fit_and_validate`], the routine
+//!   every nominal `slic-pipeline` work unit runs too;
 //! * [`statistical`] — the statistical characterization study of Figs. 7–9: mean / σ of
 //!   delay and slew across process variation, and the delay PDF at a low-supply corner;
 //! * [`cost`] — the simulation-count cost model and speedup accounting (`O(k·Nsample)` vs
@@ -29,21 +30,26 @@
 //! use slic::historical::{HistoricalLearner, HistoricalLearningConfig};
 //! use slic::nominal::{NominalStudy, NominalStudyConfig};
 //!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // 1. Learn priors from the six historical technology nodes.
 //! let library = Library::paper_trio();
 //! let learner = HistoricalLearner::new(HistoricalLearningConfig::default());
-//! let learning = learner.learn(&TechnologyNode::historical_suite(), &library);
+//! let learning = learner.learn(&TechnologyNode::historical_suite(), &library)?;
 //!
-//! // 2. Characterize a new 14-nm technology with a handful of simulations.
+//! // 2. Characterize a new 14-nm technology with a handful of simulations.  The study
+//! //    fails on an invalid transient configuration (`new`) or a database without
+//! //    records of the metric (`run`).
 //! let study = NominalStudy::new(
 //!     TechnologyNode::target_14nm(),
 //!     &learning.database,
 //!     NominalStudyConfig::default(),
-//! );
+//! )?;
 //! let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
 //! let arc = TimingArc::new(cell, 0, Transition::Fall);
-//! let result = study.run(cell, &arc, TimingMetric::Delay);
+//! let result = study.run(cell, &arc, TimingMetric::Delay)?;
 //! println!("{}", result.to_markdown());
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]

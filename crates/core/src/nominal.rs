@@ -11,19 +11,43 @@
 //!   elsewhere is interpolated.
 //!
 //! Accuracy is measured against a dense random-validation baseline (the paper uses 1000
-//! points).  From the resulting error-vs-`k` curves the study also derives the paper's
-//! headline number: how many times fewer simulations the proposed method needs to reach the
-//! same accuracy as the LUT.
+//! points).  From the resulting error-vs-`k` curves, [`NominalStudyResult::speedup_at`]
+//! derives how many times fewer simulations one method needs than another to reach a given
+//! accuracy.
+//!
+//! [`fit_and_validate`] is the one fit-and-score step: the study calls it per method and
+//! training count, and every nominal `slic characterize` work unit calls it once, so the
+//! curves measure the code the pipeline runs.
+//!
+//! ```no_run
+//! use slic::historical::{HistoricalLearner, HistoricalLearningConfig};
+//! use slic::nominal::{MethodKind, NominalStudy, NominalStudyConfig};
+//! use slic::prelude::*;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let learning = HistoricalLearner::new(HistoricalLearningConfig::default())
+//!     .learn(&TechnologyNode::historical_suite(), &Library::paper_trio())?;
+//! let study = NominalStudy::new(
+//!     TechnologyNode::target_14nm(),
+//!     &learning.database,
+//!     NominalStudyConfig::quick(),
+//! )?;
+//! let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
+//! let arc = TimingArc::new(cell, 0, Transition::Fall);
+//! let result = study.run(cell, &arc, TimingMetric::Delay)?;
+//! let bayes = result.curve(MethodKind::ProposedBayesian).ok_or("no Bayesian curve")?;
+//! println!("k = 2 error: {:.2} %", bayes.errors_percent[0]);
+//! # Ok(())
+//! # }
+//! ```
 
 use crate::report::markdown_table;
 use serde::{Deserialize, Serialize};
-use slic_bayes::{
-    HistoricalDatabase, MapExtractor, PrecisionConfig, PrecisionModel, PriorBuilder, TimingMetric,
-};
+use slic_bayes::{HistoricalDatabase, MapExtractor, PriorError, TimingMetric};
 use slic_cells::{Cell, TimingArc};
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_lut::LutBuilder;
-use slic_spice::{CharacterizationEngine, InputPoint, TransientConfig};
+use slic_spice::{CharacterizationEngine, ConfigError, InputPoint, TransientConfig};
 use slic_stats::distance::mean_relative_error_percent;
 use slic_timing_model::{LeastSquaresFitter, TimingParams, TimingSample};
 use std::fmt;
@@ -71,8 +95,9 @@ pub struct MethodCurve {
     pub training_counts: Vec<usize>,
     /// Mean relative prediction error against the baseline, in percent, per count.
     pub errors_percent: Vec<f64>,
-    /// Transient simulations actually spent per count (equals the training count for the
-    /// model-based methods; may be smaller for the LUT when the budget does not factor).
+    /// Transient simulations spent per count.  In a nominal study that is the count itself
+    /// for every method, since a LUT's grid for a budget of `k` always has exactly `k`
+    /// points; a statistical curve spends it once per process seed.
     pub simulations: Vec<u64>,
 }
 
@@ -88,12 +113,9 @@ impl MethodCurve {
             .min()
     }
 
-    /// The error achieved at the largest training count.
-    pub fn final_error(&self) -> f64 {
-        *self
-            .errors_percent
-            .last()
-            .expect("curve has at least one point")
+    /// The error achieved at the largest training count (`None` for an empty curve).
+    pub fn final_error(&self) -> Option<f64> {
+        self.errors_percent.last().copied()
     }
 }
 
@@ -108,9 +130,6 @@ pub struct NominalStudyConfig {
     pub seed: u64,
     /// Transient solver settings for both baseline and training simulations.
     pub transient: TransientConfig,
-    /// Whether the prior is restricted to records of the same cell kind (paper behaviour)
-    /// or pooled across all cells.
-    pub cell_kind_matched_prior: bool,
 }
 
 impl Default for NominalStudyConfig {
@@ -120,7 +139,6 @@ impl Default for NominalStudyConfig {
             training_counts: vec![1, 2, 3, 5, 10, 20, 50, 100],
             seed: 20150313,
             transient: TransientConfig::fast(),
-            cell_kind_matched_prior: true,
         }
     }
 }
@@ -148,16 +166,10 @@ pub struct NominalStudyResult {
 }
 
 impl NominalStudyResult {
-    /// The curve of one method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the method was not part of the study (all three always are).
-    pub fn curve(&self, method: MethodKind) -> &MethodCurve {
-        self.curves
-            .iter()
-            .find(|c| c.method == method)
-            .expect("method present in study")
+    /// The curve of one method (`None` if the method was not part of the study; a study
+    /// run always has all three).
+    pub fn curve(&self, method: MethodKind) -> Option<&MethodCurve> {
+        self.curves.iter().find(|c| c.method == method)
     }
 
     /// Speedup of `fast` over `slow` at matched accuracy: the ratio of simulations each
@@ -169,21 +181,9 @@ impl NominalStudyResult {
         fast: MethodKind,
         slow: MethodKind,
     ) -> Option<f64> {
-        let fast_sims = self.curve(fast).simulations_to_reach(target_percent)? as f64;
-        let slow_sims = self.curve(slow).simulations_to_reach(target_percent)? as f64;
+        let fast_sims = self.curve(fast)?.simulations_to_reach(target_percent)? as f64;
+        let slow_sims = self.curve(slow)?.simulations_to_reach(target_percent)? as f64;
         Some(slow_sims / fast_sims)
-    }
-
-    /// The paper's headline comparison: the speedup of the Bayesian method over the LUT at
-    /// the accuracy the Bayesian method achieves with its largest training budget (clamped
-    /// to no tighter than the LUT's own best accuracy so the ratio is defined).
-    pub fn headline_speedup(&self) -> Option<f64> {
-        let target = self
-            .curve(MethodKind::ProposedBayesian)
-            .final_error()
-            .max(self.curve(MethodKind::Lut).final_error() * 1.0001)
-            .max(1e-9);
-        self.speedup_at(target, MethodKind::ProposedBayesian, MethodKind::Lut)
     }
 
     /// Renders the error table as Markdown (rows = training counts, columns = methods).
@@ -208,6 +208,82 @@ impl NominalStudyResult {
     }
 }
 
+/// How [`fit_and_validate`] builds a model of one arc and metric.
+#[derive(Debug, Clone, Copy)]
+pub enum Fit<'a> {
+    /// MAP extraction with a learned prior and precisions from already-simulated training
+    /// samples ("Proposed Model + Bayesian Inference").
+    Map(&'a MapExtractor, &'a [TimingSample]),
+    /// Plain least squares on already-simulated training samples ("Proposed Model + LSE").
+    Lse(&'a [TimingSample]),
+    /// A lookup table on a grid of this many conditions, simulated by the call.
+    Lut(usize),
+}
+
+/// What [`fit_and_validate`] fitted and how well it predicts the validation samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ValidatedFit {
+    /// The fitted compact-model parameters (`None` for a LUT, which has none).
+    pub params: Option<TimingParams>,
+    /// Mean relative prediction error against the validation samples, in percent.
+    pub error_percent: f64,
+}
+
+/// Simulates `points` of `arc` at the nominal process corner and pairs each with its
+/// effective current and its `metric` value: the samples a fit trains on or is scored
+/// against.  The simulations go through `engine`'s counter and cache.
+pub fn simulate_samples(
+    engine: &CharacterizationEngine,
+    cell: Cell,
+    arc: &TimingArc,
+    metric: TimingMetric,
+    points: &[InputPoint],
+) -> Vec<TimingSample> {
+    let nominal = ProcessSample::nominal();
+    points
+        .iter()
+        .zip(engine.sweep_nominal(cell, arc, points))
+        .map(|(p, m)| TimingSample::new(*p, engine.ieff(arc, p, &nominal), metric.of(&m)))
+        .collect()
+}
+
+/// Fits `fit` to one arc and metric and scores its predictions at the `validation`
+/// samples.  Only a [`Fit::Lut`] simulates; the model fits take samples simulated by the
+/// caller, so one training sweep can serve several fits.
+pub fn fit_and_validate(
+    engine: &CharacterizationEngine,
+    cell: Cell,
+    arc: &TimingArc,
+    metric: TimingMetric,
+    fit: Fit<'_>,
+    validation: &[TimingSample],
+) -> ValidatedFit {
+    let model = |params: TimingParams| {
+        let predictions: Vec<f64> = validation
+            .iter()
+            .map(|s| params.evaluate(&s.point, s.ieff).value())
+            .collect();
+        (Some(params), predictions)
+    };
+    let (params, predictions) = match fit {
+        Fit::Map(extractor, training) => model(extractor.extract(training).params),
+        Fit::Lse(training) => model(LeastSquaresFitter::new().fit(training).params),
+        Fit::Lut(budget) => {
+            let lut = LutBuilder::new(engine).build_nominal_with_budget(cell, arc, budget);
+            let predictions = validation
+                .iter()
+                .map(|s| metric.of(&lut.predict(&s.point)).value())
+                .collect();
+            (None, predictions)
+        }
+    };
+    let reference: Vec<f64> = validation.iter().map(|s| s.observed.value()).collect();
+    ValidatedFit {
+        params,
+        error_percent: mean_relative_error_percent(&predictions, &reference),
+    }
+}
+
 /// The nominal characterization study runner.
 #[derive(Debug, Clone)]
 pub struct NominalStudy<'a> {
@@ -219,52 +295,19 @@ pub struct NominalStudy<'a> {
 impl<'a> NominalStudy<'a> {
     /// Creates a study of `target` using the archived `database` of historical fits.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `config.transient` is invalid; use [`try_new`](Self::try_new) to handle
-    /// that as an error.
+    /// Returns the engine's [`ConfigError`] when `config.transient` fails validation.
     pub fn new(
         target: TechnologyNode,
         database: &'a HistoricalDatabase,
         config: NominalStudyConfig,
-    ) -> Self {
-        Self::try_new(target, database, config)
-            .expect("study transient configuration must be valid")
-    }
-
-    /// Creates a study of `target`, surfacing an invalid transient configuration as an
-    /// error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine's [`slic_spice::ConfigError`] when `config.transient` fails
-    /// validation.
-    pub fn try_new(
-        target: TechnologyNode,
-        database: &'a HistoricalDatabase,
-        config: NominalStudyConfig,
-    ) -> Result<Self, slic_spice::ConfigError> {
-        Ok(Self::with_engine(
-            CharacterizationEngine::with_config(target, config.transient)?,
+    ) -> Result<Self, ConfigError> {
+        Ok(Self {
+            engine: CharacterizationEngine::with_config(target, config.transient)?,
             database,
             config,
-        ))
-    }
-
-    /// Creates a study running on an existing engine — the reusable-stage entry point for
-    /// library-scale pipelines, which share one engine (counter, cache) across studies.
-    ///
-    /// The engine's transient configuration takes precedence over `config.transient`.
-    pub fn with_engine(
-        engine: CharacterizationEngine,
-        database: &'a HistoricalDatabase,
-        config: NominalStudyConfig,
-    ) -> Self {
-        Self {
-            engine,
-            database,
-            config,
-        }
+        })
     }
 
     /// The engine bound to the target technology.
@@ -277,52 +320,28 @@ impl<'a> NominalStudy<'a> {
         &self.config
     }
 
-    /// Builds the MAP extractor (prior + precisions) for one metric and cell.
-    pub fn map_extractor(&self, cell: Cell, metric: TimingMetric) -> MapExtractor {
-        let cell_kind = if self.config.cell_kind_matched_prior {
-            Some(cell.kind().name())
-        } else {
-            None
-        };
-        let prior = PriorBuilder::new()
-            .build(self.database, metric, cell_kind)
-            .or_else(|_| PriorBuilder::new().build(self.database, metric, None))
-            .expect("historical database must contain records for the requested metric");
-        let precision = PrecisionModel::learn(
-            self.database,
-            metric,
-            &self.engine.input_space(),
-            PrecisionConfig::default(),
-        );
-        MapExtractor::new(prior, precision)
-    }
-
-    /// Runs the full study for one arc and metric.
-    pub fn run(&self, cell: Cell, arc: &TimingArc, metric: TimingMetric) -> NominalStudyResult {
-        let nominal = ProcessSample::nominal();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
+    /// Runs the full study for one arc and metric: one validation sweep, then per training
+    /// count `k` one shared training sweep for the MAP and LSE fits and a `k`-point LUT.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`PriorError`] of [`MapExtractor::learn`] when the database holds no
+    /// records of `metric`; nothing is simulated then.
+    pub fn run(
+        &self,
+        cell: Cell,
+        arc: &TimingArc,
+        metric: TimingMetric,
+    ) -> Result<NominalStudyResult, PriorError> {
         let space = self.engine.input_space();
+        let extractor = MapExtractor::learn(self.database, metric, cell.kind().name(), &space)?;
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // Baseline: dense random validation set simulated directly.
-        let validation = space.sample_uniform(&mut rng, self.config.validation_points);
-        let counter_before = self.engine.simulation_count();
-        let reference_measurements = self.engine.sweep_nominal(cell, arc, &validation);
-        let baseline_simulations = self.engine.simulation_count() - counter_before;
-        let reference: Vec<f64> = reference_measurements
-            .iter()
-            .map(|m| match metric {
-                TimingMetric::Delay => m.delay.value(),
-                TimingMetric::OutputSlew => m.output_slew.value(),
-            })
-            .collect();
-        let validation_ieffs: Vec<f64> = validation
-            .iter()
-            .map(|p| self.engine.ieff(arc, p, &nominal).value())
-            .collect();
-
-        let extractor = self.map_extractor(cell, metric);
-        let lut_builder = LutBuilder::new(&self.engine);
-        let fitter = LeastSquaresFitter::new();
+        let validation_points = space.sample_uniform(&mut rng, self.config.validation_points);
+        let before = self.engine.simulation_count();
+        let validation = simulate_samples(&self.engine, cell, arc, metric, &validation_points);
+        let baseline_simulations = self.engine.simulation_count() - before;
 
         let mut curves: Vec<MethodCurve> = MethodKind::ALL
             .iter()
@@ -340,97 +359,30 @@ impl<'a> NominalStudy<'a> {
                 StdRng::seed_from_u64(self.config.seed ^ (k as u64).wrapping_mul(0x9E37_79B9));
             let training_points = space.sample_latin_hypercube(&mut training_rng, k);
             let before = self.engine.simulation_count();
-            let training_measurements = self.engine.sweep_nominal(cell, arc, &training_points);
-            let model_simulations = self.engine.simulation_count() - before;
-            let training_samples: Vec<TimingSample> = training_points
-                .iter()
-                .zip(&training_measurements)
-                .map(|(p, m)| {
-                    let observed = match metric {
-                        TimingMetric::Delay => m.delay,
-                        TimingMetric::OutputSlew => m.output_slew,
-                    };
-                    TimingSample::new(*p, self.engine.ieff(arc, p, &nominal), observed)
-                })
-                .collect();
+            let training = simulate_samples(&self.engine, cell, arc, metric, &training_points);
+            let training_simulations = self.engine.simulation_count() - before;
 
-            // Proposed + Bayesian.
-            let map_fit = extractor.extract(&training_samples);
-            self.push_model_error(
-                &mut curves,
-                MethodKind::ProposedBayesian,
-                &map_fit.params,
-                &validation,
-                &validation_ieffs,
-                &reference,
-                model_simulations,
-            );
-
-            // Proposed + LSE.
-            let lse_fit = fitter.fit(&training_samples);
-            self.push_model_error(
-                &mut curves,
-                MethodKind::ProposedLse,
-                &lse_fit.params,
-                &validation,
-                &validation_ieffs,
-                &reference,
-                model_simulations,
-            );
-
-            // LUT with the same simulation budget.
-            let before = self.engine.simulation_count();
-            let lut = lut_builder.build_nominal_with_budget(cell, arc, k);
-            let lut_simulations = self.engine.simulation_count() - before;
-            let lut_predictions: Vec<f64> = validation
-                .iter()
-                .map(|p| {
-                    let m = lut.predict(p);
-                    match metric {
-                        TimingMetric::Delay => m.delay.value(),
-                        TimingMetric::OutputSlew => m.output_slew.value(),
-                    }
-                })
-                .collect();
-            let lut_error = mean_relative_error_percent(&lut_predictions, &reference);
-            let lut_curve = curves
-                .iter_mut()
-                .find(|c| c.method == MethodKind::Lut)
-                .expect("curve exists");
-            lut_curve.errors_percent.push(lut_error);
-            lut_curve.simulations.push(lut_simulations);
+            // In `MethodKind::ALL` order, each with the simulations it spent before the call.
+            let fits = [
+                (Fit::Map(&extractor, &training), training_simulations),
+                (Fit::Lse(&training), training_simulations),
+                (Fit::Lut(k), 0),
+            ];
+            for (curve, (fit, spent)) in curves.iter_mut().zip(fits) {
+                let before = self.engine.simulation_count();
+                let fitted = fit_and_validate(&self.engine, cell, arc, metric, fit, &validation);
+                curve.errors_percent.push(fitted.error_percent);
+                curve
+                    .simulations
+                    .push(spent + self.engine.simulation_count() - before);
+            }
         }
 
-        NominalStudyResult {
+        Ok(NominalStudyResult {
             metric,
             curves,
             baseline_simulations,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_model_error(
-        &self,
-        curves: &mut [MethodCurve],
-        method: MethodKind,
-        params: &TimingParams,
-        validation: &[InputPoint],
-        validation_ieffs: &[f64],
-        reference: &[f64],
-        simulations: u64,
-    ) {
-        let predictions: Vec<f64> = validation
-            .iter()
-            .zip(validation_ieffs)
-            .map(|(p, ieff)| params.evaluate(p, slic_units::Amperes(*ieff)).value())
-            .collect();
-        let error = mean_relative_error_percent(&predictions, reference);
-        let curve = curves
-            .iter_mut()
-            .find(|c| c.method == method)
-            .expect("curve exists");
-        curve.errors_percent.push(error);
-        curve.simulations.push(simulations);
+        })
     }
 }
 
@@ -450,6 +402,7 @@ mod tests {
                 &[TechnologyNode::n16_finfet(), TechnologyNode::n14_finfet()],
                 &Library::paper_trio(),
             )
+            .expect("valid transient settings")
             .database
     }
 
@@ -460,10 +413,11 @@ mod tests {
             TechnologyNode::target_14nm(),
             &db,
             NominalStudyConfig::quick(),
-        );
+        )
+        .expect("valid config");
         let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let result = study.run(cell, &arc, TimingMetric::Delay);
+        let result = study.run(cell, &arc, TimingMetric::Delay).expect("prior");
 
         assert_eq!(result.curves.len(), 3);
         assert_eq!(result.baseline_simulations, 60);
@@ -475,20 +429,20 @@ mod tests {
                 .all(|e| e.is_finite() && *e >= 0.0));
             // Errors at the largest budget are better than (or close to) the smallest.
             assert!(
-                curve.final_error() <= curve.errors_percent[0] + 2.0,
+                curve.final_error().unwrap() <= curve.errors_percent[0] + 2.0,
                 "{}",
                 curve.method
             );
         }
         // The Bayesian curve at k = 2 must already be decent thanks to the prior.
-        let bayes = result.curve(MethodKind::ProposedBayesian);
+        let bayes = result.curve(MethodKind::ProposedBayesian).unwrap();
         assert!(
             bayes.errors_percent[0] < 15.0,
             "k=2 error = {}",
             bayes.errors_percent[0]
         );
         // And it must beat the LUT at the same tiny budget.
-        let lut = result.curve(MethodKind::Lut);
+        let lut = result.curve(MethodKind::Lut).unwrap();
         assert!(bayes.errors_percent[0] < lut.errors_percent[0]);
         let text = result.to_markdown();
         assert!(text.contains("Lookup Table"));
@@ -514,12 +468,16 @@ mod tests {
             baseline_simulations: 100,
         };
         assert_eq!(
-            result.curve(MethodKind::Lut).simulations_to_reach(5.0),
+            result
+                .curve(MethodKind::Lut)
+                .unwrap()
+                .simulations_to_reach(5.0),
             Some(9)
         );
         assert_eq!(
             result
                 .curve(MethodKind::ProposedBayesian)
+                .unwrap()
                 .simulations_to_reach(5.0),
             Some(5)
         );
@@ -534,5 +492,106 @@ mod tests {
         assert!(result
             .speedup_at(0.1, MethodKind::ProposedBayesian, MethodKind::Lut)
             .is_none());
+    }
+
+    #[test]
+    fn quick_study_curves_are_pinned() {
+        // Every curve of two quick studies, errors rounded to 4 decimals, with the
+        // simulations each point paid.  Any drift in sampling, fitting or scoring moves
+        // at least one of these.
+        let db = learned_database();
+        let study = NominalStudy::new(
+            TechnologyNode::target_14nm(),
+            &db,
+            NominalStudyConfig::quick(),
+        )
+        .expect("valid config");
+        let pinned = [
+            (
+                CellKind::Inv,
+                Transition::Fall,
+                TimingMetric::Delay,
+                [
+                    ["0.8184", "0.3139", "0.3343"],
+                    ["1.8596", "0.3166", "0.3326"],
+                    ["32.9428", "32.9391", "4.3603"],
+                ],
+            ),
+            (
+                CellKind::Nand2,
+                Transition::Rise,
+                TimingMetric::OutputSlew,
+                [
+                    ["0.5380", "0.3329", "0.4746"],
+                    ["15.1304", "0.3039", "0.4820"],
+                    ["37.5190", "37.5190", "6.0036"],
+                ],
+            ),
+        ];
+        for (kind, transition, metric, errors) in pinned {
+            let cell = Cell::new(kind, DriveStrength::X1);
+            let arc = TimingArc::new(cell, 0, transition);
+            let result = study.run(cell, &arc, metric).expect("prior");
+            assert_eq!(result.baseline_simulations, 60);
+            let methods: Vec<MethodKind> = result.curves.iter().map(|c| c.method).collect();
+            assert_eq!(methods, MethodKind::ALL);
+            for (curve, expected) in result.curves.iter().zip(errors) {
+                let rounded: Vec<String> = curve
+                    .errors_percent
+                    .iter()
+                    .map(|e| format!("{e:.4}"))
+                    .collect();
+                assert_eq!(rounded, expected, "{} {metric} {}", arc.id(), curve.method);
+                assert_eq!(
+                    curve.simulations,
+                    [2, 5, 20],
+                    "{} {}",
+                    arc.id(),
+                    curve.method
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_metric_without_records_is_an_error_before_any_simulation() {
+        let mut db = HistoricalDatabase::new();
+        db.push(slic_bayes::HistoricalRecord::new(
+            "n16",
+            16,
+            "INV_X1",
+            "INV_X1/A0/FALL",
+            TimingMetric::Delay,
+            TimingParams::new(0.39, 0.95, -0.27, 0.09),
+            1.0,
+            Vec::new(),
+        ));
+        let study = NominalStudy::new(
+            TechnologyNode::target_14nm(),
+            &db,
+            NominalStudyConfig::quick(),
+        )
+        .expect("valid config");
+        let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
+        let arc = TimingArc::new(cell, 0, Transition::Fall);
+        let err = study
+            .run(cell, &arc, TimingMetric::OutputSlew)
+            .expect_err("no slew records");
+        assert!(matches!(
+            err,
+            PriorError::NoMatchingRecords {
+                metric: TimingMetric::OutputSlew,
+                ..
+            }
+        ));
+        assert_eq!(study.engine().simulation_count(), 0);
+    }
+
+    #[test]
+    fn an_invalid_transient_configuration_is_an_error() {
+        let db = HistoricalDatabase::new();
+        let mut config = NominalStudyConfig::quick();
+        config.transient.min_steps_per_ramp = 0;
+        assert!(NominalStudy::new(TechnologyNode::target_14nm(), &db, config).is_err());
     }
 }

@@ -6,17 +6,38 @@
 //! per seed, extracts the compact-model parameters `P_T^{(j)}, P_S^{(j)}` per seed by MAP,
 //! and reconstructs the distribution at *any* condition by evaluating the model over the
 //! per-seed parameter sets — `O(k·Nsample)` instead of `O(NLUT·Nsample)` simulations.
+//!
+//! ```no_run
+//! use slic::historical::{HistoricalLearner, HistoricalLearningConfig};
+//! use slic::nominal::MethodKind;
+//! use slic::prelude::*;
+//! use slic::statistical::{StatisticalStudy, StatisticalStudyConfig};
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let learning = HistoricalLearner::new(HistoricalLearningConfig::default())
+//!     .learn(&TechnologyNode::historical_suite(), &Library::paper_trio())?;
+//! let study = StatisticalStudy::new(
+//!     TechnologyNode::target_28nm(),
+//!     &learning.database,
+//!     StatisticalStudyConfig::quick(),
+//! )?;
+//! let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
+//! let arc = TimingArc::new(cell, 0, Transition::Fall);
+//! let result = study.run(cell, &arc)?;
+//! let bayes = result.curves_for(MethodKind::ProposedBayesian).ok_or("no Bayesian curves")?;
+//! println!("E(mu_Td) at k = 3: {:.2} %", bayes.mean_delay_error[0]);
+//! # Ok(())
+//! # }
+//! ```
 
 use crate::nominal::{MethodCurve, MethodKind};
 use crate::report::markdown_table;
 use serde::{Deserialize, Serialize};
-use slic_bayes::{
-    HistoricalDatabase, MapExtractor, PrecisionConfig, PrecisionModel, PriorBuilder, TimingMetric,
-};
+use slic_bayes::{HistoricalDatabase, MapExtractor, PriorError, TimingMetric};
 use slic_cells::{Cell, TimingArc};
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_lut::LutBuilder;
-use slic_spice::{CharacterizationEngine, InputPoint, TransientConfig};
+use slic_spice::{CharacterizationEngine, ConfigError, InputPoint, TransientConfig};
 use slic_stats::distance::mean_relative_error_percent;
 use slic_stats::moments;
 use slic_timing_model::{LeastSquaresFitter, TimingParams, TimingSample};
@@ -37,8 +58,6 @@ pub struct StatisticalStudyConfig {
     pub seed: u64,
     /// Transient solver settings.
     pub transient: TransientConfig,
-    /// Whether the prior is restricted to records of the same cell kind.
-    pub cell_kind_matched_prior: bool,
 }
 
 impl Default for StatisticalStudyConfig {
@@ -49,7 +68,6 @@ impl Default for StatisticalStudyConfig {
             training_counts: vec![1, 2, 3, 5, 10, 20, 50],
             seed: 20150313,
             transient: TransientConfig::fast(),
-            cell_kind_matched_prior: true,
         }
     }
 }
@@ -86,6 +104,16 @@ pub struct StatMethodCurves {
 }
 
 impl StatMethodCurves {
+    /// Appends one training count's four errors (Eqs. 16–19, in [`StatMetric::ALL`] order)
+    /// and its simulation cost.
+    fn push(&mut self, errors: (f64, f64, f64, f64), simulations: u64) {
+        self.mean_delay_error.push(errors.0);
+        self.std_delay_error.push(errors.1);
+        self.mean_slew_error.push(errors.2);
+        self.std_slew_error.push(errors.3);
+        self.simulations.push(simulations);
+    }
+
     /// Extracts one of the four statistical error curves as a plain [`MethodCurve`] so the
     /// nominal-study speedup helpers can be reused.
     pub fn as_method_curve(&self, which: StatMetric) -> MethodCurve {
@@ -139,16 +167,10 @@ pub struct StatisticalStudyResult {
 }
 
 impl StatisticalStudyResult {
-    /// The curves of one method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the method was not part of the study.
-    pub fn curves_for(&self, method: MethodKind) -> &StatMethodCurves {
-        self.curves
-            .iter()
-            .find(|c| c.method == method)
-            .expect("method present in study")
+    /// The curves of one method (`None` if the method was not part of the study; a study
+    /// run always has all three).
+    pub fn curves_for(&self, method: MethodKind) -> Option<&StatMethodCurves> {
+        self.curves.iter().find(|c| c.method == method)
     }
 
     /// Speedup of `fast` over `slow` for one statistical metric at a target error.
@@ -160,11 +182,11 @@ impl StatisticalStudyResult {
         slow: MethodKind,
     ) -> Option<f64> {
         let fast_sims = self
-            .curves_for(fast)
+            .curves_for(fast)?
             .as_method_curve(metric)
             .simulations_to_reach(target_percent)? as f64;
         let slow_sims = self
-            .curves_for(slow)
+            .curves_for(slow)?
             .as_method_curve(metric)
             .simulations_to_reach(target_percent)? as f64;
         Some(slow_sims / fast_sims)
@@ -239,52 +261,19 @@ pub struct StatisticalStudy<'a> {
 impl<'a> StatisticalStudy<'a> {
     /// Creates a study of `target` using the archived historical fits.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `config.transient` is invalid; use [`try_new`](Self::try_new) to handle
-    /// that as an error.
+    /// Returns the engine's [`ConfigError`] when `config.transient` fails validation.
     pub fn new(
         target: TechnologyNode,
         database: &'a HistoricalDatabase,
         config: StatisticalStudyConfig,
-    ) -> Self {
-        Self::try_new(target, database, config)
-            .expect("study transient configuration must be valid")
-    }
-
-    /// Creates a study of `target`, surfacing an invalid transient configuration as an
-    /// error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine's [`slic_spice::ConfigError`] when `config.transient` fails
-    /// validation.
-    pub fn try_new(
-        target: TechnologyNode,
-        database: &'a HistoricalDatabase,
-        config: StatisticalStudyConfig,
-    ) -> Result<Self, slic_spice::ConfigError> {
-        Ok(Self::with_engine(
-            CharacterizationEngine::with_config(target, config.transient)?,
+    ) -> Result<Self, ConfigError> {
+        Ok(Self {
+            engine: CharacterizationEngine::with_config(target, config.transient)?,
             database,
             config,
-        ))
-    }
-
-    /// Creates a study running on an existing engine — the reusable-stage entry point for
-    /// library-scale pipelines, which share one engine (counter, cache) across studies.
-    ///
-    /// The engine's transient configuration takes precedence over `config.transient`.
-    pub fn with_engine(
-        engine: CharacterizationEngine,
-        database: &'a HistoricalDatabase,
-        config: StatisticalStudyConfig,
-    ) -> Self {
-        Self {
-            engine,
-            database,
-            config,
-        }
+        })
     }
 
     /// The engine bound to the target technology.
@@ -297,43 +286,35 @@ impl<'a> StatisticalStudy<'a> {
         &self.config
     }
 
-    fn map_extractor(&self, cell: Cell, metric: TimingMetric) -> MapExtractor {
-        let cell_kind = if self.config.cell_kind_matched_prior {
-            Some(cell.kind().name())
-        } else {
-            None
-        };
-        let prior = PriorBuilder::new()
-            .build(self.database, metric, cell_kind)
-            .or_else(|_| PriorBuilder::new().build(self.database, metric, None))
-            .expect("historical database must contain records for the requested metric");
-        let precision = PrecisionModel::learn(
-            self.database,
-            metric,
-            &self.engine.input_space(),
-            PrecisionConfig::default(),
-        );
-        MapExtractor::new(prior, precision)
+    /// The delay and output-slew MAP extractors for `cell`'s kind.
+    fn learn_extractors(&self, cell: Cell) -> Result<[MapExtractor; 2], PriorError> {
+        let space = self.engine.input_space();
+        let learn = |metric| MapExtractor::learn(self.database, metric, cell.kind().name(), &space);
+        Ok([
+            learn(TimingMetric::Delay)?,
+            learn(TimingMetric::OutputSlew)?,
+        ])
     }
 
     /// Per-seed parameter extraction for both metrics at the given training conditions.
     ///
-    /// Returns `(delay params, slew params, simulations spent)`; `use_prior = false` gives
-    /// the "Proposed Model + LSE" variant.
+    /// Returns `(delay params, slew params, simulations spent)`.  With the (delay, slew)
+    /// `extractors` every seed is fitted by MAP; with `None` by plain least squares, the
+    /// "Proposed Model + LSE" variant.
     fn extract_per_seed(
         &self,
         cell: Cell,
         arc: &TimingArc,
         training_points: &[InputPoint],
         seeds: &[ProcessSample],
-        use_prior: bool,
+        extractors: Option<&[MapExtractor; 2]>,
     ) -> (Vec<TimingParams>, Vec<TimingParams>, u64) {
-        let delay_extractor = self.map_extractor(cell, TimingMetric::Delay);
-        let slew_extractor = self.map_extractor(cell, TimingMetric::OutputSlew);
         let fitter = LeastSquaresFitter::new();
         let before = self.engine.simulation_count();
-        let mut delay_params = Vec::with_capacity(seeds.len());
-        let mut slew_params = Vec::with_capacity(seeds.len());
+        let mut params = [
+            Vec::with_capacity(seeds.len()),
+            Vec::with_capacity(seeds.len()),
+        ];
         // One cross-seed mega-batch instead of one sweep per seed: every
         // (training point, seed) lane enters the kernel as a single worklist, so the
         // SIMD dispatcher sees full quads even when the training grid is tiny.
@@ -341,38 +322,37 @@ impl<'a> StatisticalStudy<'a> {
             .engine
             .monte_carlo_sweep(cell, arc, training_points, seeds);
         for (s, seed) in seeds.iter().enumerate() {
-            let measurements: Vec<_> = by_point.iter().map(|row| row[s]).collect();
             let ieffs: Vec<_> = training_points
                 .iter()
                 .map(|p| self.engine.ieff(arc, p, seed))
                 .collect();
-            let delay_samples: Vec<TimingSample> = training_points
-                .iter()
-                .zip(&measurements)
-                .zip(&ieffs)
-                .map(|((p, m), ieff)| TimingSample::new(*p, *ieff, m.delay))
-                .collect();
-            let slew_samples: Vec<TimingSample> = training_points
-                .iter()
-                .zip(&measurements)
-                .zip(&ieffs)
-                .map(|((p, m), ieff)| TimingSample::new(*p, *ieff, m.output_slew))
-                .collect();
-            if use_prior {
-                delay_params.push(delay_extractor.extract(&delay_samples).params);
-                slew_params.push(slew_extractor.extract(&slew_samples).params);
-            } else {
-                delay_params.push(fitter.fit(&delay_samples).params);
-                slew_params.push(fitter.fit(&slew_samples).params);
+            for (i, metric) in TimingMetric::BOTH.into_iter().enumerate() {
+                let samples: Vec<TimingSample> = training_points
+                    .iter()
+                    .zip(&by_point)
+                    .zip(&ieffs)
+                    .map(|((p, row), ieff)| TimingSample::new(*p, *ieff, metric.of(&row[s])))
+                    .collect();
+                params[i].push(match extractors {
+                    Some(extractors) => extractors[i].extract(&samples).params,
+                    None => fitter.fit(&samples).params,
+                });
             }
         }
         let cost = self.engine.simulation_count() - before;
+        let [delay_params, slew_params] = params;
         (delay_params, slew_params, cost)
     }
 
     /// Runs the full statistical study for one arc, comparing the proposed Bayesian flow,
     /// the proposed-LSE variant and the statistical LUT.
-    pub fn run(&self, cell: Cell, arc: &TimingArc) -> StatisticalStudyResult {
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`PriorError`] of [`MapExtractor::learn`] when the database holds no
+    /// records of delay or output slew; nothing is simulated then.
+    pub fn run(&self, cell: Cell, arc: &TimingArc) -> Result<StatisticalStudyResult, PriorError> {
+        let extractors = self.learn_extractors(cell)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let space = self.engine.input_space();
         let seeds = self
@@ -429,13 +409,7 @@ impl<'a> StatisticalStudy<'a> {
             })
             .collect();
 
-        let mut curves: Vec<StatMethodCurves> = [
-            MethodKind::ProposedBayesian,
-            MethodKind::ProposedLse,
-            MethodKind::Lut,
-        ]
-        .iter()
-        .map(|&method| StatMethodCurves {
+        let mut curves = MethodKind::ALL.map(|method| StatMethodCurves {
             method,
             training_counts: self.config.training_counts.clone(),
             mean_delay_error: Vec::new(),
@@ -443,8 +417,7 @@ impl<'a> StatisticalStudy<'a> {
             mean_slew_error: Vec::new(),
             std_slew_error: Vec::new(),
             simulations: Vec::new(),
-        })
-        .collect();
+        });
 
         let lut_builder = LutBuilder::new(&self.engine);
 
@@ -452,14 +425,12 @@ impl<'a> StatisticalStudy<'a> {
             let mut training_rng =
                 StdRng::seed_from_u64(self.config.seed ^ (k as u64).wrapping_mul(0x9E37_79B9));
             let training_points = space.sample_latin_hypercube(&mut training_rng, k);
+            let [bayes, lse, lut_curve] = &mut curves;
 
-            for (method, use_prior) in [
-                (MethodKind::ProposedBayesian, true),
-                (MethodKind::ProposedLse, false),
-            ] {
+            for (curve, extractors) in [(bayes, Some(&extractors)), (lse, None)] {
                 let (delay_params, slew_params, cost) =
-                    self.extract_per_seed(cell, arc, &training_points, &seeds, use_prior);
-                let (md, sd, ms, ss) = self.model_moment_errors(
+                    self.extract_per_seed(cell, arc, &training_points, &seeds, extractors);
+                let errors = self.model_moment_errors(
                     &validation,
                     &validation_ieffs_per_seed,
                     &delay_params,
@@ -471,15 +442,7 @@ impl<'a> StatisticalStudy<'a> {
                         &baseline_std_slew,
                     ),
                 );
-                let curve = curves
-                    .iter_mut()
-                    .find(|c| c.method == method)
-                    .expect("curve exists");
-                curve.mean_delay_error.push(md);
-                curve.std_delay_error.push(sd);
-                curve.mean_slew_error.push(ms);
-                curve.std_slew_error.push(ss);
-                curve.simulations.push(cost);
+                curve.push(errors, cost);
             }
 
             // Statistical LUT with the same number of training conditions.
@@ -494,30 +457,22 @@ impl<'a> StatisticalStudy<'a> {
                 pred.2.push(ms);
                 pred.3.push(ss);
             }
-            let curve = curves
-                .iter_mut()
-                .find(|c| c.method == MethodKind::Lut)
-                .expect("curve exists");
-            curve
-                .mean_delay_error
-                .push(mean_relative_error_percent(&pred.0, &baseline_mean_delay));
-            curve
-                .std_delay_error
-                .push(mean_relative_error_percent(&pred.1, &baseline_std_delay));
-            curve
-                .mean_slew_error
-                .push(mean_relative_error_percent(&pred.2, &baseline_mean_slew));
-            curve
-                .std_slew_error
-                .push(mean_relative_error_percent(&pred.3, &baseline_std_slew));
-            curve.simulations.push(lut_cost);
+            lut_curve.push(
+                (
+                    mean_relative_error_percent(&pred.0, &baseline_mean_delay),
+                    mean_relative_error_percent(&pred.1, &baseline_std_delay),
+                    mean_relative_error_percent(&pred.2, &baseline_mean_slew),
+                    mean_relative_error_percent(&pred.3, &baseline_std_slew),
+                ),
+                lut_cost,
+            );
         }
 
-        StatisticalStudyResult {
-            curves,
+        Ok(StatisticalStudyResult {
+            curves: curves.into(),
             baseline_simulations,
             process_seeds: seeds.len(),
-        }
+        })
     }
 
     /// Computes Eqs. (16)–(19) (expressed as relative errors in percent) for a model-based
@@ -567,6 +522,11 @@ impl<'a> StatisticalStudy<'a> {
     /// Reproduces Fig. 9: the delay distribution at one input condition as seen by the
     /// baseline, the proposed method (with `proposed_k` training conditions) and a per-seed
     /// LUT interpolation (with `lut_budget` grid conditions).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`PriorError`] of [`MapExtractor::learn`] when the database holds no
+    /// records of delay or output slew; nothing is simulated then.
     pub fn delay_pdf(
         &self,
         cell: Cell,
@@ -574,7 +534,8 @@ impl<'a> StatisticalStudy<'a> {
         point: InputPoint,
         proposed_k: usize,
         lut_budget: usize,
-    ) -> DelayPdfComparison {
+    ) -> Result<DelayPdfComparison, PriorError> {
+        let extractors = self.learn_extractors(cell)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(9));
         let seeds = self
             .engine
@@ -594,7 +555,7 @@ impl<'a> StatisticalStudy<'a> {
         // Proposed: per-seed MAP extraction from `proposed_k` conditions.
         let training_points = space.sample_latin_hypercube(&mut rng, proposed_k);
         let (delay_params, _slew_params, _) =
-            self.extract_per_seed(cell, arc, &training_points, &seeds, true);
+            self.extract_per_seed(cell, arc, &training_points, &seeds, Some(&extractors));
         let proposed: Vec<f64> = delay_params
             .iter()
             .zip(&seeds)
@@ -634,14 +595,14 @@ impl<'a> StatisticalStudy<'a> {
             })
             .collect();
 
-        DelayPdfComparison {
+        Ok(DelayPdfComparison {
             point,
             baseline,
             proposed,
             lut,
             proposed_training_conditions: proposed_k,
             lut_training_conditions: levels.0 * levels.1 * levels.2,
-        }
+        })
     }
 }
 
@@ -650,7 +611,7 @@ impl<'a> StatisticalStudy<'a> {
 fn dedup_push(mut acc: Vec<f64>, value: f64) -> Vec<f64> {
     if !acc.iter().any(|v| (*v - value).abs() < 1e-18) {
         acc.push(value);
-        acc.sort_by(|a, b| a.partial_cmp(b).expect("finite axis values"));
+        acc.sort_by(f64::total_cmp);
     }
     acc
 }
@@ -672,6 +633,7 @@ mod tests {
                 &[TechnologyNode::n28_bulk(), TechnologyNode::n20_bulk()],
                 &Library::paper_trio(),
             )
+            .expect("valid transient settings")
             .database
     }
 
@@ -682,10 +644,11 @@ mod tests {
             TechnologyNode::target_28nm(),
             &db,
             StatisticalStudyConfig::quick(),
-        );
+        )
+        .expect("valid config");
         let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let result = study.run(cell, &arc);
+        let result = study.run(cell, &arc).expect("prior");
 
         assert_eq!(result.curves.len(), 3);
         assert_eq!(result.process_seeds, 30);
@@ -698,14 +661,14 @@ mod tests {
             }
         }
         // Mean-delay reconstruction by the Bayesian method must be accurate even at k = 3.
-        let bayes = result.curves_for(MethodKind::ProposedBayesian);
+        let bayes = result.curves_for(MethodKind::ProposedBayesian).unwrap();
         assert!(
             bayes.mean_delay_error[0] < 12.0,
             "mean-delay error = {}",
             bayes.mean_delay_error[0]
         );
         // And it must beat the 3-condition statistical LUT on mean delay.
-        let lut = result.curves_for(MethodKind::Lut);
+        let lut = result.curves_for(MethodKind::Lut).unwrap();
         assert!(bayes.mean_delay_error[0] < lut.mean_delay_error[0]);
         let table = result.to_markdown(StatMetric::MeanDelay);
         assert!(table.contains("Lookup Table"));
@@ -716,7 +679,8 @@ mod tests {
         let db = learned_database();
         let mut config = StatisticalStudyConfig::quick();
         config.process_seeds = 40;
-        let study = StatisticalStudy::new(TechnologyNode::target_28nm(), &db, config);
+        let study = StatisticalStudy::new(TechnologyNode::target_28nm(), &db, config)
+            .expect("valid config");
         let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
         let point = InputPoint::new(
@@ -724,7 +688,7 @@ mod tests {
             Farads::from_femtofarads(1.67),
             Volts(0.734),
         );
-        let pdf = study.delay_pdf(cell, &arc, point, 7, 12);
+        let pdf = study.delay_pdf(cell, &arc, point, 7, 12).expect("prior");
         assert_eq!(pdf.baseline.len(), 40);
         assert_eq!(pdf.proposed.len(), 40);
         assert_eq!(pdf.lut.len(), 40);
@@ -741,5 +705,47 @@ mod tests {
         let prop_mean = moments::mean(&pdf.proposed);
         assert!((prop_mean - base_mean).abs() / base_mean < 0.15);
         assert!(pdf.lut.iter().all(|d| *d > 0.0));
+    }
+
+    #[test]
+    fn a_metric_without_records_is_an_error_before_any_simulation() {
+        // Delay records only: the output-slew prior cannot be learned.
+        let mut db = HistoricalDatabase::new();
+        db.push(slic_bayes::HistoricalRecord::new(
+            "n28",
+            28,
+            "NAND2_X1",
+            "NAND2_X1/A0/FALL",
+            TimingMetric::Delay,
+            TimingParams::new(0.37, 1.33, -0.27, 0.03),
+            1.0,
+            Vec::new(),
+        ));
+        let study = StatisticalStudy::new(
+            TechnologyNode::target_28nm(),
+            &db,
+            StatisticalStudyConfig::quick(),
+        )
+        .expect("valid config");
+        let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
+        let arc = TimingArc::new(cell, 0, Transition::Fall);
+        let err = study.run(cell, &arc).expect_err("no slew records");
+        assert!(matches!(
+            err,
+            PriorError::NoMatchingRecords {
+                metric: TimingMetric::OutputSlew,
+                ..
+            }
+        ));
+        let point = InputPoint::new(
+            Seconds::from_picoseconds(5.09),
+            Farads::from_femtofarads(1.67),
+            Volts(0.734),
+        );
+        assert!(matches!(
+            study.delay_pdf(cell, &arc, point, 7, 12),
+            Err(PriorError::NoMatchingRecords { .. })
+        ));
+        assert_eq!(study.engine().simulation_count(), 0);
     }
 }

@@ -1,8 +1,10 @@
 //! `slic-pipeline` — the library-scale characterization pipeline.
 //!
-//! The per-arc studies in `slic` answer "how accurate is method X on this arc?"; this crate
-//! answers the production question: *characterize the whole library*.  The flow mirrors the
-//! batch drivers used by production characterization tools:
+//! This crate characterizes a whole library.  Each nominal work unit samples its arc's
+//! points and runs [`slic::nominal::fit_and_validate`], the fit-and-score routine the
+//! per-arc Fig. 6 study in `slic` measures, so the study's accuracy curves describe the code
+//! this pipeline runs.  The flow mirrors the batch flows of production characterization
+//! tools:
 //!
 //! 1. **Configure** — a [`RunConfig`] (JSON or flat TOML, every field optional) selects the
 //!    library, target and historical technologies, `quick`/`accurate` profile, cell-kind

@@ -12,19 +12,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use slic::historical::{HistoricalLearner, HistoricalLearningConfig, HistoricalLearningResult};
-use slic::nominal::MethodKind;
-use slic_bayes::{
-    HistoricalDatabase, MapExtractor, PrecisionConfig, PrecisionModel, PriorBuilder, TimingMetric,
-};
+use slic::nominal::{fit_and_validate, simulate_samples, Fit, MethodKind};
+use slic_bayes::{HistoricalDatabase, MapExtractor, TimingMetric};
 use slic_cells::CellKind;
-use slic_lut::LutBuilder;
 use slic_obs::Observability;
 use slic_spice::{
     CharacterizationEngine, DiskSimCache, InMemorySimCache, SimulationBackend, SimulationCache,
     SimulationCounter,
 };
-use slic_stats::distance::mean_relative_error_percent;
-use slic_timing_model::{LeastSquaresFitter, TimingSample};
 use slic_variation::{VariationExtractor, VariationTable};
 // BTreeMap (not HashMap) everywhere a collection can feed an artifact: iteration order
 // must be process-independent (lint rule D1).
@@ -325,30 +320,24 @@ impl PipelineRunner {
             if extractors.contains_key(&key) {
                 continue;
             }
-            let prior = PriorBuilder::new()
-                .build(database, unit.metric, Some(unit.cell.kind().name()))
-                .or_else(|_| PriorBuilder::new().build(database, unit.metric, None))
-                .map_err(|err| {
+            let kind = unit.cell.kind().name();
+            let space = self.engine.input_space();
+            let extractor =
+                MapExtractor::learn(database, unit.metric, kind, &space).map_err(|err| {
                     PipelineError::config(format!(
-                        "cannot build a prior for {} / {}: {err} (run the learn stage first?)",
-                        unit.cell.kind().name(),
+                        "cannot build a prior for {kind} / {}: {err} (run the learn stage first?)",
                         unit.metric
                     ))
                 })?;
-            let precision = PrecisionModel::learn(
-                database,
-                unit.metric,
-                &self.engine.input_space(),
-                PrecisionConfig::default(),
-            );
-            extractors.insert(key, MapExtractor::new(prior, precision));
+            extractors.insert(key, extractor);
         }
         Ok(extractors)
     }
 
     /// Executes one work unit.  Nominal units sample, simulate (through the shared
-    /// cache), fit and validate; Monte Carlo units sweep the export grid under every
-    /// process seed and reduce to a moment table.
+    /// cache) and go through [`fit_and_validate`], the routine the Fig. 6 study runs;
+    /// Monte Carlo units sweep the export grid under every process seed and reduce to a
+    /// moment table.
     fn run_unit(
         &self,
         unit: &WorkUnit,
@@ -359,74 +348,33 @@ impl PipelineRunner {
         }
         let k = self.config.training_count;
         let v = self.config.validation_points;
-        let space = self.engine.input_space();
+        let (engine, cell, arc, metric) = (&self.engine, unit.cell, &unit.arc, unit.metric);
+        let space = engine.input_space();
         let mut rng = StdRng::seed_from_u64(unit.sampling_seed(self.config.seed));
         let training_points = space.sample_latin_hypercube(&mut rng, k);
         let validation_points = space.sample_uniform(&mut rng, v);
-        let nominal = slic_device::ProcessSample::nominal();
 
-        let reference: Vec<f64> = self
-            .engine
-            .sweep_nominal(unit.cell, &unit.arc, &validation_points)
-            .iter()
-            .map(|m| unit.metric.pick(m))
-            .collect();
-
-        let (params, predictions) = match unit.method {
-            MethodKind::ProposedBayesian | MethodKind::ProposedLse => {
-                let measurements =
-                    self.engine
-                        .sweep_nominal(unit.cell, &unit.arc, &training_points);
-                let samples: Vec<TimingSample> = training_points
-                    .iter()
-                    .zip(&measurements)
-                    .map(|(p, m)| {
-                        TimingSample::new(
-                            *p,
-                            self.engine.ieff(&unit.arc, p, &nominal),
-                            slic_units::Seconds(unit.metric.pick(m)),
-                        )
-                    })
-                    .collect();
-                let params = if unit.method == MethodKind::ProposedBayesian {
-                    extractors
-                        .get(&(unit.cell.kind(), unit.metric))
-                        .ok_or_else(|| {
-                            PipelineError::config(format!(
-                                "no prebuilt extractor for {} / {}; the plan and the \
-                                 extractor table were built from different configs",
-                                unit.cell.kind().name(),
-                                unit.metric
-                            ))
-                        })?
-                        .extract(&samples)
-                        .params
-                } else {
-                    LeastSquaresFitter::new().fit(&samples).params
-                };
-                let predictions: Vec<f64> = validation_points
-                    .iter()
-                    .map(|p| {
-                        params
-                            .evaluate(p, self.engine.ieff(&unit.arc, p, &nominal))
-                            .value()
-                    })
-                    .collect();
-                (Some(params), predictions)
-            }
-            MethodKind::Lut => {
-                let lut = LutBuilder::new(&self.engine)
-                    .build_nominal_with_budget(unit.cell, &unit.arc, k);
-                let predictions: Vec<f64> = validation_points
-                    .iter()
-                    .map(|p| {
-                        let m = lut.predict(p);
-                        unit.metric.pick(&m)
-                    })
-                    .collect();
-                (None, predictions)
-            }
+        let validation = simulate_samples(engine, cell, arc, metric, &validation_points);
+        // A LUT spends its budget on its own grid, never on the training points.
+        let training = match unit.method {
+            MethodKind::Lut => Vec::new(),
+            _ => simulate_samples(engine, cell, arc, metric, &training_points),
         };
+        let fit = match unit.method {
+            MethodKind::ProposedBayesian => Fit::Map(
+                extractors.get(&(cell.kind(), metric)).ok_or_else(|| {
+                    PipelineError::config(format!(
+                        "no prebuilt extractor for {} / {metric}; the plan and the \
+                         extractor table were built from different configs",
+                        cell.kind().name(),
+                    ))
+                })?,
+                &training,
+            ),
+            MethodKind::ProposedLse => Fit::Lse(&training),
+            MethodKind::Lut => Fit::Lut(k),
+        };
+        let fitted = fit_and_validate(engine, cell, arc, metric, fit, &validation);
 
         Ok((
             UnitResult {
@@ -435,10 +383,10 @@ impl PipelineRunner {
                 metric: unit.metric,
                 method: unit.method,
                 kind: unit.kind,
-                params,
+                params: fitted.params,
                 training_count: k,
                 validation_points: v,
-                error_percent: mean_relative_error_percent(&predictions, &reference),
+                error_percent: fitted.error_percent,
                 requested_simulations: (k + v) as u64,
             },
             None,
@@ -480,21 +428,6 @@ impl PipelineRunner {
             },
             Some(table),
         ))
-    }
-}
-
-/// Metric-selection helper shared by the runner stages.
-trait MetricPick {
-    /// The metric's value out of a measurement, in seconds.
-    fn pick(&self, m: &slic_spice::TimingMeasurement) -> f64;
-}
-
-impl MetricPick for TimingMetric {
-    fn pick(&self, m: &slic_spice::TimingMeasurement) -> f64 {
-        match self {
-            TimingMetric::Delay => m.delay.value(),
-            TimingMetric::OutputSlew => m.output_slew.value(),
-        }
     }
 }
 

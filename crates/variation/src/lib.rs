@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use slic_bayes::TimingMetric;
 use slic_cells::{Cell, TimingArc};
 use slic_device::ProcessSample;
-use slic_spice::{CharacterizationEngine, InputPoint, TimingMeasurement};
+use slic_spice::{CharacterizationEngine, InputPoint};
 use slic_stats::moments;
 use slic_units::{Farads, Seconds};
 use std::fmt;
@@ -284,12 +284,6 @@ impl<'a> VariationExtractor<'a> {
             .engine
             .monte_carlo_sweep(cell, arc, &points, &self.seeds);
 
-        let pick = |m: &TimingMeasurement| -> f64 {
-            match metric {
-                TimingMetric::Delay => m.delay.value(),
-                TimingMetric::OutputSlew => m.output_slew.value(),
-            }
-        };
         let mut mean = Vec::with_capacity(slew_axis.len());
         let mut sigma = Vec::with_capacity(slew_axis.len());
         let mut skew = Vec::with_capacity(slew_axis.len());
@@ -298,7 +292,7 @@ impl<'a> VariationExtractor<'a> {
             let mut sigma_row = Vec::with_capacity(load_axis.len());
             let mut skew_row = Vec::with_capacity(load_axis.len());
             for seed_samples in point_rows {
-                let values: Vec<f64> = seed_samples.iter().map(&pick).collect();
+                let values: Vec<f64> = seed_samples.iter().map(|m| metric.of(m).value()).collect();
                 mean_row.push(moments::mean(&values));
                 sigma_row.push(moments::std_dev(&values));
                 skew_row.push(moments::skewness(&values));

@@ -56,7 +56,8 @@ fn main() {
     let library = Library::paper_trio();
     println!("characterizing the full historical suite once...");
     let learning = HistoricalLearner::new(HistoricalLearningConfig::default())
-        .learn(&TechnologyNode::historical_suite(), &library);
+        .learn(&TechnologyNode::historical_suite(), &library)
+        .expect("valid transient configuration");
     let db = &learning.database;
 
     let target = TechnologyNode::target_14nm();

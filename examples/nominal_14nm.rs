@@ -7,14 +7,15 @@
 //! Run with `cargo run --release --example nominal_14nm`.
 
 use slic::historical::{HistoricalLearner, HistoricalLearningConfig};
-use slic::nominal::{MethodKind, NominalStudy, NominalStudyConfig};
+use slic::nominal::{MethodCurve, MethodKind, NominalStudy, NominalStudyConfig};
 use slic::prelude::*;
 
 fn main() {
     let library = Library::paper_trio();
     println!("learning priors from the historical technology suite...");
     let learning = HistoricalLearner::new(HistoricalLearningConfig::default())
-        .learn(&TechnologyNode::historical_suite(), &library);
+        .learn(&TechnologyNode::historical_suite(), &library)
+        .expect("valid transient configuration");
     println!(
         "  {} records, {} simulations spent on historical nodes\n",
         learning.database.len(),
@@ -26,17 +27,25 @@ fn main() {
         training_counts: vec![1, 2, 3, 5, 10, 20, 50],
         ..NominalStudyConfig::default()
     };
-    let study = NominalStudy::new(TechnologyNode::target_14nm(), &learning.database, config);
+    let study = NominalStudy::new(TechnologyNode::target_14nm(), &learning.database, config)
+        .expect("valid transient configuration");
 
     for kind in [CellKind::Inv, CellKind::Nand2, CellKind::Nor2] {
         let cell = Cell::new(kind, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
         println!("=== {} / delay (Fig. 6 analogue) ===", arc.id());
-        let result = study.run(cell, &arc, TimingMetric::Delay);
+        let result = study
+            .run(cell, &arc, TimingMetric::Delay)
+            .expect("the historical suite has delay records");
         println!("{}", result.to_markdown());
 
-        let bayes_final = result.curve(MethodKind::ProposedBayesian).final_error();
-        let target = bayes_final.max(result.curve(MethodKind::Lut).final_error());
+        let final_error = |method| {
+            result
+                .curve(method)
+                .and_then(MethodCurve::final_error)
+                .expect("the study ran every method")
+        };
+        let target = final_error(MethodKind::ProposedBayesian).max(final_error(MethodKind::Lut));
         if let Some(speedup) =
             result.speedup_at(target, MethodKind::ProposedBayesian, MethodKind::Lut)
         {

@@ -24,7 +24,9 @@ fn main() {
     let library = Library::paper_trio();
     let historical = [TechnologyNode::n16_finfet(), TechnologyNode::n14_finfet()];
     let learner = HistoricalLearner::new(HistoricalLearningConfig::default());
-    let learning = learner.learn(&historical, &library);
+    let learning = learner
+        .learn(&historical, &library)
+        .expect("valid transient configuration");
     println!(
         "historical learning: {} records from {} technologies ({} simulations)\n",
         learning.database.len(),
@@ -75,16 +77,13 @@ fn main() {
     let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
 
-    let prior = PriorBuilder::new()
-        .build(&learning.database, TimingMetric::Delay, Some("NOR2"))
-        .expect("NOR2 delay records exist");
-    let precision = PrecisionModel::learn(
+    let extractor = MapExtractor::learn(
         &learning.database,
         TimingMetric::Delay,
+        cell.kind().name(),
         &engine.input_space(),
-        PrecisionConfig::default(),
-    );
-    let extractor = MapExtractor::new(prior, precision);
+    )
+    .expect("delay records exist");
 
     let mut rng = StdRng::seed_from_u64(7);
     let fitting_points = engine.input_space().sample_latin_hypercube(&mut rng, 3);

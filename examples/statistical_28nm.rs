@@ -16,7 +16,8 @@ fn main() {
     let library = Library::paper_trio();
     println!("learning priors from the historical technology suite...");
     let learning = HistoricalLearner::new(HistoricalLearningConfig::default())
-        .learn(&TechnologyNode::historical_suite(), &library);
+        .learn(&TechnologyNode::historical_suite(), &library)
+        .expect("valid transient configuration");
 
     let config = StatisticalStudyConfig {
         validation_points: 60,
@@ -24,12 +25,15 @@ fn main() {
         training_counts: vec![2, 3, 5, 10, 20],
         ..StatisticalStudyConfig::default()
     };
-    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), &learning.database, config);
+    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), &learning.database, config)
+        .expect("valid transient configuration");
 
     let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     println!("running the statistical study for {} ...\n", arc.id());
-    let result = study.run(cell, &arc);
+    let result = study
+        .run(cell, &arc)
+        .expect("the historical suite has delay and slew records");
 
     for (metric, title) in [
         (StatMetric::MeanDelay, "E(mu_Td)  — Fig. 7 left"),
@@ -39,12 +43,13 @@ fn main() {
     ] {
         println!("--- {title} ---");
         println!("{}", result.to_markdown(metric));
-        let bayes = result
-            .curves_for(MethodKind::ProposedBayesian)
-            .as_method_curve(metric)
-            .final_error();
-        let lut_curve = result.curves_for(MethodKind::Lut).as_method_curve(metric);
-        let target = bayes.max(lut_curve.final_error());
+        let final_error = |method| {
+            result
+                .curves_for(method)
+                .and_then(|c| c.as_method_curve(metric).final_error())
+                .expect("the study ran every method")
+        };
+        let target = final_error(MethodKind::ProposedBayesian).max(final_error(MethodKind::Lut));
         if let Some(speedup) = result.speedup_at(
             metric,
             target,
@@ -68,7 +73,9 @@ fn main() {
         Volts(0.734),
     );
     println!("reproducing the Fig. 9 delay PDF at {corner} ...");
-    let pdf = study.delay_pdf(cell, &arc, corner, 7, 60);
+    let pdf = study
+        .delay_pdf(cell, &arc, corner, 7, 60)
+        .expect("the historical suite has delay and slew records");
     let baseline = Summary::from_samples(&pdf.baseline);
     let proposed = Summary::from_samples(&pdf.proposed);
     let lut = Summary::from_samples(&pdf.lut);

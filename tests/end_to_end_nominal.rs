@@ -16,6 +16,7 @@ fn learned_database() -> HistoricalDatabase {
             &[TechnologyNode::n16_finfet(), TechnologyNode::n14_finfet()],
             &Library::paper_trio(),
         )
+        .expect("valid transient settings")
         .database
 }
 
@@ -27,14 +28,15 @@ fn bayesian_flow_beats_lut_at_small_sample_counts() {
         training_counts: vec![2, 5, 20],
         ..NominalStudyConfig::default()
     };
-    let study = NominalStudy::new(TechnologyNode::target_14nm(), &db, config);
+    let study =
+        NominalStudy::new(TechnologyNode::target_14nm(), &db, config).expect("valid config");
     let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
-    let result = study.run(cell, &arc, TimingMetric::Delay);
+    let result = study.run(cell, &arc, TimingMetric::Delay).expect("prior");
 
-    let bayes = result.curve(MethodKind::ProposedBayesian);
-    let lse = result.curve(MethodKind::ProposedLse);
-    let lut = result.curve(MethodKind::Lut);
+    let bayes = result.curve(MethodKind::ProposedBayesian).unwrap();
+    let lse = result.curve(MethodKind::ProposedLse).unwrap();
+    let lut = result.curve(MethodKind::Lut).unwrap();
 
     // At two training simulations the Bayesian method is already usable and far better than
     // a two-point LUT (the paper's central claim).
@@ -51,12 +53,12 @@ fn bayesian_flow_beats_lut_at_small_sample_counts() {
     );
     // With 20 simulations every method has converged to a few percent; the compact model
     // should still be at least as good as the LUT there.
-    assert!(bayes.final_error() < 8.0);
-    assert!(lse.final_error() < 10.0);
+    assert!(bayes.final_error().unwrap() < 8.0);
+    assert!(lse.final_error().unwrap() < 10.0);
 
     // Speedup accounting: the Bayesian flow reaches LUT-final accuracy with fewer
     // simulations than the LUT itself spent.
-    let target = lut.final_error();
+    let target = lut.final_error().unwrap();
     let sims_bayes = bayes
         .simulations_to_reach(target)
         .expect("bayesian reaches LUT accuracy");
@@ -77,15 +79,18 @@ fn slew_characterization_works_through_the_same_pipeline() {
         training_counts: vec![3, 10],
         ..NominalStudyConfig::default()
     };
-    let study = NominalStudy::new(TechnologyNode::target_14nm(), &db, config);
+    let study =
+        NominalStudy::new(TechnologyNode::target_14nm(), &db, config).expect("valid config");
     let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Rise);
-    let result = study.run(cell, &arc, TimingMetric::OutputSlew);
-    let bayes = result.curve(MethodKind::ProposedBayesian);
+    let result = study
+        .run(cell, &arc, TimingMetric::OutputSlew)
+        .expect("prior");
+    let bayes = result.curve(MethodKind::ProposedBayesian).unwrap();
+    let final_error = bayes.final_error().unwrap();
     assert!(
-        bayes.final_error() < 12.0,
-        "slew error at k=10 should be moderate, got {}",
-        bayes.final_error()
+        final_error < 12.0,
+        "slew error at k=10 should be moderate, got {final_error}"
     );
     assert!(bayes.errors_percent.iter().all(|e| e.is_finite()));
 }

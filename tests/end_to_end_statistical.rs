@@ -17,6 +17,7 @@ fn learned_database() -> HistoricalDatabase {
             &[TechnologyNode::n28_bulk(), TechnologyNode::n32_soi()],
             &Library::paper_trio(),
         )
+        .expect("valid transient settings")
         .database
 }
 
@@ -29,13 +30,14 @@ fn statistical_moments_are_reconstructed_from_few_conditions() {
         training_counts: vec![3, 10],
         ..StatisticalStudyConfig::default()
     };
-    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), &db, config);
+    let study =
+        StatisticalStudy::new(TechnologyNode::target_28nm(), &db, config).expect("valid config");
     let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
-    let result = study.run(cell, &arc);
+    let result = study.run(cell, &arc).expect("prior");
 
-    let bayes = result.curves_for(MethodKind::ProposedBayesian);
-    let lut = result.curves_for(MethodKind::Lut);
+    let bayes = result.curves_for(MethodKind::ProposedBayesian).unwrap();
+    let lut = result.curves_for(MethodKind::Lut).unwrap();
 
     // Mean reconstruction is accurate already at 3 conditions per seed.
     assert!(
@@ -60,7 +62,10 @@ fn statistical_moments_are_reconstructed_from_few_conditions() {
     assert_eq!(result.baseline_simulations, 25 * 40);
 
     // Speedup helper produces a finite ratio for the mean-delay metric.
-    let target = lut.as_method_curve(StatMetric::MeanDelay).final_error();
+    let target = lut
+        .as_method_curve(StatMetric::MeanDelay)
+        .final_error()
+        .unwrap();
     let speedup = result.speedup_at(
         StatMetric::MeanDelay,
         target,
@@ -84,7 +89,8 @@ fn low_vdd_delay_pdf_is_right_skewed_and_reconstructed() {
         training_counts: vec![3],
         ..StatisticalStudyConfig::default()
     };
-    let study = StatisticalStudy::new(TechnologyNode::target_28nm(), &db, config);
+    let study =
+        StatisticalStudy::new(TechnologyNode::target_28nm(), &db, config).expect("valid config");
     let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     let corner = InputPoint::new(
@@ -92,7 +98,7 @@ fn low_vdd_delay_pdf_is_right_skewed_and_reconstructed() {
         Farads::from_femtofarads(1.67),
         Volts(0.734),
     );
-    let pdf = study.delay_pdf(cell, &arc, corner, 7, 12);
+    let pdf = study.delay_pdf(cell, &arc, corner, 7, 12).expect("prior");
 
     // Near-threshold operation skews the delay distribution to the right (slow tail), the
     // Fig. 9 effect: the low-Vdd distribution is clearly more skewed than the same arc at
