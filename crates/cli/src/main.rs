@@ -6,15 +6,15 @@
 //! slic learn        # historical nodes -> historical-database JSON
 //! slic characterize # plan + run -> run-artifact JSON (+ optional Liberty)
 //!                   # --shard i/n runs one shard; --cache shares warm state on disk
-//!                   # --backend farm --workers a,b | --spawn-workers N farms the sims out
+//!                   # --workers a,b | --spawn-workers N farms the sims out
 //! slic worker       # serve transient batches for a farm broker (TCP or stdio)
 //! slic merge        # shard artifacts -> the whole-run artifact
 //! slic export       # run artifact -> Liberty text
 //! slic report       # run artifact -> Markdown summary
 //! slic cache        # cache maintenance (compact)
 //! slic profile      # reconstruct a --trace sidecar into a performance report
-//!                   # --diff gates one trace against another; --format chrome exports
-//!                   # Perfetto-loadable JSON
+//!                   # --diff gates one trace against another at fixed thresholds;
+//!                   # --format chrome exports Perfetto-loadable JSON
 //! slic history      # list / diff the cross-run ledger written by --ledger
 //! slic bench diff   # gate a fresh kernel bench report against the committed one
 //! slic lint         # workspace invariant checker (slic-lint)
@@ -61,15 +61,13 @@ OBSERVABILITY FLAGS (learn, characterize and worker):
                             a TTY the line is on by default for learn/characterize.
                             Progress also emits rate-limited `progress` trace events.
 
-FARM FLAGS (learn and characterize):
-    --backend <name>        local (default) | farm
+FARM FLAGS (learn and characterize; --workers or --spawn-workers runs the simulations
+on the farm instead of in-process):
     --workers <a,b,...>     TCP addresses of `slic worker --listen` processes
     --spawn-workers <n>     spawn n subprocess workers of this binary (zero-config
                             multi-process run); combinable with --workers
     --retry-budget <n>      re-dispatch attempts per job before it degrades to the
                             local fallback (default: fleet size)
-    --reconnect-attempts <n> re-dials per dead worker per reconnection round, spaced
-                            by seeded exponential backoff (default 4)
 
 SUBCOMMANDS:
     learn         Characterize the historical technologies and archive the
@@ -173,15 +171,12 @@ SUBCOMMANDS:
                     slic profile <trace.jsonl> [--format md|json|chrome] [--top <n>]
                     slic profile --diff <old.jsonl> <new.jsonl>   regression-gate two
                                             traces: total and per-phase wall deltas plus
-                                            cache drift against thresholds; exits nonzero
-                                            on regression
+                                            cache drift; exits nonzero on a rise past 50%
+                                            wall, 10% gated counters or a 5-point drop
+                                            in cache hit rate
                     --format <name>         md (default) | json | chrome (Chrome
                                             trace-event JSON — load in ui.perfetto.dev)
                     --top <n>               hottest-unit rows to keep (default 10)
-                    --config <file>         read `observability.diff.*` thresholds
-                    --wall-pct <f>          max wall-time rise, percent (default 50)
-                    --counter-pct <f>       max gated-counter rise, percent (default 10)
-                    --hit-rate-drop <f>     max cache-hit-rate drop, points (default 5)
 
     history       List the cross-run ledger written by `--ledger`, or gate its newest
                   run against the previous run of the same config fingerprint.
@@ -189,10 +184,10 @@ SUBCOMMANDS:
                     slic history <runs.jsonl> --diff     diff the last two runs with
                                             matching fingerprints; exits nonzero on
                                             regression (wall, sims paid, hit rate,
-                                            gated counters, artifact hash drift)
+                                            gated counters, artifact hash drift) at the
+                                            thresholds of `profile --diff`
                     --fingerprint <hex>     diff this fingerprint instead of the most
                                             recently recorded one
-                    --config/--wall-pct/--counter-pct/--hit-rate-drop   as in profile
 
     bench         Kernel benchmark gates.
                     bench diff <fresh.json> [<committed.json>]   compare a fresh
@@ -235,17 +230,15 @@ fn main() -> ExitCode {
         "methods",
         "seed",
         "cache",
-        "backend",
         "workers",
         "spawn-workers",
         "retry-budget",
-        "reconnect-attempts",
         "trace",
         "ledger",
         "out",
     ];
-    // profile/history/bench mix positionals with their own flag sets and threshold
-    // overrides; they dispatch before the generic flag machinery below.
+    // profile/history/bench mix positionals with their own flag sets; they dispatch
+    // before the generic flag machinery below.
     match command {
         "profile" => return cmd_profile_entry(&args[1..]),
         "history" => return cmd_history_entry(&args[1..]),
@@ -412,8 +405,9 @@ fn cmd_lint(flags: &BTreeMap<String, String>) -> ExitCode {
 }
 
 /// Parses `--flag value` pairs plus valueless `switches` (recorded as `"true"`); rejects
-/// stray positionals, missing values, and flags the subcommand does not consume (a typo'd
-/// flag must not silently fall back to a default).
+/// stray positionals, missing values (including a following `--flag` where a value
+/// belongs), and flags the subcommand does not consume (a typo'd flag must not silently
+/// fall back to a default).
 fn parse_flags(
     args: &[String],
     allowed: &[&str],
@@ -429,18 +423,23 @@ fn parse_flags(
             "true".to_string()
         } else if allowed.contains(&name) {
             it.next()
+                .filter(|value| !value.starts_with("--"))
                 .ok_or_else(|| format!("flag `--{name}` is missing its value"))?
                 .clone()
         } else {
-            return Err(format!(
-                "unknown flag `--{name}` for this subcommand (expected one of: {})",
-                allowed
-                    .iter()
-                    .chain(switches)
-                    .map(|f| format!("--{f}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
+            let expected: Vec<String> = allowed
+                .iter()
+                .chain(switches)
+                .map(|f| format!("--{f}"))
+                .collect();
+            return Err(if expected.is_empty() {
+                format!("unknown flag `--{name}`: this subcommand takes no flags")
+            } else {
+                format!(
+                    "unknown flag `--{name}` for this subcommand (expected one of: {})",
+                    expected.join(", ")
+                )
+            });
         };
         if flags.insert(name.to_string(), value).is_some() {
             return Err(format!("flag `--{name}` given twice"));
@@ -496,9 +495,6 @@ fn build_config(flags: &BTreeMap<String, String>) -> Result<RunConfig, PipelineE
     if let Some(v) = flags.get("cache") {
         config.cache = Some(v.clone());
     }
-    if let Some(v) = flags.get("backend") {
-        config.backend = Some(v.clone());
-    }
     if let Some(v) = flags.get("workers") {
         config.workers = Some(comma_list(v));
     }
@@ -514,14 +510,6 @@ fn build_config(flags: &BTreeMap<String, String>) -> Result<RunConfig, PipelineE
         })?;
         let mut knobs = config.farm.clone().unwrap_or_default();
         knobs.retry_budget = Some(budget);
-        config.farm = Some(knobs);
-    }
-    if let Some(v) = flags.get("reconnect-attempts") {
-        let attempts = v.parse::<u32>().map_err(|_| {
-            PipelineError::config(format!("`--reconnect-attempts {v}` is not an integer"))
-        })?;
-        let mut knobs = config.farm.clone().unwrap_or_default();
-        knobs.reconnect_attempts = Some(attempts);
         config.farm = Some(knobs);
     }
     // Any variation flag enables the Monte Carlo workload on top of whatever (if
@@ -628,7 +616,8 @@ fn build_runner(
         BackendChoice::Farm {
             workers,
             spawn_workers,
-            tuning,
+            retry_budget,
+            backoff_seed,
         } => {
             let program = if spawn_workers > 0 {
                 Some(std::env::current_exe().map_err(|err| {
@@ -638,13 +627,9 @@ fn build_runner(
                 None
             };
             let tuning = FarmTuning {
-                retry_budget: tuning.retry_budget,
-                reconnect_attempts: tuning.reconnect_attempts,
-                backoff_base_ms: tuning.backoff_base_ms,
-                backoff_cap_ms: tuning.backoff_cap_ms,
-                backoff_seed: tuning.backoff_seed,
-                heartbeat: tuning.heartbeat,
-                heartbeat_timeout_ms: tuning.heartbeat_timeout_ms,
+                retry_budget,
+                backoff_seed,
+                ..FarmTuning::default()
             };
             let farm =
                 FarmBackend::with_tuning(&workers, spawn_workers, program.as_deref(), tuning)
@@ -1113,14 +1098,11 @@ fn cmd_profile_entry(args: &[String]) -> ExitCode {
     if args.first().map(String::as_str) == Some("--diff") {
         match (args.get(1), args.get(2)) {
             (Some(old), Some(new)) if !old.starts_with("--") && !new.starts_with("--") => {
-                let flags = match parse_flags(&args[3..], THRESHOLD_FLAGS, &[]) {
-                    Ok(flags) => flags,
-                    Err(message) => {
-                        eprintln!("error: {message}");
-                        return ExitCode::from(2);
-                    }
-                };
-                return cmd_profile_diff(old, new, &flags);
+                if let Err(message) = parse_flags(&args[3..], &[], &[]) {
+                    eprintln!("error: {message}");
+                    return ExitCode::from(2);
+                }
+                return cmd_profile_diff(old, new);
             }
             _ => {
                 eprintln!(
@@ -1208,54 +1190,11 @@ fn cmd_profile(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The threshold-override flags shared by `slic profile --diff` and `slic history`.
-const THRESHOLD_FLAGS: &[&str] = &["config", "wall-pct", "counter-pct", "hit-rate-drop"];
-
-/// Resolves the regression-gate thresholds: `observability.diff.*` from an optional
-/// `--config` file first, CLI flag overrides on top, library defaults underneath.
-fn resolve_thresholds(flags: &BTreeMap<String, String>) -> Result<DiffThresholds, String> {
-    let mut thresholds = match flags.get("config") {
-        Some(path) => RunConfig::load(path)
-            .map_err(|err| err.to_string())?
-            .observability
-            .and_then(|knobs| knobs.diff)
-            .map(|knobs| knobs.resolve())
-            .unwrap_or_default(),
-        None => DiffThresholds::default(),
-    };
-    let parse = |flag: &str| -> Result<Option<f64>, String> {
-        flags
-            .get(flag)
-            .map(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("`--{flag} {v}` is not a number"))
-            })
-            .transpose()
-    };
-    if let Some(v) = parse("wall-pct")? {
-        thresholds.wall_pct = v;
-    }
-    if let Some(v) = parse("counter-pct")? {
-        thresholds.counter_pct = v;
-    }
-    if let Some(v) = parse("hit-rate-drop")? {
-        thresholds.hit_rate_drop_pct = v;
-    }
-    Ok(thresholds)
-}
-
 /// `slic profile --diff <old> <new>`: regression-gate one trace against another.
 ///
 /// Exits `FAILURE` on any gated regression (or a corrupt tail in either trace), `2`
 /// on unreadable inputs — so CI distinguishes "slower" from "broken invocation".
-fn cmd_profile_diff(old_path: &str, new_path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
-    let thresholds = match resolve_thresholds(flags) {
-        Ok(thresholds) => thresholds,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_profile_diff(old_path: &str, new_path: &str) -> ExitCode {
     let load = |path: &str| -> Result<(slic_obs::profile::ProfileReport, usize), String> {
         let parsed = slic_obs::profile::load(std::path::Path::new(path))
             .map_err(|err| format!("cannot read trace `{path}`: {err}"))?;
@@ -1274,7 +1213,7 @@ fn cmd_profile_diff(old_path: &str, new_path: &str, flags: &BTreeMap<String, Str
             return ExitCode::from(2);
         }
     };
-    let report = slic_obs::diff::diff_profiles(&old, &new, &thresholds);
+    let report = slic_obs::diff::diff_profiles(&old, &new, &DiffThresholds::default());
     print!(
         "{}",
         report.render_md(&format!("profile diff: {old_path} -> {new_path}"))
@@ -1300,9 +1239,7 @@ fn cmd_history_entry(args: &[String]) -> ExitCode {
         eprintln!("error: `slic history` needs a ledger file, e.g. `slic history runs.jsonl`");
         return ExitCode::from(2);
     };
-    let mut allowed = THRESHOLD_FLAGS.to_vec();
-    allowed.push("fingerprint");
-    let flags = match parse_flags(&args[1..], &allowed, &["diff"]) {
+    let flags = match parse_flags(&args[1..], &["fingerprint"], &["diff"]) {
         Ok(flags) => flags,
         Err(message) => {
             eprintln!("error: {message}");
@@ -1378,13 +1315,6 @@ fn cmd_history(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
         }
         return dropped_warning(false);
     }
-    let thresholds = match resolve_thresholds(flags) {
-        Ok(thresholds) => thresholds,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
     let fingerprint = flags.get("fingerprint").cloned().unwrap_or_else(|| {
         parsed
             .records
@@ -1408,7 +1338,7 @@ fn cmd_history(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
     }
     let old = matching[matching.len() - 2];
     let new = matching[matching.len() - 1];
-    let report = slic_obs::diff::diff_runs(old, new, &thresholds);
+    let report = slic_obs::diff::diff_runs(old, new, &DiffThresholds::default());
     print!(
         "{}",
         report.render_md(&format!(

@@ -184,8 +184,6 @@ fn killing_a_tcp_worker_mid_run_fails_over_with_an_identical_artifact() {
             "characterize",
             "--history",
             "history.json",
-            "--backend",
-            "farm",
             "--workers",
             &format!("{survivor_addr},{doomed_addr}"),
             "--out",

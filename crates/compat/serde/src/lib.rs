@@ -214,8 +214,11 @@ macro_rules! impl_int {
                     return Err(Error::custom(format!("expected integer, found {n}")));
                 }
                 // Range check before the cast: `as` would silently saturate, turning e.g.
-                // a typo'd negative seed into 0.
-                if n < <$t>::MIN as f64 || n > <$t>::MAX as f64 {
+                // a typo'd negative seed into 0.  The upper bound is exclusive and exact:
+                // `MAX as f64` rounds up to 2^64 (2^63 for i64), which would let exactly
+                // that value through, but `(MAX / 2 + 1) * 2` is MAX + 1, a power of two.
+                let above_max = (<$t>::MAX / 2 + 1) as f64 * 2.0;
+                if n < <$t>::MIN as f64 || n >= above_max {
                     return Err(Error::custom(format!(
                         "integer {n} out of range for {}",
                         stringify!($t)
@@ -403,6 +406,28 @@ mod tests {
         assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
         assert!(String::from_value(&Value::Null).is_err());
+    }
+
+    #[test]
+    fn one_past_max_is_out_of_range_for_64_bit_integers() {
+        // `MAX as f64` is 2^64 (2^63 for i64); that value is one past MAX, not MAX.
+        let two_to_the = |bits: i32| Value::Number(2f64.powi(bits));
+        for (value, ty) in [
+            (u64::from_value(&two_to_the(64)).err(), "u64"),
+            (usize::from_value(&two_to_the(64)).err(), "usize"),
+            (i64::from_value(&two_to_the(63)).err(), "i64"),
+        ] {
+            let err = value.expect("2^width must not saturate to MAX");
+            assert!(err.to_string().contains("out of range"), "{ty}: {err}");
+        }
+        // The largest doubles below the bound and the signed minimum still convert.
+        let below = |bits: i32| Value::Number(2f64.powi(bits) - 2f64.powi(bits - 53));
+        assert_eq!(u64::from_value(&below(64)).unwrap(), u64::MAX - 2047);
+        assert_eq!(i64::from_value(&below(63)).unwrap(), i64::MAX - 1023);
+        assert_eq!(
+            i64::from_value(&Value::Number(-(2f64.powi(63)))).unwrap(),
+            i64::MIN
+        );
     }
 
     #[test]

@@ -135,9 +135,8 @@ pub struct FarmTuning {
     pub backoff_cap_ms: u64,
     /// Seed of the backoff jitter streams (per-worker streams are derived from it).
     pub backoff_seed: u64,
-    /// Probe TCP workers with `ping`/`pong` before each dispatch wave.
-    pub heartbeat: bool,
-    /// Read deadline for one heartbeat round trip, in milliseconds.
+    /// Read deadline for the `ping`/`pong` round trip that admits a TCP worker to each
+    /// dispatch wave, in milliseconds.
     pub heartbeat_timeout_ms: u64,
 }
 
@@ -151,7 +150,6 @@ impl Default for FarmTuning {
             // Any fixed constant keeps the default schedule deterministic; runs that
             // want per-run jitter derive a seed from their RunConfig (see slic-pipeline).
             backoff_seed: 0x51ac_0fa2,
-            heartbeat: true,
             heartbeat_timeout_ms: 5_000,
         }
     }
@@ -556,14 +554,11 @@ impl FarmBackend {
 
     /// Probes one worker with a `ping`/`pong` round trip under the heartbeat deadline.
     ///
-    /// Returns `true` when the worker may be dispatched to: it answered, it is a stdio
-    /// child (pipes cannot be half-open; the [`PipeWatchdog`] covers hangs), or
-    /// heartbeats are disabled.  A silent or wrong answer drops the connection — the
-    /// reconnect supervisor decides whether it comes back.
+    /// Returns `true` when the worker may be dispatched to: it answered, or it is a stdio
+    /// child (pipes cannot be half-open; the [`PipeWatchdog`] covers hangs).  A silent or
+    /// wrong answer drops the connection — the reconnect supervisor decides whether it
+    /// comes back.
     fn heartbeat(&self, slot: &WorkerSlot) -> bool {
-        if !self.tuning.heartbeat {
-            return true;
-        }
         let mut guard = match slot.conn.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {

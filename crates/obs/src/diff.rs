@@ -9,7 +9,7 @@
 //! two runs.
 //!
 //! Thresholds are deliberately asymmetric: wall time is noisy (CI machines, thermal
-//! state), so its default gate is loose; deterministic counters of a fixed seed are
+//! state), so its gate is loose; deterministic counters of a fixed seed are
 //! exactly reproducible, so their gate is tight.  Rows below the noise floors are
 //! reported but never gated — a 2 ms span doubling or a 3-miss cache drifting by one
 //! is timer/jitter noise, not a regression.
@@ -18,8 +18,8 @@ use crate::ledger::RunRecord;
 use crate::profile::ProfileReport;
 use std::fmt::Write as _;
 
-/// Regression thresholds, configurable via `observability.diff.*` config keys or the
-/// `--wall-pct` / `--counter-pct` / `--hit-rate-drop` CLI flags.
+/// Regression thresholds.  Both CLI gates use the [`Default`] set (50 % wall, 10 %
+/// counters, 5 points of hit rate); tests pass their own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiffThresholds {
     /// Maximum tolerated wall-time increase, percent (applies to total wall and

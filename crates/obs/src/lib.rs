@@ -23,7 +23,7 @@
 //!   `--ledger runs.jsonl` — where a run's cost is kept once its process exits.
 //! * [`diff`] — the regression gate: threshold-driven comparison of two profile
 //!   reports (`slic profile --diff`) or two ledger records (`slic history --diff`),
-//!   exiting nonzero on drift past `observability.diff.*` thresholds.
+//!   exiting nonzero on drift past the fixed [`DiffThresholds::default`] set.
 //! * [`perfetto`] — Chrome trace-event export (`slic profile --format chrome`) so a
 //!   farmed run's span tree can be walked interactively in ui.perfetto.dev.
 //! * [`progress`] — a live [`progress::ProgressMeter`]: periodic `progress` trace

@@ -138,10 +138,8 @@ pub struct RunConfig {
     /// Path of a persistent (JSON-lines) simulation cache shared by shard workers and
     /// reruns; created on first use.  Unset = a fresh in-memory cache per run.
     pub cache: Option<String>,
-    /// Simulation backend: `"local"` (default) or `"farm"`.  Unset with `workers` or
-    /// `spawn_workers` given implies `"farm"`.
-    pub backend: Option<String>,
-    /// TCP addresses of running `slic worker --listen` processes for the farm backend.
+    /// TCP addresses of running `slic worker --listen` processes.  Setting these or
+    /// `spawn_workers` runs the simulations on the farm backend instead of in-process.
     pub workers: Option<Vec<String>>,
     /// Number of local subprocess workers the farm backend spawns (the zero-config
     /// multi-process mode: `slic characterize --spawn-workers N`).
@@ -195,76 +193,14 @@ pub struct ObservabilityKnobs {
     /// Force the live stderr progress line even when stderr is not a TTY (the CLI
     /// enables it automatically on a TTY).  Equivalent to the `--progress` CLI switch.
     pub progress: Option<bool>,
-    /// Regression-diff thresholds for `slic history --diff` / `slic profile --diff`.
-    pub diff: Option<DiffKnobs>,
 }
 
-/// User-facing regression-diff thresholds, every field optional.  In flat TOML these
-/// are the dotted `observability.diff.*` keys (`observability.diff.wall_pct = 50.0`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DiffKnobs {
-    /// Maximum tolerated wall-time increase, percent (default 50 — wall is noisy).
-    pub wall_pct: Option<f64>,
-    /// Maximum tolerated increase of gated counters, percent (default 10 —
-    /// deterministic counters of a fixed seed reproduce exactly).
-    pub counter_pct: Option<f64>,
-    /// Maximum tolerated cache-hit-rate drop, percentage points (default 5).
-    pub hit_rate_drop_pct: Option<f64>,
-}
-
-impl DiffKnobs {
-    /// Applies defaults, yielding the thresholds the diff surfaces consume.
-    pub fn resolve(&self) -> slic_obs::DiffThresholds {
-        let defaults = slic_obs::DiffThresholds::default();
-        slic_obs::DiffThresholds {
-            wall_pct: self.wall_pct.unwrap_or(defaults.wall_pct),
-            counter_pct: self.counter_pct.unwrap_or(defaults.counter_pct),
-            hit_rate_drop_pct: self.hit_rate_drop_pct.unwrap_or(defaults.hit_rate_drop_pct),
-        }
-    }
-}
-
-/// User-facing farm resilience knobs, every field optional.  In flat TOML these are the
-/// dotted `farm.*` keys (`farm.retry_budget = 3`).
+/// User-facing farm knobs.  In flat TOML this is the dotted `farm.retry_budget` key.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FarmKnobs {
     /// Dispatch attempts per job before it degrades to the broker's local fallback;
     /// default = the fleet size (every worker gets one shot).  Must be at least 1.
     pub retry_budget: Option<usize>,
-    /// Re-dials per reconnect campaign before a dead worker is retired for the run;
-    /// default 4.  `0` means a dead worker stays dead.
-    pub reconnect_attempts: Option<u32>,
-    /// First-attempt ceiling of the re-dial backoff schedule, in milliseconds
-    /// (default 50).
-    pub backoff_base_ms: Option<u64>,
-    /// Hard ceiling of any single re-dial delay, in milliseconds (default 2000).
-    pub backoff_cap_ms: Option<u64>,
-    /// Probe TCP workers with a `ping`/`pong` heartbeat before dispatch (default true).
-    pub heartbeat: Option<bool>,
-    /// Read deadline for one heartbeat round trip, in milliseconds (default 5000).
-    pub heartbeat_timeout_ms: Option<u64>,
-}
-
-/// Resolved farm resilience tuning — the pipeline-side mirror of `slic_farm::FarmTuning`
-/// (this crate does not depend on `slic-farm`; the CLI maps the fields across when it
-/// builds the fleet).  The backoff seed is derived from the run seed, so re-dial
-/// schedules are replayable per run without ever touching an artifact byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FarmResilience {
-    /// Dispatch attempts per job; `None` = fleet size.
-    pub retry_budget: Option<usize>,
-    /// Re-dials per reconnect campaign before a worker is retired.
-    pub reconnect_attempts: u32,
-    /// First-attempt backoff ceiling, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Hard backoff ceiling, milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Jitter seed of the re-dial schedule (run seed ⊕ salt).
-    pub backoff_seed: u64,
-    /// Whether workers are heartbeat-probed before dispatch.
-    pub heartbeat: bool,
-    /// Heartbeat round-trip deadline, milliseconds.
-    pub heartbeat_timeout_ms: u64,
 }
 
 /// Where the run's transient simulations execute.
@@ -278,8 +214,11 @@ pub enum BackendChoice {
         workers: Vec<String>,
         /// Subprocess workers to spawn in addition.
         spawn_workers: usize,
-        /// Resilience knobs for the fleet.
-        tuning: FarmResilience,
+        /// Dispatch attempts per job; `None` = fleet size.
+        retry_budget: Option<usize>,
+        /// Jitter seed of the re-dial schedule (run seed ⊕ salt), so re-dial schedules
+        /// replay per run without ever touching an artifact byte.
+        backoff_seed: u64,
     },
 }
 
@@ -300,7 +239,6 @@ const KNOWN_CONFIG_KEYS: &[&str] = &[
     "validation_points",
     "seed",
     "cache",
-    "backend",
     "workers",
     "spawn_workers",
     "variation",
@@ -316,22 +254,12 @@ const KNOWN_VARIATION_KEYS: &[&str] = &["process_seeds", "sigma_corners"];
 const KNOWN_KERNEL_KEYS: &[&str] = &["simd"];
 
 /// Every key of the nested `observability` section.
-const KNOWN_OBSERVABILITY_KEYS: &[&str] = &["trace", "ledger", "progress", "diff"];
-
-/// Every key of the nested `observability.diff` section.
-const KNOWN_DIFF_KEYS: &[&str] = &["wall_pct", "counter_pct", "hit_rate_drop_pct"];
+const KNOWN_OBSERVABILITY_KEYS: &[&str] = &["trace", "ledger", "progress"];
 
 /// Every key of the nested `farm` section.
-const KNOWN_FARM_KEYS: &[&str] = &[
-    "retry_budget",
-    "reconnect_attempts",
-    "backoff_base_ms",
-    "backoff_cap_ms",
-    "heartbeat",
-    "heartbeat_timeout_ms",
-];
+const KNOWN_FARM_KEYS: &[&str] = &["retry_budget"];
 
-/// Rejects unknown top-level, `variation.*` and `kernel.*` keys with a pointed error.
+/// Rejects unknown top-level and section keys with a pointed error.
 fn check_config_keys(value: &serde::Value) -> Result<(), PipelineError> {
     let Some(entries) = value.as_object() else {
         return Ok(()); // A non-object config fails shape-checking with its own error.
@@ -358,26 +286,12 @@ fn check_config_keys(value: &serde::Value) -> Result<(), PipelineError> {
         };
         if let Some((section, known)) = nested {
             if let Some(inner) = sub.as_object() {
-                for (sub_key, sub_value) in inner {
+                for (sub_key, _) in inner {
                     if !known.contains(&sub_key.as_str()) {
                         return Err(PipelineError::config(format!(
                             "unknown config key `{section}.{sub_key}` (expected one of: {})",
                             listing(known, &format!("{section}."))
                         )));
-                    }
-                    // One more level: the diff thresholds nest under observability.
-                    if section == "observability" && sub_key == "diff" {
-                        if let Some(diff_entries) = sub_value.as_object() {
-                            for (diff_key, _) in diff_entries {
-                                if !KNOWN_DIFF_KEYS.contains(&diff_key.as_str()) {
-                                    return Err(PipelineError::config(format!(
-                                        "unknown config key `observability.diff.{diff_key}` \
-                                         (expected one of: {})",
-                                        listing(KNOWN_DIFF_KEYS, "observability.diff.")
-                                    )));
-                                }
-                            }
-                        }
                     }
                 }
             }
@@ -441,7 +355,8 @@ impl RunConfig {
     /// # Errors
     ///
     /// Returns a [`PipelineError::Config`] naming any unknown library, technology, metric,
-    /// method, profile or drive strength, or a filter selection that leaves no cells.
+    /// method, profile or drive strength, a filter selection that leaves no cells, or a
+    /// budget below its minimum.
     pub fn resolve(&self) -> Result<ResolvedConfig, PipelineError> {
         let library_name = self.library.as_deref().unwrap_or("paper-trio");
         let mut library = Library::builtin(library_name).ok_or_else(|| {
@@ -530,68 +445,31 @@ impl RunConfig {
         }
 
         let seed = self.seed.unwrap_or(20150313);
-        let tuning = {
-            let knobs = self.farm.clone().unwrap_or_default();
-            if knobs.retry_budget == Some(0) {
-                return Err(PipelineError::config(
-                    "`farm.retry_budget` must be at least 1 (every job needs one dispatch \
-                     attempt before it can degrade to the local fallback)",
-                ));
-            }
-            FarmResilience {
-                retry_budget: knobs.retry_budget,
-                reconnect_attempts: knobs.reconnect_attempts.unwrap_or(4),
-                backoff_base_ms: knobs.backoff_base_ms.unwrap_or(50),
-                backoff_cap_ms: knobs.backoff_cap_ms.unwrap_or(2_000),
-                backoff_seed: seed ^ FARM_SEED_SALT,
-                heartbeat: knobs.heartbeat.unwrap_or(true),
-                heartbeat_timeout_ms: knobs.heartbeat_timeout_ms.unwrap_or(5_000),
-            }
-        };
-        let workers = self.workers.clone().unwrap_or_default();
-        let spawn_workers = self.spawn_workers.unwrap_or(0);
-        let backend = match self.backend.as_deref() {
-            Some("local") => {
-                if !workers.is_empty() || spawn_workers > 0 {
-                    return Err(PipelineError::config(
-                        "backend is `local` but farm workers are configured; drop \
-                         `workers`/`spawn_workers` or set `backend = \"farm\"`",
-                    ));
-                }
-                BackendChoice::Local
-            }
-            Some("farm") => {
-                if workers.is_empty() && spawn_workers == 0 {
-                    return Err(PipelineError::config(
-                        "the farm backend needs `workers` addresses and/or a \
-                         `spawn_workers` count",
-                    ));
-                }
-                BackendChoice::Farm {
-                    workers,
-                    spawn_workers,
-                    tuning,
-                }
-            }
-            // Farm knobs without an explicit backend name imply the farm.
-            None if !workers.is_empty() || spawn_workers > 0 => BackendChoice::Farm {
-                workers,
-                spawn_workers,
-                tuning,
-            },
-            None => BackendChoice::Local,
-            Some(other) => {
-                return Err(PipelineError::config(format!(
-                    "unknown backend `{other}` (expected `local` or `farm`)"
-                )));
-            }
-        };
-        if self.farm.is_some() && !matches!(backend, BackendChoice::Farm { .. }) {
+        let retry_budget = self.farm.as_ref().and_then(|knobs| knobs.retry_budget);
+        if retry_budget == Some(0) {
             return Err(PipelineError::config(
-                "`farm.*` knobs apply to the farm backend only; configure `workers` / \
-                 `spawn_workers` or drop the farm section",
+                "`farm.retry_budget` must be at least 1 (every job needs one dispatch \
+                 attempt before it can degrade to the local fallback)",
             ));
         }
+        let workers = self.workers.clone().unwrap_or_default();
+        let spawn_workers = self.spawn_workers.unwrap_or(0);
+        let backend = if workers.is_empty() && spawn_workers == 0 {
+            if self.farm.is_some() {
+                return Err(PipelineError::config(
+                    "`farm.*` knobs apply to the farm backend only; configure `workers` / \
+                     `spawn_workers` or drop the farm section",
+                ));
+            }
+            BackendChoice::Local
+        } else {
+            BackendChoice::Farm {
+                workers,
+                spawn_workers,
+                retry_budget,
+                backoff_seed: seed ^ FARM_SEED_SALT,
+            }
+        };
 
         let simd = self.kernel.as_ref().and_then(|k| k.simd).unwrap_or(false);
         if simd && !matches!(backend, BackendChoice::Local) {
@@ -621,6 +499,23 @@ impl RunConfig {
             }
         };
 
+        let training_count = self
+            .training_count
+            .unwrap_or_else(|| profile.training_count());
+        if training_count == 0 {
+            return Err(PipelineError::config(
+                "`training_count` must be at least 1, got 0",
+            ));
+        }
+        let validation_points = self
+            .validation_points
+            .unwrap_or_else(|| profile.validation_points());
+        if validation_points < 2 {
+            return Err(PipelineError::config(format!(
+                "`validation_points` must be at least 2, got {validation_points}"
+            )));
+        }
+
         Ok(ResolvedConfig {
             library_name: library_name.to_string(),
             library,
@@ -629,14 +524,8 @@ impl RunConfig {
             profile,
             metrics,
             methods,
-            training_count: self
-                .training_count
-                .unwrap_or_else(|| profile.training_count())
-                .max(1),
-            validation_points: self
-                .validation_points
-                .unwrap_or_else(|| profile.validation_points())
-                .max(2),
+            training_count,
+            validation_points,
             transient: profile.transient(),
             export_grid: profile.export_grid(),
             seed,
@@ -659,12 +548,6 @@ impl RunConfig {
                 .as_ref()
                 .and_then(|knobs| knobs.progress)
                 .unwrap_or(false),
-            diff: self
-                .observability
-                .as_ref()
-                .and_then(|knobs| knobs.diff.as_ref())
-                .map(DiffKnobs::resolve)
-                .unwrap_or_default(),
         })
     }
 }
@@ -717,8 +600,6 @@ pub struct ResolvedConfig {
     /// Whether the stderr progress line is forced on (the CLI also turns it on when
     /// stderr is a TTY).
     pub progress: bool,
-    /// Regression-diff thresholds (`observability.diff.*` with defaults applied).
-    pub diff: slic_obs::DiffThresholds,
 }
 
 impl ResolvedConfig {
@@ -874,76 +755,53 @@ mod tests {
         .contains("selection is empty"));
     }
 
-    /// The resolved resilience defaults for a given run seed.
-    fn default_tuning(seed: u64) -> FarmResilience {
-        FarmResilience {
-            retry_budget: None,
-            reconnect_attempts: 4,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
-            backoff_seed: seed ^ FARM_SEED_SALT,
-            heartbeat: true,
-            heartbeat_timeout_ms: 5_000,
-        }
-    }
-
     #[test]
     fn backend_resolution_covers_local_farm_and_inference() {
         assert_eq!(
             RunConfig::default().resolve().unwrap().backend,
             BackendChoice::Local
         );
-        let explicit = RunConfig {
-            backend: Some("farm".into()),
+        // Worker addresses or a spawn count select the farm.
+        let farm = RunConfig {
             workers: Some(vec!["10.0.0.5:9200".into()]),
             spawn_workers: Some(2),
             ..Default::default()
         };
         assert_eq!(
-            explicit.resolve().unwrap().backend,
+            farm.resolve().unwrap().backend,
             BackendChoice::Farm {
                 workers: vec!["10.0.0.5:9200".into()],
                 spawn_workers: 2,
-                tuning: default_tuning(20150313),
+                retry_budget: None,
+                backoff_seed: 20150313 ^ FARM_SEED_SALT,
             }
         );
-        // Farm knobs alone imply the farm backend.
-        let implied = RunConfig {
+        let spawned = RunConfig {
             spawn_workers: Some(3),
             ..Default::default()
         };
         assert_eq!(
-            implied.resolve().unwrap().backend,
+            spawned.resolve().unwrap().backend,
             BackendChoice::Farm {
                 workers: vec![],
                 spawn_workers: 3,
-                tuning: default_tuning(20150313),
+                retry_budget: None,
+                backoff_seed: 20150313 ^ FARM_SEED_SALT,
             }
         );
-        let bad = |cfg: RunConfig| cfg.resolve().unwrap_err().to_string();
-        assert!(bad(RunConfig {
-            backend: Some("cloud".into()),
+        // An empty worker list and a zero spawn count leave the run local.
+        let empty = RunConfig {
+            workers: Some(vec![]),
+            spawn_workers: Some(0),
             ..Default::default()
-        })
-        .contains("unknown backend"));
-        assert!(bad(RunConfig {
-            backend: Some("farm".into()),
-            ..Default::default()
-        })
-        .contains("needs `workers`"));
-        assert!(bad(RunConfig {
-            backend: Some("local".into()),
-            spawn_workers: Some(2),
-            ..Default::default()
-        })
-        .contains("farm workers are configured"));
+        };
+        assert_eq!(empty.resolve().unwrap().backend, BackendChoice::Local);
     }
 
     #[test]
     fn farm_config_round_trips_through_json_and_toml() {
-        let json = r#"{"backend": "farm", "workers": ["a:1", "b:2"], "spawn_workers": 2}"#;
+        let json = r#"{"workers": ["a:1", "b:2"], "spawn_workers": 2}"#;
         let toml_text = "
-            backend = \"farm\"
             workers = [\"a:1\", \"b:2\"]
             spawn_workers = 2
         ";
@@ -1093,31 +951,20 @@ mod tests {
 
     #[test]
     fn farm_knobs_parse_from_json_and_dotted_toml_and_resolve() {
-        let json = r#"{
-            "spawn_workers": 2,
-            "farm": {"retry_budget": 3, "backoff_base_ms": 10, "heartbeat": false}
-        }"#;
+        let json = r#"{"spawn_workers": 2, "farm": {"retry_budget": 3}}"#;
         let toml_text = "
             spawn_workers = 2
             farm.retry_budget = 3
-            farm.backoff_base_ms = 10
-            farm.heartbeat = false
         ";
         let a = RunConfig::from_json(json).unwrap();
         let b = RunConfig::from_toml(toml_text).unwrap();
         assert_eq!(a, b);
         let text = serde_json::to_string(&a).unwrap();
         assert_eq!(RunConfig::from_json(&text).unwrap(), a);
-        let BackendChoice::Farm { tuning, .. } = a.resolve().unwrap().backend else {
+        let BackendChoice::Farm { retry_budget, .. } = a.resolve().unwrap().backend else {
             panic!("spawn_workers implies the farm backend");
         };
-        assert_eq!(tuning.retry_budget, Some(3));
-        assert_eq!(tuning.backoff_base_ms, 10);
-        assert!(!tuning.heartbeat);
-        // Unset knobs keep the broker defaults.
-        assert_eq!(tuning.reconnect_attempts, 4);
-        assert_eq!(tuning.backoff_cap_ms, 2_000);
-        assert_eq!(tuning.heartbeat_timeout_ms, 5_000);
+        assert_eq!(retry_budget, Some(3));
     }
 
     #[test]
@@ -1128,10 +975,10 @@ mod tests {
                 seed: Some(seed),
                 ..Default::default()
             };
-            let BackendChoice::Farm { tuning, .. } = config.resolve().unwrap().backend else {
+            let BackendChoice::Farm { backoff_seed, .. } = config.resolve().unwrap().backend else {
                 panic!("farm backend expected");
             };
-            tuning.backoff_seed
+            backoff_seed
         };
         assert_eq!(with_seed(7), with_seed(7), "deterministic per run seed");
         assert_ne!(with_seed(7), with_seed(8), "different runs re-jitter");
@@ -1144,7 +991,6 @@ mod tests {
         let err = bad(RunConfig {
             farm: Some(FarmKnobs {
                 retry_budget: Some(3),
-                ..FarmKnobs::default()
             }),
             ..Default::default()
         });
@@ -1153,7 +999,6 @@ mod tests {
             spawn_workers: Some(2),
             farm: Some(FarmKnobs {
                 retry_budget: Some(0),
-                ..FarmKnobs::default()
             }),
             ..Default::default()
         });
@@ -1178,13 +1023,11 @@ mod tests {
         let json = r#"{"observability": {
             "trace": "run.jsonl",
             "ledger": "runs.jsonl",
-            "progress": true,
-            "diff": {"wall_pct": 25.0}
+            "progress": true
         }}"#;
         let toml_text = "observability.trace = \"run.jsonl\"\n\
                          observability.ledger = \"runs.jsonl\"\n\
-                         observability.progress = true\n\
-                         observability.diff.wall_pct = 25.0";
+                         observability.progress = true";
         let a = RunConfig::from_json(json).unwrap();
         let b = RunConfig::from_toml(toml_text).unwrap();
         assert_eq!(a, b);
@@ -1194,10 +1037,6 @@ mod tests {
                 trace: Some("run.jsonl".to_string()),
                 ledger: Some("runs.jsonl".to_string()),
                 progress: Some(true),
-                diff: Some(DiffKnobs {
-                    wall_pct: Some(25.0),
-                    ..DiffKnobs::default()
-                }),
             })
         );
         let resolved = a.resolve().unwrap();
@@ -1210,17 +1049,11 @@ mod tests {
             Some(std::path::PathBuf::from("runs.jsonl"))
         );
         assert!(resolved.progress);
-        // Set thresholds stick; unset ones keep the defaults.
-        let defaults = slic_obs::DiffThresholds::default();
-        assert_eq!(resolved.diff.wall_pct, 25.0);
-        assert_eq!(resolved.diff.counter_pct, defaults.counter_pct);
-        assert_eq!(resolved.diff.hit_rate_drop_pct, defaults.hit_rate_drop_pct);
-        // Absent section resolves to everything off and default thresholds.
+        // Absent section resolves to everything off.
         let bare = RunConfig::default().resolve().unwrap();
         assert!(bare.trace_path.is_none());
         assert!(bare.ledger_path.is_none());
         assert!(!bare.progress);
-        assert_eq!(bare.diff, defaults);
         // And the section round-trips through JSON.
         let text = serde_json::to_string(&a).unwrap();
         assert_eq!(RunConfig::from_json(&text).unwrap(), a);
@@ -1237,17 +1070,86 @@ mod tests {
         assert!(err.to_string().contains("observability.trace"), "{err}");
         let err = RunConfig::from_json(r#"{"observability": {"metrics": true}}"#).unwrap_err();
         assert!(err.to_string().contains("`observability.metrics`"), "{err}");
-        // The nested diff section is just as strict, one level further down.
-        let err = RunConfig::from_toml("observability.diff.wall_percent = 10.0").unwrap_err();
+        // The regression-gate thresholds are constants, not config.
+        let err = RunConfig::from_toml("observability.diff.wall_pct = 10.0").unwrap_err();
         assert!(
             err.to_string()
-                .contains("unknown config key `observability.diff.wall_percent`"),
+                .contains("unknown config key `observability.diff`"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn budgets_below_their_minimum_are_rejected_not_clamped() {
+        let err = RunConfig::from_toml("training_count = 0")
+            .unwrap()
+            .resolve()
+            .unwrap_err();
         assert!(
-            err.to_string().contains("observability.diff.wall_pct"),
+            err.to_string()
+                .contains("`training_count` must be at least 1"),
             "{err}"
         );
+        let err = RunConfig::from_toml("validation_points = 1")
+            .unwrap()
+            .resolve()
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("`validation_points` must be at least 2"),
+            "{err}"
+        );
+        let smallest = RunConfig::from_toml("training_count = 1\nvalidation_points = 2")
+            .unwrap()
+            .resolve()
+            .unwrap();
+        assert_eq!(
+            (smallest.training_count, smallest.validation_points),
+            (1, 2)
+        );
+    }
+
+    #[test]
+    fn out_of_range_integers_are_rejected_not_saturated() {
+        // 2^64: one past `usize::MAX`, and the value `usize::MAX as f64` rounds up to.
+        let err = RunConfig::from_toml("training_count = 18446744073709551616").unwrap_err();
+        assert!(err.to_string().contains("out of range for usize"), "{err}");
+        let err = RunConfig::from_json(r#"{"seed": 18446744073709551616}"#).unwrap_err();
+        assert!(err.to_string().contains("out of range for u64"), "{err}");
+    }
+
+    #[test]
+    fn every_commented_example_in_quick_toml_parses_and_resolves() {
+        // Uncomment each `# key = value` example line of the shipped config, so the
+        // documented examples cannot drift from the keys the parser accepts.
+        let shipped = include_str!("../../../configs/quick.toml");
+        let mut examples = 0;
+        let uncommented: Vec<&str> = shipped
+            .lines()
+            .map(|line| {
+                let Some(body) = line.strip_prefix("# ") else {
+                    return line;
+                };
+                let is_example = body.split_once(" = ").is_some_and(|(key, _)| {
+                    key.chars()
+                        .all(|c| c.is_ascii_lowercase() || c == '_' || c == '.')
+                });
+                if is_example {
+                    examples += 1;
+                    body
+                } else {
+                    line
+                }
+            })
+            .collect();
+        assert!(examples >= 10, "only {examples} example lines found");
+        let resolved = RunConfig::from_toml(&uncommented.join("\n"))
+            .unwrap()
+            .resolve()
+            .unwrap();
+        assert!(resolved.variation.is_some());
+        assert!(resolved.cache_path.is_some());
+        assert!(resolved.trace_path.is_some());
     }
 
     #[test]

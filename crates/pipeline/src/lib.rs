@@ -64,8 +64,8 @@ pub use artifact::{
     CharacterizedArc, CharacterizedLibrary, RunArtifact, UnitResult, VariationSection,
 };
 pub use config::{
-    BackendChoice, DiffKnobs, FarmKnobs, FarmResilience, ObservabilityKnobs, ResolvedConfig,
-    RunConfig, RunProfile, VariationKnobs,
+    BackendChoice, FarmKnobs, ObservabilityKnobs, ResolvedConfig, RunConfig, RunProfile,
+    VariationKnobs,
 };
 pub use error::PipelineError;
 pub use plan::{CharacterizationPlan, UnitKind, WorkUnit};

@@ -438,22 +438,13 @@ mod tests {
 
     #[test]
     fn a_farm_configuration_without_a_backend_instance_is_rejected() {
-        let mut config = RunConfig::default().resolve().expect("resolves");
-        let BackendChoice::Farm { tuning, .. } = (RunConfig {
-            spawn_workers: Some(1),
+        let config = RunConfig {
+            workers: Some(vec!["10.0.0.5:9200".to_string()]),
             ..Default::default()
-        })
+        }
         .resolve()
-        .expect("resolves")
-        .backend
-        else {
-            panic!("farm backend expected");
-        };
-        config.backend = BackendChoice::Farm {
-            workers: vec!["10.0.0.5:9200".to_string()],
-            spawn_workers: 0,
-            tuning,
-        };
+        .expect("resolves");
+        assert!(matches!(config.backend, BackendChoice::Farm { .. }));
         // Silently running a farm-configured plan in-process would defeat the point of
         // resolve() validating the choice; every backend-less constructor must refuse.
         let err = PipelineRunner::new(config.clone())
@@ -469,22 +460,13 @@ mod tests {
 
     #[test]
     fn an_explicit_backend_instance_satisfies_a_farm_configuration() {
-        let mut config = RunConfig::default().resolve().expect("resolves");
-        let BackendChoice::Farm { tuning, .. } = (RunConfig {
+        let config = RunConfig {
             spawn_workers: Some(2),
             ..Default::default()
-        })
+        }
         .resolve()
-        .expect("resolves")
-        .backend
-        else {
-            panic!("farm backend expected");
-        };
-        config.backend = BackendChoice::Farm {
-            workers: vec![],
-            spawn_workers: 2,
-            tuning,
-        };
+        .expect("resolves");
+        assert!(matches!(config.backend, BackendChoice::Farm { .. }));
         // Any SimulationBackend instance satisfies the requirement; the pipeline does
         // not (and cannot) verify it is really a fleet.
         let backend: Arc<dyn SimulationBackend> = Arc::new(slic_spice::LocalBackend::new());

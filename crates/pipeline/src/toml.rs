@@ -2,7 +2,7 @@
 //!
 //! The full TOML data model is far more than a run config needs, and no TOML crate is
 //! available offline, so this module accepts the practical subset: `key = value` lines with
-//! string, integer, float, boolean and homogeneous-array values, plus `#` comments, blank
+//! string, integer, float, boolean and array-of-scalar values, plus `#` comments, blank
 //! lines and **dotted keys** (`variation.process_seeds = 30` nests into a
 //! `variation` object, matching the JSON shape).  Tables/section headers are rejected with
 //! a pointed error so nobody discovers a silently ignored `[section]` the hard way; a
@@ -10,6 +10,11 @@
 
 use crate::error::PipelineError;
 use serde::Value;
+
+/// Most segments a dotted key may have.  Run-config keys have at most two
+/// (`variation.process_seeds`); the bound keeps one hostile line from nesting objects so
+/// deep that building or dropping them overflows the stack.
+const MAX_KEY_SEGMENTS: usize = 8;
 
 /// Parses flat-TOML text into the same [`Value::Object`] shape `serde_json` produces, so
 /// config deserialization is format-independent.
@@ -48,6 +53,13 @@ pub fn parse(text: &str) -> Result<Value, PipelineError> {
         if segments.iter().any(|s| s.is_empty()) {
             return Err(PipelineError::config(format!(
                 "line {lineno}: empty segment in dotted key `{key}`"
+            )));
+        }
+        if segments.len() > MAX_KEY_SEGMENTS {
+            return Err(PipelineError::config(format!(
+                "line {lineno}: dotted key has {} segments; at most {MAX_KEY_SEGMENTS} are \
+                 supported",
+                segments.len()
             )));
         }
         insert_nested(&mut entries, &segments, value, lineno)?;
@@ -154,19 +166,29 @@ fn parse_value(text: &str, lineno: usize) -> Result<Value, PipelineError> {
             "line {lineno}: missing value"
         )));
     }
-    if let Some(stripped) = text.strip_prefix('[') {
-        let inner = stripped
-            .strip_suffix(']')
-            .ok_or_else(|| PipelineError::config(format!("line {lineno}: unterminated array")))?;
-        let mut items = Vec::new();
-        for part in split_array_items(inner) {
-            let part = part.trim();
-            if !part.is_empty() {
-                items.push(parse_value(part, lineno)?);
-            }
+    let Some(stripped) = text.strip_prefix('[') else {
+        return parse_scalar(text, lineno);
+    };
+    let inner = stripped
+        .strip_suffix(']')
+        .ok_or_else(|| PipelineError::config(format!("line {lineno}: unterminated array")))?;
+    let mut items = Vec::new();
+    for part in split_array_items(inner) {
+        let part = part.trim();
+        if part.starts_with('[') {
+            return Err(PipelineError::config(format!(
+                "line {lineno}: arrays do not nest in the flat-TOML run-config reader"
+            )));
         }
-        return Ok(Value::Array(items));
+        if !part.is_empty() {
+            items.push(parse_scalar(part, lineno)?);
+        }
     }
+    Ok(Value::Array(items))
+}
+
+/// Parses a non-empty string, boolean or number.
+fn parse_scalar(text: &str, lineno: usize) -> Result<Value, PipelineError> {
     if let Some(stripped) = text.strip_prefix('"') {
         let inner = stripped
             .strip_suffix('"')
@@ -289,6 +311,28 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("not a string"));
+        assert!(parse(r#"drives = [["X1"]]"#)
+            .unwrap_err()
+            .to_string()
+            .contains("arrays do not nest"));
+    }
+
+    #[test]
+    fn deeply_nested_lines_are_rejected_without_recursing() {
+        // One 200 KB line: if each `[` or key segment cost a stack frame, this would
+        // overflow the stack instead of returning an error.
+        let depth = 100_000;
+        let line = format!("a = {}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&line)
+            .unwrap_err()
+            .to_string()
+            .contains("arrays do not nest"));
+        let line = format!("{} = 1", vec!["a"; depth].join("."));
+        assert!(parse(&line)
+            .unwrap_err()
+            .to_string()
+            .contains("at most 8 are supported"));
+        assert!(parse(&format!("{} = 1", ["a"; 8].join("."))).is_ok());
     }
 
     #[test]
