@@ -1,6 +1,7 @@
-//! Transient-kernel throughput bench: the Monte Carlo sweep inner loop, measured three
-//! ways — the pre-PR scalar RK4 kernel, the embedded-pair scalar kernel, and the batched
-//! Monte Carlo kernel — at both configuration presets.
+//! Transient-kernel throughput bench: the Monte Carlo sweep inner loop, measured five
+//! ways — the seed's scalar RK4 kernel, and the embedded-pair kernel through the scalar
+//! and the SIMD [`LocalBackend`], one lane per call and one point's seeds per call — at
+//! both configuration presets.
 //!
 //! Beyond the console table, the bench writes the **`BENCH_transient.json`** artifact
 //! (sims/sec, steps/sim, device-evals/sim, accuracy against the golden reference, and the
@@ -19,27 +20,21 @@ use slic::prelude::*;
 use slic_bench::banner;
 use slic_bench::emit::{SpeedupReport, TransientBenchReport, VariantReport};
 use slic_spice::{
-    simulate_switching_batch_simd_with_stats, simulate_switching_batch_with_stats,
-    simulate_switching_rk4_with_stats, simulate_switching_simd_with_stats,
-    simulate_switching_with_stats, TransientStats,
+    simulate_switching_rk4, LocalBackend, SimRequest, SimulationBackend, TransientStats,
 };
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// A runnable kernel variant: one full (point × seed) sweep returning the measurements
-/// and the aggregated work counters.
-type KernelRun<'a> = Box<dyn FnMut() -> (Vec<TimingMeasurement>, TransientStats) + 'a>;
-
 struct Workload {
-    tech: TechnologyNode,
+    tech: Arc<TechnologyNode>,
     cell: Cell,
     arc: TimingArc,
     points: Vec<InputPoint>,
     seeds: Vec<ProcessSample>,
-    lanes: Vec<EquivalentInverter>,
     reduced: bool,
 }
 
@@ -53,19 +48,88 @@ fn workload() -> Workload {
     let mut rng = StdRng::seed_from_u64(20150313);
     let points = space.sample_latin_hypercube(&mut rng, n_points);
     let seeds = tech.variation().sample_n(&mut rng, n_seeds);
-    let lanes = seeds
-        .iter()
-        .map(|s| EquivalentInverter::build(&tech, cell, s))
-        .collect();
     Workload {
-        tech,
+        tech: Arc::new(tech),
         cell,
         arc,
         points,
         seeds,
-        lanes,
         reduced,
     }
+}
+
+impl Workload {
+    /// The sweep's lanes at `config`: one row of seeds per point, point-major.
+    fn requests(&self, config: TransientConfig) -> Vec<Vec<SimRequest>> {
+        self.points
+            .iter()
+            .map(|&point| {
+                self.seeds
+                    .iter()
+                    .map(|&seed| SimRequest {
+                        tech: self.tech.clone(),
+                        cell: self.cell,
+                        arc: self.arc,
+                        point,
+                        seed,
+                        config,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// The variants: the seed RK4 kernel, then the embedded pair through the scalar
+/// (`embedded_*`) or SIMD (`simd_*`) backend, one lane per call (`*_scalar`) or one
+/// point's seeds per call (`*_batch`).  Every variant builds each lane's equivalent
+/// inverter, as the pipeline's backend calls do.
+const VARIANTS: [&str; 5] = [
+    "rk4_scalar",
+    "embedded_scalar",
+    "embedded_batch",
+    "simd_scalar",
+    "simd_batch",
+];
+
+/// Runs one full (point × seed) sweep of `variant` over `rows`: the measurements in
+/// point-major order and the kernel's work counters.
+fn sweep(variant: &str, rows: &[Vec<SimRequest>]) -> (Vec<TimingMeasurement>, TransientStats) {
+    if variant == "rk4_scalar" {
+        let mut total = TransientStats::default();
+        let measurements = rows
+            .iter()
+            .flatten()
+            .map(|r| {
+                let eq = EquivalentInverter::build(&r.tech, r.cell, &r.seed);
+                let (m, s) = simulate_switching_rk4(&eq, &r.arc, &r.point, &r.config)
+                    .expect("simulation completes");
+                total.merge(&s);
+                m
+            })
+            .collect();
+        return (measurements, total);
+    }
+    let backend = LocalBackend::with_simd(variant.starts_with("simd"));
+    let calls: Vec<&[SimRequest]> = if variant.ends_with("_batch") {
+        rows.iter().map(Vec::as_slice).collect()
+    } else {
+        rows.iter().flatten().map(std::slice::from_ref).collect()
+    };
+    let measurements = calls
+        .into_iter()
+        .flat_map(|call| backend.solve_batch(call))
+        .map(|lane| lane.expect("simulation completes"))
+        .collect();
+    let k = backend
+        .kernel_stats()
+        .expect("the local backend counts its work");
+    let stats = TransientStats {
+        steps: k.steps,
+        rejected_steps: k.rejected_steps,
+        device_evals: k.device_evals,
+    };
+    (measurements, stats)
 }
 
 /// Seconds each timed pass must cover so timer granularity and scheduler noise stay well
@@ -73,19 +137,19 @@ fn workload() -> Workload {
 /// millisecond — far too short to time on a shared runner).
 const MIN_PASS_SECONDS: f64 = 0.05;
 
-/// Times `sweep`, repeated enough times per pass to cover [`MIN_PASS_SECONDS`], over
+/// Times `run`, repeated enough times per pass to cover [`MIN_PASS_SECONDS`], over
 /// `reps` passes; returns the fastest per-sweep seconds (least scheduler noise).
-fn best_of(reps: usize, mut sweep: impl FnMut()) -> f64 {
+fn best_of(reps: usize, mut run: impl FnMut()) -> f64 {
     // Calibration pass sizes the repetition count.
     let start = Instant::now();
-    sweep();
+    run();
     let once = start.elapsed().as_secs_f64().max(1e-9);
     let iters = (MIN_PASS_SECONDS / once).ceil().max(1.0) as usize;
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
         for _ in 0..iters {
-            sweep();
+            run();
         }
         best = best.min(start.elapsed().as_secs_f64() / iters as f64);
     }
@@ -114,151 +178,35 @@ fn accuracy_vs(golden: &[TimingMeasurement], measured: &[TimingMeasurement]) -> 
 fn main() {
     banner(
         "Transient kernel throughput (BENCH_transient.json)",
-        "Monte Carlo sweep: scalar RK4 (pre-PR) vs embedded-pair scalar vs batched lanes",
+        "Monte Carlo sweep: scalar RK4 vs the embedded pair through the scalar and SIMD backends",
     );
     let w = workload();
-    let sims = w.points.len() * w.lanes.len();
+    let sims = w.points.len() * w.seeds.len();
     let reps = if w.reduced { 3 } else { 5 };
     println!(
         "workload: {} {} arc, {} points x {} seeds = {} sims/variant ({} mode)\n",
         w.cell,
         w.arc.output_transition(),
         w.points.len(),
-        w.lanes.len(),
+        w.seeds.len(),
         sims,
         if w.reduced { "reduced" } else { "full" },
     );
 
     // Golden reference: seed RK4 at the accurate preset, point-major lane order.
-    let golden_cfg = TransientConfig::accurate();
-    let golden: Vec<TimingMeasurement> = w
-        .points
-        .iter()
-        .flat_map(|p| {
-            w.lanes.iter().map(|eq| {
-                simulate_switching_rk4_with_stats(eq, &w.arc, p, &golden_cfg)
-                    .expect("golden simulation completes")
-                    .0
-            })
-        })
-        .collect();
+    let (golden, _) = sweep("rk4_scalar", &w.requests(TransientConfig::accurate()));
 
     let mut variants: Vec<VariantReport> = Vec::new();
     for (config_name, config) in [
         ("fast", TransientConfig::fast()),
         ("accurate", TransientConfig::accurate()),
     ] {
-        // Each variant runs the identical (point × seed) sweep.  The scalar variants
-        // rebuild the equivalent inverter per simulation — exactly what the pre-PR engine
-        // paid per `solve` — while the batched variant amortizes lane setup across points
-        // the way the batch kernel's callers can.
-        let kernels: [(&str, KernelRun); 5] = [
-            (
-                "rk4_scalar",
-                Box::new(|| {
-                    let mut total = TransientStats::default();
-                    let mut ms = Vec::with_capacity(sims);
-                    for p in &w.points {
-                        for seed in &w.seeds {
-                            let eq = EquivalentInverter::build(&w.tech, w.cell, seed);
-                            let (m, s) = simulate_switching_rk4_with_stats(&eq, &w.arc, p, &config)
-                                .expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
-                            ms.push(m);
-                        }
-                    }
-                    (ms, total)
-                }),
-            ),
-            (
-                "embedded_scalar",
-                Box::new(|| {
-                    let mut total = TransientStats::default();
-                    let mut ms = Vec::with_capacity(sims);
-                    for p in &w.points {
-                        for seed in &w.seeds {
-                            let eq = EquivalentInverter::build(&w.tech, w.cell, seed);
-                            let (m, s) = simulate_switching_with_stats(&eq, &w.arc, p, &config)
-                                .expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
-                            ms.push(m);
-                        }
-                    }
-                    (ms, total)
-                }),
-            ),
-            (
-                "embedded_batch",
-                Box::new(|| {
-                    let mut total = TransientStats::default();
-                    let mut ms = Vec::with_capacity(sims);
-                    for p in &w.points {
-                        for result in
-                            simulate_switching_batch_with_stats(&w.lanes, &w.arc, p, &config)
-                                .expect("config is valid")
-                        {
-                            let (m, s) = result.expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
-                            ms.push(m);
-                        }
-                    }
-                    (ms, total)
-                }),
-            ),
-            (
-                "simd_scalar",
-                Box::new(|| {
-                    let mut total = TransientStats::default();
-                    let mut ms = Vec::with_capacity(sims);
-                    for p in &w.points {
-                        for seed in &w.seeds {
-                            let eq = EquivalentInverter::build(&w.tech, w.cell, seed);
-                            let (m, s) =
-                                simulate_switching_simd_with_stats(&eq, &w.arc, p, &config)
-                                    .expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
-                            ms.push(m);
-                        }
-                    }
-                    (ms, total)
-                }),
-            ),
-            (
-                "simd_batch",
-                Box::new(|| {
-                    let mut total = TransientStats::default();
-                    let mut ms = Vec::with_capacity(sims);
-                    for p in &w.points {
-                        let (results, _) =
-                            simulate_switching_batch_simd_with_stats(&w.lanes, &w.arc, p, &config)
-                                .expect("config is valid");
-                        for result in results {
-                            let (m, s) = result.expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
-                            ms.push(m);
-                        }
-                    }
-                    (ms, total)
-                }),
-            ),
-        ];
-
-        for (name, mut run) in kernels {
-            let (measurements, stats) = run();
+        let rows = w.requests(config);
+        for name in VARIANTS {
+            let (measurements, stats) = sweep(name, &rows);
             let accuracy = accuracy_vs(&golden, &measurements);
             let elapsed = best_of(reps, || {
-                let (ms, _) = run();
-                std::hint::black_box(ms);
+                std::hint::black_box(sweep(name, &rows));
             });
             let report = VariantReport {
                 name: name.to_string(),
@@ -321,7 +269,7 @@ fn main() {
         arc: w.arc.output_transition().to_string(),
         tech: w.tech.name().to_string(),
         points: w.points.len(),
-        seeds: w.lanes.len(),
+        seeds: w.seeds.len(),
         variants,
         speedups,
     };

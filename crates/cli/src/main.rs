@@ -179,15 +179,16 @@ SUBCOMMANDS:
                     --top <n>               hottest-unit rows to keep (default 10)
 
     history       List the cross-run ledger written by `--ledger`, or gate its newest
-                  run against the previous run of the same config fingerprint.
+                  run against the previous run of the same config fingerprint and kind.
                     slic history <runs.jsonl>            list every recorded run
                     slic history <runs.jsonl> --diff     diff the last two runs with
-                                            matching fingerprints; exits nonzero on
+                                            matching fingerprint and kind (learn or
+                                            characterize); exits nonzero on
                                             regression (wall, sims paid, hit rate,
                                             gated counters, artifact hash drift) at the
                                             thresholds of `profile --diff`
-                    --fingerprint <hex>     diff this fingerprint instead of the most
-                                            recently recorded one
+                    --fingerprint <hex>     diff this fingerprint's newest run instead
+                                            of the most recently recorded one
 
     bench         Kernel benchmark gates.
                     bench diff <fresh.json> [<committed.json>]   compare a fresh
@@ -1259,11 +1260,11 @@ fn format_wall(ns: u64) -> String {
 }
 
 /// `slic history <runs.jsonl>`: list the cross-run ledger, or (`--diff`) gate the
-/// newest run against the previous run with the same config fingerprint.
+/// newest run against the previous run with the same config fingerprint and kind.
 ///
-/// Alignment is by fingerprint, never by position: the ledger interleaves runs of
-/// different configs (and of `learn` vs `characterize`), and comparing across
-/// fingerprints would diff two different workloads.
+/// Alignment is by fingerprint and kind, never by position: the ledger interleaves runs
+/// of different configs, and `learn` and `characterize` runs of one config share a
+/// fingerprint; comparing across either would diff two different workloads.
 fn cmd_history(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
     let parsed = match slic_obs::ledger::load(std::path::Path::new(path)) {
         Ok(parsed) => parsed,
@@ -1315,35 +1316,38 @@ fn cmd_history(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
         }
         return dropped_warning(false);
     }
-    let fingerprint = flags.get("fingerprint").cloned().unwrap_or_else(|| {
-        parsed
-            .records
-            .last()
-            .expect("records is non-empty")
-            .fingerprint
-            .clone()
-    });
+    let wanted = flags.get("fingerprint");
+    let Some(new) = parsed
+        .records
+        .iter()
+        .rev()
+        .find(|record| wanted.is_none_or(|fingerprint| record.fingerprint == *fingerprint))
+    else {
+        eprintln!(
+            "error: ledger `{path}` holds no run with fingerprint {}; a diff needs two",
+            wanted.map_or("", String::as_str)
+        );
+        return ExitCode::from(2);
+    };
+    let (fingerprint, kind) = (&new.fingerprint, &new.kind);
     let matching: Vec<_> = parsed
         .records
         .iter()
-        .filter(|record| record.fingerprint == fingerprint)
+        .filter(|record| record.fingerprint == *fingerprint && record.kind == *kind)
         .collect();
-    if matching.len() < 2 {
+    let [.., old, _] = matching[..] else {
         eprintln!(
-            "error: ledger `{path}` holds {} run(s) with fingerprint {fingerprint}; a diff \
-             needs two",
-            matching.len()
+            "error: ledger `{path}` holds 1 `{kind}` run with fingerprint {fingerprint}; a \
+             diff needs two of one kind"
         );
         return ExitCode::from(2);
-    }
-    let old = matching[matching.len() - 2];
-    let new = matching[matching.len() - 1];
+    };
     let report = slic_obs::diff::diff_runs(old, new, &DiffThresholds::default());
     print!(
         "{}",
         report.render_md(&format!(
-            "history diff: fingerprint {fingerprint} ({} vs {})",
-            old.kind, new.kind
+            "history diff: fingerprint {fingerprint} ({} vs {kind})",
+            old.kind
         ))
     );
     dropped_warning(!report.is_clean())

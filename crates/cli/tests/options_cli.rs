@@ -107,3 +107,18 @@ fn a_flag_is_never_taken_as_another_flags_value() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_config_nested_past_the_json_depth_bound_is_an_error_not_a_crash() {
+    let dir = temp_dir("deep");
+    std::fs::write(dir.join("deep.json"), "[".repeat(100_000)).expect("config written");
+    let output = Command::new(BIN)
+        .args(["characterize", "--config", "deep.json"])
+        .current_dir(&dir)
+        .output()
+        .expect("slic runs");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

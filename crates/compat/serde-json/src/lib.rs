@@ -5,10 +5,16 @@
 //! [`from_str`], the [`Value`] re-export and the [`Error`] type.  Numbers are `f64`-backed
 //! (integers up to 2^53 round-trip exactly); `NaN`/infinite numbers are rejected at
 //! serialization time, matching upstream's behaviour of refusing non-finite floats.
+//! Like upstream, the parser refuses arrays and objects nested deeper than 128 levels,
+//! so hostile input gets an error instead of exhausting the stack.
 
 #![forbid(unsafe_code)]
 
 pub use serde::{Error, Value};
+
+/// The deepest nesting of arrays and objects the parser accepts, as in upstream
+/// `serde_json`: the parser recurses once per level.
+const MAX_DEPTH: usize = 128;
 
 /// Serializes a value to compact JSON.
 ///
@@ -44,7 +50,7 @@ pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
 
 fn parse_value_complete(text: &str) -> Result<Value, Error> {
     let mut pos = 0;
-    let value = parse_value(text, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_whitespace(text.as_bytes(), &mut pos);
     if pos != text.len() {
         return Err(Error::custom(format!("trailing characters at byte {pos}")));
@@ -151,9 +157,16 @@ fn skip_whitespace(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Value, Error> {
+/// Parses the value at `pos`, which `depth` arrays and objects enclose.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     skip_whitespace(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(Error::custom(format!(
+            "recursion limit exceeded: arrays and objects nest deeper than {MAX_DEPTH} \
+             levels at byte {pos}"
+        )));
+    }
     match bytes.get(*pos) {
         None => Err(Error::custom("unexpected end of input")),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -169,7 +182,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(text, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_whitespace(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -197,7 +210,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error::custom(format!("expected `:` at byte {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(text, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_whitespace(bytes, pos);
                 match bytes.get(*pos) {

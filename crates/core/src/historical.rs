@@ -115,7 +115,7 @@ impl HistoricalLearner {
             );
             // One mega-batch of every (cell, arc, grid point) lane at the nominal
             // corner: training a whole node costs one mixed worklist instead of one
-            // sweep per arc, so the batched kernel stays saturated across arcs.
+            // sweep per arc, so backend calls stay full across arcs.
             let nominal = ProcessSample::nominal();
             let arcs: Vec<(Cell, TimingArc)> = library
                 .cells()

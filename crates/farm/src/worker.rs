@@ -2,7 +2,7 @@
 //!
 //! A worker is stateless by design: it holds no cache, no counter and no plan — it
 //! decodes each [`Batch`](crate::wire::Message::Batch), solves the lanes through the
-//! in-process [`LocalBackend`] (the same batched kernel a local run uses, so results are
+//! in-process [`LocalBackend`] (the same scalar kernel a local run uses, so results are
 //! bitwise identical), and streams the results back.  All policy lives on the other side
 //! of the connection — caching and counting in the engine, retry in the broker — which
 //! is what makes a worker safe to kill at any moment: the broker simply re-dispatches

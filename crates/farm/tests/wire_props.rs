@@ -1,8 +1,12 @@
 //! Property tests of the wire protocol: arbitrary requests and responses must round-trip
-//! bit-exactly through the JSON-lines framing, NaN must never travel, and incompatible
-//! handshakes must be rejected.
+//! bit-exactly through the JSON-lines framing, NaN must never travel, incompatible
+//! handshakes must be rejected, and any line a peer sends — arbitrary text, or an object
+//! shaped like a message with random fields — decodes to `Ok` or `Err`, never a panic.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use serde_json::Value;
 use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_farm::wire::{decode_message, encode_message, Message};
@@ -43,6 +47,149 @@ fn request(
             ..ProcessSample::nominal()
         },
         config: TransientConfig::fast(),
+    }
+}
+
+/// Field names the decoder reads, for message-shaped objects.
+const FIELDS: [&str; 16] = [
+    "type", "id", "protocol", "kernel", "worker", "requests", "results", "delay", "slew", "error",
+    "tech", "cell", "arc", "point", "seed", "config",
+];
+
+/// Every message tag, plus one the protocol does not know.
+const TAGS: [&str; 7] = [
+    "hello", "batch", "results", "ping", "pong", "shutdown", "bye",
+];
+
+/// JSON structure and number edge cases for raw lines.
+const PUNCTUATION: [&str; 15] = [
+    "{", "}", "[", "]", "\"", ",", ":", "\\", " ", "-1", "1.5", "1e400", "null", "é", "\u{0}",
+];
+
+/// One raw-line token: punctuation, or a quoted field name, tag or hex word.
+fn token(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..6u32) {
+        0 => format!("\"{}\"", FIELDS[rng.gen_range(0..FIELDS.len())]),
+        1 => format!("\"{}\"", TAGS[rng.gen_range(0..TAGS.len())]),
+        2 => format!("\"{:x}\"", rng.gen::<u64>()),
+        _ => PUNCTUATION[rng.gen_range(0..PUNCTUATION.len())].to_string(),
+    }
+}
+
+/// A random JSON value, biased toward what the decoder expects to find in a field.
+fn field_value(rng: &mut StdRng, depth: u32) -> String {
+    match rng.gen_range(0..if depth == 0 { 4 } else { 6 }) {
+        0 => ["null", "true", "-1", "1.5", "1e300", "-0"][rng.gen_range(0..6usize)].to_string(),
+        1 => rng.gen_range(0..u64::MAX).to_string(),
+        2 => format!("\"{:x}\"", rng.gen::<u64>()),
+        3 => format!("\"{}\"", TAGS[rng.gen_range(0..TAGS.len())]),
+        4 => {
+            let items: Vec<String> = (0..rng.gen_range(0..4usize))
+                .map(|_| field_value(rng, depth - 1))
+                .collect();
+            format!("[{}]", items.join(","))
+        }
+        _ => object(rng, depth - 1, None),
+    }
+}
+
+/// A random object over [`FIELDS`], with `tag` as its `type` when given.
+fn object(rng: &mut StdRng, depth: u32, tag: Option<&str>) -> String {
+    let mut fields: Vec<String> = tag
+        .map(|tag| format!("\"type\":\"{tag}\""))
+        .into_iter()
+        .collect();
+    for _ in 0..rng.gen_range(0..7usize) {
+        let name = FIELDS[rng.gen_range(0..FIELDS.len())];
+        fields.push(format!("\"{name}\":{}", field_value(rng, depth)));
+    }
+    format!("{{{}}}", fields.join(","))
+}
+
+/// A real hello, batch or results line with one value somewhere inside it replaced by a
+/// random one, so the decoder's deep paths (request and result fields) see hostile input.
+fn mutated_message(rng: &mut StdRng) -> String {
+    let wire = WireRequest::encode(&request(1, 5.0, 2.0, 0.8, 0.01, 1.0, true)).expect("encodes");
+    let measured: SimResult = Ok(TimingMeasurement::new(
+        Seconds::from_picoseconds(12.0),
+        Seconds::from_picoseconds(7.0),
+    ));
+    let real = [
+        encode_message(&Message::Hello(Hello::current("w0"))),
+        encode_message(&Message::Batch {
+            id: 7,
+            requests: vec![wire],
+        }),
+        encode_message(&Message::Results {
+            id: 7,
+            results: vec![
+                WireResultEntry::encode(&measured).expect("encodes"),
+                WireResultEntry::Error("diverged".to_string()),
+            ],
+        }),
+    ];
+    let mut value: Value =
+        serde_json::from_str(&real[rng.gen_range(0..real.len())]).expect("real line parses");
+    let replacement: Value =
+        serde_json::from_str(&field_value(rng, 1)).expect("generated value parses");
+    replace_somewhere(&mut value, rng, replacement);
+    serde_json::to_string(&value).expect("finite values render")
+}
+
+/// Replaces `value`, or one value nested inside it, with `replacement`.
+fn replace_somewhere(value: &mut Value, rng: &mut StdRng, replacement: Value) {
+    let child = match value {
+        Value::Object(entries) if !entries.is_empty() && rng.gen_bool(0.8) => {
+            let pick = rng.gen_range(0..entries.len());
+            &mut entries[pick].1
+        }
+        Value::Array(items) if !items.is_empty() && rng.gen_bool(0.8) => {
+            let pick = rng.gen_range(0..items.len());
+            &mut items[pick]
+        }
+        _ => {
+            *value = replacement;
+            return;
+        }
+    };
+    replace_somewhere(child, rng, replacement);
+}
+
+/// Decodes `line` and everything inside it the broker or a worker would go on to use.
+/// Panics only if the decoder does.
+fn decode_everything(line: &str) {
+    match decode_message(line) {
+        Ok(Message::Hello(hello)) => drop(hello.validate()),
+        Ok(Message::Batch { requests, .. }) => {
+            for request in &requests {
+                drop(request.decode());
+            }
+        }
+        Ok(Message::Results { results, .. }) => {
+            for result in &results {
+                drop(result.decode());
+            }
+        }
+        Ok(_) | Err(_) => {}
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_lines_decode_or_error_without_panicking(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let line: String = (0..rng.gen_range(0..40usize)).map(|_| token(&mut rng)).collect();
+        decode_everything(&line);
+    }
+
+    #[test]
+    fn message_shaped_objects_decode_or_error_without_panicking(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tag = TAGS[rng.gen_range(0..TAGS.len())];
+        decode_everything(&object(&mut rng, 2, Some(tag)));
+        decode_everything(&mutated_message(&mut rng));
     }
 }
 

@@ -174,9 +174,9 @@ pub struct VariationKnobs {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct KernelKnobs {
     /// Route batched lanes through the SIMD quad kernel (default `false`).  Off, runs
-    /// are bitwise identical to the scalar batched kernel; on, delays may differ from
-    /// the scalar path by up to the CI-gated 0.5% accuracy envelope in exchange for the
-    /// benched speedup.
+    /// are bitwise identical to the scalar kernel; on, delays may differ from the scalar
+    /// path by up to the CI-gated 0.5% accuracy envelope in exchange for the benched
+    /// speedup, and the results are cached under their own kernel id.
     pub simd: Option<bool>,
 }
 
@@ -206,7 +206,7 @@ pub struct FarmKnobs {
 /// Where the run's transient simulations execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// In-process batched kernel (the default).
+    /// The in-process kernel (the default).
     Local,
     /// The `slic-farm` worker fleet.
     Farm {

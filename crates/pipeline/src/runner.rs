@@ -38,7 +38,6 @@ use std::sync::Arc;
 pub struct PipelineRunner {
     config: ResolvedConfig,
     engine: CharacterizationEngine,
-    counter: SimulationCounter,
     cache: Arc<dyn SimulationCache>,
     obs: Observability,
 }
@@ -98,10 +97,8 @@ impl PipelineRunner {
                  pass it via PipelineRunner::with_parts",
             ));
         }
-        let counter = SimulationCounter::new();
         let mut engine =
             CharacterizationEngine::with_config(config.technology.clone(), config.transient)?
-                .with_shared_counter(counter.clone())
                 .with_cache(cache.clone());
         if let Some(backend) = backend {
             engine = engine.with_backend(backend);
@@ -113,7 +110,6 @@ impl PipelineRunner {
         Ok(Self {
             config,
             engine,
-            counter,
             cache,
             obs: Observability::default(),
         })
@@ -159,9 +155,9 @@ impl PipelineRunner {
         &self.engine
     }
 
-    /// The shared simulation counter.
+    /// The shared engine's simulation counter: the run's paid simulations.
     pub fn counter(&self) -> &SimulationCounter {
-        &self.counter
+        self.engine.counter()
     }
 
     /// The shared simulation cache.
@@ -247,7 +243,7 @@ impl PipelineRunner {
                         // aggregate across threads.
                         self.obs
                             .progress
-                            .unit_done(self.counter.count(), self.cache.hits());
+                            .unit_done(self.counter().count(), self.cache.hits());
                         outcome
                     })
                     .collect()

@@ -6,8 +6,10 @@
 //! [`SimRequest`]s, return one [`SimResult`] per lane.  Splitting the two turns "where do
 //! simulations run" into a deployment choice:
 //!
-//! * [`LocalBackend`] — the in-process batched kernel ([`crate::batch`]), the default and
-//!   the reference implementation every other backend must match bitwise;
+//! * [`LocalBackend`] — the in-process kernel and the one way to run a batch of
+//!   transients: the default scalar backend loops the one-lane integrator (each lane
+//!   bitwise equal to [`simulate_switching`](crate::transient::simulate_switching)) and is
+//!   the reference every other backend must match bitwise;
 //! * `FarmBackend` (in the `slic-farm` crate) — fans batches out to remote worker
 //!   processes over a JSON-lines wire protocol, with failover back to a [`LocalBackend`].
 //!
@@ -15,13 +17,15 @@
 //! swapping backends cannot change an artifact: every lane still counts as exactly one
 //! paid simulation, repeated coordinates are still answered from the cache, and the
 //! measurements themselves are bitwise identical as long as the backend runs the same
-//! kernel (which the wire protocol's kernel-version handshake enforces).
+//! kernel (which the wire protocol's kernel-version handshake enforces).  A backend that
+//! runs a kernel with other bits names it in [`SimulationBackend::kernel_id`], which the
+//! engine puts in every cache key.
 
-use crate::batch::integrate_batch;
+use crate::cache::{KERNEL_VERSION, SIMD_KERNEL_ID};
 use crate::input::InputPoint;
 use crate::measure::TimingMeasurement;
 use crate::simd::integrate_batch_simd;
-use crate::transient::{TransientConfig, TransientProblem};
+use crate::transient::{integrate, TransientConfig, TransientProblem};
 use slic_cells::{Cell, EquivalentInverter, TimingArc};
 use slic_device::{ProcessSample, TechnologyNode};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,6 +78,14 @@ pub trait SimulationBackend: Send + Sync {
     /// cannot see their workers' counters, report `None`).
     fn kernel_stats(&self) -> Option<KernelStatsSnapshot> {
         None
+    }
+
+    /// The kernel id this backend's results are cached under: [`KERNEL_VERSION`] for the
+    /// scalar kernel, or another id for a kernel whose bits differ (the SIMD quad kernel's
+    /// [`SIMD_KERNEL_ID`]), so its records never answer another kernel's lookups.
+    /// Wrapping backends forward their inner backend's id.
+    fn kernel_id(&self) -> u64 {
+        KERNEL_VERSION
     }
 }
 
@@ -141,8 +153,8 @@ struct KernelStatsCell {
     active_lane_rounds: AtomicU64,
 }
 
-/// The in-process backend: the batched Bogacki–Shampine kernel of [`crate::batch`], or —
-/// when constructed with [`LocalBackend::with_simd`] — the SIMD quad worklist of
+/// The in-process backend: the Bogacki–Shampine kernel, one lane after another, or — when
+/// constructed with [`LocalBackend::with_simd`] — the SIMD quad worklist of
 /// [`crate::simd`].
 ///
 /// The equivalent inverter is rebuilt only when the `(tech, cell, seed)` triple changes
@@ -157,8 +169,8 @@ pub struct LocalBackend {
 }
 
 impl LocalBackend {
-    /// Creates the in-process backend running the scalar batched kernel (the bitwise
-    /// reference every other backend must match).
+    /// Creates the in-process backend running the scalar kernel (the bitwise reference
+    /// every other backend must match).
     pub fn new() -> Self {
         Self::default()
     }
@@ -166,19 +178,14 @@ impl LocalBackend {
     /// Creates the in-process backend with the SIMD quad kernel enabled or disabled.
     ///
     /// With `simd = true` the backend's measurements carry the SIMD accuracy contract
-    /// (≤0.5 % of golden) instead of the scalar path's bitwise guarantee; the flag is
-    /// deliberately *not* part of [`TransientConfig`] so enabling it cannot move any
-    /// simulation cache key.
+    /// (≤0.5 % of golden) instead of the scalar path's bitwise guarantee, and its
+    /// [`kernel_id`](SimulationBackend::kernel_id) is [`SIMD_KERNEL_ID`]: the flag is
+    /// deliberately *not* part of [`TransientConfig`], so scalar cache keys never move.
     pub fn with_simd(simd: bool) -> Self {
         Self {
             simd,
             stats: Arc::default(),
         }
-    }
-
-    /// Whether this backend runs the SIMD quad kernel.
-    pub fn simd_enabled(&self) -> bool {
-        self.simd
     }
 }
 
@@ -188,6 +195,14 @@ impl SimulationBackend for LocalBackend {
             "local-simd"
         } else {
             "local"
+        }
+    }
+
+    fn kernel_id(&self) -> u64 {
+        if self.simd {
+            SIMD_KERNEL_ID
+        } else {
+            KERNEL_VERSION
         }
     }
 
@@ -241,7 +256,7 @@ impl SimulationBackend for LocalBackend {
                 .fetch_add(simd_stats.active_lane_rounds, Ordering::Relaxed);
             lane_results
         } else {
-            integrate_batch(&problems)
+            problems.iter().map(integrate).collect()
         };
         let mut batch_stats = crate::transient::TransientStats::default();
         let mut completed = 0u64;
@@ -320,6 +335,25 @@ mod tests {
             .as_ref()
             .is_err_and(|e| e.contains("dv_max_fraction")));
         assert!(results[1].is_ok(), "a bad lane must not poison its batch");
+    }
+
+    #[test]
+    fn per_lane_failures_do_not_poison_the_batch() {
+        // A sub-threshold supply lane between two healthy lanes.
+        let requests = [request(5.0, 0.8), request(5.0, 0.02), request(5.0, 0.9)];
+        for backend in [LocalBackend::new(), LocalBackend::with_simd(true)] {
+            let results = backend.solve_batch(&requests);
+            assert!(results[0].is_ok(), "{}", backend.name());
+            assert!(
+                results[1]
+                    .as_ref()
+                    .is_err_and(|e| e.contains("output transition incomplete")),
+                "{}: {:?}",
+                backend.name(),
+                results[1]
+            );
+            assert!(results[2].is_ok(), "{}", backend.name());
+        }
     }
 
     #[test]

@@ -47,6 +47,18 @@ use std::sync::Mutex;
 /// over compiled device models.
 pub const KERNEL_VERSION: u64 = 2;
 
+/// The flavour bit of [`SIMD_KERNEL_ID`]; the bits below it carry the kernel generation.
+const SIMD_FLAVOUR: u64 = 1 << 32;
+
+/// The kernel id that keys the opt-in SIMD quad kernel's results: [`KERNEL_VERSION`] with
+/// a flavour bit set.
+///
+/// The quad kernel's polynomial transcendentals differ from the scalar kernel's libm by
+/// ~1e-12 relative, so its results are keyed apart: a SIMD record never answers a scalar
+/// lookup, nor the reverse.  Scalar keys are unchanged, and both flavours age alike under
+/// [`SimKey::is_legacy_kernel`].
+pub const SIMD_KERNEL_ID: u64 = SIMD_FLAVOUR | KERNEL_VERSION;
+
 /// The version that keys cache records written before the kernel field existed.
 const LEGACY_KERNEL_VERSION: u64 = 1;
 
@@ -60,7 +72,8 @@ const LEGACY_KERNEL_VERSION: u64 = 1;
 /// nominal [`ProcessSample`] delta written as `0.0` here and computed as `-0.0` there) —
 /// keying them apart would silently miss the cache.
 ///
-/// The solver generation is part of the key (see [`KERNEL_VERSION`]).
+/// The solver generation and flavour are part of the key (see [`KERNEL_VERSION`] and
+/// [`SIMD_KERNEL_ID`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimKey {
     kernel: u64,
@@ -119,12 +132,15 @@ pub(crate) fn coordinate_bits(point: &InputPoint, seed: &ProcessSample) -> ([u64
 
 impl SimKey {
     /// Builds the key for simulating `arc` at `point` under `seed` with `config` in the
-    /// technology named `tech`.
+    /// technology named `tech`, on the kernel `kernel` ([`KERNEL_VERSION`], or the id a
+    /// backend reports as its
+    /// [`kernel_id`](crate::backend::SimulationBackend::kernel_id)).
     ///
     /// # Panics
     ///
     /// Panics if any floating-point coordinate is NaN (see [`key_bits`]).
     pub fn new(
+        kernel: u64,
         tech: &str,
         arc: &TimingArc,
         point: &InputPoint,
@@ -133,7 +149,7 @@ impl SimKey {
     ) -> Self {
         let (point, seed) = coordinate_bits(point, seed);
         Self {
-            kernel: KERNEL_VERSION,
+            kernel,
             tech: tech.to_string(),
             arc: *arc,
             point,
@@ -147,16 +163,16 @@ impl SimKey {
         }
     }
 
-    /// The solver generation this key coordinates (see [`KERNEL_VERSION`]).
+    /// The kernel id this key coordinates (see [`KERNEL_VERSION`]).
     pub fn kernel(&self) -> u64 {
         self.kernel
     }
 
-    /// Returns `true` when the key was written by a kernel predating
-    /// [`KERNEL_VERSION`] — such records stay loadable but can never answer a
-    /// current-kernel lookup, so they are dead weight a compaction may evict.
+    /// Returns `true` when the key was written by a kernel generation predating
+    /// [`KERNEL_VERSION`], of either flavour — such records stay loadable but can never
+    /// answer a current-kernel lookup, so they are dead weight a compaction may evict.
     pub fn is_legacy_kernel(&self) -> bool {
-        self.kernel < KERNEL_VERSION
+        (self.kernel & !SIMD_FLAVOUR) < KERNEL_VERSION
     }
 }
 
@@ -475,6 +491,7 @@ mod tests {
             Volts(0.8),
         );
         SimKey::new(
+            KERNEL_VERSION,
             "n14",
             &arc,
             &point,
@@ -546,8 +563,8 @@ mod tests {
         };
         let config = TransientConfig::fast();
         assert_eq!(
-            SimKey::new("n14", &arc, &point, &plus, &config),
-            SimKey::new("n14", &arc, &point, &minus, &config),
+            SimKey::new(KERNEL_VERSION, "n14", &arc, &point, &plus, &config),
+            SimKey::new(KERNEL_VERSION, "n14", &arc, &point, &minus, &config),
             "-0.0 and 0.0 compare equal and must share one cache slot"
         );
     }
@@ -566,7 +583,14 @@ mod tests {
             delta_vth_n: f64::NAN,
             ..ProcessSample::nominal()
         };
-        let _ = SimKey::new("n14", &arc, &point, &bad, &TransientConfig::fast());
+        let _ = SimKey::new(
+            KERNEL_VERSION,
+            "n14",
+            &arc,
+            &point,
+            &bad,
+            &TransientConfig::fast(),
+        );
     }
 
     #[test]
@@ -597,6 +621,25 @@ mod tests {
         // And a legacy key survives its own round trip unchanged.
         let back: SimKey = serde_json::from_str(&serde_json::to_string(&legacy).unwrap()).unwrap();
         assert_eq!(back, legacy);
+    }
+
+    #[test]
+    fn simd_keys_never_alias_scalar_keys_and_are_not_legacy() {
+        let scalar = key(5.0);
+        let simd = SimKey {
+            kernel: SIMD_KERNEL_ID,
+            ..scalar.clone()
+        };
+        assert_ne!(simd, scalar);
+        assert!(!simd.is_legacy_kernel() && !scalar.is_legacy_kernel());
+        let back: SimKey = serde_json::from_str(&serde_json::to_string(&simd).unwrap()).unwrap();
+        assert_eq!(back, simd);
+        // An older generation of the SIMD flavour ages out like a scalar one.
+        let stale = SimKey {
+            kernel: SIMD_FLAVOUR | LEGACY_KERNEL_VERSION,
+            ..scalar
+        };
+        assert!(stale.is_legacy_kernel());
     }
 
     #[test]

@@ -385,6 +385,7 @@ impl Drop for DiskSimCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::KERNEL_VERSION;
     use crate::input::InputPoint;
     use crate::transient::TransientConfig;
     use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
@@ -400,6 +401,7 @@ mod tests {
             Volts(0.8),
         );
         SimKey::new(
+            KERNEL_VERSION,
             "n14",
             &arc,
             &point,
@@ -731,7 +733,6 @@ mod tests {
 
     #[test]
     fn drop_legacy_compaction_evicts_pre_upgrade_records_and_reports_them_separately() {
-        use crate::cache::KERNEL_VERSION;
         let path = temp_path("compact-legacy.jsonl");
         std::fs::remove_file(&path).ok();
         {

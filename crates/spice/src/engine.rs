@@ -14,13 +14,13 @@
 //! # Dispatch
 //!
 //! Every entry point is a thin wrapper over [`simulate_mixed`]: one call looks each
-//! distinct coordinate up in the cache once, solves the misses in batched chunks spread
-//! across threads, archives them, and answers repeats within the call from the cache.  A
-//! coordinate is therefore paid once per call, and with a cache once across a sequence
-//! of calls.  Concurrent calls that request one coordinate may each pay for it: the
-//! cache stays thread-safe, but nothing holds a miss back until another call's solve
-//! lands.  The pipeline runner never makes such calls — it runs each arc's units on one
-//! thread, and the arc is part of every coordinate.
+//! distinct coordinate up in the cache once, solves the misses in chunks spread across
+//! threads (one backend call each), archives them, and answers repeats within the call
+//! from the cache.  A coordinate is therefore paid once per call, and with a cache once
+//! across a sequence of calls.  Concurrent calls that request one coordinate may each pay
+//! for it: the cache stays thread-safe, but nothing holds a miss back until another
+//! call's solve lands.  The pipeline runner never makes such calls — it runs each arc's
+//! units on one thread, and the arc is part of every coordinate.
 //!
 //! [`simulate_mixed`]: CharacterizationEngine::simulate_mixed
 
@@ -47,9 +47,10 @@ use std::sync::Arc;
 /// seeds — into one kernel worklist, instead of issuing one batch per arc or per seed.
 pub type MixedLane = (Cell, TimingArc, InputPoint, ProcessSample);
 
-/// Lanes per batched-kernel call when a lane list is fanned out across worker threads:
-/// small enough that chunk count keeps every core busy, large enough that the batched
-/// worklist amortizes setup.
+/// Lanes per backend call when a lane list is fanned out across worker threads: small
+/// enough that the chunk count keeps every core busy, large enough that a call amortizes
+/// its fixed cost — a farm round trip, or padding in the SIMD kernel's quads.  The scalar
+/// kernel integrates lane by lane, so the width never changes its bits.
 fn batch_width(lanes: usize) -> usize {
     let threads = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -77,7 +78,8 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// A cloneable handle onto a shared count of transient simulations.
+/// A cloneable handle onto a shared count of transient simulations: the lanes an engine
+/// (and its clones) paid a backend to solve.  The engine is its only writer.
 #[derive(Debug, Clone, Default)]
 pub struct SimulationCounter {
     count: Arc<AtomicU64>,
@@ -95,25 +97,19 @@ impl SimulationCounter {
     }
 
     /// Adds `n` simulations to the count.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.count.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Resets the count to zero and returns the previous value.
-    pub fn reset(&self) -> u64 {
-        self.count.swap(0, Ordering::Relaxed)
     }
 }
 
 /// Shared dispatch counters of one engine (and its clones): how requested lanes were
-/// resolved.  Every lane lands in exactly one bucket, so
-/// `dispatched == cached + claimed + deferred` at any quiescent point — the invariant the
-/// post-run dispatch summary checks.
+/// resolved.  Every lane lands in exactly one bucket — the claimed (solved) ones are the
+/// [`SimulationCounter`] — so `dispatched == cached + claimed + deferred` at any quiescent
+/// point, the invariant the post-run dispatch summary checks.
 #[derive(Debug, Default)]
 struct DispatchCounters {
     dispatched: AtomicU64,
     cached: AtomicU64,
-    claimed: AtomicU64,
     deferred: AtomicU64,
 }
 
@@ -125,7 +121,7 @@ pub struct DispatchSnapshot {
     /// Lanes answered from the simulation cache without solving, including in-call
     /// repeats of a coordinate whose first copy was a hit.
     pub lanes_cached: u64,
-    /// Lanes solved (and counted as paid) by the backend.
+    /// Lanes solved by the backend: the engine's [`SimulationCounter`].
     pub lanes_claimed: u64,
     /// In-call repeats: later copies of a coordinate whose first copy in the same call
     /// was solved, answered without a second solve.
@@ -180,14 +176,6 @@ impl CharacterizationEngine {
             dispatch: Arc::new(DispatchCounters::default()),
             obs: Observability::default(),
         })
-    }
-
-    /// Replaces this engine's counter with a shared one, so simulation costs from several
-    /// engines (one per technology, or one per pipeline stage) aggregate into one total.
-    #[must_use]
-    pub fn with_shared_counter(mut self, counter: SimulationCounter) -> Self {
-        self.counter = counter;
-        self
     }
 
     /// Attaches a simulation cache.  Subsequent calls answer repeated coordinates from
@@ -267,7 +255,7 @@ impl CharacterizationEngine {
         DispatchSnapshot {
             lanes_dispatched: self.dispatch.dispatched.load(Ordering::Relaxed),
             lanes_cached: self.dispatch.cached.load(Ordering::Relaxed),
-            lanes_claimed: self.dispatch.claimed.load(Ordering::Relaxed),
+            lanes_claimed: self.counter.count(),
             lanes_deferred: self.dispatch.deferred.load(Ordering::Relaxed),
         }
     }
@@ -311,7 +299,7 @@ impl CharacterizationEngine {
     }
 
     /// Simulates an arbitrary mixed worklist — lanes spanning cells, arcs, input points
-    /// and process seeds — in parallel through the batched kernel.  Result `i`
+    /// and process seeds — in parallel through the backend.  Result `i`
     /// corresponds to `lanes[i]` and is bitwise identical to
     /// [`simulate`](Self::simulate) with the same coordinates: batching changes only how
     /// the work is grouped, never what a run pays for or produces.
@@ -369,7 +357,6 @@ impl CharacterizationEngine {
         for (counter, n) in [
             (&self.dispatch.dispatched, lanes.len()),
             (&self.dispatch.cached, cached),
-            (&self.dispatch.claimed, claimed),
             (&self.dispatch.deferred, deferred),
         ] {
             counter.fetch_add(n as u64, Ordering::Relaxed);
@@ -474,7 +461,14 @@ impl CharacterizationEngine {
 
     /// The cache key of one lane on this engine's technology and configuration.
     fn key(&self, (_, arc, point, seed): &MixedLane) -> SimKey {
-        SimKey::new(self.tech.name(), arc, point, seed, &self.config)
+        SimKey::new(
+            self.backend.kernel_id(),
+            self.tech.name(),
+            arc,
+            point,
+            seed,
+            &self.config,
+        )
     }
 
     /// Runs one transient simulation at the nominal process corner.
@@ -488,7 +482,7 @@ impl CharacterizationEngine {
     }
 
     /// Simulates `arc` at every input point for a fixed process seed (the `.ALTER` sweep),
-    /// in parallel through the batched kernel.  Result `i` corresponds to `points[i]` and
+    /// in parallel through the backend.  Result `i` corresponds to `points[i]` and
     /// is bitwise identical to [`simulate`](Self::simulate) at that point.
     pub fn sweep(
         &self,
@@ -516,7 +510,7 @@ impl CharacterizationEngine {
     }
 
     /// Monte Carlo ensemble: simulates `arc` at one input point under every process seed,
-    /// in parallel through the batched kernel.  Element `i` of the result corresponds to
+    /// in parallel through the backend.  Element `i` of the result corresponds to
     /// `seeds[i]` and is bitwise identical to [`simulate`](Self::simulate) under that seed.
     pub fn monte_carlo(
         &self,
@@ -534,7 +528,7 @@ impl CharacterizationEngine {
     }
 
     /// Full statistical baseline: simulates every (input point, seed) pair through the
-    /// batched kernel.
+    /// backend.
     ///
     /// The result is indexed `[point][seed]`.
     pub fn monte_carlo_sweep(
@@ -615,8 +609,6 @@ mod tests {
         let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
         let _ = eng.sweep_nominal(cell, &arc, &points);
         assert_eq!(eng.simulation_count(), 4);
-        assert_eq!(eng.counter().reset(), 4);
-        assert_eq!(eng.simulation_count(), 0);
     }
 
     #[test]
@@ -875,6 +867,10 @@ mod tests {
                 .fetch_add(requests.len() as u64, Ordering::Relaxed);
             self.inner.solve_batch(requests)
         }
+
+        fn kernel_id(&self) -> u64 {
+            self.inner.kernel_id()
+        }
     }
 
     #[test]
@@ -906,17 +902,40 @@ mod tests {
 
     #[test]
     fn shared_counter_aggregates_across_engines() {
-        let counter = SimulationCounter::new();
-        let a = engine().with_shared_counter(counter.clone());
-        let b = CharacterizationEngine::with_config(
-            TechnologyNode::n16_finfet(),
-            TransientConfig::fast(),
-        )
-        .expect("fast preset validates")
-        .with_shared_counter(counter.clone());
+        // An engine rebound to another node (historical learning) pays into the same
+        // counter, and the counter is the dispatch snapshot's claimed lanes.
+        let a = engine();
+        let b = a.clone().with_technology(TechnologyNode::n16_finfet());
         let (cell, arc) = inv_fall();
         let _ = a.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
         let _ = b.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
-        assert_eq!(counter.count(), 2);
+        assert_eq!(a.counter().count(), 2);
+        assert_eq!(b.dispatch_stats().lanes_claimed, 2);
+    }
+
+    #[test]
+    fn scalar_and_simd_engines_sharing_a_cache_each_pay_their_own_sims() {
+        use crate::cache::InMemorySimCache;
+        let cache = Arc::new(InMemorySimCache::new());
+        let scalar = engine().with_cache(cache.clone());
+        let simd = engine()
+            .with_cache(cache.clone())
+            .with_backend(Arc::new(LocalBackend::with_simd(true)));
+        let (cell, arc) = inv_fall();
+        let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
+        let from_simd = simd.sweep_nominal(cell, &arc, &points);
+        let from_scalar = scalar.sweep_nominal(cell, &arc, &points);
+        assert_eq!(simd.simulation_count(), 3);
+        assert_eq!(
+            scalar.simulation_count(),
+            3,
+            "SIMD records must not answer scalar lookups"
+        );
+        assert_eq!(from_scalar, engine().sweep_nominal(cell, &arc, &points));
+        // Each flavour replays its own records.
+        assert_eq!(simd.sweep_nominal(cell, &arc, &points), from_simd);
+        assert_eq!(scalar.sweep_nominal(cell, &arc, &points), from_scalar);
+        assert_eq!(simd.simulation_count() + scalar.simulation_count(), 6);
+        assert_eq!(cache.len(), 6);
     }
 }

@@ -13,11 +13,14 @@
 //!   the [`InputSpace`] box and its sampling plans (uniform, Latin hypercube, LUT grid);
 //! * [`measure`] — waveform threshold definitions and the [`TimingMeasurement`] result;
 //! * [`transient`] — the adaptive-step transient solver for a single switching event
-//!   (embedded-error Bogacki–Shampine kernel, plus the seed RK4 kept as golden reference);
-//! * [`batch`] — the batched Monte Carlo kernel: many lanes integrated through one
-//!   worklist, each bitwise identical to its scalar counterpart;
-//! * [`backend`] — the [`SimulationBackend`] boundary: where a batch of solves actually
-//!   executes ([`LocalBackend`] in-process; the `slic-farm` crate adds remote workers);
+//!   (embedded-error Bogacki–Shampine kernel, plus the seed RK4 kept as golden reference):
+//!   [`simulate_switching`] and [`simulate_switching_rk4`] are the two one-shot entry
+//!   points;
+//! * [`simd`] — the opt-in SIMD quad worklist, four lanes per step attempt;
+//! * [`backend`] — the [`SimulationBackend`] boundary and the one way to run a batch of
+//!   transients: [`LocalBackend::solve_batch`] in-process (the scalar kernel lane by lane,
+//!   each lane bitwise identical to [`simulate_switching`], or the SIMD quads); the
+//!   `slic-farm` crate adds remote workers;
 //! * [`engine`] — the "simulator front-end": a [`CharacterizationEngine`] bound to one
 //!   technology that runs (and counts) simulations, sweeps and Monte Carlo ensembles, in
 //!   the role of the paper's SPICE + `.ALTER` + Monte Carlo flow.
@@ -46,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod batch;
 pub mod cache;
 pub mod disk;
 pub mod engine;
@@ -56,9 +58,6 @@ pub mod simd;
 pub mod transient;
 
 pub use backend::{KernelStatsSnapshot, LocalBackend, SimRequest, SimResult, SimulationBackend};
-pub use batch::{
-    simulate_switching_batch, simulate_switching_batch_with_stats, simulate_switching_sweep_batch,
-};
 pub use cache::{CacheError, InMemorySimCache, SimKey, SimulationCache, KERNEL_VERSION};
 pub use disk::{CompactionOptions, CompactionReport, DiskSimCache};
 pub use engine::{
@@ -66,11 +65,4 @@ pub use engine::{
 };
 pub use input::{InputPoint, InputSpace};
 pub use measure::TimingMeasurement;
-pub use simd::{
-    simulate_switching_batch_simd, simulate_switching_batch_simd_with_stats,
-    simulate_switching_simd_with_stats, SimdBatchStats,
-};
-pub use transient::{
-    simulate_switching, simulate_switching_rk4, simulate_switching_rk4_with_stats,
-    simulate_switching_with_stats, TransientConfig, TransientStats,
-};
+pub use transient::{simulate_switching, simulate_switching_rk4, TransientConfig, TransientStats};

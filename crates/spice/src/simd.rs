@@ -1,8 +1,9 @@
 //! SIMD quad worklist: four transient lanes per step attempt through the vector kernel.
 //!
-//! The batched kernel in [`batch`](crate::batch) advances lanes one at a time, so every
-//! derivative evaluation pays scalar libm transcendentals.  This module packs lanes into
-//! **quads** and evaluates all four lanes' Bogacki–Shampine stages through the
+//! The scalar [`LocalBackend`](crate::backend::LocalBackend) integrates its lanes one at a
+//! time, so every derivative evaluation pays scalar libm transcendentals.  This module,
+//! which [`LocalBackend::with_simd`](crate::backend::LocalBackend::with_simd) runs, packs
+//! lanes into **quads** and evaluates all four lanes' Bogacki–Shampine stages through the
 //! [`CompiledInverterX4`] vector model, whose transcendentals are the fixed-polynomial
 //! kernels of `slic_device::vmath` — arithmetic the autovectorizer keeps in vector
 //! registers.
@@ -24,44 +25,23 @@
 //! composition, batch size and retirement order — the SIMD result for a problem is a
 //! deterministic function of that problem alone.  It is *not* bitwise identical to the
 //! scalar libm kernel: the polynomial transcendentals differ from libm by ~1e-12 relative.
-//! That is why the mode is opt-in (`kernel.simd = true`) and carried by a CI-gated ≤0.5 %
-//! accuracy bound against the golden reference instead of the scalar path's bitwise
-//! batch≡scalar guarantee.
+//! That is why the mode is opt-in (`kernel.simd = true`), keyed apart in the simulation
+//! cache ([`SIMD_KERNEL_ID`](crate::cache::SIMD_KERNEL_ID)) and carried by a CI-gated
+//! ≤0.5 % accuracy bound against the golden reference instead of the scalar path's
+//! bitwise guarantee.
 
-use crate::batch::LaneResult;
-use crate::input::InputPoint;
-use crate::measure::TimingMeasurement;
-use crate::transient::{
-    LaneState, TransientConfig, TransientError, TransientProblem, TransientStats,
-};
-use slic_cells::{EquivalentInverter, TimingArc};
+use crate::transient::{LaneResult, LaneState, TransientProblem};
 use slic_device::vmath::F64x4;
 use slic_device::{drain_current4_batch, CompiledDeviceX4, CompiledInverterX4, SweepScratch};
 
-/// Work counters of one SIMD batch integration, for the quad-occupancy diagnostic.
+/// Work counters of one SIMD batch integration, which the backend folds into its
+/// [`KernelStatsSnapshot`](crate::backend::KernelStatsSnapshot) (the quad occupancy).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimdBatchStats {
+pub(crate) struct SimdBatchStats {
     /// Quad step attempts executed (each evaluates four lanes of stage derivatives).
-    pub quad_rounds: u64,
+    pub(crate) quad_rounds: u64,
     /// Real (non-padding) lanes those quad attempts advanced.
-    pub active_lane_rounds: u64,
-}
-
-impl SimdBatchStats {
-    /// Fraction of quad slots occupied by real lanes, in `[0, 1]`: `1.0` means every quad
-    /// was full; lower values mean padded partial quads (small or nearly-drained batches).
-    pub fn occupancy(&self) -> f64 {
-        if self.quad_rounds == 0 {
-            return 1.0;
-        }
-        self.active_lane_rounds as f64 / (4 * self.quad_rounds) as f64
-    }
-
-    /// Folds another batch's counters into this aggregate.
-    pub fn merge(&mut self, other: &SimdBatchStats) {
-        self.quad_rounds += other.quad_rounds;
-        self.active_lane_rounds += other.active_lane_rounds;
-    }
+    pub(crate) active_lane_rounds: u64,
 }
 
 /// The per-quad constants of the vector derivative: four lanes' problem parameters packed
@@ -371,68 +351,16 @@ pub(crate) fn integrate_batch_simd(
     )
 }
 
-/// Simulates one switching event through the SIMD kernel (a batch of one, so the quad
-/// runs at 25 % occupancy — the batched entry points are where the mode pays off).
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_switching`](crate::transient::simulate_switching).
-pub fn simulate_switching_simd_with_stats(
-    eq: &EquivalentInverter,
-    arc: &TimingArc,
-    point: &InputPoint,
-    config: &TransientConfig,
-) -> Result<(TimingMeasurement, TransientStats), TransientError> {
-    config.validate().map_err(TransientError::InvalidConfig)?;
-    let problems = [TransientProblem::new(eq, arc, point, config)];
-    let (mut results, _) = integrate_batch_simd(&problems);
-    // slic-lint: allow(P1) -- structural: integrate_batch_simd returns one result per problem and one problem was passed.
-    results.pop().expect("one problem yields one result")
-}
-
-/// Monte Carlo batch through the SIMD kernel: simulates `arc` at one input point for every
-/// equivalent inverter in `lanes`, returning per-lane results in input order.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_switching_batch`](crate::batch::simulate_switching_batch).
-pub fn simulate_switching_batch_simd(
-    lanes: &[EquivalentInverter],
-    arc: &TimingArc,
-    point: &InputPoint,
-    config: &TransientConfig,
-) -> Result<Vec<Result<TimingMeasurement, TransientError>>, TransientError> {
-    simulate_switching_batch_simd_with_stats(lanes, arc, point, config)
-        .map(|(rs, _)| rs.into_iter().map(|r| r.map(|(m, _)| m)).collect())
-}
-
-/// [`simulate_switching_batch_simd`] plus per-lane work counters and the batch's quad
-/// occupancy statistics.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_switching_batch`](crate::batch::simulate_switching_batch).
-pub fn simulate_switching_batch_simd_with_stats(
-    lanes: &[EquivalentInverter],
-    arc: &TimingArc,
-    point: &InputPoint,
-    config: &TransientConfig,
-) -> Result<(Vec<LaneResult>, SimdBatchStats), TransientError> {
-    config.validate().map_err(TransientError::InvalidConfig)?;
-    let problems: Vec<TransientProblem> = lanes
-        .iter()
-        .map(|eq| TransientProblem::new(eq, arc, point, config))
-        .collect();
-    Ok(integrate_batch_simd(&problems))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transient::simulate_switching;
+    use crate::backend::KernelStatsSnapshot;
+    use crate::input::InputPoint;
+    use crate::measure::TimingMeasurement;
+    use crate::transient::{simulate_switching, TransientConfig, TransientError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use slic_cells::{Cell, CellKind, DriveStrength, Transition};
+    use slic_cells::{Cell, CellKind, DriveStrength, EquivalentInverter, TimingArc, Transition};
     use slic_device::TechnologyNode;
     use slic_units::{Farads, Seconds, Volts};
 
@@ -457,15 +385,42 @@ mod tests {
         (arc, lanes)
     }
 
+    /// Runs `lanes` at one point through the quad worklist.
+    fn simd_batch(
+        lanes: &[EquivalentInverter],
+        arc: &TimingArc,
+        point: &InputPoint,
+        cfg: &TransientConfig,
+    ) -> (Vec<LaneResult>, SimdBatchStats) {
+        let problems: Vec<TransientProblem> = lanes
+            .iter()
+            .map(|eq| TransientProblem::new(eq, arc, point, cfg))
+            .collect();
+        integrate_batch_simd(&problems)
+    }
+
+    fn measurement(result: &LaneResult) -> TimingMeasurement {
+        result.as_ref().expect("lane completes").0
+    }
+
+    fn occupancy(stats: SimdBatchStats) -> Option<f64> {
+        KernelStatsSnapshot {
+            quad_rounds: stats.quad_rounds,
+            active_lane_rounds: stats.active_lane_rounds,
+            ..KernelStatsSnapshot::default()
+        }
+        .quad_occupancy()
+    }
+
     #[test]
     fn simd_lanes_track_scalar_within_accuracy_bound() {
         let (arc, lanes) = mc_lanes(11);
         let point = pt(5.0, 2.0, 0.8);
         let cfg = TransientConfig::fast();
-        let batch = simulate_switching_batch_simd(&lanes, &arc, &point, &cfg).unwrap();
+        let (batch, _) = simd_batch(&lanes, &arc, &point, &cfg);
         for (eq, result) in lanes.iter().zip(&batch) {
             let scalar = simulate_switching(eq, &arc, &point, &cfg).unwrap();
-            let simd = result.clone().unwrap();
+            let simd = measurement(result);
             let delay_err =
                 (simd.delay.value() - scalar.delay.value()).abs() / scalar.delay.value();
             let slew_err = (simd.output_slew.value() - scalar.output_slew.value()).abs()
@@ -482,22 +437,17 @@ mod tests {
         let (arc, lanes) = mc_lanes(7);
         let point = pt(3.0, 1.5, 0.9);
         let cfg = TransientConfig::fast();
-        let full = simulate_switching_batch_simd(&lanes, &arc, &point, &cfg).unwrap();
+        let (full, _) = simd_batch(&lanes, &arc, &point, &cfg);
         for (i, eq) in lanes.iter().enumerate() {
-            let solo = simulate_switching_batch_simd(std::slice::from_ref(eq), &arc, &point, &cfg)
-                .unwrap();
-            let a = full[i].clone().unwrap();
-            let b = solo[0].clone().unwrap();
+            let (solo, _) = simd_batch(std::slice::from_ref(eq), &arc, &point, &cfg);
+            let a = measurement(&full[i]);
+            let b = measurement(&solo[0]);
             assert_eq!(a.delay.value().to_bits(), b.delay.value().to_bits());
             assert_eq!(
                 a.output_slew.value().to_bits(),
                 b.output_slew.value().to_bits()
             );
         }
-        // And the one-shot entry point agrees with the batch lane.
-        let (solo, _) = simulate_switching_simd_with_stats(&lanes[2], &arc, &point, &cfg).unwrap();
-        let lane = full[2].clone().unwrap();
-        assert_eq!(solo.delay.value().to_bits(), lane.delay.value().to_bits());
     }
 
     #[test]
@@ -505,10 +455,10 @@ mod tests {
         let (arc, lanes) = mc_lanes(9);
         let point = pt(5.0, 2.0, 0.8);
         let cfg = TransientConfig::accurate();
-        let a = simulate_switching_batch_simd(&lanes, &arc, &point, &cfg).unwrap();
-        let b = simulate_switching_batch_simd(&lanes, &arc, &point, &cfg).unwrap();
+        let (a, _) = simd_batch(&lanes, &arc, &point, &cfg);
+        let (b, _) = simd_batch(&lanes, &arc, &point, &cfg);
         for (x, y) in a.iter().zip(&b) {
-            let (x, y) = (x.clone().unwrap(), y.clone().unwrap());
+            let (x, y) = (measurement(x), measurement(y));
             assert_eq!(x.delay.value().to_bits(), y.delay.value().to_bits());
             assert_eq!(
                 x.output_slew.value().to_bits(),
@@ -522,19 +472,16 @@ mod tests {
         let (arc, lanes) = mc_lanes(16);
         let point = pt(5.0, 2.0, 0.8);
         let cfg = TransientConfig::fast();
-        let (_, stats) =
-            simulate_switching_batch_simd_with_stats(&lanes, &arc, &point, &cfg).unwrap();
-        let occ = stats.occupancy();
-        assert!(stats.quad_rounds > 0);
+        let (_, stats) = simd_batch(&lanes, &arc, &point, &cfg);
+        let occ = occupancy(stats).expect("quads ran");
         assert!(
             occ > 0.5 && occ <= 1.0,
             "16 cross-seed lanes should keep quads mostly full, got {occ}"
         );
         // A batch of one can never do better than a quarter-full quad.
-        let (_, solo) =
-            simulate_switching_batch_simd_with_stats(&lanes[..1], &arc, &point, &cfg).unwrap();
+        let (_, solo) = simd_batch(&lanes[..1], &arc, &point, &cfg);
         assert_eq!(solo.active_lane_rounds, solo.quad_rounds);
-        assert!((solo.occupancy() - 0.25).abs() < 1e-12);
+        assert!((occupancy(solo).expect("quads ran") - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -563,17 +510,9 @@ mod tests {
 
     #[test]
     fn empty_simd_batch_is_fine() {
-        let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
-        let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let (batch, stats) = simulate_switching_batch_simd_with_stats(
-            &[],
-            &arc,
-            &pt(5.0, 2.0, 0.8),
-            &TransientConfig::fast(),
-        )
-        .unwrap();
+        let (batch, stats) = integrate_batch_simd(&[]);
         assert!(batch.is_empty());
         assert_eq!(stats.quad_rounds, 0);
-        assert_eq!(stats.occupancy(), 1.0);
+        assert_eq!(occupancy(stats), None);
     }
 }

@@ -176,6 +176,10 @@ impl TransientStats {
     }
 }
 
+/// The outcome of one integrated lane: the measurement and its work counters, or the
+/// lane's own integration failure.
+pub type LaneResult = Result<(TimingMeasurement, TransientStats), TransientError>;
+
 // Embedded-pair step-control constants.  ALPHA/BETA are the standard PI exponents for a
 // third-order method; the LTE budget ties the controller to the same `dv_max_fraction`
 // knob that sizes the RK4 reference steps, at a fraction small enough that the pair's
@@ -321,9 +325,9 @@ impl TransientProblem {
 
 /// The integration state of one simulation lane.
 ///
-/// The scalar entry points and the batched kernel drive lanes through the *same*
-/// [`step`](Self::step) method, which is what guarantees that batch lane `i` is bitwise
-/// identical to the scalar simulation of the same problem.
+/// The one-lane integrator ([`integrate`]) drives a lane through [`step`](Self::step), and
+/// the SIMD quad worklist through [`finish_attempt`](Self::finish_attempt), the tail of
+/// every `step` attempt.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneState {
     pub(crate) t: f64,
@@ -467,10 +471,7 @@ impl LaneState {
     }
 
     /// Consumes the retired lane into a measurement (or an incomplete-transition error).
-    pub(crate) fn into_result(
-        self,
-        p: &TransientProblem,
-    ) -> Result<(TimingMeasurement, TransientStats), TransientError> {
+    pub(crate) fn into_result(self, p: &TransientProblem) -> LaneResult {
         let (first, mid, last) = match self.crossings {
             [Some(a), Some(b), Some(c)] => (a, b, c),
             _ => {
@@ -523,9 +524,7 @@ fn hermite_crossing(v0: f64, v1: f64, m0: f64, m1: f64, threshold: f64) -> f64 {
 }
 
 /// Integrates one pre-built problem with the embedded-pair kernel.
-pub(crate) fn integrate(
-    p: &TransientProblem,
-) -> Result<(TimingMeasurement, TransientStats), TransientError> {
+pub(crate) fn integrate(p: &TransientProblem) -> LaneResult {
     let mut lane = LaneState::new(p);
     while !lane.finished() {
         lane.step(p);
@@ -537,9 +536,7 @@ pub(crate) fn integrate(
 /// reference).  The step-size probe of the seed is folded into the first stage: `k1` *is*
 /// the slope the step size is derived from, which removes the duplicated derivative
 /// evaluation the seed paid without changing the trajectory.
-pub(crate) fn integrate_rk4(
-    p: &TransientProblem,
-) -> Result<(TimingMeasurement, TransientStats), TransientError> {
+fn integrate_rk4(p: &TransientProblem) -> LaneResult {
     let mut stats = TransientStats::default();
     let mut crossings = [None::<f64>; 3];
     let mut t = 0.0_f64;
@@ -600,9 +597,9 @@ pub(crate) fn integrate_rk4(
 /// `arc` selects which output transition is simulated; the input stimulus direction is the
 /// complement (the equivalent inverter is inverting by construction).
 ///
-/// This is the one-shot entry point and validates `config` on every call; hot paths that
-/// validated their configuration at construction time (the characterization engine, the
-/// batched kernel) skip straight to the pre-validated integrator.
+/// This is the one-shot scalar reference and validates `config` on every call; batches of
+/// simulations run through [`LocalBackend`](crate::backend::LocalBackend), whose lanes are
+/// bitwise identical to this function.
 ///
 /// # Errors
 ///
@@ -615,26 +612,12 @@ pub fn simulate_switching(
     point: &InputPoint,
     config: &TransientConfig,
 ) -> Result<TimingMeasurement, TransientError> {
-    simulate_switching_with_stats(eq, arc, point, config).map(|(m, _)| m)
-}
-
-/// [`simulate_switching`] plus the integration-work counters, for benchmarking and
-/// regression gating.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_switching`].
-pub fn simulate_switching_with_stats(
-    eq: &EquivalentInverter,
-    arc: &TimingArc,
-    point: &InputPoint,
-    config: &TransientConfig,
-) -> Result<(TimingMeasurement, TransientStats), TransientError> {
     config.validate().map_err(TransientError::InvalidConfig)?;
-    integrate(&TransientProblem::new(eq, arc, point, config))
+    integrate(&TransientProblem::new(eq, arc, point, config)).map(|(m, _)| m)
 }
 
-/// Simulates one switching event with the seed's classical RK4 kernel.
+/// Simulates one switching event with the seed's classical RK4 kernel, returning the
+/// measurement with its integration-work counters.
 ///
 /// Kept as the golden reference: the parity test suite asserts the embedded-pair kernel
 /// stays within 0.5 % of this trajectory's measurements, and `BENCH_transient.json`
@@ -648,21 +631,7 @@ pub fn simulate_switching_rk4(
     arc: &TimingArc,
     point: &InputPoint,
     config: &TransientConfig,
-) -> Result<TimingMeasurement, TransientError> {
-    simulate_switching_rk4_with_stats(eq, arc, point, config).map(|(m, _)| m)
-}
-
-/// [`simulate_switching_rk4`] plus the integration-work counters.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_switching`].
-pub fn simulate_switching_rk4_with_stats(
-    eq: &EquivalentInverter,
-    arc: &TimingArc,
-    point: &InputPoint,
-    config: &TransientConfig,
-) -> Result<(TimingMeasurement, TransientStats), TransientError> {
+) -> LaneResult {
     config.validate().map_err(TransientError::InvalidConfig)?;
     integrate_rk4(&TransientProblem::new(eq, arc, point, config))
 }
@@ -820,7 +789,7 @@ mod tests {
         let cfg = TransientConfig::fast();
         for result in [
             simulate_switching(&eq, &arc, &p, &cfg),
-            simulate_switching_rk4(&eq, &arc, &p, &cfg),
+            simulate_switching_rk4(&eq, &arc, &p, &cfg).map(|(m, _)| m),
         ] {
             match result {
                 Err(TransientError::IncompleteTransition { .. }) => {}
@@ -847,7 +816,7 @@ mod tests {
         let p = point(5.0, 2.0, 0.8);
         for cfg in [TransientConfig::accurate(), TransientConfig::fast()] {
             let new = simulate_switching(&eq, &arc, &p, &cfg).unwrap();
-            let reference = simulate_switching_rk4(&eq, &arc, &p, &cfg).unwrap();
+            let (reference, _) = simulate_switching_rk4(&eq, &arc, &p, &cfg).unwrap();
             let delay_err =
                 (new.delay.value() - reference.delay.value()).abs() / reference.delay.value();
             let slew_err = (new.output_slew.value() - reference.output_slew.value()).abs()
@@ -863,8 +832,8 @@ mod tests {
         let arc = TimingArc::new(cell, 0, Transition::Fall);
         let p = point(5.0, 2.0, 0.8);
         let cfg = TransientConfig::accurate();
-        let (_, new) = simulate_switching_with_stats(&eq, &arc, &p, &cfg).unwrap();
-        let (_, rk4) = simulate_switching_rk4_with_stats(&eq, &arc, &p, &cfg).unwrap();
+        let (_, new) = integrate(&TransientProblem::new(&eq, &arc, &p, &cfg)).unwrap();
+        let (_, rk4) = simulate_switching_rk4(&eq, &arc, &p, &cfg).unwrap();
         assert!(new.steps > 0 && rk4.steps > 0);
         assert!(
             2 * new.device_evals < rk4.device_evals,
@@ -878,13 +847,9 @@ mod tests {
     fn stats_count_rk4_work_exactly() {
         let (_, eq, cell) = setup(CellKind::Inv);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let (_, stats) = simulate_switching_rk4_with_stats(
-            &eq,
-            &arc,
-            &point(5.0, 2.0, 0.8),
-            &TransientConfig::fast(),
-        )
-        .unwrap();
+        let (_, stats) =
+            simulate_switching_rk4(&eq, &arc, &point(5.0, 2.0, 0.8), &TransientConfig::fast())
+                .unwrap();
         // Four derivative evaluations (eight transistor evaluations) per RK4 step, none
         // rejected.
         assert_eq!(stats.device_evals, 8 * stats.steps);

@@ -1,24 +1,24 @@
-//! Golden-parity suite: the embedded-pair kernel and its batched lanes against the seed
-//! RK4 reference, across a (cell × arc × slew × load × vdd) grid.
+//! Golden-parity suite: the embedded-pair kernel and the [`LocalBackend`] batches that
+//! run it against the seed RK4 reference, across a (cell × arc × slew × load × vdd) grid.
 //!
 //! Three invariants are asserted:
 //!
 //! 1. **Accuracy parity** — delay and output slew from the new integrator stay within
 //!    0.5 % (relative) of the seed RK4 trajectory at both configuration presets;
-//! 2. **Batch/scalar identity** — batch lane `i` is *bitwise* equal to the scalar
-//!    simulation of seed `i` (same for sweep lanes vs points);
-//! 3. **Determinism** — repeating a simulation (scalar or batched) reproduces identical
-//!    bits.
+//! 2. **Batch/scalar identity** — lane `i` of a [`LocalBackend`] batch is *bitwise* equal
+//!    to [`simulate_switching`] of seed `i`;
+//! 3. **Determinism** — repeating a simulation reproduces identical bits.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use slic_cells::{Cell, CellKind, DriveStrength, EquivalentInverter, TimingArc, Transition};
-use slic_device::TechnologyNode;
+use slic_device::{ProcessSample, TechnologyNode};
 use slic_spice::{
-    simulate_switching, simulate_switching_batch, simulate_switching_rk4,
-    simulate_switching_with_stats, InputPoint, TransientConfig,
+    simulate_switching, simulate_switching_rk4, InputPoint, LocalBackend, SimRequest,
+    SimulationBackend, TransientConfig,
 };
 use slic_units::{Farads, Seconds, Volts};
+use std::sync::Arc;
 
 const PARITY_TOLERANCE: f64 = 0.005;
 
@@ -46,6 +46,28 @@ fn grid_cells() -> Vec<Cell> {
     ]
 }
 
+/// One request per process seed: `arc` of `cell` at `point`.
+fn requests(
+    tech: &Arc<TechnologyNode>,
+    cell: Cell,
+    arc: TimingArc,
+    point: InputPoint,
+    seeds: &[ProcessSample],
+    config: TransientConfig,
+) -> Vec<SimRequest> {
+    seeds
+        .iter()
+        .map(|&seed| SimRequest {
+            tech: tech.clone(),
+            cell,
+            arc,
+            point,
+            seed,
+            config,
+        })
+        .collect()
+}
+
 #[test]
 fn embedded_pair_stays_within_half_percent_of_seed_rk4() {
     // The golden reference is the seed RK4 at its *accurate* preset — the configuration the
@@ -63,7 +85,7 @@ fn embedded_pair_stays_within_half_percent_of_seed_rk4() {
                 let arc = TimingArc::new(cell, 0, transition);
                 for point in grid_points() {
                     let new = simulate_switching(&eq, &arc, &point, &config).unwrap();
-                    let golden =
+                    let (golden, _) =
                         simulate_switching_rk4(&eq, &arc, &point, &TransientConfig::accurate())
                             .unwrap();
                     let delay_err =
@@ -94,20 +116,21 @@ fn embedded_pair_stays_within_half_percent_of_seed_rk4() {
 
 #[test]
 fn embedded_pair_cuts_steps_at_least_twofold_on_the_grid() {
-    let tech = TechnologyNode::n14_finfet();
+    let tech = Arc::new(TechnologyNode::n14_finfet());
     let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
     let eq = EquivalentInverter::nominal(&tech, cell);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
+    let nominal = [ProcessSample::nominal()];
     for config in [TransientConfig::accurate(), TransientConfig::fast()] {
-        let mut new_evals = 0u64;
+        let backend = LocalBackend::new();
         let mut rk4_evals = 0u64;
         for point in grid_points() {
-            let (_, s) = simulate_switching_with_stats(&eq, &arc, &point, &config).unwrap();
-            new_evals += s.device_evals;
-            let (_, s) =
-                slic_spice::simulate_switching_rk4_with_stats(&eq, &arc, &point, &config).unwrap();
+            let solved = backend.solve_batch(&requests(&tech, cell, arc, point, &nominal, config));
+            assert!(solved[0].is_ok());
+            let (_, s) = simulate_switching_rk4(&eq, &arc, &point, &config).unwrap();
             rk4_evals += s.device_evals;
         }
+        let new_evals = backend.kernel_stats().expect("local kernel").device_evals;
         assert!(
             2 * new_evals <= rk4_evals,
             "expected >= 2x fewer device evals ({new_evals} vs {rk4_evals})"
@@ -117,7 +140,7 @@ fn embedded_pair_cuts_steps_at_least_twofold_on_the_grid() {
 
 #[test]
 fn batch_lane_is_bitwise_equal_to_scalar_across_the_grid() {
-    let tech = TechnologyNode::n28_bulk();
+    let tech = Arc::new(TechnologyNode::n28_bulk());
     let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     let mut rng = StdRng::seed_from_u64(2015);
@@ -127,11 +150,13 @@ fn batch_lane_is_bitwise_equal_to_scalar_across_the_grid() {
         .map(|s| EquivalentInverter::build(&tech, cell, s))
         .collect();
     let config = TransientConfig::fast();
+    let backend = LocalBackend::new();
     for point in grid_points() {
-        let batch = simulate_switching_batch(&lanes, &arc, &point, &config).unwrap();
-        for (i, (eq, lane)) in lanes.iter().zip(&batch).enumerate() {
+        let batch = backend.solve_batch(&requests(&tech, cell, arc, point, &seeds, config));
+        assert_eq!(batch.len(), lanes.len());
+        for (i, (eq, lane)) in lanes.iter().zip(batch).enumerate() {
             let scalar = simulate_switching(eq, &arc, &point, &config).unwrap();
-            let lane = lane.clone().unwrap();
+            let lane = lane.unwrap();
             assert_eq!(
                 lane.delay.value().to_bits(),
                 scalar.delay.value().to_bits(),

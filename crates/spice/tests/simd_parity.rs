@@ -1,5 +1,5 @@
-//! SIMD-kernel parity suite: the quad-lane kernel against the scalar batched path, across
-//! the same (cell × arc × slew × load × vdd) grid as the golden-parity suite.
+//! SIMD-kernel parity suite: `LocalBackend::with_simd(true)` against the scalar kernel,
+//! across the same (cell × arc × slew × load × vdd) grid as the golden-parity suite.
 //!
 //! Three invariants are asserted:
 //!
@@ -14,10 +14,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use slic_cells::{Cell, CellKind, DriveStrength, EquivalentInverter, TimingArc, Transition};
-use slic_device::TechnologyNode;
+use slic_device::{ProcessSample, TechnologyNode};
 use slic_spice::{
-    simulate_switching, simulate_switching_batch_simd, CharacterizationEngine, InputPoint,
-    LocalBackend, TransientConfig,
+    simulate_switching, CharacterizationEngine, InputPoint, LocalBackend, SimRequest,
+    SimulationBackend, TimingMeasurement, TransientConfig,
 };
 use slic_units::{Farads, Seconds, Volts};
 use std::sync::Arc;
@@ -52,9 +52,36 @@ fn relative_err(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs()
 }
 
+/// One SIMD batch: `arc` of `cell` at `point` under every seed, through the quad kernel.
+fn simd_batch(
+    tech: &Arc<TechnologyNode>,
+    cell: Cell,
+    arc: TimingArc,
+    point: InputPoint,
+    seeds: &[ProcessSample],
+    config: TransientConfig,
+) -> Vec<TimingMeasurement> {
+    let requests: Vec<SimRequest> = seeds
+        .iter()
+        .map(|&seed| SimRequest {
+            tech: tech.clone(),
+            cell,
+            arc,
+            point,
+            seed,
+            config,
+        })
+        .collect();
+    LocalBackend::with_simd(true)
+        .solve_batch(&requests)
+        .into_iter()
+        .map(|lane| lane.expect("lane completes"))
+        .collect()
+}
+
 #[test]
 fn simd_lanes_stay_within_half_percent_of_scalar_across_the_grid() {
-    let tech = TechnologyNode::n14_finfet();
+    let tech = Arc::new(TechnologyNode::n14_finfet());
     let mut rng = StdRng::seed_from_u64(2015);
     let seeds = tech.variation().sample_n(&mut rng, 6);
     let mut worst = 0.0_f64;
@@ -68,10 +95,8 @@ fn simd_lanes_stay_within_half_percent_of_scalar_across_the_grid() {
             for transition in Transition::BOTH {
                 let arc = TimingArc::new(cell, 0, transition);
                 for point in grid_points() {
-                    let batch = simulate_switching_batch_simd(&lanes, &arc, &point, &config)
-                        .expect("valid config");
-                    for (i, (eq, lane)) in lanes.iter().zip(batch).enumerate() {
-                        let simd = lane.expect("lane completes");
+                    let batch = simd_batch(&tech, cell, arc, point, &seeds, config);
+                    for (i, (eq, simd)) in lanes.iter().zip(batch).enumerate() {
                         let scalar = simulate_switching(eq, &arc, &point, &config).unwrap();
                         let delay_err = relative_err(simd.delay.value(), scalar.delay.value());
                         let slew_err =
@@ -94,21 +119,16 @@ fn simd_lanes_stay_within_half_percent_of_scalar_across_the_grid() {
 
 #[test]
 fn simd_batches_are_bitwise_deterministic() {
-    let tech = TechnologyNode::n28_bulk();
+    let tech = Arc::new(TechnologyNode::n28_bulk());
     let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     let mut rng = StdRng::seed_from_u64(7);
     let seeds = tech.variation().sample_n(&mut rng, 5);
-    let lanes: Vec<EquivalentInverter> = seeds
-        .iter()
-        .map(|s| EquivalentInverter::build(&tech, cell, s))
-        .collect();
     let config = TransientConfig::fast();
     for point in grid_points() {
-        let a = simulate_switching_batch_simd(&lanes, &arc, &point, &config).unwrap();
-        let b = simulate_switching_batch_simd(&lanes, &arc, &point, &config).unwrap();
+        let a = simd_batch(&tech, cell, arc, point, &seeds, config);
+        let b = simd_batch(&tech, cell, arc, point, &seeds, config);
         for (x, y) in a.iter().zip(&b) {
-            let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
             assert_eq!(x.delay.value().to_bits(), y.delay.value().to_bits());
             assert_eq!(
                 x.output_slew.value().to_bits(),
@@ -163,7 +183,7 @@ proptest::proptest! {
         seed in 0u64..1000,
         fast in 0u32..2,
     ) {
-        let tech = TechnologyNode::n14_finfet();
+        let tech = Arc::new(TechnologyNode::n14_finfet());
         let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -178,9 +198,8 @@ proptest::proptest! {
             Farads::from_femtofarads(cload_ff),
             Volts(vdd),
         );
-        let batch = simulate_switching_batch_simd(&lanes, &arc, &point, &config).unwrap();
-        for (eq, lane) in lanes.iter().zip(batch) {
-            let simd = lane.unwrap();
+        let batch = simd_batch(&tech, cell, arc, point, &seeds, config);
+        for (eq, simd) in lanes.iter().zip(batch) {
             let scalar = simulate_switching(eq, &arc, &point, &config).unwrap();
             prop_assert!(
                 relative_err(simd.delay.value(), scalar.delay.value()) < SIMD_TOLERANCE

@@ -7,6 +7,8 @@
 //!   and whatever parses re-renders to text that parses back to the same value;
 //! * every proper prefix of a real `DiskSimCache` record, ledger line and trace line is
 //!   an error (a torn line is never mistaken for a record), and the whole line parses;
+//! * arrays and objects nested past upstream `serde_json`'s 128 levels are an error, not
+//!   a stack overflow, however deep the line goes;
 //! * rendering a generated [`Value`] and parsing it back is the identity.
 
 use proptest::prelude::*;
@@ -19,6 +21,7 @@ use slic_obs::ledger::{self, RunRecord};
 use slic_obs::{MetricsRegistry, TraceRecorder};
 use slic_spice::{
     DiskSimCache, InputPoint, SimKey, SimulationCache, TimingMeasurement, TransientConfig,
+    KERNEL_VERSION,
 };
 use slic_units::{Farads, Seconds, Volts};
 
@@ -45,6 +48,7 @@ fn cache_record_line() -> String {
         Volts(0.8),
     );
     let key = SimKey::new(
+        KERNEL_VERSION,
         "n14",
         &TimingArc::new(cell, 1, Transition::Fall),
         &point,
@@ -116,6 +120,33 @@ fn every_proper_prefix_of_a_real_line_is_an_error() {
                 &line[..cut]
             );
         }
+    }
+}
+
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    let depth = 128;
+    let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    let objects = |n: usize| format!("{}0{}", "{\"a\":".repeat(n), "}".repeat(n));
+    assert!(serde_json::from_str::<Value>(&arrays(depth)).is_ok());
+    assert!(serde_json::from_str::<Value>(&objects(depth)).is_ok());
+    for line in [
+        arrays(depth + 1),
+        objects(depth + 1),
+        "[".repeat(200_000),
+        "{\"a\":".repeat(200_000),
+        // Deep nesting inside an otherwise well-formed cache record.
+        cache_record_line().replacen(
+            "\"tech\":",
+            &format!("\"x\":{},\"tech\":", arrays(depth + 1)),
+            1,
+        ),
+    ] {
+        let err = serde_json::from_str::<Value>(&line).expect_err("too deep to parse");
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
     }
 }
 

@@ -10,7 +10,7 @@
 //! Everything routes through an existing
 //! [`CharacterizationEngine`](slic_spice::CharacterizationEngine), so the engine's
 //! simulation counter, cache and pluggable
-//! [`SimulationBackend`](slic_spice::SimulationBackend) (local batched kernel or a
+//! [`SimulationBackend`](slic_spice::SimulationBackend) (the local kernel or a
 //! `slic-farm` fleet) all apply per `(seed, point)` coordinate: a delay table and a slew
 //! table of one arc share their transients, shard workers against one disk cache pay each
 //! coordinate once, and a farm run produces bit-identical tables to a local run.
