@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench bench-kernel bench-kernel-diff lint slic-lint lint-baseline profile fmt clippy clean
+.PHONY: build test bench bench-kernel bench-kernel-diff bench-e2e lint slic-lint lint-baseline profile fmt clippy clean
 
 build:
 	$(CARGO) build --release
@@ -23,6 +23,30 @@ bench-kernel-diff:
 	BENCH_SMOKE=1 BENCH_OUT=$(CURDIR)/target/bench_fresh.json \
 		$(CARGO) bench -p slic-bench --bench transient_kernel
 	$(CARGO) run --release -p slic-cli -- bench diff target/bench_fresh.json BENCH_transient.json
+
+# The end-to-end benchmark: BENCHMARK.json's command once per workload (default seed,
+# 20 s each), the result lines gathered into BENCH_e2e.json at the repo root.  Fails if
+# any run exits nonzero or reports a failed or incorrect campaign.
+PERFBENCH = $(CARGO) run --offline --release --quiet --manifest-path perfbench/Cargo.toml --
+BENCH_E2E_WORKLOADS = nominal mc-cold mc-warm mc-farm
+
+bench-e2e:
+	@set -e; mkdir -p target/bench-e2e; sep=''; \
+	printf '{"schema":"slic-bench/e2e/v1","seconds":20,"workloads":{' > target/bench-e2e/all.json; \
+	for w in $(BENCH_E2E_WORKLOADS); do \
+		echo "bench-e2e: $$w"; \
+		$(PERFBENCH) --workload $$w --seconds 20 --trace 0 > target/bench-e2e/$$w.out; \
+		result=$$(tail -n 1 target/bench-e2e/$$w.out); \
+		case "$$result" in \
+			'{"correct": true, "attempted": '*', "failed": 0, '*) ;; \
+			*) echo "bench-e2e: $$w failed: $$result" >&2; exit 1 ;; \
+		esac; \
+		printf '%s\n"%s":%s' "$$sep" "$$w" "$$result" >> target/bench-e2e/all.json; \
+		sep=','; \
+	done; \
+	printf '\n}}\n' >> target/bench-e2e/all.json; \
+	mv target/bench-e2e/all.json BENCH_e2e.json; \
+	echo "bench-e2e: wrote BENCH_e2e.json"
 
 fmt:
 	$(CARGO) fmt --all -- --check

@@ -1,7 +1,7 @@
 //! Timing arcs: which input switches and which way the output moves.
 
 use crate::cell::Cell;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::fmt;
 
 /// Direction of a signal transition.
@@ -39,7 +39,10 @@ impl fmt::Display for Transition {
 ///
 /// Following the paper, only one timing arc is modelled at a time (no simultaneous input
 /// switching); the other inputs are held at their non-controlling values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// Deserialization applies the constructor's pin-range check, so an arc read from a
+/// cache record, a wire request or an artifact names a pin its cell has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct TimingArc {
     cell: Cell,
     input_pin: usize,
@@ -55,9 +58,8 @@ impl TimingArc {
     pub fn new(cell: Cell, input_pin: usize, output_transition: Transition) -> Self {
         assert!(
             input_pin < cell.input_count(),
-            "input pin {input_pin} out of range for {} ({} inputs)",
-            cell.name(),
-            cell.input_count()
+            "{}",
+            pin_out_of_range(cell, input_pin)
         );
         Self {
             cell,
@@ -130,6 +132,35 @@ impl fmt::Display for TimingArc {
     }
 }
 
+/// Why `input_pin` is not an arc of `cell`: the constructor's panic message and the
+/// deserializer's error.
+fn pin_out_of_range(cell: Cell, input_pin: usize) -> String {
+    format!(
+        "input pin {input_pin} out of range for {} ({} inputs)",
+        cell.name(),
+        cell.input_count()
+    )
+}
+
+impl Deserialize for TimingArc {
+    fn from_value(value: &Value) -> Result<Self, SerdeError> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| SerdeError::expected("object", value))?;
+        let cell: Cell = serde::field(entries, "cell")?;
+        let input_pin: usize = serde::field(entries, "input_pin")?;
+        let output_transition = serde::field(entries, "output_transition")?;
+        if input_pin >= cell.input_count() {
+            return Err(SerdeError::custom(pin_out_of_range(cell, input_pin)));
+        }
+        Ok(Self {
+            cell,
+            input_pin,
+            output_transition,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +208,23 @@ mod tests {
         assert_eq!(TimingArc::all_arcs(nand2()).len(), 4);
         let nor3 = Cell::new(CellKind::Nor3, DriveStrength::X1);
         assert_eq!(TimingArc::all_arcs(nor3).len(), 6);
+    }
+
+    #[test]
+    fn deserialization_checks_the_pin_like_the_constructor() {
+        let arc = TimingArc::new(nand2(), 1, Transition::Fall);
+        assert_eq!(TimingArc::from_value(&arc.to_value()), Ok(arc));
+        let inv = Cell::new(CellKind::Inv, DriveStrength::X1);
+        let bad = Value::Object(vec![
+            ("cell".to_string(), inv.to_value()),
+            ("input_pin".to_string(), Value::Number(7.0)),
+            ("output_transition".to_string(), Transition::Fall.to_value()),
+        ]);
+        let err = TimingArc::from_value(&bad).expect_err("INV has no pin 7");
+        assert_eq!(
+            err.to_string(),
+            "input pin 7 out of range for INV_X1 (1 inputs)"
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::mosfet::{DeviceParams, Mosfet, Polarity};
 use crate::variation::ProcessVariation;
 use serde::{Deserialize, Serialize};
 use slic_units::{Farads, Volts};
+use std::sync::{Arc, OnceLock};
 
 /// Whether a node is used as historical training data or as the characterization target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -276,33 +277,33 @@ impl TechnologyNode {
     /// (`"hist-28nm-bulk"`, `"target-14nm-finfet"`) — the name → node mapping used by run
     /// configs and the CLI.
     pub fn by_name(name: &str) -> Option<Self> {
-        let shorts = [
-            "n45_bulk",
-            "n32_soi",
-            "n28_bulk",
-            "n20_bulk",
-            "n16_finfet",
-            "n14_finfet",
-            "target_14nm",
-            "target_28nm",
-        ];
-        let nodes = [
-            Self::n45_bulk(),
-            Self::n32_soi(),
-            Self::n28_bulk(),
-            Self::n20_bulk(),
-            Self::n16_finfet(),
-            Self::n14_finfet(),
-            Self::target_14nm(),
-            Self::target_28nm(),
-        ];
-        shorts
+        Self::by_name_shared(name).map(|node| Self::clone(&node))
+    }
+
+    /// [`by_name`](Self::by_name) without the copy: the family is built once per process,
+    /// and every lookup of one node returns the same [`Arc`], so requests rebuilt from
+    /// node names (farm wire lanes) share one node instead of building one each.
+    pub fn by_name_shared(name: &str) -> Option<Arc<Self>> {
+        static FAMILY: OnceLock<[(&str, Arc<TechnologyNode>); 8]> = OnceLock::new();
+        let family = FAMILY.get_or_init(|| {
+            [
+                ("n45_bulk", Self::n45_bulk()),
+                ("n32_soi", Self::n32_soi()),
+                ("n28_bulk", Self::n28_bulk()),
+                ("n20_bulk", Self::n20_bulk()),
+                ("n16_finfet", Self::n16_finfet()),
+                ("n14_finfet", Self::n14_finfet()),
+                ("target_14nm", Self::target_14nm()),
+                ("target_28nm", Self::target_28nm()),
+            ]
+            .map(|(short, node)| (short, Arc::new(node)))
+        });
+        family
             .iter()
-            .zip(nodes)
             .find(|(short, node)| {
                 short.eq_ignore_ascii_case(name) || node.name().eq_ignore_ascii_case(name)
             })
-            .map(|(_, node)| node)
+            .map(|(_, node)| Arc::clone(node))
     }
 
     /// The full historical suite used to learn priors (6 nodes, mirroring the paper's
@@ -560,6 +561,12 @@ mod tests {
             28
         );
         assert!(TechnologyNode::by_name("n7_gaafet").is_none());
+
+        let short = TechnologyNode::by_name_shared("n28_bulk").expect("catalogue name");
+        let display = TechnologyNode::by_name_shared("HIST-28NM-BULK").expect("display name");
+        assert!(Arc::ptr_eq(&short, &display), "one node per process");
+        assert_eq!(*short, TechnologyNode::n28_bulk());
+        assert!(TechnologyNode::by_name_shared("n7_gaafet").is_none());
     }
 
     #[test]

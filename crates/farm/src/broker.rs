@@ -43,7 +43,7 @@
 //! backend, so a unique coordinate is paid for exactly once across the whole farm.
 
 use crate::backoff::{splitmix64, BackoffPolicy};
-use crate::wire::{decode_message, encode_message, Message, WireError, WireRequest};
+use crate::wire::{decode_message, encode_line, send_line, Message, WireError, WireRequest};
 use crate::FarmError;
 use slic_obs::Observability;
 use slic_spice::{LocalBackend, SimRequest, SimResult, SimulationBackend};
@@ -605,15 +605,17 @@ impl FarmBackend {
     fn roundtrip(
         &self,
         slot: &WorkerSlot,
-        requests: &[WireRequest],
+        requests: Vec<WireRequest>,
     ) -> Result<Vec<SimResult>, FarmError> {
+        let lanes = requests.len();
         let mut span = self.obs.trace.span(
             "farm.roundtrip",
-            &[
-                ("worker", slot.name.clone()),
-                ("lanes", requests.len().to_string()),
-            ],
+            &[("worker", slot.name.clone()), ("lanes", lanes.to_string())],
         );
+        // The line is built before the slot lock is taken: only the write and the read
+        // need the connection.
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let line = encode_line(&Message::Batch { id, requests });
         let mut guard = match slot.conn.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
@@ -632,38 +634,30 @@ impl FarmBackend {
                 .stream
                 .is_none()
                 .then(|| PipeWatchdog::arm(Arc::clone(&conn.child), BATCH_TIMEOUT));
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let payload = encode_message(&Message::Batch {
-                id,
-                requests: requests.to_vec(),
-            });
             self.obs.metrics.counter_add(
                 &format!("farm.worker.{}.bytes_tx", slot.name),
-                payload.len() as u64 + 1,
+                line.len() as u64,
             );
-            writeln!(conn.writer, "{payload}")
+            send_line(&mut conn.writer, &line)
                 .map_err(|err| FarmError::Transport(slot.name.clone(), err.to_string()))?;
-            conn.writer
-                .flush()
-                .map_err(|err| FarmError::Transport(slot.name.clone(), err.to_string()))?;
-            let mut line = String::new();
+            let mut reply = String::new();
             let read = conn
                 .reader
                 // slic-lint: allow(L1) -- the protocol is strictly alternating per connection, so the slot lock must span the write+read round trip; other workers use other slots and the read has a deadline (socket timeout or pipe watchdog).
-                .read_line(&mut line)
+                .read_line(&mut reply)
                 .map_err(|err| FarmError::Transport(slot.name.clone(), err.to_string()))?;
             if read == 0 {
                 return Err(FarmError::WorkerDown(slot.name.clone()));
             }
             self.obs.metrics.counter_add(
                 &format!("farm.worker.{}.bytes_rx", slot.name),
-                line.len() as u64,
+                reply.len() as u64,
             );
-            match decode_message(line.trim_end()) {
+            match decode_message(reply.trim_end()) {
                 Ok(Message::Results {
                     id: reply_id,
                     results,
-                }) if reply_id == id && results.len() == requests.len() => results
+                }) if reply_id == id && results.len() == lanes => results
                     .iter()
                     .map(|entry| {
                         entry
@@ -684,10 +678,9 @@ impl FarmBackend {
                 self.obs
                     .metrics
                     .counter_add(&format!("farm.worker.{}.jobs", slot.name), 1);
-                self.obs.metrics.counter_add(
-                    &format!("farm.worker.{}.lanes", slot.name),
-                    requests.len() as u64,
-                );
+                self.obs
+                    .metrics
+                    .counter_add(&format!("farm.worker.{}.lanes", slot.name), lanes as u64);
             }
             Err(_) => {
                 span.attr("ok", "false".to_string());
@@ -711,9 +704,8 @@ fn ping_roundtrip(conn: &mut WorkerConn, id: u64, deadline: Duration) -> Result<
     stream
         .set_read_timeout(Some(deadline))
         .map_err(|err| fail(err.to_string()))?;
-    writeln!(conn.writer, "{}", encode_message(&Message::Ping { id }))
+    send_line(&mut conn.writer, &encode_line(&Message::Ping { id }))
         .map_err(|err| fail(err.to_string()))?;
-    conn.writer.flush().map_err(|err| fail(err.to_string()))?;
     let mut line = String::new();
     let read = conn
         .reader
@@ -827,8 +819,10 @@ fn handshake(
     }
 }
 
-/// Lanes per dispatched job: small enough that a fleet interleaves on one engine batch,
-/// large enough that the JSON framing stays noise.
+/// Lanes per dispatched job: two jobs per worker, so a fleet interleaves on one engine
+/// call, and at most 16 lanes, so the JSON framing stays noise.  The engine's calls carry
+/// up to 64 lanes, so one call to a two-worker fleet becomes four 16-lane jobs, each
+/// worker answering one ping per call before its first job.
 fn job_lanes(total: usize, workers: usize) -> usize {
     total.div_ceil(workers.max(1) * 2).clamp(1, 16)
 }
@@ -913,7 +907,7 @@ impl SimulationBackend for FarmBackend {
                             // slic-lint: allow(P1) -- structural: `lanes` holds exactly the indices whose encoding succeeded.
                             .map(|&i| encoded[i].clone().expect("encodable lane"))
                             .collect();
-                        match self.roundtrip(slot, &wire) {
+                        match self.roundtrip(slot, wire) {
                             Ok(solved) => {
                                 self.jobs_completed.fetch_add(1, Ordering::Relaxed);
                                 self.lanes_remote
@@ -1020,8 +1014,7 @@ impl Drop for FarmBackend {
             };
             if let Some(conn) = guard.as_mut() {
                 // Orderly shutdown; a worker that already died ignores us.
-                let _ = writeln!(conn.writer, "{}", encode_message(&Message::Shutdown));
-                let _ = conn.writer.flush();
+                let _ = send_line(&mut conn.writer, &encode_line(&Message::Shutdown));
                 let mut child = conn
                     .child
                     .lock()

@@ -1,7 +1,8 @@
 //! The farm wire protocol: versioned JSON-lines messages between broker and worker.
 //!
-//! One message per line, each a JSON object with a `"type"` tag.  The conversation is a
-//! strict request/response alternation on one connection:
+//! One message per line, each a JSON object with a `"type"` tag, sent in one write of
+//! the line and its newline.  The conversation is a strict request/response alternation
+//! on one connection:
 //!
 //! ```text
 //! worker → broker   {"type":"hello","protocol":2,"kernel":"2","worker":"w0"}
@@ -40,6 +41,7 @@ use slic_spice::cache::{bits_from_value, bits_to_value};
 use slic_spice::{InputPoint, SimRequest, SimResult, TimingMeasurement, KERNEL_VERSION};
 use slic_units::{Farads, Seconds, Volts};
 use std::fmt;
+use std::io::Write;
 
 /// Version of the wire protocol itself (message shapes and framing).
 ///
@@ -208,8 +210,8 @@ impl WireRequest {
     pub fn encode(request: &SimRequest) -> Result<Self, WireError> {
         // The worker rebuilds the node from the catalogue; a custom node whose name does
         // not round-trip would silently simulate different device physics.
-        match TechnologyNode::by_name(request.tech.name()) {
-            Some(catalogued) if catalogued == *request.tech => {}
+        match TechnologyNode::by_name_shared(request.tech.name()) {
+            Some(catalogued) if *catalogued == *request.tech => {}
             _ => {
                 return Err(WireError::UnknownTechnology(
                     request.tech.name().to_string(),
@@ -251,7 +253,7 @@ impl WireRequest {
     /// non-finite or out of its physical range, the transient configuration fails
     /// validation, or the arc does not belong to the request's cell.
     pub fn decode(&self) -> Result<SimRequest, WireError> {
-        let tech = TechnologyNode::by_name(&self.tech)
+        let tech = TechnologyNode::by_name_shared(&self.tech)
             .ok_or_else(|| WireError::UnknownTechnology(self.tech.clone()))?;
         if self.arc.cell() != self.cell {
             return Err(WireError::InvalidRequest(format!(
@@ -290,7 +292,7 @@ impl WireRequest {
             .validate()
             .map_err(|msg| WireError::InvalidRequest(format!("transient config: {msg}")))?;
         Ok(SimRequest {
-            tech: std::sync::Arc::new(tech),
+            tech,
             cell: self.cell,
             arc: self.arc,
             point,
@@ -515,6 +517,21 @@ pub fn encode_message(message: &Message) -> String {
     serde_json::to_string(&value).expect("wire messages contain no non-finite numbers")
 }
 
+/// Renders a message as the line that travels: its JSON and the newline.
+pub(crate) fn encode_line(message: &Message) -> String {
+    let mut line = encode_message(message);
+    line.push('\n');
+    line
+}
+
+/// Sends one line (newline included) in a single write and flushes it.  Writing the
+/// JSON and the newline separately would cost two writes on an unbuffered stream, and
+/// two TCP segments under `TCP_NODELAY`.
+pub(crate) fn send_line(mut writer: impl Write, line: &str) -> std::io::Result<()> {
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
 /// Parses one wire line into a message.
 ///
 /// # Errors
@@ -573,6 +590,7 @@ mod tests {
     use super::*;
     use slic_cells::{CellKind, DriveStrength, Transition};
     use slic_spice::TransientConfig;
+    use std::sync::Arc;
 
     fn request() -> SimRequest {
         let cell = Cell::new(CellKind::Nand2, DriveStrength::X2);
@@ -607,6 +625,35 @@ mod tests {
         assert_eq!(id, 7);
         assert_eq!(requests.len(), 1);
         assert_eq!(requests[0].decode().expect("reconstructs"), original);
+    }
+
+    #[test]
+    fn the_lanes_of_a_decoded_batch_share_one_technology_node() {
+        let n28 = SimRequest {
+            tech: Arc::new(TechnologyNode::n28_bulk()),
+            ..request()
+        };
+        // Each `request()` brings its own `n14` `Arc`, as lanes from different engines
+        // would.
+        let lanes = [request(), n28, request(), request()];
+        let line = encode_message(&Message::Batch {
+            id: 1,
+            requests: lanes
+                .iter()
+                .map(|lane| WireRequest::encode(lane).expect("catalogue lanes encode"))
+                .collect(),
+        });
+        let Message::Batch { requests, .. } = decode_message(&line).expect("decodes") else {
+            panic!("wrong message type");
+        };
+        let decoded: Vec<SimRequest> = requests
+            .iter()
+            .map(|lane| lane.decode().expect("catalogue lanes decode"))
+            .collect();
+        assert_eq!(decoded, lanes, "every lane reconstructs bit-exactly");
+        assert!(Arc::ptr_eq(&decoded[0].tech, &decoded[2].tech));
+        assert!(Arc::ptr_eq(&decoded[0].tech, &decoded[3].tech));
+        assert!(!Arc::ptr_eq(&decoded[0].tech, &decoded[1].tech));
     }
 
     #[test]

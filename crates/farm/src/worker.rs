@@ -28,7 +28,7 @@
 //! the *flapping* peer the broker's reconnect-with-backoff supervisor must re-admit.
 
 use crate::fault::FaultPlan;
-use crate::wire::{decode_message, encode_message, Hello, Message, WireResultEntry};
+use crate::wire::{decode_message, encode_line, send_line, Hello, Message, WireResultEntry};
 use slic_obs::TraceRecorder;
 use slic_spice::{LocalBackend, SimResult, SimulationBackend};
 use std::io::{BufRead, BufReader, Write};
@@ -78,12 +78,10 @@ pub fn serve_connection(
     served: &mut u64,
     options: &WorkerOptions,
 ) -> std::io::Result<ServeOutcome> {
-    writeln!(
-        writer,
-        "{}",
-        encode_message(&Message::Hello(Hello::current(options.name.clone())))
+    send_line(
+        &mut writer,
+        &encode_line(&Message::Hello(Hello::current(options.name.clone()))),
     )?;
-    writer.flush()?;
     let backend = LocalBackend::new();
     let fault = options.fault.unwrap_or_default();
     let mut line = String::new();
@@ -130,24 +128,20 @@ pub fn serve_connection(
                 }
                 if fault.garbles_batch(*served) {
                     // Scripted protocol violation: bytes that decode to nothing.
-                    writeln!(writer, "%%% not a farm message (injected garbage) %%%")?;
-                    writer.flush()?;
+                    send_line(
+                        &mut writer,
+                        "%%% not a farm message (injected garbage) %%%\n",
+                    )?;
                     *served += 1;
                     continue;
                 }
                 let results: Vec<WireResultEntry> = solve_wire_batch(&backend, &requests);
-                writeln!(
-                    writer,
-                    "{}",
-                    encode_message(&Message::Results { id, results })
-                )?;
-                writer.flush()?;
+                send_line(&mut writer, &encode_line(&Message::Results { id, results }))?;
                 *served += 1;
             }
             Message::Ping { id } => {
                 let _span = options.trace.span("worker.ping", &[("id", id.to_string())]);
-                writeln!(writer, "{}", encode_message(&Message::Pong { id }))?;
-                writer.flush()?;
+                send_line(&mut writer, &encode_line(&Message::Pong { id }))?;
             }
             Message::Shutdown => return Ok(ServeOutcome::Shutdown),
             Message::Hello(_) | Message::Results { .. } | Message::Pong { .. } => {
@@ -246,7 +240,7 @@ pub fn serve_stdio(options: &WorkerOptions) -> std::io::Result<ServeOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireRequest;
+    use crate::wire::{encode_message, WireRequest};
     use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
     use slic_device::{ProcessSample, TechnologyNode};
     use slic_spice::{InputPoint, SimRequest, TransientConfig};
@@ -307,6 +301,64 @@ mod tests {
         assert_eq!(id, 11);
         assert_eq!(results.len(), 1);
         assert!(results[0].decode().expect("decodes").is_ok());
+    }
+
+    /// A writer that counts its `write` calls: each is a separate segment on a
+    /// `TCP_NODELAY` socket or a separate pipe write.
+    #[derive(Default)]
+    struct WriteCounter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for WriteCounter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_leaves_in_one_write() {
+        let wire = WireRequest::encode(&request()).expect("encodes");
+        let input = [
+            encode_message(&Message::Ping { id: 1 }),
+            encode_message(&Message::Batch {
+                id: 2,
+                requests: vec![wire.clone(), wire],
+            }),
+            encode_message(&Message::Shutdown),
+        ]
+        .join("\n")
+            + "\n";
+        let mut writer = WriteCounter::default();
+        let outcome = serve_connection(
+            input.as_bytes(),
+            &mut writer,
+            &mut 0,
+            &WorkerOptions::default(),
+        )
+        .expect("in-memory transport cannot fail");
+        assert_eq!(outcome, ServeOutcome::Shutdown);
+        let replies = String::from_utf8(writer.bytes).expect("utf8");
+        let kinds: Vec<Message> = replies
+            .lines()
+            .map(|line| decode_message(line).expect("a wire message"))
+            .collect();
+        assert!(matches!(
+            kinds.as_slice(),
+            [
+                Message::Hello(_),
+                Message::Pong { id: 1 },
+                Message::Results { id: 2, .. }
+            ]
+        ));
+        assert_eq!(writer.writes, 3, "hello, pong and results: one write each");
     }
 
     #[test]

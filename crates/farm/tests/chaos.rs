@@ -123,6 +123,44 @@ fn a_flapping_worker_is_readmitted_with_backoff_and_results_stay_bitwise() {
 }
 
 #[test]
+fn a_slow_worker_beside_a_healthy_one_changes_throughput_not_bits() {
+    // Seeded reply delays well inside the batch deadline: whichever worker takes which
+    // job is timing the test does not own, but no job may fail over or degrade, and the
+    // lanes must come back bit-exact and in order.
+    let (slow_address, slow) = spawn_faulty_worker(
+        "slow",
+        FaultPlan {
+            seed: 3,
+            delay_ms: Some(30),
+            ..FaultPlan::default()
+        },
+    );
+    let (healthy_address, healthy) = spawn_faulty_worker("healthy", FaultPlan::default());
+    let farm = Arc::new(
+        FarmBackend::with_tuning(&[slow_address, healthy_address], 0, None, chaos_tuning())
+            .expect("connects"),
+    );
+    let requests = requests(64);
+
+    let remote = farm.solve_batch(&requests);
+    let reference = LocalBackend::new().solve_batch(&requests);
+    assert_eq!(remote, reference, "a slow worker must not change a bit");
+
+    let stats = farm.stats();
+    assert_eq!(stats.failovers, 0, "a slow reply is not a failure");
+    assert_eq!(stats.degraded_jobs, 0);
+    assert_eq!(stats.lanes_remote, 64, "the fleet served every lane");
+    assert_eq!(stats.lanes_local, 0);
+
+    drop(farm);
+    assert_eq!(slow.join().expect("slow worker"), ServeOutcome::Shutdown);
+    assert_eq!(
+        healthy.join().expect("healthy worker"),
+        ServeOutcome::Shutdown
+    );
+}
+
+#[test]
 fn a_half_open_peer_is_caught_by_the_heartbeat_not_the_batch_deadline() {
     // A "zombie" peer: completes a valid handshake, then swallows every message without
     // ever answering — the classic half-open connection (host paused, NAT state gone).

@@ -5,30 +5,111 @@
 
 use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
 use slic_device::{ProcessSample, TechnologyNode};
-use slic_farm::{serve_listener, FarmBackend, FarmTuning, FaultPlan, ServeOutcome, WorkerOptions};
+use slic_farm::wire::decode_message;
+use slic_farm::{
+    serve_connection, serve_listener, FarmBackend, FarmTuning, Message, ServeOutcome, WorkerOptions,
+};
 use slic_spice::{
     CharacterizationEngine, InMemorySimCache, InputPoint, LocalBackend, SimRequest,
     SimulationBackend, SimulationCache, TransientConfig,
 };
 use slic_units::{Farads, Seconds, Volts};
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpListener;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Starts a worker serve loop on an ephemeral port; returns its address and join handle.
 fn spawn_tcp_worker(name: &str, max_batches: Option<u64>) -> (String, JoinHandle<ServeOutcome>) {
-    spawn_tcp_worker_with(WorkerOptions {
+    let (address, handle, _) = spawn_signalling_tcp_worker(name, max_batches);
+    (address, handle)
+}
+
+/// [`spawn_tcp_worker`], plus a receiver that fires once the serve loop has returned.
+fn spawn_signalling_tcp_worker(
+    name: &str,
+    max_batches: Option<u64>,
+) -> (String, JoinHandle<ServeOutcome>, Receiver<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+    let address = listener.local_addr().expect("bound address").to_string();
+    let options = WorkerOptions {
         name: name.to_string(),
         max_batches,
         ..WorkerOptions::default()
-    })
+    };
+    let (returned, signal) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let outcome = serve_listener(&listener, &options).expect("serve loop io");
+        let _ = returned.send(());
+        outcome
+    });
+    (address, handle, signal)
 }
 
-fn spawn_tcp_worker_with(options: WorkerOptions) -> (String, JoinHandle<ServeOutcome>) {
+/// A worker's line reader that holds the connection's first `batch` line until `gate`
+/// fires (or its sender is dropped); every other line passes straight through.
+struct GatedReader<R> {
+    inner: R,
+    line: Vec<u8>,
+    consumed: usize,
+    gate: Option<Receiver<()>>,
+}
+
+impl<R: BufRead> Read for GatedReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let available = self.fill_buf()?;
+        let n = available.len().min(buf.len());
+        buf[..n].copy_from_slice(&available[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl<R: BufRead> BufRead for GatedReader<R> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.consumed == self.line.len() {
+            self.line.clear();
+            self.consumed = 0;
+            self.inner.read_until(b'\n', &mut self.line)?;
+            let is_batch = std::str::from_utf8(&self.line)
+                .ok()
+                .and_then(|line| decode_message(line.trim_end()).ok())
+                .is_some_and(|message| matches!(message, Message::Batch { .. }));
+            if is_batch {
+                if let Some(gate) = self.gate.take() {
+                    let _ = gate.recv();
+                }
+            }
+        }
+        Ok(&self.line[self.consumed..])
+    }
+
+    fn consume(&mut self, amount: usize) {
+        self.consumed += amount;
+    }
+}
+
+/// Starts a worker that serves one broker connection through [`serve_connection`],
+/// reading it through a [`GatedReader`] on `gate`.
+fn spawn_gated_tcp_worker(name: &str, gate: Receiver<()>) -> (String, JoinHandle<ServeOutcome>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
     let address = listener.local_addr().expect("bound address").to_string();
-    let handle =
-        std::thread::spawn(move || serve_listener(&listener, &options).expect("serve loop io"));
+    let options = WorkerOptions {
+        name: name.to_string(),
+        ..WorkerOptions::default()
+    };
+    let handle = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("the broker dials once");
+        stream.set_nodelay(true).ok();
+        let reader = GatedReader {
+            inner: BufReader::new(stream.try_clone().expect("clone the stream")),
+            line: Vec::new(),
+            consumed: 0,
+            gate: Some(gate),
+        };
+        serve_connection(reader, &stream, &mut 0, &options).expect("serve loop io")
+    });
     (address, handle)
 }
 
@@ -124,18 +205,12 @@ fn two_worker_farm_is_bitwise_identical_to_local_and_pays_each_key_once() {
 fn killing_a_worker_mid_run_fails_over_and_preserves_bitwise_results() {
     // Worker `b` dies abruptly after two batches — the deterministic stand-in for
     // `kill -9` mid-batch: it reads its third batch and drops the connection without
-    // replying.  Worker `a` holds each batch for 100 ms before answering, so `b` drains
-    // the queue and is handed that third batch; with two equally fast workers `a` could
-    // take enough jobs to leave `b` alive, and the join below would never return.
-    let (addr_a, handle_a) = spawn_tcp_worker_with(WorkerOptions {
-        name: "a".to_string(),
-        fault: Some(FaultPlan {
-            delay_ms: Some(100),
-            ..FaultPlan::default()
-        }),
-        ..WorkerOptions::default()
-    });
-    let (addr_b, handle_b) = spawn_tcp_worker("b", Some(2));
+    // replying.  Worker `a` does not read its first batch until `b`'s serve loop has
+    // returned, so `b` alone drains the queue's six jobs until it dies on its third;
+    // with two free workers `a` could take enough jobs to leave `b` alive, and the join
+    // below would never return.
+    let (addr_b, handle_b, b_returned) = spawn_signalling_tcp_worker("b", Some(2));
+    let (addr_a, handle_a) = spawn_gated_tcp_worker("a", b_returned);
     let farm = Arc::new(
         FarmBackend::with_tuning(&[addr_a, addr_b], 0, None, fast_tuning())
             .expect("fleet connects"),
@@ -198,6 +273,32 @@ fn a_custom_technology_outside_the_catalogue_degrades_to_local_solving() {
     assert_eq!(stats.lanes_remote, 0, "nothing travelled");
     assert_eq!(stats.lanes_local, 6, "every lane was solved broker-side");
     assert_eq!(farm.live_workers(), 1, "the worker is healthy, just unused");
+    drop(farm);
+    assert_eq!(handle.join().expect("worker"), ServeOutcome::Shutdown);
+}
+
+#[test]
+fn a_custom_node_named_like_a_catalogue_node_stays_local_while_the_rest_travel() {
+    use slic_device::TechnologyKind;
+    // One call mixing catalogue `n14` lanes with lanes of a custom node of the same name:
+    // the catalogue check compares the node itself, never just its name, so only the
+    // custom lanes are held back for the broker's local fallback.
+    let custom = TechnologyNode::n14_finfet().with_kind(TechnologyKind::Target);
+    assert_eq!(custom.name(), TechnologyNode::n14_finfet().name());
+    let (addr, handle) = spawn_tcp_worker("w", None);
+    let farm = Arc::new(FarmBackend::connect(&[addr]).expect("connects"));
+    let mut mixed = requests(TechnologyNode::n14_finfet(), 10);
+    mixed.extend(requests(custom, 6));
+    mixed.extend(requests(TechnologyNode::n14_finfet(), 4));
+    let remote = farm.solve_batch(&mixed);
+    let reference = LocalBackend::new().solve_batch(&mixed);
+    assert_eq!(remote, reference, "every lane matches the local backend");
+    let stats = farm.stats();
+    assert_eq!(stats.lanes_remote, 14, "the catalogue lanes travelled");
+    assert_eq!(
+        stats.lanes_local, 6,
+        "the custom lanes were solved broker-side"
+    );
     drop(farm);
     assert_eq!(handle.join().expect("worker"), ServeOutcome::Shutdown);
 }

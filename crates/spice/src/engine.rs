@@ -47,15 +47,19 @@ use std::sync::Arc;
 /// seeds — into one kernel worklist, instead of issuing one batch per arc or per seed.
 pub type MixedLane = (Cell, TimingArc, InputPoint, ProcessSample);
 
-/// Lanes per backend call when a lane list is fanned out across worker threads: small
-/// enough that the chunk count keeps every core busy, large enough that a call amortizes
-/// its fixed cost — a farm round trip, or padding in the SIMD kernel's quads.  The scalar
-/// kernel integrates lane by lane, so the width never changes its bits.
+/// Lanes per backend call when a lane list is fanned out across worker threads: a
+/// quarter of a thread's share, so the chunk count keeps every core busy, capped at 64
+/// lanes.  The cap is large enough that a call amortizes its fixed cost — a farm call to
+/// two workers becomes four 16-lane jobs — and small enough to bound what one call holds.
+/// On a 2-core host, a cap of 64 instead of 16 cut the farmed Monte Carlo campaign
+/// (perfbench `mc-farm`) from 3,916 backend calls to 1,244 and its median campaign time
+/// by 30 %, with the local workloads flat.  The scalar kernel integrates lane by lane, so
+/// the width never changes its bits.
 fn batch_width(lanes: usize) -> usize {
     let threads = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);
-    lanes.div_ceil(4 * threads).clamp(1, 16)
+    lanes.div_ceil(4 * threads).clamp(1, 64)
 }
 
 /// An invalid [`TransientConfig`] was supplied to an engine constructor.
@@ -848,23 +852,37 @@ mod tests {
         );
     }
 
-    /// A backend that counts the lanes it is asked to solve and delegates to the local
+    /// A backend that records the lane count of every call and delegates to the local
     /// kernel — proves the engine routes every paid solve (and only paid solves) through
-    /// the backend boundary.
+    /// the backend boundary, in calls of the width `batch_width` sets.
     #[derive(Debug, Default)]
-    struct CountingBackend {
-        lanes: AtomicU64,
+    struct RecordingBackend {
+        calls: std::sync::Mutex<Vec<usize>>,
         inner: LocalBackend,
     }
 
-    impl SimulationBackend for CountingBackend {
+    impl RecordingBackend {
+        /// Lane counts of the calls so far.
+        fn calls(&self) -> Vec<usize> {
+            self.calls.lock().expect("no test thread panicked").clone()
+        }
+
+        /// Lanes solved so far, over every call.
+        fn lanes(&self) -> usize {
+            self.calls().iter().sum()
+        }
+    }
+
+    impl SimulationBackend for RecordingBackend {
         fn name(&self) -> &str {
-            "counting"
+            "recording"
         }
 
         fn solve_batch(&self, requests: &[SimRequest]) -> Vec<crate::backend::SimResult> {
-            self.lanes
-                .fetch_add(requests.len() as u64, Ordering::Relaxed);
+            self.calls
+                .lock()
+                .expect("no test thread panicked")
+                .push(requests.len());
             self.inner.solve_batch(requests)
         }
 
@@ -876,28 +894,56 @@ mod tests {
     #[test]
     fn backend_sees_every_paid_solve_and_no_cache_hit() {
         use crate::cache::InMemorySimCache;
-        let backend = Arc::new(CountingBackend::default());
+        let backend = Arc::new(RecordingBackend::default());
         let cache = Arc::new(InMemorySimCache::new());
         let eng = engine()
             .with_cache(cache.clone())
             .with_backend(backend.clone());
-        assert_eq!(eng.backend().name(), "counting");
+        assert_eq!(eng.backend().name(), "recording");
         let (cell, arc) = inv_fall();
         let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
         let first = eng.sweep_nominal(cell, &arc, &points);
-        assert_eq!(backend.lanes.load(Ordering::Relaxed), 3);
+        assert_eq!(backend.lanes(), 3);
         assert_eq!(eng.simulation_count(), 3);
         // Warm replay: answered from the cache, so the backend must not be consulted.
         let second = eng.sweep_nominal(cell, &arc, &points);
         assert_eq!(second, first);
-        assert_eq!(
-            backend.lanes.load(Ordering::Relaxed),
-            3,
-            "cache hits bypass the backend"
-        );
+        assert_eq!(backend.lanes(), 3, "cache hits bypass the backend");
         // And a backend-routed lane is bitwise identical to the default local backend.
         let local = engine().sweep_nominal(cell, &arc, &points);
         assert_eq!(first, local);
+    }
+
+    #[test]
+    fn a_monte_carlo_sweep_reaches_the_backend_in_calls_of_up_to_64_lanes() {
+        let backend = Arc::new(RecordingBackend::default());
+        let eng = engine().with_backend(backend.clone());
+        let (cell, arc) = inv_fall();
+        let mut rng = StdRng::seed_from_u64(19);
+        let seeds = eng.tech().variation().sample_n(&mut rng, 100);
+        let points: Vec<InputPoint> = (0..25)
+            .map(|i| pt(2.0 + 0.5 * i as f64, 1.0 + 0.2 * i as f64, 0.8))
+            .collect();
+        let grid = eng.monte_carlo_sweep(cell, &arc, &points, &seeds);
+        let calls = backend.calls();
+        assert_eq!(
+            calls.iter().sum::<usize>(),
+            2_500,
+            "every lane is paid once"
+        );
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(
+            calls.iter().max(),
+            Some(&2_500usize.div_ceil(4 * cores).min(64)),
+            "the widest call is a quarter of a core's share, capped at 64 lanes"
+        );
+        assert!(calls.iter().all(|&lanes| lanes <= 64), "{calls:?}");
+        let reference = engine();
+        for (point, row) in points.iter().zip(&grid) {
+            for (seed, measurement) in seeds.iter().zip(row) {
+                assert_eq!(*measurement, reference.simulate(cell, &arc, point, seed));
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!   an error (a torn line is never mistaken for a record), and the whole line parses;
 //! * arrays and objects nested past upstream `serde_json`'s 128 levels are an error, not
 //!   a stack overflow, however deep the line goes;
+//! * a well-formed cache record whose arc names a pin its cell lacks is a corrupt record,
+//!   reported with its line number;
 //! * rendering a generated [`Value`] and parsing it back is the identity.
 
 use proptest::prelude::*;
@@ -33,8 +35,15 @@ const ALPHABET: [&str; 40] = [
     "\u{0}", "\n", "true",
 ];
 
+/// A temp path no other call returns: tests run on parallel threads, and three of them
+/// write a cache record through [`cache_record_line`].
 fn scratch(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("slic-untrusted-{}-{name}", std::process::id()))
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "slic-untrusted-{}-{call}-{name}",
+        std::process::id()
+    ))
 }
 
 /// One record exactly as `DiskSimCache` writes it.
@@ -148,6 +157,26 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
             "{err}"
         );
     }
+}
+
+#[test]
+fn a_record_whose_arc_names_a_missing_pin_is_corrupt() {
+    let good = cache_record_line();
+    let bad = good.replacen("\"input_pin\":1", "\"input_pin\":7", 1);
+    assert_ne!(bad, good, "the record carries the arc's pin");
+    let path = scratch("bad-pin.jsonl");
+    std::fs::write(&path, format!("{good}\n{bad}\n")).expect("writes");
+    let err = DiskSimCache::open(&path).expect_err("NAND2_X2 has no pin 7");
+    std::fs::remove_file(&path).ok();
+    let message = err.to_string();
+    assert!(
+        message.contains("corrupt cache record at line 2"),
+        "{message}"
+    );
+    assert!(
+        message.contains("input pin 7 out of range for NAND2_X2 (2 inputs)"),
+        "{message}"
+    );
 }
 
 fn arbitrary_text(rng: &mut StdRng) -> String {
