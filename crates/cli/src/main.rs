@@ -7,7 +7,7 @@
 //! slic characterize # plan + run -> run-artifact JSON (+ optional Liberty)
 //!                   # --shard i/n runs one shard; --cache shares warm state on disk
 //!                   # --workers a,b | --spawn-workers N farms the sims out
-//! slic worker       # serve transient batches for a farm broker (TCP or stdio)
+//! slic worker       # serve transient batches to farm brokers over TCP (--listen)
 //! slic merge        # shard artifacts -> the whole-run artifact
 //! slic export       # run artifact -> Liberty text
 //! slic report       # run artifact -> Markdown summary
@@ -26,7 +26,7 @@
 use slic_bayes::HistoricalDatabase;
 use slic_device::TechnologyNode;
 use slic_farm::{
-    serve_listener, serve_stdio, FarmBackend, FarmTuning, FaultPlan, ServeOutcome, WorkerOptions,
+    serve_listener, FarmBackend, FarmTuning, FaultPlan, ServeOutcome, WorkerOptions, WORKER_BANNER,
 };
 use slic_obs::{
     Clock, DiffReport, DiffThresholds, MetricsSnapshot, MonotonicClock, Observability,
@@ -64,7 +64,8 @@ OBSERVABILITY FLAGS (learn, characterize and worker):
 FARM FLAGS (learn and characterize; --workers or --spawn-workers runs the simulations
 on the farm instead of in-process):
     --workers <a,b,...>     TCP addresses of `slic worker --listen` processes
-    --spawn-workers <n>     spawn n subprocess workers of this binary (zero-config
+    --spawn-workers <n>     spawn n local workers of this binary, each a
+                            `slic worker --listen 127.0.0.1:0` (zero-config
                             multi-process run); combinable with --workers
     --retry-budget <n>      re-dispatch attempts per job before it degrades to the
                             local fallback (default: fleet size)
@@ -114,11 +115,11 @@ SUBCOMMANDS:
                     --out <file>            run artifact JSON (default run.json)
                     --liberty <file>        also write the Liberty text here
 
-    worker        Serve transient-simulation batches to a farm broker.  Speaks the
-                  JSON-lines wire protocol on stdio by default (the --spawn-workers
-                  transport); --listen serves TCP instead.
-                    --listen <addr>         bind address, e.g. 127.0.0.1:0 (the actual
-                                            port is printed on stdout once bound)
+    worker        Serve transient-simulation batches to farm brokers over TCP,
+                  speaking the JSON-lines wire protocol.
+                    --listen <addr>         bind address, e.g. 127.0.0.1:0 (required;
+                                            `worker listening on <addr>` is printed on
+                                            stdout once bound)
                     --max-batches <n>       serve n batches then drop the connection
                                             without replying (rolling-restart drain /
                                             failover fault injection); exits nonzero
@@ -889,6 +890,9 @@ fn build_fault_plan(flags: &BTreeMap<String, String>) -> Result<Option<FaultPlan
 }
 
 fn cmd_worker(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {
+    let address = flags.get("listen").ok_or_else(|| {
+        PipelineError::config("`slic worker` needs `--listen <addr>`, e.g. 127.0.0.1:0")
+    })?;
     let max_batches = match flags.get("max-batches") {
         Some(v) => Some(v.parse::<u64>().map_err(|_| {
             PipelineError::config(format!("`--max-batches {v}` is not an integer"))
@@ -902,50 +906,32 @@ fn cmd_worker(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {
         })?,
         None => TraceRecorder::disabled(),
     };
-    let outcome = match flags.get("listen") {
-        Some(address) => {
-            let listener = std::net::TcpListener::bind(address).map_err(|err| {
-                PipelineError::config(format!("cannot bind worker to `{address}`: {err}"))
-            })?;
-            let bound = listener.local_addr()?;
-            let options = WorkerOptions {
-                name: format!("tcp:{bound}"),
-                max_batches,
-                fault,
-                trace: trace.clone(),
-            };
-            // The broker (or a test) needs the resolved port when binding to :0.
-            println!("worker listening on {bound}");
-            use std::io::Write as _;
-            std::io::stdout().flush()?;
-            serve_listener(&listener, &options)?
-        }
-        None => {
-            let options = WorkerOptions {
-                name: format!("stdio:{}", std::process::id()),
-                max_batches,
-                fault,
-                trace: trace.clone(),
-            };
-            serve_stdio(&options)?
-        }
+    let listener = std::net::TcpListener::bind(address).map_err(|err| {
+        PipelineError::config(format!("cannot bind worker to `{address}`: {err}"))
+    })?;
+    let bound = listener.local_addr()?;
+    let options = WorkerOptions {
+        name: format!("tcp:{bound}"),
+        max_batches,
+        fault,
+        trace: trace.clone(),
     };
-    // Flush before interpreting the outcome: the abrupt-death branches below exit
-    // nonzero, and the trace's salvaged prefix is exactly what `slic profile` reports.
+    // The broker (or a test) needs the resolved port when binding to :0.
+    println!("{WORKER_BANNER}{bound}");
+    use std::io::Write as _;
+    std::io::stdout().flush()?;
+    let outcome = serve_listener(&listener, &options)?;
+    // Flush before interpreting the outcome: the abrupt-death branch below exits nonzero,
+    // and the trace's salvaged prefix is exactly what `slic profile` reports.
     trace.flush();
-    match outcome {
-        ServeOutcome::Shutdown | ServeOutcome::Disconnected => Ok(()),
+    if outcome == ServeOutcome::BatchLimit {
         // An exhausted batch limit is a deliberate abrupt death: exit nonzero so process
         // supervisors (and the failover tests) can tell it apart from an orderly stop.
-        ServeOutcome::BatchLimit => Err(PipelineError::config(
+        return Err(PipelineError::config(
             "worker reached its --max-batches limit and dropped the connection",
-        )),
-        // Only the stdio transport can surface a fault drop (a TCP listener goes back to
-        // accept); the pipe is gone, so exit nonzero like any other abrupt death.
-        ServeOutcome::FaultDrop => Err(PipelineError::config(
-            "worker's fault plan dropped the stdio connection",
-        )),
+        ));
     }
+    Ok(())
 }
 
 fn cmd_cache_compact(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {

@@ -51,7 +51,7 @@ fn start_tcp_worker(max_batches: Option<u64>) -> (Child, String) {
         .expect("worker announces its address");
     let address = line
         .trim()
-        .strip_prefix("worker listening on ")
+        .strip_prefix(slic_farm::WORKER_BANNER)
         .unwrap_or_else(|| panic!("unexpected worker banner: {line:?}"))
         .to_string();
     (child, address)

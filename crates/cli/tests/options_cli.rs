@@ -1,9 +1,9 @@
 //! The option surface of the real `slic` binary: options that were deleted get the
-//! unknown-key or unknown-flag error instead of being silently ignored, and a flag is
-//! never taken as another flag's value.
+//! unknown-key or unknown-flag error instead of being silently ignored, a flag is never
+//! taken as another flag's value, and `slic worker` serves TCP only.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_slic");
 
@@ -120,5 +120,21 @@ fn a_config_nested_past_the_json_depth_bound_is_an_error_not_a_crash() {
     assert_eq!(output.status.code(), Some(1), "{output:?}");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_worker_without_listen_is_an_error_naming_the_flag() {
+    let dir = temp_dir("worker");
+    let output = Command::new(BIN)
+        .arg("worker")
+        .current_dir(&dir)
+        .stdin(Stdio::null())
+        .output()
+        .expect("slic runs");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    assert!(output.stdout.is_empty(), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--listen"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

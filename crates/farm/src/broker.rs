@@ -9,7 +9,7 @@
 //! Failure handling is a **degradation ladder**, with every rung accounted for in
 //! [`FarmStats`]:
 //!
-//! 1. **Heartbeats** — before dispatching, each TCP worker answers a `ping`/`pong` round
+//! 1. **Heartbeats** — before dispatching, each worker answers a `ping`/`pong` round
 //!    trip under a short deadline, so a half-open connection (host vanished, NAT state
 //!    expired) is caught between batches instead of stalling a dispatch into the full
 //!    60 s batch deadline.  A missed heartbeat drops the connection (`heartbeats_missed`)
@@ -29,9 +29,10 @@
 //!    the same kernel (enforced by the handshake), the results are bitwise identical no
 //!    matter which worker — or the broker itself — solved each lane.
 //!
-//! Spawned stdio children get the same hang protection a TCP deadline provides: a
-//! watchdog thread arms around every pipe round trip and kills the child past
-//! [`BATCH_TIMEOUT`], which closes its pipes and fails the job over like a TCP timeout.
+//! Every worker is reached over TCP.  A spawned worker is a `<program> worker --listen
+//! 127.0.0.1:0` child whose banner names its port; the broker dials that port like any
+//! `--workers` address, so one set of socket deadlines and heartbeats covers the fleet.
+//! The connection owns the child: dropping it kills and reaps the process.
 //!
 //! All resilience timing (backoff delays, heartbeat deadlines) is seeded or constant and
 //! stays strictly on the *scheduling* side: it decides when and where a lane is solved,
@@ -44,27 +45,25 @@
 
 use crate::backoff::{splitmix64, BackoffPolicy};
 use crate::wire::{decode_message, encode_line, send_line, Message, WireError, WireRequest};
-use crate::FarmError;
+use crate::{FarmError, WORKER_BANNER};
 use slic_obs::Observability;
 use slic_spice::{LocalBackend, SimRequest, SimResult, SimulationBackend};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Deadline for establishing a TCP worker connection.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Deadline for one batch round trip.  Solving a 16-lane batch takes milliseconds even
-/// at the accurate preset, so a worker silent this long is hung or unreachable — it is
-/// marked dead and its job fails over, instead of stalling the whole run on a blocked
-/// read.  TCP connections enforce it as a socket read/write timeout; spawned stdio
-/// children (no pipe deadline in std) get a [`PipeWatchdog`] that kills the child past
-/// the same deadline, closing its pipes and unblocking the read with EOF.
+/// Deadline for one batch round trip, enforced as the socket read/write timeout of every
+/// worker connection.  Solving a 16-lane batch takes milliseconds even at the accurate
+/// preset, so a worker silent this long is hung or unreachable — it is marked dead and
+/// its job fails over, instead of stalling the whole run on a blocked read.
 const BATCH_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How a worker is (re-)dialed: the broker remembers every worker's origin so the
@@ -72,37 +71,33 @@ const BATCH_TIMEOUT: Duration = Duration::from_secs(60);
 enum WorkerEndpoint {
     /// `host:port` of a `slic worker --listen` process.
     Tcp(String),
-    /// The binary to run as `<program> worker` over stdio pipes.
+    /// The binary to run as `<program> worker --listen 127.0.0.1:0`; each dial starts a
+    /// fresh child and connects to the address its banner names.
     Spawn(PathBuf),
 }
 
 /// An established, handshook connection to one worker.
 struct WorkerConn {
-    reader: BufReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
-    /// The TCP stream behind reader/writer (`None` for stdio children); retained so the
-    /// heartbeat can tighten and restore the read deadline.
-    stream: Option<TcpStream>,
-    /// The subprocess behind the connection, shared with the pipe watchdog so a hung
-    /// child can be killed while the round trip is still blocked on its pipe.
-    child: Arc<Mutex<Option<Child>>>,
+    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+    /// The spawned worker behind the connection, `None` for a `--workers` address.
+    child: Option<Child>,
 }
 
 impl Drop for WorkerConn {
     fn drop(&mut self) {
-        let mut child = self
-            .child
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(child) = child.as_mut() {
-            // The connection is gone (shutdown sent, or the worker was marked dead): make
-            // sure the subprocess does not linger.  Kill is a no-op for an already-exited
-            // child; wait reaps it either way.
-            let _ = child.kill();
-            let _ = child.wait();
+        // The connection is gone (shutdown sent, or the worker was marked dead): make sure
+        // a spawned worker does not linger.
+        if let Some(child) = self.child.as_mut() {
+            reap(child);
         }
-        *child = None;
     }
+}
+
+/// Kills a child (a no-op once it has exited) and waits for it, so it leaves no zombie.
+fn reap(child: &mut Child) {
+    let _ = child.kill();
+    let _ = child.wait();
 }
 
 /// One worker slot: identity, origin, and the (lockable) connection, `None` while down.
@@ -135,7 +130,7 @@ pub struct FarmTuning {
     pub backoff_cap_ms: u64,
     /// Seed of the backoff jitter streams (per-worker streams are derived from it).
     pub backoff_seed: u64,
-    /// Read deadline for the `ping`/`pong` round trip that admits a TCP worker to each
+    /// Read deadline for the `ping`/`pong` round trip that admits a worker to each
     /// dispatch wave, in milliseconds.
     pub heartbeat_timeout_ms: u64,
 }
@@ -261,56 +256,6 @@ impl JobQueue {
     }
 }
 
-/// Kills a stdio child whose pipe round trip outlives [`BATCH_TIMEOUT`].
-///
-/// std offers no read deadline on pipes, so a hung child would block the dispatcher
-/// forever.  The watchdog waits on a condvar with the batch deadline; a round trip that
-/// finishes in time disarms it (the [`Drop`] side), one that does not gets its child
-/// killed — closing the pipes, unblocking the read with EOF, and failing the job over
-/// exactly like a TCP timeout would.
-struct PipeWatchdog {
-    done: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl PipeWatchdog {
-    fn arm(child: Arc<Mutex<Option<Child>>>, deadline: Duration) -> Self {
-        let done = Arc::new((Mutex::new(false), Condvar::new()));
-        let observer = Arc::clone(&done);
-        let handle = std::thread::spawn(move || {
-            let (flag, disarmed) = &*observer;
-            let guard = flag.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            let (guard, timeout) = disarmed
-                .wait_timeout_while(guard, deadline, |finished| !*finished)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if !*guard && timeout.timed_out() {
-                if let Some(child) = child
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .as_mut()
-                {
-                    let _ = child.kill();
-                }
-            }
-        });
-        Self {
-            done,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for PipeWatchdog {
-    fn drop(&mut self) {
-        let (flag, disarmed) = &*self.done;
-        *flag.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) = true;
-        disarmed.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// A [`SimulationBackend`] that brokers batches to a fleet of farm workers.
 pub struct FarmBackend {
     workers: Vec<WorkerSlot>,
@@ -338,31 +283,17 @@ impl std::fmt::Debug for FarmBackend {
 }
 
 impl FarmBackend {
-    /// Connects to TCP workers and/or spawns subprocess workers, in that order, with
-    /// default [`FarmTuning`].
+    /// Connects to TCP workers and/or spawns local workers, in that order.
     ///
-    /// `program` is the binary to spawn (`<program> worker`, speaking the protocol on its
-    /// stdio) and is required when `spawn` is nonzero — typically the `slic` binary
-    /// itself, so a farm run needs nothing installed beyond the one executable.
+    /// `program` is the binary to spawn as `<program> worker --listen 127.0.0.1:0` and is
+    /// required when `spawn` is nonzero — typically the `slic` binary itself, so a farm
+    /// run needs nothing installed beyond the one executable.
     ///
     /// # Errors
     ///
     /// Returns a [`FarmError`] when no worker is requested, a connection or spawn fails,
     /// or a handshake reveals an incompatible worker.  Construction is all-or-nothing: a
     /// fleet that starts degraded is an operator error, not a failover case.
-    pub fn new(
-        addresses: &[String],
-        spawn: usize,
-        program: Option<&Path>,
-    ) -> Result<Self, FarmError> {
-        Self::with_tuning(addresses, spawn, program, FarmTuning::default())
-    }
-
-    /// [`new`](Self::new) with explicit resilience knobs.
-    ///
-    /// # Errors
-    ///
-    /// See [`FarmBackend::new`].
     pub fn with_tuning(
         addresses: &[String],
         spawn: usize,
@@ -428,27 +359,13 @@ impl FarmBackend {
         self
     }
 
-    /// Connects to an explicit list of TCP worker addresses.
+    /// Connects to an explicit list of TCP worker addresses with default [`FarmTuning`].
     ///
     /// # Errors
     ///
-    /// See [`FarmBackend::new`].
+    /// See [`FarmBackend::with_tuning`].
     pub fn connect(addresses: &[String]) -> Result<Self, FarmError> {
-        Self::new(addresses, 0, None)
-    }
-
-    /// Spawns `count` subprocess workers of `program` (`<program> worker` over stdio).
-    ///
-    /// # Errors
-    ///
-    /// See [`FarmBackend::new`].
-    pub fn spawn(program: &Path, count: usize) -> Result<Self, FarmError> {
-        Self::new(&[], count, Some(program))
-    }
-
-    /// The resilience knobs this fleet runs with.
-    pub fn tuning(&self) -> FarmTuning {
-        self.tuning
+        Self::with_tuning(addresses, 0, None, FarmTuning::default())
     }
 
     /// Number of workers currently holding a live connection.
@@ -554,8 +471,7 @@ impl FarmBackend {
 
     /// Probes one worker with a `ping`/`pong` round trip under the heartbeat deadline.
     ///
-    /// Returns `true` when the worker may be dispatched to: it answered, or it is a stdio
-    /// child (pipes cannot be half-open; the [`PipeWatchdog`] covers hangs).  A silent or
+    /// Returns `true` when the worker answered and may be dispatched to.  A silent or
     /// wrong answer drops the connection — the reconnect supervisor decides whether it
     /// comes back.
     fn heartbeat(&self, slot: &WorkerSlot) -> bool {
@@ -569,7 +485,6 @@ impl FarmBackend {
         };
         let outcome = match guard.as_mut() {
             None => return false,
-            Some(conn) if conn.stream.is_none() => return true,
             Some(conn) => {
                 let id = self.next_id.fetch_add(1, Ordering::Relaxed);
                 let deadline = Duration::from_millis(self.tuning.heartbeat_timeout_ms.max(1));
@@ -628,22 +543,16 @@ impl FarmBackend {
             let conn = guard
                 .as_mut()
                 .ok_or_else(|| FarmError::WorkerDown(slot.name.clone()))?;
-            // A stdio child has no pipe deadline: arm the kill-past-deadline watchdog
-            // for the duration of the round trip (disarmed on drop).
-            let _watchdog = conn
-                .stream
-                .is_none()
-                .then(|| PipeWatchdog::arm(Arc::clone(&conn.child), BATCH_TIMEOUT));
             self.obs.metrics.counter_add(
                 &format!("farm.worker.{}.bytes_tx", slot.name),
                 line.len() as u64,
             );
-            send_line(&mut conn.writer, &line)
+            send_line(&conn.stream, &line)
                 .map_err(|err| FarmError::Transport(slot.name.clone(), err.to_string()))?;
             let mut reply = String::new();
             let read = conn
                 .reader
-                // slic-lint: allow(L1) -- the protocol is strictly alternating per connection, so the slot lock must span the write+read round trip; other workers use other slots and the read has a deadline (socket timeout or pipe watchdog).
+                // slic-lint: allow(L1) -- the protocol is strictly alternating per connection, so the slot lock must span the write+read round trip; other workers use other slots and the read has the socket deadline.
                 .read_line(&mut reply)
                 .map_err(|err| FarmError::Transport(slot.name.clone(), err.to_string()))?;
             if read == 0 {
@@ -693,18 +602,14 @@ impl FarmBackend {
     }
 }
 
-/// Runs one heartbeat round trip on an established TCP connection, tightening the read
+/// Runs one heartbeat round trip on an established connection, tightening the read
 /// deadline to `deadline` for the probe and restoring [`BATCH_TIMEOUT`] on success.
 fn ping_roundtrip(conn: &mut WorkerConn, id: u64, deadline: Duration) -> Result<(), FarmError> {
-    let stream = conn
-        .stream
-        .as_ref()
-        .ok_or_else(|| FarmError::Transport("?".to_string(), "not a TCP worker".to_string()))?;
     let fail = |err: String| FarmError::Transport("heartbeat".to_string(), err);
-    stream
+    conn.stream
         .set_read_timeout(Some(deadline))
         .map_err(|err| fail(err.to_string()))?;
-    send_line(&mut conn.writer, &encode_line(&Message::Ping { id }))
+    send_line(&conn.stream, &encode_line(&Message::Ping { id }))
         .map_err(|err| fail(err.to_string()))?;
     let mut line = String::new();
     let read = conn
@@ -718,11 +623,8 @@ fn ping_roundtrip(conn: &mut WorkerConn, id: u64, deadline: Duration) -> Result<
         Ok(Message::Pong { id: reply }) if reply == id => {
             // The probe passed: put the batch deadline back before real traffic.
             conn.stream
-                .as_ref()
-                .ok_or_else(|| fail("not a TCP worker".to_string()))?
                 .set_read_timeout(Some(BATCH_TIMEOUT))
-                .map_err(|err| fail(err.to_string()))?;
-            Ok(())
+                .map_err(|err| fail(err.to_string()))
         }
         Ok(other) => Err(fail(format!("expected pong {id}, got {other:?}"))),
         Err(err) => Err(fail(err.to_string())),
@@ -734,89 +636,93 @@ fn ping_roundtrip(conn: &mut WorkerConn, id: u64, deadline: Duration) -> Result<
 /// [`Hello`](crate::wire::Hello), so a restarted worker re-proves its versions).
 fn dial(endpoint: &WorkerEndpoint, name: &str) -> Result<WorkerConn, FarmError> {
     match endpoint {
-        WorkerEndpoint::Tcp(address) => {
-            let connect = || -> std::io::Result<TcpStream> {
-                let mut last = None;
-                for addr in address.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
-                        Ok(stream) => return Ok(stream),
-                        Err(err) => last = Some(err),
-                    }
-                }
-                Err(last.unwrap_or_else(|| {
-                    std::io::Error::new(std::io::ErrorKind::NotFound, "address resolves to nothing")
-                }))
-            };
-            let stream =
-                connect().map_err(|err| FarmError::Connect(address.clone(), err.to_string()))?;
-            stream.set_nodelay(true).ok();
-            // Silence past the deadline counts as worker death (see BATCH_TIMEOUT).
-            stream
-                .set_read_timeout(Some(BATCH_TIMEOUT))
-                .map_err(|err| FarmError::Connect(address.clone(), err.to_string()))?;
-            stream
-                .set_write_timeout(Some(BATCH_TIMEOUT))
-                .map_err(|err| FarmError::Connect(address.clone(), err.to_string()))?;
-            let reader: Box<dyn Read + Send> = Box::new(
-                stream
-                    .try_clone()
-                    .map_err(|err| FarmError::Connect(address.clone(), err.to_string()))?,
-            );
-            let writer: Box<dyn Write + Send> = Box::new(
-                stream
-                    .try_clone()
-                    .map_err(|err| FarmError::Connect(address.clone(), err.to_string()))?,
-            );
-            handshake(reader, writer, Some(stream), None)
-                .map_err(|err| FarmError::Handshake(address.clone(), err.to_string()))
-        }
+        WorkerEndpoint::Tcp(address) => connect(address, name),
         WorkerEndpoint::Spawn(program) => {
             let mut child = Command::new(program)
-                .arg("worker")
-                .stdin(Stdio::piped())
+                .args(["worker", "--listen", "127.0.0.1:0"])
+                .stdin(Stdio::null())
                 .stdout(Stdio::piped())
                 .spawn()
-                .map_err(|err| FarmError::Spawn(format!("{}: {err}", program.display())))?;
-            let stdout = child
-                .stdout
-                .take()
-                .ok_or_else(|| FarmError::Spawn(format!("{name}: no stdout pipe")))?;
-            let stdin = child
-                .stdin
-                .take()
-                .ok_or_else(|| FarmError::Spawn(format!("{name}: no stdin pipe")))?;
-            handshake(Box::new(stdout), Box::new(stdin), None, Some(child))
-                .map_err(|err| FarmError::Handshake(name.to_string(), err.to_string()))
+                .map_err(|err| FarmError::Spawn(format!("{name}: {}: {err}", program.display())))?;
+            match banner_address(&mut child, name).and_then(|address| connect(&address, name)) {
+                Ok(mut conn) => {
+                    conn.child = Some(child);
+                    Ok(conn)
+                }
+                Err(err) => {
+                    reap(&mut child);
+                    Err(err)
+                }
+            }
         }
     }
 }
 
-/// Completes the worker handshake on a fresh connection.
-fn handshake(
-    reader: Box<dyn Read + Send>,
-    writer: Box<dyn Write + Send>,
-    stream: Option<TcpStream>,
-    child: Option<Child>,
-) -> Result<WorkerConn, WireError> {
+/// Reads the address a spawned worker announces on its stdout, the only line it prints
+/// there; the pipe is closed once the banner is read.
+fn banner_address(child: &mut Child, name: &str) -> Result<String, FarmError> {
+    let stdout = child
+        .stdout
+        .take()
+        .ok_or_else(|| FarmError::Spawn(format!("{name}: no stdout pipe")))?;
+    let mut banner = String::new();
+    BufReader::new(stdout)
+        .read_line(&mut banner)
+        .map_err(|err| FarmError::Spawn(format!("{name}: reading its banner: {err}")))?;
+    banner
+        .trim_end()
+        .strip_prefix(WORKER_BANNER)
+        .map(str::to_string)
+        .ok_or_else(|| {
+            FarmError::Spawn(format!(
+                "{name}: expected `{WORKER_BANNER}<address>` on stdout, got {banner:?}"
+            ))
+        })
+}
+
+/// Connects to a `slic worker --listen` address and completes the worker handshake;
+/// errors carry the slot `name`.
+fn connect(address: &str, name: &str) -> Result<WorkerConn, FarmError> {
+    let connect_failed =
+        |err: std::io::Error| FarmError::Connect(name.to_string(), err.to_string());
+    let stream = (|| -> std::io::Result<TcpStream> {
+        let mut last = None;
+        for addr in address.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
+                Ok(stream) => return Ok(stream),
+                Err(err) => last = Some(err),
+            }
+        }
+        Err(last.unwrap_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::NotFound, "address resolves to nothing")
+        }))
+    })()
+    .map_err(connect_failed)?;
+    stream.set_nodelay(true).ok();
+    // Silence past the deadline counts as worker death (see BATCH_TIMEOUT).
+    stream
+        .set_read_timeout(Some(BATCH_TIMEOUT))
+        .map_err(connect_failed)?;
+    stream
+        .set_write_timeout(Some(BATCH_TIMEOUT))
+        .map_err(connect_failed)?;
     let mut conn = WorkerConn {
-        reader: BufReader::new(reader),
-        writer,
+        reader: BufReader::new(stream.try_clone().map_err(connect_failed)?),
         stream,
-        child: Arc::new(Mutex::new(child)),
+        child: None,
     };
     let mut line = String::new();
     conn.reader
         .read_line(&mut line)
-        .map_err(|err| WireError::Malformed(format!("reading hello: {err}")))?;
-    match decode_message(line.trim_end())? {
-        Message::Hello(hello) => {
-            hello.validate()?;
-            Ok(conn)
-        }
-        other => Err(WireError::Malformed(format!(
-            "expected hello, got {other:?}"
-        ))),
-    }
+        .map_err(|err| WireError::Malformed(format!("reading hello: {err}")))
+        .and_then(|_| match decode_message(line.trim_end())? {
+            Message::Hello(hello) => hello.validate(),
+            other => Err(WireError::Malformed(format!(
+                "expected hello, got {other:?}"
+            ))),
+        })
+        .map_err(|err| FarmError::Handshake(name.to_string(), err.to_string()))?;
+    Ok(conn)
 }
 
 /// Lanes per dispatched job: two jobs per worker, so a fleet interleaves on one engine
@@ -1013,16 +919,13 @@ impl Drop for FarmBackend {
                 }
             };
             if let Some(conn) = guard.as_mut() {
-                // Orderly shutdown; a worker that already died ignores us.
-                let _ = send_line(&mut conn.writer, &encode_line(&Message::Shutdown));
-                let mut child = conn
-                    .child
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                if let Some(child) = child.as_mut() {
+                // Orderly shutdown: a spawned worker exits on it, so wait for that before
+                // the connection's drop would kill it.  A worker that already died
+                // ignores us.
+                let _ = send_line(&conn.stream, &encode_line(&Message::Shutdown));
+                if let Some(child) = conn.child.as_mut() {
                     let _ = child.wait();
                 }
-                *child = None;
             }
             *guard = None;
         }

@@ -6,8 +6,8 @@
 //! [`SimulationBackend`](slic_spice::SimulationBackend) boundary into a client/server
 //! system with three pieces:
 //!
-//! * [`wire`] — the versioned JSON-lines protocol: one message per line over TCP or
-//!   stdio, floats as the same hex-exact bit patterns
+//! * [`wire`] — the versioned JSON-lines protocol: one message per line over TCP,
+//!   floats as the same hex-exact bit patterns
 //!   [`SimKey`](slic_spice::SimKey)/`DiskSimCache` use, and a handshake that pins both
 //!   the protocol version and the transient-kernel version so mixed-kernel fleets are
 //!   rejected instead of silently blending solver generations into one artifact;
@@ -58,7 +58,7 @@ pub use backoff::{splitmix64, BackoffPolicy};
 pub use broker::{FarmBackend, FarmStats, FarmTuning};
 pub use fault::FaultPlan;
 pub use wire::{Hello, Message, WireError, WireRequest, WireResultEntry, PROTOCOL_VERSION};
-pub use worker::{serve_connection, serve_listener, serve_stdio, ServeOutcome, WorkerOptions};
+pub use worker::{serve_connection, serve_listener, ServeOutcome, WorkerOptions, WORKER_BANNER};
 
 use std::fmt;
 
@@ -67,9 +67,9 @@ use std::fmt;
 pub enum FarmError {
     /// Neither addresses nor a spawn count were given.
     NoWorkers,
-    /// A TCP worker could not be reached.
+    /// A worker could not be reached.
     Connect(String, String),
-    /// A subprocess worker could not be started.
+    /// A spawned worker could not be started or announced no address.
     Spawn(String),
     /// A worker's handshake failed or revealed an incompatible build.
     Handshake(String, String),

@@ -12,8 +12,13 @@
 //!
 //! 1. the worker writes its [`Hello`] line (protocol + kernel version handshake);
 //! 2. it answers `batch` messages until the broker sends `shutdown` or disconnects;
-//! 3. on `shutdown` it exits the serve loop; on disconnect (TCP mode) it waits for the
-//!    next broker connection.
+//! 3. on `shutdown` it exits the serve loop; on disconnect it waits for the next broker
+//!    connection.
+//!
+//! `slic worker --listen <addr>` prints [`WORKER_BANNER`] and its bound address on
+//! stdout, and nothing else there.  A broker that spawns its own workers runs them with
+//! `--listen 127.0.0.1:0` and dials the address the banner names, so spawned and remote
+//! workers share one transport.
 //!
 //! The optional **batch limit** makes the worker die *abruptly* — connection dropped
 //! without a response — once it has served its quota.  That is both an operational knob
@@ -24,8 +29,8 @@
 //! A richer misbehaviour script is the optional [`FaultPlan`]: seeded connection drops,
 //! reply delays, garbage replies and refused re-dials, each exercising one broker-side
 //! recovery path (see the [`fault`](crate::fault) module docs).  Unlike the batch limit,
-//! a fault-dropped TCP worker keeps its listener alive and goes back to `accept` — it is
-//! the *flapping* peer the broker's reconnect-with-backoff supervisor must re-admit.
+//! a fault-dropped worker keeps its listener alive and goes back to `accept` — it is the
+//! *flapping* peer the broker's reconnect-with-backoff supervisor must re-admit.
 
 use crate::fault::FaultPlan;
 use crate::wire::{decode_message, encode_line, send_line, Hello, Message, WireResultEntry};
@@ -33,6 +38,10 @@ use slic_obs::TraceRecorder;
 use slic_spice::{LocalBackend, SimResult, SimulationBackend};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
+
+/// The prefix of the one line `slic worker --listen` prints on stdout, followed by the
+/// address it bound (the resolved port when it was asked for port 0).
+pub const WORKER_BANNER: &str = "worker listening on ";
 
 /// Worker tuning and identification.
 #[derive(Debug, Clone, Default)]
@@ -225,18 +234,6 @@ pub fn serve_listener(
     }
 }
 
-/// Serves the process's stdin/stdout — the transport `--spawn-workers` uses.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error when the pipes fail mid-message.
-pub fn serve_stdio(options: &WorkerOptions) -> std::io::Result<ServeOutcome> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut served = 0u64;
-    serve_connection(stdin.lock(), stdout.lock(), &mut served, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,7 +301,7 @@ mod tests {
     }
 
     /// A writer that counts its `write` calls: each is a separate segment on a
-    /// `TCP_NODELAY` socket or a separate pipe write.
+    /// `TCP_NODELAY` socket.
     #[derive(Default)]
     struct WriteCounter {
         bytes: Vec<u8>,

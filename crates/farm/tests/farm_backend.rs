@@ -1,6 +1,6 @@
 //! Broker integration tests: real TCP transport against in-process worker serve loops,
-//! including failover when a worker dies mid-run and local fallback when the whole fleet
-//! is gone.  Equality is always asserted bitwise against the default local backend — the
+//! including failover when a worker dies mid-run, local fallback when the whole fleet
+//! is gone, and the spawn dial that reaches a spawned worker through its banner.  Equality is always asserted bitwise against the default local backend — the
 //! farm must be a pure deployment change, never a numerical one.
 
 use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
@@ -323,6 +323,179 @@ fn incompatible_handshakes_are_rejected_at_connect_time() {
     assert!(err.to_string().contains("kernel"), "{err}");
     fake.join().expect("fake worker");
 
-    let err = FarmBackend::new(&[], 0, None).expect_err("zero workers is not a farm");
+    let err = FarmBackend::with_tuning(&[], 0, None, FarmTuning::default())
+        .expect_err("zero workers is not a farm");
     assert!(err.to_string().contains("at least one worker"), "{err}");
+}
+
+/// The spawn dial: `--spawn-workers` runs `<program> worker --listen 127.0.0.1:0` and
+/// dials the address its banner names.  Here the program is a `/bin/sh` stand-in that
+/// records its pid, prints one line and then sleeps as the same process, and the worker
+/// it names is an in-process serve loop.
+#[cfg(unix)]
+mod spawn_dial {
+    use super::*;
+    use slic_farm::{FarmError, FaultPlan, WORKER_BANNER};
+    use std::path::PathBuf;
+    use std::sync::{Mutex, MutexGuard};
+    use std::time::{Duration, Instant};
+
+    /// Serializes these tests.  A script written while another test's spawn sits between
+    /// fork and exec is inherited open for writing by that child, and executing it then
+    /// fails with "Text file busy".
+    static STAND_INS: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        STAND_INS
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// A stand-in worker program in its own temporary directory.
+    struct StandIn {
+        dir: PathBuf,
+        program: PathBuf,
+    }
+
+    impl StandIn {
+        /// Writes a program that appends its pid to `pids`, prints `line` and then
+        /// sleeps for `linger_s` seconds.
+        fn new(name: &str, line: &str, linger_s: u32) -> Self {
+            use std::os::unix::fs::PermissionsExt;
+            let dir = std::env::temp_dir()
+                .join(format!("slic-farm-stand-in-{}-{name}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            let program = dir.join("stand-in");
+            let script = format!(
+                "#!/bin/sh\necho $$ >> '{}'\necho '{line}'\nexec sleep {linger_s}\n",
+                dir.join("pids").display()
+            );
+            std::fs::write(&program, script).expect("stand-in written");
+            std::fs::set_permissions(&program, std::fs::Permissions::from_mode(0o755))
+                .expect("stand-in made executable");
+            Self { dir, program }
+        }
+
+        /// The pids of every stand-in started so far, in start order.
+        fn pids(&self) -> Vec<u32> {
+            std::fs::read_to_string(self.dir.join("pids"))
+                .unwrap_or_default()
+                .lines()
+                .map(|pid| pid.parse().expect("a pid"))
+                .collect()
+        }
+    }
+
+    impl Drop for StandIn {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    /// Whether `pid` is still in the process table, running or as an unreaped zombie.
+    fn exists(pid: u32) -> bool {
+        std::process::Command::new("/bin/sh")
+            .args(["-c", &format!("kill -0 {pid} 2>/dev/null")])
+            .status()
+            .expect("sh runs")
+            .success()
+    }
+
+    /// A serve loop on an ephemeral port that runs `fault`.
+    fn faulty_worker(fault: FaultPlan) -> (String, JoinHandle<ServeOutcome>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+        let address = listener.local_addr().expect("bound address").to_string();
+        let options = WorkerOptions {
+            name: "behind-the-banner".to_string(),
+            fault: Some(fault),
+            ..WorkerOptions::default()
+        };
+        let handle =
+            std::thread::spawn(move || serve_listener(&listener, &options).expect("serve loop io"));
+        (address, handle)
+    }
+
+    #[test]
+    fn a_spawned_worker_is_dialed_at_its_banner_address_and_reaped_after_shutdown() {
+        let _serial = serial();
+        let (address, handle) = spawn_tcp_worker("behind-the-banner", None);
+        let stand_in = StandIn::new("banner", &format!("{WORKER_BANNER}{address}"), 1);
+        let farm = FarmBackend::with_tuning(&[], 1, Some(&stand_in.program), fast_tuning())
+            .expect("the banner's address is dialed");
+        let requests = requests(TechnologyNode::n14_finfet(), 64);
+        assert_eq!(
+            farm.solve_batch(&requests),
+            LocalBackend::new().solve_batch(&requests),
+            "spawned lanes must be bitwise local lanes"
+        );
+        assert_eq!(farm.stats().lanes_remote, 64);
+        drop(farm);
+        assert_eq!(handle.join().expect("worker"), ServeOutcome::Shutdown);
+        let pids = stand_in.pids();
+        assert_eq!(pids.len(), 1, "one spawn: {pids:?}");
+        assert!(
+            !exists(pids[0]),
+            "the stand-in was waited for, not left a zombie"
+        );
+    }
+
+    #[test]
+    fn a_redial_of_a_spawned_slot_spawns_a_fresh_child_and_reaps_the_old_one() {
+        let _serial = serial();
+        // The fourth message of a connection (its third batch) dies unanswered.
+        let (address, handle) = faulty_worker(FaultPlan {
+            drop_after_messages: Some(3),
+            ..FaultPlan::default()
+        });
+        let stand_in = StandIn::new("redial", &format!("{WORKER_BANNER}{address}"), 1);
+        let tuning = FarmTuning {
+            retry_budget: Some(2),
+            ..fast_tuning()
+        };
+        let farm = FarmBackend::with_tuning(&[], 1, Some(&stand_in.program), tuning)
+            .expect("the banner's address is dialed");
+        let requests = requests(TechnologyNode::n14_finfet(), 64);
+        assert_eq!(
+            farm.solve_batch(&requests),
+            LocalBackend::new().solve_batch(&requests),
+            "a re-dialed spawned worker must not change a bit"
+        );
+        let stats = farm.stats();
+        assert!(stats.reconnects >= 1, "{stats:?}");
+        assert_eq!(stats.lanes_remote, 64, "{stats:?}");
+        let pids = stand_in.pids();
+        assert_eq!(
+            pids.len(),
+            2,
+            "the re-dial spawned a second child: {pids:?}"
+        );
+        assert!(
+            !exists(pids[0]),
+            "the dropped connection killed and reaped its child"
+        );
+        drop(farm);
+        assert_eq!(handle.join().expect("worker"), ServeOutcome::Shutdown);
+        assert!(
+            !exists(pids[1]),
+            "the second child was reaped after shutdown"
+        );
+    }
+
+    #[test]
+    fn a_spawned_child_without_a_banner_is_a_spawn_error_and_is_reaped() {
+        let _serial = serial();
+        let stand_in = StandIn::new("silent", "not a banner", 30);
+        let started = Instant::now();
+        let err = FarmBackend::with_tuning(&[], 1, Some(&stand_in.program), fast_tuning())
+            .expect_err("no banner, no worker");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "the broker waited for the sleeping child"
+        );
+        assert!(matches!(err, FarmError::Spawn(_)), "{err}");
+        assert!(err.to_string().contains("spawned-0"), "{err}");
+        let pids = stand_in.pids();
+        assert_eq!(pids.len(), 1, "{pids:?}");
+        assert!(!exists(pids[0]), "the child was killed and reaped");
+    }
 }
