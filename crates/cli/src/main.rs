@@ -65,8 +65,9 @@ FARM FLAGS (learn and characterize; --workers or --spawn-workers runs the simula
 on the farm instead of in-process):
     --workers <a,b,...>     TCP addresses of `slic worker --listen` processes
     --spawn-workers <n>     spawn n local workers of this binary, each a
-                            `slic worker --listen 127.0.0.1:0` (zero-config
-                            multi-process run); combinable with --workers
+                            `slic worker --listen 127.0.0.1:0 --spawned` that
+                            exits with the broker (zero-config multi-process
+                            run); combinable with --workers
     --retry-budget <n>      re-dispatch attempts per job before it degrades to the
                             local fallback (default: fleet size)
 
@@ -274,7 +275,7 @@ fn main() -> ExitCode {
                 "fault-refuse-reconnects",
                 "trace",
             ],
-            vec![],
+            vec!["spawned"],
         ),
         "lint" => (
             &args[1..],
@@ -890,6 +891,17 @@ fn build_fault_plan(flags: &BTreeMap<String, String>) -> Result<Option<FaultPlan
 }
 
 fn cmd_worker(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {
+    if flags.contains_key("spawned") {
+        // A broker that spawns a worker passes `--spawned` and holds the write end of its
+        // stdin without writing to it.  The kernel closes that end however the broker
+        // ends (an orderly stop, SIGKILL, the OOM killer), and no broker dials this
+        // port again after that, so the worker ends at stdin EOF.  The thread is never
+        // joined: it ends the process, or the serve loop returns first.
+        std::thread::spawn(|| {
+            let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
+            std::process::exit(0);
+        });
+    }
     let address = flags.get("listen").ok_or_else(|| {
         PipelineError::config("`slic worker` needs `--listen <addr>`, e.g. 127.0.0.1:0")
     })?;

@@ -158,6 +158,75 @@ fn spawned_farm_artifact_is_byte_identical_and_warm_rerun_is_free() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// State letter and parent pid of process `pid`, from `/proc/<pid>/stat`; `None` once
+/// the process is gone.
+#[cfg(target_os = "linux")]
+fn proc_state(pid: u32) -> Option<(char, u32)> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // `pid (comm) state ppid ...`, where comm may hold spaces and parentheses.
+    let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
+    let state = fields.next()?.chars().next()?;
+    let ppid = fields.next()?.parse().ok()?;
+    Some((state, ppid))
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_spawned_worker_exits_when_its_broker_is_killed_outright() {
+    use std::time::{Duration, Instant};
+    let dir = temp_dir("broker-killed");
+    slic(&dir, &["learn", "--out", "history.json"]);
+    // A run that lasts seconds, so the broker is killed mid-run, its worker connected.
+    let mut broker = Command::new(BIN)
+        .args([
+            "characterize",
+            "--history",
+            "history.json",
+            "--library",
+            "standard",
+            "--profile",
+            "accurate",
+            "--variation",
+            "--spawn-workers",
+            "1",
+            "--out",
+            "run.json",
+        ])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("broker starts");
+    let mut stdout = BufReader::new(broker.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    while !line.starts_with("farm: 1 worker(s) connected") {
+        line.clear();
+        let read = stdout.read_line(&mut line).expect("broker stdout");
+        assert!(read > 0, "the broker ended before its worker connected");
+    }
+    let workers: Vec<u32> = std::fs::read_dir("/proc")
+        .expect("/proc lists processes")
+        .filter_map(|entry| entry.ok()?.file_name().to_str()?.parse().ok())
+        .filter(|&pid| proc_state(pid).is_some_and(|(_, ppid)| ppid == broker.id()))
+        .collect();
+    assert_eq!(workers.len(), 1, "one spawned worker: {workers:?}");
+
+    broker.kill().expect("SIGKILL the broker");
+    broker.wait().expect("broker reaped");
+    // The orphan is reparented; whether its new parent reaps it or not, a zombie has
+    // exited.
+    let worker = workers[0];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while proc_state(worker).is_some_and(|(state, _)| state != 'Z') {
+        if Instant::now() >= deadline {
+            let _ = Command::new("kill").arg(worker.to_string()).status();
+            panic!("spawned worker {worker} outlived its killed broker");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn killing_a_tcp_worker_mid_run_fails_over_with_an_identical_artifact() {
     let dir = temp_dir("failover");

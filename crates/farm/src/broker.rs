@@ -30,9 +30,12 @@
 //!    matter which worker — or the broker itself — solved each lane.
 //!
 //! Every worker is reached over TCP.  A spawned worker is a `<program> worker --listen
-//! 127.0.0.1:0` child whose banner names its port; the broker dials that port like any
-//! `--workers` address, so one set of socket deadlines and heartbeats covers the fleet.
-//! The connection owns the child: dropping it kills and reaps the process.
+//! 127.0.0.1:0 --spawned` child whose banner names its port; the broker dials that port
+//! like any `--workers` address, so one set of socket deadlines and heartbeats covers the
+//! fleet.  The connection owns the child: dropping it kills and reaps the process.  The
+//! broker also holds the write end of the child's stdin, which the kernel closes however
+//! the broker ends, and `--spawned` makes the worker exit at that EOF, so a spawned
+//! worker never outlives its broker, even one killed outright.
 //!
 //! All resilience timing (backoff delays, heartbeat deadlines) is seeded or constant and
 //! stays strictly on the *scheduling* side: it decides when and where a lane is solved,
@@ -71,16 +74,17 @@ const BATCH_TIMEOUT: Duration = Duration::from_secs(60);
 enum WorkerEndpoint {
     /// `host:port` of a `slic worker --listen` process.
     Tcp(String),
-    /// The binary to run as `<program> worker --listen 127.0.0.1:0`; each dial starts a
-    /// fresh child and connects to the address its banner names.
+    /// The binary to run as `<program> worker --listen 127.0.0.1:0 --spawned`; each dial
+    /// starts a fresh child and connects to the address its banner names.
     Spawn(PathBuf),
 }
 
-/// An established, handshook connection to one worker.
+/// An established, handshook connection to one worker.  Writes and timeouts go through
+/// `reader.get_ref()`, the socket itself.
 struct WorkerConn {
     reader: BufReader<TcpStream>,
-    stream: TcpStream,
-    /// The spawned worker behind the connection, `None` for a `--workers` address.
+    /// The spawned worker behind the connection, `None` for a `--workers` address.  The
+    /// `Child` holds the write end of the worker's stdin until it is waited for.
     child: Option<Child>,
 }
 
@@ -285,9 +289,9 @@ impl std::fmt::Debug for FarmBackend {
 impl FarmBackend {
     /// Connects to TCP workers and/or spawns local workers, in that order.
     ///
-    /// `program` is the binary to spawn as `<program> worker --listen 127.0.0.1:0` and is
-    /// required when `spawn` is nonzero — typically the `slic` binary itself, so a farm
-    /// run needs nothing installed beyond the one executable.
+    /// `program` is the binary to spawn as `<program> worker --listen 127.0.0.1:0
+    /// --spawned` and is required when `spawn` is nonzero — typically the `slic` binary
+    /// itself, so a farm run needs nothing installed beyond the one executable.
     ///
     /// # Errors
     ///
@@ -547,7 +551,7 @@ impl FarmBackend {
                 &format!("farm.worker.{}.bytes_tx", slot.name),
                 line.len() as u64,
             );
-            send_line(&conn.stream, &line)
+            send_line(conn.reader.get_ref(), &line)
                 .map_err(|err| FarmError::Transport(slot.name.clone(), err.to_string()))?;
             let mut reply = String::new();
             let read = conn
@@ -606,10 +610,11 @@ impl FarmBackend {
 /// deadline to `deadline` for the probe and restoring [`BATCH_TIMEOUT`] on success.
 fn ping_roundtrip(conn: &mut WorkerConn, id: u64, deadline: Duration) -> Result<(), FarmError> {
     let fail = |err: String| FarmError::Transport("heartbeat".to_string(), err);
-    conn.stream
+    conn.reader
+        .get_ref()
         .set_read_timeout(Some(deadline))
         .map_err(|err| fail(err.to_string()))?;
-    send_line(&conn.stream, &encode_line(&Message::Ping { id }))
+    send_line(conn.reader.get_ref(), &encode_line(&Message::Ping { id }))
         .map_err(|err| fail(err.to_string()))?;
     let mut line = String::new();
     let read = conn
@@ -622,7 +627,8 @@ fn ping_roundtrip(conn: &mut WorkerConn, id: u64, deadline: Duration) -> Result<
     match decode_message(line.trim_end()) {
         Ok(Message::Pong { id: reply }) if reply == id => {
             // The probe passed: put the batch deadline back before real traffic.
-            conn.stream
+            conn.reader
+                .get_ref()
                 .set_read_timeout(Some(BATCH_TIMEOUT))
                 .map_err(|err| fail(err.to_string()))
         }
@@ -638,9 +644,11 @@ fn dial(endpoint: &WorkerEndpoint, name: &str) -> Result<WorkerConn, FarmError> 
     match endpoint {
         WorkerEndpoint::Tcp(address) => connect(address, name),
         WorkerEndpoint::Spawn(program) => {
+            // The child's stdin is a pipe nothing writes to: the `Child` keeps its write
+            // end until it is waited for, and the kernel closes it if the broker dies.
             let mut child = Command::new(program)
-                .args(["worker", "--listen", "127.0.0.1:0"])
-                .stdin(Stdio::null())
+                .args(["worker", "--listen", "127.0.0.1:0", "--spawned"])
+                .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
                 .spawn()
                 .map_err(|err| FarmError::Spawn(format!("{name}: {}: {err}", program.display())))?;
@@ -707,8 +715,7 @@ fn connect(address: &str, name: &str) -> Result<WorkerConn, FarmError> {
         .set_write_timeout(Some(BATCH_TIMEOUT))
         .map_err(connect_failed)?;
     let mut conn = WorkerConn {
-        reader: BufReader::new(stream.try_clone().map_err(connect_failed)?),
-        stream,
+        reader: BufReader::new(stream),
         child: None,
     };
     let mut line = String::new();
@@ -920,9 +927,9 @@ impl Drop for FarmBackend {
             };
             if let Some(conn) = guard.as_mut() {
                 // Orderly shutdown: a spawned worker exits on it, so wait for that before
-                // the connection's drop would kill it.  A worker that already died
-                // ignores us.
-                let _ = send_line(&conn.stream, &encode_line(&Message::Shutdown));
+                // the connection's drop would kill it (the wait closes the child's stdin,
+                // which ends a spawned worker too).  A worker that already died ignores us.
+                let _ = send_line(conn.reader.get_ref(), &encode_line(&Message::Shutdown));
                 if let Some(child) = conn.child.as_mut() {
                     let _ = child.wait();
                 }

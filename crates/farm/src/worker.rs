@@ -17,8 +17,9 @@
 //!
 //! `slic worker --listen <addr>` prints [`WORKER_BANNER`] and its bound address on
 //! stdout, and nothing else there.  A broker that spawns its own workers runs them with
-//! `--listen 127.0.0.1:0` and dials the address the banner names, so spawned and remote
-//! workers share one transport.
+//! `--listen 127.0.0.1:0 --spawned` and dials the address the banner names, so spawned
+//! and remote workers share one transport.  `--spawned` ends the process when its stdin,
+//! a pipe the broker holds, reaches EOF: a spawned worker never outlives its broker.
 //!
 //! The optional **batch limit** makes the worker die *abruptly* — connection dropped
 //! without a response — once it has served its quota.  That is both an operational knob

@@ -22,22 +22,21 @@ use std::thread::JoinHandle;
 
 /// Starts a worker serve loop on an ephemeral port; returns its address and join handle.
 fn spawn_tcp_worker(name: &str, max_batches: Option<u64>) -> (String, JoinHandle<ServeOutcome>) {
-    let (address, handle, _) = spawn_signalling_tcp_worker(name, max_batches);
-    (address, handle)
-}
-
-/// [`spawn_tcp_worker`], plus a receiver that fires once the serve loop has returned.
-fn spawn_signalling_tcp_worker(
-    name: &str,
-    max_batches: Option<u64>,
-) -> (String, JoinHandle<ServeOutcome>, Receiver<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
-    let address = listener.local_addr().expect("bound address").to_string();
-    let options = WorkerOptions {
+    let (address, handle, _) = spawn_signalling_tcp_worker(WorkerOptions {
         name: name.to_string(),
         max_batches,
         ..WorkerOptions::default()
-    };
+    });
+    (address, handle)
+}
+
+/// Starts a serve loop running `options` on an ephemeral port; returns its address, its
+/// join handle and a receiver that fires once the serve loop has returned.
+fn spawn_signalling_tcp_worker(
+    options: WorkerOptions,
+) -> (String, JoinHandle<ServeOutcome>, Receiver<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+    let address = listener.local_addr().expect("bound address").to_string();
     let (returned, signal) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let outcome = serve_listener(&listener, &options).expect("serve loop io");
@@ -209,7 +208,11 @@ fn killing_a_worker_mid_run_fails_over_and_preserves_bitwise_results() {
     // returned, so `b` alone drains the queue's six jobs until it dies on its third;
     // with two free workers `a` could take enough jobs to leave `b` alive, and the join
     // below would never return.
-    let (addr_b, handle_b, b_returned) = spawn_signalling_tcp_worker("b", Some(2));
+    let (addr_b, handle_b, b_returned) = spawn_signalling_tcp_worker(WorkerOptions {
+        name: "b".to_string(),
+        max_batches: Some(2),
+        ..WorkerOptions::default()
+    });
     let (addr_a, handle_a) = spawn_gated_tcp_worker("a", b_returned);
     let farm = Arc::new(
         FarmBackend::with_tuning(&[addr_a, addr_b], 0, None, fast_tuning())
@@ -401,20 +404,6 @@ mod spawn_dial {
             .success()
     }
 
-    /// A serve loop on an ephemeral port that runs `fault`.
-    fn faulty_worker(fault: FaultPlan) -> (String, JoinHandle<ServeOutcome>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
-        let address = listener.local_addr().expect("bound address").to_string();
-        let options = WorkerOptions {
-            name: "behind-the-banner".to_string(),
-            fault: Some(fault),
-            ..WorkerOptions::default()
-        };
-        let handle =
-            std::thread::spawn(move || serve_listener(&listener, &options).expect("serve loop io"));
-        (address, handle)
-    }
-
     #[test]
     fn a_spawned_worker_is_dialed_at_its_banner_address_and_reaped_after_shutdown() {
         let _serial = serial();
@@ -443,9 +432,13 @@ mod spawn_dial {
     fn a_redial_of_a_spawned_slot_spawns_a_fresh_child_and_reaps_the_old_one() {
         let _serial = serial();
         // The fourth message of a connection (its third batch) dies unanswered.
-        let (address, handle) = faulty_worker(FaultPlan {
-            drop_after_messages: Some(3),
-            ..FaultPlan::default()
+        let (address, handle, _) = spawn_signalling_tcp_worker(WorkerOptions {
+            name: "behind-the-banner".to_string(),
+            fault: Some(FaultPlan {
+                drop_after_messages: Some(3),
+                ..FaultPlan::default()
+            }),
+            ..WorkerOptions::default()
         });
         let stand_in = StandIn::new("redial", &format!("{WORKER_BANNER}{address}"), 1);
         let tuning = FarmTuning {
