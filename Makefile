@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench bench-kernel bench-kernel-diff bench-e2e lint slic-lint lint-baseline profile fmt clippy clean
+.PHONY: build test bench bench-kernel bench-kernel-diff bench-e2e lint profile fmt clippy clean
 
 build:
 	$(CARGO) build --release
@@ -54,16 +54,9 @@ fmt:
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
-lint: fmt clippy slic-lint
-
-# Workspace invariant checker: determinism, float hygiene, panic policy, lock
-# discipline (crates/lint).  Fails on new violations and on stale baseline entries.
-slic-lint:
-	$(CARGO) run --release -p slic-cli -- lint
-
-# Rewrite lint-baseline.json from the current tree (deny-class rules still fail).
-lint-baseline:
-	$(CARGO) run --release -p slic-cli -- lint --update-baseline
+# The workspace lint policy ([workspace.lints] in Cargo.toml, clippy.toml) runs inside
+# clippy.
+lint: fmt clippy
 
 # Record a traced farmed quick run (tracing never changes artifact bytes) and render
 # its span-tree report: phase breakdown, hottest units, worker utilization, cache

@@ -75,7 +75,7 @@ pub struct HistoricalRecord {
 
 impl HistoricalRecord {
     /// Creates a record.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per record field")]
     pub fn new(
         tech_name: impl Into<String>,
         node_nm: u32,

@@ -37,9 +37,6 @@
 //! assert_eq!(prior.distribution().dim(), 4);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod history;
 pub mod map;
 pub mod precision;

@@ -55,6 +55,10 @@ impl MapFit {
     /// Panics only if the stored covariance lost positive definiteness, which construction
     /// guards against by regularizing.
     pub fn posterior(&self) -> MultivariateGaussian {
+        #[expect(
+            clippy::expect_used,
+            reason = "baselined: construction regularizes the posterior covariance to positive definite"
+        )]
         MultivariateGaussian::new(self.params.to_vector(), self.posterior_covariance.clone())
             .expect("posterior covariance is positive definite by construction")
     }
@@ -106,6 +110,10 @@ impl MapExtractor {
     ///
     /// Panics if the configuration fails validation.
     pub fn with_fit_config(mut self, config: FitConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "baselined: an invalid fit configuration is a caller bug, documented under Panics"
+        )]
         if let Err(msg) = config.validate() {
             panic!("invalid fit configuration: {msg}");
         }

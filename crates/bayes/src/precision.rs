@@ -189,6 +189,7 @@ fn same_condition(a: &InputPoint, b: &InputPoint) -> bool {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use crate::history::{ConditionResidual, HistoricalRecord};

@@ -86,6 +86,10 @@ impl ParameterPrior {
     /// Panics only if the stored covariance lost positive definiteness, which construction
     /// prevents.
     pub fn to_penalty(&self) -> GaussianPenalty {
+        #[expect(
+            clippy::expect_used,
+            reason = "baselined: construction keeps the prior covariance positive definite"
+        )]
         GaussianPenalty::from_covariance(
             self.distribution.mean().clone(),
             self.distribution.covariance(),

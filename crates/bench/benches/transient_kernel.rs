@@ -139,6 +139,10 @@ const MIN_PASS_SECONDS: f64 = 0.05;
 
 /// Times `run`, repeated enough times per pass to cover [`MIN_PASS_SECONDS`], over
 /// `reps` passes; returns the fastest per-sweep seconds (least scheduler noise).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a throughput bench times the kernel on the wall clock"
+)]
 fn best_of(reps: usize, mut run: impl FnMut()) -> f64 {
     // Calibration pass sizes the repetition count.
     let start = Instant::now();

@@ -229,8 +229,8 @@ mod tests {
 
     #[test]
     fn arcs_are_hashable_and_unique() {
-        use std::collections::HashSet;
-        let arcs: HashSet<TimingArc> = TimingArc::all_arcs(nand2()).into_iter().collect();
+        use std::collections::BTreeSet;
+        let arcs: BTreeSet<TimingArc> = TimingArc::all_arcs(nand2()).into_iter().collect();
         assert_eq!(arcs.len(), 4);
     }
 }

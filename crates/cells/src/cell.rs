@@ -242,6 +242,7 @@ impl fmt::Display for Cell {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
 

@@ -27,9 +27,6 @@
 //! assert_eq!(nand2.input_count(), 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod arc;
 pub mod cell;
 pub mod equivalent;

@@ -17,7 +17,6 @@
 //!                   # --format chrome exports Perfetto-loadable JSON
 //! slic history      # list / diff the cross-run ledger written by --ledger
 //! slic bench diff   # gate a fresh kernel bench report against the committed one
-//! slic lint         # workspace invariant checker (slic-lint)
 //! ```
 //!
 //! Run `slic help` for the full flag reference.  Argument parsing is hand-rolled
@@ -44,7 +43,7 @@ use std::sync::Arc;
 const USAGE: &str = "slic — statistical library characterization pipeline
 
 USAGE:
-    slic <learn|characterize|worker|merge|export|report|cache|profile|history|bench|lint|help> [--flag value]...
+    slic <learn|characterize|worker|merge|export|report|cache|profile|history|bench|help> [--flag value]...
 
 OBSERVABILITY FLAGS (learn, characterize and worker):
     --trace <file>          record a JSON-lines span/event trace of the run to <file>
@@ -198,17 +197,6 @@ SUBCOMMANDS:
                                             committed baseline (BENCH_transient.json);
                                             exits nonzero when any variant falls below
                                             half the committed throughput
-
-    lint          Run the workspace invariant checker (determinism, float hygiene,
-                  panic policy, lock discipline) against the committed baseline.
-                  Exits nonzero on any new violation or stale baseline entry.
-                    --root <dir>            workspace root (default .)
-                    --config <file>         policy file (default configs/lint.toml)
-                    --baseline <file>       baseline (default lint-baseline.json)
-                    --format <name>         human (default) | json
-                    --update-baseline       rewrite the baseline from this run's
-                                            baselineable findings (still fails on
-                                            deny-class D1/F1/S1 violations)
 ";
 
 fn main() -> ExitCode {
@@ -277,11 +265,6 @@ fn main() -> ExitCode {
             ],
             vec!["spawned"],
         ),
-        "lint" => (
-            &args[1..],
-            vec!["root", "config", "baseline", "format"],
-            vec!["update-baseline"],
-        ),
         "merge" => (&args[1..], vec!["inputs", "out"], vec![]),
         "export" => (&args[1..], vec!["run", "out"], vec!["variation"]),
         "report" => (&args[1..], vec!["run"], vec![]),
@@ -321,7 +304,10 @@ fn main() -> ExitCode {
         "export" => cmd_export(&flags),
         "report" => cmd_report(&flags),
         "cache" => cmd_cache_compact(&flags),
-        "lint" => return cmd_lint(&flags),
+        #[expect(
+            clippy::unreachable,
+            reason = "the flag-table match above returns on every unknown subcommand"
+        )]
         _ => unreachable!("unknown subcommands rejected above"),
     };
     match outcome {
@@ -330,80 +316,6 @@ fn main() -> ExitCode {
             eprintln!("error: {err}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// `slic lint`: run the workspace invariant checker against the committed baseline.
-fn cmd_lint(flags: &BTreeMap<String, String>) -> ExitCode {
-    let root = std::path::PathBuf::from(flags.get("root").map_or(".", String::as_str));
-    let config_path = root.join(
-        flags
-            .get("config")
-            .map_or("configs/lint.toml", String::as_str),
-    );
-    let baseline_path = root.join(
-        flags
-            .get("baseline")
-            .map_or("lint-baseline.json", String::as_str),
-    );
-    let format = flags.get("format").map_or("human", String::as_str);
-    if !matches!(format, "human" | "json") {
-        eprintln!("error: unknown lint format `{format}` (expected human or json)");
-        return ExitCode::from(2);
-    }
-    let fail = |err: &dyn std::fmt::Display| {
-        eprintln!("error: {err}");
-        ExitCode::from(2)
-    };
-    let config = match slic_lint::config::LintConfig::load(&config_path) {
-        Ok(config) => config,
-        Err(err) => return fail(&err),
-    };
-    if flags.contains_key("update-baseline") {
-        let run = match slic_lint::run(&root, &config) {
-            Ok(run) => run,
-            Err(err) => return fail(&err),
-        };
-        let baseline = slic_lint::baseline::Baseline::from_violations(&run.violations);
-        if let Err(err) = std::fs::write(&baseline_path, baseline.to_json()) {
-            eprintln!("error: cannot write `{}`: {err}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        let deny: Vec<_> = run.violations.iter().filter(|v| v.rule.is_deny()).collect();
-        for violation in &deny {
-            eprintln!("{violation}");
-        }
-        eprintln!(
-            "baseline rewritten: {} entr(ies) at `{}`",
-            run.violations.len() - deny.len(),
-            baseline_path.display()
-        );
-        if deny.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-        eprintln!(
-            "{} deny-class violation(s) remain (D1/F1/S1 are never baselineable)",
-            deny.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    let baseline = match slic_lint::baseline::Baseline::load(&baseline_path) {
-        Ok(baseline) => baseline,
-        Err(err) => return fail(&err),
-    };
-    let outcome = match slic_lint::check(&root, &config, &baseline) {
-        Ok(outcome) => outcome,
-        Err(err) => return fail(&err),
-    };
-    let report = match format {
-        "json" => slic_lint::render_json(&outcome.run, &outcome.diff),
-        _ => slic_lint::render_human(&outcome.run, &outcome.diff),
-    };
-    print!("{report}");
-    if outcome.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

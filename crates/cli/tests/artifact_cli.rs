@@ -2,6 +2,11 @@
 //! artifacts, which also serialized the run's cost, still load in `report`, `export`
 //! and `merge`, and a merge writes the current, results-only layout.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

@@ -3,6 +3,12 @@
 //! is byte-identical to the single-process artifact of the same configuration.  What a
 //! run paid is read from its `--ledger` record; artifacts hold results only.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use slic_obs::RunRecord;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -172,6 +178,10 @@ fn proc_state(pid: u32) -> Option<(char, u32)> {
 
 #[cfg(target_os = "linux")]
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock deadline bounds the wait for the orphan"
+)]
 fn a_spawned_worker_exits_when_its_broker_is_killed_outright() {
     use std::time::{Duration, Instant};
     let dir = temp_dir("broker-killed");

@@ -3,6 +3,11 @@
 //! as well as by fingerprint; and a scalar run replaying a cache a `--simd` run wrote
 //! pays its own simulations, so it writes the cold scalar run's bytes.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 

@@ -2,6 +2,11 @@
 //! unknown-key or unknown-flag error instead of being silently ignored, a flag is never
 //! taken as another flag's value, and `slic worker` serves TCP only.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 

@@ -3,6 +3,12 @@
 //! config must be byte-identical to the default, and a `--simd` run must record the
 //! `kernel.*` counters of its ledger record with consistent dispatch accounting.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use slic_obs::RunRecord;
 use std::path::{Path, PathBuf};
 use std::process::Command;

@@ -52,9 +52,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cost;
 pub mod historical;
 pub mod liberty;

@@ -374,6 +374,7 @@ pub fn drain_current4_batch(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use crate::mosfet::Mosfet;

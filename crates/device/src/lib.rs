@@ -31,9 +31,6 @@
 //! assert!(id.value() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod compiled;
 pub mod mosfet;
 pub mod tech;

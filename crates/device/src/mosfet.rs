@@ -156,6 +156,10 @@ impl Mosfet {
     ///
     /// Panics if the parameters fail [`DeviceParams::validate`].
     pub fn new(polarity: Polarity, params: DeviceParams) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "baselined: invalid device parameters are a caller bug, documented under Panics"
+        )]
         if let Err(msg) = params.validate() {
             panic!("invalid device parameters: {msg}");
         }
@@ -235,6 +239,7 @@ impl Mosfet {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -74,7 +74,7 @@ impl TechnologyNode {
     /// # Panics
     ///
     /// Panics if either device fails validation or the supply range is inverted.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per node property")]
     pub fn new(
         name: impl Into<String>,
         node_nm: u32,
@@ -87,9 +87,17 @@ impl TechnologyNode {
         cell_parasitic_cap: Farads,
         variation: ProcessVariation,
     ) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "baselined: invalid NMOS parameters are a caller bug, documented under Panics"
+        )]
         if let Err(msg) = nmos.validate() {
             panic!("invalid NMOS parameters for technology: {msg}");
         }
+        #[expect(
+            clippy::panic,
+            reason = "baselined: invalid PMOS parameters are a caller bug, documented under Panics"
+        )]
         if let Err(msg) = pmos.validate() {
             panic!("invalid PMOS parameters for technology: {msg}");
         }
@@ -375,7 +383,7 @@ impl TechnologyNode {
     /// The scaling rules are deliberately simple monotone functions of the feature size and
     /// flavor flags; they produce the ±10 %-ish node-to-node parameter spread that makes
     /// historical priors informative.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per recipe knob")]
     fn node_from_recipe(
         name: &str,
         node_nm: u32,

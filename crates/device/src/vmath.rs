@@ -211,6 +211,7 @@ pub fn softplus4(x: F64x4) -> F64x4 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -4,7 +4,7 @@
 //! restarting fleet does not hammer one address in lock-step ("thundering herd").  The
 //! jitter is **not** sampled from wall-clock entropy: the whole schedule is a pure
 //! function of `(seed, attempt)`, which keeps the resilience layer inside the workspace
-//! determinism rules (slic-lint D1 bans wall-clock reads in the farm crate) and makes
+//! determinism rules (the D1 lint bans wall-clock reads in the library crates) and makes
 //! every chaos test replayable — the same seed always waits the same milliseconds.
 //!
 //! Timing never reaches an artifact: a backoff delay decides *when* a reconnect happens,

@@ -556,7 +556,9 @@ impl FarmBackend {
             let mut reply = String::new();
             let read = conn
                 .reader
-                // slic-lint: allow(L1) -- the protocol is strictly alternating per connection, so the slot lock must span the write+read round trip; other workers use other slots and the read has the socket deadline.
+                // The protocol is strictly alternating per connection, so the slot lock
+                // must span the write+read round trip; other workers use other slots and
+                // the read has the socket deadline.
                 .read_line(&mut reply)
                 .map_err(|err| FarmError::Transport(slot.name.clone(), err.to_string()))?;
             if read == 0 {
@@ -815,9 +817,12 @@ impl SimulationBackend for FarmBackend {
                         return;
                     }
                     while let Some(mut job) = queue.next() {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "structural: `lanes` holds exactly the indices whose encoding succeeded"
+                        )]
                         let wire: Vec<WireRequest> = lanes[job.start..job.end]
                             .iter()
-                            // slic-lint: allow(P1) -- structural: `lanes` holds exactly the indices whose encoding succeeded.
                             .map(|&i| encoded[i].clone().expect("encodable lane"))
                             .collect();
                         match self.roundtrip(slot, wire) {
@@ -905,9 +910,12 @@ impl SimulationBackend for FarmBackend {
                 results[lane] = Some(result);
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "structural: every lane is either untransportable, stranded, or completed, and each path fills its slot"
+        )]
         results
             .into_iter()
-            // slic-lint: allow(P1) -- structural: every lane is either untransportable, stranded, or completed, and each path fills its slot.
             .map(|r| r.expect("every lane resolved"))
             .collect()
     }

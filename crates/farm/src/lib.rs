@@ -45,9 +45,6 @@
 //!     .with_backend(Arc::new(farm));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod backoff;
 pub mod broker;
 pub mod fault;

@@ -513,7 +513,10 @@ pub fn encode_message(message: &Message) -> String {
             Value::String("shutdown".to_string()),
         )]),
     };
-    // slic-lint: allow(P1) -- structural: every float crosses the wire as a hex bit pattern (see WireRequest), so Value serialization cannot fail.
+    #[expect(
+        clippy::expect_used,
+        reason = "structural: every float crosses the wire as a hex bit pattern (see WireRequest), so Value serialization cannot fail"
+    )]
     serde_json::to_string(&value).expect("wire messages contain no non-finite numbers")
 }
 

@@ -181,7 +181,10 @@ fn solve_wire_batch(
         .into_iter()
         .map(|lane| {
             let result: SimResult = match lane {
-                // slic-lint: allow(P1) -- structural: `solved` has exactly one entry per Ok lane by construction of `solvable`.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "structural: `solved` has exactly one entry per Ok lane by construction of `solvable`"
+                )]
                 Ok(_) => solved.next().expect("one result per solvable lane"),
                 Err(message) => Err(message),
             };

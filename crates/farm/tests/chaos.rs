@@ -3,6 +3,11 @@
 //! **bitwise identical** to a fault-free local run.  Faults may move lanes between
 //! workers and the local fallback, cost retries and reconnects, but never change a bit.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_farm::wire::encode_message;

@@ -3,6 +3,11 @@
 //! is gone, and the spawn dial that reaches a spawned worker through its banner.  Equality is always asserted bitwise against the default local backend — the
 //! farm must be a pure deployment change, never a numerical one.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_farm::wire::decode_message;
@@ -475,6 +480,10 @@ mod spawn_dial {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test times how long the broker waits"
+    )]
     fn a_spawned_child_without_a_banner_is_a_spawn_error_and_is_reaped() {
         let _serial = serial();
         let stand_in = StandIn::new("silent", "not a banner", 30);

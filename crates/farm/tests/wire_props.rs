@@ -3,6 +3,11 @@
 //! handshakes must be rejected, and any line a peer sends — arbitrary text, or an object
 //! shaped like a message with random fields — decodes to `Ok` or `Err`, never a panic.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

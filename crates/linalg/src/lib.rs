@@ -27,9 +27,6 @@
 //! assert!(residual.norm() < 1e-12);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cholesky;
 pub mod error;
 pub mod lu;

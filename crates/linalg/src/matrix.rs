@@ -357,6 +357,7 @@ impl Mul<&Matrix> for &Matrix {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -21,9 +21,6 @@
 //! assert_eq!(grid_levels_for_budget(12), (3, 2, 2));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod builder;
 pub mod table;
 

@@ -188,6 +188,7 @@ fn validate_axis(name: &str, axis: &[f64]) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -1,12 +1,11 @@
 //! The workspace's only wall clock, behind a trait so every consumer is testable and
 //! every *other* crate stays clock-free.
 //!
-//! `slic-lint`'s D1 rule bans `Instant`/`SystemTime` in result-path crates because a
-//! wall-clock read that influences an artifact breaks bit-identical replays.  Telemetry
-//! still needs real durations, so the ban is scoped: `configs/lint.toml` exempts only
-//! `crates/obs` (`[rules.D1] wallclock_exempt_paths`), and within this crate the read
-//! is confined to [`MonotonicClock`] — everything downstream sees opaque nanosecond
-//! counts through the [`Clock`] trait.
+//! The workspace's D1 lint (`disallowed-methods` in `clippy.toml`) bans
+//! `Instant::now`/`SystemTime::now` because a wall-clock read that influences an
+//! artifact breaks bit-identical replays.  Telemetry still needs real durations, so
+//! [`MonotonicClock::new`] carries the library crates' one `#[expect]` of that lint —
+//! everything downstream sees opaque nanosecond counts through the [`Clock`] trait.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,7 +17,7 @@ pub trait Clock: Send + Sync {
 
 /// The production clock: monotonic nanoseconds since construction.
 ///
-/// This struct owns the only `Instant` in the workspace outside test modules.
+/// This struct owns the only `Instant` in the library crates outside test modules.
 #[derive(Debug, Clone, Copy)]
 pub struct MonotonicClock {
     origin: std::time::Instant,
@@ -26,6 +25,10 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// Starts a clock whose origin is "now".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the library crates' one wall-clock read: trace timestamps are display-only and never reach an artifact"
+    )]
     pub fn new() -> Self {
         Self {
             origin: std::time::Instant::now(),
@@ -43,7 +46,7 @@ impl Clock for MonotonicClock {
     fn now_ns(&self) -> u64 {
         // Saturate rather than wrap: a run longer than u64::MAX nanoseconds (584 years)
         // is not a real concern, but truncation must not panic in debug builds.
-        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX) // slic-lint: allow(P1) -- try_from only fails past 584 years of runtime; saturating is the documented behaviour.
+        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 

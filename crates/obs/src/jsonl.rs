@@ -93,8 +93,11 @@ pub enum Line<'a, T> {
     /// complete but whose newline a crash lost: the next [`append`] truncates it, so a
     /// writer that must keep the record re-appends `text`.
     Record {
+        /// The decoded value.
         record: T,
+        /// The line's text, without its newline.
         text: &'a str,
+        /// Whether the line ended with a newline.
         terminated: bool,
     },
     /// An undecodable final line without a newline: the torn tail of an interrupted
@@ -102,8 +105,11 @@ pub enum Line<'a, T> {
     Torn,
     /// An undecodable newline-terminated line: real corruption.  `number` is 1-based.
     Corrupt {
+        /// The 1-based line number.
         number: usize,
+        /// The line's text, without its newline.
         text: &'a str,
+        /// Why the line did not parse or decode.
         error: Error,
     },
 }

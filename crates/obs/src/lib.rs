@@ -31,9 +31,9 @@
 //!   farmed lanes, ETA), rate-limited off the monotonic clock.
 //!
 //! Tracing is display-only **by construction**: nothing here feeds a result path, and
-//! the only wall-clock read in the workspace lives in [`clock::MonotonicClock`] behind
-//! the [`clock::Clock`] trait (the scoped `slic-lint` D1 exemption covers exactly this
-//! crate).  `RunArtifact` bytes are identical with tracing on or off — CI `cmp`-gates
+//! the only wall-clock read in the library crates lives in [`clock::MonotonicClock`]
+//! behind the [`clock::Clock`] trait (the one `#[expect]` of the D1 lint).
+//! `RunArtifact` bytes are identical with tracing on or off — CI `cmp`-gates
 //! that invariant.
 
 pub mod clock;

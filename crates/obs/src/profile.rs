@@ -17,22 +17,30 @@ use std::path::Path;
 /// Span vs instantaneous event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
+    /// A timed span: a start and a duration.
     Span,
+    /// An instantaneous event.
     Event,
 }
 
 /// One decoded trace record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
+    /// Span or event.
     pub kind: RecordKind,
+    /// The record's id, unique within its trace.
     pub id: u64,
+    /// The id of the enclosing span; `None` for a root.
     pub parent: Option<u64>,
+    /// The process-local id of the recording thread.
     pub thread: u64,
+    /// The span or event name, e.g. `solve_batch`.
     pub name: String,
     /// Span start / event timestamp, nanoseconds since recorder origin.
     pub start_ns: u64,
     /// Span duration; zero for events.
     pub dur_ns: u64,
+    /// The record's string attributes, in trace order.
     pub attrs: Vec<(String, String)>,
 }
 
@@ -93,23 +101,31 @@ fn attr<'a>(record: &'a TraceRecord, key: &str) -> Option<&'a str> {
 /// One row of the phase breakdown: every span name, with counts and total time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseRow {
+    /// The span name.
     pub name: String,
+    /// Spans of that name.
     pub count: u64,
+    /// Their summed duration, nanoseconds.
     pub total_ns: u64,
 }
 
 /// One row of the hottest-units table, keyed by the unit span's `(cell, arc)` attrs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitRow {
+    /// The unit span's `cell` attr.
     pub cell: String,
+    /// The unit span's `arc` attr.
     pub arc: String,
+    /// Unit spans of that (cell, arc).
     pub count: u64,
+    /// Their summed duration, nanoseconds.
     pub total_ns: u64,
 }
 
 /// One row of the worker timeline, keyed by the `worker` attr of farm spans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerRow {
+    /// The farm spans' `worker` attr.
     pub worker: String,
     /// Completed `farm.roundtrip` spans.
     pub jobs: u64,
@@ -129,9 +145,13 @@ pub struct WorkerRow {
 /// solve-batch span attrs as a fallback for partial traces).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheReport {
+    /// Lanes answered from the cache.
     pub hits: u64,
+    /// Lanes the cache could not answer.
     pub misses: u64,
+    /// Hits on records loaded from a persistent cache (`cache.hits.warm`).
     pub warm_hits: u64,
+    /// `hits` over all lookups, percent.
     pub hit_ratio_pct: f64,
     /// The `cache.lookup.hit_lanes` histogram, when the metrics event carried one.
     pub lookup_histogram: Option<Histogram>,
@@ -142,13 +162,21 @@ pub struct CacheReport {
 pub struct ProfileReport {
     /// Wall span of the trace: latest end minus earliest start.
     pub total_ns: u64,
+    /// Span records.
     pub spans: u64,
+    /// Event records.
     pub events: u64,
+    /// Unparseable lines dropped from the trace.
     pub dropped: u64,
+    /// Distinct recording threads.
     pub threads: u64,
+    /// Per-span-name totals, longest first.
     pub phases: Vec<PhaseRow>,
+    /// The hottest units, longest first.
     pub units: Vec<UnitRow>,
+    /// Farm workers' round trips and utilization.
     pub workers: Vec<WorkerRow>,
+    /// Cache effectiveness.
     pub cache: CacheReport,
     /// The raw end-of-run metrics snapshot attrs, verbatim and sorted.
     pub metrics: Vec<(String, String)>,

@@ -72,7 +72,7 @@ pub fn escape_json(text: &str) -> String {
                 let code = c as u32;
                 for shift in [12u32, 8, 4, 0] {
                     let digit = (code >> shift) & 0xf;
-                    out.push(char::from_digit(digit, 16).unwrap_or('0')); // slic-lint: allow(P1) -- structural: a masked nibble is always a valid hex digit.
+                    out.push(char::from_digit(digit, 16).unwrap_or('0'));
                 }
             }
             c => out.push(c),

@@ -10,6 +10,11 @@
 //! * *Concurrent appends*: N threads racing `ledger::append` on one path produce a
 //!   file holding every record exactly once, with zero dropped lines.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use proptest::prelude::*;
 use slic_obs::ledger::{self, RunRecord};
 use slic_obs::metrics::MetricsRegistry;

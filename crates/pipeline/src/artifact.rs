@@ -89,6 +89,10 @@ impl CharacterizedLibrary {
     /// group).
     pub fn from_units(library: &str, technology: &str, units: &[UnitResult]) -> Self {
         let pick = |arc: &TimingArc, metric: TimingMetric| -> Option<(TimingParams, f64)> {
+            #[expect(
+                clippy::expect_used,
+                reason = "structural: the iterator is filtered on params.is_some() before the pick"
+            )]
             units
                 .iter()
                 .filter(|u| u.arc == *arc && u.metric == metric && u.params.is_some())
@@ -97,7 +101,6 @@ impl CharacterizedLibrary {
                     MethodKind::ProposedLse => 1,
                     MethodKind::Lut => 2,
                 })
-                // slic-lint: allow(P1) -- structural: the iterator is filtered on params.is_some() two lines up.
                 .map(|u| (u.params.expect("filtered on is_some"), u.error_percent))
         };
         let mut arcs = Vec::new();

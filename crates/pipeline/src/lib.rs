@@ -50,9 +50,6 @@
 //! let _ = CharacterizationPlan::from_config(runner.config());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod artifact;
 pub mod config;
 pub mod error;

@@ -76,7 +76,10 @@ fn insert_nested(
     value: Value,
     lineno: usize,
 ) -> Result<(), PipelineError> {
-    // slic-lint: allow(P1) -- structural: the only caller splits a non-empty dotted key, so segments always has a head.
+    #[expect(
+        clippy::expect_used,
+        reason = "structural: the only caller splits a non-empty dotted key, so segments always has a head"
+    )]
     let (head, rest) = segments.split_first().expect("segments are non-empty");
     let existing = entries.iter_mut().find(|(k, _)| k == head);
     if rest.is_empty() {

@@ -241,7 +241,10 @@ impl SimulationBackend for LocalBackend {
                 let eq = EquivalentInverter::build(&req.tech, req.cell, &req.seed);
                 memo = Some((req.tech.clone(), req.seed, req.cell, eq));
             }
-            // slic-lint: allow(P1) -- structural: the branch above fills the memo when it is None.
+            #[expect(
+                clippy::expect_used,
+                reason = "structural: the branch above fills the memo when it is None"
+            )]
             let (_, _, _, eq) = memo.as_ref().expect("memo populated");
             problems.push(TransientProblem::new(eq, &req.arc, &req.point, &req.config));
             lanes.push(i);
@@ -280,9 +283,12 @@ impl SimulationBackend for LocalBackend {
         self.stats
             .device_evals
             .fetch_add(batch_stats.device_evals, Ordering::Relaxed);
+        #[expect(
+            clippy::expect_used,
+            reason = "structural: every lane index is pushed into `lanes` and filled from `lane_results` above"
+        )]
         results
             .into_iter()
-            // slic-lint: allow(P1) -- structural: every lane index is pushed into `lanes` and filled from `lane_results` above.
             .map(|r| r.expect("every lane resolved"))
             .collect()
     }

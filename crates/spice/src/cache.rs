@@ -96,7 +96,8 @@ fn key_bits(value: f64) -> u64 {
         !value.is_nan(),
         "NaN is not a valid simulation-cache coordinate"
     );
-    // slic-lint: allow(F1) -- exact IEEE 754 `-0.0 == 0.0` is the fold being implemented; a tolerance would alias distinct coordinates.
+    // Exact IEEE 754 `-0.0 == 0.0` is the fold being implemented; a tolerance would
+    // alias distinct coordinates.
     if value == 0.0 {
         0.0f64.to_bits()
     } else {

@@ -288,8 +288,11 @@ impl DiskSimCache {
                 key: key.clone(),
                 measurement: latest[key],
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "structural: SimKey construction rejects NaN, so a stored record always serializes"
+            )]
             snapshot.push_str(
-                // slic-lint: allow(P1) -- structural: SimKey construction rejects NaN, so a stored record always serializes.
                 &serde_json::to_string(&record).expect("cache records contain only finite numbers"),
             );
             snapshot.push('\n');
@@ -338,11 +341,14 @@ impl SimulationCache for DiskSimCache {
     }
 
     fn store(&self, key: SimKey, measurement: TimingMeasurement) {
+        #[expect(
+            clippy::expect_used,
+            reason = "structural: SimKey construction rejects NaN, so a stored record always serializes"
+        )]
         let line = serde_json::to_string(&DiskRecord {
             key: key.clone(),
             measurement,
         })
-        // slic-lint: allow(P1) -- structural: SimKey construction rejects NaN, so a stored record always serializes.
         .expect("cache records contain only finite numbers");
         // Re-storing the identical value (a benign replay) keeps the log clean; a changed
         // value must be appended because loading is last-record-wins.

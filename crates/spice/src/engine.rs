@@ -159,8 +159,11 @@ impl fmt::Debug for CharacterizationEngine {
 impl CharacterizationEngine {
     /// Creates an engine with the accurate (baseline-grade) transient settings.
     pub fn new(tech: TechnologyNode) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "the accurate preset is a compile-time constant that validates; a Result here would force every caller to handle an impossible error"
+        )]
         Self::with_config(tech, TransientConfig::accurate())
-            // slic-lint: allow(P1) -- the accurate preset is a compile-time constant that validates; a Result here would force every caller to handle an impossible error.
             .expect("the accurate preset always validates")
     }
 
@@ -423,11 +426,14 @@ impl CharacterizationEngine {
                     return (measurement, true);
                 }
                 let (_, arc, point, _) = &lanes[i];
+                #[expect(
+                    clippy::panic,
+                    reason = "a failed transient means unphysical inputs or a diverged solver; archiving a partial table would poison every downstream artifact, so failing loudly is the contract"
+                )]
                 let measurement = solved
                     .next()
                     .unwrap_or_else(|| Err("the backend returned no result".to_string()))
                     .unwrap_or_else(|err| {
-                        // slic-lint: allow(P1) -- a failed transient means unphysical inputs or a diverged solver; archiving a partial table would poison every downstream artifact, so failing loudly is the contract.
                         panic!(
                             "transient simulation failed for {} at {point}: {err}",
                             arc.id()

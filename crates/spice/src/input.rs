@@ -208,6 +208,7 @@ impl InputSpace {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

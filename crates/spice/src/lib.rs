@@ -45,9 +45,6 @@
 //! assert!(m.delay.value() > 0.0 && m.output_slew.value() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod backend;
 pub mod cache;
 pub mod disk;

@@ -100,7 +100,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[expect(
+        clippy::assertions_on_constants,
+        reason = "pins the ordering of the threshold constants"
+    )]
     fn thresholds_are_consistent() {
         assert!(SLEW_LOW_THRESHOLD < DELAY_THRESHOLD);
         assert!(DELAY_THRESHOLD < SLEW_HIGH_THRESHOLD);

@@ -411,7 +411,10 @@ impl LaneState {
     ///
     /// The scalar [`step`](Self::step) loop and the SIMD worklist share this method, so
     /// the two modes differ *only* in how the stage derivatives are computed.
-    #[allow(clippy::too_many_arguments)] // the flat stage bundle is the point: no per-attempt struct allocation
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the flat stage bundle is the point: no per-attempt struct allocation"
+    )]
     pub(crate) fn finish_attempt(
         &mut self,
         p: &TransientProblem,

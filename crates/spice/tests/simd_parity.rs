@@ -10,6 +10,11 @@
 //! 3. **Opt-in only** — with `simd = false` the backend is *bitwise* identical to the
 //!    scalar solver, so default runs (and their cache keys and artifacts) never move.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -13,6 +13,11 @@
 //!   reported with its line number;
 //! * rendering a generated [`Value`] and parsing it back is the identity.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helper functions abort the test on a setup failure"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -76,7 +76,15 @@ pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
     );
     let mut sa = a.to_vec();
     let mut sb = b.to_vec();
+    #[expect(
+        clippy::expect_used,
+        reason = "baselined: NaN in a KS sample is a caller bug"
+    )]
     sa.sort_by(|x, y| x.partial_cmp(y).expect("NaN in KS input"));
+    #[expect(
+        clippy::expect_used,
+        reason = "baselined: NaN in a KS sample is a caller bug"
+    )]
     sb.sort_by(|x, y| x.partial_cmp(y).expect("NaN in KS input"));
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let mut i = 0usize;
@@ -109,6 +117,7 @@ pub fn symmetric_percent_difference(a: f64, b: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -316,11 +316,16 @@ impl MultivariateGaussian {
     pub fn scaled_covariance(&self, factor: f64) -> Self {
         assert!(factor > 0.0, "covariance scale factor must be positive");
         let cov = self.covariance.scale(factor);
+        #[expect(
+            clippy::expect_used,
+            reason = "baselined: scaling by a positive factor preserves positive definiteness"
+        )]
         Self::new(self.mean.clone(), cov).expect("scaling preserves positive definiteness")
     }
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -138,6 +138,7 @@ fn slic_linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -24,9 +24,6 @@
 //! assert!((summary.mean - 2.5).abs() < 1e-12);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod distance;
 pub mod gaussian;
 pub mod histogram;

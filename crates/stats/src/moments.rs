@@ -74,6 +74,10 @@ pub fn quantile(samples: &[f64], p: f64) -> f64 {
     );
     assert!(!samples.is_empty(), "quantile of empty sample");
     let mut sorted = samples.to_vec();
+    #[expect(
+        clippy::expect_used,
+        reason = "baselined: NaN in a quantile sample is a caller bug"
+    )]
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
     let pos = p * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
@@ -176,6 +180,7 @@ impl Summary {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -28,15 +28,17 @@ pub fn uniform_box<R: Rng + ?Sized>(rng: &mut R, bounds: &[(f64, f64)], n: usize
         .map(|_| {
             bounds
                 .iter()
-                .map(
-                    |&(lo, hi)| {
-                        if lo == hi {
-                            lo
-                        } else {
-                            rng.gen_range(lo..hi)
-                        }
-                    },
-                )
+                .map(|&(lo, hi)| {
+                    #[expect(
+                        clippy::float_cmp,
+                        reason = "a zero-width bound has one value; gen_range needs lo < hi"
+                    )]
+                    if lo == hi {
+                        lo
+                    } else {
+                        rng.gen_range(lo..hi)
+                    }
+                })
                 .collect()
         })
         .collect()
@@ -154,6 +156,7 @@ fn validate_bounds(bounds: &[(f64, f64)]) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -106,9 +106,11 @@ impl FitConfig {
     /// # Errors
     ///
     /// Returns a description of the first invalid field.
-    // The negated comparison forms are deliberate: `!(x > 0.0)` also rejects NaN, which
-    // the positive `x <= 0.0` would let through.
-    #[allow(clippy::neg_cmp_op_on_partial_ord, clippy::nonminimal_bool)]
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        clippy::nonminimal_bool,
+        reason = "the negated forms are deliberate: `!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through"
+    )]
     pub fn validate(&self) -> Result<(), String> {
         if self.max_iterations == 0 {
             return Err("max_iterations must be positive".to_string());
@@ -177,6 +179,10 @@ impl LeastSquaresFitter {
     ///
     /// Panics if the configuration fails validation.
     pub fn with_config(config: FitConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "baselined: an invalid fit configuration is a caller bug, documented under Panics"
+        )]
         if let Err(msg) = config.validate() {
             panic!("invalid fit configuration: {msg}");
         }

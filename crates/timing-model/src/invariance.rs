@@ -79,6 +79,10 @@ pub fn vdd_collapse(samples: &[TimingSample], v_prime: f64) -> Vec<CollapseSerie
     groups
         .into_iter()
         .map(|((cload_af, sin_fs), mut points)| {
+            #[expect(
+                clippy::expect_used,
+                reason = "baselined: NaN in a collapse sample is a caller bug"
+            )]
             points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN in collapse input"));
             let label = format!(
                 "Cload={:.2}fF, Sin={:.2}ps",
@@ -119,6 +123,7 @@ pub fn load_slew_collapse(samples: &[TimingSample], params: &TimingParams) -> Ve
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
     use slic_spice::InputPoint;

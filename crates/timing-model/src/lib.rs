@@ -39,9 +39,6 @@
 //! assert!(params.relative_error(&sample).abs() < 1e-12);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod extended;
 pub mod fit;
 pub mod invariance;

@@ -31,9 +31,6 @@
 //! assert!(t.value() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod format;
 pub mod quantity;
 pub mod range;

@@ -89,6 +89,10 @@ pub fn midpoints(points: &[f64]) -> Vec<f64> {
 /// assert!((y - 0.825).abs() < 1e-12);
 /// ```
 pub fn rescale(x: f64, from_lo: f64, from_hi: f64, to_lo: f64, to_hi: f64) -> f64 {
+    #[expect(
+        clippy::float_cmp,
+        reason = "a degenerate source range maps everything to to_lo; any nonzero width, however small, rescales"
+    )]
     if from_hi == from_lo {
         return to_lo;
     }
@@ -96,6 +100,7 @@ pub fn rescale(x: f64, from_lo: f64, from_hi: f64, to_lo: f64, to_hi: f64) -> f6
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
 
