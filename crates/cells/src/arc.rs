@@ -1,6 +1,6 @@
 //! Timing arcs: which input switches and which way the output moves.
 
-use crate::cell::Cell;
+use crate::cell::{Cell, CellKind, DriveStrength};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::fmt;
 
@@ -40,8 +40,9 @@ impl fmt::Display for Transition {
 /// Following the paper, only one timing arc is modelled at a time (no simultaneous input
 /// switching); the other inputs are held at their non-controlling values.
 ///
-/// Deserialization applies the constructor's pin-range check, so an arc read from a
-/// cache record, a wire request or an artifact names a pin its cell has.
+/// Deserialization and [`from_id`](Self::from_id) apply the constructor's pin-range
+/// check, so an arc read from a cache record, a wire request or an artifact names a pin
+/// its cell has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct TimingArc {
     cell: Cell,
@@ -124,6 +125,44 @@ impl TimingArc {
             self.output_transition
         )
     }
+
+    /// Parses an [`id`](Self::id) back into its arc, applying the constructor's pin-range
+    /// check.
+    ///
+    /// # Errors
+    ///
+    /// Returns the constructor's message when the pin is out of range for the cell, or
+    /// says that `id` is not an arc id at all.
+    pub fn from_id(id: &str) -> Result<Self, String> {
+        let parse = || -> Option<(Cell, usize, Transition)> {
+            let mut parts = id.split('/');
+            let (kind, drive) = parts.next()?.rsplit_once('_')?;
+            let cell = Cell::new(CellKind::from_name(kind)?, DriveStrength::from_name(drive)?);
+            let pin = parts.next()?.strip_prefix('A')?;
+            if pin.is_empty() || !pin.bytes().all(|b| b.is_ascii_digit()) {
+                return None;
+            }
+            let transition = match parts.next()? {
+                "RISE" => Transition::Rise,
+                "FALL" => Transition::Fall,
+                _ => return None,
+            };
+            parts
+                .next()
+                .is_none()
+                .then_some((cell, pin.parse().ok()?, transition))
+        };
+        let (cell, input_pin, output_transition) =
+            parse().ok_or_else(|| format!("`{id}` is not a timing arc id"))?;
+        if input_pin >= cell.input_count() {
+            return Err(pin_out_of_range(cell, input_pin));
+        }
+        Ok(Self {
+            cell,
+            input_pin,
+            output_transition,
+        })
+    }
 }
 
 impl fmt::Display for TimingArc {
@@ -133,7 +172,7 @@ impl fmt::Display for TimingArc {
 }
 
 /// Why `input_pin` is not an arc of `cell`: the constructor's panic message and the
-/// deserializer's error.
+/// error of [`TimingArc::from_id`] and the deserializer.
 fn pin_out_of_range(cell: Cell, input_pin: usize) -> String {
     format!(
         "input pin {input_pin} out of range for {} ({} inputs)",
@@ -164,7 +203,6 @@ impl Deserialize for TimingArc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{CellKind, DriveStrength};
 
     fn nand2() -> Cell {
         Cell::new(CellKind::Nand2, DriveStrength::X1)
@@ -225,6 +263,34 @@ mod tests {
             err.to_string(),
             "input pin 7 out of range for INV_X1 (1 inputs)"
         );
+    }
+
+    #[test]
+    fn ids_parse_back_with_the_constructor_pin_check() {
+        for cell in [nand2(), Cell::new(CellKind::Aoi21, DriveStrength::X4)] {
+            for arc in TimingArc::all_arcs(cell) {
+                assert_eq!(TimingArc::from_id(&arc.id()), Ok(arc));
+            }
+        }
+        assert_eq!(
+            TimingArc::from_id("NAND2_X2/A7/FALL"),
+            Err("input pin 7 out of range for NAND2_X2 (2 inputs)".to_string())
+        );
+        for bad in [
+            "",
+            "NAND2_X1",
+            "NAND2_X1/A0",
+            "NAND2_X1/A/FALL",
+            "NAND2_X1/A+1/FALL",
+            "NAND2_X1/A0/DOWN",
+            "NAND2_X1/A0/FALL/",
+            "NAND9_X1/A0/FALL",
+            "NAND2_X3/A0/FALL",
+            "NAND2X1/A0/FALL",
+        ] {
+            let err = TimingArc::from_id(bad).expect_err(bad);
+            assert!(err.contains("is not a timing arc id"), "{err}");
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ SUBCOMMANDS:
                                             (default n16_finfet,n14_finfet)
                     --library <name>        paper-trio (default) | standard
                     --profile <name>        quick (default) | accurate
-                    --cache <file>          persistent simulation cache (JSON lines)
+                    --cache <file>          persistent simulation cache (append log)
                     --simd                  route batched lanes through the SIMD quad
                                             kernel (kernel.simd = true)
                     --out <file>            output database JSON (default history.json)

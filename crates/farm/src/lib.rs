@@ -6,11 +6,12 @@
 //! [`SimulationBackend`](slic_spice::SimulationBackend) boundary into a client/server
 //! system with three pieces:
 //!
-//! * [`wire`] — the versioned JSON-lines protocol: one message per line over TCP,
-//!   floats as the same hex-exact bit patterns
-//!   [`SimKey`](slic_spice::SimKey)/`DiskSimCache` use, and a handshake that pins both
-//!   the protocol version and the transient-kernel version so mixed-kernel fleets are
-//!   rejected instead of silently blending solver generations into one artifact;
+//! * [`wire`] — the versioned JSON-lines protocol: one message per line over TCP, each
+//!   lane of a batch as one string of the [codec](slic_spice::codec) words
+//!   `DiskSimCache` logs use (floats as hex-exact bit patterns), and a handshake that
+//!   pins both the protocol version and the transient-kernel version so mixed-kernel
+//!   fleets are rejected instead of silently blending solver generations into one
+//!   artifact;
 //! * [`worker`] — the stateless serve loop behind `slic worker`: decode a batch, solve it
 //!   through the in-process [`LocalBackend`](slic_spice::LocalBackend), stream the
 //!   results back;

@@ -5,11 +5,11 @@
 //! on one connection:
 //!
 //! ```text
-//! worker → broker   {"type":"hello","protocol":2,"kernel":"2","worker":"w0"}
+//! worker → broker   {"type":"hello","protocol":3,"kernel":"2","worker":"w0"}
 //! broker → worker   {"type":"ping","id":3}
 //! worker → broker   {"type":"pong","id":3}
-//! broker → worker   {"type":"batch","id":7,"requests":[{...}, ...]}
-//! worker → broker   {"type":"results","id":7,"results":[{"delay":"...","slew":"..."}, ...]}
+//! broker → worker   {"type":"batch","id":7,"requests":["<coordinate words>", ...]}
+//! worker → broker   {"type":"results","id":7,"results":["<delay> <slew>", {"error":"..."}, ...]}
 //! broker → worker   {"type":"shutdown"}
 //! ```
 //!
@@ -17,37 +17,42 @@
 //! broker can run between batches with a short read deadline, so a half-open connection
 //! (worker host vanished, NAT state expired) is detected in milliseconds instead of
 //! stalling the next batch into its full 60 s deadline.  A `pong` echoes the `ping`'s
-//! correlation id.  Protocol-1 workers do not know the pair — that is exactly why the
-//! protocol version is bumped: a v1 worker is refused at connect time, as any other
-//! protocol mismatch is.
+//! correlation id.
 //!
-//! Every floating-point coordinate travels as a fixed-width hexadecimal bit pattern —
-//! the exact encoding [`SimKey`](slic_spice::SimKey) uses in `DiskSimCache` logs — so a
-//! request decodes to the bit-identical simulation the broker asked for, and farm
-//! results are cache-compatible with local runs: the broker stores them under the same
-//! keys a local solve would produce.  The handshake carries both the protocol version and
-//! the transient-kernel version ([`KERNEL_VERSION`]); a worker built from a different
-//! kernel generation is rejected at connect time, because its bitwise-correct-for-*its*-
-//! kernel results would silently mix solver generations inside one artifact.
+//! Protocol 3 carries each lane in the [codec](slic_spice::codec) that `DiskSimCache`
+//! logs use: a request is one JSON string of a coordinate's sixteen words (technology
+//! by name, arc by id, every float as a fixed-width hexadecimal bit pattern), and a
+//! result is a string of the measurement's two words, or `{"error": ...}` for a lane the
+//! worker could not solve.  A request therefore decodes to the bit-identical simulation
+//! the broker asked for, and farm results are cache-compatible with local runs: the
+//! broker stores them under the same keys a local solve would produce.  Each lane is
+//! decoded on its own, so a lane that fails to decode gets an error entry instead of
+//! poisoning its batch.
+//!
+//! The handshake carries both the protocol version and the transient-kernel version
+//! ([`KERNEL_VERSION`]).  A peer speaking another protocol version — a protocol-2
+//! worker, whose lanes are JSON objects — is refused at connect time, and so is a worker
+//! built from a different kernel generation, because its bitwise-correct-for-*its*-kernel
+//! results would silently mix solver generations inside one artifact.
 //!
 //! NaN is rejected at both ends: it cannot be a simulation coordinate (see
 //! [`SimKey`](slic_spice::SimKey)) and a NaN measurement is never produced by a valid
 //! solve.
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use slic_cells::{Cell, TimingArc};
 use slic_device::{ProcessSample, TechnologyNode};
-use slic_spice::cache::{bits_from_value, bits_to_value};
-use slic_spice::{InputPoint, SimRequest, SimResult, TimingMeasurement, KERNEL_VERSION};
+use slic_spice::codec::{self, Coordinate};
+use slic_spice::{InputPoint, SimRequest, SimResult, KERNEL_VERSION};
 use slic_units::{Farads, Seconds, Volts};
 use std::fmt;
 use std::io::Write;
 
 /// Version of the wire protocol itself (message shapes and framing).
 ///
-/// History: v1 = hello/batch/results/shutdown (PR 4); v2 adds the `ping`/`pong`
-/// heartbeat pair.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// History: v1 = hello/batch/results/shutdown; v2 adds the `ping`/`pong` heartbeat
+/// pair; v3 sends each request and result as a string of [codec](slic_spice::codec)
+/// words instead of a JSON object.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Anything that can go wrong encoding, decoding or validating wire traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,16 +172,10 @@ impl Hello {
     }
 }
 
-/// One simulation request as it travels: technology by name, floats by bit pattern.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireRequest {
-    tech: String,
-    cell: Cell,
-    arc: TimingArc,
-    point: [u64; 3],
-    seed: [u64; 7],
-    config: [u64; 4],
-}
+/// One simulation request as it travels: a [`Coordinate`]'s codec words, with the
+/// request's raw bit patterns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireRequest(String);
 
 /// The bit pattern of a float that is allowed on the wire (anything but NaN).
 fn checked_bits(value: f64, field: &str) -> Result<u64, WireError> {
@@ -218,9 +217,8 @@ impl WireRequest {
                 ))
             }
         }
-        Ok(Self {
+        let coordinate = Coordinate {
             tech: request.tech.name().to_string(),
-            cell: request.cell,
             arc: request.arc,
             point: [
                 checked_bits(request.point.sin.value(), "point.sin")?,
@@ -242,59 +240,60 @@ impl WireRequest {
                 checked_bits(request.config.max_time_factor, "config.max_time_factor")?,
                 checked_bits(request.config.miller_fraction, "config.miller_fraction")?,
             ],
-        })
+        };
+        let mut words = String::with_capacity(288);
+        coordinate.write(&mut words);
+        Ok(Self(words))
     }
 
     /// Reconstructs the bit-identical [`SimRequest`] this wire form encodes.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] when the technology name is unknown, a coordinate is
-    /// non-finite or out of its physical range, the transient configuration fails
-    /// validation, or the arc does not belong to the request's cell.
+    /// Returns a [`WireError`] when the words are not a coordinate (including an arc
+    /// whose pin its cell lacks), the technology name is unknown, a coordinate is
+    /// non-finite or out of its physical range, or the transient configuration fails
+    /// validation.
     pub fn decode(&self) -> Result<SimRequest, WireError> {
-        let tech = TechnologyNode::by_name_shared(&self.tech)
-            .ok_or_else(|| WireError::UnknownTechnology(self.tech.clone()))?;
-        if self.arc.cell() != self.cell {
-            return Err(WireError::InvalidRequest(format!(
-                "arc {} does not belong to cell {}",
-                self.arc.id(),
-                self.cell.name()
-            )));
-        }
-        let sin = finite_from_bits(self.point[0], "point.sin")?;
-        let cload = finite_from_bits(self.point[1], "point.cload")?;
-        let vdd = finite_from_bits(self.point[2], "point.vdd")?;
+        let coordinate = Coordinate::parse(&self.0).map_err(WireError::InvalidRequest)?;
+        let tech = TechnologyNode::by_name_shared(&coordinate.tech)
+            .ok_or(WireError::UnknownTechnology(coordinate.tech))?;
+        let [sin, cload, vdd] = coordinate.point;
+        let sin = finite_from_bits(sin, "point.sin")?;
+        let cload = finite_from_bits(cload, "point.cload")?;
+        let vdd = finite_from_bits(vdd, "point.vdd")?;
         if sin <= 0.0 || cload <= 0.0 || vdd <= 0.0 {
             return Err(WireError::InvalidRequest(format!(
                 "input point ({sin}, {cload}, {vdd}) has a non-positive component"
             )));
         }
         let point = InputPoint::new(Seconds(sin), Farads(cload), Volts(vdd));
+        let seed = coordinate.seed;
         let seed = ProcessSample {
-            delta_vth_n: finite_from_bits(self.seed[0], "seed.delta_vth_n")?,
-            delta_vth_p: finite_from_bits(self.seed[1], "seed.delta_vth_p")?,
-            vx0_scale_n: finite_from_bits(self.seed[2], "seed.vx0_scale_n")?,
-            vx0_scale_p: finite_from_bits(self.seed[3], "seed.vx0_scale_p")?,
-            cinv_scale: finite_from_bits(self.seed[4], "seed.cinv_scale")?,
-            dibl_scale_n: finite_from_bits(self.seed[5], "seed.dibl_scale_n")?,
-            dibl_scale_p: finite_from_bits(self.seed[6], "seed.dibl_scale_p")?,
+            delta_vth_n: finite_from_bits(seed[0], "seed.delta_vth_n")?,
+            delta_vth_p: finite_from_bits(seed[1], "seed.delta_vth_p")?,
+            vx0_scale_n: finite_from_bits(seed[2], "seed.vx0_scale_n")?,
+            vx0_scale_p: finite_from_bits(seed[3], "seed.vx0_scale_p")?,
+            cinv_scale: finite_from_bits(seed[4], "seed.cinv_scale")?,
+            dibl_scale_n: finite_from_bits(seed[5], "seed.dibl_scale_n")?,
+            dibl_scale_p: finite_from_bits(seed[6], "seed.dibl_scale_p")?,
         };
+        let config = coordinate.config;
         let config = slic_spice::TransientConfig {
-            dv_max_fraction: finite_from_bits(self.config[0], "config.dv_max_fraction")?,
-            min_steps_per_ramp: usize::try_from(self.config[1]).map_err(|_| {
+            dv_max_fraction: finite_from_bits(config[0], "config.dv_max_fraction")?,
+            min_steps_per_ramp: usize::try_from(config[1]).map_err(|_| {
                 WireError::InvalidRequest("config.min_steps_per_ramp overflows usize".to_string())
             })?,
-            max_time_factor: finite_from_bits(self.config[2], "config.max_time_factor")?,
-            miller_fraction: finite_from_bits(self.config[3], "config.miller_fraction")?,
+            max_time_factor: finite_from_bits(config[2], "config.max_time_factor")?,
+            miller_fraction: finite_from_bits(config[3], "config.miller_fraction")?,
         };
         config
             .validate()
             .map_err(|msg| WireError::InvalidRequest(format!("transient config: {msg}")))?;
         Ok(SimRequest {
             tech,
-            cell: self.cell,
-            arc: self.arc,
+            cell: coordinate.arc.cell(),
+            arc: coordinate.arc,
             point,
             seed,
             config,
@@ -304,48 +303,24 @@ impl WireRequest {
 
 impl Serialize for WireRequest {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("tech".to_string(), self.tech.to_value()),
-            ("cell".to_string(), self.cell.to_value()),
-            ("arc".to_string(), self.arc.to_value()),
-            ("point".to_string(), bits_to_value(&self.point)),
-            ("seed".to_string(), bits_to_value(&self.seed)),
-            ("config".to_string(), bits_to_value(&self.config)),
-        ])
+        Value::String(self.0.clone())
     }
 }
 
 impl Deserialize for WireRequest {
     fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| SerdeError::expected("object", value))?;
-        let field_value = |name: &str| -> Result<&Value, SerdeError> {
-            value
-                .get(name)
-                .ok_or_else(|| SerdeError::missing_field(name))
-        };
-        Ok(Self {
-            tech: serde::field(entries, "tech")?,
-            cell: serde::field(entries, "cell")?,
-            arc: serde::field(entries, "arc")?,
-            point: bits_from_value(field_value("point")?, "point")?,
-            seed: bits_from_value(field_value("seed")?, "seed")?,
-            config: bits_from_value(field_value("config")?, "config")?,
-        })
+        let words = value
+            .as_str()
+            .ok_or_else(|| SerdeError::expected("string of coordinate words", value))?;
+        Ok(Self(words.to_string()))
     }
 }
 
-/// One lane's outcome as it travels: a hex-exact measurement or a rendered error.
-#[derive(Debug, Clone, PartialEq)]
+/// One lane's outcome as it travels: a measurement's codec words, or a rendered error.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireResultEntry {
-    /// A completed measurement, delay and slew as bit patterns.
-    Measurement {
-        /// Bit pattern of the delay in seconds.
-        delay: u64,
-        /// Bit pattern of the output slew in seconds.
-        slew: u64,
-    },
+    /// A completed measurement, as its `<delay> <slew>` words.
+    Measurement(String),
     /// A solver failure, rendered as text.
     Error(String),
 }
@@ -360,17 +335,14 @@ impl WireResultEntry {
     pub fn encode(result: &SimResult) -> Result<Self, WireError> {
         match result {
             Ok(measurement) => {
-                let delay = measurement.delay.value();
-                let slew = measurement.output_slew.value();
-                if delay.is_nan() || slew.is_nan() {
+                if measurement.delay.value().is_nan() || measurement.output_slew.value().is_nan() {
                     return Err(WireError::InvalidResult(
                         "NaN measurement component".to_string(),
                     ));
                 }
-                Ok(Self::Measurement {
-                    delay: delay.to_bits(),
-                    slew: slew.to_bits(),
-                })
+                let mut words = String::with_capacity(33);
+                codec::write_measurement(&mut words, measurement);
+                Ok(Self::Measurement(words))
             }
             Err(message) => Ok(Self::Error(message.clone())),
         }
@@ -380,21 +352,13 @@ impl WireResultEntry {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError::InvalidResult`] when the bit patterns violate the
-    /// measurement invariants (finite, non-negative delay, positive slew).
+    /// Returns a [`WireError::InvalidResult`] when the words are not a measurement or
+    /// violate the measurement invariants (finite, non-negative delay, positive slew).
     pub fn decode(&self) -> Result<SimResult, WireError> {
         match self {
-            Self::Measurement { delay, slew } => {
-                let delay = f64::from_bits(*delay);
-                let slew = f64::from_bits(*slew);
-                if !(delay.is_finite() && delay >= 0.0 && slew.is_finite() && slew > 0.0) {
-                    return Err(WireError::InvalidResult(format!(
-                        "measurement (delay {delay}, slew {slew}) violates the timing \
-                         invariants"
-                    )));
-                }
-                Ok(Ok(TimingMeasurement::new(Seconds(delay), Seconds(slew))))
-            }
+            Self::Measurement(words) => codec::parse_measurement(words)
+                .map(Ok)
+                .map_err(WireError::InvalidResult),
             Self::Error(message) => Ok(Err(message.clone())),
         }
     }
@@ -403,10 +367,7 @@ impl WireResultEntry {
 impl Serialize for WireResultEntry {
     fn to_value(&self) -> Value {
         match self {
-            Self::Measurement { delay, slew } => Value::Object(vec![
-                ("delay".to_string(), Value::String(format!("{delay:016x}"))),
-                ("slew".to_string(), Value::String(format!("{slew:016x}"))),
-            ]),
+            Self::Measurement(words) => Value::String(words.clone()),
             Self::Error(message) => {
                 Value::Object(vec![("error".to_string(), Value::String(message.clone()))])
             }
@@ -416,27 +377,16 @@ impl Serialize for WireResultEntry {
 
 impl Deserialize for WireResultEntry {
     fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        if let Some(error) = value.get("error") {
-            let message = error
-                .as_str()
-                .ok_or_else(|| SerdeError::expected("error string", error))?;
-            return Ok(Self::Error(message.to_string()));
+        if let Some(words) = value.as_str() {
+            return Ok(Self::Measurement(words.to_string()));
         }
-        let hex = |name: &str| -> Result<u64, SerdeError> {
-            let field = value
-                .get(name)
-                .ok_or_else(|| SerdeError::missing_field(name))?;
-            let text = field
-                .as_str()
-                .ok_or_else(|| SerdeError::expected("hex bit pattern", field))?;
-            u64::from_str_radix(text, 16).map_err(|_| {
-                SerdeError::custom(format!("field `{name}`: `{text}` is not a hex bit pattern"))
-            })
-        };
-        Ok(Self::Measurement {
-            delay: hex("delay")?,
-            slew: hex("slew")?,
-        })
+        let error = value
+            .get("error")
+            .ok_or_else(|| SerdeError::expected("measurement words or an error", value))?;
+        let message = error
+            .as_str()
+            .ok_or_else(|| SerdeError::expected("error string", error))?;
+        Ok(Self::Error(message.to_string()))
     }
 }
 
@@ -478,7 +428,7 @@ pub enum Message {
 /// # Panics
 ///
 /// Never in practice: every numeric field is a small integer and every float travels as a
-/// hex string, so the JSON writer cannot encounter a non-finite number.
+/// hex word inside a string, so the JSON writer cannot encounter a non-finite number.
 pub fn encode_message(message: &Message) -> String {
     let value = match message {
         Message::Hello(hello) => Value::Object(vec![
@@ -515,7 +465,7 @@ pub fn encode_message(message: &Message) -> String {
     };
     #[expect(
         clippy::expect_used,
-        reason = "structural: every float crosses the wire as a hex bit pattern (see WireRequest), so Value serialization cannot fail"
+        reason = "structural: every float crosses the wire as a hex word inside a string (see WireRequest), so Value serialization cannot fail"
     )]
     serde_json::to_string(&value).expect("wire messages contain no non-finite numbers")
 }
@@ -591,8 +541,8 @@ pub fn decode_message(line: &str) -> Result<Message, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slic_cells::{CellKind, DriveStrength, Transition};
-    use slic_spice::TransientConfig;
+    use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
+    use slic_spice::{TimingMeasurement, TransientConfig};
     use std::sync::Arc;
 
     fn request() -> SimRequest {
@@ -628,6 +578,67 @@ mod tests {
         assert_eq!(id, 7);
         assert_eq!(requests.len(), 1);
         assert_eq!(requests[0].decode().expect("reconstructs"), original);
+    }
+
+    #[test]
+    fn lanes_travel_as_codec_word_strings() {
+        let wire = WireRequest::encode(&request()).expect("encodes");
+        let ok: SimResult = Ok(TimingMeasurement::new(Seconds(1.25e-12), Seconds(2.5e-12)));
+        let batch = encode_message(&Message::Batch {
+            id: 1,
+            requests: vec![wire],
+        });
+        let results = encode_message(&Message::Results {
+            id: 1,
+            results: vec![
+                WireResultEntry::encode(&ok).expect("encodes"),
+                WireResultEntry::Error("diverged".to_string()),
+            ],
+        });
+        let value: Value = serde_json::from_str(&batch).expect("JSON envelope");
+        let lane = value
+            .get("requests")
+            .and_then(Value::as_array)
+            .expect("lanes")[0]
+            .as_str()
+            .expect("a request is one string");
+        assert_eq!(lane.split(' ').count(), 16, "{lane}");
+        assert!(
+            lane.starts_with("hist-14nm-finfet NAND2_X2/A0/RISE "),
+            "{lane}"
+        );
+        let value: Value = serde_json::from_str(&results).expect("JSON envelope");
+        let entries = value
+            .get("results")
+            .and_then(Value::as_array)
+            .expect("lanes");
+        assert_eq!(
+            entries[0].as_str(),
+            Some(
+                format!(
+                    "{:016x} {:016x}",
+                    1.25e-12f64.to_bits(),
+                    2.5e-12f64.to_bits()
+                )
+                .as_str()
+            )
+        );
+        assert_eq!(
+            entries[1].get("error").and_then(Value::as_str),
+            Some("diverged")
+        );
+        // A lane whose words do not parse decodes to an error of its own.
+        let Message::Batch { requests, .. } =
+            decode_message(&batch.replace("NAND2_X2/A0/RISE", "NAND2_X2/A7/RISE"))
+                .expect("the envelope still decodes")
+        else {
+            panic!("wrong message type");
+        };
+        let err = requests[0].decode().expect_err("NAND2_X2 has no pin 7");
+        assert!(
+            err.to_string().contains("input pin 7 out of range"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -713,9 +724,10 @@ mod tests {
             let line = encode_message(&message);
             assert_eq!(decode_message(&line).expect("decodes"), message);
         }
-        // A v1 peer has never heard of the pair — the version bump is what keeps it out
-        // of a v2 fleet at connect time rather than at the first unanswerable ping.
-        assert_eq!(PROTOCOL_VERSION, 2);
+        // A v1 peer has never heard of the pair, and a v2 peer sends its lanes as JSON
+        // objects — the version bumps are what keep both out of a v3 fleet at connect
+        // time rather than at the first unanswerable message.
+        assert_eq!(PROTOCOL_VERSION, 3);
     }
 
     #[test]
@@ -745,10 +757,11 @@ mod tests {
         }
         // A negative delay can be *encoded* (it is not NaN) but must fail decode: the
         // far side would panic constructing the measurement otherwise.
-        let negative = WireResultEntry::Measurement {
-            delay: (-1.0f64).to_bits(),
-            slew: 1.0f64.to_bits(),
-        };
+        let negative = WireResultEntry::Measurement(format!(
+            "{:016x} {:016x}",
+            (-1.0f64).to_bits(),
+            1.0f64.to_bits()
+        ));
         assert!(negative.decode().is_err());
     }
 

@@ -1,14 +1,16 @@
-//! JSON-lines append logs: the one file discipline behind `DiskSimCache`, the run
+//! Line-oriented append logs: the one file discipline behind `DiskSimCache`, the run
 //! ledger and the trace reader.
 //!
 //! Writers [`append`] whole lines under an exclusive advisory flock, after truncating
 //! the torn final line a crashed writer may have left, so concurrent same-host writers
 //! interleave records, never bytes.  Readers [`read`] the whole file as one buffer under
-//! a shared flock and walk it with [`classify`], which tells complete records, the torn
-//! tail of an interrupted append and real corruption apart; [`salvage`] keeps every
-//! record that decodes and counts the rest.  Every line parses through `serde_json`.
+//! a shared flock and walk it with [`classify`], the one line classifier, which tells
+//! complete records, the torn tail of an interrupted append and real corruption apart;
+//! [`salvage`] keeps every record that decodes and counts the rest.  Each reader decodes
+//! a line's text its own way: the ledger and traces parse it as JSON, and `DiskSimCache`
+//! reads the hex words of its v2 records (or a v1 record's JSON).  A decoder must fail on
+//! every proper prefix of a record, or a torn tail would pass for one.
 
-use serde_json::{Error, Value};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
@@ -88,7 +90,7 @@ pub fn read(path: &Path) -> std::io::Result<String> {
 
 /// How a reader must treat one non-blank line of a log.
 #[derive(Debug)]
-pub enum Line<'a, T> {
+pub enum Line<'a, T, E> {
     /// A decoded record.  `terminated` is false only for a final line whose bytes are
     /// complete but whose newline a crash lost: the next [`append`] truncates it, so a
     /// writer that must keep the record re-appends `text`.
@@ -109,17 +111,17 @@ pub enum Line<'a, T> {
         number: usize,
         /// The line's text, without its newline.
         text: &'a str,
-        /// Why the line did not parse or decode.
-        error: Error,
+        /// Why the line did not decode.
+        error: E,
     },
 }
 
-/// Classifies every non-blank line of `text`, parsing it as JSON and decoding the value
-/// with `decode`.  Lines borrow from `text`; nothing is copied.
-pub fn classify<'a, T>(
+/// Classifies every non-blank line of `text` by decoding its text with `decode`.  Lines
+/// borrow from `text`; nothing is copied.
+pub fn classify<'a, T, E>(
     text: &'a str,
-    mut decode: impl FnMut(&Value) -> Result<T, Error>,
-) -> impl Iterator<Item = Line<'a, T>> {
+    mut decode: impl FnMut(&str) -> Result<T, E>,
+) -> impl Iterator<Item = Line<'a, T, E>> {
     text.split_inclusive('\n')
         .enumerate()
         .filter_map(move |(index, raw)| {
@@ -130,21 +132,19 @@ pub fn classify<'a, T>(
             if line.trim().is_empty() {
                 return None;
             }
-            Some(
-                match serde_json::from_str::<Value>(line).and_then(|value| decode(&value)) {
-                    Ok(record) => Line::Record {
-                        record,
-                        text: line,
-                        terminated,
-                    },
-                    Err(_) if !terminated => Line::Torn,
-                    Err(error) => Line::Corrupt {
-                        number: index + 1,
-                        text: line,
-                        error,
-                    },
+            Some(match decode(line) {
+                Ok(record) => Line::Record {
+                    record,
+                    text: line,
+                    terminated,
                 },
-            )
+                Err(_) if !terminated => Line::Torn,
+                Err(error) => Line::Corrupt {
+                    number: index + 1,
+                    text: line,
+                    error,
+                },
+            })
         })
 }
 
@@ -153,21 +153,19 @@ pub fn classify<'a, T>(
 pub struct Salvaged<T> {
     /// Records in file order (oldest first).
     pub records: Vec<T>,
-    /// Non-blank lines that failed to parse or decode — a torn tail, injected garbage or
+    /// Non-blank lines that failed to decode — a torn tail, injected garbage or
     /// interleaved corruption.  A healthy log has zero.
     pub dropped: usize,
 }
 
-/// Keeps every line of `text` that `decode` accepts and counts the rest as dropped.
-pub fn salvage<T>(text: &str, mut decode: impl FnMut(&Value) -> Option<T>) -> Salvaged<T> {
+/// Keeps every line of `text` whose text `decode` accepts and counts the rest as
+/// dropped.
+pub fn salvage<T>(text: &str, mut decode: impl FnMut(&str) -> Option<T>) -> Salvaged<T> {
     let mut salvaged = Salvaged {
         records: Vec::new(),
         dropped: 0,
     };
-    let lines = classify(text, |value| {
-        decode(value).ok_or_else(|| Error::custom("not a record of this log"))
-    });
-    for line in lines {
+    for line in classify(text, |line| decode(line).ok_or(())) {
         match line {
             Line::Record { record, .. } => salvaged.records.push(record),
             Line::Torn | Line::Corrupt { .. } => salvaged.dropped += 1,
@@ -181,7 +179,7 @@ mod tests {
     use super::*;
 
     fn kinds(text: &str) -> Vec<String> {
-        classify(text, |value| Ok(value.clone()))
+        classify(text, serde_json::from_str::<serde_json::Value>)
             .map(|line| match line {
                 Line::Record {
                     text, terminated, ..

@@ -160,7 +160,12 @@ pub fn append(path: &Path, record: &RunRecord) -> std::io::Result<()> {
 /// Returns the underlying I/O error when the file cannot be opened or read — a
 /// missing ledger included.
 pub fn load(path: &Path) -> std::io::Result<Salvaged<RunRecord>> {
-    Ok(jsonl::salvage(&jsonl::read(path)?, RunRecord::decode))
+    Ok(jsonl::salvage(&jsonl::read(path)?, decode_line))
+}
+
+/// Parses one ledger line as JSON and decodes the record it holds.
+fn decode_line(line: &str) -> Option<RunRecord> {
+    RunRecord::decode(&serde_json::from_str(line).ok()?)
 }
 
 /// FNV-1a 64 over `bytes`, finished with a splitmix avalanche, rendered as 16 hex
@@ -260,7 +265,7 @@ mod tests {
     fn loader_salvages_around_corrupt_interior_lines() {
         let good = sample_record(7).to_line();
         let text = format!("{good}\nnot json at all\n{{\"type\":\"other\"}}\n{good}\n");
-        let ledger = jsonl::salvage(&text, RunRecord::decode);
+        let ledger = jsonl::salvage(&text, decode_line);
         assert_eq!(ledger.records.len(), 2);
         assert_eq!(ledger.dropped, 2);
     }

@@ -1,8 +1,8 @@
 //! The analysis side of the trace schema: the trace reader and the report builder
 //! behind `slic profile <trace.jsonl>`.
 //!
-//! Trace lines parse through `serde_json` and are salvaged by [`crate::jsonl`], the
-//! file discipline the ledger and `DiskSimCache` share.  A trace cut short — worker
+//! Trace lines are salvaged by [`crate::jsonl`], the file discipline the ledger and
+//! `DiskSimCache` share, and each parses through `serde_json`.  A trace cut short — worker
 //! killed mid-write, disk filled — parses to its longest well-formed prefix: every
 //! unparseable line is *counted and dropped*, never silently absorbed, and the CLI
 //! exits nonzero when any line was dropped so CI cannot mistake a truncated trace for a
@@ -47,7 +47,9 @@ pub struct TraceRecord {
 /// Parses a whole trace, salvaging every well-formed line.  Any dropped line makes
 /// `slic profile` exit nonzero.
 pub fn parse_trace(text: &str) -> Salvaged<TraceRecord> {
-    jsonl::salvage(text, decode_record)
+    jsonl::salvage(text, |line| {
+        decode_record(&serde_json::from_str(line).ok()?)
+    })
 }
 
 /// Reads and parses the trace at `path` under a shared advisory lock.

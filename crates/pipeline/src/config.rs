@@ -135,7 +135,7 @@ pub struct RunConfig {
     pub validation_points: Option<usize>,
     /// RNG seed for training/validation sampling; default `20150313`.
     pub seed: Option<u64>,
-    /// Path of a persistent (JSON-lines) simulation cache shared by shard workers and
+    /// Path of a persistent (append-log) simulation cache shared by shard workers and
     /// reruns; created on first use.  Unset = a fresh in-memory cache per run.
     pub cache: Option<String>,
     /// TCP addresses of running `slic worker --listen` processes.  Setting these or

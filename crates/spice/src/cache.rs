@@ -23,10 +23,10 @@
 //!
 //! [`CharacterizationEngine`]: crate::engine::CharacterizationEngine
 
+use crate::codec::Coordinate;
 use crate::input::InputPoint;
 use crate::measure::TimingMeasurement;
 use crate::transient::TransientConfig;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use slic_cells::TimingArc;
 use slic_device::ProcessSample;
 use std::collections::BTreeMap;
@@ -60,7 +60,7 @@ const SIMD_FLAVOUR: u64 = 1 << 32;
 pub const SIMD_KERNEL_ID: u64 = SIMD_FLAVOUR | KERNEL_VERSION;
 
 /// The version that keys cache records written before the kernel field existed.
-const LEGACY_KERNEL_VERSION: u64 = 1;
+pub(crate) const LEGACY_KERNEL_VERSION: u64 = 1;
 
 /// The exact coordinates of one transient simulation.
 ///
@@ -76,12 +76,8 @@ const LEGACY_KERNEL_VERSION: u64 = 1;
 /// [`SIMD_KERNEL_ID`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimKey {
-    kernel: u64,
-    tech: String,
-    arc: TimingArc,
-    point: [u64; 3],
-    seed: [u64; 7],
-    config: [u64; 4],
+    pub(crate) kernel: u64,
+    pub(crate) coordinate: Coordinate,
 }
 
 /// The bit pattern of `value` with negative zero folded onto positive zero.
@@ -151,16 +147,18 @@ impl SimKey {
         let (point, seed) = coordinate_bits(point, seed);
         Self {
             kernel,
-            tech: tech.to_string(),
-            arc: *arc,
-            point,
-            seed,
-            config: [
-                key_bits(config.dv_max_fraction),
-                config.min_steps_per_ramp as u64,
-                key_bits(config.max_time_factor),
-                key_bits(config.miller_fraction),
-            ],
+            coordinate: Coordinate {
+                tech: tech.to_string(),
+                arc: *arc,
+                point,
+                seed,
+                config: [
+                    key_bits(config.dv_max_fraction),
+                    config.min_steps_per_ramp as u64,
+                    key_bits(config.max_time_factor),
+                    key_bits(config.miller_fraction),
+                ],
+            },
         }
     }
 
@@ -174,112 +172,6 @@ impl SimKey {
     /// answer a current-kernel lookup, so they are dead weight a compaction may evict.
     pub fn is_legacy_kernel(&self) -> bool {
         (self.kernel & !SIMD_FLAVOUR) < KERNEL_VERSION
-    }
-}
-
-/// Renders a bit-pattern array as fixed-width hexadecimal strings.
-///
-/// The serde stand-in stores numbers as `f64`, which cannot represent every `u64` bit
-/// pattern exactly — hex strings round-trip losslessly and keep the on-disk cache
-/// diffable.  Public because the `slic-farm` wire protocol reuses the exact same
-/// encoding, which is what keeps farm traffic cache-compatible with
-/// [`DiskSimCache`](crate::disk::DiskSimCache) logs.
-pub fn bits_to_value(bits: &[u64]) -> Value {
-    Value::Array(
-        bits.iter()
-            .map(|b| Value::String(format!("{b:016x}")))
-            .collect(),
-    )
-}
-
-/// Parses a fixed-width array of hex bit patterns written by [`bits_to_value`].
-///
-/// # Errors
-///
-/// Returns a [`SerdeError`] naming `field` when the value is not an `N`-element array of
-/// hex strings.
-pub fn bits_from_value<const N: usize>(value: &Value, field: &str) -> Result<[u64; N], SerdeError> {
-    let items = value
-        .as_array()
-        .ok_or_else(|| SerdeError::expected("array of hex strings", value))?;
-    if items.len() != N {
-        return Err(SerdeError::custom(format!(
-            "field `{field}`: expected {N} hex strings, found {}",
-            items.len()
-        )));
-    }
-    let mut bits = [0u64; N];
-    for (slot, item) in bits.iter_mut().zip(items) {
-        let text = item
-            .as_str()
-            .ok_or_else(|| SerdeError::expected("hex string", item))?;
-        *slot = u64::from_str_radix(text, 16).map_err(|_| {
-            SerdeError::custom(format!(
-                "field `{field}`: `{text}` is not a hex bit pattern"
-            ))
-        })?;
-    }
-    Ok(bits)
-}
-
-impl Serialize for SimKey {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "kernel".to_string(),
-                Value::String(format!("{:x}", self.kernel)),
-            ),
-            ("tech".to_string(), self.tech.to_value()),
-            ("arc".to_string(), self.arc.to_value()),
-            ("point".to_string(), bits_to_value(&self.point)),
-            ("seed".to_string(), bits_to_value(&self.seed)),
-            ("config".to_string(), bits_to_value(&self.config)),
-        ])
-    }
-}
-
-impl Deserialize for SimKey {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| SerdeError::expected("object", value))?;
-        // Records written before the kernel field existed were produced by the seed RK4
-        // solver; keying them as the legacy version keeps old persisted caches loadable
-        // while guaranteeing they never answer a current-kernel lookup.
-        let kernel = match value.get("kernel") {
-            None => LEGACY_KERNEL_VERSION,
-            Some(field) => {
-                let text = field
-                    .as_str()
-                    .ok_or_else(|| SerdeError::expected("hex kernel version", field))?;
-                u64::from_str_radix(text, 16).map_err(|_| {
-                    SerdeError::custom(format!("`{text}` is not a hex kernel version"))
-                })?
-            }
-        };
-        Ok(Self {
-            kernel,
-            tech: serde::field(entries, "tech")?,
-            arc: serde::field(entries, "arc")?,
-            point: bits_from_value(
-                value
-                    .get("point")
-                    .ok_or_else(|| SerdeError::missing_field("point"))?,
-                "point",
-            )?,
-            seed: bits_from_value(
-                value
-                    .get("seed")
-                    .ok_or_else(|| SerdeError::missing_field("seed"))?,
-                "seed",
-            )?,
-            config: bits_from_value(
-                value
-                    .get("config")
-                    .ok_or_else(|| SerdeError::missing_field("config"))?,
-                "config",
-            )?,
-        })
     }
 }
 
@@ -594,34 +486,52 @@ mod tests {
         );
     }
 
+    /// `key` as the key object of a v1 (JSON) log record; `with_kernel: false` renders a
+    /// record written before the kernel field existed.
+    fn v1_json(key: &SimKey, with_kernel: bool) -> String {
+        let hex = |bits: &[u64]| -> String {
+            let words: Vec<String> = bits.iter().map(|b| format!("\"{b:016x}\"")).collect();
+            words.join(",")
+        };
+        let c = &key.coordinate;
+        format!(
+            "{{{}\"tech\":\"{}\",\"arc\":{},\"point\":[{}],\"seed\":[{}],\"config\":[{}]}}",
+            if with_kernel {
+                format!("\"kernel\":\"{:x}\",", key.kernel)
+            } else {
+                String::new()
+            },
+            c.tech,
+            serde_json::to_string(&c.arc).expect("arcs render"),
+            hex(&c.point),
+            hex(&c.seed),
+            hex(&c.config)
+        )
+    }
+
     #[test]
     fn sim_key_round_trips_through_json() {
         let original = key(5.000000001);
-        let text = serde_json::to_string(&original).expect("key serializes");
-        let back: SimKey = serde_json::from_str(&text).expect("key parses");
+        let back: SimKey = serde_json::from_str(&v1_json(&original, true)).expect("key parses");
         assert_eq!(back, original, "bit patterns must survive the round trip");
     }
 
     #[test]
     fn legacy_records_load_as_the_old_kernel_and_never_alias_current_keys() {
-        // A record persisted before the kernel field existed: strip the field from a
-        // current key's JSON, exactly as a pre-upgrade log line would look.
+        // A record persisted before the kernel field existed.
         let current = key(5.0);
-        let text = serde_json::to_string(&current).unwrap();
-        let kernel_field = format!("\"kernel\":\"{KERNEL_VERSION:x}\",");
-        assert!(
-            text.contains(&kernel_field),
-            "current keys persist a version"
-        );
-        let legacy_text = text.replace(&kernel_field, "");
-        let legacy: SimKey = serde_json::from_str(&legacy_text).expect("legacy record parses");
+        let legacy: SimKey =
+            serde_json::from_str(&v1_json(&current, false)).expect("legacy record parses");
         assert_ne!(
             legacy, current,
             "a pre-upgrade record must never answer a current-kernel lookup"
         );
-        // And a legacy key survives its own round trip unchanged.
-        let back: SimKey = serde_json::from_str(&serde_json::to_string(&legacy).unwrap()).unwrap();
-        assert_eq!(back, legacy);
+        assert_eq!(legacy.kernel(), LEGACY_KERNEL_VERSION);
+        assert!(legacy.is_legacy_kernel());
+        // And a legacy key survives its own round trip unchanged, now as a v2 record.
+        let m = TimingMeasurement::new(Seconds(1e-12), Seconds(2e-12));
+        let line = crate::codec::encode_record(&legacy, &m);
+        assert_eq!(crate::codec::decode_record(&line), Ok((legacy, m)));
     }
 
     #[test]
@@ -633,8 +543,10 @@ mod tests {
         };
         assert_ne!(simd, scalar);
         assert!(!simd.is_legacy_kernel() && !scalar.is_legacy_kernel());
-        let back: SimKey = serde_json::from_str(&serde_json::to_string(&simd).unwrap()).unwrap();
-        assert_eq!(back, simd);
+        let m = TimingMeasurement::new(Seconds(1e-12), Seconds(2e-12));
+        let line = crate::codec::encode_record(&simd, &m);
+        assert!(line.starts_with("100000002 "), "{line}");
+        assert_eq!(crate::codec::decode_record(&line), Ok((simd, m)));
         // An older generation of the SIMD flavour ages out like a scalar one.
         let stale = SimKey {
             kernel: SIMD_FLAVOUR | LEGACY_KERNEL_VERSION,
@@ -645,7 +557,7 @@ mod tests {
 
     #[test]
     fn sim_key_rejects_malformed_bit_patterns() {
-        let text = serde_json::to_string(&key(5.0)).unwrap();
+        let text = v1_json(&key(5.0), true);
         let broken = text.replace("\"point\":[\"", "\"point\":[\"zz");
         assert!(
             serde_json::from_str::<SimKey>(&broken)

@@ -1,12 +1,12 @@
 //! A disk-backed simulation cache: warm state that survives process restarts.
 //!
-//! [`DiskSimCache`] persists `SimKey → TimingMeasurement` pairs as a JSON-lines append
-//! log.  Opening a cache loads every archived record into memory; `store` archives new
-//! records in memory and queues one JSON line each; [`flush`](DiskSimCache::flush) appends
-//! the queued lines to the log (and runs automatically on drop).  Append-only persistence
-//! means shard workers of a split [`CharacterizationPlan`] and later reruns all
-//! warm-start from the same file: a rerun of an already-characterized shard pays zero
-//! transient simulations.
+//! [`DiskSimCache`] persists `SimKey → TimingMeasurement` pairs as an append log of
+//! one record per line.  Opening a cache loads every archived record into memory;
+//! `store` archives new records in memory and queues one line each;
+//! [`flush`](DiskSimCache::flush) appends the queued lines to the log (and runs
+//! automatically on drop).  Append-only persistence means shard workers of a split
+//! [`CharacterizationPlan`] and later reruns all warm-start from the same file: a rerun
+//! of an already-characterized shard pays zero transient simulations.
 //!
 //! Reads and appends go through [`slic_obs::jsonl`], the append-log discipline the run
 //! ledger shares: an advisory file lock (shared for load, exclusive for flush), so
@@ -16,26 +16,132 @@
 //! when they started.  The in-memory side mirrors [`InMemorySimCache`]'s 16-way sharding,
 //! keeping warm-replay lookups contention-free under rayon.
 //!
-//! The log is human-readable and diffable: one record per line, floating-point cache
-//! coordinates hex-encoded so every bit pattern round-trips exactly.
+//! # Record formats
+//!
+//! Every record is written in format **v2**: `<kernel id in hex> <coordinate>
+//! <measurement>`, the fixed-width hex words of the [codec](crate::codec), about 310
+//! bytes a line.  Every line is self-contained — there is no header — so a torn or
+//! quarantined line orphans nothing, and concurrent appenders need no coordination
+//! beyond the lock.  A line that starts with `{` is a **v1** record, the JSON object
+//! earlier builds wrote; it still loads, so a v1 log that receives appends becomes a
+//! mixed log that loads too, and [`compact`](DiskSimCache::compact) rewrites every line
+//! as v2.  Both readers check the arc's pin and the measurement invariants, so a record
+//! no valid solve produces is corrupt, reported with its line number.
 //!
 //! [`CharacterizationPlan`]: ../../slic_pipeline/plan/struct.CharacterizationPlan.html
 //! [`InMemorySimCache`]: crate::cache::InMemorySimCache
 
-use crate::cache::{CacheError, InMemorySimCache, SimKey, SimulationCache};
+use crate::cache::{CacheError, InMemorySimCache, SimKey, SimulationCache, LEGACY_KERNEL_VERSION};
+use crate::codec::{self, Coordinate};
 use crate::measure::TimingMeasurement;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error as SerdeError, Value};
 use slic_obs::jsonl::{self, Line};
 use std::fmt;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// One archived simulation, as written to the log.
-#[derive(Serialize, Deserialize)]
+/// One archived simulation, as a v1 log line holds it: the JSON object logs written
+/// before the [codec](crate::codec) hold.  The arc's pin and the measurement are checked
+/// as the codec checks them.
+#[derive(Deserialize)]
 struct DiskRecord {
     key: SimKey,
     measurement: TimingMeasurement,
+}
+
+/// Parses a v1 record's fixed-width array of hex bit patterns.
+fn bits_from_value<const N: usize>(value: &Value, field: &str) -> Result<[u64; N], SerdeError> {
+    let items = value
+        .as_array()
+        .ok_or_else(|| SerdeError::expected("array of hex strings", value))?;
+    if items.len() != N {
+        return Err(SerdeError::custom(format!(
+            "field `{field}`: expected {N} hex strings, found {}",
+            items.len()
+        )));
+    }
+    let mut bits = [0u64; N];
+    for (slot, item) in bits.iter_mut().zip(items) {
+        let text = item
+            .as_str()
+            .ok_or_else(|| SerdeError::expected("hex string", item))?;
+        *slot = u64::from_str_radix(text, 16).map_err(|_| {
+            SerdeError::custom(format!(
+                "field `{field}`: `{text}` is not a hex bit pattern"
+            ))
+        })?;
+    }
+    Ok(bits)
+}
+
+/// A v1 record's key object.
+impl Deserialize for SimKey {
+    fn from_value(value: &Value) -> Result<Self, SerdeError> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| SerdeError::expected("object", value))?;
+        // Records written before the kernel field existed were produced by the seed RK4
+        // solver; keying them as the legacy version keeps old persisted caches loadable
+        // while guaranteeing they never answer a current-kernel lookup.
+        let kernel = match value.get("kernel") {
+            None => LEGACY_KERNEL_VERSION,
+            Some(field) => {
+                let text = field
+                    .as_str()
+                    .ok_or_else(|| SerdeError::expected("hex kernel version", field))?;
+                u64::from_str_radix(text, 16).map_err(|_| {
+                    SerdeError::custom(format!("`{text}` is not a hex kernel version"))
+                })?
+            }
+        };
+        let bits = |field: &str| {
+            value
+                .get(field)
+                .ok_or_else(|| SerdeError::missing_field(field))
+        };
+        Ok(Self {
+            kernel,
+            coordinate: Coordinate {
+                tech: serde::field(entries, "tech")?,
+                arc: serde::field(entries, "arc")?,
+                point: bits_from_value(bits("point")?, "point")?,
+                seed: bits_from_value(bits("seed")?, "seed")?,
+                config: bits_from_value(bits("config")?, "config")?,
+            },
+        })
+    }
+}
+
+/// A v1 record's measurement object, through [`TimingMeasurement::try_new`]'s invariant
+/// check.
+impl Deserialize for TimingMeasurement {
+    fn from_value(value: &Value) -> Result<Self, SerdeError> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| SerdeError::expected("object", value))?;
+        Self::try_new(
+            serde::field(entries, "delay")?,
+            serde::field(entries, "output_slew")?,
+        )
+        .map_err(SerdeError::custom)
+    }
+}
+
+/// Decodes one log line: a v1 JSON record when it starts with `{`, a v2 record of codec
+/// words otherwise.
+///
+/// # Errors
+///
+/// Says why the line is not a record: a JSON or codec syntax error, an arc pin its cell
+/// lacks, or a measurement no valid solve produces.
+pub fn decode_line(line: &str) -> Result<(SimKey, TimingMeasurement), String> {
+    if line.starts_with('{') {
+        let record: DiskRecord = serde_json::from_str(line).map_err(|err| err.to_string())?;
+        Ok((record.key, record.measurement))
+    } else {
+        codec::decode_record(line)
+    }
 }
 
 /// What [`DiskSimCache::compact`] did to a log file.
@@ -69,7 +175,8 @@ pub struct CompactionOptions {
     pub quarantine: bool,
 }
 
-/// A persistent [`SimulationCache`] backed by a JSON-lines append log.
+/// A persistent [`SimulationCache`] backed by an append log (see the module docs for
+/// its record formats).
 ///
 /// The in-memory tier (sharded map, hit/miss accounting) *is* an [`InMemorySimCache`];
 /// this type adds the load-on-open / flush-on-drop persistence around it.  Hit/miss
@@ -78,7 +185,7 @@ pub struct CompactionOptions {
 pub struct DiskSimCache {
     path: PathBuf,
     memory: InMemorySimCache,
-    /// JSON lines archived since the last flush, in store order.
+    /// Record lines archived since the last flush, in store order.
     pending: Mutex<Vec<String>>,
 }
 
@@ -122,10 +229,10 @@ impl DiskSimCache {
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => String::new(),
             Err(err) => return Err(err.into()),
         };
-        for line in jsonl::classify(&text, DiskRecord::from_value) {
+        for line in jsonl::classify(&text, decode_line) {
             match line {
                 Line::Record {
-                    record,
+                    record: (key, measurement),
                     text,
                     terminated,
                 } => {
@@ -139,7 +246,7 @@ impl DiskSimCache {
                             .unwrap_or_else(|poisoned| poisoned.into_inner())
                             .push(text.to_string());
                     }
-                    cache.memory.insert_warm(record.key, record.measurement);
+                    cache.memory.insert_warm(key, measurement);
                 }
                 // A truncated final record from an interrupted append; the next flush
                 // truncates it away before appending.
@@ -147,7 +254,7 @@ impl DiskSimCache {
                 Line::Corrupt { number, error, .. } => {
                     return Err(CacheError::Corrupt {
                         line: number,
-                        message: error.to_string(),
+                        message: error,
                     });
                 }
             }
@@ -171,7 +278,8 @@ impl DiskSimCache {
     }
 
     /// Rewrites the append-only log at `path` as a deduplicated last-record-wins
-    /// snapshot, in place, under the same exclusive advisory lock every flush takes.
+    /// snapshot of v2 records, in place, under the same exclusive advisory lock every
+    /// flush takes.
     ///
     /// The append log only grows: concurrent workers racing on one coordinate each append
     /// a record, reruns against a changed value append again, and a long campaign's log
@@ -239,19 +347,19 @@ impl DiskSimCache {
         let mut records = 0usize;
         let mut dropped_legacy = 0usize;
         let mut quarantined: Vec<&str> = Vec::new();
-        for line in jsonl::classify(&text, DiskRecord::from_value) {
+        for line in jsonl::classify(&text, decode_line) {
             match line {
-                Line::Record { record, .. } => {
-                    if options.drop_legacy && record.key.is_legacy_kernel() {
+                Line::Record {
+                    record: (key, measurement),
+                    ..
+                } => {
+                    if options.drop_legacy && key.is_legacy_kernel() {
                         dropped_legacy += 1;
                         continue;
                     }
                     records += 1;
-                    if latest
-                        .insert(record.key.clone(), record.measurement)
-                        .is_none()
-                    {
-                        order.push(record.key);
+                    if latest.insert(key.clone(), measurement).is_none() {
+                        order.push(key);
                     }
                 }
                 // Torn tail of a crashed append: repaired by the rewrite below.
@@ -260,7 +368,7 @@ impl DiskSimCache {
                 Line::Corrupt { number, error, .. } => {
                     return Err(CacheError::Corrupt {
                         line: number,
-                        message: error.to_string(),
+                        message: error,
                     });
                 }
             }
@@ -284,17 +392,7 @@ impl DiskSimCache {
         }
         let mut snapshot = String::new();
         for key in &order {
-            let record = DiskRecord {
-                key: key.clone(),
-                measurement: latest[key],
-            };
-            #[expect(
-                clippy::expect_used,
-                reason = "structural: SimKey construction rejects NaN, so a stored record always serializes"
-            )]
-            snapshot.push_str(
-                &serde_json::to_string(&record).expect("cache records contain only finite numbers"),
-            );
+            snapshot.push_str(&codec::encode_record(key, &latest[key]));
             snapshot.push('\n');
         }
         file.seek(SeekFrom::Start(0))?;
@@ -341,15 +439,7 @@ impl SimulationCache for DiskSimCache {
     }
 
     fn store(&self, key: SimKey, measurement: TimingMeasurement) {
-        #[expect(
-            clippy::expect_used,
-            reason = "structural: SimKey construction rejects NaN, so a stored record always serializes"
-        )]
-        let line = serde_json::to_string(&DiskRecord {
-            key: key.clone(),
-            measurement,
-        })
-        .expect("cache records contain only finite numbers");
+        let line = codec::encode_record(&key, &measurement);
         // Re-storing the identical value (a benign replay) keeps the log clean; a changed
         // value must be appended because loading is last-record-wins.
         if self.memory.archive(key, measurement) != Some(measurement) {
@@ -503,9 +593,8 @@ mod tests {
         assert_eq!(repaired.lookup(&key(9.0, 4.0)), Some(measurement(20.0)));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
-            text.lines()
-                .all(|l| serde_json::from_str::<serde::Value>(l).is_ok()),
-            "every physical line must be valid JSON after the repairing flush"
+            text.lines().all(|l| codec::decode_record(l).is_ok()),
+            "every physical line must be a v2 record after the repairing flush"
         );
         std::fs::remove_file(&path).ok();
     }
@@ -534,9 +623,7 @@ mod tests {
         assert_eq!(reopened.lookup(&key(6.0, 3.0)), Some(measurement(15.0)));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.ends_with('\n'));
-        assert!(text
-            .lines()
-            .all(|l| serde_json::from_str::<serde::Value>(l).is_ok()));
+        assert!(text.lines().all(|l| codec::decode_record(l).is_ok()));
         std::fs::remove_file(&path).ok();
     }
 
@@ -572,6 +659,39 @@ mod tests {
         let err = DiskSimCache::open(&path).expect_err("complete corrupt line rejected");
         assert!(err.to_string().contains("line 2"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_record_no_valid_solve_produces_is_corrupt_in_either_format() {
+        let v1 = include_str!("../tests/v1_cache.jsonl")
+            .lines()
+            .nth(1)
+            .unwrap();
+        let v1_bad = v1.replacen(
+            "\"measurement\":{\"delay\":2.1e-11,\"output_slew\":9.5e-12}",
+            "\"measurement\":{\"delay\":-1e-12,\"output_slew\":0}",
+            1,
+        );
+        assert_ne!(
+            v1_bad, v1,
+            "the fixture's second record carries this measurement"
+        );
+        let v2 = codec::encode_record(&key(5.0, 2.0), &measurement(12.0));
+        let (coordinate, _) = v2.rsplit_once(' ').unwrap();
+        let (coordinate, _) = coordinate.rsplit_once(' ').unwrap();
+        let v2_bad = format!("{coordinate} {:016x} {:016x}", 1e-12f64.to_bits(), 0u64);
+        for (name, bad) in [("v1", v1_bad), ("v2", v2_bad)] {
+            let path = temp_path(&format!("bad-measurement-{name}.jsonl"));
+            std::fs::write(&path, format!("{v2}\n{bad}\n")).unwrap();
+            let err = DiskSimCache::open(&path).expect_err("no solve produces this");
+            std::fs::remove_file(&path).ok();
+            let message = err.to_string();
+            assert!(
+                message.contains("corrupt cache record at line 2"),
+                "{name}: {message}"
+            );
+            assert!(message.contains("must be finite"), "{name}: {message}");
+        }
     }
 
     #[test]
@@ -657,11 +777,7 @@ mod tests {
                 .append(true)
                 .open(&path)
                 .unwrap();
-            let line = serde_json::to_string(&DiskRecord {
-                key: key(5.0, 2.0),
-                measurement: measurement(99.0),
-            })
-            .unwrap();
+            let line = codec::encode_record(&key(5.0, 2.0), &measurement(99.0));
             writeln!(file, "{line}").unwrap();
         }
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3);
@@ -731,9 +847,7 @@ mod tests {
         );
         let repaired = std::fs::read_to_string(&path).unwrap();
         assert!(repaired.ends_with('\n'));
-        assert!(repaired
-            .lines()
-            .all(|l| serde_json::from_str::<serde::Value>(l).is_ok()));
+        assert!(repaired.lines().all(|l| codec::decode_record(l).is_ok()));
         std::fs::remove_file(&path).ok();
     }
 
@@ -748,26 +862,20 @@ mod tests {
             // A benign duplicate so plain dedup drops something too.
             cache.store(key(5.0, 2.0), measurement(13.0));
         }
-        // Two records written by the pre-upgrade kernel: strip the kernel field, exactly
-        // as a log line from before the field existed would look.
+        // Two records written by the pre-upgrade kernel, generation 1.
         {
             use std::io::Write as _;
             let mut file = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&path)
                 .unwrap();
-            let kernel_field = format!("\"kernel\":\"{KERNEL_VERSION:x}\",");
             for (k, m) in [(7.0, 21.0), (8.0, 22.0)] {
-                let line = serde_json::to_string(&DiskRecord {
-                    key: key(k, 1.0),
-                    measurement: measurement(m),
-                })
-                .unwrap();
-                assert!(
-                    line.contains(&kernel_field),
-                    "current keys persist a version"
-                );
-                writeln!(file, "{}", line.replace(&kernel_field, "")).unwrap();
+                let legacy = SimKey {
+                    kernel: 1,
+                    ..key(k, 1.0)
+                };
+                assert!(legacy.is_legacy_kernel());
+                writeln!(file, "{}", codec::encode_record(&legacy, &measurement(m))).unwrap();
             }
         }
         // A plain compaction keeps the legacy records (old binaries can still load them).

@@ -23,7 +23,10 @@
 //!   `slic-farm` crate adds remote workers;
 //! * [`engine`] — the "simulator front-end": a [`CharacterizationEngine`] bound to one
 //!   technology that runs (and counts) simulations, sweeps and Monte Carlo ensembles, in
-//!   the role of the paper's SPICE + `.ALTER` + Monte Carlo flow.
+//!   the role of the paper's SPICE + `.ALTER` + Monte Carlo flow;
+//! * [`cache`] and [`disk`] — the in-memory and the persistent simulation cache;
+//! * [`codec`] — the compact text form of a simulation coordinate and its measurement,
+//!   shared by the persistent cache's log and the `slic-farm` wire.
 //!
 //! Simulation counting matters: every speedup the paper reports is a ratio of *simulation
 //! counts* needed to reach equal accuracy, so [`engine::SimulationCounter`] is threaded
@@ -47,6 +50,7 @@
 
 pub mod backend;
 pub mod cache;
+pub mod codec;
 pub mod disk;
 pub mod engine;
 pub mod input;

@@ -1,6 +1,5 @@
 //! Waveform measurement conventions and results.
 
-use serde::{Deserialize, Serialize};
 use slic_units::Seconds;
 
 /// Fraction of the supply at which propagation delay is measured (50 %).
@@ -18,7 +17,7 @@ pub const SLEW_HIGH_THRESHOLD: f64 = 0.8;
 pub const SLEW_SCALE: f64 = 1.0 / (SLEW_HIGH_THRESHOLD - SLEW_LOW_THRESHOLD);
 
 /// The result of one switching-event simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingMeasurement {
     /// Propagation delay: 50 % of input swing to 50 % of output swing.
     pub delay: Seconds,
@@ -31,19 +30,33 @@ impl TimingMeasurement {
     ///
     /// # Panics
     ///
-    /// Panics if either value is non-finite, or if the slew is non-positive (a delay of
-    /// exactly zero is tolerated; a *negative* delay indicates the output crossed before the
-    /// input, which the solver never produces for the supported single-arc stimuli).
+    /// Panics on any value [`try_new`](Self::try_new) refuses.
     pub fn new(delay: Seconds, output_slew: Seconds) -> Self {
-        assert!(
-            delay.is_finite() && delay.value() >= 0.0,
-            "delay must be finite and non-negative (got {delay})"
-        );
-        assert!(
-            output_slew.is_finite() && output_slew.value() > 0.0,
-            "output slew must be finite and positive (got {output_slew})"
-        );
+        let checked = Self::try_new(delay, output_slew);
+        assert!(checked.is_ok(), "{}", checked.err().unwrap_or_default());
         Self { delay, output_slew }
+    }
+
+    /// Creates a measurement, or says which invariant the values break: both must be
+    /// finite, the delay non-negative and the slew positive (a delay of exactly zero is
+    /// tolerated; a *negative* delay indicates the output crossed before the input, which
+    /// the solver never produces for the supported single-arc stimuli).
+    ///
+    /// # Errors
+    ///
+    /// Returns the broken invariant, rendered as text.
+    pub fn try_new(delay: Seconds, output_slew: Seconds) -> Result<Self, String> {
+        if !(delay.is_finite() && delay.value() >= 0.0) {
+            return Err(format!(
+                "delay must be finite and non-negative (got {delay})"
+            ));
+        }
+        if !(output_slew.is_finite() && output_slew.value() > 0.0) {
+            return Err(format!(
+                "output slew must be finite and positive (got {output_slew})"
+            ));
+        }
+        Ok(Self { delay, output_slew })
     }
 
     /// Returns the delay in picoseconds (convenience for reports).

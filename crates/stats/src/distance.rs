@@ -64,11 +64,13 @@ pub fn mean_absolute_error(predicted: &[f64], reference: &[f64]) -> f64 {
 /// Two-sample Kolmogorov–Smirnov statistic: the maximum absolute difference between the
 /// empirical CDFs of `a` and `b`.
 ///
-/// Returns a value in `[0, 1]`; `0` means identical empirical distributions.
+/// Returns a value in `[0, 1]`; `0` means identical empirical distributions.  Samples
+/// are ordered by [`f64::total_cmp`], so a NaN sorts past every number instead of
+/// panicking.
 ///
 /// # Panics
 ///
-/// Panics if either sample is empty or contains NaN.
+/// Panics if either sample is empty.
 pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
     assert!(
         !a.is_empty() && !b.is_empty(),
@@ -76,16 +78,8 @@ pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
     );
     let mut sa = a.to_vec();
     let mut sb = b.to_vec();
-    #[expect(
-        clippy::expect_used,
-        reason = "baselined: NaN in a KS sample is a caller bug"
-    )]
-    sa.sort_by(|x, y| x.partial_cmp(y).expect("NaN in KS input"));
-    #[expect(
-        clippy::expect_used,
-        reason = "baselined: NaN in a KS sample is a caller bug"
-    )]
-    sb.sort_by(|x, y| x.partial_cmp(y).expect("NaN in KS input"));
+    sa.sort_by(f64::total_cmp);
+    sb.sort_by(f64::total_cmp);
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let mut i = 0usize;
     let mut j = 0usize;

@@ -62,7 +62,8 @@ pub fn excess_kurtosis(samples: &[f64]) -> f64 {
 
 /// Linear-interpolated quantile of `samples` at probability `p ∈ [0, 1]`.
 ///
-/// Uses the common "type 7" (Excel / NumPy default) definition.
+/// Uses the common "type 7" (Excel / NumPy default) definition.  Samples are ordered by
+/// [`f64::total_cmp`], so a NaN sorts past every number instead of panicking.
 ///
 /// # Panics
 ///
@@ -74,11 +75,7 @@ pub fn quantile(samples: &[f64], p: f64) -> f64 {
     );
     assert!(!samples.is_empty(), "quantile of empty sample");
     let mut sorted = samples.to_vec();
-    #[expect(
-        clippy::expect_used,
-        reason = "baselined: NaN in a quantile sample is a caller bug"
-    )]
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    sorted.sort_by(f64::total_cmp);
     let pos = p * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;

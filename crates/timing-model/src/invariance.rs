@@ -79,11 +79,7 @@ pub fn vdd_collapse(samples: &[TimingSample], v_prime: f64) -> Vec<CollapseSerie
     groups
         .into_iter()
         .map(|((cload_af, sin_fs), mut points)| {
-            #[expect(
-                clippy::expect_used,
-                reason = "baselined: NaN in a collapse sample is a caller bug"
-            )]
-            points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN in collapse input"));
+            points.sort_by(|a, b| a.0.total_cmp(&b.0));
             let label = format!(
                 "Cload={:.2}fF, Sin={:.2}ps",
                 cload_af as f64 / 1e3,
