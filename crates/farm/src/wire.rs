@@ -19,7 +19,7 @@
 //! stalling the next batch into its full 60 s deadline.  A `pong` echoes the `ping`'s
 //! correlation id.
 //!
-//! Protocol 3 carries each lane in the [codec](slic_spice::codec) that `DiskSimCache`
+//! Protocol 3 carries each lane in the [codec] that `DiskSimCache`
 //! logs use: a request is one JSON string of a coordinate's sixteen words (technology
 //! by name, arc by id, every float as a fixed-width hexadecimal bit pattern), and a
 //! result is a string of the measurement's two words, or `{"error": ...}` for a lane the
@@ -50,7 +50,7 @@ use std::io::Write;
 /// Version of the wire protocol itself (message shapes and framing).
 ///
 /// History: v1 = hello/batch/results/shutdown; v2 adds the `ping`/`pong` heartbeat
-/// pair; v3 sends each request and result as a string of [codec](slic_spice::codec)
+/// pair; v3 sends each request and result as a string of [codec]
 /// words instead of a JSON object.
 pub const PROTOCOL_VERSION: u64 = 3;
 

@@ -19,7 +19,7 @@
 //! # Record formats
 //!
 //! Every record is written in format **v2**: `<kernel id in hex> <coordinate>
-//! <measurement>`, the fixed-width hex words of the [codec](crate::codec), about 310
+//! <measurement>`, the fixed-width hex words of the [codec], about 310
 //! bytes a line.  Every line is self-contained — there is no header — so a torn or
 //! quarantined line orphans nothing, and concurrent appenders need no coordination
 //! beyond the lock.  A line that starts with `{` is a **v1** record, the JSON object
@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// One archived simulation, as a v1 log line holds it: the JSON object logs written
-/// before the [codec](crate::codec) hold.  The arc's pin and the measurement are checked
+/// before the [codec] hold.  The arc's pin and the measurement are checked
 /// as the codec checks them.
 #[derive(Deserialize)]
 struct DiskRecord {
