@@ -1,33 +1,43 @@
 //! The broker side of the farm: [`FarmBackend`], a [`SimulationBackend`] that fans
 //! batches out to a fleet of workers.
 //!
-//! Dispatch is **work-stealing**: each `solve_batch` call splits its lanes into jobs on a
-//! shared queue, and one dispatcher thread per live worker pulls the next job whenever
-//! its worker is free — a fast worker simply drains more of the queue, and no static
-//! partition can leave one worker idle while another is backed up.
+//! Dispatch runs on **one long-lived dispatcher thread per worker**, started when the
+//! fleet connects.  Each dispatcher owns its worker's connection, so no lock is ever
+//! held across a network round trip.  Every `solve_batch` call cuts its lanes into jobs
+//! on one queue that all calls feed, and waits for its own jobs only; a dispatcher takes
+//! the next job whenever its worker is free, so a fast worker simply drains more of the
+//! queue.  When a call's jobs are done, one call to the local fallback solves every lane
+//! that no worker answered.
 //!
 //! Failure handling is a **degradation ladder**, with every rung accounted for in
 //! [`FarmStats`]:
 //!
-//! 1. **Heartbeats** — before dispatching, each worker answers a `ping`/`pong` round
-//!    trip under a short deadline, so a half-open connection (host vanished, NAT state
-//!    expired) is caught between batches instead of stalling a dispatch into the full
-//!    60 s batch deadline.  A missed heartbeat drops the connection (`heartbeats_missed`)
-//!    and hands the worker to the reconnect supervisor.
+//! 1. **Heartbeats** — a dispatcher pings its worker (`ping`/`pong` under a short
+//!    deadline) before its first job after the fleet connects and before the first job
+//!    it takes after waiting on an empty queue; a re-dial's fresh handshake stands in for
+//!    a ping.  It pings while it holds no job, so a half-open connection (host vanished,
+//!    NAT state expired) costs no job an attempt and is caught in one heartbeat deadline
+//!    instead of the 60 s batch deadline.  The call whose job is next in the queue waits
+//!    for that answer.  A missed heartbeat drops the connection (`heartbeats_missed`).
 //! 2. **Failover** — a job whose round trip fails goes back on the queue (`failovers`,
-//!    the per-job retry count), where another worker picks it up.
-//! 3. **Reconnection** — a dead worker is no longer dead forever: the broker re-dials it
-//!    on a seeded, deterministic exponential-backoff-with-jitter schedule
-//!    ([`BackoffPolicy`]) and re-admits it after a fresh [`Hello`](crate::wire::Hello)
-//!    handshake (`reconnects`).  Requeued jobs wait on the queue while workers
-//!    re-admit, so a flapping fleet still finishes remotely.  Only a worker whose whole
-//!    re-dial budget fails is retired for the rest of the run.
-//! 4. **Local fallback** — a job that exhausts its retry budget, or is still queued when
-//!    every worker is retired, is solved in-process by a [`LocalBackend`]
-//!    (`degraded_jobs`, `lanes_local`).  A farm run therefore *completes* under any
-//!    failure pattern short of the broker itself dying, and because every backend runs
-//!    the same kernel (enforced by the handshake), the results are bitwise identical no
-//!    matter which worker — or the broker itself — solved each lane.
+//!    the per-job retry count) once its worker is marked down, and another worker picks
+//!    it up.
+//! 3. **Reconnection** — a dead worker is no longer dead forever: its dispatcher re-dials
+//!    it on its own thread, on a seeded, deterministic exponential-backoff-with-jitter
+//!    schedule ([`BackoffPolicy`]), and re-admits it after a fresh
+//!    [`Hello`](crate::wire::Hello) handshake (`reconnects`).  Calls do not wait on a
+//!    re-dial while another worker is live.  When every worker goes down under a call
+//!    whose jobs are still queued, the call waits for the campaigns, so a flapping fleet
+//!    still finishes remotely, unless one of its jobs has already exhausted its retry
+//!    budget.  A worker whose whole re-dial budget fails is retired for the rest of the
+//!    run.
+//! 4. **Local fallback** — a job that exhausts its retry budget, or that no worker is
+//!    left to take, is solved in-process by a [`LocalBackend`] (`degraded_jobs`,
+//!    `lanes_local`), and so is a call made while no worker is live.  A farm run
+//!    therefore *completes* under any failure pattern short of the broker itself dying,
+//!    and because every backend runs the same kernel (enforced by the handshake), the
+//!    results are bitwise identical no matter which worker — or the broker itself —
+//!    solved each lane.
 //!
 //! Every worker is reached over TCP.  A spawned worker is a `<program> worker --listen
 //! 127.0.0.1:0 --spawned` child whose banner names its port; the broker dials that port
@@ -35,7 +45,10 @@
 //! fleet.  The connection owns the child: dropping it kills and reaps the process.  The
 //! broker also holds the write end of the child's stdin, which the kernel closes however
 //! the broker ends, and `--spawned` makes the worker exit at that EOF, so a spawned
-//! worker never outlives its broker, even one killed outright.
+//! worker never outlives its broker, even one killed outright.  Dropping the backend
+//! sends `shutdown` to every live worker, reaps spawned children and joins the
+//! dispatchers; one sleeping between re-dials wakes at once and dials one last time,
+//! so a worker that came back still hears `shutdown`.
 //!
 //! All resilience timing (backoff delays, heartbeat deadlines) is seeded or constant and
 //! stays strictly on the *scheduling* side: it decides when and where a lane is solved,
@@ -51,13 +64,14 @@ use crate::wire::{decode_message, encode_line, send_line, Message, WireError, Wi
 use crate::{FarmError, WORKER_BANNER};
 use slic_obs::Observability;
 use slic_spice::{LocalBackend, SimRequest, SimResult, SimulationBackend};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Deadline for establishing a TCP worker connection.
@@ -69,8 +83,8 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// its job fails over, instead of stalling the whole run on a blocked read.
 const BATCH_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// How a worker is (re-)dialed: the broker remembers every worker's origin so the
-/// reconnect supervisor can bring it back — re-connect a TCP address, re-spawn a child.
+/// How a worker is (re-)dialed: the broker remembers every worker's origin so its
+/// dispatcher can bring it back — re-connect a TCP address, re-spawn a child.
 enum WorkerEndpoint {
     /// `host:port` of a `slic worker --listen` process.
     Tcp(String),
@@ -104,19 +118,13 @@ fn reap(child: &mut Child) {
     let _ = child.wait();
 }
 
-/// One worker slot: identity, origin, and the (lockable) connection, `None` while down.
-struct WorkerSlot {
+/// One worker's identity and origin, owned by its dispatcher.
+struct Worker {
     name: String,
     endpoint: WorkerEndpoint,
-    /// Per-slot jitter stream for the re-dial schedule, derived from the fleet seed so
+    /// Per-worker jitter stream for the re-dial schedule, derived from the fleet seed so
     /// workers spread their re-dials instead of synchronizing.
     backoff_seed: u64,
-    conn: Mutex<Option<WorkerConn>>,
-    /// Serializes re-dial campaigns: one dispatcher pays the backoff schedule while the
-    /// rest keep draining the queue on their own workers.
-    redial: Mutex<()>,
-    /// Permanently retired: the whole reconnect budget failed.  Never dialed again.
-    gone: AtomicBool,
 }
 
 /// Resilience knobs of a [`FarmBackend`], all deterministic.
@@ -134,8 +142,8 @@ pub struct FarmTuning {
     pub backoff_cap_ms: u64,
     /// Seed of the backoff jitter streams (per-worker streams are derived from it).
     pub backoff_seed: u64,
-    /// Read deadline for the `ping`/`pong` round trip that admits a worker to each
-    /// dispatch wave, in milliseconds.
+    /// Read deadline for the heartbeat `ping`/`pong` round trip a dispatcher runs before
+    /// taking a job, in milliseconds.
     pub heartbeat_timeout_ms: u64,
 }
 
@@ -175,111 +183,77 @@ pub struct FarmStats {
     pub lanes_local: u64,
 }
 
-/// A contiguous run of lanes handed to one worker as one wire batch.
+/// A run of one call's lanes, sent to one worker as one `batch` line.
 struct Job {
-    /// Start offset into the request slice.
-    start: usize,
-    /// One past the last lane.
-    end: usize,
+    /// The `solve_batch` call waiting for it.
+    call: u64,
+    /// The call's request indices, in wire order.
+    lanes: Vec<usize>,
+    /// The batch id, echoed in the worker's results.
+    id: u64,
+    /// The encoded `batch` line, built once and resent unchanged on every attempt.
+    line: String,
     /// Dispatch attempts so far (drives the retry budget).
     attempts: usize,
+    /// The caller's observability bundle: the job's spans and counters land there.
+    obs: Observability,
 }
 
-/// The shared dispatch state of one `solve_batch` call.
-struct JobQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
+/// What one `solve_batch` call is waiting for.
+#[derive(Default)]
+struct Call {
+    /// Jobs queued or on a worker.
+    pending: usize,
+    /// Dispatchers pinging their worker before taking one of this call's jobs.
+    pinging: usize,
+    /// A job of this call exhausted its retry budget, so the call waits for no re-dial.
+    degraded: bool,
+    /// The jobs a worker answered, with their results.  They go back to the caller,
+    /// which built them, so their memory is freed by the thread that allocated it:
+    /// freed on the long-lived dispatcher threads instead, it fragmented the
+    /// allocator's per-thread arenas and raised peak memory by about a quarter.
+    solved: Vec<(Job, Vec<SimResult>)>,
 }
 
-struct QueueState {
+/// The dispatch state every call and dispatcher shares.  Its lock guards a few field
+/// updates at a time and is never held across network I/O.
+#[derive(Default)]
+struct State {
     jobs: VecDeque<Job>,
-    in_flight: usize,
+    calls: BTreeMap<u64, Call>,
+    /// Workers holding a connection.
+    live: usize,
+    /// Re-dial campaigns in progress.
+    redialing: usize,
+    /// The backend is closing: dispatchers shut their workers down and exit.
+    closed: bool,
+    stats: FarmStats,
 }
 
-impl JobQueue {
-    fn new(jobs: VecDeque<Job>) -> Self {
-        Self {
-            state: Mutex::new(QueueState { jobs, in_flight: 0 }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Takes the next job, waiting while other dispatchers still hold jobs that might be
-    /// failed back onto the queue.  Returns `None` only when the queue is drained and
-    /// nothing is in flight.
-    fn next(&self) -> Option<Job> {
-        // A poisoned queue means a dispatcher panicked; every mutation below is a single
-        // statement, so the state is still consistent — recover it and keep dispatching.
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                state.in_flight += 1;
-                return Some(job);
-            }
-            if state.in_flight == 0 {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Marks a held job finished (solved, or handed to the stranded list).
-    fn done(&self) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        state.in_flight -= 1;
-        self.ready.notify_all();
-    }
-
-    /// Returns a held job to the queue for another dispatcher — the failover path.
-    fn requeue(&self, job: Job) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        state.in_flight -= 1;
-        state.jobs.push_back(job);
-        self.ready.notify_all();
-    }
-
-    /// Drains whatever is left once every dispatcher has exited.
-    fn drain(&self) -> Vec<Job> {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        state.jobs.drain(..).collect()
-    }
+/// What a [`FarmBackend`] shares with its dispatcher threads.
+struct Fleet {
+    state: Mutex<State>,
+    /// Wakes dispatchers: a job was queued, or the backend closed.
+    work: Condvar,
+    /// Wakes calls: a job or heartbeat finished, or a worker went down or came back.
+    progress: Condvar,
+    tuning: FarmTuning,
+    size: usize,
+    next_id: AtomicU64,
 }
 
 /// A [`SimulationBackend`] that brokers batches to a fleet of farm workers.
 pub struct FarmBackend {
-    workers: Vec<WorkerSlot>,
-    tuning: FarmTuning,
-    next_id: AtomicU64,
+    fleet: Arc<Fleet>,
+    dispatchers: Vec<JoinHandle<()>>,
     fallback: LocalBackend,
-    jobs_completed: AtomicU64,
-    failovers: AtomicU64,
-    reconnects: AtomicU64,
-    heartbeats_missed: AtomicU64,
-    degraded_jobs: AtomicU64,
-    lanes_remote: AtomicU64,
-    lanes_local: AtomicU64,
     obs: Observability,
 }
 
 impl std::fmt::Debug for FarmBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FarmBackend")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.fleet.size)
             .field("live", &self.live_workers())
             .field("stats", &self.stats())
             .finish()
@@ -287,7 +261,8 @@ impl std::fmt::Debug for FarmBackend {
 }
 
 impl FarmBackend {
-    /// Connects to TCP workers and/or spawns local workers, in that order.
+    /// Connects to TCP workers and/or spawns local workers, in that order, and starts
+    /// one dispatcher thread per worker.
     ///
     /// `program` is the binary to spawn as `<program> worker --listen 127.0.0.1:0
     /// --spawned` and is required when `spawn` is nonzero — typically the `slic` binary
@@ -322,41 +297,51 @@ impl FarmBackend {
                 ));
             }
         }
-        let workers = endpoints
+        let connected = endpoints
             .into_iter()
-            .enumerate()
-            .map(|(index, (name, endpoint))| {
+            .map(|(name, endpoint)| {
                 let conn = dial(&endpoint, &name)?;
-                Ok(WorkerSlot {
-                    name,
-                    endpoint,
-                    backoff_seed: tuning.backoff_seed ^ splitmix64(index as u64),
-                    conn: Mutex::new(Some(conn)),
-                    redial: Mutex::new(()),
-                    gone: AtomicBool::new(false),
-                })
+                Ok((name, endpoint, conn))
             })
             .collect::<Result<Vec<_>, FarmError>>()?;
-        Ok(Self {
-            workers,
-            tuning,
-            next_id: AtomicU64::new(0),
+        let mut backend = Self {
+            fleet: Arc::new(Fleet {
+                state: Mutex::new(State {
+                    live: connected.len(),
+                    ..State::default()
+                }),
+                work: Condvar::new(),
+                progress: Condvar::new(),
+                tuning,
+                size: connected.len(),
+                next_id: AtomicU64::new(0),
+            }),
+            dispatchers: Vec::new(),
             fallback: LocalBackend::new(),
-            jobs_completed: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            heartbeats_missed: AtomicU64::new(0),
-            degraded_jobs: AtomicU64::new(0),
-            lanes_remote: AtomicU64::new(0),
-            lanes_local: AtomicU64::new(0),
             obs: Observability::default(),
-        })
+        };
+        for (index, (name, endpoint, conn)) in connected.into_iter().enumerate() {
+            let worker = Worker {
+                backoff_seed: tuning.backoff_seed ^ splitmix64(index as u64),
+                name,
+                endpoint,
+            };
+            let fleet = Arc::clone(&backend.fleet);
+            let dispatcher = std::thread::Builder::new()
+                .name(format!("farm-{}", worker.name))
+                .spawn(move || fleet.dispatcher(&worker, conn))
+                .map_err(|err| FarmError::Spawn(format!("a dispatcher thread: {err}")))?;
+            backend.dispatchers.push(dispatcher);
+        }
+        Ok(backend)
     }
 
     /// Attaches the display-only observability bundle.  Spans cover round trips,
     /// heartbeats and re-dial campaigns; per-worker counters track jobs, lanes, wire
-    /// bytes and re-admissions.  None of it feeds back into scheduling, so traced and
-    /// untraced farm runs stay byte-identical.
+    /// bytes and re-admissions.  Every job carries the bundle of the call that queued
+    /// it, so all of it lands here even though the dispatchers started earlier.  None
+    /// of it feeds back into scheduling, so traced and untraced farm runs stay
+    /// byte-identical.
     #[must_use]
     pub fn with_observability(mut self, obs: Observability) -> Self {
         self.obs = obs;
@@ -374,130 +359,248 @@ impl FarmBackend {
 
     /// Number of workers currently holding a live connection.
     pub fn live_workers(&self) -> usize {
-        self.workers
-            .iter()
-            .filter(|w| w.conn.lock().is_ok_and(|conn| conn.is_some()))
-            .count()
+        self.fleet.lock().live
     }
 
     /// Total workers in the fleet (live or dead).
     pub fn fleet_size(&self) -> usize {
-        self.workers.len()
+        self.fleet.size
     }
 
     /// A snapshot of the dispatch counters.
     pub fn stats(&self) -> FarmStats {
-        FarmStats {
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            heartbeats_missed: self.heartbeats_missed.load(Ordering::Relaxed),
-            degraded_jobs: self.degraded_jobs.load(Ordering::Relaxed),
-            lanes_remote: self.lanes_remote.load(Ordering::Relaxed),
-            lanes_local: self.lanes_local.load(Ordering::Relaxed),
+        self.fleet.lock().stats
+    }
+
+    /// Queues the lanes of `requests` that can travel as jobs for the fleet, waits for
+    /// them, and returns the jobs a worker answered with their results.
+    fn dispatch(&self, requests: &[SimRequest]) -> Vec<(Job, Vec<SimResult>)> {
+        let fleet = &self.fleet;
+        let lanes: Vec<(usize, WireRequest)> = requests
+            .iter()
+            .enumerate()
+            .filter_map(|(lane, request)| {
+                WireRequest::encode(request).ok().map(|wire| (lane, wire))
+            })
+            .collect();
+        let chunk = job_lanes(lanes.len(), fleet.size);
+        let call = fleet.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut jobs = Vec::new();
+        let mut lanes = lanes.into_iter().peekable();
+        while lanes.peek().is_some() {
+            let (lanes, requests): (Vec<usize>, Vec<WireRequest>) =
+                lanes.by_ref().take(chunk).unzip();
+            let id = fleet.next_id.fetch_add(1, Ordering::Relaxed);
+            jobs.push(Job {
+                call,
+                lanes,
+                id,
+                line: encode_line(&Message::Batch { id, requests }),
+                attempts: 0,
+                obs: self.obs.clone(),
+            });
+        }
+        fleet.submit(call, jobs)
+    }
+}
+
+impl Fleet {
+    /// Locks the shared state.  Every critical section is a few field updates that
+    /// leave it consistent, so a poisoned lock is recovered, not propagated.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues one call's jobs and waits for them and for the heartbeats they wake.
+    ///
+    /// A call made while no worker is live queues nothing: its fallback solves it all.
+    /// When every worker goes down under a call, it waits for their re-dial campaigns
+    /// unless one of its jobs has already exhausted its retry budget; then, or once the
+    /// last worker retires, it takes its queued jobs back for its local fallback.
+    fn submit(&self, call: u64, jobs: Vec<Job>) -> Vec<(Job, Vec<SimResult>)> {
+        let mut state = self.lock();
+        if state.live == 0 {
+            state.stats.degraded_jobs += jobs.len() as u64;
+            return Vec::new();
+        }
+        state.calls.insert(
+            call,
+            Call {
+                pending: jobs.len(),
+                solved: Vec::with_capacity(jobs.len()),
+                ..Call::default()
+            },
+        );
+        state.jobs.extend(jobs);
+        self.work.notify_all();
+        while let Some(waiting) = state.calls.get(&call) {
+            if waiting.pending == 0 && waiting.pinging == 0 {
+                break;
+            }
+            if state.live == 0 && (state.redialing == 0 || waiting.degraded) {
+                let queued = state.jobs.len();
+                state.jobs.retain(|job| job.call != call);
+                let abandoned = queued - state.jobs.len();
+                state.stats.degraded_jobs += abandoned as u64;
+                if let Some(waiting) = state.calls.get_mut(&call) {
+                    waiting.pending -= abandoned;
+                }
+                continue;
+            }
+            state = self
+                .progress
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state
+            .calls
+            .remove(&call)
+            .map(|done| done.solved)
+            .unwrap_or_default()
+    }
+
+    /// One worker's dispatcher: serves jobs over the worker's connection, re-dials it
+    /// when the connection fails, and exits when the backend closes or the worker
+    /// retires.  The connection made when the fleet connected may have idled since, so
+    /// its first job waits for a ping; a re-dial's fresh handshake stands in for one.
+    fn dispatcher(&self, worker: &Worker, mut conn: WorkerConn) {
+        let mut ping = true;
+        while let Some(obs) = self.serve(worker, conn, ping) {
+            match self.redial(worker, &obs) {
+                Some(fresh) => conn = fresh,
+                None => return,
+            }
+            ping = false;
         }
     }
 
-    /// Re-dials a down worker on its seeded backoff schedule and re-admits it after a
-    /// fresh handshake.  Returns `true` when the slot holds a live connection again.
-    ///
-    /// One campaign runs at a time per slot (the `redial` lock); a dispatcher arriving
-    /// while another is mid-campaign waits, then finds either a fresh connection or a
-    /// retired slot.  A slot whose whole budget fails is marked `gone` and never dialed
-    /// again this run.
-    fn reconnect(&self, slot: &WorkerSlot) -> bool {
-        if slot.gone.load(Ordering::Relaxed) {
-            return false;
-        }
-        let _campaign = slot
-            .redial
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if slot.gone.load(Ordering::Relaxed) {
-            return false;
-        }
-        if slot
-            .conn
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .is_some()
-        {
-            // Another dispatcher's campaign already re-admitted it while we waited.
-            return true;
-        }
-        let mut span = self
-            .obs
-            .trace
-            .span("farm.redial", &[("worker", slot.name.clone())]);
-        let policy = BackoffPolicy {
-            base_ms: self.tuning.backoff_base_ms,
-            cap_ms: self.tuning.backoff_cap_ms,
-            seed: slot.backoff_seed,
-        };
-        for attempt in 0..self.tuning.reconnect_attempts {
-            std::thread::sleep(policy.delay(attempt));
-            match dial(&slot.endpoint, &slot.name) {
-                Ok(conn) => {
-                    *slot
-                        .conn
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(conn);
-                    self.reconnects.fetch_add(1, Ordering::Relaxed);
-                    self.obs
-                        .metrics
-                        .counter_add(&format!("farm.worker.{}.reconnects", slot.name), 1);
-                    span.attr("readmitted", "true".to_string());
-                    eprintln!(
-                        "slic farm: worker `{}` re-admitted after {} re-dial(s)",
-                        slot.name,
-                        attempt + 1
-                    );
-                    return true;
+    /// Serves queued jobs over `conn` until the backend closes, when it sends the worker
+    /// `shutdown` and returns `None`, or the connection fails.  `ping` asks for a
+    /// heartbeat before the first job; every job taken after waiting on an empty queue
+    /// gets one too.  A failure drops the connection and marks the worker down before
+    /// the failed job goes back on the queue, and returns the observability bundle of
+    /// the call it failed for.
+    fn serve(
+        &self,
+        worker: &Worker,
+        mut conn: WorkerConn,
+        mut ping: bool,
+    ) -> Option<Observability> {
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                drop(state);
+                // Orderly shutdown: a spawned worker exits on it, so wait for that before
+                // the connection's drop would kill it (the wait closes the child's stdin,
+                // which ends a spawned worker too).  A worker that already died ignores it.
+                let _ = send_line(conn.reader.get_ref(), &encode_line(&Message::Shutdown));
+                if let Some(child) = conn.child.as_mut() {
+                    let _ = child.wait();
+                }
+                return None;
+            }
+            let Some(next) = state.jobs.front() else {
+                ping = true;
+                state = self
+                    .work
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            if ping {
+                // Ping holding no job, so a missed heartbeat costs no job an attempt; the
+                // call whose job is next waits for the answer.
+                let (call, obs) = (next.call, next.obs.clone());
+                let unpin = move |state: &mut State| {
+                    if let Some(waiting) = state.calls.get_mut(&call) {
+                        waiting.pinging -= 1;
+                    }
+                };
+                if let Some(waiting) = state.calls.get_mut(&call) {
+                    waiting.pinging += 1;
+                }
+                drop(state);
+                if !self.heartbeat(worker, &mut conn, &obs) {
+                    self.fail(conn, |state| {
+                        state.stats.heartbeats_missed += 1;
+                        unpin(state);
+                    });
+                    return Some(obs);
+                }
+                state = self.lock();
+                unpin(&mut state);
+                self.progress.notify_all();
+                ping = false;
+                continue;
+            }
+            let Some(mut job) = state.jobs.pop_front() else {
+                continue;
+            };
+            drop(state);
+            match roundtrip(&worker.name, &mut conn, &job) {
+                Ok(results) => {
+                    job.obs.progress.add_lanes(results.len() as u64);
+                    state = self.lock();
+                    state.stats.jobs_completed += 1;
+                    state.stats.lanes_remote += results.len() as u64;
+                    if let Some(waiting) = state.calls.get_mut(&job.call) {
+                        waiting.pending -= 1;
+                        waiting.solved.push((job, results));
+                    }
+                    self.progress.notify_all();
                 }
                 Err(err) => {
                     eprintln!(
-                        "slic farm: re-dial {}/{} of worker `{}` failed: {err}",
-                        attempt + 1,
-                        self.tuning.reconnect_attempts,
-                        slot.name
+                        "slic farm: worker `{}` failed ({err}); failing its job over",
+                        worker.name
                     );
+                    let obs = job.obs.clone();
+                    let budget = self.tuning.retry_budget.unwrap_or(self.size).max(1);
+                    self.fail(conn, move |state| {
+                        state.stats.failovers += 1;
+                        job.attempts += 1;
+                        if job.attempts < budget {
+                            state.jobs.push_back(job);
+                        } else {
+                            // Budget spent: the call's local fallback solves these lanes.
+                            state.stats.degraded_jobs += 1;
+                            if let Some(waiting) = state.calls.get_mut(&job.call) {
+                                waiting.pending -= 1;
+                                waiting.degraded = true;
+                            }
+                        }
+                    });
+                    return Some(obs);
                 }
             }
         }
-        slot.gone.store(true, Ordering::Relaxed);
-        span.attr("readmitted", "false".to_string());
-        eprintln!(
-            "slic farm: worker `{}` retired for this run (reconnect budget exhausted)",
-            slot.name
-        );
-        false
     }
 
-    /// Probes one worker with a `ping`/`pong` round trip under the heartbeat deadline.
-    ///
-    /// Returns `true` when the worker answered and may be dispatched to.  A silent or
-    /// wrong answer drops the connection — the reconnect supervisor decides whether it
-    /// comes back.
-    fn heartbeat(&self, slot: &WorkerSlot) -> bool {
-        let mut guard = match slot.conn.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                *guard = None;
-                return false;
-            }
-        };
-        let outcome = match guard.as_mut() {
-            None => return false,
-            Some(conn) => {
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let deadline = Duration::from_millis(self.tuning.heartbeat_timeout_ms.max(1));
-                let _span = self
-                    .obs
-                    .trace
-                    .span("farm.heartbeat", &[("worker", slot.name.clone())]);
-                ping_roundtrip(conn, id, deadline)
-            }
+    /// Drops a failed connection and marks its worker down, counting the re-dial
+    /// campaign that starts next, then settles the failed job or heartbeat under the
+    /// same lock: a call never sees its job requeued while the worker still counts as
+    /// live.
+    fn fail(&self, conn: WorkerConn, settle: impl FnOnce(&mut State)) {
+        drop(conn);
+        let mut state = self.lock();
+        state.live -= 1;
+        state.redialing += 1;
+        settle(&mut state);
+        drop(state);
+        self.progress.notify_all();
+        self.work.notify_all();
+    }
+
+    /// Probes the worker with a `ping`/`pong` round trip under the heartbeat deadline;
+    /// `true` when it answered and may take a job.
+    fn heartbeat(&self, worker: &Worker, conn: &mut WorkerConn, obs: &Observability) -> bool {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let deadline = Duration::from_millis(self.tuning.heartbeat_timeout_ms.max(1));
+        let outcome = {
+            let _span = obs
+                .trace
+                .span("farm.heartbeat", &[("worker", worker.name.clone())]);
+            ping_roundtrip(conn, id, deadline)
         };
         match outcome {
             Ok(()) => true,
@@ -505,107 +608,127 @@ impl FarmBackend {
                 eprintln!(
                     "slic farm: worker `{}` missed its heartbeat ({err}); dropping the \
                      connection",
-                    slot.name
+                    worker.name
                 );
-                self.heartbeats_missed.fetch_add(1, Ordering::Relaxed);
-                self.obs
-                    .metrics
-                    .counter_add(&format!("farm.worker.{}.heartbeats_missed", slot.name), 1);
-                *guard = None;
+                obs.metrics
+                    .counter_add(&format!("farm.worker.{}.heartbeats_missed", worker.name), 1);
                 false
             }
         }
     }
 
-    /// Sends one job to one worker and reads its results, holding the worker's lock for
-    /// the round trip (the protocol is strictly alternating per connection).  On any
-    /// failure the connection is dropped before the error is returned; whether the
-    /// worker comes back is the reconnect supervisor's call.
-    fn roundtrip(
-        &self,
-        slot: &WorkerSlot,
-        requests: Vec<WireRequest>,
-    ) -> Result<Vec<SimResult>, FarmError> {
-        let lanes = requests.len();
-        let mut span = self.obs.trace.span(
-            "farm.roundtrip",
-            &[("worker", slot.name.clone()), ("lanes", lanes.to_string())],
-        );
-        // The line is built before the slot lock is taken: only the write and the read
-        // need the connection.
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let line = encode_line(&Message::Batch { id, requests });
-        let mut guard = match slot.conn.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                *guard = None;
-                return Err(FarmError::WorkerDown(slot.name.clone()));
-            }
+    /// Re-dials a down worker on its seeded backoff schedule and re-admits it after a
+    /// fresh handshake.  Returns the new connection, or `None` when the backend closed
+    /// or the whole budget failed, which retires the worker for the run.  A backend
+    /// that closes mid-campaign cuts the schedule short: one last dial, at once.
+    fn redial(&self, worker: &Worker, obs: &Observability) -> Option<WorkerConn> {
+        let mut span = obs
+            .trace
+            .span("farm.redial", &[("worker", worker.name.clone())]);
+        let policy = BackoffPolicy {
+            base_ms: self.tuning.backoff_base_ms,
+            cap_ms: self.tuning.backoff_cap_ms,
+            seed: worker.backoff_seed,
         };
-        let outcome = (|| -> Result<Vec<SimResult>, FarmError> {
-            let conn = guard
-                .as_mut()
-                .ok_or_else(|| FarmError::WorkerDown(slot.name.clone()))?;
-            self.obs.metrics.counter_add(
-                &format!("farm.worker.{}.bytes_tx", slot.name),
-                line.len() as u64,
-            );
-            send_line(conn.reader.get_ref(), &line)
-                .map_err(|err| FarmError::Transport(slot.name.clone(), err.to_string()))?;
-            let mut reply = String::new();
-            let read = conn
-                .reader
-                // The protocol is strictly alternating per connection, so the slot lock
-                // must span the write+read round trip; other workers use other slots and
-                // the read has the socket deadline.
-                .read_line(&mut reply)
-                .map_err(|err| FarmError::Transport(slot.name.clone(), err.to_string()))?;
-            if read == 0 {
-                return Err(FarmError::WorkerDown(slot.name.clone()));
+        let attempts = self.tuning.reconnect_attempts;
+        let mut conn = None;
+        let mut closed = false;
+        for attempt in 0..attempts {
+            if closed {
+                break;
             }
-            self.obs.metrics.counter_add(
-                &format!("farm.worker.{}.bytes_rx", slot.name),
-                reply.len() as u64,
-            );
-            match decode_message(reply.trim_end()) {
-                Ok(Message::Results {
-                    id: reply_id,
-                    results,
-                }) if reply_id == id && results.len() == lanes => results
-                    .iter()
-                    .map(|entry| {
-                        entry
-                            .decode()
-                            .map_err(|err| FarmError::Protocol(slot.name.clone(), err.to_string()))
-                    })
-                    .collect(),
-                Ok(other) => Err(FarmError::Protocol(
-                    slot.name.clone(),
-                    format!("expected results for batch {id}, got {other:?}"),
-                )),
-                Err(err) => Err(FarmError::Protocol(slot.name.clone(), err.to_string())),
-            }
-        })();
-        match &outcome {
-            Ok(_) => {
-                span.attr("ok", "true".to_string());
-                self.obs
-                    .metrics
-                    .counter_add(&format!("farm.worker.{}.jobs", slot.name), 1);
-                self.obs
-                    .metrics
-                    .counter_add(&format!("farm.worker.{}.lanes", slot.name), lanes as u64);
-            }
-            Err(_) => {
-                span.attr("ok", "false".to_string());
-                // Health tracking: a failed round trip drops the connection (also reaping
-                // a spawned subprocess).  Re-admission requires a fresh dial + handshake.
-                *guard = None;
+            closed = self.pause(policy.delay(attempt));
+            match dial(&worker.endpoint, &worker.name) {
+                Ok(fresh) => {
+                    eprintln!(
+                        "slic farm: worker `{}` re-admitted after {} re-dial(s)",
+                        worker.name,
+                        attempt + 1
+                    );
+                    conn = Some(fresh);
+                    break;
+                }
+                Err(err) => eprintln!(
+                    "slic farm: re-dial {}/{attempts} of worker `{}` failed: {err}",
+                    attempt + 1,
+                    worker.name
+                ),
             }
         }
-        outcome
+        span.attr("readmitted", conn.is_some().to_string());
+        if conn.is_some() {
+            obs.metrics
+                .counter_add(&format!("farm.worker.{}.reconnects", worker.name), 1);
+        } else if !closed {
+            eprintln!(
+                "slic farm: worker `{}` retired for this run (reconnect budget exhausted)",
+                worker.name
+            );
+        }
+        let mut state = self.lock();
+        state.redialing -= 1;
+        if conn.is_some() {
+            state.live += 1;
+            state.stats.reconnects += 1;
+        }
+        drop(state);
+        self.progress.notify_all();
+        conn
     }
+
+    /// Sleeps for `delay`, waking early when the backend closes; returns whether it has.
+    fn pause(&self, delay: Duration) -> bool {
+        let (state, _) = self
+            .work
+            .wait_timeout_while(self.lock(), delay, |state| !state.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.closed
+    }
+}
+
+/// Sends one job over `conn` and reads its results.  Only the worker's dispatcher
+/// touches `conn`, and the protocol is strictly alternating per connection.
+fn roundtrip(name: &str, conn: &mut WorkerConn, job: &Job) -> Result<Vec<SimResult>, FarmError> {
+    let lanes = job.lanes.len();
+    let metrics = &job.obs.metrics;
+    let mut span = job.obs.trace.span(
+        "farm.roundtrip",
+        &[("worker", name.to_string()), ("lanes", lanes.to_string())],
+    );
+    let outcome = (|| -> Result<Vec<SimResult>, FarmError> {
+        let transport =
+            |err: std::io::Error| FarmError::Transport(name.to_string(), err.to_string());
+        metrics.counter_add(
+            &format!("farm.worker.{name}.bytes_tx"),
+            job.line.len() as u64,
+        );
+        send_line(conn.reader.get_ref(), &job.line).map_err(transport)?;
+        let mut reply = String::new();
+        if conn.reader.read_line(&mut reply).map_err(transport)? == 0 {
+            return Err(FarmError::WorkerDown(name.to_string()));
+        }
+        metrics.counter_add(&format!("farm.worker.{name}.bytes_rx"), reply.len() as u64);
+        let protocol = |err: String| FarmError::Protocol(name.to_string(), err);
+        match decode_message(reply.trim_end()) {
+            Ok(Message::Results { id, results }) if id == job.id && results.len() == lanes => {
+                results
+                    .iter()
+                    .map(|entry| entry.decode().map_err(|err| protocol(err.to_string())))
+                    .collect()
+            }
+            Ok(other) => Err(protocol(format!(
+                "expected results for batch {}, got {other:?}",
+                job.id
+            ))),
+            Err(err) => Err(protocol(err.to_string())),
+        }
+    })();
+    span.attr("ok", outcome.is_ok().to_string());
+    if outcome.is_ok() {
+        metrics.counter_add(&format!("farm.worker.{name}.jobs"), 1);
+        metrics.counter_add(&format!("farm.worker.{name}.lanes"), lanes as u64);
+    }
+    outcome
 }
 
 /// Runs one heartbeat round trip on an established connection, tightening the read
@@ -640,7 +763,7 @@ fn ping_roundtrip(conn: &mut WorkerConn, id: u64, deadline: Duration) -> Result<
 }
 
 /// Establishes and handshakes a fresh connection to `endpoint` — used both at
-/// construction and by every reconnect campaign (re-admission requires a fresh
+/// construction and by every re-dial campaign (re-admission requires a fresh
 /// [`Hello`](crate::wire::Hello), so a restarted worker re-proves its versions).
 fn dial(endpoint: &WorkerEndpoint, name: &str) -> Result<WorkerConn, FarmError> {
     match endpoint {
@@ -691,7 +814,7 @@ fn banner_address(child: &mut Child, name: &str) -> Result<String, FarmError> {
 }
 
 /// Connects to a `slic worker --listen` address and completes the worker handshake;
-/// errors carry the slot `name`.
+/// errors carry the worker `name`.
 fn connect(address: &str, name: &str) -> Result<WorkerConn, FarmError> {
     let connect_failed =
         |err: std::io::Error| FarmError::Connect(name.to_string(), err.to_string());
@@ -736,8 +859,7 @@ fn connect(address: &str, name: &str) -> Result<WorkerConn, FarmError> {
 
 /// Lanes per dispatched job: two jobs per worker, so a fleet interleaves on one engine
 /// call, and at most 16 lanes, so the JSON framing stays noise.  The engine's calls carry
-/// up to 64 lanes, so one call to a two-worker fleet becomes four 16-lane jobs, each
-/// worker answering one ping per call before its first job.
+/// up to 64 lanes, so one call to a two-worker fleet becomes four 16-lane jobs.
 fn job_lanes(total: usize, workers: usize) -> usize {
     total.div_ceil(workers.max(1) * 2).clamp(1, 16)
 }
@@ -748,201 +870,43 @@ impl SimulationBackend for FarmBackend {
     }
 
     fn solve_batch(&self, requests: &[SimRequest]) -> Vec<SimResult> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        // Encode up front; a lane that cannot travel (e.g. a custom technology outside
-        // the worker-side catalogue) is solved by the in-process fallback below, so the
-        // farm degrades to local execution instead of failing a run the local backend
-        // would complete.
         let mut results: Vec<Option<SimResult>> = vec![None; requests.len()];
-        let mut untransportable: Vec<usize> = Vec::new();
-        let encoded: Vec<Option<WireRequest>> = requests
+        for (job, solved) in self.dispatch(requests) {
+            for (&lane, result) in job.lanes.iter().zip(solved) {
+                results[lane] = Some(result);
+            }
+        }
+        // One local solve for every lane no worker answered: lanes that cannot travel
+        // (e.g. a custom technology outside the worker-side catalogue), jobs past their
+        // retry budget and jobs no worker was left to take.  The farm degrades to local
+        // execution instead of failing a run the local backend would complete.
+        let unanswered: Vec<SimRequest> = requests
             .iter()
-            .enumerate()
-            .map(|(i, request)| match WireRequest::encode(request) {
-                Ok(wire) => Some(wire),
-                Err(_) => {
-                    untransportable.push(i);
-                    None
-                }
-            })
+            .zip(&results)
+            .filter(|(_, result)| result.is_none())
+            .map(|(request, _)| request.clone())
             .collect();
-
-        // Cut the encodable lanes into jobs of contiguous runs.
-        let lanes: Vec<usize> = (0..requests.len())
-            .filter(|&i| encoded[i].is_some())
-            .collect();
-        let chunk = job_lanes(lanes.len(), self.workers.len());
-        let queue = JobQueue::new(
-            (0..lanes.len())
-                .step_by(chunk.max(1))
-                .map(|start| Job {
-                    start,
-                    end: (start + chunk).min(lanes.len()),
-                    attempts: 0,
-                })
-                .collect(),
-        );
-        // A job keeps retrying (on other workers, or on re-admitted ones) until its
-        // budget is spent; then the local fallback owns it.
-        let retry_budget = self
-            .tuning
-            .retry_budget
-            .unwrap_or(self.workers.len())
-            .max(1);
-        let stranded: Mutex<Vec<Job>> = Mutex::new(Vec::new());
-        let completed: Mutex<Vec<(Job, Vec<SimResult>)>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            for slot in &self.workers {
-                if slot.gone.load(Ordering::Relaxed) {
-                    continue;
-                }
-                let queue = &queue;
-                let stranded = &stranded;
-                let completed = &completed;
-                let lanes = &lanes;
-                let encoded = &encoded;
-                scope.spawn(move || {
-                    // Admission check: a live worker must pass its heartbeat; a down
-                    // worker gets a reconnect campaign before this dispatcher gives up.
-                    let has_conn = slot.conn.lock().is_ok_and(|conn| conn.is_some());
-                    let admitted = if has_conn {
-                        self.heartbeat(slot) || self.reconnect(slot)
-                    } else {
-                        self.reconnect(slot)
-                    };
-                    if !admitted {
-                        return;
-                    }
-                    while let Some(mut job) = queue.next() {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "structural: `lanes` holds exactly the indices whose encoding succeeded"
-                        )]
-                        let wire: Vec<WireRequest> = lanes[job.start..job.end]
-                            .iter()
-                            .map(|&i| encoded[i].clone().expect("encodable lane"))
-                            .collect();
-                        match self.roundtrip(slot, wire) {
-                            Ok(solved) => {
-                                self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                                self.lanes_remote
-                                    .fetch_add(solved.len() as u64, Ordering::Relaxed);
-                                // Feed the live progress display as round trips land,
-                                // not just when whole units complete.
-                                self.obs.progress.add_lanes(solved.len() as u64);
-                                completed
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                    .push((job, solved));
-                                queue.done();
-                            }
-                            Err(err) => {
-                                eprintln!(
-                                    "slic farm: worker `{}` failed ({err}); failing its job over",
-                                    slot.name
-                                );
-                                self.failovers.fetch_add(1, Ordering::Relaxed);
-                                job.attempts += 1;
-                                if job.attempts >= retry_budget {
-                                    // Budget spent: degrade to the local fallback.
-                                    self.degraded_jobs.fetch_add(1, Ordering::Relaxed);
-                                    stranded
-                                        .lock()
-                                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                        .push(job);
-                                    queue.done();
-                                } else {
-                                    queue.requeue(job);
-                                }
-                                // Re-dial with backoff; a re-admitted worker keeps
-                                // dispatching, a retired one loses its dispatcher.
-                                if !self.reconnect(slot) {
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        // Anything the fleet could not finish — stranded jobs, or a queue abandoned when
-        // the last worker retired — is solved in-process so the run still completes.
-        let mut leftovers = stranded
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let abandoned = queue.drain();
-        self.degraded_jobs
-            .fetch_add(abandoned.len() as u64, Ordering::Relaxed);
-        leftovers.extend(abandoned);
-        for job in &leftovers {
-            let subset: Vec<SimRequest> = lanes[job.start..job.end]
-                .iter()
-                .map(|&i| requests[i].clone())
-                .collect();
-            let solved = self.fallback.solve_batch(&subset);
-            self.lanes_local
-                .fetch_add(solved.len() as u64, Ordering::Relaxed);
-            for (&lane, result) in lanes[job.start..job.end].iter().zip(solved) {
-                results[lane] = Some(result);
+        if !unanswered.is_empty() {
+            let solved = self.fallback.solve_batch(&unanswered);
+            self.fleet.lock().stats.lanes_local += solved.len() as u64;
+            for (slot, result) in results.iter_mut().filter(|slot| slot.is_none()).zip(solved) {
+                *slot = Some(result);
             }
         }
-        let completed = completed
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for (job, solved) in completed {
-            for (&lane, result) in lanes[job.start..job.end].iter().zip(solved) {
-                results[lane] = Some(result);
-            }
-        }
-        if !untransportable.is_empty() {
-            let subset: Vec<SimRequest> = untransportable
-                .iter()
-                .map(|&i| requests[i].clone())
-                .collect();
-            let solved = self.fallback.solve_batch(&subset);
-            self.lanes_local
-                .fetch_add(solved.len() as u64, Ordering::Relaxed);
-            for (&lane, result) in untransportable.iter().zip(solved) {
-                results[lane] = Some(result);
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "structural: every lane is either untransportable, stranded, or completed, and each path fills its slot"
-        )]
-        results
-            .into_iter()
-            .map(|r| r.expect("every lane resolved"))
-            .collect()
+        results.into_iter().flatten().collect()
     }
 }
 
 impl Drop for FarmBackend {
+    /// Closes the backend: each dispatcher sends `shutdown` to its live worker, waits
+    /// for a spawned child and exits, and the dispatchers are joined.
     fn drop(&mut self) {
-        for slot in &self.workers {
-            // A poisoned slot's connection state is unknown; drop it without the
-            // orderly shutdown message (the Drop on WorkerConn still reaps a child).
-            let mut guard = match slot.conn.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => {
-                    *poisoned.into_inner() = None;
-                    continue;
-                }
-            };
-            if let Some(conn) = guard.as_mut() {
-                // Orderly shutdown: a spawned worker exits on it, so wait for that before
-                // the connection's drop would kill it (the wait closes the child's stdin,
-                // which ends a spawned worker too).  A worker that already died ignores us.
-                let _ = send_line(conn.reader.get_ref(), &encode_line(&Message::Shutdown));
-                if let Some(child) = conn.child.as_mut() {
-                    let _ = child.wait();
-                }
+        self.fleet.lock().closed = true;
+        self.fleet.work.notify_all();
+        for dispatcher in self.dispatchers.drain(..) {
+            if dispatcher.join().is_err() {
+                eprintln!("slic farm: a dispatcher thread panicked");
             }
-            *guard = None;
         }
     }
 }

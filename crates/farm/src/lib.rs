@@ -15,17 +15,21 @@
 //! * [`worker`] — the stateless serve loop behind `slic worker`: decode a batch, solve it
 //!   through the in-process [`LocalBackend`](slic_spice::LocalBackend), stream the
 //!   results back;
-//! * [`broker`] — [`FarmBackend`], the engine-facing client: work-stealing dispatch over
-//!   N workers, per-worker health tracking, retry-on-another-worker failover, and an
-//!   in-process fallback so a run completes even if the whole fleet dies.
+//! * [`broker`] — [`FarmBackend`], the engine-facing client: one long-lived dispatcher
+//!   thread per worker, owning that worker's connection and taking jobs from one queue
+//!   that every engine call feeds, with per-worker health tracking,
+//!   retry-on-another-worker failover, and an in-process fallback so a run completes
+//!   even if the whole fleet dies.
 //!
 //! Around those sits the **resilience layer** (PR 8): [`backoff`] (seeded, deterministic
-//! exponential re-dial schedules), heartbeat `ping`/`pong` probes between batches, a
-//! per-job retry budget with a degradation ladder (retry elsewhere → wait for
-//! re-admission → local fallback), and [`fault`] — a seeded [`FaultPlan`] a worker can
-//! run to misbehave deterministically, so every recovery path is exercised end-to-end in
-//! tests and CI.  A dead worker is no longer dead forever: the broker re-dials it with
-//! backoff and re-admits it after a fresh [`Hello`] handshake.
+//! exponential re-dial schedules), heartbeat `ping`/`pong` probes a dispatcher runs
+//! before taking a job after its worker idled, a per-job retry budget with a degradation
+//! ladder (retry elsewhere → wait for re-admission → local fallback), and [`fault`] — a
+//! seeded [`FaultPlan`] a worker can run to misbehave deterministically, so every
+//! recovery path is exercised end-to-end in tests and CI.  A dead worker is no longer
+//! dead forever: its dispatcher re-dials it with backoff on its own thread, while the
+//! calls in flight carry on with the rest of the fleet, and re-admits it after a fresh
+//! [`Hello`] handshake.
 //!
 //! Because the engine keeps its counter and cache on its own side of the backend
 //! boundary, a farm run pays each unique simulation coordinate exactly once across the

@@ -265,6 +265,152 @@ fn a_fully_dead_fleet_falls_back_to_local_solving() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test times how long the call and the teardown wait"
+)]
+fn a_redial_campaign_does_not_stall_the_call_in_flight() {
+    use std::time::{Duration, Instant};
+    // The only worker dies on its first batch, and each re-dial waits 0.5-1 s first: a
+    // call that waited for the campaign would take 2-4 s to return lanes the local
+    // fallback solves in milliseconds.
+    let (addr, handle) = spawn_tcp_worker("doomed", Some(0));
+    let tuning = FarmTuning {
+        reconnect_attempts: 4,
+        backoff_base_ms: 1_000,
+        backoff_cap_ms: 1_000,
+        ..FarmTuning::default()
+    };
+    let farm = FarmBackend::with_tuning(&[addr], 0, None, tuning).expect("connects");
+    let requests = requests(TechnologyNode::n14_finfet(), 8);
+    let started = Instant::now();
+    let remote = farm.solve_batch(&requests);
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "the call waited {waited:?} for a re-dial campaign"
+    );
+    assert_eq!(remote, LocalBackend::new().solve_batch(&requests));
+    assert_eq!(farm.live_workers(), 0, "the dead worker is marked down");
+    let stats = farm.stats();
+    assert_eq!(stats.lanes_local, 8, "{stats:?}");
+    assert_eq!(stats.lanes_remote, 0, "{stats:?}");
+    assert_eq!(handle.join().expect("worker"), ServeOutcome::BatchLimit);
+    // The dispatcher is still sleeping through its schedule; closing the backend wakes it.
+    let started = Instant::now();
+    drop(farm);
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "dropping the backend waited {waited:?} for the backoff schedule"
+    );
+}
+
+#[test]
+fn twenty_calls_to_a_two_worker_farm_run_on_two_dispatcher_threads() {
+    use slic_obs::{MetricsRegistry, Observability, TraceRecorder};
+    use std::collections::BTreeSet;
+    let (addr_a, handle_a) = spawn_tcp_worker("a", None);
+    let (addr_b, handle_b) = spawn_tcp_worker("b", None);
+    let path = std::env::temp_dir().join(format!(
+        "slic-farm-dispatcher-threads-{}.jsonl",
+        std::process::id()
+    ));
+    let trace = TraceRecorder::to_file(&path).expect("trace file");
+    let metrics = MetricsRegistry::new();
+    // Attached after the fleet connects, as the CLI and perfbench do.
+    let farm = FarmBackend::connect(&[addr_a.clone(), addr_b.clone()])
+        .expect("fleet connects")
+        .with_observability(Observability {
+            trace: trace.clone(),
+            metrics: metrics.clone(),
+            ..Observability::default()
+        });
+    let requests = requests(TechnologyNode::n14_finfet(), 32);
+    let reference = LocalBackend::new().solve_batch(&requests);
+    for _ in 0..20 {
+        assert_eq!(farm.solve_batch(&requests), reference);
+    }
+    let stats = farm.stats();
+    drop(farm);
+    assert_eq!(handle_a.join().expect("worker a"), ServeOutcome::Shutdown);
+    assert_eq!(handle_b.join().expect("worker b"), ServeOutcome::Shutdown);
+    trace.flush();
+
+    let parsed = slic_obs::profile::load(&path).expect("trace reads back");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(parsed.dropped, 0);
+    let roundtrips: Vec<_> = parsed
+        .records
+        .iter()
+        .filter(|record| record.name == "farm.roundtrip")
+        .collect();
+    assert_eq!(roundtrips.len() as u64, stats.jobs_completed);
+    assert_eq!(stats.jobs_completed, 20 * 4, "four 8-lane jobs a call");
+    let threads: BTreeSet<u64> = roundtrips.iter().map(|record| record.thread).collect();
+    assert!(
+        threads.len() <= 2,
+        "round trips ran on {} threads, not one per worker",
+        threads.len()
+    );
+    // The per-worker counters land in the bundle attached after the fleet connected.
+    let counters = metrics.snapshot().counters;
+    let counter = |name: String| {
+        counters
+            .iter()
+            .find(|(key, _)| *key == name)
+            .map_or(0, |(_, value)| *value)
+    };
+    let jobs = counter(format!("farm.worker.{addr_a}.jobs"))
+        + counter(format!("farm.worker.{addr_b}.jobs"));
+    assert_eq!(jobs, stats.jobs_completed);
+    assert!(counter(format!("farm.worker.{addr_a}.bytes_tx")) > 0);
+    assert!(counter(format!("farm.worker.{addr_b}.bytes_rx")) > 0);
+}
+
+#[test]
+fn concurrent_callers_share_one_queue_through_a_worker_death() {
+    // Four callers at once on one broker, as the engine's parallel arcs are.  Worker `b`
+    // dies on its third batch; worker `a` holds its first batch until then, so `b` takes
+    // jobs from every caller until it dies, and `a` finishes the rest.
+    let (addr_b, handle_b, b_returned) = spawn_signalling_tcp_worker(WorkerOptions {
+        name: "b".to_string(),
+        max_batches: Some(2),
+        ..WorkerOptions::default()
+    });
+    let (addr_a, handle_a) = spawn_gated_tcp_worker("a", b_returned);
+    let farm = Arc::new(
+        FarmBackend::with_tuning(&[addr_a, addr_b], 0, None, fast_tuning())
+            .expect("fleet connects"),
+    );
+    let sizes = [24, 40, 56, 64];
+    std::thread::scope(|scope| {
+        for &size in &sizes {
+            let farm = &farm;
+            scope.spawn(move || {
+                let requests = requests(TechnologyNode::n14_finfet(), size);
+                assert_eq!(
+                    farm.solve_batch(&requests),
+                    LocalBackend::new().solve_batch(&requests),
+                    "a {size}-lane call must be bitwise local"
+                );
+            });
+        }
+    });
+    let stats = farm.stats();
+    assert_eq!(
+        stats.lanes_remote + stats.lanes_local,
+        sizes.iter().sum::<usize>() as u64,
+        "every lane was solved exactly once somewhere: {stats:?}"
+    );
+    assert!(stats.failovers >= 1, "{stats:?}");
+    assert_eq!(farm.live_workers(), 1);
+    assert_eq!(handle_b.join().expect("worker b"), ServeOutcome::BatchLimit);
+    drop(farm);
+    assert_eq!(handle_a.join().expect("worker a"), ServeOutcome::Shutdown);
+}
+
+#[test]
 fn a_custom_technology_outside_the_catalogue_degrades_to_local_solving() {
     use slic_device::TechnologyKind;
     // Same name as a catalogue node but a different node value: the wire must refuse to
