@@ -13,18 +13,24 @@
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Re-exports, mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
+/// The number of threads a parallel call spreads its work over: the host's available
+/// parallelism (1 when it cannot be read), as `rayon::current_num_threads` reports its
+/// pool's size.  Read once per process, because `std::thread::available_parallelism`
+/// re-reads the cgroup files on every call.
+pub fn current_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 fn worker_count(items: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items)
-        .max(1)
+    current_num_threads().min(items).max(1)
 }
 
 /// Runs `f` over `items` in parallel, preserving order.
@@ -230,6 +236,17 @@ mod tests {
             sum.fetch_add(*x, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 5050);
+    }
+
+    #[test]
+    fn thread_count_is_the_available_parallelism() {
+        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(super::current_num_threads(), available);
+        assert_eq!(
+            super::current_num_threads(),
+            available,
+            "the second read agrees"
+        );
     }
 
     #[test]

@@ -30,7 +30,6 @@ use crate::transient::TransientConfig;
 use slic_cells::TimingArc;
 use slic_device::ProcessSample;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -251,15 +250,78 @@ pub trait SimulationCache: Send + Sync {
     }
 }
 
-const SHARDS: usize = 16;
+/// log2 of [`SHARDS`].
+const SHARD_BITS: u32 = 4;
+
+/// The number of maps an [`InMemorySimCache`] splits its keys over, each behind its own
+/// lock.
+const SHARDS: usize = 1 << SHARD_BITS;
+
+/// The shard that holds `key`: a fixed multiply–xorshift mix of the key's fixed-width
+/// words — kernel id, arc fields, point, seed and configuration bits — whose top bits
+/// pick one of the [`SHARDS`].  The technology name is left out, so the choice costs a
+/// few multiplies per key instead of a hash over every byte.  A shard only decides which
+/// lock guards a key: lookups compare whole keys, so the mix never changes a result, and
+/// keys crafted to collide (say, in a cache log) cost lock contention, not lookup time.
+fn shard_index(key: &SimKey) -> usize {
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+    let coordinate = &key.coordinate;
+    let arc = coordinate.arc;
+    let arc_word = (arc.cell().kind() as u64) << 24
+        | (arc.cell().drive() as u64) << 16
+        | (arc.input_pin() as u64) << 8
+        | arc.output_transition() as u64;
+    let mix = [key.kernel, arc_word]
+        .iter()
+        .chain(&coordinate.point)
+        .chain(&coordinate.seed)
+        .chain(&coordinate.config)
+        .fold(0u64, |mix, &word| {
+            let mix = (mix ^ word).wrapping_mul(MULTIPLIER);
+            mix ^ (mix >> 32)
+        });
+    (mix >> (u64::BITS - SHARD_BITS)) as usize
+}
+
+/// Warm records grouped by the [`InMemorySimCache`] shard that will hold them, each
+/// shard's part in push order until it is [sorted](Self::sort): what one piece of a
+/// [`DiskSimCache`](crate::disk::DiskSimCache) log decodes to.
+pub(crate) struct WarmParts([Vec<(SimKey, TimingMeasurement)>; SHARDS]);
+
+impl WarmParts {
+    /// Empty parts with room for `records` records, spread evenly, plus a margin.
+    pub(crate) fn with_capacity(records: usize) -> Self {
+        Self(std::array::from_fn(|_| {
+            Vec::with_capacity(records / SHARDS + 16)
+        }))
+    }
+
+    /// Adds a record to its shard's part.
+    pub(crate) fn push(&mut self, key: SimKey, measurement: TimingMeasurement) {
+        self.0[shard_index(&key)].push((key, measurement));
+    }
+
+    /// Sorts each shard's part by key; records with equal keys keep their push order.
+    pub(crate) fn sort(&mut self) {
+        for part in &mut self.0 {
+            part.sort_by(|(a, _), (b, _)| a.cmp(b));
+        }
+    }
+}
 
 /// A sharded in-memory [`SimulationCache`] with hit/miss accounting.
 ///
+/// Keys are spread over 16 maps, each behind its own lock, so concurrent lookups and
+/// stores rarely wait on each other.  A key's map is picked by a fixed multiply–xorshift
+/// mix of its fixed-width words (kernel id, arc, point, seed and configuration bits),
+/// which costs a few multiplies where a hash of the whole key would read every byte.
+///
 /// Each entry remembers which *tier* it came from: `fresh` (archived by this process,
-/// via [`archive`](Self::archive)/[`store`](SimulationCache::store)) or `warm` (loaded
-/// from an earlier process, via [`insert_warm`](Self::insert_warm)).  Hits are broken
-/// down per tier so a post-run summary can show how much a persisted cache actually
-/// saved — the tier flag never affects lookup results, only accounting.
+/// via [`archive`](Self::archive)/[`store`](SimulationCache::store)) or `warm` (paid for
+/// by an earlier process and loaded in bulk when a
+/// [`DiskSimCache`](crate::disk::DiskSimCache) opens its log).  Hits are broken down per
+/// tier so a post-run summary can show how much a persisted cache actually saved — the
+/// tier flag never affects lookup results, only accounting.
 #[derive(Debug, Default)]
 pub struct InMemorySimCache {
     shards: [Mutex<BTreeMap<SimKey, (TimingMeasurement, Tier)>>; SHARDS],
@@ -281,6 +343,44 @@ impl InMemorySimCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A cache holding records paid for by an earlier process as warm state, without
+    /// counting a hit or a miss; lookups they answer count toward
+    /// [`warm_hits`](SimulationCache::warm_hits).
+    ///
+    /// `pieces` are consecutive pieces of a log, in log order.  Each shard's map is built
+    /// once from its parts, in that order, by [`BTreeMap::from_iter`]: a stable sort
+    /// (a merge of runs when the parts are sorted already), then a bulk build that keeps
+    /// the later of two records with one key.  So the last record wins, as repeated
+    /// inserts would have it.
+    pub(crate) fn from_warm(mut pieces: Vec<WarmParts>) -> Self {
+        // The records were decoded on worker threads.  Under glibc a thread allocates
+        // from its own malloc arena, whose pages stay resident after the thread exits,
+        // so an allocation that lives as long as the cache would pin pages this thread
+        // cannot reuse (20 s perfbench `mc-warm` runs on a 2-core VM read 55 MB of peak
+        // RSS without the copy below, 53 MB with it).  A technology name is the one
+        // allocation a record owns: each is copied here, and a shard's worker copies are
+        // dropped only once the shard is built, so that the allocator cannot hand a
+        // just-freed worker copy straight back for the next name.
+        let mut spent = Vec::new();
+        let shards = std::array::from_fn(|shard| {
+            let map = pieces
+                .iter_mut()
+                .flat_map(|piece| std::mem::take(&mut piece.0[shard]))
+                .map(|(mut key, measurement)| {
+                    let tech = key.coordinate.tech.clone();
+                    spent.push(std::mem::replace(&mut key.coordinate.tech, tech));
+                    (key, (measurement, Tier::Warm))
+                })
+                .collect();
+            spent.clear();
+            Mutex::new(map)
+        });
+        Self {
+            shards,
+            ..Self::default()
+        }
     }
 
     /// Number of archived measurements.
@@ -318,20 +418,8 @@ impl InMemorySimCache {
             .map(|(previous, _)| previous)
     }
 
-    /// Inserts warm state **without** touching the hit/miss accounting — for loading
-    /// records that were paid for by an earlier process (e.g. a persistent cache's log).
-    /// Lookups answered by such records count toward [`warm_hits`](SimulationCache::warm_hits).
-    pub fn insert_warm(&self, key: SimKey, measurement: TimingMeasurement) {
-        self.shard(&key)
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(key, (measurement, Tier::Warm));
-    }
-
     fn shard(&self, key: &SimKey) -> &Mutex<BTreeMap<SimKey, (TimingMeasurement, Tier)>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
+        &self.shards[shard_index(key)]
     }
 }
 
@@ -410,16 +498,21 @@ mod tests {
 
     #[test]
     fn warm_tier_hits_are_accounted_separately() {
-        let cache = InMemorySimCache::new();
         let m = TimingMeasurement::new(Seconds(1e-12), Seconds(2e-12));
-        cache.insert_warm(key(5.0), m);
+        let mut warm = WarmParts::with_capacity(1);
+        warm.push(key(5.0), m);
+        let cache = InMemorySimCache::from_warm(vec![warm]);
         cache.store(key(6.0), m);
         assert_eq!(cache.lookup(&key(5.0)), Some(m), "warm records answer");
         assert_eq!(cache.lookup(&key(5.0)), Some(m));
         assert_eq!(cache.lookup(&key(6.0)), Some(m), "fresh records answer");
         assert_eq!(cache.hits(), 3, "every answered lookup is a hit");
         assert_eq!(cache.warm_hits(), 2, "only warm-tier answers count as warm");
-        assert_eq!(cache.misses(), 1, "insert_warm never counts a miss");
+        assert_eq!(
+            cache.misses(),
+            1,
+            "loading warm records never counts a miss"
+        );
         // Re-archiving a warm coordinate promotes it to the fresh tier.
         cache.store(key(5.0), m);
         assert_eq!(cache.lookup(&key(5.0)), Some(m));
@@ -427,6 +520,42 @@ mod tests {
             cache.warm_hits(),
             2,
             "promoted records stop counting as warm"
+        );
+    }
+
+    #[test]
+    fn a_sweep_spreads_over_every_shard() {
+        // 25 grid points under 100 process seeds, as one Monte Carlo arc asks for them.
+        let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
+        let arc = TimingArc::new(cell, 0, Transition::Fall);
+        let mut counts = [0usize; SHARDS];
+        for i in 0..25 {
+            let point = InputPoint::new(
+                Seconds::from_picoseconds(2.0 + 0.5 * f64::from(i)),
+                Farads::from_femtofarads(1.0 + 0.2 * f64::from(i)),
+                Volts(0.8),
+            );
+            for j in 0..100 {
+                let seed = ProcessSample {
+                    delta_vth_n: 1e-3 * f64::from(j),
+                    vx0_scale_p: 1.0 - 1e-3 * f64::from(j),
+                    ..ProcessSample::nominal()
+                };
+                let key = SimKey::new(
+                    KERNEL_VERSION,
+                    "n14",
+                    &arc,
+                    &point,
+                    &seed,
+                    &TransientConfig::fast(),
+                );
+                counts[shard_index(&key)] += 1;
+            }
+        }
+        // 156.25 keys a shard on average.
+        assert!(
+            counts.iter().all(|&n| (110..=210).contains(&n)),
+            "{counts:?}"
         );
     }
 

@@ -1,8 +1,8 @@
 //! A disk-backed simulation cache: warm state that survives process restarts.
 //!
 //! [`DiskSimCache`] persists `SimKey → TimingMeasurement` pairs as an append log of
-//! one record per line.  Opening a cache loads every archived record into memory;
-//! `store` archives new records in memory and queues one line each;
+//! one record per line.  Opening a cache loads every archived record into memory (see
+//! [Loading](#loading)); `store` archives new records in memory and queues one line each;
 //! [`flush`](DiskSimCache::flush) appends the queued lines to the log (and runs
 //! automatically on drop).  Append-only persistence means shard workers of a split
 //! [`CharacterizationPlan`] and later reruns all warm-start from the same file: a rerun
@@ -13,8 +13,21 @@
 //! same-host workers pointed at one cache file never interleave partial lines; each
 //! worker still only *sees* records flushed before it opened the file, so sequential
 //! workers share everything while concurrent workers merely deduplicate what was on disk
-//! when they started.  The in-memory side mirrors [`InMemorySimCache`]'s 16-way sharding,
-//! keeping warm-replay lookups contention-free under rayon.
+//! when they started.  The in-memory side *is* an [`InMemorySimCache`], whose 16 locked
+//! shards keep warm-replay lookups from contending under rayon.
+//!
+//! # Loading
+//!
+//! [`open`](DiskSimCache::open) reads the whole log under the shared lock, cuts the text
+//! at line boundaries into one piece per thread (`rayon::current_num_threads`; one piece,
+//! decoded on the calling thread, on a 1-core host), and decodes the pieces in parallel.
+//! Each worker puts its records into per-shard parts as it goes and sorts each part by
+//! key, keeping the log order of equal keys.  `open` then frees the text and builds each
+//! shard's map once, in bulk, from its parts in log order, so the last record of a key
+//! wins exactly as a line-by-line load would have it.  Error line numbers count from the
+//! start of the file, and the first corrupt line in file order is the one reported.
+//! [`compact`](DiskSimCache::compact) reads through the same decode, keeping records in
+//! log order instead.
 //!
 //! # Record formats
 //!
@@ -31,9 +44,12 @@
 //! [`CharacterizationPlan`]: ../../slic_pipeline/plan/struct.CharacterizationPlan.html
 //! [`InMemorySimCache`]: crate::cache::InMemorySimCache
 
-use crate::cache::{CacheError, InMemorySimCache, SimKey, SimulationCache, LEGACY_KERNEL_VERSION};
+use crate::cache::{
+    CacheError, InMemorySimCache, SimKey, SimulationCache, WarmParts, LEGACY_KERNEL_VERSION,
+};
 use crate::codec::{self, Coordinate};
 use crate::measure::TimingMeasurement;
+use rayon::prelude::*;
 use serde::{Deserialize, Error as SerdeError, Value};
 use slic_obs::jsonl::{self, Line};
 use std::fmt;
@@ -144,6 +160,167 @@ pub fn decode_line(line: &str) -> Result<(SimKey, TimingMeasurement), String> {
     }
 }
 
+/// Cuts `text` into at most `count` consecutive pieces of about equal length, each cut
+/// just after a newline, so every piece but the last ends with one.  No text, no pieces.
+fn split_lines(text: &str, count: usize) -> Vec<&str> {
+    let mut pieces = Vec::with_capacity(count);
+    let mut rest = text;
+    for left in (1..=count.max(1)).rev() {
+        if rest.is_empty() {
+            break;
+        }
+        let target = rest.len() / left;
+        let len = match rest.as_bytes()[target..].iter().position(|&b| b == b'\n') {
+            Some(newline) if left > 1 => target + newline + 1,
+            _ => rest.len(),
+        };
+        let (piece, tail) = rest.split_at(len);
+        pieces.push(piece);
+        rest = tail;
+    }
+    pieces
+}
+
+/// A newline-terminated line that is not a record.
+struct CorruptLine<'a> {
+    /// The 1-based line number, counted from the start of the log.
+    number: usize,
+    /// The line's text, without its newline.
+    text: &'a str,
+    /// Why the line did not decode.
+    error: String,
+}
+
+/// A v2 record line is longer than the 256 hex digits of its sixteen words, so a piece
+/// of a log holds fewer records than it has bytes divided by this.
+const RECORD_BYTES_AT_LEAST: usize = 256;
+
+/// What one piece of a log decodes into.
+trait Records: Send + Sync {
+    /// Empty records with room for about `records` records.
+    fn with_capacity(records: usize) -> Self;
+
+    /// Adds a decoded record.
+    fn push(&mut self, key: SimKey, measurement: TimingMeasurement);
+
+    /// Runs on the worker that decoded the piece, after its last record.
+    fn finish(&mut self) {}
+}
+
+/// Records in log order, as compaction reads them.
+impl Records for Vec<(SimKey, TimingMeasurement)> {
+    fn with_capacity(records: usize) -> Self {
+        Vec::with_capacity(records)
+    }
+
+    fn push(&mut self, key: SimKey, measurement: TimingMeasurement) {
+        Vec::push(self, (key, measurement));
+    }
+}
+
+/// Records sorted into cache shards, as [`DiskSimCache::open`] loads them.
+impl Records for WarmParts {
+    fn with_capacity(records: usize) -> Self {
+        WarmParts::with_capacity(records)
+    }
+
+    fn push(&mut self, key: SimKey, measurement: TimingMeasurement) {
+        WarmParts::push(self, key, measurement);
+    }
+
+    /// Sorting on the workers leaves the calling thread a merge of sorted runs per
+    /// shard.
+    fn finish(&mut self) {
+        self.sort();
+    }
+}
+
+/// One piece of a log, as [`decode_pieces`] returns it.
+struct Piece<'a, R> {
+    /// The piece's text.
+    text: &'a str,
+    /// The piece's records.
+    records: R,
+    /// The piece's corrupt lines, in order.
+    corrupt: Vec<CorruptLine<'a>>,
+    /// A complete final record whose newline a crash lost: the next flush truncates it,
+    /// so a writer that must keep it re-appends this text.  Only the log's last piece
+    /// can end in one (or in a torn tail, which is skipped).
+    unterminated: Option<&'a str>,
+}
+
+/// Decodes the log `text` in `count` pieces (see [`split_lines`]) on compat rayon's
+/// workers, each line through [`jsonl::classify`] and [`decode_line`], into one `R` per
+/// piece.  Returns the pieces in log order, with corrupt lines numbered from the start
+/// of the log.
+///
+/// Each `R` is made on the calling thread with room for every record its piece can
+/// hold, so a worker does not grow it.  Under glibc a thread allocates from its own
+/// malloc arena, whose pages stay resident after the thread exits, and successive loads
+/// land on different arenas: with buffers grown by the workers, perfbench `mc-warm`
+/// (20 s on a 2-core VM) read a `peak_rss_mb` of 80 MB, against 53 MB with them made
+/// here.
+fn decode_pieces<R: Records>(text: &str, count: usize) -> Vec<Piece<'_, R>> {
+    let starts: Vec<(&str, R)> = split_lines(text, count)
+        .into_iter()
+        .map(|text| {
+            let records = R::with_capacity(text.len() / RECORD_BYTES_AT_LEAST + 1);
+            (text, records)
+        })
+        .collect();
+    let mut pieces: Vec<Piece<'_, R>> = starts
+        .into_par_iter()
+        .map(|(text, records)| {
+            let mut piece = Piece {
+                text,
+                records,
+                corrupt: Vec::new(),
+                unterminated: None,
+            };
+            for line in jsonl::classify(text, decode_line) {
+                match line {
+                    Line::Record {
+                        record: (key, measurement),
+                        text,
+                        terminated,
+                    } => {
+                        if !terminated {
+                            piece.unterminated = Some(text);
+                        }
+                        piece.records.push(key, measurement);
+                    }
+                    // A truncated final record from an interrupted append; the next flush
+                    // truncates it away before appending.
+                    Line::Torn => {}
+                    Line::Corrupt {
+                        number,
+                        text,
+                        error,
+                    } => piece.corrupt.push(CorruptLine {
+                        number,
+                        text,
+                        error,
+                    }),
+                }
+            }
+            piece.records.finish();
+            piece
+        })
+        .collect();
+    // `classify` numbers a piece's lines from 1; counting the newlines of the pieces
+    // before costs a pass over the text, so it happens only when a line is corrupt.
+    if pieces.iter().any(|piece| !piece.corrupt.is_empty()) {
+        let mut earlier_lines = 0;
+        for piece in &mut pieces {
+            for line in &mut piece.corrupt {
+                line.number += earlier_lines;
+            }
+            earlier_lines += piece.text.matches('\n').count();
+        }
+    }
+    pieces
+}
+
 /// What [`DiskSimCache::compact`] did to a log file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionReport {
@@ -203,63 +380,56 @@ impl DiskSimCache {
     ///
     /// A missing file is an empty cache; missing parent directories are created.  The
     /// read holds a shared advisory lock, so a concurrent worker's flush never tears a
-    /// record mid-read.  A malformed final line **without a trailing newline** is
-    /// tolerated and ignored — it is the signature of a process killed mid-append, and
-    /// the next flush truncates it away — but corruption anywhere else (including a
-    /// newline-terminated final record) is an error: silently dropping archived
-    /// simulations would quietly re-pay for them.
+    /// record mid-read.  The log is decoded in parallel pieces and its text freed before
+    /// the in-memory shards are built in bulk; when a key has several records the last
+    /// one wins (see [Loading](crate::disk#loading)).  A malformed final line **without a
+    /// trailing newline** is tolerated and ignored — it is the signature of a process
+    /// killed mid-append, and the next flush truncates it away — but corruption anywhere
+    /// else (including a newline-terminated final record) is an error: silently dropping
+    /// archived simulations would quietly re-pay for them.
     ///
     /// # Errors
     ///
-    /// Returns a [`CacheError`] on filesystem failures or a corrupt non-final record.
+    /// Returns a [`CacheError`] on filesystem failures or a corrupt non-final record (the
+    /// first in file order).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheError> {
-        let path = path.as_ref().to_path_buf();
+        Self::open_in_pieces(path.as_ref(), rayon::current_num_threads())
+    }
+
+    /// [`open`](Self::open), decoding the log in `pieces` pieces.
+    fn open_in_pieces(path: &Path, pieces: usize) -> Result<Self, CacheError> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let cache = Self {
-            path,
-            memory: InMemorySimCache::new(),
-            pending: Mutex::new(Vec::new()),
-        };
-        let text = match jsonl::read(&cache.path) {
+        let text = match jsonl::read(path) {
             Ok(text) => text,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => String::new(),
             Err(err) => return Err(err.into()),
         };
-        for line in jsonl::classify(&text, decode_line) {
-            match line {
-                Line::Record {
-                    record: (key, measurement),
-                    text,
-                    terminated,
-                } => {
-                    if !terminated {
-                        // A complete record whose trailing newline was lost in a crash:
-                        // the next flush truncates every un-terminated byte, so queue the
-                        // record for re-append or it would vanish from the log.
-                        cache
-                            .pending
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .push(text.to_string());
-                    }
-                    cache.memory.insert_warm(key, measurement);
-                }
-                // A truncated final record from an interrupted append; the next flush
-                // truncates it away before appending.
-                Line::Torn => {}
-                Line::Corrupt { number, error, .. } => {
-                    return Err(CacheError::Corrupt {
-                        line: number,
-                        message: error,
-                    });
-                }
+        let mut parts = Vec::with_capacity(pieces);
+        let mut pending = Vec::new();
+        for piece in decode_pieces::<WarmParts>(&text, pieces) {
+            if let Some(line) = piece.corrupt.into_iter().next() {
+                return Err(CacheError::Corrupt {
+                    line: line.number,
+                    message: line.error,
+                });
             }
+            // A complete record whose trailing newline was lost in a crash: the next
+            // flush truncates every un-terminated byte, so queue the record for re-append
+            // or it would vanish from the log.
+            pending.extend(piece.unterminated.map(str::to_string));
+            parts.push(piece.records);
         }
-        Ok(cache)
+        // The text is no longer needed: free it before the maps are built.
+        drop(text);
+        Ok(Self {
+            path: path.to_path_buf(),
+            memory: InMemorySimCache::from_warm(parts),
+            pending: Mutex::new(pending),
+        })
     }
 
     /// The log file this cache persists to.
@@ -347,29 +517,26 @@ impl DiskSimCache {
         let mut records = 0usize;
         let mut dropped_legacy = 0usize;
         let mut quarantined: Vec<&str> = Vec::new();
-        for line in jsonl::classify(&text, decode_line) {
-            match line {
-                Line::Record {
-                    record: (key, measurement),
-                    ..
-                } => {
-                    if options.drop_legacy && key.is_legacy_kernel() {
-                        dropped_legacy += 1;
-                        continue;
-                    }
-                    records += 1;
-                    if latest.insert(key.clone(), measurement).is_none() {
-                        order.push(key);
-                    }
-                }
-                // Torn tail of a crashed append: repaired by the rewrite below.
-                Line::Torn => {}
-                Line::Corrupt { text, .. } if options.quarantine => quarantined.push(text),
-                Line::Corrupt { number, error, .. } => {
+        let pieces: Vec<Piece<'_, Vec<_>>> = decode_pieces(&text, rayon::current_num_threads());
+        // A torn tail of a crashed append was skipped: the rewrite below repairs it.
+        for piece in pieces {
+            for line in piece.corrupt {
+                if !options.quarantine {
                     return Err(CacheError::Corrupt {
-                        line: number,
-                        message: error,
+                        line: line.number,
+                        message: line.error,
                     });
+                }
+                quarantined.push(line.text);
+            }
+            for (key, measurement) in piece.records {
+                if options.drop_legacy && key.is_legacy_kernel() {
+                    dropped_legacy += 1;
+                    continue;
+                }
+                records += 1;
+                if latest.insert(key.clone(), measurement).is_none() {
+                    order.push(key);
                 }
             }
         }
@@ -692,6 +859,110 @@ mod tests {
             );
             assert!(message.contains("must be finite"), "{name}: {message}");
         }
+    }
+
+    /// A v2 log line for `key(sin_ps, cload_ff)` measured at `delay_ps`.
+    fn record(sin_ps: f64, cload_ff: f64, delay_ps: f64) -> String {
+        codec::encode_record(&key(sin_ps, cload_ff), &measurement(delay_ps))
+    }
+
+    /// Asserts that `cache` holds exactly `expected`, `((sin, cload), delay)` each, as
+    /// warm records.
+    fn assert_loaded(cache: &DiskSimCache, expected: &[((f64, f64), f64)], pieces: usize) {
+        assert_eq!(cache.len(), expected.len(), "{pieces} pieces");
+        for &((sin, cload), delay) in expected {
+            assert_eq!(
+                cache.lookup(&key(sin, cload)),
+                Some(measurement(delay)),
+                "{pieces} pieces: key ({sin}, {cload})"
+            );
+        }
+        assert_eq!(cache.warm_hits(), expected.len() as u64, "{pieces} pieces");
+        assert_eq!(cache.misses(), 0, "{pieces} pieces");
+    }
+
+    #[test]
+    fn the_loaded_cache_does_not_depend_on_the_piece_count() {
+        // Line 1 stores a key that line 6 stores again with a changed value; line 3 is
+        // blank.
+        let body = [
+            record(5.0, 2.0, 12.0),
+            record(6.0, 3.0, 15.0),
+            String::new(),
+            record(7.0, 4.0, 18.0),
+            record(8.0, 1.0, 21.0),
+            record(5.0, 2.0, 99.0),
+        ]
+        .join("\n")
+            + "\n";
+        let last = record(9.0, 4.0, 20.0);
+        let loaded = [
+            ((5.0, 2.0), 99.0),
+            ((6.0, 3.0), 15.0),
+            ((7.0, 4.0), 18.0),
+            ((8.0, 1.0), 21.0),
+        ];
+        // One piece, a few, and more pieces than the log has lines.
+        for pieces in [1, 2, 3, 12] {
+            // A torn final line is skipped.
+            let path = temp_path(&format!("pieces-torn-{pieces}.jsonl"));
+            std::fs::write(&path, format!("{body}{}", &last[..last.len() / 2])).unwrap();
+            let cache = DiskSimCache::open_in_pieces(&path, pieces).expect("tolerates");
+            assert_loaded(&cache, &loaded, pieces);
+            assert!(cache.pending.lock().unwrap().is_empty(), "{pieces} pieces");
+            drop(cache);
+            std::fs::remove_file(&path).ok();
+
+            // A complete final record without its newline loads, and the next flush
+            // re-appends it whole after truncating its bytes.
+            let path = temp_path(&format!("pieces-no-newline-{pieces}.jsonl"));
+            std::fs::write(&path, format!("{body}{last}")).unwrap();
+            let cache = DiskSimCache::open_in_pieces(&path, pieces).expect("opens");
+            let mut with_last = loaded.to_vec();
+            with_last.push(((9.0, 4.0), 20.0));
+            assert_loaded(&cache, &with_last, pieces);
+            assert_eq!(*cache.pending.lock().unwrap(), vec![last.clone()]);
+            cache.flush().expect("flushes");
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                format!("{body}{last}\n"),
+                "{pieces} pieces"
+            );
+            drop(cache);
+            std::fs::remove_file(&path).ok();
+
+            // A newline-terminated corrupt line is reported at its line in the file.
+            let path = temp_path(&format!("pieces-corrupt-{pieces}.jsonl"));
+            std::fs::write(&path, format!("{body}{{broken\n{last}\n")).unwrap();
+            let err = DiskSimCache::open_in_pieces(&path, pieces).expect_err("corrupt");
+            std::fs::remove_file(&path).ok();
+            assert!(
+                err.to_string()
+                    .starts_with("corrupt cache record at line 7:"),
+                "{pieces} pieces: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn split_lines_cuts_after_newlines() {
+        let text = "a\nbb\n\nccc\nd";
+        for count in 1..=8 {
+            let pieces = split_lines(text, count);
+            assert_eq!(pieces.concat(), text, "{count} pieces");
+            assert!(pieces.len() <= count && !pieces.is_empty(), "{pieces:?}");
+            let (last, earlier) = pieces.split_last().unwrap();
+            assert!(!last.is_empty(), "{pieces:?}");
+            assert!(
+                earlier.iter().all(|piece| piece.ends_with('\n')),
+                "{pieces:?}"
+            );
+        }
+        assert!(
+            split_lines(text, 8).len() <= 5,
+            "never more pieces than lines"
+        );
+        assert!(split_lines("", 4).is_empty());
     }
 
     #[test]

@@ -37,7 +37,6 @@ use slic_obs::Observability;
 use slic_units::Amperes;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -56,10 +55,9 @@ pub type MixedLane = (Cell, TimingArc, InputPoint, ProcessSample);
 /// by 30 %, with the local workloads flat.  The scalar kernel integrates lane by lane, so
 /// the width never changes its bits.
 fn batch_width(lanes: usize) -> usize {
-    let threads = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    lanes.div_ceil(4 * threads).clamp(1, 64)
+    lanes
+        .div_ceil(4 * rayon::current_num_threads())
+        .clamp(1, 64)
 }
 
 /// An invalid [`TransientConfig`] was supplied to an engine constructor.
@@ -937,7 +935,7 @@ mod tests {
             2_500,
             "every lane is paid once"
         );
-        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let cores = rayon::current_num_threads();
         assert_eq!(
             calls.iter().max(),
             Some(&2_500usize.div_ceil(4 * cores).min(64)),
