@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench bench-kernel bench-kernel-diff bench-e2e lint profile fmt clippy clean
+.PHONY: build test bench bench-paper bench-kernel bench-kernel-diff bench-e2e lint profile fmt clippy clean
 
 build:
 	$(CARGO) build --release
@@ -12,6 +12,11 @@ test:
 
 bench:
 	$(CARGO) bench -p slic-bench
+
+# The paper's figures, tables and ablations as Markdown; rewrites BENCH_paper.json at the
+# repo root (CI requires the committed file to match and gates its claims).
+bench-paper:
+	$(CARGO) bench -p slic-bench --bench paper
 
 # Transient-kernel throughput bench; rewrites BENCH_transient.json at the repo root.
 bench-kernel:

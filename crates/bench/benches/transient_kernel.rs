@@ -17,14 +17,14 @@
 //! hardware allows" target is about.
 
 use slic::prelude::*;
-use slic_bench::banner;
-use slic_bench::emit::{SpeedupReport, TransientBenchReport, VariantReport};
+use slic_bench::emit::{self, KernelWorkload, TransientBenchReport, VariantReport};
 use slic_spice::{
     simulate_switching_rk4, LocalBackend, SimRequest, SimulationBackend, TransientStats,
 };
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -180,10 +180,7 @@ fn accuracy_vs(golden: &[TimingMeasurement], measured: &[TimingMeasurement]) -> 
 }
 
 fn main() {
-    banner(
-        "Transient kernel throughput (BENCH_transient.json)",
-        "Monte Carlo sweep: scalar RK4 vs the embedded pair through the scalar and SIMD backends",
-    );
+    println!("Transient kernel throughput (BENCH_transient.json)\n");
     let w = workload();
     let sims = w.points.len() * w.seeds.len();
     let reps = if w.reduced { 3 } else { 5 };
@@ -236,19 +233,19 @@ fn main() {
         }
     }
 
-    let ratio = |fast: &str, slow: &str, config: &str| -> Option<SpeedupReport> {
+    let ratio = |fast: &str, slow: &str, config: &str| -> Option<(String, f64)> {
         let fast_v = variants
             .iter()
             .find(|v| v.name == fast && v.config == config)?;
         let slow_v = variants
             .iter()
             .find(|v| v.name == slow && v.config == config)?;
-        Some(SpeedupReport {
-            name: format!("{fast}_vs_{slow}_{config}"),
-            ratio: fast_v.sims_per_sec / slow_v.sims_per_sec,
-        })
+        Some((
+            format!("{fast}_vs_{slow}_{config}"),
+            fast_v.sims_per_sec / slow_v.sims_per_sec,
+        ))
     };
-    let speedups: Vec<SpeedupReport> = [
+    let speedups: BTreeMap<String, f64> = [
         ratio("embedded_scalar", "rk4_scalar", "fast"),
         ratio("embedded_batch", "rk4_scalar", "fast"),
         ratio("embedded_scalar", "rk4_scalar", "accurate"),
@@ -263,17 +260,21 @@ fn main() {
     .collect();
 
     println!();
-    for s in &speedups {
-        println!("{:<44} {:.2}x", s.name, s.ratio);
+    for (name, ratio) in &speedups {
+        println!("{name:<44} {ratio:.2}x");
     }
 
     let report = TransientBenchReport {
+        schema: emit::TRANSIENT_SCHEMA,
         reduced: w.reduced,
-        cell: w.cell.to_string(),
-        arc: w.arc.output_transition().to_string(),
-        tech: w.tech.name().to_string(),
-        points: w.points.len(),
-        seeds: w.seeds.len(),
+        workload: KernelWorkload {
+            cell: w.cell.to_string(),
+            arc: w.arc.output_transition().to_string(),
+            tech: w.tech.name().to_string(),
+            points: w.points.len(),
+            seeds: w.seeds.len(),
+            sims_per_variant: sims,
+        },
         variants,
         speedups,
     };
@@ -283,6 +284,6 @@ fn main() {
             // Default into the workspace root (the bench's working directory is the crate).
             PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_transient.json")
         });
-    report.write(&out).expect("artifact written");
+    emit::write(&out, &report).expect("artifact written");
     println!("\nwrote {}", out.display());
 }

@@ -1,20 +1,22 @@
-//! Machine-readable bench artifacts (`BENCH_*.json`).
+//! Machine-readable bench artifacts (`BENCH_*.json`), written through derived
+//! `Serialize` and `serde_json` by [`to_json`].
 //!
 //! The transient-kernel bench records its measurements as a JSON artifact so the speedup
 //! is a committed, regression-gated number rather than a claim in a commit message: CI
 //! re-runs the bench in reduced mode and fails if throughput or accuracy regresses against
 //! the committed `BENCH_transient.json` (see the "Performance" section of the README for
-//! the schema).
-//!
-//! The JSON is emitted by hand rather than through serde so the artifact layout is stable
-//! and diff-friendly regardless of the serde stand-in's value model.
+//! the schema).  The `paper` bench writes `BENCH_paper.json` the same way.
 
-use std::fmt::Write as _;
+use serde::{Serialize, Value};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
+/// The `schema` value of `BENCH_transient.json`.
+pub const TRANSIENT_SCHEMA: &str = "slic-bench/transient-kernel/v1";
+
 /// Measurements of one kernel variant at one configuration preset.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VariantReport {
     /// Kernel variant: `rk4_scalar`, `embedded_scalar` or `embedded_batch`.
     pub name: String,
@@ -36,20 +38,9 @@ pub struct VariantReport {
     pub max_slew_err_vs_golden_pct: f64,
 }
 
-/// One named speedup ratio derived from the variant table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeedupReport {
-    /// Ratio name, e.g. `embedded_batch_vs_rk4_scalar_fast`.
-    pub name: String,
-    /// Throughput ratio (dimensionless, > 1 means faster).
-    pub ratio: f64,
-}
-
-/// The complete transient-kernel bench artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransientBenchReport {
-    /// Whether the bench ran in CI's reduced smoke mode.
-    pub reduced: bool,
+/// The sweep every variant of the transient-kernel bench runs.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct KernelWorkload {
     /// Cell whose arc was simulated.
     pub cell: String,
     /// Arc transition direction.
@@ -60,19 +51,24 @@ pub struct TransientBenchReport {
     pub points: usize,
     /// Process seeds per input point.
     pub seeds: usize,
-    /// Per-variant measurements.
-    pub variants: Vec<VariantReport>,
-    /// Derived throughput ratios.
-    pub speedups: Vec<SpeedupReport>,
+    /// Simulations per variant and preset: `points * seeds`.
+    pub sims_per_variant: usize,
 }
 
-/// Formats a float so it parses as a JSON number (finite; six significant decimals).
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "0.0".to_string()
-    }
+/// The complete transient-kernel bench artifact.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct TransientBenchReport {
+    /// Always [`TRANSIENT_SCHEMA`].
+    pub schema: &'static str,
+    /// Whether the bench ran in CI's reduced smoke mode.
+    pub reduced: bool,
+    /// The measured sweep.
+    pub workload: KernelWorkload,
+    /// Per-variant measurements.
+    pub variants: Vec<VariantReport>,
+    /// Derived throughput ratios keyed by name, e.g. `embedded_batch_vs_rk4_scalar_fast`
+    /// (dimensionless, > 1 means faster).
+    pub speedups: BTreeMap<String, f64>,
 }
 
 impl TransientBenchReport {
@@ -85,87 +81,36 @@ impl TransientBenchReport {
 
     /// The named speedup ratio, if derived.
     pub fn speedup(&self, name: &str) -> Option<f64> {
-        self.speedups
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.ratio)
+        self.speedups.get(name).copied()
     }
+}
 
-    /// Renders the artifact as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"slic-bench/transient-kernel/v1\",\n");
-        let _ = writeln!(out, "  \"reduced\": {},", self.reduced);
-        let _ = writeln!(out, "  \"workload\": {{");
-        let _ = writeln!(out, "    \"cell\": \"{}\",", self.cell);
-        let _ = writeln!(out, "    \"arc\": \"{}\",", self.arc);
-        let _ = writeln!(out, "    \"tech\": \"{}\",", self.tech);
-        let _ = writeln!(out, "    \"points\": {},", self.points);
-        let _ = writeln!(out, "    \"seeds\": {},", self.seeds);
-        let _ = writeln!(
-            out,
-            "    \"sims_per_variant\": {}",
-            self.points * self.seeds
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"variants\": [");
-        for (i, v) in self.variants.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"name\": \"{}\",", v.name);
-            let _ = writeln!(out, "      \"config\": \"{}\",", v.config);
-            let _ = writeln!(
-                out,
-                "      \"sims_per_sec\": {},",
-                json_number(v.sims_per_sec)
-            );
-            let _ = writeln!(
-                out,
-                "      \"steps_per_sim\": {},",
-                json_number(v.steps_per_sim)
-            );
-            let _ = writeln!(
-                out,
-                "      \"rejected_steps_per_sim\": {},",
-                json_number(v.rejected_steps_per_sim)
-            );
-            let _ = writeln!(
-                out,
-                "      \"device_evals_per_sim\": {},",
-                json_number(v.device_evals_per_sim)
-            );
-            let _ = writeln!(
-                out,
-                "      \"max_delay_err_vs_golden_pct\": {},",
-                json_number(v.max_delay_err_vs_golden_pct)
-            );
-            let _ = writeln!(
-                out,
-                "      \"max_slew_err_vs_golden_pct\": {}",
-                json_number(v.max_slew_err_vs_golden_pct)
-            );
-            let comma = if i + 1 < self.variants.len() { "," } else { "" };
-            let _ = writeln!(out, "    }}{comma}");
+/// Renders a bench artifact as pretty-printed JSON with a trailing newline.  A
+/// non-finite number (a variant too fast to time, say) is written as `0`, since JSON has
+/// no encoding for it.
+pub fn to_json(report: &impl Serialize) -> String {
+    fn finite(value: &mut Value) {
+        match value {
+            Value::Number(n) if !n.is_finite() => *n = 0.0,
+            Value::Array(items) => items.iter_mut().for_each(finite),
+            Value::Object(entries) => entries.iter_mut().for_each(|(_, v)| finite(v)),
+            _ => {}
         }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"speedups\": {{");
-        for (i, s) in self.speedups.iter().enumerate() {
-            let comma = if i + 1 < self.speedups.len() { "," } else { "" };
-            let _ = writeln!(out, "    \"{}\": {}{comma}", s.name, json_number(s.ratio));
-        }
-        let _ = writeln!(out, "  }}");
-        out.push_str("}\n");
-        out
     }
+    let mut value = report.to_value();
+    finite(&mut value);
+    let mut json = serde_json::to_string_pretty(&value).expect("every number is finite");
+    json.push('\n');
+    json
+}
 
-    /// Writes the artifact to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
+/// Writes a bench artifact to `path`.
+///
+/// # Errors
+///
+/// Propagates the underlying filesystem error.
+pub fn write(path: &Path, report: &impl Serialize) -> io::Result<()> {
+    std::fs::write(path, to_json(report))
 }
 
 #[cfg(test)]
@@ -174,12 +119,16 @@ mod tests {
 
     fn sample_report() -> TransientBenchReport {
         TransientBenchReport {
+            schema: TRANSIENT_SCHEMA,
             reduced: true,
-            cell: "NAND2_X1".to_string(),
-            arc: "fall".to_string(),
-            tech: "n28_bulk".to_string(),
-            points: 2,
-            seeds: 8,
+            workload: KernelWorkload {
+                cell: "NAND2_X1".to_string(),
+                arc: "fall".to_string(),
+                tech: "n28_bulk".to_string(),
+                points: 2,
+                seeds: 8,
+                sims_per_variant: 16,
+            },
             variants: vec![VariantReport {
                 name: "rk4_scalar".to_string(),
                 config: "fast".to_string(),
@@ -190,16 +139,13 @@ mod tests {
                 max_delay_err_vs_golden_pct: 0.9,
                 max_slew_err_vs_golden_pct: 0.1,
             }],
-            speedups: vec![SpeedupReport {
-                name: "embedded_batch_vs_rk4_scalar_fast".to_string(),
-                ratio: 5.5,
-            }],
+            speedups: BTreeMap::from([("embedded_batch_vs_rk4_scalar_fast".to_string(), 5.5)]),
         }
     }
 
     #[test]
     fn artifact_is_valid_json() {
-        let json = sample_report().to_json();
+        let json = to_json(&sample_report());
         let value: serde::Value = serde_json::from_str(&json).expect("artifact must parse");
         let serde::Value::Object(map) = value else {
             panic!("artifact must be a JSON object");
@@ -223,9 +169,16 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_are_sanitized() {
-        assert_eq!(json_number(f64::NAN), "0.0");
-        assert_eq!(json_number(f64::INFINITY), "0.0");
-        assert_eq!(json_number(2.5), "2.500000");
+        let mut report = sample_report();
+        report.variants[0].sims_per_sec = f64::NAN;
+        report.variants[0].steps_per_sim = f64::INFINITY;
+        report.variants[0].device_evals_per_sim = 2.5;
+        let value: Value = serde_json::from_str(&to_json(&report)).unwrap();
+        let variant = &value.get("variants").unwrap().as_array().unwrap()[0];
+        let number = |key: &str| variant.get(key).and_then(Value::as_f64);
+        assert_eq!(number("sims_per_sec"), Some(0.0));
+        assert_eq!(number("steps_per_sim"), Some(0.0));
+        assert_eq!(number("device_evals_per_sim"), Some(2.5));
     }
 
     #[test]
@@ -234,9 +187,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_transient.json");
         let report = sample_report();
-        report.write(&path).unwrap();
+        write(&path, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, report.to_json());
+        assert_eq!(text, to_json(&report));
         std::fs::remove_file(&path).ok();
     }
 }

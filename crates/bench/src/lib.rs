@@ -1,26 +1,18 @@
 //! Shared scaffolding for the experiment-regeneration benches.
 //!
-//! Every table and figure of the paper has a bench target in `benches/`; each target first
-//! *regenerates the experiment data* (printed to stdout so `cargo bench` output doubles as
-//! the EXPERIMENTS.md source) and then lets Criterion time one representative kernel of that
-//! experiment.  The experiment sizes here are reduced relative to the paper (the paper's
-//! baselines are 1000-point × 1000-seed HSPICE campaigns); the *shape* of every comparison —
-//! who wins, by roughly what factor, where the crossovers sit — is what the harness
+//! The `paper` bench regenerates every table and figure of the paper once, prints each as
+//! Markdown and records them in the committed `BENCH_paper.json` ([`paper`]); the
+//! `transient_kernel` bench times the transient solver and records `BENCH_transient.json`
+//! ([`emit`]).  The experiment sizes are reduced relative to the paper (the paper's
+//! baselines are 1000-point × 1000-seed HSPICE campaigns); the *shape* of every comparison
+//! — who wins, by roughly what factor, where the crossovers sit — is what the harness
 //! reproduces.
 
 pub mod emit;
+pub mod paper;
 
 use slic::historical::{HistoricalLearner, HistoricalLearningConfig};
 use slic::prelude::*;
-
-/// Criterion settings shared by every bench target: small sample counts so that the full
-/// `cargo bench --workspace` run stays in the minutes range.
-pub fn criterion_config() -> criterion::Criterion {
-    criterion::Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(500))
-}
 
 /// Historical-learning configuration used by the benches (coarser than the paper's grids but
 /// enough for stable priors).
@@ -53,14 +45,6 @@ pub fn planar_history() -> Vec<TechnologyNode> {
     ]
 }
 
-/// Prints a banner identifying which paper artefact a bench regenerates.
-pub fn banner(experiment: &str, description: &str) {
-    println!("\n==================================================================");
-    println!("  {experiment}");
-    println!("  {description}");
-    println!("==================================================================");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,11 +54,6 @@ mod tests {
         let db = bench_historical_db(&finfet_history());
         assert!(!db.is_empty());
         assert_eq!(db.technology_names().len(), 2);
-    }
-
-    #[test]
-    fn criterion_config_is_constructible() {
-        let _ = criterion_config();
         assert_eq!(finfet_history().len(), 2);
         assert_eq!(planar_history().len(), 3);
     }

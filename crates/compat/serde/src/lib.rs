@@ -320,6 +320,16 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     }
 }
 
+impl<T: Serialize> Serialize for std::collections::BTreeMap<String, T> {
+    fn to_value(&self) -> Value {
+        Value::Object(
+            self.iter()
+                .map(|(key, value)| (key.clone(), value.to_value()))
+                .collect(),
+        )
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
@@ -455,6 +465,14 @@ mod tests {
         assert_eq!(Option::<String>::from_value(&Value::Null).unwrap(), None);
         assert_eq!(Option::<String>::absent_field("x").unwrap(), None);
         assert!(String::absent_field("x").is_err());
+        let map = std::collections::BTreeMap::from([("b".to_string(), 2u8), ("a".to_string(), 1)]);
+        assert_eq!(
+            map.to_value(),
+            Value::Object(vec![
+                ("a".to_string(), Value::Number(1.0)),
+                ("b".to_string(), Value::Number(2.0)),
+            ])
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! Accuracy is measured against a dense random-validation baseline (the paper uses 1000
 //! points).  From the resulting error-vs-`k` curves, [`NominalStudyResult::speedup_at`]
 //! derives how many times fewer simulations one method needs than another to reach a given
-//! accuracy.
+//! accuracy, and [`Reduction`] reads the paper's reduction against the lookup table off each
+//! curve's best-so-far error.
 //!
 //! [`fit_and_validate`] is the one fit-and-score step: the study calls it per method and
 //! training count, and every nominal `slic characterize` work unit calls it once, so the
@@ -116,6 +117,87 @@ impl MethodCurve {
     /// The error achieved at the largest training count (`None` for an empty curve).
     pub fn final_error(&self) -> Option<f64> {
         self.errors_percent.last().copied()
+    }
+
+    /// The lowest error at any training count (`None` for an empty curve).
+    pub fn best_error(&self) -> Option<f64> {
+        self.errors_percent.iter().copied().reduce(f64::min)
+    }
+
+    /// The training count at which the curve's best-so-far error (the running minimum
+    /// over increasing `k`) first reaches `target_percent`, interpolated linearly in
+    /// `log k` between the two grid points that bracket the target.  `None` if the curve
+    /// never reaches it.
+    pub fn reach(&self, target_percent: f64) -> Option<Reach> {
+        let mut best = f64::INFINITY;
+        // `(ln k, best-so-far error)` of the previous grid point, still above the target.
+        let mut above: Option<(f64, f64)> = None;
+        for (&k, &error) in self.training_counts.iter().zip(&self.errors_percent) {
+            best = best.min(error);
+            let ln_k = (k as f64).ln();
+            if best <= target_percent {
+                let conditions = match above {
+                    None => k as f64,
+                    Some((ln_before, before)) => {
+                        let t = (before - target_percent) / (before - best);
+                        (ln_before + t * (ln_k - ln_before)).exp()
+                    }
+                };
+                return Some(Reach {
+                    conditions,
+                    at_first_point: above.is_none(),
+                });
+            }
+            above = Some((ln_k, best));
+        }
+        None
+    }
+}
+
+/// The accuracy the paper quotes for Fig. 6: about 4.3 % delay error from a prior plus two
+/// fitting points.  The nominal reductions are read at this target.
+pub const FIG6_TARGET_PERCENT: f64 = 4.3;
+
+/// Where a curve reaches a target accuracy (see [`MethodCurve::reach`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reach {
+    /// Training conditions `k` needed, interpolated between grid points.
+    pub conditions: f64,
+    /// The curve is already at or below the target at its smallest `k`, so it may need
+    /// fewer conditions than `conditions`.
+    pub at_first_point: bool,
+}
+
+/// A method's reduction in simulations against the lookup table at one target accuracy,
+/// as the paper reports it: the conditions the LUT needs divided by the conditions the
+/// method needs.  Both pay the same simulations per condition (one, or one per process
+/// seed), so the ratio of conditions is the ratio of simulations.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reduction {
+    /// Where the method reaches the target (`None`: never within its grid).
+    pub method: Option<Reach>,
+    /// Where the lookup table reaches the target (`None`: never within its grid).
+    pub lut: Option<Reach>,
+}
+
+impl Reduction {
+    /// Compares `method` with `lut` at `target_percent`.
+    pub fn at(target_percent: f64, method: &MethodCurve, lut: &MethodCurve) -> Self {
+        Self {
+            method: method.reach(target_percent),
+            lut: lut.reach(target_percent),
+        }
+    }
+
+    /// The LUT's conditions divided by the method's (`None` when either never reaches
+    /// the target).
+    pub fn factor(&self) -> Option<f64> {
+        Some(self.lut?.conditions / self.method?.conditions)
+    }
+
+    /// The method reaches the target at its smallest `k`, so the factor is a lower bound.
+    pub fn is_lower_bound(&self) -> bool {
+        self.method.is_some_and(|m| m.at_first_point)
     }
 }
 
@@ -492,6 +574,57 @@ mod tests {
         assert!(result
             .speedup_at(0.1, MethodKind::ProposedBayesian, MethodKind::Lut)
             .is_none());
+    }
+
+    fn curve(method: MethodKind, errors_percent: &[f64]) -> MethodCurve {
+        let training_counts = vec![1, 2, 3, 5, 10, 20];
+        MethodCurve {
+            method,
+            simulations: training_counts.iter().map(|&k| 80 * k as u64).collect(),
+            training_counts,
+            errors_percent: errors_percent.to_vec(),
+        }
+    }
+
+    #[test]
+    fn reductions_read_the_best_so_far_error_on_log_k() {
+        // Shaped like Fig. 7's E(sigma_Td) LUT curve: best at k = 10, worse again at 20.
+        let lut = curve(MethodKind::Lut, &[27.66, 27.75, 27.75, 27.75, 17.42, 20.29]);
+        assert_eq!(lut.best_error(), Some(17.42));
+        let at_best = lut.reach(17.42).unwrap();
+        assert!((at_best.conditions - 10.0).abs() < 1e-9, "{at_best:?}");
+        assert!(!at_best.at_first_point);
+        // 19 % lies between k = 5 and k = 10 on the best-so-far curve, which is 27.66 up
+        // to k = 5; the worse k = 20 point neither brackets it nor pushes the cost to 20.
+        let t = (27.66 - 19.0) / (27.66 - 17.42);
+        let expected = (5f64.ln() + t * (10f64.ln() - 5f64.ln())).exp();
+        assert!((lut.reach(19.0).unwrap().conditions - expected).abs() < 1e-9);
+
+        // A method already below the target at its first k: cost 1, a lower bound.
+        let bayes = curve(
+            MethodKind::ProposedBayesian,
+            &[4.80, 3.99, 3.12, 3.27, 3.03, 2.97],
+        );
+        let reduction = Reduction::at(17.42, &bayes, &lut);
+        assert_eq!(
+            reduction.method,
+            Some(Reach {
+                conditions: 1.0,
+                at_first_point: true
+            })
+        );
+        assert!(reduction.is_lower_bound());
+        assert!((reduction.factor().unwrap() - 10.0).abs() < 1e-9);
+
+        // A method that never reaches the target has no reduction.
+        let lse = curve(
+            MethodKind::ProposedLse,
+            &[34.0, 31.0, 29.0, 28.0, 27.9, 27.8],
+        );
+        let never = Reduction::at(17.42, &lse, &lut);
+        assert_eq!(never.method, None);
+        assert_eq!(never.factor(), None);
+        assert!(!never.is_lower_bound());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Run with `cargo run --release --example statistical_28nm`.
 
 use slic::historical::{HistoricalLearner, HistoricalLearningConfig};
-use slic::nominal::MethodKind;
+use slic::nominal::{MethodKind, Reduction};
 use slic::prelude::*;
 use slic::statistical::{StatMetric, StatisticalStudy, StatisticalStudyConfig};
 
@@ -43,22 +43,24 @@ fn main() {
     ] {
         println!("--- {title} ---");
         println!("{}", result.to_markdown(metric));
-        let final_error = |method| {
+        // The paper's reduction at the LUT's best error within its training grid.
+        let curve = |method| {
             result
                 .curves_for(method)
-                .and_then(|c| c.as_method_curve(metric).final_error())
+                .map(|c| c.as_method_curve(metric))
                 .expect("the study ran every method")
         };
-        let target = final_error(MethodKind::ProposedBayesian).max(final_error(MethodKind::Lut));
-        if let Some(speedup) = result.speedup_at(
-            metric,
-            target,
-            MethodKind::ProposedBayesian,
-            MethodKind::Lut,
-        ) {
-            println!("speedup vs LUT at {target:.2}%: {speedup:.1}x\n");
+        let lut = curve(MethodKind::Lut);
+        let target = lut.best_error().expect("the LUT curve is non-empty");
+        let reduction = Reduction::at(target, &curve(MethodKind::ProposedBayesian), &lut);
+        let bound = if reduction.is_lower_bound() {
+            ">= "
         } else {
-            println!();
+            ""
+        };
+        match reduction.factor() {
+            Some(factor) => println!("reduction vs LUT at {target:.2}%: {bound}{factor:.1}x\n"),
+            None => println!("no reduction: the Bayesian curve never reaches {target:.2}%\n"),
         }
     }
     println!(
