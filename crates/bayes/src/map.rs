@@ -22,8 +22,7 @@ use crate::prior::{ParameterPrior, PriorBuilder, PriorError};
 use serde::{Deserialize, Serialize};
 use slic_linalg::{Matrix, Vector};
 use slic_spice::InputSpace;
-use slic_stats::MultivariateGaussian;
-use slic_timing_model::{FitConfig, LeastSquaresFitter, TimingParams, TimingSample, PARAM_COUNT};
+use slic_timing_model::{LeastSquaresFitter, TimingParams, TimingSample, PARAM_COUNT};
 
 /// Result of a MAP extraction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -47,39 +46,19 @@ impl MapFit {
     pub fn posterior_std_devs(&self) -> Vector {
         Vector::from_fn(PARAM_COUNT, |i| self.posterior_covariance[(i, i)].sqrt())
     }
-
-    /// The posterior as a multivariate Gaussian (for posterior-predictive sampling).
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the stored covariance lost positive definiteness, which construction
-    /// guards against by regularizing.
-    pub fn posterior(&self) -> MultivariateGaussian {
-        #[expect(
-            clippy::expect_used,
-            reason = "baselined: construction regularizes the posterior covariance to positive definite"
-        )]
-        MultivariateGaussian::new(self.params.to_vector(), self.posterior_covariance.clone())
-            .expect("posterior covariance is positive definite by construction")
-    }
 }
 
-/// The MAP extractor: a prior, a precision field and a solver configuration.
+/// The MAP extractor: a prior and a precision field.
 #[derive(Debug, Clone)]
 pub struct MapExtractor {
     prior: ParameterPrior,
     precision: PrecisionModel,
-    fit_config: FitConfig,
 }
 
 impl MapExtractor {
     /// Creates an extractor from a learned prior and precision field.
     pub fn new(prior: ParameterPrior, precision: PrecisionModel) -> Self {
-        Self {
-            prior,
-            precision,
-            fit_config: FitConfig::default(),
-        }
+        Self { prior, precision }
     }
 
     /// Learns the extractor for one cell kind (e.g. `"NAND2"`) and metric from `db`: the
@@ -104,23 +83,6 @@ impl MapExtractor {
         Ok(Self::new(prior, precision))
     }
 
-    /// Replaces the solver configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation.
-    pub fn with_fit_config(mut self, config: FitConfig) -> Self {
-        #[expect(
-            clippy::panic,
-            reason = "baselined: an invalid fit configuration is a caller bug, documented under Panics"
-        )]
-        if let Err(msg) = config.validate() {
-            panic!("invalid fit configuration: {msg}");
-        }
-        self.fit_config = config;
-        self
-    }
-
     /// The prior in use.
     pub fn prior(&self) -> &ParameterPrior {
         &self.prior
@@ -129,12 +91,6 @@ impl MapExtractor {
     /// The precision field in use.
     pub fn precision(&self) -> &PrecisionModel {
         &self.precision
-    }
-
-    /// The prior-only estimate: what the extractor predicts with zero new-technology
-    /// simulations (`k = 0`).
-    pub fn prior_only_params(&self) -> TimingParams {
-        self.prior.mean_params()
     }
 
     /// Runs the MAP extraction of Eq. (15) on `k` fresh observations.
@@ -157,9 +113,12 @@ impl MapExtractor {
             .iter()
             .map(|s| self.precision.beta(&s.point))
             .collect();
-        let fitter = LeastSquaresFitter::with_config(self.fit_config);
-        let result =
-            fitter.fit_weighted(samples, &weights, Some(&penalty), self.prior.mean_params());
+        let result = LeastSquaresFitter::new().fit_weighted(
+            samples,
+            &weights,
+            Some(&penalty),
+            self.prior.mean_params(),
+        );
         let posterior_covariance = self.laplace_covariance(&result.params, samples, &weights);
         MapFit {
             params: result.params,
@@ -270,7 +229,7 @@ mod tests {
     fn zero_samples_returns_the_prior() {
         let ex = extractor();
         let fit = ex.extract(&[]);
-        assert_eq!(fit.params, ex.prior_only_params());
+        assert_eq!(fit.params, ex.prior().mean_params());
         assert_eq!(fit.iterations, 0);
         assert!(fit.converged);
         assert!(fit.weights.is_empty());
@@ -329,18 +288,6 @@ mod tests {
         }
         // At least one direction must tighten substantially.
         assert!(post_sd[0] < 0.7 * prior_sd[0] || post_sd[2] < 0.7 * prior_sd[2]);
-    }
-
-    #[test]
-    fn posterior_is_a_valid_distribution() {
-        let ex = extractor();
-        let fit = ex.extract(&[sample_at(5.0, 2.0, 0.85), sample_at(10.0, 4.0, 0.7)]);
-        let posterior = fit.posterior();
-        assert_eq!(posterior.dim(), PARAM_COUNT);
-        // The MAP point has the highest density.
-        let at_map = posterior.log_pdf(&fit.params.to_vector());
-        let away = posterior.log_pdf(&ex.prior_only_params().to_vector());
-        assert!(at_map >= away);
     }
 
     #[test]
@@ -414,7 +361,7 @@ mod tests {
         let samples = [sample_at(3.0, 1.0, 0.9), sample_at(12.0, 5.0, 0.7)];
         let normal_fit = ex.extract(&samples);
         let sharp_fit = sharp.extract(&samples);
-        let prior_mean = ex.prior_only_params().to_vector();
+        let prior_mean = ex.prior().mean_params().to_vector();
         let d_normal = (&normal_fit.params.to_vector() - &prior_mean).norm();
         let d_sharp = (&sharp_fit.params.to_vector() - &prior_mean).norm();
         assert!(d_sharp < d_normal);
@@ -466,14 +413,5 @@ mod tests {
         ));
         // A metric with no records is an error even when the kind has records of another.
         assert!(MapExtractor::learn(&db, TimingMetric::OutputSlew, "INV", &space).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid fit configuration")]
-    fn invalid_fit_config_rejected() {
-        let _ = extractor().with_fit_config(FitConfig {
-            max_iterations: 0,
-            ..FitConfig::default()
-        });
     }
 }

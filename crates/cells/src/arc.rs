@@ -16,14 +16,6 @@ pub enum Transition {
 impl Transition {
     /// Both transition directions.
     pub const BOTH: [Transition; 2] = [Transition::Rise, Transition::Fall];
-
-    /// The opposite transition.
-    pub fn complement(self) -> Self {
-        match self {
-            Transition::Rise => Transition::Fall,
-            Transition::Fall => Transition::Rise,
-        }
-    }
 }
 
 impl fmt::Display for Transition {
@@ -82,18 +74,6 @@ impl TimingArc {
     /// Direction of the output transition.
     pub fn output_transition(&self) -> Transition {
         self.output_transition
-    }
-
-    /// Direction of the *input* transition that causes this output transition.
-    ///
-    /// For an inverting cell a rising output is caused by a falling input and vice versa;
-    /// for the (non-inverting) buffer they coincide.
-    pub fn input_transition(&self) -> Transition {
-        if self.cell.kind().is_inverting() {
-            self.output_transition.complement()
-        } else {
-            self.output_transition
-        }
     }
 
     /// Enumerates the characterized arcs of a cell: input pin 0 (the worst-case pin for the
@@ -209,9 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn transition_complement_and_display() {
-        assert_eq!(Transition::Rise.complement(), Transition::Fall);
-        assert_eq!(Transition::Fall.complement(), Transition::Rise);
+    fn transition_display() {
         assert_eq!(format!("{}", Transition::Rise), "RISE");
     }
 
@@ -229,15 +207,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_pin_rejected() {
         let _ = TimingArc::new(nand2(), 5, Transition::Rise);
-    }
-
-    #[test]
-    fn inverting_cells_flip_input_direction() {
-        let arc = TimingArc::new(nand2(), 0, Transition::Rise);
-        assert_eq!(arc.input_transition(), Transition::Fall);
-        let buf = Cell::new(CellKind::Buf, DriveStrength::X1);
-        let arc = TimingArc::new(buf, 0, Transition::Rise);
-        assert_eq!(arc.input_transition(), Transition::Rise);
     }
 
     #[test]

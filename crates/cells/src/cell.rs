@@ -75,14 +75,6 @@ impl CellKind {
         }
     }
 
-    /// Whether the cell is logically inverting from the switching input to the output.
-    ///
-    /// All supported static CMOS gates are inverting except the buffer, whose first stage
-    /// absorbs the inversion.
-    pub fn is_inverting(self) -> bool {
-        !matches!(self, CellKind::Buf)
-    }
-
     /// Topology of the pull-up (PMOS) network as seen from the switching input:
     /// `(series_depth, parallel_legs)`.
     ///
@@ -291,13 +283,6 @@ mod tests {
         assert!(CellKind::Nand2.nmos_sizing() > CellKind::Inv.nmos_sizing());
         assert!(CellKind::Nor2.pmos_sizing() > CellKind::Inv.pmos_sizing());
         assert_eq!(CellKind::Inv.nmos_sizing(), 1.0);
-    }
-
-    #[test]
-    fn inverting_property() {
-        assert!(CellKind::Inv.is_inverting());
-        assert!(CellKind::Nand2.is_inverting());
-        assert!(!CellKind::Buf.is_inverting());
     }
 
     #[test]

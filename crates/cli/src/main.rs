@@ -188,8 +188,9 @@ SUBCOMMANDS:
                                             regression (wall, sims paid, hit rate,
                                             gated counters, artifact hash drift) at the
                                             thresholds of `profile --diff`
-                    --fingerprint <hex>     diff this fingerprint's newest run instead
-                                            of the most recently recorded one
+                    --fingerprint <hex>     with --diff: diff this fingerprint's newest
+                                            run instead of the most recently recorded
+                                            one
 
     bench         Kernel benchmark gates.
                     bench diff <fresh.json> [<committed.json>]   compare a fresh
@@ -1157,6 +1158,10 @@ fn cmd_history_entry(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if flags.contains_key("fingerprint") && !flags.contains_key("diff") {
+        eprintln!("error: `--fingerprint` chooses the run `--diff` compares; add `--diff`");
+        return ExitCode::from(2);
+    }
     cmd_history(path, &flags)
 }
 

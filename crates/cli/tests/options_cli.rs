@@ -1,6 +1,6 @@
 //! The option surface of the real `slic` binary: options that were deleted get the
 //! unknown-key or unknown-flag error instead of being silently ignored, a flag is never
-//! taken as another flag's value, and `slic worker` serves TCP only.
+//! taken as another flag's value or silently ignored, and `slic worker` serves TCP only.
 
 #![expect(
     clippy::expect_used,
@@ -110,6 +110,29 @@ fn a_flag_is_never_taken_as_another_flags_value() {
         stderr.contains("flag `--fingerprint` is missing its value"),
         "{stderr}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn history_fingerprint_without_diff_is_a_usage_error_naming_diff() {
+    let dir = temp_dir("fingerprint");
+    let learn = Command::new(BIN)
+        .args(["learn", "--ledger", "runs.jsonl", "--out", "history.json"])
+        .current_dir(&dir)
+        .output()
+        .expect("slic runs");
+    assert!(learn.status.success(), "{learn:?}");
+    // `--fingerprint` only chooses the run `--diff` compares; alone it must not fall back
+    // to listing the ledger.
+    let output = Command::new(BIN)
+        .args(["history", "runs.jsonl", "--fingerprint", "0123456789abcdef"])
+        .current_dir(&dir)
+        .output()
+        .expect("slic runs");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert!(output.stdout.is_empty(), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("`--diff`"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,12 +1,10 @@
-//! Simulation-count cost model and speedup decomposition.
+//! Simulation-count cost model.
 //!
 //! The paper's complexity argument (end of Section IV): conventional statistical LUT
 //! characterization costs `O(NLUT · Nsample)` SPICE runs per arc, the proposed flow costs
 //! `O(k · Nsample)`, and if the historical libraries still need to be characterized once the
-//! amortized cost is `O(k · Nsample + NTech · NLUT)`.  Section V further decomposes the 15×
-//! nominal speedup into ≈6× from the compact model itself and ≈2.5× from the Bayesian
-//! prior.  This module provides those formulas plus the decomposition helper used by the
-//! cost bench.
+//! amortized cost is `O(k · Nsample + NTech · NLUT)`.  This module provides those
+//! formulas; the measured reductions are [`crate::nominal::Reduction`]s.
 
 use serde::{Deserialize, Serialize};
 
@@ -77,35 +75,6 @@ impl CostModel {
     }
 }
 
-/// Decomposition of a measured nominal speedup into its two ingredients, mirroring the
-/// Section V claim "6× from the timing model, an extra 2.5× from the Bayesian inference".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpeedupDecomposition {
-    /// Simulations the LUT needs to reach the target accuracy.
-    pub lut_simulations: u64,
-    /// Simulations the compact model with plain LSE needs.
-    pub lse_simulations: u64,
-    /// Simulations the compact model with the Bayesian prior needs.
-    pub bayesian_simulations: u64,
-}
-
-impl SpeedupDecomposition {
-    /// Contribution of the compact model alone: `LUT / LSE`.
-    pub fn model_contribution(&self) -> f64 {
-        self.lut_simulations as f64 / self.lse_simulations as f64
-    }
-
-    /// Additional contribution of the Bayesian prior: `LSE / Bayesian`.
-    pub fn bayesian_contribution(&self) -> f64 {
-        self.lse_simulations as f64 / self.bayesian_simulations as f64
-    }
-
-    /// Total speedup `LUT / Bayesian` (the product of the two contributions).
-    pub fn total(&self) -> f64 {
-        self.lut_simulations as f64 / self.bayesian_simulations as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,21 +102,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_counts_rejected() {
         let _ = CostModel::new(0, 4, 1000, 6);
-    }
-
-    #[test]
-    fn decomposition_multiplies_out() {
-        let d = SpeedupDecomposition {
-            lut_simulations: 60,
-            lse_simulations: 10,
-            bayesian_simulations: 4,
-        };
-        assert!((d.model_contribution() - 6.0).abs() < 1e-12);
-        assert!((d.bayesian_contribution() - 2.5).abs() < 1e-12);
-        assert!((d.total() - 15.0).abs() < 1e-12);
-        assert!(
-            (d.model_contribution() * d.bayesian_contribution() - d.total()).abs() < 1e-12,
-            "contributions must compose multiplicatively"
-        );
     }
 }

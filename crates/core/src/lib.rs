@@ -15,10 +15,9 @@
 //!   every nominal `slic-pipeline` work unit runs too;
 //! * [`statistical`] — the statistical characterization study of Figs. 7–9: mean / σ of
 //!   delay and slew across process variation, and the delay PDF at a low-supply corner;
-//! * [`cost`] — the simulation-count cost model and speedup accounting (`O(k·Nsample)` vs
-//!   `O(NLUT·Nsample)`);
+//! * [`cost`] — the simulation-count cost model (`O(k·Nsample)` vs `O(NLUT·Nsample)`);
 //! * [`liberty`] — a Liberty-flavoured text export of a characterized library;
-//! * [`report`] — small Markdown/CSV table formatters shared by the examples and benches.
+//! * [`report`] — the Markdown table formatter shared by the examples and benches.
 //!
 //! The substrate crates are re-exported under [`prelude`] so downstream users can depend on
 //! `slic` alone.
@@ -75,7 +74,7 @@ pub mod prelude {
     pub use slic_spice::{
         CharacterizationEngine, InputPoint, InputSpace, TimingMeasurement, TransientConfig,
     };
-    pub use slic_stats::{Gaussian, Histogram, KernelDensity, MultivariateGaussian, Summary};
+    pub use slic_stats::{KernelDensity, MultivariateGaussian, Summary};
     pub use slic_timing_model::{
         ExtendedTimingParams, FitConfig, FitResult, GaussianPenalty, LeastSquaresFitter,
         TimingParams, TimingSample,

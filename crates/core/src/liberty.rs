@@ -8,7 +8,8 @@
 //! * [`export_library`] — characterizes every primary arc of a library on a small grid by
 //!   **direct simulation** (one transient per table entry);
 //! * [`export_fitted_library`] — renders the tables from **already-extracted compact-model
-//!   parameters** ([`FittedArc`]), the output of a pipeline run.  Only zero-cost DC
+//!   parameters** ([`FittedArc`]), the output of a pipeline run, with optional LVF-style
+//!   variation groups ([`ArcVariation`]).  Only zero-cost DC
 //!   operating-point evaluations (`Ieff`) are needed, so exporting a characterized library
 //!   costs no transient simulations at all.
 //!
@@ -144,24 +145,18 @@ pub fn export_library(
     let tech = engine.tech();
     let vdd = tech.vdd_nominal();
     let (slew_axis, load_axis) = export_axes(engine, grid);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "library ({}_slic) {{\n",
-        tech.name().replace('-', "_")
-    ));
-    out.push_str("  delay_model : table_lookup;\n");
-    out.push_str("  time_unit : \"1ps\";\n");
-    out.push_str("  capacitive_load_unit (1, ff);\n");
-    out.push_str(&format!("  nom_voltage : {:.3};\n", vdd.value()));
-    out.push_str(&format!(
-        "  lu_table_template (slic_template) {{\n    variable_1 : input_net_transition;\n    variable_2 : total_output_net_capacitance;\n    index_1 (\"{}\");\n    index_2 (\"{}\");\n  }}\n",
-        format_axis_ps(&slew_axis),
-        format_axis_ff(&load_axis)
-    ));
-
+    let mut out = library_header(tech.name(), vdd, &slew_axis, &load_axis);
     for &cell in library.cells() {
-        out.push_str(&render_cell(engine, cell, vdd, &slew_axis, &load_axis));
+        let groups = Transition::BOTH.map(|transition| {
+            let arc = TimingArc::new(cell, 0, transition);
+            let (delay, slew) = table_values(engine, cell, &arc, vdd, &slew_axis, &load_axis);
+            let (delay_group, slew_group) = nominal_groups(transition);
+            TimingGroup {
+                related_pin: 0,
+                tables: vec![(delay_group, delay), (slew_group, slew)],
+            }
+        });
+        out.push_str(&render_cell(engine, cell, &groups));
     }
     out.push_str("}\n");
     Ok(out)
@@ -230,33 +225,19 @@ impl ArcVariation {
 /// Cells are emitted in first-appearance order of `arcs`; a cell's timing group for a
 /// transition is omitted when no fitted arc covers it.
 ///
-/// # Errors
-///
-/// Returns an [`ExportError`] when `arcs` is empty or the grid has fewer than two levels
-/// on either axis.
-pub fn export_fitted_library(
-    engine: &CharacterizationEngine,
-    library_name: &str,
-    arcs: &[FittedArc],
-    grid: ExportGrid,
-) -> Result<String, ExportError> {
-    export_fitted_library_with_variation(engine, library_name, arcs, &[], grid)
-}
-
-/// [`export_fitted_library`] plus LVF-style variation groups: for every fitted arc with an
-/// [`ArcVariation`] entry, `ocv_sigma_cell_{rise,fall}` / `ocv_skewness_cell_{rise,fall}`
-/// (delay moments) and `ocv_sigma_{rise,fall}_transition` /
-/// `ocv_skewness_{rise,fall}_transition` (slew moments) tables are emitted next to the
-/// nominal tables, on the same `slic_template` index grid.
-///
-/// Arcs without a variation entry keep a purely nominal timing group; variation entries
-/// for arcs absent from `arcs` are ignored (there is no nominal table to sit next to).
+/// For every fitted arc with an [`ArcVariation`] entry, LVF-style
+/// `ocv_sigma_cell_{rise,fall}` / `ocv_skewness_cell_{rise,fall}` (delay moments) and
+/// `ocv_sigma_{rise,fall}_transition` / `ocv_skewness_{rise,fall}_transition` (slew
+/// moments) tables are emitted next to the nominal tables, on the same `slic_template`
+/// index grid.  Arcs without a variation entry keep a purely nominal timing group;
+/// variation entries for arcs absent from `arcs` are ignored (there is no nominal table to
+/// sit next to).
 ///
 /// # Errors
 ///
 /// Returns an [`ExportError`] when `arcs` is empty, the grid is degenerate, or a
 /// variation entry's tables do not match the grid shape.
-pub fn export_fitted_library_with_variation(
+pub fn export_fitted_library(
     engine: &CharacterizationEngine,
     library_name: &str,
     arcs: &[FittedArc],
@@ -270,25 +251,9 @@ pub fn export_fitted_library_with_variation(
     for entry in variation {
         entry.check_shape(grid)?;
     }
-    let tech = engine.tech();
-    let vdd = tech.vdd_nominal();
+    let vdd = engine.tech().vdd_nominal();
     let (slew_axis, load_axis) = export_axes(engine, grid);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "library ({}_slic) {{\n",
-        library_name.replace(['-', ' '], "_")
-    ));
-    out.push_str("  delay_model : table_lookup;\n");
-    out.push_str("  time_unit : \"1ps\";\n");
-    out.push_str("  capacitive_load_unit (1, ff);\n");
-    out.push_str(&format!("  nom_voltage : {:.3};\n", vdd.value()));
-    out.push_str(&format!(
-        "  lu_table_template (slic_template) {{\n    variable_1 : input_net_transition;\n    variable_2 : total_output_net_capacitance;\n    index_1 (\"{}\");\n    index_2 (\"{}\");\n  }}\n",
-        format_axis_ps(&slew_axis),
-        format_axis_ff(&load_axis)
-    ));
-
+    let mut out = library_header(library_name, vdd, &slew_axis, &load_axis);
     let mut cells: Vec<Cell> = Vec::new();
     for fitted in arcs {
         if !cells.contains(&fitted.arc.cell()) {
@@ -296,23 +261,120 @@ pub fn export_fitted_library_with_variation(
         }
     }
     for cell in cells {
-        out.push_str(&render_fitted_cell(
-            engine, cell, arcs, variation, vdd, &slew_axis, &load_axis,
-        ));
+        let groups: Vec<TimingGroup> = Transition::BOTH
+            .into_iter()
+            .filter_map(|transition| {
+                let fitted = arcs
+                    .iter()
+                    .find(|f| f.arc.cell() == cell && f.arc.output_transition() == transition)?;
+                let moments = variation.iter().find(|v| v.arc == fitted.arc);
+                Some(fitted_group(
+                    engine, fitted, moments, vdd, &slew_axis, &load_axis,
+                ))
+            })
+            .collect();
+        out.push_str(&render_cell(engine, cell, &groups));
     }
     out.push_str("}\n");
     Ok(out)
 }
 
-fn render_fitted_cell(
+/// One `timing ()` group of a cell's output pin: the input pin it relates to and its
+/// `(group, rows in ps)` tables in emission order.
+struct TimingGroup {
+    related_pin: usize,
+    tables: Vec<(&'static str, Vec<Vec<f64>>)>,
+}
+
+/// The delay and output-slew group names of a transition's nominal tables.
+fn nominal_groups(transition: Transition) -> (&'static str, &'static str) {
+    match transition {
+        Transition::Rise => ("cell_rise", "rise_transition"),
+        Transition::Fall => ("cell_fall", "fall_transition"),
+    }
+}
+
+/// The timing group of one fitted arc: model evaluations on the grid, then the arc's
+/// variation moments, if any.
+fn fitted_group(
     engine: &CharacterizationEngine,
-    cell: Cell,
-    arcs: &[FittedArc],
-    variation: &[ArcVariation],
+    fitted: &FittedArc,
+    moments: Option<&ArcVariation>,
     vdd: Volts,
     slew_axis: &[f64],
     load_axis: &[f64],
-) -> String {
+) -> TimingGroup {
+    let nominal = ProcessSample::nominal();
+    let mut delay_rows = Vec::with_capacity(slew_axis.len());
+    let mut slew_rows = Vec::with_capacity(slew_axis.len());
+    for &sin in slew_axis {
+        let mut delay_row = Vec::with_capacity(load_axis.len());
+        let mut slew_row = Vec::with_capacity(load_axis.len());
+        for &cload in load_axis {
+            let point = InputPoint::new(Seconds(sin), Farads(cload), vdd);
+            let ieff = engine.ieff(&fitted.arc, &point, &nominal);
+            delay_row.push(fitted.delay.evaluate(&point, ieff).picoseconds());
+            slew_row.push(fitted.slew.evaluate(&point, ieff).picoseconds());
+        }
+        delay_rows.push(delay_row);
+        slew_rows.push(slew_row);
+    }
+    let transition = fitted.arc.output_transition();
+    let (delay_group, slew_group) = nominal_groups(transition);
+    let mut tables = vec![(delay_group, delay_rows), (slew_group, slew_rows)];
+    if let Some(moments) = moments {
+        let ps = |rows: &[Vec<f64>]| -> Vec<Vec<f64>> {
+            rows.iter()
+                .map(|row| row.iter().map(|v| v * 1e12).collect())
+                .collect()
+        };
+        let (sigma_delay, skew_delay, sigma_slew, skew_slew) = match transition {
+            Transition::Rise => (
+                "ocv_sigma_cell_rise",
+                "ocv_skewness_cell_rise",
+                "ocv_sigma_rise_transition",
+                "ocv_skewness_rise_transition",
+            ),
+            Transition::Fall => (
+                "ocv_sigma_cell_fall",
+                "ocv_skewness_cell_fall",
+                "ocv_sigma_fall_transition",
+                "ocv_skewness_fall_transition",
+            ),
+        };
+        tables.extend([
+            (sigma_delay, ps(&moments.delay_sigma)),
+            (skew_delay, ps(&moments.delay_skew)),
+            (sigma_slew, ps(&moments.slew_sigma)),
+            (skew_slew, ps(&moments.slew_skew)),
+        ]);
+    }
+    TimingGroup {
+        related_pin: fitted.arc.input_pin(),
+        tables,
+    }
+}
+
+/// Opens the `library` group both export paths write: the header and the `slic_template`
+/// table template on the `(slew, load)` axes.  The caller appends the cells and the
+/// closing brace.
+fn library_header(name: &str, vdd: Volts, slew_axis: &[f64], load_axis: &[f64]) -> String {
+    let mut out = format!("library ({}_slic) {{\n", name.replace(['-', ' '], "_"));
+    out.push_str("  delay_model : table_lookup;\n");
+    out.push_str("  time_unit : \"1ps\";\n");
+    out.push_str("  capacitive_load_unit (1, ff);\n");
+    out.push_str(&format!("  nom_voltage : {:.3};\n", vdd.value()));
+    out.push_str(&format!(
+        "  lu_table_template (slic_template) {{\n    variable_1 : input_net_transition;\n    variable_2 : total_output_net_capacitance;\n    index_1 (\"{}\");\n    index_2 (\"{}\");\n  }}\n",
+        format_axis_ps(slew_axis),
+        format_axis_ff(load_axis)
+    ));
+    out
+}
+
+/// Renders one `cell` group: its input pins with their capacitances, then the output pin
+/// with `groups` in order.
+fn render_cell(engine: &CharacterizationEngine, cell: Cell, groups: &[TimingGroup]) -> String {
     let mut out = String::new();
     out.push_str(&format!("  cell ({}) {{\n", cell.name()));
     let eq = engine.equivalent_inverter(cell, &ProcessSample::nominal());
@@ -323,96 +385,14 @@ fn render_fitted_cell(
         ));
     }
     out.push_str("    pin (Y) {\n      direction : output;\n");
-    for transition in Transition::BOTH {
-        let Some(fitted) = arcs
-            .iter()
-            .find(|f| f.arc.cell() == cell && f.arc.output_transition() == transition)
-        else {
-            continue;
-        };
-        let nominal = ProcessSample::nominal();
-        let mut delay_rows = Vec::with_capacity(slew_axis.len());
-        let mut slew_rows = Vec::with_capacity(slew_axis.len());
-        for &sin in slew_axis {
-            let mut delay_row = Vec::with_capacity(load_axis.len());
-            let mut slew_row = Vec::with_capacity(load_axis.len());
-            for &cload in load_axis {
-                let point = InputPoint::new(Seconds(sin), Farads(cload), vdd);
-                let ieff = engine.ieff(&fitted.arc, &point, &nominal);
-                delay_row.push(fitted.delay.evaluate(&point, ieff).picoseconds());
-                slew_row.push(fitted.slew.evaluate(&point, ieff).picoseconds());
-            }
-            delay_rows.push(delay_row);
-            slew_rows.push(slew_row);
-        }
-        let (delay_group, slew_group) = match transition {
-            Transition::Rise => ("cell_rise", "rise_transition"),
-            Transition::Fall => ("cell_fall", "fall_transition"),
-        };
+    for group in groups {
         out.push_str(&format!(
             "      timing () {{\n        related_pin : \"A{}\";\n",
-            fitted.arc.input_pin()
+            group.related_pin
         ));
-        out.push_str(&render_table(delay_group, &delay_rows));
-        out.push_str(&render_table(slew_group, &slew_rows));
-        if let Some(moments) = variation.iter().find(|v| v.arc == fitted.arc) {
-            let ps = |rows: &[Vec<f64>]| -> Vec<Vec<f64>> {
-                rows.iter()
-                    .map(|row| row.iter().map(|v| v * 1e12).collect())
-                    .collect()
-            };
-            let (sigma_delay, skew_delay, sigma_slew, skew_slew) = match transition {
-                Transition::Rise => (
-                    "ocv_sigma_cell_rise",
-                    "ocv_skewness_cell_rise",
-                    "ocv_sigma_rise_transition",
-                    "ocv_skewness_rise_transition",
-                ),
-                Transition::Fall => (
-                    "ocv_sigma_cell_fall",
-                    "ocv_skewness_cell_fall",
-                    "ocv_sigma_fall_transition",
-                    "ocv_skewness_fall_transition",
-                ),
-            };
-            out.push_str(&render_table(sigma_delay, &ps(&moments.delay_sigma)));
-            out.push_str(&render_table(skew_delay, &ps(&moments.delay_skew)));
-            out.push_str(&render_table(sigma_slew, &ps(&moments.slew_sigma)));
-            out.push_str(&render_table(skew_slew, &ps(&moments.slew_skew)));
+        for (name, rows) in &group.tables {
+            out.push_str(&render_table(name, rows));
         }
-        out.push_str("      }\n");
-    }
-    out.push_str("    }\n  }\n");
-    out
-}
-
-fn render_cell(
-    engine: &CharacterizationEngine,
-    cell: Cell,
-    vdd: Volts,
-    slew_axis: &[f64],
-    load_axis: &[f64],
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("  cell ({}) {{\n", cell.name()));
-    let eq = engine.equivalent_inverter(cell, &slic_device::ProcessSample::nominal());
-    for pin in 0..cell.input_count() {
-        out.push_str(&format!(
-            "    pin (A{pin}) {{\n      direction : input;\n      capacitance : {:.4};\n    }}\n",
-            eq.input_cap().femtofarads()
-        ));
-    }
-    out.push_str("    pin (Y) {\n      direction : output;\n");
-    for transition in Transition::BOTH {
-        let arc = TimingArc::new(cell, 0, transition);
-        let (delay_rows, slew_rows) = table_values(engine, cell, &arc, vdd, slew_axis, load_axis);
-        let (delay_group, slew_group) = match transition {
-            Transition::Rise => ("cell_rise", "rise_transition"),
-            Transition::Fall => ("cell_fall", "fall_transition"),
-        };
-        out.push_str("      timing () {\n        related_pin : \"A0\";\n");
-        out.push_str(&render_table(delay_group, &delay_rows));
-        out.push_str(&render_table(slew_group, &slew_rows));
         out.push_str("      }\n");
     }
     out.push_str("    }\n  }\n");
@@ -697,6 +677,7 @@ mod tests {
             &eng,
             "run-artifact",
             &arcs,
+            &[],
             ExportGrid {
                 slew_levels: 3,
                 load_levels: 3,
@@ -740,7 +721,7 @@ mod tests {
             delay: slic_timing_model::TimingParams::initial_guess(),
             slew: slic_timing_model::TimingParams::initial_guess(),
         }];
-        let text = export_fitted_library(&eng, "partial", &arcs, ExportGrid::default())
+        let text = export_fitted_library(&eng, "partial", &arcs, &[], ExportGrid::default())
             .expect("export succeeds");
         assert!(text.contains("cell_fall"));
         assert!(
@@ -782,8 +763,8 @@ mod tests {
             .collect();
         // Only the fall arc gets moments: the rise group must stay purely nominal.
         let variation = [variation_for(arcs[1].arc, 3, 2)];
-        let text = export_fitted_library_with_variation(&eng, "lvf", &arcs, &variation, grid)
-            .expect("export succeeds");
+        let text =
+            export_fitted_library(&eng, "lvf", &arcs, &variation, grid).expect("export succeeds");
         for group in [
             "ocv_sigma_cell_fall",
             "ocv_skewness_cell_fall",
@@ -812,12 +793,6 @@ mod tests {
         );
         assert_eq!(shape_of("ocv_skewness_fall_transition"), (3, 2));
         assert_eq!(text.matches('{').count(), text.matches('}').count());
-        // Without variation entries the export is byte-identical to the plain path.
-        let nominal_only =
-            export_fitted_library(&eng, "lvf", &arcs, grid).expect("export succeeds");
-        let via_variation = export_fitted_library_with_variation(&eng, "lvf", &arcs, &[], grid)
-            .expect("export succeeds");
-        assert_eq!(nominal_only, via_variation);
     }
 
     #[test]
@@ -831,7 +806,7 @@ mod tests {
             slew: slic_timing_model::TimingParams::initial_guess(),
         }];
         let variation = [variation_for(arc, 2, 2)];
-        let err = export_fitted_library_with_variation(
+        let err = export_fitted_library(
             &eng,
             "bad",
             &arcs,
@@ -891,7 +866,7 @@ mod tests {
 
     #[test]
     fn empty_fitted_export_rejected() {
-        let err = export_fitted_library(&engine(), "none", &[], ExportGrid::default())
+        let err = export_fitted_library(&engine(), "none", &[], &[], ExportGrid::default())
             .expect_err("empty fitted export must be rejected");
         assert_eq!(err, ExportError::EmptyLibrary);
     }

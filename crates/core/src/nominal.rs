@@ -11,10 +11,9 @@
 //!   elsewhere is interpolated.
 //!
 //! Accuracy is measured against a dense random-validation baseline (the paper uses 1000
-//! points).  From the resulting error-vs-`k` curves, [`NominalStudyResult::speedup_at`]
-//! derives how many times fewer simulations one method needs than another to reach a given
-//! accuracy, and [`Reduction`] reads the paper's reduction against the lookup table off each
-//! curve's best-so-far error.
+//! points).  From the resulting error-vs-`k` curves, [`Reduction`] reads the paper's
+//! reduction against the lookup table off each curve's best-so-far error: how many times
+//! fewer simulations a method needs than the LUT to reach a given accuracy.
 //!
 //! [`fit_and_validate`] is the one fit-and-score step: the study calls it per method and
 //! training count, and every nominal `slic characterize` work unit calls it once, so the
@@ -103,22 +102,6 @@ pub struct MethodCurve {
 }
 
 impl MethodCurve {
-    /// The smallest number of simulations at which the curve reaches `target_percent` error,
-    /// if it ever does.
-    pub fn simulations_to_reach(&self, target_percent: f64) -> Option<u64> {
-        self.errors_percent
-            .iter()
-            .zip(&self.simulations)
-            .filter(|(err, _)| **err <= target_percent)
-            .map(|(_, sims)| *sims)
-            .min()
-    }
-
-    /// The error achieved at the largest training count (`None` for an empty curve).
-    pub fn final_error(&self) -> Option<f64> {
-        self.errors_percent.last().copied()
-    }
-
     /// The lowest error at any training count (`None` for an empty curve).
     pub fn best_error(&self) -> Option<f64> {
         self.errors_percent.iter().copied().reduce(f64::min)
@@ -252,20 +235,6 @@ impl NominalStudyResult {
     /// run always has all three).
     pub fn curve(&self, method: MethodKind) -> Option<&MethodCurve> {
         self.curves.iter().find(|c| c.method == method)
-    }
-
-    /// Speedup of `fast` over `slow` at matched accuracy: the ratio of simulations each
-    /// method needs to reach the given target error.  Returns `None` when either method
-    /// never reaches the target.
-    pub fn speedup_at(
-        &self,
-        target_percent: f64,
-        fast: MethodKind,
-        slow: MethodKind,
-    ) -> Option<f64> {
-        let fast_sims = self.curve(fast)?.simulations_to_reach(target_percent)? as f64;
-        let slow_sims = self.curve(slow)?.simulations_to_reach(target_percent)? as f64;
-        Some(slow_sims / fast_sims)
     }
 
     /// Renders the error table as Markdown (rows = training counts, columns = methods).
@@ -511,7 +480,7 @@ mod tests {
                 .all(|e| e.is_finite() && *e >= 0.0));
             // Errors at the largest budget are better than (or close to) the smallest.
             assert!(
-                curve.final_error().unwrap() <= curve.errors_percent[0] + 2.0,
+                *curve.errors_percent.last().unwrap() <= curve.errors_percent[0] + 2.0,
                 "{}",
                 curve.method
             );
@@ -528,52 +497,6 @@ mod tests {
         assert!(bayes.errors_percent[0] < lut.errors_percent[0]);
         let text = result.to_markdown();
         assert!(text.contains("Lookup Table"));
-    }
-
-    #[test]
-    fn speedup_accounting_is_consistent() {
-        let curve_fast = MethodCurve {
-            method: MethodKind::ProposedBayesian,
-            training_counts: vec![2, 5, 10],
-            errors_percent: vec![6.0, 4.0, 3.0],
-            simulations: vec![2, 5, 10],
-        };
-        let curve_slow = MethodCurve {
-            method: MethodKind::Lut,
-            training_counts: vec![2, 5, 10],
-            errors_percent: vec![40.0, 12.0, 5.0],
-            simulations: vec![2, 4, 9],
-        };
-        let result = NominalStudyResult {
-            metric: TimingMetric::Delay,
-            curves: vec![curve_fast, curve_slow],
-            baseline_simulations: 100,
-        };
-        assert_eq!(
-            result
-                .curve(MethodKind::Lut)
-                .unwrap()
-                .simulations_to_reach(5.0),
-            Some(9)
-        );
-        assert_eq!(
-            result
-                .curve(MethodKind::ProposedBayesian)
-                .unwrap()
-                .simulations_to_reach(5.0),
-            Some(5)
-        );
-        assert!(
-            (result
-                .speedup_at(5.0, MethodKind::ProposedBayesian, MethodKind::Lut)
-                .unwrap()
-                - 1.8)
-                .abs()
-                < 1e-12
-        );
-        assert!(result
-            .speedup_at(0.1, MethodKind::ProposedBayesian, MethodKind::Lut)
-            .is_none());
     }
 
     fn curve(method: MethodKind, errors_percent: &[f64]) -> MethodCurve {

@@ -1,4 +1,5 @@
-//! Small table formatters shared by the examples and the benchmark harness.
+//! The Markdown table formatter shared by the study reports, the examples and the benchmark
+//! harness.
 
 /// Renders a Markdown table.
 ///
@@ -25,52 +26,6 @@ pub fn markdown_table(headers: &[String], rows: &[Vec<String>]) -> String {
         out.push_str("| ");
         out.push_str(&row.join(" | "));
         out.push_str(" |\n");
-    }
-    out
-}
-
-/// Renders a CSV table (comma-separated, `"` quoting for cells containing commas or quotes).
-///
-/// # Panics
-///
-/// Panics if any row has a different number of columns than the header.
-pub fn csv_table(headers: &[String], rows: &[Vec<String>]) -> String {
-    for row in rows {
-        assert_eq!(
-            row.len(),
-            headers.len(),
-            "every row must have one cell per header"
-        );
-    }
-    let quote = |cell: &str| -> String {
-        if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    };
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| quote(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// Formats a series of `(x, y)` pairs as aligned two-column text, for quick plotting of
-/// figure data in a terminal.
-pub fn series_text(name: &str, points: &[(f64, f64)]) -> String {
-    let mut out = format!("# {name}\n");
-    for (x, y) in points {
-        out.push_str(&format!("{x:>14.6e}  {y:>14.6e}\n"));
     }
     out
 }
@@ -103,22 +58,5 @@ mod tests {
     #[should_panic(expected = "one cell per header")]
     fn ragged_rows_rejected() {
         let _ = markdown_table(&headers(), &[vec!["2".to_string()]]);
-    }
-
-    #[test]
-    fn csv_quoting() {
-        let table = csv_table(
-            &["name".to_string(), "value".to_string()],
-            &[vec!["a,b".to_string(), "say \"hi\"".to_string()]],
-        );
-        assert!(table.contains("\"a,b\""));
-        assert!(table.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn series_formatting() {
-        let text = series_text("fig2", &[(0.65, 1.0e-14), (1.0, 1.1e-14)]);
-        assert!(text.starts_with("# fig2"));
-        assert_eq!(text.lines().count(), 3);
     }
 }

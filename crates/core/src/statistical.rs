@@ -115,7 +115,7 @@ impl StatMethodCurves {
     }
 
     /// Extracts one of the four statistical error curves as a plain [`MethodCurve`] so the
-    /// nominal-study speedup helpers can be reused.
+    /// nominal study's [`Reduction`](crate::nominal::Reduction) can read it.
     pub fn as_method_curve(&self, which: StatMetric) -> MethodCurve {
         let errors = match which {
             StatMetric::MeanDelay => &self.mean_delay_error,
@@ -171,25 +171,6 @@ impl StatisticalStudyResult {
     /// run always has all three).
     pub fn curves_for(&self, method: MethodKind) -> Option<&StatMethodCurves> {
         self.curves.iter().find(|c| c.method == method)
-    }
-
-    /// Speedup of `fast` over `slow` for one statistical metric at a target error.
-    pub fn speedup_at(
-        &self,
-        metric: StatMetric,
-        target_percent: f64,
-        fast: MethodKind,
-        slow: MethodKind,
-    ) -> Option<f64> {
-        let fast_sims = self
-            .curves_for(fast)?
-            .as_method_curve(metric)
-            .simulations_to_reach(target_percent)? as f64;
-        let slow_sims = self
-            .curves_for(slow)?
-            .as_method_curve(metric)
-            .simulations_to_reach(target_percent)? as f64;
-        Some(slow_sims / fast_sims)
     }
 
     /// Renders one statistical metric's error table as Markdown.

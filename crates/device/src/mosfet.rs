@@ -30,16 +30,6 @@ pub enum Polarity {
     Pmos,
 }
 
-impl Polarity {
-    /// Returns the complementary polarity.
-    pub fn complement(self) -> Self {
-        match self {
-            Polarity::Nmos => Polarity::Pmos,
-            Polarity::Pmos => Polarity::Nmos,
-        }
-    }
-}
-
 /// Physical parameters of a single (unit-width) device.
 ///
 /// All values are in SI units.  A `DeviceParams` value describes the *nominal* device of a
@@ -226,16 +216,6 @@ impl Mosfet {
     pub fn leakage(&self, vdd: Volts) -> Amperes {
         self.drain_current(Volts(0.0), vdd)
     }
-
-    /// Total capacitance the device presents on its gate terminal.
-    pub fn gate_capacitance(&self) -> f64 {
-        self.params.gate_cap
-    }
-
-    /// Total parasitic capacitance the device presents on its drain terminal.
-    pub fn drain_capacitance(&self) -> f64 {
-        self.params.drain_cap
-    }
 }
 
 #[cfg(test)]
@@ -352,14 +332,12 @@ mod tests {
         let vdd = Volts(0.8);
         let ratio = m2.idsat(vdd).value() / m.idsat(vdd).value();
         assert!((ratio - 2.0).abs() < 1e-9);
-        assert!((m2.gate_capacitance() - 2.0 * m.gate_capacitance()).abs() < 1e-30);
-        assert!((m2.drain_capacitance() - 2.0 * m.drain_capacitance()).abs() < 1e-30);
+        assert!((m2.params().gate_cap - 2.0 * m.params().gate_cap).abs() < 1e-30);
+        assert!((m2.params().drain_cap - 2.0 * m.params().drain_cap).abs() < 1e-30);
     }
 
     #[test]
     fn polarity_helpers() {
-        assert_eq!(Polarity::Nmos.complement(), Polarity::Pmos);
-        assert_eq!(Polarity::Pmos.complement(), Polarity::Nmos);
         let m = Mosfet::pmos(reference_params());
         assert_eq!(m.polarity(), Polarity::Pmos);
         assert_eq!(m.params().vth0, reference_params().vth0);

@@ -163,11 +163,6 @@ impl ProcessSample {
             ..nominal.clone()
         }
     }
-
-    /// Returns `true` if this is exactly the nominal sample.
-    pub fn is_nominal(&self) -> bool {
-        *self == Self::nominal()
-    }
 }
 
 impl Default for ProcessSample {
@@ -203,14 +198,13 @@ mod tests {
     #[test]
     fn nominal_sample_is_identity() {
         let seed = ProcessSample::nominal();
-        assert!(seed.is_nominal());
         let dev = seed.apply(&nominal_device(), Polarity::Nmos);
         assert_eq!(dev, nominal_device());
     }
 
     #[test]
     fn default_sample_is_nominal() {
-        assert!(ProcessSample::default().is_nominal());
+        assert_eq!(ProcessSample::default(), ProcessSample::nominal());
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Vector {
         &self.data
     }
 
-    /// Returns the entries as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Consumes the vector and returns the underlying storage.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
@@ -108,23 +103,6 @@ impl Vector {
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Vector {
         Vector {
             data: self.data.iter().copied().map(f).collect(),
-        }
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn hadamard(&self, other: &Vector) -> Vector {
-        assert_eq!(self.len(), other.len(), "hadamard requires equal lengths");
-        Vector {
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a * b)
-                .collect(),
         }
     }
 
@@ -321,7 +299,6 @@ mod tests {
         assert_eq!((&b - &a).as_slice(), &[2.0, 3.0]);
         assert_eq!((&a * 2.0).as_slice(), &[2.0, 4.0]);
         assert_eq!((-&a).as_slice(), &[-1.0, -2.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[3.0, 10.0]);
         assert_eq!(a.axpy(2.0, &b).as_slice(), &[7.0, 12.0]);
         let mut c = a.clone();
         c += &b;

@@ -115,16 +115,6 @@ impl<'a> LutBuilder<'a> {
         }
     }
 
-    /// Creates a builder over an explicit input space.
-    pub fn with_space(engine: &'a CharacterizationEngine, space: InputSpace) -> Self {
-        Self { engine, space }
-    }
-
-    /// The input space the grids are laid over.
-    pub fn space(&self) -> &InputSpace {
-        &self.space
-    }
-
     fn axes(&self, levels: (usize, usize, usize)) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         let axis = |lo: f64, hi: f64, n: usize| -> Vec<f64> {
             if n == 1 {
@@ -368,24 +358,5 @@ mod tests {
         let eng = engine();
         let (cell, arc) = inv_fall();
         let _ = LutBuilder::new(&eng).build_statistical(cell, &arc, (1, 1, 1), &[]);
-    }
-
-    #[test]
-    fn custom_space_is_respected() {
-        let eng = engine();
-        let space = InputSpace::new(
-            (
-                Seconds::from_picoseconds(2.0),
-                Seconds::from_picoseconds(4.0),
-            ),
-            (Farads::from_femtofarads(1.0), Farads::from_femtofarads(2.0)),
-            (Volts(0.7), Volts(0.9)),
-        );
-        let builder = LutBuilder::with_space(&eng, space);
-        let (cell, arc) = inv_fall();
-        let lut = builder.build_nominal(cell, &arc, (2, 2, 2));
-        assert!((lut.delay.sin_axis()[0] - 2.0e-12).abs() < 1e-18);
-        assert!((lut.delay.sin_axis()[1] - 4.0e-12).abs() < 1e-18);
-        assert_eq!(builder.space().vdd_range(), (Volts(0.7), Volts(0.9)));
     }
 }

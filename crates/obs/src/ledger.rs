@@ -34,7 +34,7 @@ pub const LEDGER_SCHEMA: u64 = 1;
 pub struct RunRecord {
     /// `"learn"` or `"characterize"`.
     pub kind: String,
-    /// [`ResolvedConfig::fingerprint`]-style 16-hex-digit configuration identity;
+    /// `ResolvedConfig::fingerprint`-style 16-hex-digit configuration identity;
     /// records diff only against records with the same fingerprint.
     pub fingerprint: String,
     /// The run seed.

@@ -3,7 +3,7 @@
 use crate::error::PipelineError;
 use crate::plan::{unit_identity, UnitKind};
 use serde::{Deserialize, Serialize};
-use slic::liberty::{export_fitted_library_with_variation, ArcVariation, ExportGrid, FittedArc};
+use slic::liberty::{export_fitted_library, ArcVariation, ExportGrid, FittedArc};
 use slic::nominal::MethodKind;
 use slic::report::markdown_table;
 use slic_bayes::TimingMetric;
@@ -155,7 +155,7 @@ impl CharacterizedLibrary {
         engine: &CharacterizationEngine,
         grid: ExportGrid,
     ) -> Result<String, PipelineError> {
-        Ok(export_fitted_library_with_variation(
+        Ok(export_fitted_library(
             engine,
             &self.library,
             &self.fitted_arcs(),
@@ -177,7 +177,7 @@ impl CharacterizedLibrary {
         grid: ExportGrid,
         variation: &VariationSection,
     ) -> Result<String, PipelineError> {
-        Ok(export_fitted_library_with_variation(
+        Ok(export_fitted_library(
             engine,
             &self.library,
             &self.fitted_arcs(),

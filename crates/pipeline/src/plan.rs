@@ -6,7 +6,7 @@ use crate::error::PipelineError;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use slic::nominal::MethodKind;
 use slic_bayes::TimingMetric;
-use slic_cells::{Cell, Library, TimingArc};
+use slic_cells::{Cell, TimingArc};
 use std::fmt;
 
 /// What a work unit characterizes: the nominal corner, or the Monte Carlo process
@@ -157,55 +157,22 @@ pub struct CharacterizationPlan {
 
 impl CharacterizationPlan {
     /// Enumerates `cells × primary arcs × metrics × methods` from a resolved
-    /// configuration — plus one Monte Carlo unit per `(arc, metric)` when the
-    /// configuration enables variation.
+    /// configuration — plus one [`UnitKind::MonteCarlo`] unit per `(cell, arc, metric)`
+    /// when the configuration enables variation.  Delay and slew variation units of one
+    /// arc request identical `(seed, point)` sweeps, so — exactly like the nominal metric
+    /// pairing — the simulation cache serves the second for free.
     ///
     /// # Errors
     ///
     /// Returns a [`PipelineError::Config`] when the enumeration is empty.
     pub fn from_config(config: &ResolvedConfig) -> Result<Self, PipelineError> {
-        Self::enumerate_with_variation(
-            &config.library,
-            &config.metrics,
-            &config.methods,
-            config.variation.is_some(),
-        )
-    }
-
-    /// Enumerates a nominal-only plan from explicit parts (the library is assumed
-    /// pre-filtered).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError::Config`] when the enumeration is empty.
-    pub fn enumerate(
-        library: &Library,
-        metrics: &[TimingMetric],
-        methods: &[MethodKind],
-    ) -> Result<Self, PipelineError> {
-        Self::enumerate_with_variation(library, metrics, methods, false)
-    }
-
-    /// [`enumerate`](Self::enumerate) with an optional Monte Carlo dimension: when
-    /// `variation` is set, every `(cell, arc, metric)` additionally plans one
-    /// [`UnitKind::MonteCarlo`] unit.  Delay and slew variation units of one arc request
-    /// identical `(seed, point)` sweeps, so — exactly like the nominal metric pairing —
-    /// the simulation cache serves the second for free.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError::Config`] when the enumeration is empty.
-    pub fn enumerate_with_variation(
-        library: &Library,
-        metrics: &[TimingMetric],
-        methods: &[MethodKind],
-        variation: bool,
-    ) -> Result<Self, PipelineError> {
+        let library = &config.library;
+        let variation = config.variation.is_some();
         let mut units = Vec::new();
         for &cell in library.cells() {
             for arc in TimingArc::primary_arcs(cell) {
-                for &metric in metrics {
-                    for &method in methods {
+                for &metric in &config.metrics {
+                    for &method in &config.methods {
                         units.push(WorkUnit {
                             cell,
                             arc,

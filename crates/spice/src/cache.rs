@@ -134,7 +134,7 @@ impl SimKey {
     ///
     /// # Panics
     ///
-    /// Panics if any floating-point coordinate is NaN (see [`key_bits`]).
+    /// Panics if any floating-point coordinate is NaN (see `key_bits`).
     pub fn new(
         kernel: u64,
         tech: &str,

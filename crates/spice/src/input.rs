@@ -50,11 +50,6 @@ impl InputPoint {
     pub fn from_raw(sin_s: f64, cload_f: f64, vdd_v: f64) -> Self {
         Self::new(Seconds(sin_s), Farads(cload_f), Volts(vdd_v))
     }
-
-    /// Returns the point as a `[sin, cload, vdd]` array of raw SI values.
-    pub fn to_array(&self) -> [f64; 3] {
-        [self.sin.value(), self.cload.value(), self.vdd.value()]
-    }
 }
 
 impl fmt::Display for InputPoint {
@@ -225,7 +220,7 @@ mod tests {
         assert!((p.cload.femtofarads() - 1.67).abs() < 1e-9);
         let s = format!("{p}");
         assert!(s.contains("Sin"));
-        assert_eq!(p.to_array()[2], 0.734);
+        assert_eq!(p.vdd.value(), 0.734);
     }
 
     #[test]

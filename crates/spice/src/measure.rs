@@ -70,44 +70,6 @@ impl TimingMeasurement {
     }
 }
 
-/// Extracts the mean delay and mean slew of an ensemble of measurements.
-///
-/// Returns `(mean_delay, mean_slew)` in seconds; `(0, 0)` for an empty slice.
-pub fn ensemble_means(measurements: &[TimingMeasurement]) -> (f64, f64) {
-    if measurements.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = measurements.len() as f64;
-    let d = measurements.iter().map(|m| m.delay.value()).sum::<f64>() / n;
-    let s = measurements
-        .iter()
-        .map(|m| m.output_slew.value())
-        .sum::<f64>()
-        / n;
-    (d, s)
-}
-
-/// Extracts the delay and slew standard deviations of an ensemble of measurements
-/// (unbiased); zeros when fewer than two measurements are given.
-pub fn ensemble_std_devs(measurements: &[TimingMeasurement]) -> (f64, f64) {
-    if measurements.len() < 2 {
-        return (0.0, 0.0);
-    }
-    let (md, ms) = ensemble_means(measurements);
-    let n = (measurements.len() - 1) as f64;
-    let vd = measurements
-        .iter()
-        .map(|m| (m.delay.value() - md).powi(2))
-        .sum::<f64>()
-        / n;
-    let vs = measurements
-        .iter()
-        .map(|m| (m.output_slew.value() - ms).powi(2))
-        .sum::<f64>()
-        / n;
-    (vd.sqrt(), vs.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,20 +105,5 @@ mod tests {
     #[should_panic(expected = "output slew must be finite")]
     fn zero_slew_rejected() {
         let _ = TimingMeasurement::new(Seconds(1e-12), Seconds(0.0));
-    }
-
-    #[test]
-    fn ensemble_statistics() {
-        let ms = vec![
-            TimingMeasurement::new(Seconds(10e-12), Seconds(6e-12)),
-            TimingMeasurement::new(Seconds(14e-12), Seconds(10e-12)),
-        ];
-        let (md, msl) = ensemble_means(&ms);
-        assert!((md - 12e-12).abs() < 1e-20);
-        assert!((msl - 8e-12).abs() < 1e-20);
-        let (sd, ss) = ensemble_std_devs(&ms);
-        assert!(sd > 0.0 && ss > 0.0);
-        assert_eq!(ensemble_means(&[]), (0.0, 0.0));
-        assert_eq!(ensemble_std_devs(&ms[..1]), (0.0, 0.0));
     }
 }

@@ -17,7 +17,7 @@
 //! their quad slot but are masked out of the write-back, and a quad leaves the worklist
 //! when its last real lane retires.  The quad-occupancy statistic reports how many slots
 //! carried real unretired lanes.  Accept/reject, the PI controller, crossing recording
-//! and retirement run through the same [`LaneState::finish_attempt`] the scalar kernel
+//! and retirement run through the same `LaneState::finish_attempt` the scalar kernel
 //! uses, so the two modes differ *only* in how the stage derivatives are computed.
 //!
 //! **Accuracy contract.**  Every vector-math kernel is element-wise (lane `i` of a result

@@ -14,9 +14,6 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// An axis-aligned box described by per-dimension `(lo, hi)` bounds.
-pub type Bounds = Vec<(f64, f64)>;
-
 /// Draws `n` points uniformly at random inside `bounds`.
 ///
 /// # Panics
@@ -163,7 +160,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn box3() -> Bounds {
+    fn box3() -> Vec<(f64, f64)> {
         vec![(1.0e-12, 15.0e-12), (0.1e-15, 6.0e-15), (0.65, 1.0)]
     }
 

@@ -125,15 +125,6 @@ impl TimingParams {
             self.kd * v_term * ALPHA_TO_SI * point.sin.value() / i,
         ])
     }
-
-    /// Returns `true` when the parameters produce a physically valid (positive) prediction
-    /// over the whole of `space`-like usage: `kd > 0`, `Vdd + V' > 0` for the given supply,
-    /// and the effective capacitance is positive for the given point.
-    pub fn is_physical_at(&self, point: &InputPoint) -> bool {
-        self.kd > 0.0
-            && point.vdd.value() + self.v_prime > 0.0
-            && self.effective_capacitance(point).value() > 0.0
-    }
 }
 
 impl Default for TimingParams {
@@ -280,17 +271,6 @@ mod tests {
                 fd
             );
         }
-    }
-
-    #[test]
-    fn physicality_check() {
-        let p = table1_like_params();
-        assert!(p.is_physical_at(&point(5.0, 2.0, 0.8)));
-        // V' more negative than the supply breaks physicality.
-        let broken = TimingParams::new(0.4, 1.0, -0.9, 0.1);
-        assert!(!broken.is_physical_at(&point(5.0, 2.0, 0.8)));
-        let negative_kd = TimingParams::new(-0.1, 1.0, -0.2, 0.1);
-        assert!(!negative_kd.is_physical_at(&point(5.0, 2.0, 0.8)));
     }
 
     #[test]

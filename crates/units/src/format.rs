@@ -2,7 +2,7 @@
 //!
 //! Characterization reports read much better as `1.67 fF` / `5.09 ps` than as
 //! `1.67e-15` / `5.09e-12`.  [`engineering`] renders a raw value with the appropriate SI
-//! prefix; [`engineering_with_unit`] appends a unit symbol.
+//! prefix.
 
 /// SI prefixes from yocto (1e-24) to yotta (1e24), one per power of a thousand.
 const PREFIXES: [(f64, &str); 17] = [
@@ -57,23 +57,6 @@ pub fn engineering(value: f64) -> String {
     format!("{value:e}")
 }
 
-/// Formats `value` in engineering notation followed by `unit`.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(slic_units::format::engineering_with_unit(5.09e-12, "s"), "5.090 ps");
-/// ```
-pub fn engineering_with_unit(value: f64, unit: &str) -> String {
-    let body = engineering(value);
-    if body.ends_with(|c: char| c.is_ascii_alphabetic()) && body.contains(' ') {
-        // "5.090 p" + "s" -> "5.090 ps"
-        format!("{body}{unit}")
-    } else {
-        format!("{body} {unit}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,13 +94,6 @@ mod tests {
     fn tiny_values_fall_back_to_scientific() {
         let s = engineering(1e-30);
         assert!(s.contains('e'), "expected scientific fallback, got {s}");
-    }
-
-    #[test]
-    fn with_unit_concatenates_prefix_and_unit() {
-        assert_eq!(engineering_with_unit(5.09e-12, "s"), "5.090 ps");
-        assert_eq!(engineering_with_unit(1.0, "V"), "1.000 V");
-        assert_eq!(engineering_with_unit(60e-6, "A"), "60.000 uA");
     }
 
     #[test]

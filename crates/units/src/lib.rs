@@ -14,8 +14,7 @@
 //! * [`Celsius`] for simulation temperature.
 //! * Engineering-notation formatting via [`format::engineering`] so that `1.67e-15 F`
 //!   prints as `1.67 fF`.
-//! * Sweep helpers ([`range::linspace`], [`range::logspace`], [`range::geomspace`]) used by
-//!   every characterization grid in the workspace.
+//! * [`range::linspace`] for sweep grids such as the Liberty export axes.
 //!
 //! # Examples
 //!

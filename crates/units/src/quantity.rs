@@ -18,9 +18,6 @@ macro_rules! quantity {
         pub struct $name(pub f64);
 
         impl $name {
-            /// The zero value of this quantity.
-            pub const ZERO: Self = Self(0.0);
-
             /// Creates a new quantity from a value in SI base units.
             pub const fn new(value: f64) -> Self {
                 Self(value)
@@ -65,11 +62,6 @@ macro_rules! quantity {
             /// Linear interpolation between `self` (at `t = 0`) and `other` (at `t = 1`).
             pub fn lerp(self, other: Self, t: f64) -> Self {
                 Self(self.0 + (other.0 - self.0) * t)
-            }
-
-            /// The SI unit symbol for this quantity (e.g. `"V"`).
-            pub const fn unit_symbol() -> &'static str {
-                $unit
             }
         }
 
@@ -250,18 +242,6 @@ impl Div<Volts> for Coulombs {
     }
 }
 
-impl Volts {
-    /// Converts a value expressed in millivolts.
-    pub fn from_millivolts(mv: f64) -> Self {
-        Volts(mv * 1e-3)
-    }
-
-    /// Returns the value expressed in millivolts.
-    pub fn millivolts(self) -> f64 {
-        self.0 * 1e3
-    }
-}
-
 impl Farads {
     /// Converts a value expressed in femtofarads.
     pub fn from_femtofarads(ff: f64) -> Self {
@@ -271,11 +251,6 @@ impl Farads {
     /// Returns the value expressed in femtofarads.
     pub fn femtofarads(self) -> f64 {
         self.0 * 1e15
-    }
-
-    /// Converts a value expressed in picofarads.
-    pub fn from_picofarads(pf: f64) -> Self {
-        Farads(pf * 1e-12)
     }
 }
 
@@ -288,28 +263,6 @@ impl Seconds {
     /// Returns the value expressed in picoseconds.
     pub fn picoseconds(self) -> f64 {
         self.0 * 1e12
-    }
-
-    /// Converts a value expressed in nanoseconds.
-    pub fn from_nanoseconds(ns: f64) -> Self {
-        Seconds(ns * 1e-9)
-    }
-
-    /// Returns the value expressed in nanoseconds.
-    pub fn nanoseconds(self) -> f64 {
-        self.0 * 1e9
-    }
-}
-
-impl Amperes {
-    /// Converts a value expressed in microamperes.
-    pub fn from_microamperes(ua: f64) -> Self {
-        Amperes(ua * 1e-6)
-    }
-
-    /// Returns the value expressed in microamperes.
-    pub fn microamperes(self) -> f64 {
-        self.0 * 1e6
     }
 }
 
@@ -366,12 +319,6 @@ mod tests {
     fn unit_conversions() {
         assert!((Farads::from_femtofarads(1.67).value() - 1.67e-15).abs() < 1e-27);
         assert!((Seconds::from_picoseconds(5.09).picoseconds() - 5.09).abs() < 1e-9);
-        assert!((Volts::from_millivolts(734.0).value() - 0.734).abs() < 1e-12);
-        assert!((Amperes::from_microamperes(60.0).value() - 60e-6).abs() < 1e-15);
-        assert!((Farads::from_picofarads(0.001).femtofarads() - 1.0).abs() < 1e-9);
-        assert!((Seconds::from_nanoseconds(1.0).nanoseconds() - 1.0).abs() < 1e-12);
-        assert!((Volts(0.5).millivolts() - 500.0).abs() < 1e-9);
-        assert!((Amperes(5e-6).microamperes() - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -427,7 +374,7 @@ mod tests {
 
     #[test]
     fn default_and_zero_agree() {
-        assert_eq!(Volts::default(), Volts::ZERO);
-        assert_eq!(Seconds::default(), Seconds::ZERO);
+        assert_eq!(Volts::default(), Volts(0.0));
+        assert_eq!(Seconds::default(), Seconds(0.0));
     }
 }

@@ -8,7 +8,7 @@
 //! expects next to the nominal `cell_rise`/`cell_fall` tables.
 //!
 //! Everything routes through an existing
-//! [`CharacterizationEngine`](slic_spice::CharacterizationEngine), so the engine's
+//! [`CharacterizationEngine`], so the engine's
 //! simulation counter, cache and pluggable
 //! [`SimulationBackend`](slic_spice::SimulationBackend) (the local kernel or a
 //! `slic-farm` fleet) all apply per `(seed, point)` coordinate: a delay table and a slew

@@ -3,7 +3,7 @@
 //! validation against direct simulation, compared with the LSE and LUT baselines.
 
 use slic::historical::{HistoricalLearner, HistoricalLearningConfig};
-use slic::nominal::{MethodKind, NominalStudy, NominalStudyConfig};
+use slic::nominal::{MethodKind, NominalStudy, NominalStudyConfig, Reduction};
 use slic::prelude::*;
 
 fn learned_database() -> HistoricalDatabase {
@@ -53,22 +53,17 @@ fn bayesian_flow_beats_lut_at_small_sample_counts() {
     );
     // With 20 simulations every method has converged to a few percent; the compact model
     // should still be at least as good as the LUT there.
-    assert!(bayes.final_error().unwrap() < 8.0);
-    assert!(lse.final_error().unwrap() < 10.0);
+    assert!(*bayes.errors_percent.last().unwrap() < 8.0);
+    assert!(*lse.errors_percent.last().unwrap() < 10.0);
 
-    // Speedup accounting: the Bayesian flow reaches LUT-final accuracy with fewer
+    // Reduction at the LUT's best accuracy: the Bayesian flow reaches it with fewer
     // simulations than the LUT itself spent.
-    let target = lut.final_error().unwrap();
-    let sims_bayes = bayes
-        .simulations_to_reach(target)
-        .expect("bayesian reaches LUT accuracy");
-    let sims_lut = lut
-        .simulations_to_reach(target)
-        .expect("lut reaches its own accuracy");
-    assert!(
-        sims_bayes < sims_lut,
-        "bayesian needs {sims_bayes} sims vs {sims_lut} for the LUT"
-    );
+    let target = lut.best_error().expect("non-empty LUT curve");
+    let reduction = Reduction::at(target, bayes, lut);
+    let factor = reduction
+        .factor()
+        .expect("both methods reach the LUT's best accuracy");
+    assert!(factor > 1.0, "Bayesian reduction vs the LUT = {factor}");
 }
 
 #[test]
@@ -87,7 +82,7 @@ fn slew_characterization_works_through_the_same_pipeline() {
         .run(cell, &arc, TimingMetric::OutputSlew)
         .expect("prior");
     let bayes = result.curve(MethodKind::ProposedBayesian).unwrap();
-    let final_error = bayes.final_error().unwrap();
+    let final_error = *bayes.errors_percent.last().unwrap();
     assert!(
         final_error < 12.0,
         "slew error at k=10 should be moderate, got {final_error}"

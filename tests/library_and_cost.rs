@@ -110,7 +110,7 @@ fn public_prelude_covers_the_full_stack() {
     let _cell: Cell = Cell::new(CellKind::Aoi21, DriveStrength::X2);
     let _params: TimingParams = TimingParams::initial_guess();
     let _prior_builder: PriorBuilder = PriorBuilder::new();
-    let _gauss: Gaussian = Gaussian::standard();
+    let _summary: Summary = Summary::from_samples(&[1.0, 2.0]);
     let _cfg: TransientConfig = TransientConfig::fast();
     let _levels = grid_levels_for_budget(10);
 }
