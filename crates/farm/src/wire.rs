@@ -41,7 +41,7 @@
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use slic_device::{ProcessSample, TechnologyNode};
-use slic_spice::codec::{self, Coordinate};
+use slic_spice::codec::{self, Coordinate, Decoder};
 use slic_spice::{InputPoint, SimRequest, SimResult, KERNEL_VERSION};
 use slic_units::{Farads, Seconds, Volts};
 use std::fmt;
@@ -218,7 +218,7 @@ impl WireRequest {
             }
         }
         let coordinate = Coordinate {
-            tech: request.tech.name().to_string(),
+            tech: request.tech.name().into(),
             arc: request.arc,
             point: [
                 checked_bits(request.point.sin.value(), "point.sin")?,
@@ -246,7 +246,9 @@ impl WireRequest {
         Ok(Self(words))
     }
 
-    /// Reconstructs the bit-identical [`SimRequest`] this wire form encodes.
+    /// Reconstructs the bit-identical [`SimRequest`] this wire form encodes, reading its
+    /// words through `decoder`: the lanes of one batch share a decoder, so the batch
+    /// allocates a technology name once per technology it names.
     ///
     /// # Errors
     ///
@@ -254,10 +256,12 @@ impl WireRequest {
     /// whose pin its cell lacks), the technology name is unknown, a coordinate is
     /// non-finite or out of its physical range, or the transient configuration fails
     /// validation.
-    pub fn decode(&self) -> Result<SimRequest, WireError> {
-        let coordinate = Coordinate::parse(&self.0).map_err(WireError::InvalidRequest)?;
+    pub fn decode(&self, decoder: &mut Decoder) -> Result<SimRequest, WireError> {
+        let coordinate = decoder
+            .coordinate(&self.0)
+            .map_err(WireError::InvalidRequest)?;
         let tech = TechnologyNode::by_name_shared(&coordinate.tech)
-            .ok_or(WireError::UnknownTechnology(coordinate.tech))?;
+            .ok_or_else(|| WireError::UnknownTechnology(coordinate.tech.to_string()))?;
         let [sin, cload, vdd] = coordinate.point;
         let sin = finite_from_bits(sin, "point.sin")?;
         let cload = finite_from_bits(cload, "point.cload")?;
@@ -577,7 +581,12 @@ mod tests {
         };
         assert_eq!(id, 7);
         assert_eq!(requests.len(), 1);
-        assert_eq!(requests[0].decode().expect("reconstructs"), original);
+        assert_eq!(
+            requests[0]
+                .decode(&mut Decoder::default())
+                .expect("reconstructs"),
+            original
+        );
     }
 
     #[test]
@@ -634,7 +643,9 @@ mod tests {
         else {
             panic!("wrong message type");
         };
-        let err = requests[0].decode().expect_err("NAND2_X2 has no pin 7");
+        let err = requests[0]
+            .decode(&mut Decoder::default())
+            .expect_err("NAND2_X2 has no pin 7");
         assert!(
             err.to_string().contains("input pin 7 out of range"),
             "{err}"
@@ -660,9 +671,10 @@ mod tests {
         let Message::Batch { requests, .. } = decode_message(&line).expect("decodes") else {
             panic!("wrong message type");
         };
+        let mut decoder = Decoder::default();
         let decoded: Vec<SimRequest> = requests
             .iter()
-            .map(|lane| lane.decode().expect("catalogue lanes decode"))
+            .map(|lane| lane.decode(&mut decoder).expect("catalogue lanes decode"))
             .collect();
         assert_eq!(decoded, lanes, "every lane reconstructs bit-exactly");
         assert!(Arc::ptr_eq(&decoded[0].tech, &decoded[2].tech));

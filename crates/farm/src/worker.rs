@@ -168,9 +168,10 @@ fn solve_wire_batch(
     backend: &LocalBackend,
     requests: &[crate::wire::WireRequest],
 ) -> Vec<WireResultEntry> {
+    let mut decoder = slic_spice::codec::Decoder::default();
     let decoded: Vec<Result<slic_spice::SimRequest, String>> = requests
         .iter()
-        .map(|wire| wire.decode().map_err(|e| e.to_string()))
+        .map(|wire| wire.decode(&mut decoder).map_err(|e| e.to_string()))
         .collect();
     let solvable: Vec<slic_spice::SimRequest> = decoded
         .iter()

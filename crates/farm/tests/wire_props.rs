@@ -16,6 +16,7 @@ use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_farm::wire::{decode_message, encode_message, Message};
 use slic_farm::{Hello, WireError, WireRequest, WireResultEntry, PROTOCOL_VERSION};
+use slic_spice::codec::Decoder;
 use slic_spice::{InputPoint, SimRequest, SimResult, TimingMeasurement, TransientConfig};
 use slic_units::{Farads, Seconds, Volts};
 
@@ -166,8 +167,9 @@ fn decode_everything(line: &str) {
     match decode_message(line) {
         Ok(Message::Hello(hello)) => drop(hello.validate()),
         Ok(Message::Batch { requests, .. }) => {
+            let mut decoder = Decoder::default();
             for request in &requests {
-                drop(request.decode());
+                drop(request.decode(&mut decoder));
             }
         }
         Ok(Message::Results { results, .. }) => {
@@ -218,7 +220,9 @@ proptest::proptest! {
                 panic!("wrong message type");
             };
             prop_assert_eq!(id, 42);
-            let back = requests[0].decode().expect("reconstructs");
+            let back = requests[0]
+                .decode(&mut Decoder::default())
+                .expect("reconstructs");
             prop_assert_eq!(back, original, "every bit pattern must survive the wire");
         }
     }

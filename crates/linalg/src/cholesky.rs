@@ -133,21 +133,9 @@ impl Cholesky {
             * 2.0
     }
 
-    /// Squared Mahalanobis distance `(x − µ)ᵀ A⁻¹ (x − µ)` where `A` is the factored matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector lengths do not match `dim()`.
-    pub fn mahalanobis_squared(&self, x: &Vector, mean: &Vector) -> f64 {
-        let d = x - mean;
-        let z = self.forward_substitute(&d);
-        z.dot(&z)
-    }
-
     /// Applies the factor to a vector: returns `L · z`.
     ///
-    /// With `z` standard normal this produces a sample with covariance `A`, which is how the
-    /// multivariate-normal sampler in `slic-stats` draws correlated parameter sets.
+    /// With `z` standard normal this produces a sample with covariance `A`.
     ///
     /// # Panics
     ///
@@ -199,14 +187,6 @@ mod tests {
         let a = Matrix::from_diagonal(&[2.0, 3.0, 4.0]);
         let chol = a.cholesky().unwrap();
         assert!((chol.log_determinant() - (24.0f64).ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mahalanobis_identity_covariance_is_euclidean() {
-        let chol = Matrix::identity(2).cholesky().unwrap();
-        let x = Vector::from_slice(&[3.0, 4.0]);
-        let mu = Vector::zeros(2);
-        assert!((chol.mahalanobis_squared(&x, &mu) - 25.0).abs() < 1e-12);
     }
 
     #[test]
@@ -263,18 +243,6 @@ mod tests {
             let rhs = Vector::from_slice(&rhs);
             let x = chol.solve(&rhs);
             prop_assert!((&a.mat_vec(&x) - &rhs).norm() < 1e-7 * (1.0 + rhs.norm()));
-        }
-
-        #[test]
-        fn prop_mahalanobis_nonnegative(values in proptest::collection::vec(-2f64..2.0, 9),
-                                        x in proptest::collection::vec(-5f64..5.0, 3),
-                                        mu in proptest::collection::vec(-5f64..5.0, 3),
-                                        jitter in 0.5f64..5.0) {
-            let b = Matrix::from_fn(3, 3, |i, j| values[i * 3 + j]);
-            let a = b.gram().add_diagonal(jitter);
-            let chol = Cholesky::decompose(&a).unwrap();
-            let d2 = chol.mahalanobis_squared(&Vector::from_slice(&x), &Vector::from_slice(&mu));
-            prop_assert!(d2 >= 0.0);
         }
     }
 }

@@ -90,11 +90,6 @@ impl Matrix {
         self.rows == self.cols
     }
 
-    /// Returns the diagonal as a vector (length `min(rows, cols)`).
-    pub fn diagonal(&self) -> Vector {
-        Vector::from_fn(self.rows.min(self.cols), |i| self[(i, i)])
-    }
-
     /// Returns row `i` as a vector.
     ///
     /// # Panics
@@ -103,16 +98,6 @@ impl Matrix {
     pub fn row(&self, i: usize) -> Vector {
         assert!(i < self.rows, "row index out of bounds");
         Vector::from_slice(&self.data[i * self.cols..(i + 1) * self.cols])
-    }
-
-    /// Returns column `j` as a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cols`.
-    pub fn column(&self, j: usize) -> Vector {
-        assert!(j < self.cols, "column index out of bounds");
-        Vector::from_fn(self.rows, |i| self[(i, j)])
     }
 
     /// Returns the transpose.
@@ -390,8 +375,9 @@ mod tests {
     fn rows_columns_diagonal() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m.row(0).as_slice(), &[1.0, 2.0]);
-        assert_eq!(m.column(1).as_slice(), &[2.0, 4.0]);
-        assert_eq!(m.diagonal().as_slice(), &[1.0, 4.0]);
+        assert_eq!(m.transpose().row(1).as_slice(), &[2.0, 4.0], "a column");
+        let d = Matrix::from_diagonal(&[1.0, 4.0]);
+        assert_eq!(d.row(1).as_slice(), &[0.0, 4.0], "a diagonal matrix");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use slic_cells::TimingArc;
 use slic_device::ProcessSample;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Version stamp of the transient solver whose results a [`SimKey`] coordinates.
 ///
@@ -130,14 +130,15 @@ impl SimKey {
     /// Builds the key for simulating `arc` at `point` under `seed` with `config` in the
     /// technology named `tech`, on the kernel `kernel` ([`KERNEL_VERSION`], or the id a
     /// backend reports as its
-    /// [`kernel_id`](crate::backend::SimulationBackend::kernel_id)).
+    /// [`kernel_id`](crate::backend::SimulationBackend::kernel_id)).  A caller that keys
+    /// many lanes passes a clone of one shared name, so the key allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if any floating-point coordinate is NaN (see `key_bits`).
     pub fn new(
         kernel: u64,
-        tech: &str,
+        tech: impl Into<Arc<str>>,
         arc: &TimingArc,
         point: &InputPoint,
         seed: &ProcessSample,
@@ -147,7 +148,7 @@ impl SimKey {
         Self {
             kernel,
             coordinate: Coordinate {
-                tech: tech.to_string(),
+                tech: tech.into(),
                 arc: *arc,
                 point,
                 seed,
@@ -284,7 +285,7 @@ fn shard_index(key: &SimKey) -> usize {
 }
 
 /// Warm records grouped by the [`InMemorySimCache`] shard that will hold them, each
-/// shard's part in push order until it is [sorted](Self::sort): what one piece of a
+/// shard's part in push order until it is [sorted](Self::sort): what one byte range of a
 /// [`DiskSimCache`](crate::disk::DiskSimCache) log decodes to.
 pub(crate) struct WarmParts([Vec<(SimKey, TimingMeasurement)>; SHARDS]);
 
@@ -349,33 +350,22 @@ impl InMemorySimCache {
     /// counting a hit or a miss; lookups they answer count toward
     /// [`warm_hits`](SimulationCache::warm_hits).
     ///
-    /// `pieces` are consecutive pieces of a log, in log order.  Each shard's map is built
-    /// once from its parts, in that order, by [`BTreeMap::from_iter`]: a stable sort
-    /// (a merge of runs when the parts are sorted already), then a bulk build that keeps
-    /// the later of two records with one key.  So the last record wins, as repeated
-    /// inserts would have it.
-    pub(crate) fn from_warm(mut pieces: Vec<WarmParts>) -> Self {
-        // The records were decoded on worker threads.  Under glibc a thread allocates
-        // from its own malloc arena, whose pages stay resident after the thread exits,
-        // so an allocation that lives as long as the cache would pin pages this thread
-        // cannot reuse (20 s perfbench `mc-warm` runs on a 2-core VM read 55 MB of peak
-        // RSS without the copy below, 53 MB with it).  A technology name is the one
-        // allocation a record owns: each is copied here, and a shard's worker copies are
-        // dropped only once the shard is built, so that the allocator cannot hand a
-        // just-freed worker copy straight back for the next name.
-        let mut spent = Vec::new();
+    /// `ranges` are consecutive byte ranges of a log, in log order.  Each shard's map is
+    /// built once from its parts, in that order, by [`BTreeMap::from_iter`]: a stable
+    /// sort (a merge of runs when the parts are sorted already), then a bulk build that
+    /// keeps the later of two records with one key.  So the last record wins, as
+    /// repeated inserts would have it.  A record owns no allocation of its own (its
+    /// technology name is shared, see [`Coordinate`]), so the records move into the maps
+    /// as they are.
+    pub(crate) fn from_warm(mut ranges: Vec<WarmParts>) -> Self {
         let shards = std::array::from_fn(|shard| {
-            let map = pieces
-                .iter_mut()
-                .flat_map(|piece| std::mem::take(&mut piece.0[shard]))
-                .map(|(mut key, measurement)| {
-                    let tech = key.coordinate.tech.clone();
-                    spent.push(std::mem::replace(&mut key.coordinate.tech, tech));
-                    (key, (measurement, Tier::Warm))
-                })
-                .collect();
-            spent.clear();
-            Mutex::new(map)
+            Mutex::new(
+                ranges
+                    .iter_mut()
+                    .flat_map(|range| std::mem::take(&mut range.0[shard]))
+                    .map(|(key, measurement)| (key, (measurement, Tier::Warm)))
+                    .collect(),
+            )
         });
         Self {
             shards,

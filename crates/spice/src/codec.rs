@@ -26,16 +26,22 @@ use crate::cache::SimKey;
 use crate::measure::TimingMeasurement;
 use slic_cells::TimingArc;
 use slic_units::Seconds;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The exact coordinates of one transient simulation, as the codec reads and writes
 /// them: the technology by name, the arc, and every number by its bit pattern.
 ///
 /// A [`SimKey`] is a kernel id plus a coordinate whose floats are normalized for
 /// caching; a farm request carries a coordinate with the request's raw bits.
+///
+/// The name is shared, not owned: an engine hands every key it builds a clone of its
+/// technology's one name, and a [`Decoder`] gives a run of coordinates of one technology
+/// one allocation, so neither a lookup nor a decoded record allocates a name.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Coordinate {
     /// The technology node's name.
-    pub tech: String,
+    pub tech: Arc<str>,
     /// The simulated arc.
     pub arc: TimingArc,
     /// Bits of the input point: slew, load, supply.
@@ -59,21 +65,19 @@ impl Coordinate {
         }
     }
 
-    /// Parses exactly the sixteen words [`write`](Self::write) produces.
+    /// Parses exactly the sixteen words [`write`](Self::write) produces (a
+    /// [`Decoder`] of its own parses one coordinate).
     ///
     /// # Errors
     ///
     /// Says which word is missing, malformed or extra, or why the arc is not one.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut words = Words::new(text);
-        let coordinate = Self::read(&mut words)?;
-        words.finish()?;
-        Ok(coordinate)
+        Decoder::default().coordinate(text)
     }
 
-    fn read(words: &mut Words<'_>) -> Result<Self, String> {
+    fn read(words: &mut Words<'_>, decoder: &mut Decoder) -> Result<Self, String> {
         Ok(Self {
-            tech: parse_name(words.next()?)?,
+            tech: decoder.name(words.next()?)?,
             arc: TimingArc::from_id(words.next()?)?,
             point: words.hex_array()?,
             seed: words.hex_array()?,
@@ -120,24 +124,69 @@ pub fn encode_record(key: &SimKey, measurement: &TimingMeasurement) -> String {
     line
 }
 
-/// Parses one v2 cache record written by [`encode_record`].
+/// Parses one v2 cache record written by [`encode_record`] (a [`Decoder`] of its own
+/// parses one record).
 ///
 /// # Errors
 ///
 /// Says which word is missing, malformed or extra, or which invariant the arc or the
 /// measurement breaks.
 pub fn decode_record(line: &str) -> Result<(SimKey, TimingMeasurement), String> {
-    let mut words = Words::new(line);
-    let kernel_word = words.next()?;
-    let kernel = (1..=16)
-        .contains(&kernel_word.len())
-        .then(|| parse_hex(kernel_word.as_bytes()))
-        .flatten()
-        .ok_or_else(|| format!("`{kernel_word}` is not a hex kernel id"))?;
-    let coordinate = Coordinate::read(&mut words)?;
-    let measurement = read_measurement(&mut words)?;
-    words.finish()?;
-    Ok((SimKey { kernel, coordinate }, measurement))
+    Decoder::default().record(line)
+}
+
+/// Decodes a run of coordinates or records, such as one range of a cache log or one farm
+/// batch, giving the coordinates of one technology one shared name.
+///
+/// The decoder remembers the last name it read; a coordinate whose name has the same
+/// bytes shares that allocation.  So a run allocates a name once per change of
+/// technology, not once per coordinate.
+#[derive(Debug, Default)]
+pub struct Decoder {
+    /// The name of the last coordinate read.
+    name: Option<Arc<str>>,
+}
+
+impl Decoder {
+    /// Parses exactly the sixteen words [`Coordinate::write`] produces.
+    ///
+    /// # Errors
+    ///
+    /// As [`Coordinate::parse`].
+    pub fn coordinate(&mut self, text: &str) -> Result<Coordinate, String> {
+        let mut words = Words::new(text);
+        let coordinate = Coordinate::read(&mut words, self)?;
+        words.finish()?;
+        Ok(coordinate)
+    }
+
+    /// Parses one v2 cache record written by [`encode_record`].
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_record`].
+    pub fn record(&mut self, line: &str) -> Result<(SimKey, TimingMeasurement), String> {
+        let mut words = Words::new(line);
+        let kernel_word = words.next()?;
+        let kernel = (1..=16)
+            .contains(&kernel_word.len())
+            .then(|| parse_hex(kernel_word.as_bytes()))
+            .flatten()
+            .ok_or_else(|| format!("`{kernel_word}` is not a hex kernel id"))?;
+        let coordinate = Coordinate::read(&mut words, self)?;
+        let measurement = read_measurement(&mut words)?;
+        words.finish()?;
+        Ok((SimKey { kernel, coordinate }, measurement))
+    }
+
+    /// The name spelled `word`, shared with the last coordinate's when the two match.
+    fn name(&mut self, word: &str) -> Result<Arc<str>, String> {
+        let name = parse_name(word)?;
+        match &self.name {
+            Some(last) if **last == *name => Ok(Arc::clone(last)),
+            _ => Ok(Arc::clone(self.name.insert(Arc::from(name)))),
+        }
+    }
 }
 
 /// The words of one encoded line, read in order.
@@ -267,9 +316,9 @@ fn push_name(out: &mut String, name: &str) {
 
 /// The name [`push_name`] wrote as `word`; any other spelling — an unescaped space or
 /// control character, a stray or lowercase escape — is an error.
-fn parse_name(word: &str) -> Result<String, String> {
+fn parse_name(word: &str) -> Result<Cow<'_, str>, String> {
     if !word.contains(needs_escape) {
-        return Ok(word.to_string());
+        return Ok(Cow::Borrowed(word));
     }
     let mut bytes = Vec::with_capacity(word.len());
     let mut rest = word.as_bytes();
@@ -298,7 +347,9 @@ fn parse_name(word: &str) -> Result<String, String> {
         push_name(&mut spelled, name);
         spelled == word
     });
-    canonical.ok_or_else(|| format!("`{word}` is not an escaped technology name"))
+    canonical
+        .map(Cow::Owned)
+        .ok_or_else(|| format!("`{word}` is not an escaped technology name"))
 }
 
 #[cfg(test)]

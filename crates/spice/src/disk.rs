@@ -8,26 +8,45 @@
 //! [`CharacterizationPlan`] and later reruns all warm-start from the same file: a rerun
 //! of an already-characterized shard pays zero transient simulations.
 //!
-//! Reads and appends go through [`slic_obs::jsonl`], the append-log discipline the run
-//! ledger shares: an advisory file lock (shared for load, exclusive for flush), so
-//! same-host workers pointed at one cache file never interleave partial lines; each
-//! worker still only *sees* records flushed before it opened the file, so sequential
-//! workers share everything while concurrent workers merely deduplicate what was on disk
-//! when they started.  The in-memory side *is* an [`InMemorySimCache`], whose 16 locked
-//! shards keep warm-replay lookups from contending under rayon.
+//! Appends go through [`slic_obs::jsonl`], the append-log discipline the run ledger
+//! shares, and reads classify lines with its classifier.  An advisory file lock (shared
+//! for load, exclusive for flush) keeps same-host workers pointed at one cache file from
+//! interleaving partial lines; each worker still only *sees* records flushed before it
+//! opened the file, so sequential workers share everything while concurrent workers
+//! merely deduplicate what was on disk when they started.  The in-memory side *is* an
+//! [`InMemorySimCache`], whose 16 locked shards keep warm-replay lookups from contending
+//! under rayon.
 //!
 //! # Loading
 //!
-//! [`open`](DiskSimCache::open) reads the whole log under the shared lock, cuts the text
-//! at line boundaries into one piece per thread (`rayon::current_num_threads`; one piece,
-//! decoded on the calling thread, on a 1-core host), and decodes the pieces in parallel.
+//! [`open`](DiskSimCache::open) never holds the log's text.  Under the shared lock it cuts
+//! the file into one byte range per thread (`rayon::current_num_threads`; one range,
+//! decoded on the calling thread, on a 1-core host): each range but the last ends just
+//! after the first newline at or past an even share of the file, which a small
+//! positioned read finds.  Each worker reads its range with positioned reads on the
+//! locked handle into a block buffer of 1 MiB, decodes the block's complete lines through
+//! [`jsonl::classify`] and [`decode_line`], and moves the partial last line to the front
+//! of the buffer; a line longer than the buffer grows it.  Blocks end at newlines, so
+//! each block is checked as UTF-8 on its own.
+//!
 //! Each worker puts its records into per-shard parts as it goes and sorts each part by
-//! key, keeping the log order of equal keys.  `open` then frees the text and builds each
-//! shard's map once, in bulk, from its parts in log order, so the last record of a key
-//! wins exactly as a line-by-line load would have it.  Error line numbers count from the
-//! start of the file, and the first corrupt line in file order is the one reported.
-//! [`compact`](DiskSimCache::compact) reads through the same decode, keeping records in
-//! log order instead.
+//! key, keeping the log order of equal keys.  `open` then builds each shard's map once,
+//! in bulk, from its parts in log order, so the last record of a key wins exactly as a
+//! line-by-line load would have it.  Every buffer a worker fills — its block buffer and
+//! its parts — is allocated on the calling thread before the workers start: under glibc
+//! a thread allocates from its own malloc arena, whose pages stay resident after the
+//! thread exits, and successive loads land on different arenas.  A decoded record owns no
+//! allocation of its own: a worker's [`Decoder`] gives a run of records of one
+//! technology one shared name, so a range allocates a name once per technology, not once
+//! per record.
+//!
+//! Each worker numbers its corrupt lines within the block it read them in; the error
+//! counts the newlines before that block, so its line number counts from the start of
+//! the file, and the first corrupt line in file order is the one reported.  Only the
+//! last range can end in a torn tail (skipped) or in a complete record without its
+//! newline (queued for re-append).  [`compact`](DiskSimCache::compact) reads through the
+//! same ranged decode, keeping records in log order instead, and copies corrupt lines
+//! out for its quarantine sidecar.
 //!
 //! # Record formats
 //!
@@ -47,13 +66,15 @@
 use crate::cache::{
     CacheError, InMemorySimCache, SimKey, SimulationCache, WarmParts, LEGACY_KERNEL_VERSION,
 };
-use crate::codec::{self, Coordinate};
+use crate::codec::{self, Coordinate, Decoder};
 use crate::measure::TimingMeasurement;
 use rayon::prelude::*;
 use serde::{Deserialize, Error as SerdeError, Value};
 use slic_obs::jsonl::{self, Line};
 use std::fmt;
-use std::io::{Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -119,7 +140,7 @@ impl Deserialize for SimKey {
         Ok(Self {
             kernel,
             coordinate: Coordinate {
-                tech: serde::field(entries, "tech")?,
+                tech: serde::field::<String>(entries, "tech")?.into(),
                 arc: serde::field(entries, "arc")?,
                 point: bits_from_value(bits("point")?, "point")?,
                 seed: bits_from_value(bits("seed")?, "seed")?,
@@ -152,50 +173,134 @@ impl Deserialize for TimingMeasurement {
 /// Says why the line is not a record: a JSON or codec syntax error, an arc pin its cell
 /// lacks, or a measurement no valid solve produces.
 pub fn decode_line(line: &str) -> Result<(SimKey, TimingMeasurement), String> {
+    decode_line_with(&mut Decoder::default(), line)
+}
+
+/// [`decode_line`], reading a v2 record through `decoder`, which shares technology
+/// names between the lines it decodes.
+fn decode_line_with(
+    decoder: &mut Decoder,
+    line: &str,
+) -> Result<(SimKey, TimingMeasurement), String> {
     if line.starts_with('{') {
         let record: DiskRecord = serde_json::from_str(line).map_err(|err| err.to_string())?;
         Ok((record.key, record.measurement))
     } else {
-        codec::decode_record(line)
+        decoder.record(line)
     }
 }
 
-/// Cuts `text` into at most `count` consecutive pieces of about equal length, each cut
-/// just after a newline, so every piece but the last ends with one.  No text, no pieces.
-fn split_lines(text: &str, count: usize) -> Vec<&str> {
-    let mut pieces = Vec::with_capacity(count);
-    let mut rest = text;
-    for left in (1..=count.max(1)).rev() {
-        if rest.is_empty() {
-            break;
-        }
-        let target = rest.len() / left;
-        let len = match rest.as_bytes()[target..].iter().position(|&b| b == b'\n') {
-            Some(newline) if left > 1 => target + newline + 1,
-            _ => rest.len(),
-        };
-        let (piece, tail) = rest.split_at(len);
-        pieces.push(piece);
-        rest = tail;
+/// The bytes a decode worker reads at a time: about 3,400 v2 records.
+const BLOCK_BYTES: usize = 1 << 20;
+
+/// The bytes one small positioned read takes, looking for a cut or counting newlines.
+const PROBE_BYTES: usize = 4096;
+
+/// A v2 record line is longer than the 256 hex digits of its sixteen words, so a range
+/// of a log holds fewer records than it has bytes divided by this.
+const RECORD_BYTES_AT_LEAST: usize = 256;
+
+/// Fills `buf` with the bytes of `file` at `offset`.  The read leaves the handle's cursor
+/// alone, so decode workers can share the one locked handle.
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
     }
-    pieces
+    #[cfg(windows)]
+    {
+        let (mut buf, mut offset) = (buf, offset);
+        while !buf.is_empty() {
+            match std::os::windows::fs::FileExt::seek_read(file, buf, offset)? {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                read => {
+                    buf = &mut buf[read..];
+                    offset += read as u64;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The length of the next probe when `left` bytes remain.
+fn probe_len(left: u64) -> usize {
+    usize::try_from(left).map_or(PROBE_BYTES, |left| left.min(PROBE_BYTES))
+}
+
+/// The offset of the first newline at or past `from` in `file`, `len` bytes long, found
+/// by small positioned reads; `None` when there is none.
+fn next_newline(file: &File, from: u64, len: u64) -> io::Result<Option<u64>> {
+    let mut probe = [0u8; PROBE_BYTES];
+    let mut at = from;
+    while at < len {
+        let bytes = &mut probe[..probe_len(len - at)];
+        read_exact_at(file, bytes, at)?;
+        if let Some(newline) = bytes.iter().position(|&byte| byte == b'\n') {
+            return Ok(Some(at + newline as u64));
+        }
+        at += bytes.len() as u64;
+    }
+    Ok(None)
+}
+
+/// Cuts `file`, `len` bytes long, into at most `count` consecutive byte ranges of about
+/// equal length: each range but the last ends just after the first newline at or past
+/// an even share of the file.  An empty file has no ranges.
+fn cut_ranges(file: &File, len: u64, count: usize) -> io::Result<Vec<Range<u64>>> {
+    let count = count.max(1) as u64;
+    let mut ranges = Vec::with_capacity(count as usize);
+    let mut start = 0;
+    for share in 1..count {
+        let even = (u128::from(len) * u128::from(share) / u128::from(count)) as u64;
+        let Some(newline) = next_newline(file, even.max(start), len)? else {
+            break;
+        };
+        ranges.push(start..newline + 1);
+        start = newline + 1;
+    }
+    if start < len {
+        ranges.push(start..len);
+    }
+    Ok(ranges)
 }
 
 /// A newline-terminated line that is not a record.
-struct CorruptLine<'a> {
-    /// The 1-based line number, counted from the start of the log.
+struct CorruptLine {
+    /// The file offset of the block the line was decoded in, which starts a line.
+    block: u64,
+    /// The 1-based line number within that block.
     number: usize,
     /// The line's text, without its newline.
-    text: &'a str,
+    text: String,
     /// Why the line did not decode.
     error: String,
 }
 
-/// A v2 record line is longer than the 256 hex digits of its sixteen words, so a piece
-/// of a log holds fewer records than it has bytes divided by this.
-const RECORD_BYTES_AT_LEAST: usize = 256;
+impl CorruptLine {
+    /// The error that reports this line of the locked `file`, its number counted from
+    /// the start of the file.  The newlines before the line's block are counted here,
+    /// for the one line an error reports, and not while the log decodes.
+    fn into_error(self, file: &File) -> CacheError {
+        let mut probe = [0u8; PROBE_BYTES];
+        let mut newlines = 0;
+        let mut at = 0;
+        while at < self.block {
+            let bytes = &mut probe[..probe_len(self.block - at)];
+            if let Err(err) = read_exact_at(file, bytes, at) {
+                return err.into();
+            }
+            newlines += bytes.iter().filter(|&&byte| byte == b'\n').count();
+            at += bytes.len() as u64;
+        }
+        CacheError::Corrupt {
+            line: newlines + self.number,
+            message: self.error,
+        }
+    }
+}
 
-/// What one piece of a log decodes into.
+/// What one byte range of a log decodes into.
 trait Records: Send + Sync {
     /// Empty records with room for about `records` records.
     fn with_capacity(records: usize) -> Self;
@@ -203,7 +308,7 @@ trait Records: Send + Sync {
     /// Adds a decoded record.
     fn push(&mut self, key: SimKey, measurement: TimingMeasurement);
 
-    /// Runs on the worker that decoded the piece, after its last record.
+    /// Runs on the worker that decoded the range, after its last record.
     fn finish(&mut self) {}
 }
 
@@ -235,90 +340,123 @@ impl Records for WarmParts {
     }
 }
 
-/// One piece of a log, as [`decode_pieces`] returns it.
-struct Piece<'a, R> {
-    /// The piece's text.
-    text: &'a str,
-    /// The piece's records.
+/// One byte range of a log, as [`decode_ranges`] returns it.
+struct Decoded<R> {
+    /// The range's records.
     records: R,
-    /// The piece's corrupt lines, in order.
-    corrupt: Vec<CorruptLine<'a>>,
+    /// The range's corrupt lines, in order.
+    corrupt: Vec<CorruptLine>,
     /// A complete final record whose newline a crash lost: the next flush truncates it,
-    /// so a writer that must keep it re-appends this text.  Only the log's last piece
+    /// so a writer that must keep it re-appends this text.  Only the log's last range
     /// can end in one (or in a torn tail, which is skipped).
-    unterminated: Option<&'a str>,
+    unterminated: Option<String>,
 }
 
-/// Decodes the log `text` in `count` pieces (see [`split_lines`]) on compat rayon's
-/// workers, each line through [`jsonl::classify`] and [`decode_line`], into one `R` per
-/// piece.  Returns the pieces in log order, with corrupt lines numbered from the start
-/// of the log.
+/// Decodes the log behind the locked `file` in at most `count` byte ranges (see
+/// [`cut_ranges`]), one per compat rayon worker, each read through a block buffer of
+/// `block` bytes.  Returns the ranges in log order.
 ///
-/// Each `R` is made on the calling thread with room for every record its piece can
-/// hold, so a worker does not grow it.  Under glibc a thread allocates from its own
-/// malloc arena, whose pages stay resident after the thread exits, and successive loads
-/// land on different arenas: with buffers grown by the workers, perfbench `mc-warm`
-/// (20 s on a 2-core VM) read a `peak_rss_mb` of 80 MB, against 53 MB with them made
-/// here.
-fn decode_pieces<R: Records>(text: &str, count: usize) -> Vec<Piece<'_, R>> {
-    let starts: Vec<(&str, R)> = split_lines(text, count)
+/// Every buffer a worker fills — its block buffer and its `R`, with room for every
+/// record its range can hold — is allocated here, on the calling thread (see
+/// [Loading](crate::disk#loading)).
+fn decode_ranges<R: Records>(
+    file: &File,
+    count: usize,
+    block: usize,
+) -> io::Result<Vec<Decoded<R>>> {
+    let len = file.metadata()?.len();
+    let work: Vec<(Range<u64>, Vec<u8>, R)> = cut_ranges(file, len, count)?
         .into_iter()
-        .map(|text| {
-            let records = R::with_capacity(text.len() / RECORD_BYTES_AT_LEAST + 1);
-            (text, records)
+        .map(|range| {
+            let bytes = usize::try_from(range.end - range.start).unwrap_or(usize::MAX);
+            let buffer = vec![0u8; block.clamp(1, bytes)];
+            let records = R::with_capacity(bytes / RECORD_BYTES_AT_LEAST + 1);
+            (range, buffer, records)
         })
         .collect();
-    let mut pieces: Vec<Piece<'_, R>> = starts
-        .into_par_iter()
-        .map(|(text, records)| {
-            let mut piece = Piece {
-                text,
-                records,
-                corrupt: Vec::new(),
-                unterminated: None,
-            };
-            for line in jsonl::classify(text, decode_line) {
-                match line {
-                    Line::Record {
-                        record: (key, measurement),
-                        text,
-                        terminated,
-                    } => {
-                        if !terminated {
-                            piece.unterminated = Some(text);
-                        }
-                        piece.records.push(key, measurement);
+    work.into_par_iter()
+        .map(|(range, buffer, records)| decode_range(file, range, buffer, records))
+        .collect()
+}
+
+/// Decodes the byte `range` of the locked `file`: reads it block by block into
+/// `buffer`, decodes each block's complete lines through [`jsonl::classify`] and
+/// [`decode_line`] into `records`, and moves the block's partial last line to the front
+/// of the buffer for the next block.  A line longer than the buffer grows the buffer.
+/// Blocks end at newlines, so each is checked as UTF-8 on its own.
+fn decode_range<R: Records>(
+    file: &File,
+    range: Range<u64>,
+    mut buffer: Vec<u8>,
+    records: R,
+) -> io::Result<Decoded<R>> {
+    let mut decoded = Decoded {
+        records,
+        corrupt: Vec::new(),
+        unterminated: None,
+    };
+    let mut decoder = Decoder::default();
+    // `buffer[..filled]` holds the file's bytes from offset `block` on.
+    let (mut block, mut filled) = (range.start, 0);
+    loop {
+        let (unread, space) = (range.end - block - filled as u64, buffer.len() - filled);
+        let read = usize::try_from(unread).map_or(space, |unread| unread.min(space));
+        read_exact_at(
+            file,
+            &mut buffer[filled..filled + read],
+            block + filled as u64,
+        )?;
+        filled += read;
+        let last = read as u64 == unread;
+        // The block's complete lines: all of it at the end of the range, else up to its
+        // last newline.
+        let complete = if last {
+            filled
+        } else if let Some(newline) = buffer[..filled].iter().rposition(|&byte| byte == b'\n') {
+            newline + 1
+        } else {
+            // A line longer than the buffer.
+            buffer.resize(2 * buffer.len(), 0);
+            continue;
+        };
+        let text = std::str::from_utf8(&buffer[..complete])
+            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
+        for line in jsonl::classify(text, |line| decode_line_with(&mut decoder, line)) {
+            match line {
+                Line::Record {
+                    record: (key, measurement),
+                    text,
+                    terminated,
+                } => {
+                    if !terminated {
+                        decoded.unterminated = Some(text.to_string());
                     }
-                    // A truncated final record from an interrupted append; the next flush
-                    // truncates it away before appending.
-                    Line::Torn => {}
-                    Line::Corrupt {
-                        number,
-                        text,
-                        error,
-                    } => piece.corrupt.push(CorruptLine {
-                        number,
-                        text,
-                        error,
-                    }),
+                    decoded.records.push(key, measurement);
                 }
+                // A truncated final record from an interrupted append; the next flush
+                // truncates it away before appending.
+                Line::Torn => {}
+                Line::Corrupt {
+                    number,
+                    text,
+                    error,
+                } => decoded.corrupt.push(CorruptLine {
+                    block,
+                    number,
+                    text: text.to_string(),
+                    error,
+                }),
             }
-            piece.records.finish();
-            piece
-        })
-        .collect();
-    // `classify` numbers a piece's lines from 1; counting the newlines of the pieces
-    // before costs a pass over the text, so it happens only when a line is corrupt.
-    if pieces.iter().any(|piece| !piece.corrupt.is_empty()) {
-        let mut earlier_lines = 0;
-        for piece in &mut pieces {
-            for line in &mut piece.corrupt {
-                line.number += earlier_lines;
-            }
-            earlier_lines += piece.text.matches('\n').count();
         }
+        if last {
+            break;
+        }
+        buffer.copy_within(complete..filled, 0);
+        block += complete as u64;
+        filled -= complete;
     }
-    pieces
+    decoded.records.finish();
+    Ok(decoded)
 }
 
 /// What [`DiskSimCache::compact`] did to a log file.
@@ -380,51 +518,51 @@ impl DiskSimCache {
     ///
     /// A missing file is an empty cache; missing parent directories are created.  The
     /// read holds a shared advisory lock, so a concurrent worker's flush never tears a
-    /// record mid-read.  The log is decoded in parallel pieces and its text freed before
-    /// the in-memory shards are built in bulk; when a key has several records the last
-    /// one wins (see [Loading](crate::disk#loading)).  A malformed final line **without a
-    /// trailing newline** is tolerated and ignored — it is the signature of a process
-    /// killed mid-append, and the next flush truncates it away — but corruption anywhere
-    /// else (including a newline-terminated final record) is an error: silently dropping
-    /// archived simulations would quietly re-pay for them.
+    /// record mid-read.  The log is decoded in parallel byte ranges through fixed block
+    /// buffers, never held as text, and the in-memory shards are built in bulk; when a
+    /// key has several records the last one wins (see [Loading](crate::disk#loading)).
+    /// A malformed final line **without a trailing newline** is tolerated and ignored —
+    /// it is the signature of a process killed mid-append, and the next flush truncates
+    /// it away — but corruption anywhere else (including a newline-terminated final
+    /// record) is an error: silently dropping archived simulations would quietly re-pay
+    /// for them.
     ///
     /// # Errors
     ///
     /// Returns a [`CacheError`] on filesystem failures or a corrupt non-final record (the
     /// first in file order).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheError> {
-        Self::open_in_pieces(path.as_ref(), rayon::current_num_threads())
+        Self::open_with(path.as_ref(), rayon::current_num_threads(), BLOCK_BYTES)
     }
 
-    /// [`open`](Self::open), decoding the log in `pieces` pieces.
-    fn open_in_pieces(path: &Path, pieces: usize) -> Result<Self, CacheError> {
+    /// [`open`](Self::open), decoding the log in at most `ranges` byte ranges through
+    /// block buffers of `block` bytes.
+    fn open_with(path: &Path, ranges: usize, block: usize) -> Result<Self, CacheError> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let text = match jsonl::read(path) {
-            Ok(text) => text,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(err) => return Err(err.into()),
-        };
-        let mut parts = Vec::with_capacity(pieces);
+        let mut parts = Vec::with_capacity(ranges);
         let mut pending = Vec::new();
-        for piece in decode_pieces::<WarmParts>(&text, pieces) {
-            if let Some(line) = piece.corrupt.into_iter().next() {
-                return Err(CacheError::Corrupt {
-                    line: line.number,
-                    message: line.error,
-                });
+        match File::open(path) {
+            Ok(file) => {
+                file.lock_shared()?;
+                for range in decode_ranges::<WarmParts>(&file, ranges, block)? {
+                    if let Some(line) = range.corrupt.into_iter().next() {
+                        return Err(line.into_error(&file));
+                    }
+                    // A complete record whose trailing newline was lost in a crash: the
+                    // next flush truncates every un-terminated byte, so queue the record
+                    // for re-append or it would vanish from the log.
+                    pending.extend(range.unterminated);
+                    parts.push(range.records);
+                }
+                // Closing the handle releases the lock before the maps are built.
             }
-            // A complete record whose trailing newline was lost in a crash: the next
-            // flush truncates every un-terminated byte, so queue the record for re-append
-            // or it would vanish from the log.
-            pending.extend(piece.unterminated.map(str::to_string));
-            parts.push(piece.records);
+            Err(err) if err.kind() == io::ErrorKind::NotFound => {}
+            Err(err) => return Err(err.into()),
         }
-        // The text is no longer needed: free it before the maps are built.
-        drop(text);
         Ok(Self {
             path: path.to_path_buf(),
             memory: InMemorySimCache::from_warm(parts),
@@ -497,39 +635,50 @@ impl DiskSimCache {
         path: impl AsRef<Path>,
         options: CompactionOptions,
     ) -> Result<CompactionReport, CacheError> {
+        Self::compact_in(
+            path.as_ref(),
+            options,
+            rayon::current_num_threads(),
+            BLOCK_BYTES,
+        )
+    }
+
+    /// [`compact_with`](Self::compact_with), decoding the log in at most `ranges` byte
+    /// ranges through block buffers of `block` bytes.
+    fn compact_in(
+        path: &Path,
+        options: CompactionOptions,
+        ranges: usize,
+        block: usize,
+    ) -> Result<CompactionReport, CacheError> {
         let mut file = match std::fs::OpenOptions::new()
             .read(true)
             .write(true)
-            .open(path.as_ref())
+            .open(path)
         {
             Ok(file) => file,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
+            Err(err) if err.kind() == io::ErrorKind::NotFound => {
                 return Ok(CompactionReport::default())
             }
             Err(err) => return Err(err.into()),
         };
         file.lock()?;
-        let text = std::io::read_to_string(&file)?;
         // First-appearance order of unique keys; last-record-wins value per key.
         let mut order: Vec<SimKey> = Vec::new();
         let mut latest: std::collections::BTreeMap<SimKey, TimingMeasurement> =
             std::collections::BTreeMap::new();
         let mut records = 0usize;
         let mut dropped_legacy = 0usize;
-        let mut quarantined: Vec<&str> = Vec::new();
-        let pieces: Vec<Piece<'_, Vec<_>>> = decode_pieces(&text, rayon::current_num_threads());
+        let mut quarantined: Vec<String> = Vec::new();
         // A torn tail of a crashed append was skipped: the rewrite below repairs it.
-        for piece in pieces {
-            for line in piece.corrupt {
+        for range in decode_ranges::<Vec<_>>(&file, ranges, block)? {
+            for line in range.corrupt {
                 if !options.quarantine {
-                    return Err(CacheError::Corrupt {
-                        line: line.number,
-                        message: line.error,
-                    });
+                    return Err(line.into_error(&file));
                 }
                 quarantined.push(line.text);
             }
-            for (key, measurement) in piece.records {
+            for (key, measurement) in range.records {
                 if options.drop_legacy && key.is_legacy_kernel() {
                     dropped_legacy += 1;
                     continue;
@@ -543,7 +692,7 @@ impl DiskSimCache {
         if !quarantined.is_empty() {
             // Sidecar first: a crash after this append but before the log rewrite below
             // duplicates a corrupt line in the sidecar, but never loses one.
-            let mut sidecar_path = path.as_ref().as_os_str().to_os_string();
+            let mut sidecar_path = path.as_os_str().to_os_string();
             sidecar_path.push(".quarantine");
             let mut sidecar = std::fs::OpenOptions::new()
                 .create(true)
@@ -557,14 +706,18 @@ impl DiskSimCache {
             sidecar.write_all(evidence.as_bytes())?;
             sidecar.flush()?;
         }
-        let mut snapshot = String::new();
-        for key in &order {
-            snapshot.push_str(&codec::encode_record(key, &latest[key]));
-            snapshot.push('\n');
-        }
         file.seek(SeekFrom::Start(0))?;
-        file.write_all(snapshot.as_bytes())?;
-        file.set_len(snapshot.len() as u64)?;
+        let mut snapshot = io::BufWriter::with_capacity(BLOCK_BYTES, &file);
+        let mut written = 0;
+        for key in &order {
+            let line = codec::encode_record(key, &latest[key]);
+            snapshot.write_all(line.as_bytes())?;
+            snapshot.write_all(b"\n")?;
+            written += line.len() as u64 + 1;
+        }
+        snapshot.flush()?;
+        drop(snapshot);
+        file.set_len(written)?;
         file.flush()?;
         // Closing the handle releases the lock.
         Ok(CompactionReport {
@@ -654,6 +807,7 @@ mod tests {
     use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
     use slic_device::ProcessSample;
     use slic_units::{Farads, Seconds, Volts};
+    use std::sync::Arc;
 
     fn key(sin_ps: f64, cload_ff: f64) -> SimKey {
         let cell = Cell::new(CellKind::Nand2, DriveStrength::X2);
@@ -866,103 +1020,172 @@ mod tests {
         codec::encode_record(&key(sin_ps, cload_ff), &measurement(delay_ps))
     }
 
-    /// Asserts that `cache` holds exactly `expected`, `((sin, cload), delay)` each, as
-    /// warm records.
-    fn assert_loaded(cache: &DiskSimCache, expected: &[((f64, f64), f64)], pieces: usize) {
-        assert_eq!(cache.len(), expected.len(), "{pieces} pieces");
-        for &((sin, cload), delay) in expected {
-            assert_eq!(
-                cache.lookup(&key(sin, cload)),
-                Some(measurement(delay)),
-                "{pieces} pieces: key ({sin}, {cload})"
-            );
+    /// Asserts that `cache` holds exactly `expected`, as warm records.
+    fn assert_loaded(cache: &DiskSimCache, expected: &[(SimKey, TimingMeasurement)], at: &str) {
+        assert_eq!(cache.len(), expected.len(), "{at}");
+        for (key, measurement) in expected {
+            assert_eq!(cache.lookup(key), Some(*measurement), "{at}: {key:?}");
         }
-        assert_eq!(cache.warm_hits(), expected.len() as u64, "{pieces} pieces");
-        assert_eq!(cache.misses(), 0, "{pieces} pieces");
+        assert_eq!(cache.warm_hits(), expected.len() as u64, "{at}");
+        assert_eq!(cache.misses(), 0, "{at}");
+    }
+
+    /// The block sizes the ranged reader is tested at: shorter than one record (the
+    /// buffer grows), about one record, and the default.
+    fn block_sizes() -> [usize; 3] {
+        [64, record(5.0, 2.0, 12.0).len() + 1, BLOCK_BYTES]
     }
 
     #[test]
     fn the_loaded_cache_does_not_depend_on_the_piece_count() {
-        // Line 1 stores a key that line 6 stores again with a changed value; line 3 is
-        // blank.
+        // Line 1 stores a key that line 6 stores again with a changed value; line 2 ends
+        // in CRLF, line 3 is blank and line 4 is a v1 JSON record.
+        let v1 = include_str!("../tests/v1_cache.jsonl")
+            .lines()
+            .next()
+            .unwrap();
         let body = [
             record(5.0, 2.0, 12.0),
-            record(6.0, 3.0, 15.0),
+            record(6.0, 3.0, 15.0) + "\r",
             String::new(),
-            record(7.0, 4.0, 18.0),
+            v1.to_string(),
             record(8.0, 1.0, 21.0),
             record(5.0, 2.0, 99.0),
         ]
         .join("\n")
             + "\n";
         let last = record(9.0, 4.0, 20.0);
-        let loaded = [
-            ((5.0, 2.0), 99.0),
-            ((6.0, 3.0), 15.0),
-            ((7.0, 4.0), 18.0),
-            ((8.0, 1.0), 21.0),
+        let loaded = vec![
+            (key(5.0, 2.0), measurement(99.0)),
+            (key(6.0, 3.0), measurement(15.0)),
+            decode_line(v1).unwrap(),
+            (key(8.0, 1.0), measurement(21.0)),
         ];
-        // One piece, a few, and more pieces than the log has lines.
-        for pieces in [1, 2, 3, 12] {
+        // One range, a few, and more ranges than the log has lines.
+        for (ranges, block) in [1, 2, 3, 12]
+            .into_iter()
+            .flat_map(|ranges| block_sizes().map(|block| (ranges, block)))
+        {
+            let at = format!("{ranges} ranges, {block} B blocks");
             // A torn final line is skipped.
-            let path = temp_path(&format!("pieces-torn-{pieces}.jsonl"));
+            let path = temp_path(&format!("ranges-torn-{ranges}-{block}.jsonl"));
             std::fs::write(&path, format!("{body}{}", &last[..last.len() / 2])).unwrap();
-            let cache = DiskSimCache::open_in_pieces(&path, pieces).expect("tolerates");
-            assert_loaded(&cache, &loaded, pieces);
-            assert!(cache.pending.lock().unwrap().is_empty(), "{pieces} pieces");
+            let cache = DiskSimCache::open_with(&path, ranges, block).expect("tolerates");
+            assert_loaded(&cache, &loaded, &at);
+            assert!(cache.pending.lock().unwrap().is_empty(), "{at}");
             drop(cache);
             std::fs::remove_file(&path).ok();
 
             // A complete final record without its newline loads, and the next flush
             // re-appends it whole after truncating its bytes.
-            let path = temp_path(&format!("pieces-no-newline-{pieces}.jsonl"));
+            let path = temp_path(&format!("ranges-no-newline-{ranges}-{block}.jsonl"));
             std::fs::write(&path, format!("{body}{last}")).unwrap();
-            let cache = DiskSimCache::open_in_pieces(&path, pieces).expect("opens");
-            let mut with_last = loaded.to_vec();
-            with_last.push(((9.0, 4.0), 20.0));
-            assert_loaded(&cache, &with_last, pieces);
-            assert_eq!(*cache.pending.lock().unwrap(), vec![last.clone()]);
+            let cache = DiskSimCache::open_with(&path, ranges, block).expect("opens");
+            let mut with_last = loaded.clone();
+            with_last.push((key(9.0, 4.0), measurement(20.0)));
+            assert_loaded(&cache, &with_last, &at);
+            assert_eq!(*cache.pending.lock().unwrap(), vec![last.clone()], "{at}");
             cache.flush().expect("flushes");
             assert_eq!(
                 std::fs::read_to_string(&path).unwrap(),
                 format!("{body}{last}\n"),
-                "{pieces} pieces"
+                "{at}"
             );
             drop(cache);
             std::fs::remove_file(&path).ok();
 
             // A newline-terminated corrupt line is reported at its line in the file.
-            let path = temp_path(&format!("pieces-corrupt-{pieces}.jsonl"));
+            let path = temp_path(&format!("ranges-corrupt-{ranges}-{block}.jsonl"));
             std::fs::write(&path, format!("{body}{{broken\n{last}\n")).unwrap();
-            let err = DiskSimCache::open_in_pieces(&path, pieces).expect_err("corrupt");
+            let err = DiskSimCache::open_with(&path, ranges, block).expect_err("corrupt");
             std::fs::remove_file(&path).ok();
             assert!(
                 err.to_string()
                     .starts_with("corrupt cache record at line 7:"),
-                "{pieces} pieces: {err}"
+                "{at}: {err}"
             );
         }
     }
 
     #[test]
-    fn split_lines_cuts_after_newlines() {
+    fn records_of_one_technology_share_one_name() {
+        let path = temp_path("shared-names.jsonl");
+        let other = codec::encode_record(
+            &SimKey::new(
+                KERNEL_VERSION,
+                "n28",
+                &TimingArc::new(
+                    Cell::new(CellKind::Inv, DriveStrength::X1),
+                    0,
+                    Transition::Fall,
+                ),
+                &InputPoint::new(
+                    Seconds::from_picoseconds(5.0),
+                    Farads::from_femtofarads(2.0),
+                    Volts(0.8),
+                ),
+                &ProcessSample::nominal(),
+                &TransientConfig::fast(),
+            ),
+            &measurement(12.0),
+        );
+        let lines = [
+            record(5.0, 2.0, 12.0),
+            record(6.0, 3.0, 15.0),
+            other,
+            record(7.0, 4.0, 18.0),
+        ];
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let file = File::open(&path).unwrap();
+        let ranges = decode_ranges::<Vec<_>>(&file, 1, BLOCK_BYTES).unwrap();
+        std::fs::remove_file(&path).ok();
+        let names: Vec<&Arc<str>> = ranges[0]
+            .records
+            .iter()
+            .map(|(key, _)| &key.coordinate.tech)
+            .collect();
+        assert_eq!(names.len(), 4);
+        assert!(
+            Arc::ptr_eq(names[0], names[1]),
+            "a run of n14 records shares a name"
+        );
+        assert_eq!(&**names[2], "n28");
+        // A name is shared with the record before, so a change of technology allocates
+        // it again; keys compare names by their bytes.
+        assert_eq!(names[3], names[0]);
+    }
+
+    #[test]
+    fn log_ranges_end_just_after_newlines() {
         let text = "a\nbb\n\nccc\nd";
+        let path = temp_path("cut-ranges.jsonl");
+        std::fs::write(&path, text).unwrap();
+        let file = File::open(&path).unwrap();
         for count in 1..=8 {
-            let pieces = split_lines(text, count);
-            assert_eq!(pieces.concat(), text, "{count} pieces");
-            assert!(pieces.len() <= count && !pieces.is_empty(), "{pieces:?}");
-            let (last, earlier) = pieces.split_last().unwrap();
-            assert!(!last.is_empty(), "{pieces:?}");
+            let ranges = cut_ranges(&file, text.len() as u64, count).unwrap();
+            assert!(ranges.len() <= count.min(5), "{count}: {ranges:?}");
+            let ends: Vec<u64> = ranges.iter().map(|range| range.end).collect();
+            let starts: Vec<u64> = ranges.iter().map(|range| range.start).collect();
+            assert_eq!(starts[0], 0, "{ranges:?}");
+            assert_eq!(
+                starts[1..],
+                ends[..ends.len() - 1],
+                "contiguous: {ranges:?}"
+            );
+            assert_eq!(ends.last(), Some(&(text.len() as u64)), "{ranges:?}");
             assert!(
-                earlier.iter().all(|piece| piece.ends_with('\n')),
-                "{pieces:?}"
+                ranges.iter().all(|range| range.start < range.end),
+                "{ranges:?}"
+            );
+            assert!(
+                ends[..ends.len() - 1]
+                    .iter()
+                    .all(|&end| text.as_bytes()[end as usize - 1] == b'\n'),
+                "{ranges:?}"
             );
         }
-        assert!(
-            split_lines(text, 8).len() <= 5,
-            "never more pieces than lines"
-        );
-        assert!(split_lines("", 4).is_empty());
+        assert!(cut_ranges(&file, 0, 4).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1082,6 +1305,62 @@ mod tests {
                 quarantined: 0
             }
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn compaction_at_benchmark_scale_does_not_depend_on_ranges_or_blocks() {
+        // The accurate variation plan's 56,760 records, 1,011 of them appended again
+        // with a changed value, and a torn tail.
+        let keys = 56_760;
+        let sin = |i: usize| 1.0 + i as f64 * 1e-3;
+        let mut log = String::new();
+        for i in 0..keys {
+            log.push_str(&record(sin(i), 2.0, 10.0));
+            log.push('\n');
+        }
+        let again: Vec<usize> = (0..1_011).map(|j| j * 56).collect();
+        for &i in &again {
+            log.push_str(&record(sin(i), 2.0, 11.0));
+            log.push('\n');
+        }
+        let torn = record(0.5, 2.0, 10.0);
+        log.push_str(&torn[..torn.len() / 2]);
+        // The rewrite keeps each key where it first appeared, with its last value.
+        let mut expected = String::new();
+        for i in 0..keys {
+            let delay = if i % 56 == 0 && i / 56 < 1_011 {
+                11.0
+            } else {
+                10.0
+            };
+            expected.push_str(&record(sin(i), 2.0, delay));
+            expected.push('\n');
+        }
+        let path = temp_path("compact-scale.jsonl");
+        for (ranges, block) in [1, 2, 3, 12]
+            .into_iter()
+            .flat_map(|ranges| block_sizes().map(|block| (ranges, block)))
+        {
+            std::fs::write(&path, &log).unwrap();
+            let report =
+                DiskSimCache::compact_in(&path, CompactionOptions::default(), ranges, block)
+                    .expect("compacts");
+            assert_eq!(
+                report,
+                CompactionReport {
+                    kept: keys,
+                    dropped: again.len(),
+                    dropped_legacy: 0,
+                    quarantined: 0
+                },
+                "{ranges} ranges, {block} B blocks"
+            );
+            assert!(
+                std::fs::read_to_string(&path).unwrap() == expected,
+                "{ranges} ranges, {block} B blocks: the rewrite differs"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

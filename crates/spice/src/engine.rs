@@ -134,6 +134,8 @@ pub struct DispatchSnapshot {
 #[derive(Clone)]
 pub struct CharacterizationEngine {
     tech: Arc<TechnologyNode>,
+    /// `tech`'s name, which every cache key of this engine shares.
+    tech_name: Arc<str>,
     config: TransientConfig,
     counter: SimulationCounter,
     cache: Option<Arc<dyn SimulationCache>>,
@@ -173,6 +175,7 @@ impl CharacterizationEngine {
     pub fn with_config(tech: TechnologyNode, config: TransientConfig) -> Result<Self, ConfigError> {
         config.validate().map_err(ConfigError::new)?;
         Ok(Self {
+            tech_name: Arc::from(tech.name()),
             tech: Arc::new(tech),
             config,
             counter: SimulationCounter::new(),
@@ -231,6 +234,7 @@ impl CharacterizationEngine {
     /// paid, cached, dispatched and traced alongside this engine's own.
     #[must_use]
     pub fn with_technology(mut self, tech: TechnologyNode) -> Self {
+        self.tech_name = Arc::from(tech.name());
         self.tech = Arc::new(tech);
         self
     }
@@ -471,7 +475,7 @@ impl CharacterizationEngine {
     fn key(&self, (_, arc, point, seed): &MixedLane) -> SimKey {
         SimKey::new(
             self.backend.kernel_id(),
-            self.tech.name(),
+            Arc::clone(&self.tech_name),
             arc,
             point,
             seed,

@@ -339,7 +339,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let cell = Cell::new(CellKind::Nor3, DriveStrength::X4);
         let coordinate = Coordinate {
-            tech: "hist-14nm-finfet 50%".to_string(),
+            tech: "hist-14nm-finfet 50%".into(),
             arc: TimingArc::new(cell, rng.gen_range(0..3usize), Transition::Rise),
             point: std::array::from_fn(|_| rng.gen()),
             seed: std::array::from_fn(|_| rng.gen()),

@@ -2,13 +2,10 @@
 //!
 //! The Bayesian characterization engine models the compact-timing-model parameters with a
 //! conjugate Gaussian prior `µ_P ~ N(µ0, Σ0)` (Eq. 7 of the paper); this module provides
-//! that distribution together with fitting, sampling and log-densities.
+//! that distribution together with fitting.
 
-use rand::Rng;
-use rand_distr::{Distribution, StandardNormal};
 use serde::{Deserialize, Serialize};
 use slic_linalg::{Cholesky, LinalgError, Matrix, Vector};
-use std::f64::consts::PI;
 
 /// A multivariate normal distribution parameterized by mean vector and covariance matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -104,36 +101,6 @@ impl MultivariateGaussian {
         self.cholesky.inverse()
     }
 
-    /// Log density at `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()`.
-    pub fn log_pdf(&self, x: &Vector) -> f64 {
-        let d2 = self.cholesky.mahalanobis_squared(x, &self.mean);
-        -0.5 * (d2 + self.cholesky.log_determinant() + self.dim() as f64 * (2.0 * PI).ln())
-    }
-
-    /// Squared Mahalanobis distance of `x` from the mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()`.
-    pub fn mahalanobis_squared(&self, x: &Vector) -> f64 {
-        self.cholesky.mahalanobis_squared(x, &self.mean)
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vector {
-        let z = Vector::from_fn(self.dim(), |_| StandardNormal.sample(rng));
-        &self.mean + &self.cholesky.apply_factor(&z)
-    }
-
-    /// Draws `n` samples.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<Vector> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
-
     /// Returns a copy with the covariance scaled by `factor` (>1 broadens the prior,
     /// <1 sharpens it).  Used for the bias–variance ablation on prior strength.
     ///
@@ -153,12 +120,11 @@ impl MultivariateGaussian {
 }
 
 #[cfg(test)]
-#[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rand_distr::{Distribution, StandardNormal};
 
     fn example_mvn() -> MultivariateGaussian {
         let mean = Vector::from_slice(&[0.4, 1.2, -0.25, 0.1]);
@@ -181,38 +147,16 @@ mod tests {
     }
 
     #[test]
-    fn mvn_log_pdf_peaks_at_mean() {
-        let mvn = example_mvn();
-        let at_mean = mvn.log_pdf(mvn.mean());
-        let away = mvn.log_pdf(&Vector::from_slice(&[1.0, 2.0, 0.5, -0.5]));
-        assert!(at_mean > away);
-        assert_eq!(mvn.mahalanobis_squared(mvn.mean()), 0.0);
-    }
-
-    #[test]
-    fn mvn_sampling_recovers_mean_and_covariance_scale() {
-        let mvn = example_mvn();
-        let mut rng = StdRng::seed_from_u64(7);
-        let samples = mvn.sample_n(&mut rng, 8_000);
-        for j in 0..mvn.dim() {
-            let col: Vec<f64> = samples.iter().map(|s| s[j]).collect();
-            assert!(
-                (crate::moments::mean(&col) - mvn.mean()[j]).abs() < 0.02,
-                "component {j}"
-            );
-            let sd_expected = mvn.covariance()[(j, j)].sqrt();
-            assert!(
-                (crate::moments::std_dev(&col) - sd_expected).abs() < 0.02,
-                "component {j}"
-            );
-        }
-    }
-
-    #[test]
     fn mvn_fit_round_trips_samples() {
         let mvn = example_mvn();
         let mut rng = StdRng::seed_from_u64(11);
-        let samples = mvn.sample_n(&mut rng, 5_000);
+        // `mean + L z` with `z` standard normal has the covariance `L Lᵀ`.
+        let samples: Vec<Vector> = (0..5_000)
+            .map(|_| {
+                let z = Vector::from_fn(mvn.dim(), |_| StandardNormal.sample(&mut rng));
+                mvn.mean() + &mvn.cholesky().apply_factor(&z)
+            })
+            .collect();
         let fitted = MultivariateGaussian::fit(&samples, 1e-9).unwrap();
         for j in 0..mvn.dim() {
             assert!((fitted.mean()[j] - mvn.mean()[j]).abs() < 0.03);
@@ -244,13 +188,5 @@ mod tests {
         let broad = mvn.scaled_covariance(4.0);
         assert!((broad.covariance()[(0, 0)] - 4.0 * mvn.covariance()[(0, 0)]).abs() < 1e-12);
         assert_eq!(broad.mean(), mvn.mean());
-    }
-
-    proptest! {
-        #[test]
-        fn prop_mvn_mahalanobis_nonnegative(x in proptest::collection::vec(-3f64..3.0, 4)) {
-            let mvn = example_mvn();
-            prop_assert!(mvn.mahalanobis_squared(&Vector::from_slice(&x)) >= 0.0);
-        }
     }
 }

@@ -91,7 +91,7 @@ impl KernelDensity {
             .cloned()
             .fold(f64::NEG_INFINITY, f64::max)
             + 3.0 * self.bandwidth;
-        slic_linspace(lo, hi, n)
+        slic_units::range::linspace(lo, hi, n)
             .into_iter()
             .map(|x| (x, self.density(x)))
             .collect()
@@ -117,18 +117,6 @@ pub fn silverman_bandwidth(samples: &[f64]) -> f64 {
         h
     } else {
         (moments::mean(samples).abs() * 1e-3).max(1e-12)
-    }
-}
-
-/// Local linspace helper (kept private to avoid a dependency on `slic-units` here).
-fn slic_linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    match n {
-        0 => Vec::new(),
-        1 => vec![lo],
-        _ => {
-            let step = (hi - lo) / (n - 1) as f64;
-            (0..n).map(|i| lo + step * i as f64).collect()
-        }
     }
 }
 

@@ -87,35 +87,6 @@ pub fn quantile(samples: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Pearson correlation coefficient between two equally long samples.
-///
-/// Returns `0.0` when either sample has zero variance.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn correlation(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "correlation requires equal lengths");
-    if x.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (a, b) in x.iter().zip(y) {
-        sxy += (a - mx) * (b - my);
-        sxx += (a - mx).powi(2);
-        syy += (b - my).powi(2);
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        0.0
-    } else {
-        sxy / (sxx * syy).sqrt()
-    }
-}
-
 /// A compact summary of a univariate sample.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
@@ -198,7 +169,6 @@ mod tests {
         assert_eq!(skewness(&[1.0, 2.0]), 0.0);
         assert_eq!(excess_kurtosis(&[1.0, 2.0, 3.0]), 0.0);
         assert_eq!(skewness(&[3.0, 3.0, 3.0]), 0.0);
-        assert_eq!(correlation(&[1.0], &[2.0]), 0.0);
     }
 
     #[test]
@@ -226,17 +196,6 @@ mod tests {
     #[should_panic(expected = "quantile probability")]
     fn quantile_rejects_bad_probability() {
         let _ = quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn correlation_of_linear_relationship() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [2.0, 4.0, 6.0, 8.0];
-        assert!((correlation(&x, &y) - 1.0).abs() < 1e-12);
-        let y_neg = [8.0, 6.0, 4.0, 2.0];
-        assert!((correlation(&x, &y_neg) + 1.0).abs() < 1e-12);
-        let constant = [5.0, 5.0, 5.0, 5.0];
-        assert_eq!(correlation(&x, &constant), 0.0);
     }
 
     #[test]
@@ -291,14 +250,6 @@ mod tests {
                                   p1 in 0.0f64..1.0, p2 in 0.0f64..1.0) {
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
             prop_assert!(quantile(&samples, lo) <= quantile(&samples, hi) + 1e-12);
-        }
-
-        #[test]
-        fn prop_correlation_bounded(x in proptest::collection::vec(-1e3f64..1e3, 2..32),
-                                    y in proptest::collection::vec(-1e3f64..1e3, 2..32)) {
-            let n = x.len().min(y.len());
-            let r = correlation(&x[..n], &y[..n]);
-            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
         }
     }
 }

@@ -9,7 +9,7 @@
 //! * the **process-variation space** — Monte Carlo seeds for statistical characterization.
 //!
 //! All plans are expressed on the unit cube `[0, 1]^d` and mapped to physical ranges by the
-//! caller (see [`scale_to_box`]).
+//! caller.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -128,20 +128,6 @@ pub fn full_factorial(bounds: &[(f64, f64)], levels: &[usize]) -> Vec<Vec<f64>> 
     grid
 }
 
-/// Maps a point expressed on the unit cube into `bounds`.
-///
-/// # Panics
-///
-/// Panics if `point.len() != bounds.len()`.
-pub fn scale_to_box(point: &[f64], bounds: &[(f64, f64)]) -> Vec<f64> {
-    assert_eq!(point.len(), bounds.len(), "dimension mismatch");
-    point
-        .iter()
-        .zip(bounds)
-        .map(|(&u, &(lo, hi))| lo + u * (hi - lo))
-        .collect()
-}
-
 fn validate_bounds(bounds: &[(f64, f64)]) {
     assert!(!bounds.is_empty(), "sampling bounds must not be empty");
     for &(lo, hi) in bounds {
@@ -233,17 +219,6 @@ mod tests {
     fn inverted_bounds_rejected() {
         let mut rng = StdRng::seed_from_u64(0);
         let _ = uniform_box(&mut rng, &[(1.0, 0.0)], 3);
-    }
-
-    #[test]
-    fn scale_to_box_maps_corners() {
-        let bounds = box3();
-        let lo = scale_to_box(&[0.0, 0.0, 0.0], &bounds);
-        let hi = scale_to_box(&[1.0, 1.0, 1.0], &bounds);
-        for ((l, h), &(blo, bhi)) in lo.iter().zip(hi.iter()).zip(&bounds) {
-            assert!((l - blo).abs() < 1e-18);
-            assert!((h - bhi).abs() < 1e-18);
-        }
     }
 
     proptest! {

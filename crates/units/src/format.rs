@@ -37,24 +37,28 @@ const PREFIXES: [(f64, &str); 17] = [
 /// assert_eq!(slic_units::format::engineering(0.0), "0");
 /// ```
 pub fn engineering(value: f64) -> String {
+    match scaled(value) {
+        (number, "") => number,
+        (number, prefix) => format!("{number} {prefix}"),
+    }
+}
+
+/// [`engineering`]'s number and SI prefix apart (the prefix is empty when none applies),
+/// so a quantity can write the prefix joined to its unit: `800.000 mV`, `1.500 V`.
+pub(crate) fn scaled(value: f64) -> (String, &'static str) {
     if value == 0.0 {
-        return "0".to_string();
+        return ("0".to_string(), "");
     }
     if !value.is_finite() {
-        return format!("{value}");
+        return (format!("{value}"), "");
     }
     let magnitude = value.abs();
     for (scale, prefix) in PREFIXES {
         if magnitude >= scale {
-            let scaled = value / scale;
-            return if prefix.is_empty() {
-                format!("{scaled:.3}")
-            } else {
-                format!("{scaled:.3} {prefix}")
-            };
+            return (format!("{:.3}", value / scale), prefix);
         }
     }
-    format!("{value:e}")
+    (format!("{value:e}"), "")
 }
 
 #[cfg(test)]

@@ -67,7 +67,8 @@ macro_rules! quantity {
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{} {}", crate::format::engineering(self.0), $unit)
+                let (number, prefix) = crate::format::scaled(self.0);
+                write!(f, "{number} {prefix}{}", $unit)
             }
         }
 
@@ -339,11 +340,11 @@ mod tests {
 
     #[test]
     fn display_uses_engineering_notation() {
-        let s = format!("{}", Farads(1.67e-15));
-        assert!(s.contains('f'), "expected femto prefix in {s}");
-        assert!(s.ends_with('F'));
-        let s = format!("{}", Seconds(5.09e-12));
-        assert!(s.contains('p'), "expected pico prefix in {s}");
+        assert_eq!(Farads(1.67e-15).to_string(), "1.670 fF");
+        assert_eq!(Seconds(5.09e-12).to_string(), "5.090 ps");
+        assert_eq!(Volts(0.8).to_string(), "800.000 mV");
+        assert_eq!(Volts(1.5).to_string(), "1.500 V");
+        assert_eq!(Volts(0.0).to_string(), "0 V");
     }
 
     #[test]
