@@ -126,11 +126,6 @@ impl PrecisionModel {
         self.metric
     }
 
-    /// Number of reference conditions with a learned precision.
-    pub fn anchor_count(&self) -> usize {
-        self.anchors.len()
-    }
-
     /// The learned precision at an arbitrary input condition.
     pub fn beta(&self, point: &InputPoint) -> f64 {
         if self.anchors.is_empty() {
@@ -149,11 +144,6 @@ impl PrecisionModel {
             weighted_beta += w * anchor.beta;
         }
         (weighted_beta / weight_sum).clamp(self.config.beta_min, self.config.beta_max)
-    }
-
-    /// Equivalent relative model uncertainty `1/√β` at a condition, as a fraction.
-    pub fn relative_uncertainty(&self, point: &InputPoint) -> f64 {
-        1.0 / self.beta(point).sqrt()
     }
 
     fn normalized_distance_squared(&self, a: &InputPoint, b: &InputPoint) -> f64 {
@@ -257,16 +247,12 @@ mod tests {
             &space(),
             PrecisionConfig::default(),
         );
-        assert_eq!(model.anchor_count(), 2);
+        assert_eq!(model.anchors.len(), 2);
         let beta_high = model.beta(&point(5.0, 2.0, 0.95));
         let beta_low = model.beta(&point(5.0, 2.0, 0.68));
         assert!(
             beta_high > 5.0 * beta_low,
             "high-Vdd beta {beta_high} should far exceed low-Vdd beta {beta_low}"
-        );
-        assert!(
-            model.relative_uncertainty(&point(5.0, 2.0, 0.68))
-                > model.relative_uncertainty(&point(5.0, 2.0, 0.95))
         );
     }
 
@@ -316,7 +302,7 @@ mod tests {
             }],
         ));
         let model = PrecisionModel::learn(&db, TimingMetric::Delay, &space(), config);
-        assert_eq!(model.anchor_count(), 1);
+        assert_eq!(model.anchors.len(), 1);
         assert!((model.beta(&point(5.0, 2.0, 0.9)) - config.beta_max).abs() < 1e-9);
     }
 
@@ -329,7 +315,7 @@ mod tests {
             &space(),
             PrecisionConfig::default(),
         );
-        assert_eq!(model.anchor_count(), 0);
+        assert_eq!(model.anchors.len(), 0);
         assert_eq!(
             model.beta(&point(5.0, 2.0, 0.8)),
             PrecisionConfig::default().beta_default
@@ -359,7 +345,7 @@ mod tests {
             PrecisionConfig::default(),
         );
         assert_eq!(
-            model.anchor_count(),
+            model.anchors.len(),
             0,
             "cannot estimate a variance from one sample"
         );
@@ -372,6 +358,6 @@ mod tests {
         assert_eq!(model.metric(), TimingMetric::OutputSlew);
         assert_eq!(model.beta(&point(1.0, 0.5, 0.7)), 900.0);
         assert_eq!(model.beta(&point(14.0, 5.5, 1.0)), 900.0);
-        assert!((model.relative_uncertainty(&point(5.0, 2.0, 0.8)) - 1.0 / 30.0).abs() < 1e-12);
+        assert_eq!(model.beta(&point(5.0, 2.0, 0.8)), 900.0);
     }
 }

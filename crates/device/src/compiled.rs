@@ -228,25 +228,6 @@ impl CompiledInverterX4 {
     pub fn nmos4(&self) -> &CompiledDeviceX4 {
         &self.nmos
     }
-
-    /// Four lanes of net output-node current; lane `i` follows
-    /// [`CompiledInverter::output_current`] for `(vdd[i], vin[i], vout[i])`.
-    #[inline]
-    pub fn output_current4(&self, vdd: F64x4, vin: F64x4, vout: F64x4) -> F64x4 {
-        let mut vgs_p = [0.0_f64; 4];
-        let mut vds_p = [0.0_f64; 4];
-        for i in 0..4 {
-            vgs_p[i] = vdd[i] - vin[i];
-            vds_p[i] = vdd[i] - vout[i];
-        }
-        let up = self.pmos.drain_current4(vgs_p, vds_p);
-        let down = self.nmos.drain_current4(vin, vout);
-        let mut out = [0.0_f64; 4];
-        for i in 0..4 {
-            out[i] = up[i] - down[i];
-        }
-        out
-    }
 }
 
 /// Reusable intermediate buffers for [`drain_current4_batch`].
@@ -540,7 +521,12 @@ mod tests {
         let inv = CompiledInverter::new(&pm, &nm);
         let packed = CompiledInverterX4::pack([&inv; 4]);
         for (vdd, vin, vout) in [(0.8, 0.3, 0.5), (1.0, 0.0, 0.9), (0.65, 0.65, 0.1)] {
-            let got = packed.output_current4([vdd; 4], [vin; 4], [vout; 4]);
+            // The quad kernel's net current: pull-up minus pull-down, lane by lane.
+            let up = packed
+                .pmos4()
+                .drain_current4([vdd - vin; 4], [vdd - vout; 4]);
+            let down = packed.nmos4().drain_current4([vin; 4], [vout; 4]);
+            let got: Vec<f64> = up.iter().zip(down).map(|(up, down)| up - down).collect();
             let scalar = inv.output_current(vdd, vin, vout);
             let scale = scalar.abs().max(1e-30);
             for value in got {

@@ -211,11 +211,6 @@ impl Mosfet {
         let low = self.drain_current(half, vdd);
         Amperes(0.5 * (high.value() + low.value()))
     }
-
-    /// Subthreshold leakage current at `Vgs = 0`, `Vds = Vdd`.
-    pub fn leakage(&self, vdd: Volts) -> Amperes {
-        self.drain_current(Volts(0.0), vdd)
-    }
 }
 
 #[cfg(test)]
@@ -316,13 +311,6 @@ mod tests {
         let idsat = m.idsat(vdd).value();
         assert!(ieff < idsat);
         assert!(ieff > 0.2 * idsat);
-    }
-
-    #[test]
-    fn leakage_is_orders_of_magnitude_below_drive() {
-        let m = Mosfet::nmos(reference_params());
-        let vdd = Volts(0.8);
-        assert!(m.leakage(vdd).value() < 1e-3 * m.idsat(vdd).value());
     }
 
     #[test]

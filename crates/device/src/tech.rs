@@ -15,7 +15,7 @@
 //! role of the "unknown" new technology that the Bayesian flow must characterize from a
 //! handful of simulations.
 
-use crate::mosfet::{DeviceParams, Mosfet, Polarity};
+use crate::mosfet::{DeviceParams, Polarity};
 use crate::variation::ProcessVariation;
 use serde::{Deserialize, Serialize};
 use slic_units::{Farads, Volts};
@@ -176,16 +176,6 @@ impl TechnologyNode {
     /// Process-variation magnitudes of the node.
     pub fn variation(&self) -> &ProcessVariation {
         &self.variation
-    }
-
-    /// Builds the nominal unit NMOS transistor.
-    pub fn unit_nmos(&self) -> Mosfet {
-        Mosfet::nmos(self.nmos.clone())
-    }
-
-    /// Builds the nominal unit PMOS transistor.
-    pub fn unit_pmos(&self) -> Mosfet {
-        Mosfet::pmos(self.pmos.clone())
     }
 
     /// Returns a renamed copy re-tagged with a different [`TechnologyKind`].
@@ -446,6 +436,7 @@ impl TechnologyNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mosfet::Mosfet;
 
     #[test]
     fn historical_suite_has_six_distinct_nodes() {
@@ -478,8 +469,14 @@ mod tests {
         let old = TechnologyNode::n45_bulk();
         let new = TechnologyNode::n14_finfet();
         // Compare current density (A/m) at each node's own nominal Vdd.
-        let i_old = old.unit_nmos().ieff(old.vdd_nominal()).value() / old.nmos().width;
-        let i_new = new.unit_nmos().ieff(new.vdd_nominal()).value() / new.nmos().width;
+        let i_old = Mosfet::nmos(old.nmos().clone())
+            .ieff(old.vdd_nominal())
+            .value()
+            / old.nmos().width;
+        let i_new = Mosfet::nmos(new.nmos().clone())
+            .ieff(new.vdd_nominal())
+            .value()
+            / new.nmos().width;
         assert!(i_new > i_old, "old = {i_old}, new = {i_new}");
     }
 
@@ -522,9 +519,8 @@ mod tests {
     #[test]
     fn pmos_is_weaker_than_nmos_at_same_width() {
         for node in TechnologyNode::historical_suite() {
-            let n = node.unit_nmos();
-            let p = node
-                .unit_pmos()
+            let n = Mosfet::nmos(node.nmos().clone());
+            let p = Mosfet::pmos(node.pmos().clone())
                 .scaled_width(node.nmos().width / node.pmos().width);
             let vdd = node.vdd_nominal();
             assert!(
@@ -582,7 +578,7 @@ mod tests {
         // Sanity-check the absolute magnitude: a fanout-of-4-ish load driven by the unit
         // NMOS should give a CV/I time constant in the 1–100 ps range for every node.
         for node in TechnologyNode::historical_suite() {
-            let ieff = node.unit_nmos().ieff(node.vdd_nominal());
+            let ieff = Mosfet::nmos(node.nmos().clone()).ieff(node.vdd_nominal());
             let cload = Farads(3.0e-15) + node.cell_parasitic_cap();
             let t = (node.vdd_nominal() * cload) / ieff;
             let ps = t.picoseconds();

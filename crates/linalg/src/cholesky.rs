@@ -132,17 +132,6 @@ impl Cholesky {
             .sum::<f64>()
             * 2.0
     }
-
-    /// Applies the factor to a vector: returns `L · z`.
-    ///
-    /// With `z` standard normal this produces a sample with covariance `A`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z.len() != dim()`.
-    pub fn apply_factor(&self, z: &Vector) -> Vector {
-        self.lower.mat_vec(z)
-    }
 }
 
 #[cfg(test)]
@@ -208,17 +197,6 @@ mod tests {
         let mut a = spd3();
         a[(0, 1)] += 1e-12;
         assert!(Cholesky::decompose(&a).is_ok());
-    }
-
-    #[test]
-    fn apply_factor_reproduces_covariance_shape() {
-        let a = spd3();
-        let chol = a.cholesky().unwrap();
-        let z = Vector::from_slice(&[1.0, 0.0, 0.0]);
-        let lz = chol.apply_factor(&z);
-        assert_eq!(lz.len(), 3);
-        // First column of L.
-        assert!((lz[0] - chol.lower()[(0, 0)]).abs() < 1e-14);
     }
 
     proptest! {

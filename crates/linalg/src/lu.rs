@@ -16,8 +16,6 @@ pub struct Lu {
     /// Row permutation applied to the input: row `i` of the factored system came from
     /// original row `permutation[i]`.
     permutation: Vec<usize>,
-    /// Sign of the permutation (`+1.0` or `-1.0`), needed for the determinant.
-    parity: f64,
 }
 
 impl Lu {
@@ -39,7 +37,6 @@ impl Lu {
         let n = a.rows();
         let mut f = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut parity = 1.0;
 
         for col in 0..n {
             // Find the largest pivot in this column at or below the diagonal.
@@ -62,7 +59,6 @@ impl Lu {
                     f[(pivot_row, j)] = tmp;
                 }
                 perm.swap(col, pivot_row);
-                parity = -parity;
             }
             // Eliminate below the pivot.
             let pivot = f[(col, col)];
@@ -77,7 +73,6 @@ impl Lu {
         Ok(Self {
             factors: f,
             permutation: perm,
-            parity,
         })
     }
 
@@ -113,14 +108,6 @@ impl Lu {
         }
         x
     }
-
-    /// Determinant of the factored matrix.
-    pub fn determinant(&self) -> f64 {
-        self.parity
-            * (0..self.dim())
-                .map(|i| self.factors[(i, i)])
-                .product::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -142,13 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_matches_closed_form() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let lu = Lu::decompose(&a).unwrap();
-        assert!((lu.determinant() + 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn permutation_needed_when_leading_pivot_is_zero() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let lu = Lu::decompose(&a).unwrap();
@@ -156,7 +136,6 @@ mod tests {
         let x = lu.solve(&b);
         assert!((x[0] - 5.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
-        assert!((lu.determinant() + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -205,19 +184,6 @@ mod tests {
             let b = Vector::from_slice(&rhs);
             let x = Lu::decompose(&a).unwrap().solve(&b);
             prop_assert!((&a.mat_vec(&x) - &b).norm() < 1e-8 * (1.0 + b.norm()));
-        }
-
-        #[test]
-        fn prop_determinant_of_triangular(diag in proptest::collection::vec(0.5f64..4.0, 3),
-                                          off in proptest::collection::vec(-2f64..2.0, 3)) {
-            let a = Matrix::from_rows(&[
-                &[diag[0], off[0], off[1]],
-                &[0.0, diag[1], off[2]],
-                &[0.0, 0.0, diag[2]],
-            ]);
-            let det = Lu::decompose(&a).unwrap().determinant();
-            let expected: f64 = diag.iter().product();
-            prop_assert!((det - expected).abs() < 1e-9 * expected.abs());
         }
     }
 }

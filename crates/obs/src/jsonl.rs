@@ -14,19 +14,27 @@
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Appends `lines` (each without its newline) to the log at `path`, creating the file
-/// if needed.
+/// Appends `text`, whole lines each ended by its newline, to the log at `path`, creating
+/// the file if needed.
 ///
 /// Under an exclusive advisory flock, a torn tail is truncated first — appending after
 /// it would weld its bytes and the first new line into one corrupt interior line — and
-/// then every line plus its newline goes out in one `write_all`.  No lines, no I/O.
+/// then the text goes out as it is in one `write_all`.  No text, no I/O.
 ///
 /// # Errors
 ///
-/// Returns the I/O error of opening, locking, truncating or appending the file.
-pub fn append(path: &Path, lines: &[impl AsRef<str>]) -> std::io::Result<()> {
-    if lines.is_empty() {
+/// Returns the I/O error of opening, locking, truncating or appending the file, and
+/// `InvalidInput`, before any I/O, when `text` does not end with a newline: the next
+/// append would truncate its last line as a torn tail.
+pub fn append(path: &Path, text: &str) -> std::io::Result<()> {
+    if text.is_empty() {
         return Ok(());
+    }
+    if !text.ends_with('\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "appended text must end with a newline",
+        ));
     }
     let mut file = std::fs::OpenOptions::new()
         .create(true)
@@ -35,11 +43,6 @@ pub fn append(path: &Path, lines: &[impl AsRef<str>]) -> std::io::Result<()> {
         .open(path)?;
     file.lock()?;
     truncate_torn_tail(&mut file)?;
-    let mut text = String::with_capacity(lines.iter().map(|line| line.as_ref().len() + 1).sum());
-    for line in lines {
-        text.push_str(line.as_ref());
-        text.push('\n');
-    }
     file.write_all(text.as_bytes())?;
     file.flush()
     // Closing the handle releases the lock.
@@ -212,10 +215,12 @@ mod tests {
     fn append_repairs_a_torn_tail_and_skips_empty_batches() {
         let path = std::env::temp_dir().join(format!("slic-jsonl-test-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        append(&path, &[] as &[&str]).expect("empty append");
-        assert!(!path.exists(), "an empty batch creates no file");
+        append(&path, "").expect("empty append");
+        let unterminated = append(&path, "[0]").expect_err("an unterminated line");
+        assert_eq!(unterminated.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(!path.exists(), "neither creates the file");
         std::fs::write(&path, "[1]\n[2").expect("seed a torn tail");
-        append(&path, &["[3]", "[4]"]).expect("append");
+        append(&path, "[3]\n[4]\n").expect("append");
         assert_eq!(
             read(&path).expect("read back"),
             "[1]\n[3]\n[4]\n",

@@ -149,7 +149,9 @@ impl RunRecord {
 /// Returns the underlying I/O error when the file cannot be opened, locked or
 /// appended; the run itself is unaffected (the ledger is telemetry, not a result).
 pub fn append(path: &Path, record: &RunRecord) -> std::io::Result<()> {
-    jsonl::append(path, &[record.to_line()])
+    let mut line = record.to_line();
+    line.push('\n');
+    jsonl::append(path, &line)
 }
 
 /// Reads the ledger at `path` under a shared advisory lock, salvaging every record

@@ -21,6 +21,15 @@
 //! coordinate at once, which the pipeline runner guarantees by running each arc's units
 //! on one thread.
 //!
+//! # Layout
+//!
+//! The paper's statistical flow simulates every export point under every process seed,
+//! so most keys come in *sweeps*: the points of one `.ALTER` sweep share the kernel id,
+//! the arc, the seven process-seed words and the four configuration words, and differ
+//! only in their three input-point words.  [`InMemorySimCache`] stores each shard as
+//! technology name → sweep → input point, so those shared words are held once per sweep
+//! instead of once per record, and the shard is chosen from the sweep's words alone.
+//!
 //! [`CharacterizationEngine`]: crate::engine::CharacterizationEngine
 
 use crate::codec::Coordinate;
@@ -31,7 +40,7 @@ use slic_cells::TimingArc;
 use slic_device::ProcessSample;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version stamp of the transient solver whose results a [`SimKey`] coordinates.
 ///
@@ -254,29 +263,53 @@ pub trait SimulationCache: Send + Sync {
 /// log2 of [`SHARDS`].
 const SHARD_BITS: u32 = 4;
 
-/// The number of maps an [`InMemorySimCache`] splits its keys over, each behind its own
+/// The number of maps an [`InMemorySimCache`] splits its sweeps over, each behind its own
 /// lock.
 const SHARDS: usize = 1 << SHARD_BITS;
 
-/// The shard that holds `key`: a fixed multiply–xorshift mix of the key's fixed-width
-/// words — kernel id, arc fields, point, seed and configuration bits — whose top bits
-/// pick one of the [`SHARDS`].  The technology name is left out, so the choice costs a
-/// few multiplies per key instead of a hash over every byte.  A shard only decides which
-/// lock guards a key: lookups compare whole keys, so the mix never changes a result, and
-/// keys crafted to collide (say, in a cache log) cost lock contention, not lookup time.
-fn shard_index(key: &SimKey) -> usize {
+/// The fixed-width words that every point of one `.ALTER` sweep shares: the kernel id,
+/// the arc, the process seed and the transient configuration.  A [`SimKey`] is a sweep
+/// plus a technology name and an input point.  A sweep is `Copy`, so a lookup builds one
+/// from a borrowed key without allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Sweep {
+    kernel: u64,
+    arc: TimingArc,
+    seed: [u64; 7],
+    config: [u64; 4],
+}
+
+impl Sweep {
+    /// The sweep `key` belongs to.
+    fn of(key: &SimKey) -> Self {
+        let coordinate = &key.coordinate;
+        Self {
+            kernel: key.kernel,
+            arc: coordinate.arc,
+            seed: coordinate.seed,
+            config: coordinate.config,
+        }
+    }
+}
+
+/// The shard that holds `sweep`: a fixed multiply–xorshift mix of the sweep's words —
+/// kernel id, arc fields, seed and configuration bits — whose top bits pick one of the
+/// [`SHARDS`].  The technology name and the input point are left out, so every point of
+/// a sweep lives in one shard and the choice costs a few multiplies per key instead of a
+/// hash over every byte.  A shard only decides which lock guards a sweep: lookups compare
+/// whole keys, so the mix never changes a result, and sweeps crafted to collide (say, in
+/// a cache log) cost lock contention, not lookup time.
+fn shard_index(sweep: &Sweep) -> usize {
     const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
-    let coordinate = &key.coordinate;
-    let arc = coordinate.arc;
+    let arc = sweep.arc;
     let arc_word = (arc.cell().kind() as u64) << 24
         | (arc.cell().drive() as u64) << 16
         | (arc.input_pin() as u64) << 8
         | arc.output_transition() as u64;
-    let mix = [key.kernel, arc_word]
+    let mix = [sweep.kernel, arc_word]
         .iter()
-        .chain(&coordinate.point)
-        .chain(&coordinate.seed)
-        .chain(&coordinate.config)
+        .chain(&sweep.seed)
+        .chain(&sweep.config)
         .fold(0u64, |mix, &word| {
             let mix = (mix ^ word).wrapping_mul(MULTIPLIER);
             mix ^ (mix >> 32)
@@ -284,38 +317,85 @@ fn shard_index(key: &SimKey) -> usize {
     (mix >> (u64::BITS - SHARD_BITS)) as usize
 }
 
-/// Warm records grouped by the [`InMemorySimCache`] shard that will hold them, each
-/// shard's part in push order until it is [sorted](Self::sort): what one byte range of a
-/// [`DiskSimCache`](crate::disk::DiskSimCache) log decodes to.
-pub(crate) struct WarmParts([Vec<(SimKey, TimingMeasurement)>; SHARDS]);
+/// An archived measurement and the tier that paid for it.
+type Entry = (TimingMeasurement, Tier);
+
+/// One sweep's records, by the bits of their input points.
+type Points = BTreeMap<[u64; 3], Entry>;
+
+/// The records of one [`InMemorySimCache`] shard: technology name, then sweep, then the
+/// input point's bits.  A sweep's words and its technology's name are stored once for
+/// all of its points.
+#[derive(Debug, Default)]
+struct Shard(BTreeMap<Arc<str>, BTreeMap<Sweep, Points>>);
+
+impl Shard {
+    /// The entry at `key`, whose sweep is `sweep`.  Borrows the key's name: a lookup
+    /// never clones or allocates.
+    fn get(&self, sweep: &Sweep, key: &SimKey) -> Option<Entry> {
+        self.0
+            .get(&*key.coordinate.tech)?
+            .get(sweep)?
+            .get(&key.coordinate.point)
+            .copied()
+    }
+
+    /// Puts `entry` at `key`, whose sweep is `sweep`, and returns the entry it replaces.
+    fn insert(&mut self, sweep: Sweep, key: SimKey, entry: Entry) -> Option<Entry> {
+        self.0
+            .entry(key.coordinate.tech)
+            .or_default()
+            .entry(sweep)
+            .or_default()
+            .insert(key.coordinate.point, entry)
+    }
+
+    /// Number of records, not sweeps.
+    fn len(&self) -> usize {
+        self.0
+            .values()
+            .flat_map(BTreeMap::values)
+            .map(BTreeMap::len)
+            .sum()
+    }
+
+    /// Moves every record of `later` into this shard.  A point that both hold keeps
+    /// `later`'s entry ([`BTreeMap::append`]), so merging ranges in log order keeps the
+    /// last record of a coordinate.
+    fn append(&mut self, later: Shard) {
+        for (tech, sweeps) in later.0 {
+            let ours = self.0.entry(tech).or_default();
+            for (sweep, mut points) in sweeps {
+                ours.entry(sweep).or_default().append(&mut points);
+            }
+        }
+    }
+}
+
+/// Warm records in the [`InMemorySimCache`] layout, one [`Shard`] for each shard of the
+/// cache: what one byte range of a [`DiskSimCache`](crate::disk::DiskSimCache) log
+/// decodes to.
+#[derive(Default)]
+pub(crate) struct WarmParts([Shard; SHARDS]);
 
 impl WarmParts {
-    /// Empty parts with room for `records` records, spread evenly, plus a margin.
-    pub(crate) fn with_capacity(records: usize) -> Self {
-        Self(std::array::from_fn(|_| {
-            Vec::with_capacity(records / SHARDS + 16)
-        }))
-    }
-
-    /// Adds a record to its shard's part.
+    /// Adds a loaded record; a later record of the same coordinate replaces it.
     pub(crate) fn push(&mut self, key: SimKey, measurement: TimingMeasurement) {
-        self.0[shard_index(&key)].push((key, measurement));
-    }
-
-    /// Sorts each shard's part by key; records with equal keys keep their push order.
-    pub(crate) fn sort(&mut self) {
-        for part in &mut self.0 {
-            part.sort_by(|(a, _), (b, _)| a.cmp(b));
-        }
+        let sweep = Sweep::of(&key);
+        self.0[shard_index(&sweep)].insert(sweep, key, (measurement, Tier::Warm));
     }
 }
 
 /// A sharded in-memory [`SimulationCache`] with hit/miss accounting.
 ///
-/// Keys are spread over 16 maps, each behind its own lock, so concurrent lookups and
-/// stores rarely wait on each other.  A key's map is picked by a fixed multiply–xorshift
-/// mix of its fixed-width words (kernel id, arc, point, seed and configuration bits),
-/// which costs a few multiplies where a hash of the whole key would read every byte.
+/// Records are grouped by sweep: each shard maps a technology name to its sweeps (see
+/// `Sweep`: kernel id, arc, process seed and configuration bits), and each sweep maps
+/// the bits of an input point to its measurement.  The points of one Monte Carlo seed's
+/// sweep share one copy of those 128 bytes of key, so a record costs its point, its
+/// measurement and a share of a B-tree node.  Sweeps are spread over 16 shards, each
+/// behind its own lock, by a fixed multiply–xorshift mix of the sweep's words (see
+/// `shard_index`): a whole sweep lives in one shard, and concurrent lookups and stores of
+/// different sweeps rarely wait on each other.
 ///
 /// Each entry remembers which *tier* it came from: `fresh` (archived by this process,
 /// via [`archive`](Self::archive)/[`store`](SimulationCache::store)) or `warm` (paid for
@@ -325,7 +405,7 @@ impl WarmParts {
 /// tier flag never affects lookup results, only accounting.
 #[derive(Debug, Default)]
 pub struct InMemorySimCache {
-    shards: [Mutex<BTreeMap<SimKey, (TimingMeasurement, Tier)>>; SHARDS],
+    shards: [Mutex<Shard>; SHARDS],
     hits: AtomicU64,
     warm_hits: AtomicU64,
     misses: AtomicU64,
@@ -350,39 +430,28 @@ impl InMemorySimCache {
     /// counting a hit or a miss; lookups they answer count toward
     /// [`warm_hits`](SimulationCache::warm_hits).
     ///
-    /// `ranges` are consecutive byte ranges of a log, in log order.  Each shard's map is
-    /// built once from its parts, in that order, by [`BTreeMap::from_iter`]: a stable
-    /// sort (a merge of runs when the parts are sorted already), then a bulk build that
-    /// keeps the later of two records with one key.  So the last record wins, as
-    /// repeated inserts would have it.  A record owns no allocation of its own (its
-    /// technology name is shared, see [`Coordinate`]), so the records move into the maps
-    /// as they are.
-    pub(crate) fn from_warm(mut ranges: Vec<WarmParts>) -> Self {
-        let shards = std::array::from_fn(|shard| {
-            Mutex::new(
-                ranges
-                    .iter_mut()
-                    .flat_map(|range| std::mem::take(&mut range.0[shard]))
-                    .map(|(key, measurement)| (key, (measurement, Tier::Warm)))
-                    .collect(),
-            )
-        });
+    /// `ranges` are consecutive byte ranges of a log, in log order, each already in the
+    /// cache's layout.  The first range's shards become the cache's, and every later
+    /// range is moved in after them, sweep by sweep, with [`BTreeMap::append`], which
+    /// keeps the later of two records of one point.  So the last record of a coordinate
+    /// wins, as repeated inserts would have it.
+    pub(crate) fn from_warm(ranges: Vec<WarmParts>) -> Self {
+        let mut ranges = ranges.into_iter();
+        let mut shards = ranges.next().unwrap_or_default().0;
+        for later in ranges {
+            for (shard, part) in shards.iter_mut().zip(later.0) {
+                shard.append(part);
+            }
+        }
         Self {
-            shards,
+            shards: shards.map(Mutex::new),
             ..Self::default()
         }
     }
 
     /// Number of archived measurements.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .len()
-            })
-            .sum()
+        self.shards.iter().map(|shard| lock(shard).len()).sum()
     }
 
     /// Returns `true` when nothing is archived.
@@ -399,28 +468,28 @@ impl InMemorySimCache {
         measurement: TimingMeasurement,
     ) -> Option<TimingMeasurement> {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // A poisoned shard only means another thread panicked mid-`insert`; the map
-        // itself is never left half-written, so recover it rather than cascade.
-        self.shard(&key)
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(key, (measurement, Tier::Fresh))
+        let sweep = Sweep::of(&key);
+        self.shard(&sweep)
+            .insert(sweep, key, (measurement, Tier::Fresh))
             .map(|(previous, _)| previous)
     }
 
-    fn shard(&self, key: &SimKey) -> &Mutex<BTreeMap<SimKey, (TimingMeasurement, Tier)>> {
-        &self.shards[shard_index(key)]
+    /// The shard that holds `sweep`, locked.
+    fn shard(&self, sweep: &Sweep) -> MutexGuard<'_, Shard> {
+        lock(&self.shards[shard_index(sweep)])
     }
+}
+
+/// Locks `shard`.  A poisoned shard only means another thread panicked mid-`insert`; the
+/// maps themselves are never left half-written, so recover it rather than cascade.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl SimulationCache for InMemorySimCache {
     fn lookup(&self, key: &SimKey) -> Option<TimingMeasurement> {
-        let found = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(key)
-            .copied();
+        let sweep = Sweep::of(key);
+        let found = self.shard(&sweep).get(&sweep, key);
         if let Some((_, tier)) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
             if tier == Tier::Warm {
@@ -452,6 +521,7 @@ mod tests {
     use super::*;
     use slic_cells::{Cell, CellKind, DriveStrength, Transition};
     use slic_units::{Farads, Seconds, Volts};
+    use std::collections::BTreeSet;
 
     fn key(sin_ps: f64) -> SimKey {
         let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
@@ -489,10 +559,12 @@ mod tests {
     #[test]
     fn warm_tier_hits_are_accounted_separately() {
         let m = TimingMeasurement::new(Seconds(1e-12), Seconds(2e-12));
-        let mut warm = WarmParts::with_capacity(1);
+        let mut warm = WarmParts::default();
         warm.push(key(5.0), m);
         let cache = InMemorySimCache::from_warm(vec![warm]);
+        // key(6.0) differs from key(5.0) only in its point: a fresh record in a warm sweep.
         cache.store(key(6.0), m);
+        assert_eq!(cache.len(), 2, "len counts records, not sweeps");
         assert_eq!(cache.lookup(&key(5.0)), Some(m), "warm records answer");
         assert_eq!(cache.lookup(&key(5.0)), Some(m));
         assert_eq!(cache.lookup(&key(6.0)), Some(m), "fresh records answer");
@@ -515,38 +587,40 @@ mod tests {
 
     #[test]
     fn a_sweep_spreads_over_every_shard() {
-        // 25 grid points under 100 process seeds, as one Monte Carlo arc asks for them.
+        // 25 grid points under 100 process seeds, as one Monte Carlo arc asks for them:
+        // 100 sweeps of 25 points each.
         let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
         let mut counts = [0usize; SHARDS];
-        for i in 0..25 {
-            let point = InputPoint::new(
-                Seconds::from_picoseconds(2.0 + 0.5 * f64::from(i)),
-                Farads::from_femtofarads(1.0 + 0.2 * f64::from(i)),
-                Volts(0.8),
-            );
-            for j in 0..100 {
-                let seed = ProcessSample {
-                    delta_vth_n: 1e-3 * f64::from(j),
-                    vx0_scale_p: 1.0 - 1e-3 * f64::from(j),
-                    ..ProcessSample::nominal()
-                };
-                let key = SimKey::new(
-                    KERNEL_VERSION,
-                    "n14",
-                    &arc,
-                    &point,
-                    &seed,
-                    &TransientConfig::fast(),
-                );
-                counts[shard_index(&key)] += 1;
-            }
+        for j in 0..100 {
+            let seed = ProcessSample {
+                delta_vth_n: 1e-3 * f64::from(j),
+                vx0_scale_p: 1.0 - 1e-3 * f64::from(j),
+                ..ProcessSample::nominal()
+            };
+            let shards: BTreeSet<usize> = (0..25)
+                .map(|i| {
+                    let point = InputPoint::new(
+                        Seconds::from_picoseconds(2.0 + 0.5 * f64::from(i)),
+                        Farads::from_femtofarads(1.0 + 0.2 * f64::from(i)),
+                        Volts(0.8),
+                    );
+                    let key = SimKey::new(
+                        KERNEL_VERSION,
+                        "n14",
+                        &arc,
+                        &point,
+                        &seed,
+                        &TransientConfig::fast(),
+                    );
+                    shard_index(&Sweep::of(&key))
+                })
+                .collect();
+            assert_eq!(shards.len(), 1, "seed {j}: a sweep's points share a shard");
+            counts[*shards.first().unwrap()] += 1;
         }
-        // 156.25 keys a shard on average.
-        assert!(
-            counts.iter().all(|&n| (110..=210).contains(&n)),
-            "{counts:?}"
-        );
+        // 6.25 sweeps a shard on average.
+        assert!(counts.iter().all(|&n| (1..=14).contains(&n)), "{counts:?}");
     }
 
     #[test]
@@ -554,6 +628,49 @@ mod tests {
         let a = key(5.0);
         let b = key(5.000000001);
         assert_ne!(a, b, "bitwise-different points must have different keys");
+        // Keys that differ from `a` in one part only: the technology, the kernel id, or
+        // one bit of one point, seed or configuration word.
+        let mut others = vec![
+            b,
+            SimKey {
+                coordinate: Coordinate {
+                    tech: "n28".into(),
+                    ..a.coordinate.clone()
+                },
+                ..a.clone()
+            },
+            SimKey {
+                kernel: SIMD_KERNEL_ID,
+                ..a.clone()
+            },
+        ];
+        for word in 0..14 {
+            let mut other = a.clone();
+            let c = &mut other.coordinate;
+            match word {
+                0..=2 => c.point[word] ^= 1,
+                3..=9 => c.seed[word - 3] ^= 1,
+                _ => c.config[word - 10] ^= 1,
+            }
+            others.push(other);
+        }
+        let alone = InMemorySimCache::new();
+        alone.store(
+            a.clone(),
+            TimingMeasurement::new(Seconds(1e-12), Seconds(1e-12)),
+        );
+        let all = InMemorySimCache::new();
+        let measured =
+            |i: usize| TimingMeasurement::new(Seconds(1e-12 * (i + 1) as f64), Seconds(1e-12));
+        for (i, other) in std::iter::once(&a).chain(&others).enumerate() {
+            all.store(other.clone(), measured(i));
+        }
+        for (i, other) in others.iter().enumerate() {
+            assert_eq!(alone.lookup(other), None, "{other:?}");
+            assert_eq!(all.lookup(other), Some(measured(i + 1)), "{other:?}");
+        }
+        assert_eq!(all.lookup(&a), Some(measured(0)));
+        assert_eq!(all.len(), others.len() + 1);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::measure::TimingMeasurement;
 use slic_cells::TimingArc;
 use slic_units::Seconds;
 use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The exact coordinates of one transient simulation, as the codec reads and writes
@@ -117,11 +118,18 @@ fn read_measurement(words: &mut Words<'_>) -> Result<TimingMeasurement, String> 
 /// Renders one v2 cache record, `<kernel> <coordinate> <measurement>`, with the kernel
 /// id in minimal lowercase hex.  Never fails: every name and bit pattern has a text form.
 pub fn encode_record(key: &SimKey, measurement: &TimingMeasurement) -> String {
-    let mut line = format!("{:x} ", key.kernel);
-    key.coordinate.write(&mut line);
-    line.push(' ');
-    write_measurement(&mut line, measurement);
+    let mut line = String::new();
+    write_record(&mut line, key, measurement);
     line
+}
+
+/// Appends [`encode_record`]'s text, without a newline, to `out`.
+pub(crate) fn write_record(out: &mut String, key: &SimKey, measurement: &TimingMeasurement) {
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{:x} ", key.kernel);
+    key.coordinate.write(out);
+    out.push(' ');
+    write_measurement(out, measurement);
 }
 
 /// Parses one v2 cache record written by [`encode_record`] (a [`Decoder`] of its own

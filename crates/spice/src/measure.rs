@@ -63,11 +63,6 @@ impl TimingMeasurement {
     pub fn delay_ps(&self) -> f64 {
         self.delay.picoseconds()
     }
-
-    /// Returns the output slew in picoseconds (convenience for reports).
-    pub fn output_slew_ps(&self) -> f64 {
-        self.output_slew.picoseconds()
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +87,7 @@ mod tests {
             Seconds::from_picoseconds(8.0),
         );
         assert!((m.delay_ps() - 12.5).abs() < 1e-9);
-        assert!((m.output_slew_ps() - 8.0).abs() < 1e-9);
+        assert!((m.output_slew.picoseconds() - 8.0).abs() < 1e-9);
     }
 
     #[test]

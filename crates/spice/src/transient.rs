@@ -706,10 +706,10 @@ mod tests {
                 "{transition}: delay = {} ps",
                 m.delay_ps()
             );
+            let slew_ps = m.output_slew.picoseconds();
             assert!(
-                m.output_slew_ps() > 0.5 && m.output_slew_ps() < 400.0,
-                "{transition}: slew = {} ps",
-                m.output_slew_ps()
+                slew_ps > 0.5 && slew_ps < 400.0,
+                "{transition}: slew = {slew_ps} ps"
             );
         }
     }

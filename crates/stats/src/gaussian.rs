@@ -154,7 +154,7 @@ mod tests {
         let samples: Vec<Vector> = (0..5_000)
             .map(|_| {
                 let z = Vector::from_fn(mvn.dim(), |_| StandardNormal.sample(&mut rng));
-                mvn.mean() + &mvn.cholesky().apply_factor(&z)
+                mvn.mean() + &mvn.cholesky().lower().mat_vec(&z)
             })
             .collect();
         let fitted = MultivariateGaussian::fit(&samples, 1e-9).unwrap();

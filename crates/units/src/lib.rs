@@ -12,8 +12,8 @@
 //!   with the arithmetic that is physically meaningful between them (e.g.
 //!   `Volts * Farads = Coulombs`, `Coulombs / Amperes = Seconds`).
 //! * [`Celsius`] for simulation temperature.
-//! * Engineering-notation formatting via [`format::engineering`] so that `1.67e-15 F`
-//!   prints as `1.67 fF`.
+//! * Engineering-notation `Display` for every quantity, so that `Farads(1.67e-15)`
+//!   prints as `1.670 fF`.
 //! * [`range::linspace`] for sweep grids such as the Liberty export axes.
 //!
 //! # Examples
@@ -30,7 +30,7 @@
 //! assert!(t.value() > 0.0);
 //! ```
 
-pub mod format;
+mod format;
 pub mod quantity;
 pub mod range;
 
