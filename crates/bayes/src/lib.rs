@@ -44,5 +44,5 @@ pub mod prior;
 
 pub use history::{ConditionResidual, HistoricalDatabase, HistoricalRecord, TimingMetric};
 pub use map::{MapExtractor, MapFit};
-pub use precision::{PrecisionConfig, PrecisionModel};
+pub use precision::PrecisionModel;
 pub use prior::{ParameterPrior, PriorBuilder, PriorError};

@@ -17,7 +17,7 @@
 //! with a Laplace-approximation posterior covariance.
 
 use crate::history::{HistoricalDatabase, TimingMetric};
-use crate::precision::{PrecisionConfig, PrecisionModel};
+use crate::precision::PrecisionModel;
 use crate::prior::{ParameterPrior, PriorBuilder, PriorError};
 use serde::{Deserialize, Serialize};
 use slic_linalg::{Matrix, Vector};
@@ -79,7 +79,7 @@ impl MapExtractor {
         let prior = builder
             .build(db, metric, Some(cell_kind))
             .or_else(|_| builder.build(db, metric, None))?;
-        let precision = PrecisionModel::learn(db, metric, space, PrecisionConfig::default());
+        let precision = PrecisionModel::learn(db, metric, space);
         Ok(Self::new(prior, precision))
     }
 
@@ -197,8 +197,7 @@ mod tests {
         let prior = PriorBuilder::new()
             .build(&historical_db(), TimingMetric::Delay, None)
             .unwrap();
-        let precision =
-            PrecisionModel::flat(TimingMetric::Delay, 2500.0, PrecisionConfig::default());
+        let precision = PrecisionModel::flat(TimingMetric::Delay, 2500.0);
         MapExtractor::new(prior, precision)
     }
 
@@ -330,8 +329,7 @@ mod tests {
             ));
         }
         let space = slic_spice::InputSpace::paper_space((Volts(0.65), Volts(1.0)));
-        let precision =
-            PrecisionModel::learn(&db, TimingMetric::Delay, &space, PrecisionConfig::default());
+        let precision = PrecisionModel::learn(&db, TimingMetric::Delay, &space);
         let ex = MapExtractor::new(prior, precision);
 
         let good = sample_at(5.0, 2.0, 0.95);
@@ -354,7 +352,7 @@ mod tests {
         let ex = extractor();
         let sharp = MapExtractor::new(
             ex.prior().with_covariance_scaled(0.05),
-            PrecisionModel::flat(TimingMetric::Delay, 2500.0, PrecisionConfig::default()),
+            PrecisionModel::flat(TimingMetric::Delay, 2500.0),
         );
         // With a very sharp prior, two samples barely move the estimate away from the prior
         // mean; with the normal prior they move it further toward the truth.

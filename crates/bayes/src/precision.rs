@@ -11,28 +11,16 @@ use serde::{Deserialize, Serialize};
 use slic_spice::{InputPoint, InputSpace};
 use slic_stats::moments;
 
-/// Configuration for precision learning and lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PrecisionConfig {
-    /// Lower clamp on learned precisions (guards against a single lucky condition where all
-    /// technologies happened to agree, which would otherwise produce a near-infinite β).
-    pub beta_min: f64,
-    /// Upper clamp on learned precisions.
-    pub beta_max: f64,
-    /// Precision assumed when no historical residuals are available at all (equivalent to a
-    /// ~5 % relative model uncertainty).
-    pub beta_default: f64,
-}
-
-impl Default for PrecisionConfig {
-    fn default() -> Self {
-        Self {
-            beta_min: 1e2, // never trust the model better than ~10% ... 1/sqrt(1e2)
-            beta_max: 1e6, // ...nor worse than 0.1 %
-            beta_default: 400.0,
-        }
-    }
-}
+/// Lower clamp on learned precisions: no condition is weighted as if the model were more
+/// than 10 % off (`1/√β`).
+const BETA_MIN: f64 = 1e2;
+/// Upper clamp on learned precisions: guards against a condition where every technology
+/// happened to agree, which would otherwise produce a near-infinite β, so the model is
+/// never trusted better than 0.1 %.
+const BETA_MAX: f64 = 1e6;
+/// Precision assumed when no historical residuals are available at all (equivalent to a
+/// ~5 % relative model uncertainty).
+const BETA_DEFAULT: f64 = 400.0;
 
 /// One learned precision anchor: a reference input condition and the β learned there.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,7 +37,8 @@ struct PrecisionAnchor {
 pub struct PrecisionModel {
     metric: TimingMetric,
     anchors: Vec<PrecisionAnchor>,
-    config: PrecisionConfig,
+    /// The precision of every condition when there are no anchors.
+    fallback: f64,
     /// Normalization scales for (sin, cload, vdd) distances.
     scales: [f64; 3],
 }
@@ -62,12 +51,7 @@ impl PrecisionModel {
     /// in fewer than two technologies cannot define a variance and are skipped.
     ///
     /// `space` provides the normalization scales used by the lookup distance metric.
-    pub fn learn(
-        db: &HistoricalDatabase,
-        metric: TimingMetric,
-        space: &InputSpace,
-        config: PrecisionConfig,
-    ) -> Self {
+    pub fn learn(db: &HistoricalDatabase, metric: TimingMetric, space: &InputSpace) -> Self {
         // Group residuals by (quantized) input condition.
         let mut groups: Vec<(InputPoint, Vec<f64>)> = Vec::new();
         for record in db.select(metric, None) {
@@ -86,7 +70,7 @@ impl PrecisionModel {
             .into_iter()
             .filter(|(_, residuals)| residuals.len() >= 2)
             .map(|(point, residuals)| {
-                let beta = eq9_precision(&residuals).clamp(config.beta_min, config.beta_max);
+                let beta = eq9_precision(&residuals).clamp(BETA_MIN, BETA_MAX);
                 PrecisionAnchor { point, beta }
             })
             .collect();
@@ -102,21 +86,18 @@ impl PrecisionModel {
         Self {
             metric,
             anchors,
-            config,
+            fallback: BETA_DEFAULT,
             scales,
         }
     }
 
     /// Builds a flat (condition-independent) precision field — the fallback when no
     /// historical residuals are available, and a useful ablation reference.
-    pub fn flat(metric: TimingMetric, beta: f64, config: PrecisionConfig) -> Self {
+    pub fn flat(metric: TimingMetric, beta: f64) -> Self {
         Self {
             metric,
             anchors: Vec::new(),
-            config: PrecisionConfig {
-                beta_default: beta.clamp(config.beta_min, config.beta_max),
-                ..config
-            },
+            fallback: beta.clamp(BETA_MIN, BETA_MAX),
             scales: [1.0, 1.0, 1.0],
         }
     }
@@ -129,7 +110,7 @@ impl PrecisionModel {
     /// The learned precision at an arbitrary input condition.
     pub fn beta(&self, point: &InputPoint) -> f64 {
         if self.anchors.is_empty() {
-            return self.config.beta_default;
+            return self.fallback;
         }
         // Inverse-distance-squared weighting over the anchors (exact at anchor positions).
         let mut weight_sum = 0.0;
@@ -143,7 +124,7 @@ impl PrecisionModel {
             weight_sum += w;
             weighted_beta += w * anchor.beta;
         }
-        (weighted_beta / weight_sum).clamp(self.config.beta_min, self.config.beta_max)
+        (weighted_beta / weight_sum).clamp(BETA_MIN, BETA_MAX)
     }
 
     fn normalized_distance_squared(&self, a: &InputPoint, b: &InputPoint) -> f64 {
@@ -241,12 +222,7 @@ mod tests {
 
     #[test]
     fn high_vdd_conditions_get_higher_precision() {
-        let model = PrecisionModel::learn(
-            &db_with_vdd_trend(),
-            TimingMetric::Delay,
-            &space(),
-            PrecisionConfig::default(),
-        );
+        let model = PrecisionModel::learn(&db_with_vdd_trend(), TimingMetric::Delay, &space());
         assert_eq!(model.anchors.len(), 2);
         let beta_high = model.beta(&point(5.0, 2.0, 0.95));
         let beta_low = model.beta(&point(5.0, 2.0, 0.68));
@@ -258,12 +234,7 @@ mod tests {
 
     #[test]
     fn interpolation_between_anchors_is_monotone_in_vdd() {
-        let model = PrecisionModel::learn(
-            &db_with_vdd_trend(),
-            TimingMetric::Delay,
-            &space(),
-            PrecisionConfig::default(),
-        );
+        let model = PrecisionModel::learn(&db_with_vdd_trend(), TimingMetric::Delay, &space());
         let beta_mid = model.beta(&point(5.0, 2.0, 0.8));
         let beta_low = model.beta(&point(5.0, 2.0, 0.68));
         let beta_high = model.beta(&point(5.0, 2.0, 0.95));
@@ -272,7 +243,6 @@ mod tests {
 
     #[test]
     fn precisions_are_clamped() {
-        let config = PrecisionConfig::default();
         let mut db = HistoricalDatabase::new();
         // Residuals identical across technologies -> infinite raw precision -> clamped to max.
         db.push(HistoricalRecord::new(
@@ -301,25 +271,17 @@ mod tests {
                 relative_residual: -0.02,
             }],
         ));
-        let model = PrecisionModel::learn(&db, TimingMetric::Delay, &space(), config);
+        let model = PrecisionModel::learn(&db, TimingMetric::Delay, &space());
         assert_eq!(model.anchors.len(), 1);
-        assert!((model.beta(&point(5.0, 2.0, 0.9)) - config.beta_max).abs() < 1e-9);
+        assert!((model.beta(&point(5.0, 2.0, 0.9)) - BETA_MAX).abs() < 1e-9);
     }
 
     #[test]
     fn no_residuals_falls_back_to_default() {
         let db = HistoricalDatabase::new();
-        let model = PrecisionModel::learn(
-            &db,
-            TimingMetric::Delay,
-            &space(),
-            PrecisionConfig::default(),
-        );
+        let model = PrecisionModel::learn(&db, TimingMetric::Delay, &space());
         assert_eq!(model.anchors.len(), 0);
-        assert_eq!(
-            model.beta(&point(5.0, 2.0, 0.8)),
-            PrecisionConfig::default().beta_default
-        );
+        assert_eq!(model.beta(&point(5.0, 2.0, 0.8)), BETA_DEFAULT);
     }
 
     #[test]
@@ -338,12 +300,7 @@ mod tests {
                 relative_residual: 0.02,
             }],
         ));
-        let model = PrecisionModel::learn(
-            &db,
-            TimingMetric::Delay,
-            &space(),
-            PrecisionConfig::default(),
-        );
+        let model = PrecisionModel::learn(&db, TimingMetric::Delay, &space());
         assert_eq!(
             model.anchors.len(),
             0,
@@ -353,8 +310,7 @@ mod tests {
 
     #[test]
     fn flat_model_reports_constant_beta() {
-        let model =
-            PrecisionModel::flat(TimingMetric::OutputSlew, 900.0, PrecisionConfig::default());
+        let model = PrecisionModel::flat(TimingMetric::OutputSlew, 900.0);
         assert_eq!(model.metric(), TimingMetric::OutputSlew);
         assert_eq!(model.beta(&point(1.0, 0.5, 0.7)), 900.0);
         assert_eq!(model.beta(&point(14.0, 5.5, 1.0)), 900.0);

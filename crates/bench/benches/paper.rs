@@ -83,7 +83,7 @@ fn fall_delay_samples(
     points
         .iter()
         .map(|p| {
-            let m = engine.simulate_nominal(cell, &arc, p);
+            let m = engine.simulate_nominal(&arc, p);
             TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay)
         })
         .collect()
@@ -106,7 +106,7 @@ fn delay_and_slew(
                 Farads::from_femtofarads(cload),
                 Volts(vdd),
             );
-            let m = engine.simulate_nominal(arc.cell(), arc, &point);
+            let m = engine.simulate_nominal(arc, &point);
             let ieff = engine.ieff(arc, &point, &nominal);
             delay.push(TimingSample::new(point, ieff, m.delay));
             slew.push(TimingSample::new(point, ieff, m.output_slew));
@@ -384,7 +384,7 @@ fn fig6_nominal_14nm(db: &HistoricalDatabase) -> Section {
     for kind in CellKind::PAPER_TRIO {
         let cell = Cell::new(kind, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let result = study.run(cell, &arc, TimingMetric::Delay).expect(VALID);
+        let result = study.run(&arc, TimingMetric::Delay).expect(VALID);
         let name = format!("{} / delay", arc.id());
         add_reductions(&mut reductions, &name, FIG6_TARGET_PERCENT, &result.curves);
         tables.push(curve_table(name, &result.curves));
@@ -413,13 +413,12 @@ fn statistical_config() -> StatisticalStudyConfig {
 /// LUT curve's best error.
 fn statistical_tables(
     db: &HistoricalDatabase,
-    cell: Cell,
     arc: &TimingArc,
     metrics: [(StatMetric, &str); 2],
 ) -> Vec<Table> {
     let study = StatisticalStudy::new(TechnologyNode::target_28nm(), db, statistical_config())
         .expect(VALID);
-    let result = study.run(cell, arc).expect(VALID);
+    let result = study.run(arc).expect(VALID);
     let mut tables = Vec::new();
     let mut reductions = reductions_table("the LUT's best error within its k grid");
     for (metric, title) in metrics {
@@ -456,7 +455,7 @@ fn fig7_stat_delay_28nm(db: &HistoricalDatabase) -> Section {
         "Fig. 7",
         "Statistical 28-nm delay characterization: E(mu_Td) and E(sigma_Td) vs training samples",
         "17x / 20x fewer simulations than the statistical LUT at matched accuracy",
-        statistical_tables(db, cell, &arc, metrics),
+        statistical_tables(db, &arc, metrics),
     )
 }
 
@@ -472,7 +471,7 @@ fn fig8_stat_slew_28nm(db: &HistoricalDatabase) -> Section {
         "Fig. 8",
         "Statistical 28-nm output-slew characterization: E(mu_Sout) and E(sigma_Sout) vs training samples",
         "the Bayesian prior gives 18x / 19x reductions for the slew statistics",
-        statistical_tables(db, cell, &arc, metrics),
+        statistical_tables(db, &arc, metrics),
     )
 }
 
@@ -491,7 +490,7 @@ fn fig9_delay_pdf(db: &HistoricalDatabase) -> Section {
         Farads::from_femtofarads(1.67),
         Volts(0.734),
     );
-    let pdf = study.delay_pdf(cell, &arc, corner, 7, 60).expect(VALID);
+    let pdf = study.delay_pdf(&arc, corner, 7, 60).expect(VALID);
 
     let mut summary = Table::new(
         format!("{} process seeds at {corner}", pdf.baseline.len()),
@@ -590,7 +589,7 @@ fn cost_decomposition(db: &HistoricalDatabase) -> Section {
     let study = NominalStudy::new(TechnologyNode::target_14nm(), db, config).expect(VALID);
     let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
-    let result = study.run(cell, &arc, TimingMetric::Delay).expect(VALID);
+    let result = study.run(&arc, TimingMetric::Delay).expect(VALID);
     let name = format!("{} / delay", arc.id());
     let mut reductions = reductions_table("the accuracy the paper quotes for Fig. 6");
     add_reductions(&mut reductions, &name, FIG6_TARGET_PERCENT, &result.curves);

@@ -31,7 +31,6 @@ use std::time::Instant;
 
 struct Workload {
     tech: Arc<TechnologyNode>,
-    cell: Cell,
     arc: TimingArc,
     points: Vec<InputPoint>,
     seeds: Vec<ProcessSample>,
@@ -50,7 +49,6 @@ fn workload() -> Workload {
     let seeds = tech.variation().sample_n(&mut rng, n_seeds);
     Workload {
         tech: Arc::new(tech),
-        cell,
         arc,
         points,
         seeds,
@@ -68,7 +66,7 @@ impl Workload {
                     .iter()
                     .map(|&seed| SimRequest {
                         tech: self.tech.clone(),
-                        cell: self.cell,
+                        cell: self.arc.cell(),
                         arc: self.arc,
                         point,
                         seed,
@@ -186,7 +184,7 @@ fn main() {
     let reps = if w.reduced { 3 } else { 5 };
     println!(
         "workload: {} {} arc, {} points x {} seeds = {} sims/variant ({} mode)\n",
-        w.cell,
+        w.arc.cell(),
         w.arc.output_transition(),
         w.points.len(),
         w.seeds.len(),
@@ -268,7 +266,7 @@ fn main() {
         schema: emit::TRANSIENT_SCHEMA,
         reduced: w.reduced,
         workload: KernelWorkload {
-            cell: w.cell.to_string(),
+            cell: w.arc.cell().to_string(),
             arc: w.arc.output_transition().to_string(),
             tech: w.tech.name().to_string(),
             points: w.points.len(),

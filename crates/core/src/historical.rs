@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use slic_bayes::{ConditionResidual, HistoricalDatabase, HistoricalRecord, TimingMetric};
-use slic_cells::{Cell, Library, TimingArc};
+use slic_cells::Library;
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_spice::{CharacterizationEngine, ConfigError, MixedLane, TransientConfig};
 use slic_timing_model::{LeastSquaresFitter, TimingSample};
@@ -113,30 +113,19 @@ impl HistoricalLearner {
                 self.config.grid_levels.1,
                 self.config.grid_levels.2,
             );
-            // One mega-batch of every (cell, arc, grid point) lane at the nominal
-            // corner: training a whole node costs one mixed worklist instead of one
-            // sweep per arc, so backend calls stay full across arcs.
+            // One mega-batch of every (arc, grid point) lane at the nominal corner:
+            // training a whole node costs one mixed worklist instead of one sweep per
+            // arc, so backend calls stay full across arcs.
             let nominal = ProcessSample::nominal();
-            let arcs: Vec<(Cell, TimingArc)> = library
-                .cells()
-                .iter()
-                .flat_map(|&cell| {
-                    TimingArc::primary_arcs(cell)
-                        .into_iter()
-                        .map(move |arc| (cell, arc))
-                })
-                .collect();
+            let arcs = library.primary_arcs();
             let lanes: Vec<MixedLane> = arcs
                 .iter()
-                .flat_map(|&(cell, arc)| grid.iter().map(move |p| (cell, arc, *p, nominal)))
+                .flat_map(|&arc| grid.iter().map(move |p| (arc, *p, nominal)))
                 .collect();
             // One transient run per grid point yields both delay and slew.
             let flat = engine.simulate_mixed(&lanes);
-            for (&(cell, arc), measurements) in arcs.iter().zip(flat.chunks(grid.len().max(1))) {
-                let ieffs: Vec<_> = grid
-                    .iter()
-                    .map(|p| engine.ieff(&arc, p, &nominal))
-                    .collect();
+            for (arc, measurements) in arcs.iter().zip(flat.chunks(grid.len().max(1))) {
+                let ieffs: Vec<_> = grid.iter().map(|p| engine.ieff(arc, p, &nominal)).collect();
                 for metric in TimingMetric::BOTH {
                     let samples: Vec<TimingSample> = grid
                         .iter()
@@ -155,7 +144,7 @@ impl HistoricalLearner {
                     database.push(HistoricalRecord::new(
                         tech.name(),
                         tech.node_nm(),
-                        cell.name(),
+                        arc.cell().name(),
                         arc.id(),
                         metric,
                         fit.params,

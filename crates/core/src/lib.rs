@@ -45,7 +45,7 @@
 //! )?;
 //! let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
 //! let arc = TimingArc::new(cell, 0, Transition::Fall);
-//! let result = study.run(cell, &arc, TimingMetric::Delay)?;
+//! let result = study.run(&arc, TimingMetric::Delay)?;
 //! println!("{}", result.to_markdown());
 //! # Ok(())
 //! # }
@@ -61,8 +61,8 @@ pub mod statistical;
 /// One-stop re-exports of the workspace API.
 pub mod prelude {
     pub use slic_bayes::{
-        HistoricalDatabase, HistoricalRecord, MapExtractor, ParameterPrior, PrecisionConfig,
-        PrecisionModel, PriorBuilder, TimingMetric,
+        HistoricalDatabase, HistoricalRecord, MapExtractor, ParameterPrior, PrecisionModel,
+        PriorBuilder, TimingMetric,
     };
     pub use slic_cells::{
         Cell, CellKind, DriveStrength, EquivalentInverter, Library, TimingArc, Transition,
@@ -76,8 +76,8 @@ pub mod prelude {
     };
     pub use slic_stats::{KernelDensity, MultivariateGaussian, Summary};
     pub use slic_timing_model::{
-        ExtendedTimingParams, FitConfig, FitResult, GaussianPenalty, LeastSquaresFitter,
-        TimingParams, TimingSample,
+        ExtendedTimingParams, FitResult, GaussianPenalty, LeastSquaresFitter, TimingParams,
+        TimingSample,
     };
     pub use slic_units::{Amperes, Celsius, Coulombs, Farads, Seconds, Volts};
 }

@@ -149,7 +149,7 @@ pub fn export_library(
     for &cell in library.cells() {
         let groups = Transition::BOTH.map(|transition| {
             let arc = TimingArc::new(cell, 0, transition);
-            let (delay, slew) = table_values(engine, cell, &arc, vdd, &slew_axis, &load_axis);
+            let (delay, slew) = table_values(engine, &arc, vdd, &slew_axis, &load_axis);
             let (delay_group, slew_group) = nominal_groups(transition);
             TimingGroup {
                 related_pin: 0,
@@ -401,7 +401,6 @@ fn render_cell(engine: &CharacterizationEngine, cell: Cell, groups: &[TimingGrou
 
 fn table_values(
     engine: &CharacterizationEngine,
-    cell: Cell,
     arc: &TimingArc,
     vdd: Volts,
     slew_axis: &[f64],
@@ -415,7 +414,7 @@ fn table_values(
                 .map(move |&cload| slic_spice::InputPoint::new(Seconds(sin), Farads(cload), vdd))
         })
         .collect();
-    let mut measurements = engine.sweep_nominal(cell, arc, &points).into_iter();
+    let mut measurements = engine.sweep_nominal(arc, &points).into_iter();
     slew_axis
         .iter()
         .map(|_| {
@@ -651,7 +650,7 @@ mod tests {
         let nominal = slic_device::ProcessSample::nominal();
         for transition in Transition::BOTH {
             let arc = TimingArc::new(cell, 0, transition);
-            let ms = eng.sweep_nominal(cell, &arc, &points);
+            let ms = eng.sweep_nominal(&arc, &points);
             let fitter = slic_timing_model::LeastSquaresFitter::new();
             let samples = |metric: fn(&slic_spice::TimingMeasurement) -> slic_units::Seconds| {
                 points

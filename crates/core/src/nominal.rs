@@ -34,7 +34,7 @@
 //! )?;
 //! let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
 //! let arc = TimingArc::new(cell, 0, Transition::Fall);
-//! let result = study.run(cell, &arc, TimingMetric::Delay)?;
+//! let result = study.run(&arc, TimingMetric::Delay)?;
 //! let bayes = result.curve(MethodKind::ProposedBayesian).ok_or("no Bayesian curve")?;
 //! println!("k = 2 error: {:.2} %", bayes.errors_percent[0]);
 //! # Ok(())
@@ -44,7 +44,7 @@
 use crate::report::markdown_table;
 use serde::{Deserialize, Serialize};
 use slic_bayes::{HistoricalDatabase, MapExtractor, PriorError, TimingMetric};
-use slic_cells::{Cell, TimingArc};
+use slic_cells::TimingArc;
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_lut::LutBuilder;
 use slic_spice::{CharacterizationEngine, ConfigError, InputPoint, TransientConfig};
@@ -285,7 +285,6 @@ pub struct ValidatedFit {
 /// against.  The simulations go through `engine`'s counter and cache.
 pub fn simulate_samples(
     engine: &CharacterizationEngine,
-    cell: Cell,
     arc: &TimingArc,
     metric: TimingMetric,
     points: &[InputPoint],
@@ -293,7 +292,7 @@ pub fn simulate_samples(
     let nominal = ProcessSample::nominal();
     points
         .iter()
-        .zip(engine.sweep_nominal(cell, arc, points))
+        .zip(engine.sweep_nominal(arc, points))
         .map(|(p, m)| TimingSample::new(*p, engine.ieff(arc, p, &nominal), metric.of(&m)))
         .collect()
 }
@@ -303,7 +302,6 @@ pub fn simulate_samples(
 /// caller, so one training sweep can serve several fits.
 pub fn fit_and_validate(
     engine: &CharacterizationEngine,
-    cell: Cell,
     arc: &TimingArc,
     metric: TimingMetric,
     fit: Fit<'_>,
@@ -320,7 +318,7 @@ pub fn fit_and_validate(
         Fit::Map(extractor, training) => model(extractor.extract(training).params),
         Fit::Lse(training) => model(LeastSquaresFitter::new().fit(training).params),
         Fit::Lut(budget) => {
-            let lut = LutBuilder::new(engine).build_nominal_with_budget(cell, arc, budget);
+            let lut = LutBuilder::new(engine).build_nominal_with_budget(arc, budget);
             let predictions = validation
                 .iter()
                 .map(|s| metric.of(&lut.predict(&s.point)).value())
@@ -380,18 +378,18 @@ impl<'a> NominalStudy<'a> {
     /// records of `metric`; nothing is simulated then.
     pub fn run(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         metric: TimingMetric,
     ) -> Result<NominalStudyResult, PriorError> {
         let space = self.engine.input_space();
-        let extractor = MapExtractor::learn(self.database, metric, cell.kind().name(), &space)?;
+        let extractor =
+            MapExtractor::learn(self.database, metric, arc.cell().kind().name(), &space)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // Baseline: dense random validation set simulated directly.
         let validation_points = space.sample_uniform(&mut rng, self.config.validation_points);
         let before = self.engine.simulation_count();
-        let validation = simulate_samples(&self.engine, cell, arc, metric, &validation_points);
+        let validation = simulate_samples(&self.engine, arc, metric, &validation_points);
         let baseline_simulations = self.engine.simulation_count() - before;
 
         let mut curves: Vec<MethodCurve> = MethodKind::ALL
@@ -410,7 +408,7 @@ impl<'a> NominalStudy<'a> {
                 StdRng::seed_from_u64(self.config.seed ^ (k as u64).wrapping_mul(0x9E37_79B9));
             let training_points = space.sample_latin_hypercube(&mut training_rng, k);
             let before = self.engine.simulation_count();
-            let training = simulate_samples(&self.engine, cell, arc, metric, &training_points);
+            let training = simulate_samples(&self.engine, arc, metric, &training_points);
             let training_simulations = self.engine.simulation_count() - before;
 
             // In `MethodKind::ALL` order, each with the simulations it spent before the call.
@@ -421,7 +419,7 @@ impl<'a> NominalStudy<'a> {
             ];
             for (curve, (fit, spent)) in curves.iter_mut().zip(fits) {
                 let before = self.engine.simulation_count();
-                let fitted = fit_and_validate(&self.engine, cell, arc, metric, fit, &validation);
+                let fitted = fit_and_validate(&self.engine, arc, metric, fit, &validation);
                 curve.errors_percent.push(fitted.error_percent);
                 curve
                     .simulations
@@ -441,7 +439,7 @@ impl<'a> NominalStudy<'a> {
 mod tests {
     use super::*;
     use crate::historical::{HistoricalLearner, HistoricalLearningConfig};
-    use slic_cells::{CellKind, DriveStrength, Library, Transition};
+    use slic_cells::{Cell, CellKind, DriveStrength, Library, Transition};
 
     fn learned_database() -> HistoricalDatabase {
         let config = HistoricalLearningConfig {
@@ -468,7 +466,7 @@ mod tests {
         .expect("valid config");
         let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let result = study.run(cell, &arc, TimingMetric::Delay).expect("prior");
+        let result = study.run(&arc, TimingMetric::Delay).expect("prior");
 
         assert_eq!(result.curves.len(), 3);
         assert_eq!(result.baseline_simulations, 60);
@@ -587,7 +585,7 @@ mod tests {
         for (kind, transition, metric, errors) in pinned {
             let cell = Cell::new(kind, DriveStrength::X1);
             let arc = TimingArc::new(cell, 0, transition);
-            let result = study.run(cell, &arc, metric).expect("prior");
+            let result = study.run(&arc, metric).expect("prior");
             assert_eq!(result.baseline_simulations, 60);
             let methods: Vec<MethodKind> = result.curves.iter().map(|c| c.method).collect();
             assert_eq!(methods, MethodKind::ALL);
@@ -631,7 +629,7 @@ mod tests {
         let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
         let err = study
-            .run(cell, &arc, TimingMetric::OutputSlew)
+            .run(&arc, TimingMetric::OutputSlew)
             .expect_err("no slew records");
         assert!(matches!(
             err,

@@ -23,7 +23,7 @@
 //! )?;
 //! let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
 //! let arc = TimingArc::new(cell, 0, Transition::Fall);
-//! let result = study.run(cell, &arc)?;
+//! let result = study.run(&arc)?;
 //! let bayes = result.curves_for(MethodKind::ProposedBayesian).ok_or("no Bayesian curves")?;
 //! println!("E(mu_Td) at k = 3: {:.2} %", bayes.mean_delay_error[0]);
 //! # Ok(())
@@ -34,7 +34,7 @@ use crate::nominal::{MethodCurve, MethodKind};
 use crate::report::markdown_table;
 use serde::{Deserialize, Serialize};
 use slic_bayes::{HistoricalDatabase, MapExtractor, PriorError, TimingMetric};
-use slic_cells::{Cell, TimingArc};
+use slic_cells::TimingArc;
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_lut::LutBuilder;
 use slic_spice::{CharacterizationEngine, ConfigError, InputPoint, TransientConfig};
@@ -267,10 +267,11 @@ impl<'a> StatisticalStudy<'a> {
         &self.config
     }
 
-    /// The delay and output-slew MAP extractors for `cell`'s kind.
-    fn learn_extractors(&self, cell: Cell) -> Result<[MapExtractor; 2], PriorError> {
+    /// The delay and output-slew MAP extractors for the kind of `arc`'s cell.
+    fn learn_extractors(&self, arc: &TimingArc) -> Result<[MapExtractor; 2], PriorError> {
         let space = self.engine.input_space();
-        let learn = |metric| MapExtractor::learn(self.database, metric, cell.kind().name(), &space);
+        let kind = arc.cell().kind();
+        let learn = |metric| MapExtractor::learn(self.database, metric, kind.name(), &space);
         Ok([
             learn(TimingMetric::Delay)?,
             learn(TimingMetric::OutputSlew)?,
@@ -284,7 +285,6 @@ impl<'a> StatisticalStudy<'a> {
     /// "Proposed Model + LSE" variant.
     fn extract_per_seed(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         training_points: &[InputPoint],
         seeds: &[ProcessSample],
@@ -299,9 +299,7 @@ impl<'a> StatisticalStudy<'a> {
         // One cross-seed mega-batch instead of one sweep per seed: every
         // (training point, seed) lane enters the kernel as a single worklist, so the
         // SIMD dispatcher sees full quads even when the training grid is tiny.
-        let by_point = self
-            .engine
-            .monte_carlo_sweep(cell, arc, training_points, seeds);
+        let by_point = self.engine.monte_carlo_sweep(arc, training_points, seeds);
         for (s, seed) in seeds.iter().enumerate() {
             let ieffs: Vec<_> = training_points
                 .iter()
@@ -332,8 +330,8 @@ impl<'a> StatisticalStudy<'a> {
     ///
     /// Returns the [`PriorError`] of [`MapExtractor::learn`] when the database holds no
     /// records of delay or output slew; nothing is simulated then.
-    pub fn run(&self, cell: Cell, arc: &TimingArc) -> Result<StatisticalStudyResult, PriorError> {
-        let extractors = self.learn_extractors(cell)?;
+    pub fn run(&self, arc: &TimingArc) -> Result<StatisticalStudyResult, PriorError> {
+        let extractors = self.learn_extractors(arc)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let space = self.engine.input_space();
         let seeds = self
@@ -345,9 +343,7 @@ impl<'a> StatisticalStudy<'a> {
 
         // Monte Carlo baseline: every validation point under every seed.
         let before = self.engine.simulation_count();
-        let baseline_grid = self
-            .engine
-            .monte_carlo_sweep(cell, arc, &validation, &seeds);
+        let baseline_grid = self.engine.monte_carlo_sweep(arc, &validation, &seeds);
         let baseline_simulations = self.engine.simulation_count() - before;
         let baseline_mean_delay: Vec<f64> = baseline_grid
             .iter()
@@ -410,7 +406,7 @@ impl<'a> StatisticalStudy<'a> {
 
             for (curve, extractors) in [(bayes, Some(&extractors)), (lse, None)] {
                 let (delay_params, slew_params, cost) =
-                    self.extract_per_seed(cell, arc, &training_points, &seeds, extractors);
+                    self.extract_per_seed(arc, &training_points, &seeds, extractors);
                 let errors = self.model_moment_errors(
                     &validation,
                     &validation_ieffs_per_seed,
@@ -428,7 +424,7 @@ impl<'a> StatisticalStudy<'a> {
 
             // Statistical LUT with the same number of training conditions.
             let before = self.engine.simulation_count();
-            let lut = lut_builder.build_statistical_with_budget(cell, arc, k, &seeds);
+            let lut = lut_builder.build_statistical_with_budget(arc, k, &seeds);
             let lut_cost = self.engine.simulation_count() - before;
             let mut pred = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
             for p in &validation {
@@ -510,13 +506,12 @@ impl<'a> StatisticalStudy<'a> {
     /// records of delay or output slew; nothing is simulated then.
     pub fn delay_pdf(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         point: InputPoint,
         proposed_k: usize,
         lut_budget: usize,
     ) -> Result<DelayPdfComparison, PriorError> {
-        let extractors = self.learn_extractors(cell)?;
+        let extractors = self.learn_extractors(arc)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(9));
         let seeds = self
             .engine
@@ -528,7 +523,7 @@ impl<'a> StatisticalStudy<'a> {
         // Baseline Monte Carlo at the probe point.
         let baseline: Vec<f64> = self
             .engine
-            .monte_carlo(cell, arc, &point, &seeds)
+            .monte_carlo(arc, &point, &seeds)
             .iter()
             .map(|m| m.delay.value())
             .collect();
@@ -536,7 +531,7 @@ impl<'a> StatisticalStudy<'a> {
         // Proposed: per-seed MAP extraction from `proposed_k` conditions.
         let training_points = space.sample_latin_hypercube(&mut rng, proposed_k);
         let (delay_params, _slew_params, _) =
-            self.extract_per_seed(cell, arc, &training_points, &seeds, Some(&extractors));
+            self.extract_per_seed(arc, &training_points, &seeds, Some(&extractors));
         let proposed: Vec<f64> = delay_params
             .iter()
             .zip(&seeds)
@@ -546,33 +541,16 @@ impl<'a> StatisticalStudy<'a> {
             })
             .collect();
 
-        // LUT: a per-seed nominal grid of `lut_budget` conditions, interpolated at the probe.
+        // LUT: a per-seed table of `lut_budget` conditions, interpolated at the probe.
         let levels = slic_lut::grid_levels_for_budget(lut_budget);
+        let lut_builder = LutBuilder::new(&self.engine);
         let lut: Vec<f64> = seeds
             .iter()
             .map(|seed| {
-                let grid = space.lut_grid(levels.0, levels.1, levels.2);
-                let measurements = self.engine.sweep(cell, arc, &grid, seed);
-                let delays: Vec<f64> = measurements.iter().map(|m| m.delay.value()).collect();
-                let table = slic_lut::Lut3d::from_values(
-                    grid.iter()
-                        .map(|p| p.sin.value())
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .fold(Vec::new(), dedup_push),
-                    grid.iter()
-                        .map(|p| p.cload.value())
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .fold(Vec::new(), dedup_push),
-                    grid.iter()
-                        .map(|p| p.vdd.value())
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .fold(Vec::new(), dedup_push),
-                    delays,
-                );
-                table.interpolate(&point)
+                lut_builder
+                    .build_at_seed(arc, levels, seed)
+                    .delay
+                    .interpolate(&point)
             })
             .collect();
 
@@ -587,21 +565,11 @@ impl<'a> StatisticalStudy<'a> {
     }
 }
 
-/// Accumulates sorted unique axis values (the LUT grid enumerates the axes in row-major
-/// order, so duplicates are adjacent after sorting).
-fn dedup_push(mut acc: Vec<f64>, value: f64) -> Vec<f64> {
-    if !acc.iter().any(|v| (*v - value).abs() < 1e-18) {
-        acc.push(value);
-        acc.sort_by(f64::total_cmp);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::historical::{HistoricalLearner, HistoricalLearningConfig};
-    use slic_cells::{CellKind, DriveStrength, Library, Transition};
+    use slic_cells::{Cell, CellKind, DriveStrength, Library, Transition};
     use slic_units::{Farads, Seconds, Volts};
 
     fn learned_database() -> HistoricalDatabase {
@@ -629,7 +597,7 @@ mod tests {
         .expect("valid config");
         let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let result = study.run(cell, &arc).expect("prior");
+        let result = study.run(&arc).expect("prior");
 
         assert_eq!(result.curves.len(), 3);
         assert_eq!(result.process_seeds, 30);
@@ -669,7 +637,7 @@ mod tests {
             Farads::from_femtofarads(1.67),
             Volts(0.734),
         );
-        let pdf = study.delay_pdf(cell, &arc, point, 7, 12).expect("prior");
+        let pdf = study.delay_pdf(&arc, point, 7, 12).expect("prior");
         assert_eq!(pdf.baseline.len(), 40);
         assert_eq!(pdf.proposed.len(), 40);
         assert_eq!(pdf.lut.len(), 40);
@@ -710,7 +678,7 @@ mod tests {
         .expect("valid config");
         let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let err = study.run(cell, &arc).expect_err("no slew records");
+        let err = study.run(&arc).expect_err("no slew records");
         assert!(matches!(
             err,
             PriorError::NoMatchingRecords {
@@ -724,7 +692,7 @@ mod tests {
             Volts(0.734),
         );
         assert!(matches!(
-            study.delay_pdf(cell, &arc, point, 7, 12),
+            study.delay_pdf(&arc, point, 7, 12),
             Err(PriorError::NoMatchingRecords { .. })
         ));
         assert_eq!(study.engine().simulation_count(), 0);

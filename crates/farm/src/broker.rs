@@ -877,7 +877,8 @@ impl SimulationBackend for FarmBackend {
             }
         }
         // One local solve for every lane no worker answered: lanes that cannot travel
-        // (e.g. a custom technology outside the worker-side catalogue), jobs past their
+        // (e.g. a custom technology outside the worker-side catalogue, or a cell that is
+        // not its arc's, which the fallback refuses as a lane error), jobs past their
         // retry budget and jobs no worker was left to take.  The farm degrades to local
         // execution instead of failing a run the local backend would complete.
         let unanswered: Vec<SimRequest> = requests

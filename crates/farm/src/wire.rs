@@ -205,8 +205,11 @@ impl WireRequest {
     ///
     /// Returns a [`WireError::UnknownTechnology`] when the technology is not
     /// reconstructable by name on the far side (the wire sends names, not device
-    /// parameters), or a [`WireError::InvalidRequest`] on a NaN coordinate.
+    /// parameters), or a [`WireError::InvalidRequest`] on a NaN coordinate or a `cell`
+    /// that is not the arc's (the wire sends the arc alone, and a worker takes the cell
+    /// from it, so such a lane must stay with the local backend, which refuses it).
     pub fn encode(request: &SimRequest) -> Result<Self, WireError> {
+        request.check_cell().map_err(WireError::InvalidRequest)?;
         // The worker rebuilds the node from the catalogue; a custom node whose name does
         // not round-trip would silently simulate different device physics.
         match TechnologyNode::by_name_shared(request.tech.name()) {

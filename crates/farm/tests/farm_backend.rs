@@ -133,21 +133,24 @@ fn engine() -> CharacterizationEngine {
         .expect("fast preset validates")
 }
 
-fn inv_fall() -> (Cell, TimingArc) {
-    let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
-    (cell, TimingArc::new(cell, 0, Transition::Fall))
+fn inv_fall() -> TimingArc {
+    TimingArc::new(
+        Cell::new(CellKind::Inv, DriveStrength::X1),
+        0,
+        Transition::Fall,
+    )
 }
 
 /// Nominal-corner requests for an inverter fall arc in `tech` at every point of
 /// [`grid`]`(n)` — one broker call's worth of lanes, built without an engine.
 fn requests(tech: TechnologyNode, n: usize) -> Vec<SimRequest> {
     let tech = Arc::new(tech);
-    let (cell, arc) = inv_fall();
+    let arc = inv_fall();
     grid(n)
         .into_iter()
         .map(|point| SimRequest {
             tech: tech.clone(),
-            cell,
+            cell: arc.cell(),
             arc,
             point,
             seed: ProcessSample::nominal(),
@@ -180,18 +183,18 @@ fn two_worker_farm_is_bitwise_identical_to_local_and_pays_each_key_once() {
         .with_cache(cache.clone())
         .with_backend(farm.clone());
     let local = engine();
-    let (cell, arc) = inv_fall();
+    let arc = inv_fall();
     let points = grid(24);
 
-    let remote = farmed.sweep_nominal(cell, &arc, &points);
-    let reference = local.sweep_nominal(cell, &arc, &points);
+    let remote = farmed.sweep_nominal(&arc, &points);
+    let reference = local.sweep_nominal(&arc, &points);
     assert_eq!(remote, reference, "farm lanes must be bitwise local lanes");
     assert_eq!(farmed.simulation_count(), 24);
     assert_eq!(cache.misses(), 24, "every unique coordinate paid once");
 
     // Warm replay: everything from the broker-side cache, the fleet is not consulted.
     let before = farm.stats();
-    let replay = farmed.sweep_nominal(cell, &arc, &points);
+    let replay = farmed.sweep_nominal(&arc, &points);
     assert_eq!(replay, reference);
     assert_eq!(farmed.simulation_count(), 24, "replay pays nothing");
     assert_eq!(farm.stats(), before, "replay dispatches nothing");
@@ -452,6 +455,42 @@ fn a_custom_node_named_like_a_catalogue_node_stays_local_while_the_rest_travel()
     assert_eq!(
         stats.lanes_local, 6,
         "the custom lanes were solved broker-side"
+    );
+    drop(farm);
+    assert_eq!(handle.join().expect("worker"), ServeOutcome::Shutdown);
+}
+
+#[test]
+fn a_lane_whose_cell_is_not_its_arcs_is_the_same_lane_error_on_both_backends() {
+    // The middle lane names a NAND2_X1 under an INV_X1 arc.  The wire sends the arc only,
+    // so the farm must not let a worker solve the inverter while the local backend would
+    // answer otherwise: both refuse the lane, and both solve its neighbours.
+    let mut lanes = requests(TechnologyNode::n14_finfet(), 3);
+    lanes[1].cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
+    let (addr, handle) = spawn_tcp_worker("w", None);
+    let farm = Arc::new(FarmBackend::connect(&[addr]).expect("connects"));
+    let local = LocalBackend::new().solve_batch(&lanes);
+    let remote = farm.solve_batch(&lanes);
+    assert_eq!(
+        local[1],
+        Err("request cell NAND2_X1 is not the cell of arc INV_X1/A0/FALL".to_string())
+    );
+    assert_eq!(
+        remote[1], local[1],
+        "the farm refuses the lane as the local backend does"
+    );
+    for lane in [0, 2] {
+        assert!(local[lane].is_ok(), "lane {lane}: {:?}", local[lane]);
+        assert_eq!(
+            remote[lane], local[lane],
+            "lane {lane} is solved bitwise alike"
+        );
+    }
+    let stats = farm.stats();
+    assert_eq!(stats.lanes_remote, 2, "the good lanes travelled");
+    assert_eq!(
+        stats.lanes_local, 1,
+        "the refused lane never left the broker"
     );
     drop(farm);
     assert_eq!(handle.join().expect("worker"), ServeOutcome::Shutdown);

@@ -2,25 +2,11 @@
 
 use crate::table::Lut3d;
 use serde::{Deserialize, Serialize};
-use slic_cells::{Cell, TimingArc};
+use slic_cells::TimingArc;
 use slic_device::ProcessSample;
 use slic_spice::{CharacterizationEngine, InputPoint, InputSpace, TimingMeasurement};
 use slic_stats::moments;
-use slic_units::{Farads, Seconds, Volts};
-
-/// Every point of a `(sin, cload, vdd)` grid, in [`Lut3d`] value order (supply fastest).
-fn grid_points(sin_axis: &[f64], cload_axis: &[f64], vdd_axis: &[f64]) -> Vec<InputPoint> {
-    sin_axis
-        .iter()
-        .flat_map(|&s| {
-            cload_axis.iter().flat_map(move |&c| {
-                vdd_axis
-                    .iter()
-                    .map(move |&v| InputPoint::new(Seconds(s), Farads(c), Volts(v)))
-            })
-        })
-        .collect()
-}
+use slic_units::Seconds;
 
 /// Splits a simulation budget of `k` runs into grid levels `(sin, cload, vdd)` with
 /// `sin·cload·vdd ≤ k`, keeping the factors as balanced as possible and prioritizing the
@@ -51,7 +37,8 @@ pub fn grid_levels_for_budget(k: usize) -> (usize, usize, usize) {
     best
 }
 
-/// A nominal (no process variation) delay/slew table pair for one timing arc.
+/// A delay/slew table pair for one timing arc under one process sample: the nominal
+/// corner (no process variation) unless built by [`LutBuilder::build_at_seed`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NominalLut {
     /// Delay table (seconds).
@@ -115,66 +102,59 @@ impl<'a> LutBuilder<'a> {
         }
     }
 
-    fn axes(&self, levels: (usize, usize, usize)) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let axis = |lo: f64, hi: f64, n: usize| -> Vec<f64> {
-            if n == 1 {
-                vec![0.5 * (lo + hi)]
-            } else {
-                (0..n)
-                    .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-                    .collect()
-            }
-        };
-        let (slo, shi) = self.space.sin_range();
-        let (clo, chi) = self.space.cload_range();
-        let (vlo, vhi) = self.space.vdd_range();
-        (
-            axis(slo.value(), shi.value(), levels.0),
-            axis(clo.value(), chi.value(), levels.1),
-            axis(vlo.value(), vhi.value(), levels.2),
-        )
+    /// The full-factorial grid of `levels` over the input space, in [`Lut3d`] value order
+    /// (supply fastest), and its `(sin, cload, vdd)` axes read back from it.
+    fn grid(&self, (sin, cload, vdd): (usize, usize, usize)) -> (Vec<InputPoint>, [Vec<f64>; 3]) {
+        let points = self.space.lut_grid(sin, cload, vdd);
+        let axes = [
+            points
+                .iter()
+                .step_by(cload * vdd)
+                .map(|p| p.sin.value())
+                .collect(),
+            points[..cload * vdd]
+                .iter()
+                .step_by(vdd)
+                .map(|p| p.cload.value())
+                .collect(),
+            points[..vdd].iter().map(|p| p.vdd.value()).collect(),
+        ];
+        (points, axes)
     }
 
     /// Builds a nominal LUT for one arc with an explicit grid shape.
-    pub fn build_nominal(
+    pub fn build_nominal(&self, arc: &TimingArc, levels: (usize, usize, usize)) -> NominalLut {
+        self.build_at_seed(arc, levels, &ProcessSample::nominal())
+    }
+
+    /// Builds the delay/slew table pair of one arc under one process `seed`, with an
+    /// explicit grid shape.
+    pub fn build_at_seed(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         levels: (usize, usize, usize),
+        seed: &ProcessSample,
     ) -> NominalLut {
         let before = self.engine.simulation_count();
-        let (sin_axis, cload_axis, vdd_axis) = self.axes(levels);
-        let points = grid_points(&sin_axis, &cload_axis, &vdd_axis);
-        let measurements = self.engine.sweep_nominal(cell, arc, &points);
-        let delays = measurements.iter().map(|m| m.delay.value()).collect();
-        let slews = measurements.iter().map(|m| m.output_slew.value()).collect();
+        let (points, [sin, cload, vdd]) = self.grid(levels);
+        let measurements = self.engine.sweep(arc, &points, seed);
+        let table = |values| Lut3d::from_values(sin.clone(), cload.clone(), vdd.clone(), values);
         NominalLut {
-            delay: Lut3d::from_values(
-                sin_axis.clone(),
-                cload_axis.clone(),
-                vdd_axis.clone(),
-                delays,
-            ),
-            slew: Lut3d::from_values(sin_axis, cload_axis, vdd_axis, slews),
+            delay: table(measurements.iter().map(|m| m.delay.value()).collect()),
+            slew: table(measurements.iter().map(|m| m.output_slew.value()).collect()),
             simulation_cost: self.engine.simulation_count() - before,
         }
     }
 
     /// Builds a nominal LUT whose grid uses at most `budget` simulations.
-    pub fn build_nominal_with_budget(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        budget: usize,
-    ) -> NominalLut {
-        self.build_nominal(cell, arc, grid_levels_for_budget(budget))
+    pub fn build_nominal_with_budget(&self, arc: &TimingArc, budget: usize) -> NominalLut {
+        self.build_nominal(arc, grid_levels_for_budget(budget))
     }
 
     /// Builds a statistical LUT for one arc: every grid point is simulated under every
     /// process seed and the per-point mean / standard deviation are stored.
     pub fn build_statistical(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         levels: (usize, usize, usize),
         seeds: &[ProcessSample],
@@ -184,13 +164,12 @@ impl<'a> LutBuilder<'a> {
             "statistical LUT needs at least one process seed"
         );
         let before = self.engine.simulation_count();
-        let (sin_axis, cload_axis, vdd_axis) = self.axes(levels);
+        let (points, [sin, cload, vdd]) = self.grid(levels);
         let mut mean_d = Vec::new();
         let mut std_d = Vec::new();
         let mut mean_s = Vec::new();
         let mut std_s = Vec::new();
-        let points = grid_points(&sin_axis, &cload_axis, &vdd_axis);
-        for ensemble in self.engine.monte_carlo_sweep(cell, arc, &points, seeds) {
+        for ensemble in self.engine.monte_carlo_sweep(arc, &points, seeds) {
             let delays: Vec<f64> = ensemble.iter().map(|m| m.delay.value()).collect();
             let slews: Vec<f64> = ensemble.iter().map(|m| m.output_slew.value()).collect();
             mean_d.push(moments::mean(&delays));
@@ -198,26 +177,12 @@ impl<'a> LutBuilder<'a> {
             mean_s.push(moments::mean(&slews));
             std_s.push(moments::std_dev(&slews));
         }
+        let table = |values| Lut3d::from_values(sin.clone(), cload.clone(), vdd.clone(), values);
         StatisticalLut {
-            mean_delay: Lut3d::from_values(
-                sin_axis.clone(),
-                cload_axis.clone(),
-                vdd_axis.clone(),
-                mean_d,
-            ),
-            std_delay: Lut3d::from_values(
-                sin_axis.clone(),
-                cload_axis.clone(),
-                vdd_axis.clone(),
-                std_d,
-            ),
-            mean_slew: Lut3d::from_values(
-                sin_axis.clone(),
-                cload_axis.clone(),
-                vdd_axis.clone(),
-                mean_s,
-            ),
-            std_slew: Lut3d::from_values(sin_axis, cload_axis, vdd_axis, std_s),
+            mean_delay: table(mean_d),
+            std_delay: table(std_d),
+            mean_slew: table(mean_s),
+            std_slew: table(std_s),
             simulation_cost: self.engine.simulation_count() - before,
         }
     }
@@ -226,12 +191,11 @@ impl<'a> LutBuilder<'a> {
     /// simulation cost is `grid size × seeds.len()`).
     pub fn build_statistical_with_budget(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         budget: usize,
         seeds: &[ProcessSample],
     ) -> StatisticalLut {
-        self.build_statistical(cell, arc, grid_levels_for_budget(budget), seeds)
+        self.build_statistical(arc, grid_levels_for_budget(budget), seeds)
     }
 }
 
@@ -240,18 +204,22 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use slic_cells::{CellKind, DriveStrength, Transition};
+    use slic_cells::{Cell, CellKind, DriveStrength, Transition};
     use slic_device::TechnologyNode;
     use slic_spice::TransientConfig;
+    use slic_units::{Farads, Volts};
 
     fn engine() -> CharacterizationEngine {
         CharacterizationEngine::with_config(TechnologyNode::n14_finfet(), TransientConfig::fast())
             .expect("valid transient configuration")
     }
 
-    fn inv_fall() -> (Cell, TimingArc) {
-        let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
-        (cell, TimingArc::new(cell, 0, Transition::Fall))
+    fn inv_fall() -> TimingArc {
+        TimingArc::new(
+            Cell::new(CellKind::Inv, DriveStrength::X1),
+            0,
+            Transition::Fall,
+        )
     }
 
     #[test]
@@ -277,8 +245,8 @@ mod tests {
     #[test]
     fn nominal_lut_matches_direct_simulation_at_grid_nodes() {
         let eng = engine();
-        let (cell, arc) = inv_fall();
-        let lut = LutBuilder::new(&eng).build_nominal(cell, &arc, (3, 2, 2));
+        let arc = inv_fall();
+        let lut = LutBuilder::new(&eng).build_nominal(&arc, (3, 2, 2));
         assert_eq!(lut.simulation_cost, 12);
         assert_eq!(lut.delay.len(), 12);
         // The grid-node prediction equals the direct simulation.
@@ -287,7 +255,7 @@ mod tests {
             Farads(lut.delay.cload_axis()[1]),
             Volts(lut.delay.vdd_axis()[1]),
         );
-        let direct = eng.simulate_nominal(cell, &arc, &node);
+        let direct = eng.simulate_nominal(&arc, &node);
         let predicted = lut.predict(&node);
         assert!(
             (predicted.delay.value() - direct.delay.value()).abs() / direct.delay.value() < 1e-9
@@ -300,18 +268,59 @@ mod tests {
     }
 
     #[test]
+    fn a_table_at_a_seed_holds_that_seeds_simulations_on_the_input_space_grid() {
+        let eng = engine();
+        let arc = inv_fall();
+        let mut rng = StdRng::seed_from_u64(5);
+        let seed = eng.tech().variation().sample_n(&mut rng, 1)[0];
+        let builder = LutBuilder::new(&eng);
+        let lut = builder.build_at_seed(&arc, (2, 3, 2), &seed);
+        assert_eq!(lut.simulation_cost, 12);
+        // The table's axes span exactly the input space's full-factorial grid.
+        let grid = eng.input_space().lut_grid(2, 3, 2);
+        let table = &lut.delay;
+        let spanned: Vec<InputPoint> = table
+            .sin_axis()
+            .iter()
+            .flat_map(|&s| {
+                table.cload_axis().iter().flat_map(move |&c| {
+                    table
+                        .vdd_axis()
+                        .iter()
+                        .map(move |&v| InputPoint::from_raw(s, c, v))
+                })
+            })
+            .collect();
+        assert_eq!(spanned, grid);
+        for point in grid {
+            let direct = eng.simulate(&arc, &point, &seed);
+            let predicted = lut.predict(&point);
+            assert!(
+                (predicted.delay.value() - direct.delay.value()).abs() / direct.delay.value()
+                    < 1e-9
+            );
+        }
+        let nominal = builder.build_nominal(&arc, (2, 3, 2));
+        assert_eq!(
+            nominal,
+            builder.build_at_seed(&arc, (2, 3, 2), &ProcessSample::nominal())
+        );
+        assert_ne!(nominal.delay, lut.delay, "the seed moves the table");
+    }
+
+    #[test]
     fn denser_nominal_lut_is_more_accurate() {
         let eng = engine();
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let builder = LutBuilder::new(&eng);
-        let coarse = builder.build_nominal_with_budget(cell, &arc, 4);
-        let fine = builder.build_nominal_with_budget(cell, &arc, 60);
+        let coarse = builder.build_nominal_with_budget(&arc, 4);
+        let fine = builder.build_nominal_with_budget(&arc, 60);
         // Validation points off the grid.
         let mut rng = StdRng::seed_from_u64(17);
         let validation = eng.input_space().sample_uniform(&mut rng, 40);
         let reference: Vec<TimingMeasurement> = validation
             .iter()
-            .map(|p| eng.simulate_nominal(cell, &arc, p))
+            .map(|p| eng.simulate_nominal(&arc, p))
             .collect();
         let err = |lut: &NominalLut| -> f64 {
             validation
@@ -334,10 +343,10 @@ mod tests {
     #[test]
     fn statistical_lut_reports_spread_and_cost() {
         let eng = engine();
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let mut rng = StdRng::seed_from_u64(3);
         let seeds = eng.tech().variation().sample_n(&mut rng, 24);
-        let lut = LutBuilder::new(&eng).build_statistical(cell, &arc, (2, 2, 1), &seeds);
+        let lut = LutBuilder::new(&eng).build_statistical(&arc, (2, 2, 1), &seeds);
         assert_eq!(lut.simulation_cost, 4 * 24);
         let probe = eng.input_space().center();
         let (md, sd, ms, ss) = lut.predict(&probe);
@@ -356,7 +365,7 @@ mod tests {
     #[should_panic(expected = "at least one process seed")]
     fn statistical_lut_rejects_empty_seeds() {
         let eng = engine();
-        let (cell, arc) = inv_fall();
-        let _ = LutBuilder::new(&eng).build_statistical(cell, &arc, (1, 1, 1), &[]);
+        let arc = inv_fall();
+        let _ = LutBuilder::new(&eng).build_statistical(&arc, (1, 1, 1), &[]);
     }
 }

@@ -1,12 +1,12 @@
 //! Work-unit enumeration: from a library and a resolved config to a flat, parallelizable
-//! list of `(cell, arc, metric, method, kind)` units.
+//! list of `(arc, metric, method, kind)` units.
 
 use crate::config::ResolvedConfig;
 use crate::error::PipelineError;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use slic::nominal::MethodKind;
 use slic_bayes::TimingMetric;
-use slic_cells::{Cell, TimingArc};
+use slic_cells::TimingArc;
 use std::fmt;
 
 /// What a work unit characterizes: the nominal corner, or the Monte Carlo process
@@ -79,9 +79,7 @@ pub fn unit_identity(
 /// One independently executable unit of characterization work.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkUnit {
-    /// The cell being characterized.
-    pub cell: Cell,
-    /// The timing arc.
+    /// The timing arc, which names the cell being characterized.
     pub arc: TimingArc,
     /// The timing quantity.
     pub metric: TimingMetric,
@@ -157,8 +155,8 @@ pub struct CharacterizationPlan {
 
 impl CharacterizationPlan {
     /// Enumerates `cells × primary arcs × metrics × methods` from a resolved
-    /// configuration — plus one [`UnitKind::MonteCarlo`] unit per `(cell, arc, metric)`
-    /// when the configuration enables variation.  Delay and slew variation units of one
+    /// configuration — plus one [`UnitKind::MonteCarlo`] unit per `(arc, metric)` when
+    /// the configuration enables variation.  Delay and slew variation units of one
     /// arc request identical `(seed, point)` sweeps, so — exactly like the nominal metric
     /// pairing — the simulation cache serves the second for free.
     ///
@@ -174,7 +172,6 @@ impl CharacterizationPlan {
                 for &metric in &config.metrics {
                     for &method in &config.methods {
                         units.push(WorkUnit {
-                            cell,
                             arc,
                             metric,
                             method,
@@ -183,7 +180,6 @@ impl CharacterizationPlan {
                     }
                     if variation {
                         units.push(WorkUnit {
-                            cell,
                             arc,
                             metric,
                             // Direct moment estimation has no extraction method; the
@@ -310,7 +306,10 @@ mod tests {
         let plan = CharacterizationPlan::from_config(&config).unwrap();
         // 1 cell (INV_X1; the standard library also has INV_X2) x 2 arcs x 1 metric x 2 methods.
         assert_eq!(plan.len(), 4);
-        assert!(plan.units().iter().all(|u| u.cell.kind().name() == "INV"));
+        assert!(plan
+            .units()
+            .iter()
+            .all(|u| u.arc.cell().kind().name() == "INV"));
     }
 
     #[test]

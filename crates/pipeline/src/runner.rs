@@ -232,7 +232,7 @@ impl PipelineRunner {
                             root_id,
                             "unit",
                             &[
-                                ("cell", unit.cell.name()),
+                                ("cell", unit.arc.cell().name()),
                                 ("arc", unit.arc.id()),
                                 ("metric", unit.metric.to_string()),
                                 ("method", format!("{:?}", unit.method)),
@@ -312,11 +312,11 @@ impl PipelineRunner {
             if unit.method != MethodKind::ProposedBayesian {
                 continue;
             }
-            let key = (unit.cell.kind(), unit.metric);
+            let key = (unit.arc.cell().kind(), unit.metric);
             if extractors.contains_key(&key) {
                 continue;
             }
-            let kind = unit.cell.kind().name();
+            let kind = key.0.name();
             let space = self.engine.input_space();
             let extractor =
                 MapExtractor::learn(database, unit.metric, kind, &space).map_err(|err| {
@@ -344,17 +344,18 @@ impl PipelineRunner {
         }
         let k = self.config.training_count;
         let v = self.config.validation_points;
-        let (engine, cell, arc, metric) = (&self.engine, unit.cell, &unit.arc, unit.metric);
+        let (engine, arc, metric) = (&self.engine, &unit.arc, unit.metric);
+        let cell = arc.cell();
         let space = engine.input_space();
         let mut rng = StdRng::seed_from_u64(unit.sampling_seed(self.config.seed));
         let training_points = space.sample_latin_hypercube(&mut rng, k);
         let validation_points = space.sample_uniform(&mut rng, v);
 
-        let validation = simulate_samples(engine, cell, arc, metric, &validation_points);
+        let validation = simulate_samples(engine, arc, metric, &validation_points);
         // A LUT spends its budget on its own grid, never on the training points.
         let training = match unit.method {
             MethodKind::Lut => Vec::new(),
-            _ => simulate_samples(engine, cell, arc, metric, &training_points),
+            _ => simulate_samples(engine, arc, metric, &training_points),
         };
         let fit = match unit.method {
             MethodKind::ProposedBayesian => Fit::Map(
@@ -370,7 +371,7 @@ impl PipelineRunner {
             MethodKind::ProposedLse => Fit::Lse(&training),
             MethodKind::Lut => Fit::Lut(k),
         };
-        let fitted = fit_and_validate(engine, cell, arc, metric, fit, &validation);
+        let fitted = fit_and_validate(engine, arc, metric, fit, &validation);
 
         Ok((
             UnitResult {
@@ -408,7 +409,7 @@ impl PipelineRunner {
         let extractor = VariationExtractor::new(&self.engine, config)
             .map_err(|err| PipelineError::config(format!("invalid variation config: {err}")))?;
         let requested = extractor.requested_simulations(slew_axis.len(), load_axis.len());
-        let table = extractor.extract(unit.cell, &unit.arc, unit.metric, &slew_axis, &load_axis);
+        let table = extractor.extract(&unit.arc, unit.metric, &slew_axis, &load_axis);
         Ok((
             UnitResult {
                 arc_id: unit.arc.id(),

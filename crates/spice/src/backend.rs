@@ -37,11 +37,15 @@ use std::sync::Arc;
 /// The technology is shared behind an [`Arc`]: requests are built once per lane on the
 /// hot path, and the node (with its heap-allocated name and device parameters) must not
 /// be deep-cloned per simulation.
+///
+/// The arc names the cell under test; `cell` repeats it.  The engine fills it from the
+/// arc, and every backend answers a request whose `cell` is not `arc.cell()` with a lane
+/// error instead of solving either cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimRequest {
     /// The technology node the cell is built in.
     pub tech: Arc<TechnologyNode>,
-    /// The cell under test.
+    /// The cell under test: must be `arc.cell()`.
     pub cell: Cell,
     /// The switching arc being exercised.
     pub arc: TimingArc,
@@ -51,6 +55,25 @@ pub struct SimRequest {
     pub seed: ProcessSample,
     /// Transient-solver settings.
     pub config: TransientConfig,
+}
+
+impl SimRequest {
+    /// Checks that `cell` is the cell `arc` names.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lane error every backend answers a mismatched request with.
+    pub fn check_cell(&self) -> Result<(), String> {
+        if self.cell == self.arc.cell() {
+            Ok(())
+        } else {
+            Err(format!(
+                "request cell {} is not the cell of arc {}",
+                self.cell.name(),
+                self.arc.id()
+            ))
+        }
+    }
 }
 
 /// The outcome of one lane: a measurement, or a rendered error message.
@@ -221,7 +244,8 @@ impl SimulationBackend for LocalBackend {
     fn solve_batch(&self, requests: &[SimRequest]) -> Vec<SimResult> {
         let mut results: Vec<Option<SimResult>> = vec![None; requests.len()];
         // Validate configs first (memoized on consecutive identical configs, the common
-        // case): an invalid lane gets an error result instead of poisoning the batch.
+        // case) and each lane's cell against its arc: an invalid lane gets an error result
+        // instead of poisoning the batch.
         let mut cfg_memo: Option<(TransientConfig, Result<(), String>)> = None;
         let mut problems = Vec::with_capacity(requests.len());
         let mut lanes = Vec::with_capacity(requests.len());
@@ -232,6 +256,10 @@ impl SimulationBackend for LocalBackend {
             }
             if let Some((_, Err(msg))) = &cfg_memo {
                 results[i] = Some(Err(format!("invalid transient configuration: {msg}")));
+                continue;
+            }
+            if let Err(err) = req.check_cell() {
+                results[i] = Some(Err(err));
                 continue;
             }
             // Pointer equality first: lanes of one engine share one Arc, so the common

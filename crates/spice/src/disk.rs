@@ -3,10 +3,11 @@
 //! [`DiskSimCache`] persists `SimKey → TimingMeasurement` pairs as an append log of
 //! one record per line.  Opening a cache loads every archived record into memory (see
 //! [Loading](#loading)); `store` archives a new record in memory and, when its value is
-//! new, encodes its line straight into one pending text buffer, newline included;
-//! [`flush`](DiskSimCache::flush) appends that buffer to the log as it is (and runs
-//! automatically on drop).  So a pending record is held once, as the bytes the log will
-//! hold.  Append-only persistence means shard workers of a split
+//! new, encodes its line straight into one pending text buffer, newline included.  Once
+//! the buffer holds a block (1 MiB), `store` appends it to the log as it is and reuses it;
+//! [`flush`](DiskSimCache::flush) appends the rest (and runs automatically on drop).  So a
+//! pending record is held once, as the bytes the log will hold, and a cold run holds at
+//! most about one block of them.  Append-only persistence means shard workers of a split
 //! [`CharacterizationPlan`] and later reruns all warm-start from the same file: a rerun
 //! of an already-characterized shard pays zero transient simulations.
 //!
@@ -498,7 +499,7 @@ pub struct CompactionOptions {
 pub struct DiskSimCache {
     path: PathBuf,
     memory: InMemorySimCache,
-    /// The records archived since the last flush, in store order, as the text the log
+    /// The records archived but not yet appended, in store order, as the text the log
     /// appends: one line each, every line ended by its newline.
     pending: Mutex<String>,
 }
@@ -730,7 +731,7 @@ impl DiskSimCache {
         })
     }
 
-    /// Appends every record stored since the last flush to the log file, under an
+    /// Appends every stored record not yet in the log to the log file, under an
     /// exclusive advisory lock so concurrent same-host workers append whole lines.
     ///
     /// A torn final line left by a crashed writer is truncated away first — appending
@@ -770,8 +771,15 @@ impl SimulationCache for DiskSimCache {
                 .pending
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let blocks = pending.len() / BLOCK_BYTES;
             codec::write_record(&mut pending, &key, &measurement);
             pending.push('\n');
+            // The text goes out each time it crosses a block boundary, and the buffer
+            // keeps its capacity for the next block.  On an error the text stays pending:
+            // the next boundary and `flush` retry the append, and `flush` reports it.
+            if pending.len() / BLOCK_BYTES > blocks && jsonl::append(&self.path, &pending).is_ok() {
+                pending.clear();
+            }
         }
     }
 
@@ -1232,6 +1240,63 @@ mod tests {
             );
         }
         assert!(cut_ranges(&file, 0, 4).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_full_block_of_pending_records_reaches_the_log_before_any_flush() {
+        let path = temp_path("block.jsonl");
+        std::fs::remove_file(&path).ok();
+        let line = record(5.0, 2.0, 12.0).len() + 1;
+        let keys = BLOCK_BYTES / line + 100;
+        let sin = |i: usize| 1.0 + i as f64 * 1e-3;
+        {
+            let cache = DiskSimCache::open(&path).expect("opens fresh");
+            for i in 0..keys {
+                cache.store(key(sin(i), 2.0), measurement(12.0));
+            }
+            // The store that filled the first block appended it, and nothing since.
+            let appended = BLOCK_BYTES.div_ceil(line);
+            let log = std::fs::read_to_string(&path).expect("a block reached the log");
+            assert_eq!(log.len(), appended * line);
+            for (i, text) in log.lines().enumerate() {
+                assert_eq!(text, record(sin(i), 2.0, 12.0), "line {i}");
+            }
+            assert_eq!(
+                cache.pending.lock().unwrap().len(),
+                (keys - appended) * line
+            );
+        }
+        let reopened = DiskSimCache::open(&path).expect("reopens");
+        assert_eq!(reopened.len(), keys);
+        for i in 0..keys {
+            assert_eq!(reopened.lookup(&key(sin(i), 2.0)), Some(measurement(12.0)));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_block_append_stays_pending_for_flush_to_retry_and_report() {
+        let path = temp_path("block-retry.jsonl");
+        std::fs::remove_file(&path).ok();
+        let line = record(5.0, 2.0, 12.0).len() + 1;
+        let keys = BLOCK_BYTES / line + 100;
+        let sin = |i: usize| 1.0 + i as f64 * 1e-3;
+        let cache = DiskSimCache::open(&path).expect("opens fresh");
+        // A directory where the log belongs makes every append fail.
+        std::fs::create_dir(&path).unwrap();
+        for i in 0..keys {
+            cache.store(key(sin(i), 2.0), measurement(12.0));
+        }
+        assert_eq!(cache.pending.lock().unwrap().len(), keys * line);
+        assert!(cache.flush().is_err(), "flush reports the failed append");
+        std::fs::remove_dir(&path).unwrap();
+        cache
+            .flush()
+            .expect("flush retries once the log can be written");
+        drop(cache);
+        let reopened = DiskSimCache::open(&path).expect("reopens");
+        assert_eq!(reopened.len(), keys);
         std::fs::remove_file(&path).ok();
     }
 

@@ -40,11 +40,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One fully-specified lane of a mixed worklist: cell, arc, input point and process seed.
+/// One fully-specified lane of a mixed worklist: arc, input point and process seed.  The
+/// arc names its cell, so a lane cannot pair an arc with another cell's devices.
 ///
-/// Mixed lanes let callers batch across *everything* that varies — arcs, grid points and
-/// seeds — into one kernel worklist, instead of issuing one batch per arc or per seed.
-pub type MixedLane = (Cell, TimingArc, InputPoint, ProcessSample);
+/// Mixed lanes let callers batch across *everything* that varies — cells, arcs, grid
+/// points and seeds — into one kernel worklist, instead of issuing one batch per arc or
+/// per seed.
+pub type MixedLane = (TimingArc, InputPoint, ProcessSample);
 
 /// Lanes per backend call when a lane list is fanned out across worker threads: a
 /// quarter of a thread's share, so the chunk count keeps every core busy, capped at 64
@@ -299,16 +301,15 @@ impl CharacterizationEngine {
     /// failing loudly is preferable to silently corrupting a characterization campaign.
     pub fn simulate(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         point: &InputPoint,
         seed: &ProcessSample,
     ) -> TimingMeasurement {
-        self.simulate_mixed(&[(cell, *arc, *point, *seed)])[0]
+        self.simulate_mixed(&[(*arc, *point, *seed)])[0]
     }
 
-    /// Simulates an arbitrary mixed worklist — lanes spanning cells, arcs, input points
-    /// and process seeds — in parallel through the backend.  Result `i`
+    /// Simulates an arbitrary mixed worklist — lanes spanning arcs (and with them cells),
+    /// input points and process seeds — in parallel through the backend.  Result `i`
     /// corresponds to `lanes[i]` and is bitwise identical to
     /// [`simulate`](Self::simulate) with the same coordinates: batching changes only how
     /// the work is grouped, never what a run pays for or produces.
@@ -407,10 +408,10 @@ impl CharacterizationEngine {
             .zip(&found)
             .filter(|(_, hit)| hit.is_none())
             .map(|(&i, _)| {
-                let (cell, arc, point, seed) = lanes[i];
+                let (arc, point, seed) = lanes[i];
                 SimRequest {
                     tech: self.tech.clone(),
-                    cell,
+                    cell: arc.cell(),
                     arc,
                     point,
                     seed,
@@ -427,7 +428,7 @@ impl CharacterizationEngine {
                 if let Some(measurement) = hit {
                     return (measurement, true);
                 }
-                let (_, arc, point, _) = &lanes[i];
+                let (arc, point, _) = &lanes[i];
                 #[expect(
                     clippy::panic,
                     reason = "a failed transient means unphysical inputs or a diverged solver; archiving a partial table would poison every downstream artifact, so failing loudly is the contract"
@@ -472,7 +473,7 @@ impl CharacterizationEngine {
     }
 
     /// The cache key of one lane on this engine's technology and configuration.
-    fn key(&self, (_, arc, point, seed): &MixedLane) -> SimKey {
+    fn key(&self, (arc, point, seed): &MixedLane) -> SimKey {
         SimKey::new(
             self.backend.kernel_id(),
             Arc::clone(&self.tech_name),
@@ -484,13 +485,8 @@ impl CharacterizationEngine {
     }
 
     /// Runs one transient simulation at the nominal process corner.
-    pub fn simulate_nominal(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        point: &InputPoint,
-    ) -> TimingMeasurement {
-        self.simulate(cell, arc, point, &ProcessSample::nominal())
+    pub fn simulate_nominal(&self, arc: &TimingArc, point: &InputPoint) -> TimingMeasurement {
+        self.simulate(arc, point, &ProcessSample::nominal())
     }
 
     /// Simulates `arc` at every input point for a fixed process seed (the `.ALTER` sweep),
@@ -498,27 +494,16 @@ impl CharacterizationEngine {
     /// is bitwise identical to [`simulate`](Self::simulate) at that point.
     pub fn sweep(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         points: &[InputPoint],
         seed: &ProcessSample,
     ) -> Vec<TimingMeasurement> {
-        self.simulate_mixed(
-            &points
-                .iter()
-                .map(|p| (cell, *arc, *p, *seed))
-                .collect::<Vec<_>>(),
-        )
+        self.simulate_mixed(&points.iter().map(|p| (*arc, *p, *seed)).collect::<Vec<_>>())
     }
 
     /// Simulates `arc` at every input point at the nominal corner, in parallel.
-    pub fn sweep_nominal(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        points: &[InputPoint],
-    ) -> Vec<TimingMeasurement> {
-        self.sweep(cell, arc, points, &ProcessSample::nominal())
+    pub fn sweep_nominal(&self, arc: &TimingArc, points: &[InputPoint]) -> Vec<TimingMeasurement> {
+        self.sweep(arc, points, &ProcessSample::nominal())
     }
 
     /// Monte Carlo ensemble: simulates `arc` at one input point under every process seed,
@@ -526,17 +511,11 @@ impl CharacterizationEngine {
     /// `seeds[i]` and is bitwise identical to [`simulate`](Self::simulate) under that seed.
     pub fn monte_carlo(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         point: &InputPoint,
         seeds: &[ProcessSample],
     ) -> Vec<TimingMeasurement> {
-        self.simulate_mixed(
-            &seeds
-                .iter()
-                .map(|s| (cell, *arc, *point, *s))
-                .collect::<Vec<_>>(),
-        )
+        self.simulate_mixed(&seeds.iter().map(|s| (*arc, *point, *s)).collect::<Vec<_>>())
     }
 
     /// Full statistical baseline: simulates every (input point, seed) pair through the
@@ -545,14 +524,13 @@ impl CharacterizationEngine {
     /// The result is indexed `[point][seed]`.
     pub fn monte_carlo_sweep(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         points: &[InputPoint],
         seeds: &[ProcessSample],
     ) -> Vec<Vec<TimingMeasurement>> {
         let lanes: Vec<MixedLane> = points
             .iter()
-            .flat_map(|p| seeds.iter().map(move |s| (cell, *arc, *p, *s)))
+            .flat_map(|p| seeds.iter().map(move |s| (*arc, *p, *s)))
             .collect();
         let mut flat = self.simulate_mixed(&lanes).into_iter();
         points
@@ -573,7 +551,7 @@ fn first_copies(lanes: &[MixedLane]) -> (Vec<usize>, Vec<usize>) {
     let slots = lanes
         .iter()
         .enumerate()
-        .map(|(i, (_, arc, point, seed))| {
+        .map(|(i, (arc, point, seed))| {
             *seen
                 .entry((*arc, coordinate_bits(point, seed)))
                 .or_insert_with(|| {
@@ -598,9 +576,12 @@ mod tests {
             .expect("fast preset validates")
     }
 
-    fn inv_fall() -> (Cell, TimingArc) {
-        let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
-        (cell, TimingArc::new(cell, 0, Transition::Fall))
+    fn inv_fall() -> TimingArc {
+        TimingArc::new(
+            Cell::new(CellKind::Inv, DriveStrength::X1),
+            0,
+            Transition::Fall,
+        )
     }
 
     fn pt(sin_ps: f64, cload_ff: f64, vdd: f64) -> InputPoint {
@@ -614,12 +595,12 @@ mod tests {
     #[test]
     fn simulation_counter_counts_every_run() {
         let eng = engine();
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         assert_eq!(eng.simulation_count(), 0);
-        let _ = eng.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
+        let _ = eng.simulate_nominal(&arc, &pt(5.0, 2.0, 0.8));
         assert_eq!(eng.simulation_count(), 1);
         let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
-        let _ = eng.sweep_nominal(cell, &arc, &points);
+        let _ = eng.sweep_nominal(&arc, &points);
         assert_eq!(eng.simulation_count(), 4);
     }
 
@@ -627,15 +608,15 @@ mod tests {
     fn counter_is_shared_between_clones() {
         let eng = engine();
         let clone = eng.clone();
-        let (cell, arc) = inv_fall();
-        let _ = clone.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
+        let arc = inv_fall();
+        let _ = clone.simulate_nominal(&arc, &pt(5.0, 2.0, 0.8));
         assert_eq!(eng.simulation_count(), 1);
     }
 
     #[test]
     fn ieff_does_not_count_as_a_simulation() {
         let eng = engine();
-        let (_, arc) = inv_fall();
+        let arc = inv_fall();
         let i = eng.ieff(&arc, &pt(5.0, 2.0, 0.8), &ProcessSample::nominal());
         assert!(i.value() > 0.0);
         assert_eq!(eng.simulation_count(), 0);
@@ -644,11 +625,11 @@ mod tests {
     #[test]
     fn sweep_results_match_individual_runs() {
         let eng = engine();
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let points = vec![pt(2.0, 1.0, 0.8), pt(8.0, 4.0, 0.7)];
-        let swept = eng.sweep_nominal(cell, &arc, &points);
+        let swept = eng.sweep_nominal(&arc, &points);
         for (p, m) in points.iter().zip(&swept) {
-            let single = eng.simulate_nominal(cell, &arc, p);
+            let single = eng.simulate_nominal(&arc, p);
             assert_eq!(*m, single, "sweep must be deterministic and ordered");
         }
     }
@@ -656,10 +637,10 @@ mod tests {
     #[test]
     fn monte_carlo_produces_spread() {
         let eng = engine();
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let mut rng = StdRng::seed_from_u64(11);
         let seeds = eng.tech().variation().sample_n(&mut rng, 48);
-        let ms = eng.monte_carlo(cell, &arc, &pt(5.0, 2.0, 0.8), &seeds);
+        let ms = eng.monte_carlo(&arc, &pt(5.0, 2.0, 0.8), &seeds);
         assert_eq!(ms.len(), 48);
         let delays: Vec<f64> = ms.iter().map(|m| m.delay.value()).collect();
         let mean = delays.iter().sum::<f64>() / delays.len() as f64;
@@ -677,11 +658,11 @@ mod tests {
     #[test]
     fn monte_carlo_sweep_shape() {
         let eng = engine();
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let mut rng = StdRng::seed_from_u64(3);
         let seeds = eng.tech().variation().sample_n(&mut rng, 5);
         let points = vec![pt(2.0, 1.0, 0.8), pt(8.0, 4.0, 0.7), pt(5.0, 2.0, 0.9)];
-        let grid = eng.monte_carlo_sweep(cell, &arc, &points, &seeds);
+        let grid = eng.monte_carlo_sweep(&arc, &points, &seeds);
         assert_eq!(grid.len(), 3);
         assert!(grid.iter().all(|row| row.len() == 5));
         assert_eq!(eng.simulation_count(), 15);
@@ -712,12 +693,12 @@ mod tests {
         use crate::cache::InMemorySimCache;
         let cache = Arc::new(InMemorySimCache::new());
         let eng = engine().with_cache(cache.clone());
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let point = pt(5.0, 2.0, 0.8);
-        let first = eng.simulate_nominal(cell, &arc, &point);
+        let first = eng.simulate_nominal(&arc, &point);
         assert_eq!(eng.simulation_count(), 1);
         assert_eq!(cache.hits(), 0);
-        let second = eng.simulate_nominal(cell, &arc, &point);
+        let second = eng.simulate_nominal(&arc, &point);
         assert_eq!(second, first, "cache must replay the archived measurement");
         assert_eq!(
             eng.simulation_count(),
@@ -726,7 +707,7 @@ mod tests {
         );
         assert_eq!(cache.hits(), 1);
         // A different coordinate still simulates.
-        let _ = eng.simulate_nominal(cell, &arc, &pt(6.0, 2.0, 0.8));
+        let _ = eng.simulate_nominal(&arc, &pt(6.0, 2.0, 0.8));
         assert_eq!(eng.simulation_count(), 2);
     }
 
@@ -735,11 +716,11 @@ mod tests {
         use crate::cache::InMemorySimCache;
         let cache = Arc::new(InMemorySimCache::new());
         let eng = engine().with_cache(cache.clone());
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         // Sixteen copies of one coordinate in one call: the first is paid, the other
         // fifteen are answered from the cache (counted hits).
         let points = vec![pt(5.0, 2.0, 0.8); 16];
-        let measurements = eng.sweep_nominal(cell, &arc, &points);
+        let measurements = eng.sweep_nominal(&arc, &points);
         assert!(measurements.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(eng.simulation_count(), 1, "one coordinate, one solve");
         assert_eq!(cache.misses(), 1);
@@ -749,13 +730,13 @@ mod tests {
     #[test]
     fn monte_carlo_lanes_match_scalar_simulations_bitwise() {
         let eng = engine();
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let mut rng = StdRng::seed_from_u64(7);
         let seeds = eng.tech().variation().sample_n(&mut rng, 9);
         let point = pt(5.0, 2.0, 0.8);
-        let batched = eng.monte_carlo(cell, &arc, &point, &seeds);
+        let batched = eng.monte_carlo(&arc, &point, &seeds);
         for (seed, m) in seeds.iter().zip(&batched) {
-            let scalar = eng.simulate(cell, &arc, &point, seed);
+            let scalar = eng.simulate(&arc, &point, seed);
             assert_eq!(
                 *m, scalar,
                 "batch lane must be bitwise equal to its scalar sim"
@@ -768,14 +749,14 @@ mod tests {
         use crate::cache::InMemorySimCache;
         let cache = Arc::new(InMemorySimCache::new());
         let eng = engine().with_cache(cache.clone());
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let mut rng = StdRng::seed_from_u64(23);
         let seeds = eng.tech().variation().sample_n(&mut rng, 12);
         let point = pt(5.0, 2.0, 0.8);
-        let first = eng.monte_carlo(cell, &arc, &point, &seeds);
+        let first = eng.monte_carlo(&arc, &point, &seeds);
         assert_eq!(eng.simulation_count(), 12);
         assert_eq!(cache.misses(), 12);
-        let second = eng.monte_carlo(cell, &arc, &point, &seeds);
+        let second = eng.monte_carlo(&arc, &point, &seeds);
         assert_eq!(
             second, first,
             "warm batch must replay archived measurements"
@@ -801,15 +782,15 @@ mod tests {
             for transition in [Transition::Fall, Transition::Rise] {
                 let arc = TimingArc::new(cell, pin, transition);
                 for (i, seed) in seeds.iter().enumerate() {
-                    lanes.push((cell, arc, pt(2.0 + 3.0 * i as f64, 1.5, 0.8), *seed));
+                    lanes.push((arc, pt(2.0 + 3.0 * i as f64, 1.5, 0.8), *seed));
                 }
             }
         }
         let batched = eng.simulate_mixed(&lanes);
         assert_eq!(eng.simulation_count(), lanes.len() as u64);
         let reference = engine();
-        for ((cell, arc, point, seed), m) in lanes.iter().zip(&batched) {
-            let scalar = reference.simulate(*cell, arc, point, seed);
+        for ((arc, point, seed), m) in lanes.iter().zip(&batched) {
+            let scalar = reference.simulate(arc, point, seed);
             assert_eq!(
                 *m, scalar,
                 "mixed lane must be bitwise equal to its scalar sim"
@@ -822,14 +803,14 @@ mod tests {
         use crate::cache::InMemorySimCache;
         let cache = Arc::new(InMemorySimCache::new());
         let eng = engine().with_cache(cache.clone());
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let nominal = ProcessSample::nominal();
         // A duplicated coordinate inside one call: the first copy is solved, so the
         // second is an in-call repeat, answered from the cache and counted as deferred.
         let lanes: Vec<MixedLane> = vec![
-            (cell, arc, pt(5.0, 2.0, 0.8), nominal),
-            (cell, arc, pt(9.0, 4.0, 0.7), nominal),
-            (cell, arc, pt(5.0, 2.0, 0.8), nominal),
+            (arc, pt(5.0, 2.0, 0.8), nominal),
+            (arc, pt(9.0, 4.0, 0.7), nominal),
+            (arc, pt(5.0, 2.0, 0.8), nominal),
         ];
         let first = eng.simulate_mixed(&lanes);
         assert_eq!(
@@ -908,17 +889,17 @@ mod tests {
             .with_cache(cache.clone())
             .with_backend(backend.clone());
         assert_eq!(eng.backend().name(), "recording");
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
-        let first = eng.sweep_nominal(cell, &arc, &points);
+        let first = eng.sweep_nominal(&arc, &points);
         assert_eq!(backend.lanes(), 3);
         assert_eq!(eng.simulation_count(), 3);
         // Warm replay: answered from the cache, so the backend must not be consulted.
-        let second = eng.sweep_nominal(cell, &arc, &points);
+        let second = eng.sweep_nominal(&arc, &points);
         assert_eq!(second, first);
         assert_eq!(backend.lanes(), 3, "cache hits bypass the backend");
         // And a backend-routed lane is bitwise identical to the default local backend.
-        let local = engine().sweep_nominal(cell, &arc, &points);
+        let local = engine().sweep_nominal(&arc, &points);
         assert_eq!(first, local);
     }
 
@@ -926,13 +907,13 @@ mod tests {
     fn a_monte_carlo_sweep_reaches_the_backend_in_calls_of_up_to_64_lanes() {
         let backend = Arc::new(RecordingBackend::default());
         let eng = engine().with_backend(backend.clone());
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let mut rng = StdRng::seed_from_u64(19);
         let seeds = eng.tech().variation().sample_n(&mut rng, 100);
         let points: Vec<InputPoint> = (0..25)
             .map(|i| pt(2.0 + 0.5 * i as f64, 1.0 + 0.2 * i as f64, 0.8))
             .collect();
-        let grid = eng.monte_carlo_sweep(cell, &arc, &points, &seeds);
+        let grid = eng.monte_carlo_sweep(&arc, &points, &seeds);
         let calls = backend.calls();
         assert_eq!(
             calls.iter().sum::<usize>(),
@@ -949,7 +930,7 @@ mod tests {
         let reference = engine();
         for (point, row) in points.iter().zip(&grid) {
             for (seed, measurement) in seeds.iter().zip(row) {
-                assert_eq!(*measurement, reference.simulate(cell, &arc, point, seed));
+                assert_eq!(*measurement, reference.simulate(&arc, point, seed));
             }
         }
     }
@@ -960,9 +941,9 @@ mod tests {
         // counter, and the counter is the dispatch snapshot's claimed lanes.
         let a = engine();
         let b = a.clone().with_technology(TechnologyNode::n16_finfet());
-        let (cell, arc) = inv_fall();
-        let _ = a.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
-        let _ = b.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
+        let arc = inv_fall();
+        let _ = a.simulate_nominal(&arc, &pt(5.0, 2.0, 0.8));
+        let _ = b.simulate_nominal(&arc, &pt(5.0, 2.0, 0.8));
         assert_eq!(a.counter().count(), 2);
         assert_eq!(b.dispatch_stats().lanes_claimed, 2);
     }
@@ -975,20 +956,20 @@ mod tests {
         let simd = engine()
             .with_cache(cache.clone())
             .with_backend(Arc::new(LocalBackend::with_simd(true)));
-        let (cell, arc) = inv_fall();
+        let arc = inv_fall();
         let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
-        let from_simd = simd.sweep_nominal(cell, &arc, &points);
-        let from_scalar = scalar.sweep_nominal(cell, &arc, &points);
+        let from_simd = simd.sweep_nominal(&arc, &points);
+        let from_scalar = scalar.sweep_nominal(&arc, &points);
         assert_eq!(simd.simulation_count(), 3);
         assert_eq!(
             scalar.simulation_count(),
             3,
             "SIMD records must not answer scalar lookups"
         );
-        assert_eq!(from_scalar, engine().sweep_nominal(cell, &arc, &points));
+        assert_eq!(from_scalar, engine().sweep_nominal(&arc, &points));
         // Each flavour replays its own records.
-        assert_eq!(simd.sweep_nominal(cell, &arc, &points), from_simd);
-        assert_eq!(scalar.sweep_nominal(cell, &arc, &points), from_scalar);
+        assert_eq!(simd.sweep_nominal(&arc, &points), from_simd);
+        assert_eq!(scalar.sweep_nominal(&arc, &points), from_scalar);
         assert_eq!(simd.simulation_count() + scalar.simulation_count(), 6);
         assert_eq!(cache.len(), 6);
     }

@@ -44,7 +44,7 @@
 //! let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
 //! let arc = TimingArc::new(cell, 0, Transition::Fall);
 //! let point = InputPoint::new(Seconds::from_picoseconds(5.0), Farads::from_femtofarads(2.0), Volts(0.8));
-//! let m = engine.simulate_nominal(cell, &arc, &point);
+//! let m = engine.simulate_nominal(&arc, &point);
 //! assert!(m.delay.value() > 0.0 && m.output_slew.value() > 0.0);
 //! ```
 

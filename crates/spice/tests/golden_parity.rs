@@ -46,10 +46,9 @@ fn grid_cells() -> Vec<Cell> {
     ]
 }
 
-/// One request per process seed: `arc` of `cell` at `point`.
+/// One request per process seed: `arc` at `point`.
 fn requests(
     tech: &Arc<TechnologyNode>,
-    cell: Cell,
     arc: TimingArc,
     point: InputPoint,
     seeds: &[ProcessSample],
@@ -59,7 +58,7 @@ fn requests(
         .iter()
         .map(|&seed| SimRequest {
             tech: tech.clone(),
-            cell,
+            cell: arc.cell(),
             arc,
             point,
             seed,
@@ -125,7 +124,7 @@ fn embedded_pair_cuts_steps_at_least_twofold_on_the_grid() {
         let backend = LocalBackend::new();
         let mut rk4_evals = 0u64;
         for point in grid_points() {
-            let solved = backend.solve_batch(&requests(&tech, cell, arc, point, &nominal, config));
+            let solved = backend.solve_batch(&requests(&tech, arc, point, &nominal, config));
             assert!(solved[0].is_ok());
             let (_, s) = simulate_switching_rk4(&eq, &arc, &point, &config).unwrap();
             rk4_evals += s.device_evals;
@@ -152,7 +151,7 @@ fn batch_lane_is_bitwise_equal_to_scalar_across_the_grid() {
     let config = TransientConfig::fast();
     let backend = LocalBackend::new();
     for point in grid_points() {
-        let batch = backend.solve_batch(&requests(&tech, cell, arc, point, &seeds, config));
+        let batch = backend.solve_batch(&requests(&tech, arc, point, &seeds, config));
         assert_eq!(batch.len(), lanes.len());
         for (i, (eq, lane)) in lanes.iter().zip(batch).enumerate() {
             let scalar = simulate_switching(eq, &arc, &point, &config).unwrap();

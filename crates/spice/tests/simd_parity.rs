@@ -57,10 +57,9 @@ fn relative_err(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs()
 }
 
-/// One SIMD batch: `arc` of `cell` at `point` under every seed, through the quad kernel.
+/// One SIMD batch: `arc` at `point` under every seed, through the quad kernel.
 fn simd_batch(
     tech: &Arc<TechnologyNode>,
-    cell: Cell,
     arc: TimingArc,
     point: InputPoint,
     seeds: &[ProcessSample],
@@ -70,7 +69,7 @@ fn simd_batch(
         .iter()
         .map(|&seed| SimRequest {
             tech: tech.clone(),
-            cell,
+            cell: arc.cell(),
             arc,
             point,
             seed,
@@ -100,7 +99,7 @@ fn simd_lanes_stay_within_half_percent_of_scalar_across_the_grid() {
             for transition in Transition::BOTH {
                 let arc = TimingArc::new(cell, 0, transition);
                 for point in grid_points() {
-                    let batch = simd_batch(&tech, cell, arc, point, &seeds, config);
+                    let batch = simd_batch(&tech, arc, point, &seeds, config);
                     for (i, (eq, simd)) in lanes.iter().zip(batch).enumerate() {
                         let scalar = simulate_switching(eq, &arc, &point, &config).unwrap();
                         let delay_err = relative_err(simd.delay.value(), scalar.delay.value());
@@ -131,8 +130,8 @@ fn simd_batches_are_bitwise_deterministic() {
     let seeds = tech.variation().sample_n(&mut rng, 5);
     let config = TransientConfig::fast();
     for point in grid_points() {
-        let a = simd_batch(&tech, cell, arc, point, &seeds, config);
-        let b = simd_batch(&tech, cell, arc, point, &seeds, config);
+        let a = simd_batch(&tech, arc, point, &seeds, config);
+        let b = simd_batch(&tech, arc, point, &seeds, config);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.delay.value().to_bits(), y.delay.value().to_bits());
             assert_eq!(
@@ -160,8 +159,8 @@ fn simd_disabled_engine_is_bitwise_identical_to_the_scalar_engine() {
     let simd_off_engine = CharacterizationEngine::with_config(tech, TransientConfig::fast())
         .unwrap()
         .with_backend(Arc::new(LocalBackend::with_simd(false)));
-    let a = scalar_engine.monte_carlo(cell, &arc, &point, &seeds);
-    let b = simd_off_engine.monte_carlo(cell, &arc, &point, &seeds);
+    let a = scalar_engine.monte_carlo(&arc, &point, &seeds);
+    let b = simd_off_engine.monte_carlo(&arc, &point, &seeds);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(
             x.delay.value().to_bits(),
@@ -203,7 +202,7 @@ proptest::proptest! {
             Farads::from_femtofarads(cload_ff),
             Volts(vdd),
         );
-        let batch = simd_batch(&tech, cell, arc, point, &seeds, config);
+        let batch = simd_batch(&tech, arc, point, &seeds, config);
         for (eq, simd) in lanes.iter().zip(batch) {
             let scalar = simulate_switching(eq, &arc, &point, &config).unwrap();
             prop_assert!(

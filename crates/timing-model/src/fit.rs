@@ -85,60 +85,16 @@ impl GaussianPenalty {
     }
 }
 
-/// Configuration of the Levenberg–Marquardt solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FitConfig {
-    /// Maximum number of outer iterations.
-    pub max_iterations: usize,
-    /// Convergence threshold on the infinity norm of the parameter step.
-    pub step_tolerance: f64,
-    /// Initial damping factor λ.
-    pub initial_lambda: f64,
-    /// Multiplier applied to λ after a rejected step.
-    pub lambda_up: f64,
-    /// Multiplier applied to λ after an accepted step.
-    pub lambda_down: f64,
-}
-
-impl FitConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    #[expect(
-        clippy::neg_cmp_op_on_partial_ord,
-        clippy::nonminimal_bool,
-        reason = "the negated forms are deliberate: `!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through"
-    )]
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_iterations == 0 {
-            return Err("max_iterations must be positive".to_string());
-        }
-        if !(self.step_tolerance > 0.0) {
-            return Err("step_tolerance must be positive".to_string());
-        }
-        if !(self.initial_lambda >= 0.0) {
-            return Err("initial_lambda must be non-negative".to_string());
-        }
-        if !(self.lambda_up > 1.0) || !(self.lambda_down > 0.0 && self.lambda_down < 1.0) {
-            return Err("lambda multipliers must satisfy up > 1 and 0 < down < 1".to_string());
-        }
-        Ok(())
-    }
-}
-
-impl Default for FitConfig {
-    fn default() -> Self {
-        Self {
-            max_iterations: 60,
-            step_tolerance: 1e-9,
-            initial_lambda: 1e-3,
-            lambda_up: 8.0,
-            lambda_down: 0.35,
-        }
-    }
-}
+/// Maximum number of Levenberg–Marquardt outer iterations.
+const MAX_ITERATIONS: usize = 60;
+/// Convergence threshold on the infinity norm of the parameter step.
+const STEP_TOLERANCE: f64 = 1e-9;
+/// Initial damping factor λ.
+const INITIAL_LAMBDA: f64 = 1e-3;
+/// Multiplier applied to λ after a rejected step.
+const LAMBDA_UP: f64 = 8.0;
+/// Multiplier applied to λ after an accepted step.
+const LAMBDA_DOWN: f64 = 0.35;
 
 /// Result of a parameter extraction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -162,36 +118,13 @@ const PARAM_BOUNDS: [(f64, f64); PARAM_COUNT] =
     [(1e-3, 10.0), (-2.0, 50.0), (-0.6, 0.6), (-1.0, 5.0)];
 
 /// Levenberg–Marquardt extractor for the four-parameter compact model.
-#[derive(Debug, Clone, Default)]
-pub struct LeastSquaresFitter {
-    config: FitConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LeastSquaresFitter;
 
 impl LeastSquaresFitter {
-    /// Creates a fitter with the default configuration.
+    /// Creates a fitter.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a fitter with an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation.
-    pub fn with_config(config: FitConfig) -> Self {
-        #[expect(
-            clippy::panic,
-            reason = "baselined: an invalid fit configuration is a caller bug, documented under Panics"
-        )]
-        if let Err(msg) = config.validate() {
-            panic!("invalid fit configuration: {msg}");
-        }
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &FitConfig {
-        &self.config
+        Self
     }
 
     /// Plain relative least-squares extraction ("Proposed Model + LSE").
@@ -271,13 +204,8 @@ impl LeastSquaresFitter {
             jac
         };
 
-        let (solution, iterations, converged, cost) = levenberg_marquardt(
-            &self.config,
-            start.to_vector(),
-            &PARAM_BOUNDS,
-            residual_fn,
-            jacobian_fn,
-        );
+        let (solution, iterations, converged, cost) =
+            levenberg_marquardt(start.to_vector(), &PARAM_BOUNDS, residual_fn, jacobian_fn);
         FitResult {
             params: TimingParams::from_vector(&solution),
             iterations,
@@ -287,11 +215,10 @@ impl LeastSquaresFitter {
     }
 }
 
-/// Generic bounded Levenberg–Marquardt driver shared by the 4- and 5-parameter models.
+/// Bounded Levenberg–Marquardt driver.
 ///
 /// Returns `(solution, iterations, converged, final_cost)`.
-pub(crate) fn levenberg_marquardt(
-    config: &FitConfig,
+fn levenberg_marquardt(
     start: Vector,
     bounds: &[(f64, f64)],
     residual_fn: impl Fn(&Vector) -> Vector,
@@ -305,11 +232,11 @@ pub(crate) fn levenberg_marquardt(
     let mut p = clamp(&start);
     let mut r = residual_fn(&p);
     let mut cost = cost_of(&r);
-    let mut lambda = config.initial_lambda;
+    let mut lambda = INITIAL_LAMBDA;
     let mut converged = false;
     let mut iterations = 0;
 
-    for iter in 0..config.max_iterations {
+    for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
         let jac = jacobian_fn(&p);
         let jtj = jac.gram();
@@ -327,7 +254,7 @@ pub(crate) fn levenberg_marquardt(
             let step = match damped.solve(&(-&jtr)) {
                 Ok(s) => s,
                 Err(_) => {
-                    lambda = (lambda * config.lambda_up).max(1e-9);
+                    lambda = (lambda * LAMBDA_UP).max(1e-9);
                     continue;
                 }
             };
@@ -339,14 +266,14 @@ pub(crate) fn levenberg_marquardt(
                 p = candidate;
                 r = r_new;
                 cost = cost_new;
-                lambda = (lambda * config.lambda_down).max(1e-12);
+                lambda = (lambda * LAMBDA_DOWN).max(1e-12);
                 accepted = true;
-                if step_size < config.step_tolerance {
+                if step_size < STEP_TOLERANCE {
                     converged = true;
                 }
                 break;
             }
-            lambda = (lambda * config.lambda_up).max(1e-9);
+            lambda = (lambda * LAMBDA_UP).max(1e-9);
         }
         if !accepted {
             // No productive step found at any damping level: declare convergence at the
@@ -517,30 +444,6 @@ mod tests {
         assert!(GaussianPenalty::from_covariance(mean.clone(), &bad).is_err());
         let wrong_dim = Matrix::identity(3);
         assert!(GaussianPenalty::from_covariance(mean, &wrong_dim).is_err());
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(FitConfig::default().validate().is_ok());
-        let bad = FitConfig {
-            max_iterations: 0,
-            ..FitConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = FitConfig {
-            lambda_down: 1.5,
-            ..FitConfig::default()
-        };
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid fit configuration")]
-    fn fitter_rejects_invalid_config() {
-        let _ = LeastSquaresFitter::with_config(FitConfig {
-            step_tolerance: 0.0,
-            ..FitConfig::default()
-        });
     }
 
     #[test]

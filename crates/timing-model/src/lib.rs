@@ -45,6 +45,6 @@ pub mod invariance;
 pub mod model;
 
 pub use extended::ExtendedTimingParams;
-pub use fit::{FitConfig, FitResult, GaussianPenalty, LeastSquaresFitter};
+pub use fit::{FitResult, GaussianPenalty, LeastSquaresFitter};
 pub use invariance::{load_slew_collapse, vdd_collapse, CollapseSeries};
 pub use model::{TimingParams, TimingSample, PARAM_COUNT};

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use slic_bayes::TimingMetric;
-use slic_cells::{Cell, TimingArc};
+use slic_cells::TimingArc;
 use slic_device::ProcessSample;
 use slic_spice::{CharacterizationEngine, InputPoint};
 use slic_stats::moments;
@@ -259,7 +259,6 @@ impl<'a> VariationExtractor<'a> {
     /// grid.
     pub fn extract(
         &self,
-        cell: Cell,
         arc: &TimingArc,
         metric: TimingMetric,
         slew_axis: &[f64],
@@ -278,9 +277,7 @@ impl<'a> VariationExtractor<'a> {
                     .map(move |&cload| InputPoint::new(Seconds(sin), Farads(cload), vdd))
             })
             .collect();
-        let grid = self
-            .engine
-            .monte_carlo_sweep(cell, arc, &points, &self.seeds);
+        let grid = self.engine.monte_carlo_sweep(arc, &points, &self.seeds);
 
         let mut mean = Vec::with_capacity(slew_axis.len());
         let mut sigma = Vec::with_capacity(slew_axis.len());
@@ -319,7 +316,7 @@ impl<'a> VariationExtractor<'a> {
 #[expect(clippy::float_cmp, reason = "the tests assert bit-exact results")]
 mod tests {
     use super::*;
-    use slic_cells::{CellKind, DriveStrength, Transition};
+    use slic_cells::{Cell, CellKind, DriveStrength, Transition};
     use slic_device::TechnologyNode;
     use slic_spice::{InMemorySimCache, SimulationCache, TransientConfig};
     use std::sync::Arc;
@@ -392,7 +389,7 @@ mod tests {
         let arc = TimingArc::new(cell, 0, Transition::Fall);
         let (slew_axis, load_axis) = axes(&eng);
         let extractor = VariationExtractor::new(&eng, config(10)).expect("valid config");
-        let table = extractor.extract(cell, &arc, TimingMetric::Delay, &slew_axis, &load_axis);
+        let table = extractor.extract(&arc, TimingMetric::Delay, &slew_axis, &load_axis);
         assert_eq!(table.shape(), (2, 3));
         assert_eq!(table.process_seeds, 10);
         assert_eq!(table.table_id(), format!("{}#delay#mc", arc.id()));
@@ -433,10 +430,10 @@ mod tests {
         let arc = TimingArc::new(cell, 0, Transition::Rise);
         let (slew_axis, load_axis) = axes(&eng);
         let extractor = VariationExtractor::new(&eng, config(6)).expect("valid config");
-        let _delay = extractor.extract(cell, &arc, TimingMetric::Delay, &slew_axis, &load_axis);
+        let _delay = extractor.extract(&arc, TimingMetric::Delay, &slew_axis, &load_axis);
         let paid = eng.simulation_count();
         assert_eq!(paid, 2 * 3 * 6);
-        let _slew = extractor.extract(cell, &arc, TimingMetric::OutputSlew, &slew_axis, &load_axis);
+        let _slew = extractor.extract(&arc, TimingMetric::OutputSlew, &slew_axis, &load_axis);
         assert_eq!(
             eng.simulation_count(),
             paid,
@@ -452,7 +449,7 @@ mod tests {
         let arc = TimingArc::new(cell, 0, Transition::Rise);
         let (slew_axis, load_axis) = axes(&eng);
         let extractor = VariationExtractor::new(&eng, config(5)).expect("valid config");
-        let table = extractor.extract(cell, &arc, TimingMetric::OutputSlew, &slew_axis, &load_axis);
+        let table = extractor.extract(&arc, TimingMetric::OutputSlew, &slew_axis, &load_axis);
         let text = serde_json::to_string(&table).expect("table serializes");
         let back: VariationTable = serde_json::from_str(&text).expect("table parses");
         assert_eq!(back, table);

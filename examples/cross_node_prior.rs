@@ -26,7 +26,6 @@ use rand::SeedableRng;
 /// error in percent.
 fn score(
     engine: &CharacterizationEngine,
-    cell: Cell,
     arc: &TimingArc,
     extractor: &MapExtractor,
     k: usize,
@@ -38,7 +37,7 @@ fn score(
     let samples: Vec<TimingSample> = points
         .iter()
         .map(|p| {
-            let m = engine.simulate_nominal(cell, arc, p);
+            let m = engine.simulate_nominal(arc, p);
             TimingSample::new(*p, engine.ieff(arc, p, &nominal), m.delay)
         })
         .collect();
@@ -74,7 +73,7 @@ fn main() {
         .sample_uniform(&mut rng, 250)
         .into_iter()
         .map(|p| {
-            let reference = engine.simulate_nominal(cell, &arc, &p).delay.value();
+            let reference = engine.simulate_nominal(&arc, &p).delay.value();
             (p, reference, engine.ieff(&arc, &p, &nominal))
         })
         .collect();
@@ -87,12 +86,7 @@ fn main() {
         }
         .build(subset, TimingMetric::Delay, Some("NOR2"))
         .expect("NOR2 delay records present");
-        let precision = PrecisionModel::learn(
-            subset,
-            TimingMetric::Delay,
-            &space,
-            PrecisionConfig::default(),
-        );
+        let precision = PrecisionModel::learn(subset, TimingMetric::Delay, &space);
         MapExtractor::new(prior, precision)
     };
 
@@ -110,14 +104,7 @@ fn main() {
         ("mismatched planar nodes", &mismatched),
         ("all six nodes", db),
     ] {
-        let err = score(
-            &engine,
-            cell,
-            &arc,
-            &build_extractor(subset, 1.5),
-            k,
-            &validation,
-        );
+        let err = score(&engine, &arc, &build_extractor(subset, 1.5), k, &validation);
         rows.push(vec![
             label.to_string(),
             subset.len().to_string(),
@@ -146,7 +133,6 @@ fn main() {
         let subset = db.select_technologies(&names);
         let err = score(
             &engine,
-            cell,
             &arc,
             &build_extractor(&subset, 1.5),
             k,
@@ -166,7 +152,6 @@ fn main() {
     for inflation in [0.25, 1.0, 1.5, 4.0, 16.0] {
         let err = score(
             &engine,
-            cell,
             &arc,
             &build_extractor(db, inflation),
             k,

@@ -36,7 +36,7 @@ fn main() {
         let arc = TimingArc::new(cell, 0, Transition::Fall);
         println!("=== {} / delay (Fig. 6 analogue) ===", arc.id());
         let result = study
-            .run(cell, &arc, TimingMetric::Delay)
+            .run(&arc, TimingMetric::Delay)
             .expect("the historical suite has delay records");
         println!("{}", result.to_markdown());
 

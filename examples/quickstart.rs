@@ -91,7 +91,7 @@ fn main() {
     let samples: Vec<TimingSample> = fitting_points
         .iter()
         .map(|p| {
-            let m = engine.simulate_nominal(cell, &arc, p);
+            let m = engine.simulate_nominal(&arc, p);
             TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay)
         })
         .collect();
@@ -109,7 +109,7 @@ fn main() {
     let validation = engine.input_space().sample_uniform(&mut rng, 200);
     let mut errors = Vec::new();
     for p in &validation {
-        let reference = engine.simulate_nominal(cell, &arc, p).delay.value();
+        let reference = engine.simulate_nominal(&arc, p).delay.value();
         let predicted = fit
             .params
             .evaluate(p, engine.ieff(&arc, p, &nominal))

@@ -32,7 +32,7 @@ fn main() {
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     println!("running the statistical study for {} ...\n", arc.id());
     let result = study
-        .run(cell, &arc)
+        .run(&arc)
         .expect("the historical suite has delay and slew records");
 
     for (metric, title) in [
@@ -76,7 +76,7 @@ fn main() {
     );
     println!("reproducing the Fig. 9 delay PDF at {corner} ...");
     let pdf = study
-        .delay_pdf(cell, &arc, corner, 7, 60)
+        .delay_pdf(&arc, corner, 7, 60)
         .expect("the historical suite has delay and slew records");
     let baseline = Summary::from_samples(&pdf.baseline);
     let proposed = Summary::from_samples(&pdf.proposed);

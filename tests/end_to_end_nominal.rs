@@ -32,7 +32,7 @@ fn bayesian_flow_beats_lut_at_small_sample_counts() {
         NominalStudy::new(TechnologyNode::target_14nm(), &db, config).expect("valid config");
     let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
-    let result = study.run(cell, &arc, TimingMetric::Delay).expect("prior");
+    let result = study.run(&arc, TimingMetric::Delay).expect("prior");
 
     let bayes = result.curve(MethodKind::ProposedBayesian).unwrap();
     let lse = result.curve(MethodKind::ProposedLse).unwrap();
@@ -78,9 +78,7 @@ fn slew_characterization_works_through_the_same_pipeline() {
         NominalStudy::new(TechnologyNode::target_14nm(), &db, config).expect("valid config");
     let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Rise);
-    let result = study
-        .run(cell, &arc, TimingMetric::OutputSlew)
-        .expect("prior");
+    let result = study.run(&arc, TimingMetric::OutputSlew).expect("prior");
     let bayes = result.curve(MethodKind::ProposedBayesian).unwrap();
     let final_error = *bayes.errors_percent.last().unwrap();
     assert!(

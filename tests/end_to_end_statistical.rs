@@ -34,7 +34,7 @@ fn statistical_moments_are_reconstructed_from_few_conditions() {
         StatisticalStudy::new(TechnologyNode::target_28nm(), &db, config).expect("valid config");
     let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
-    let result = study.run(cell, &arc).expect("prior");
+    let result = study.run(&arc).expect("prior");
 
     let bayes = result.curves_for(MethodKind::ProposedBayesian).unwrap();
     let lut = result.curves_for(MethodKind::Lut).unwrap();
@@ -90,7 +90,7 @@ fn low_vdd_delay_pdf_is_right_skewed_and_reconstructed() {
         Farads::from_femtofarads(1.67),
         Volts(0.734),
     );
-    let pdf = study.delay_pdf(cell, &arc, corner, 7, 12).expect("prior");
+    let pdf = study.delay_pdf(&arc, corner, 7, 12).expect("prior");
 
     // Near-threshold operation skews the delay distribution to the right (slow tail), the
     // Fig. 9 effect: the low-Vdd distribution is clearly more skewed than the same arc at
@@ -115,7 +115,7 @@ fn low_vdd_delay_pdf_is_right_skewed_and_reconstructed() {
             let mut seed = ProcessSample::nominal();
             seed.delta_vth_n = shift;
             seed.delta_vth_p = shift;
-            engine.simulate(cell, &arc, &probe, &seed).delay.value()
+            engine.simulate(&arc, &probe, &seed).delay.value()
         };
         let slow = delay_at(sigma);
         let nominal = delay_at(0.0);

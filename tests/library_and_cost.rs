@@ -43,15 +43,15 @@ fn lut_baseline_converges_through_public_facade() {
     let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     let builder = LutBuilder::new(&engine);
-    let coarse = builder.build_nominal_with_budget(cell, &arc, 8);
-    let fine = builder.build_nominal_with_budget(cell, &arc, 48);
+    let coarse = builder.build_nominal_with_budget(&arc, 8);
+    let fine = builder.build_nominal_with_budget(&arc, 48);
 
     let probe = InputPoint::new(
         Seconds::from_picoseconds(6.3),
         Farads::from_femtofarads(2.7),
         Volts(0.82),
     );
-    let reference = engine.simulate_nominal(cell, &arc, &probe);
+    let reference = engine.simulate_nominal(&arc, &probe);
     let coarse_err = (coarse.predict(&probe).delay.value() - reference.delay.value()).abs()
         / reference.delay.value();
     let fine_err = (fine.predict(&probe).delay.value() - reference.delay.value()).abs()
@@ -94,9 +94,9 @@ fn simulation_counters_isolate_per_engine_campaigns() {
         Farads::from_femtofarads(2.0),
         Volts(0.9),
     );
-    let _ = a.simulate_nominal(cell, &arc, &point);
-    let _ = a.simulate_nominal(cell, &arc, &point);
-    let _ = b.simulate_nominal(cell, &arc, &point);
+    let _ = a.simulate_nominal(&arc, &point);
+    let _ = a.simulate_nominal(&arc, &point);
+    let _ = b.simulate_nominal(&arc, &point);
     assert_eq!(a.simulation_count(), 2);
     assert_eq!(b.simulation_count(), 1);
 }

@@ -25,7 +25,7 @@ fn nor2_grid_samples() -> (Vec<TimingSample>, Vec<TimingSample>) {
                 Farads::from_femtofarads(cload),
                 Volts(vdd),
             );
-            let m = engine.simulate_nominal(cell, &arc, &point);
+            let m = engine.simulate_nominal(&arc, &point);
             let ieff = engine.ieff(&arc, &point, &nominal);
             delay.push(TimingSample::new(point, ieff, m.delay));
             slew.push(TimingSample::new(point, ieff, m.output_slew));
@@ -49,7 +49,7 @@ fn table1_analogue_four_parameter_fit_is_accurate_for_simulated_cells() {
         let samples: Vec<TimingSample> = points
             .iter()
             .map(|p| {
-                let m = engine.simulate_nominal(cell, &arc, p);
+                let m = engine.simulate_nominal(&arc, p);
                 TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay)
             })
             .collect();
